@@ -4,8 +4,8 @@ reduction, and constrained dynamics.
 
 The public surface re-exports the chart/point types, the splitting
 calculus, Lagrangian machinery, reduction tools, and the config loader.
-Everything is plain numpy; set FIBRESPLIT_DISABLE_NUMBA=1 to force the
-pure-numpy jet kernels.
+Everything is plain Python and numpy: compiled expressions evaluate their
+jets through straight-line code generated once per expression.
 """
 
 from .bundle import (BundleChart, DerivedField, PullbackPoint,

@@ -1,26 +1,33 @@
-"""Tape evaluation kernels: value + gradient + Hessian in one forward sweep.
+"""Tape kernels: each instruction tape is lowered once to straight-line Python.
 
-A compiled expression is a flat instruction tape over float64 registers.
-Rows are [op, dst, a, b]; the first k registers hold the input variables,
-each instruction writes a fresh register (SSA), and the final register is
-the result.  Two interchangeable implementations live here:
+A compiled expression is a flat instruction tape over registers.  Rows are
+[op, dst, a, b]; the first k registers hold the input variables, each
+instruction writes a fresh register (SSA), and the output register holds
+the result.
 
-  _tape_jet_loops / _tape_val_loops   explicit scalar loops, numba-jitted
-  _tape_jet_numpy / _tape_val_numpy   vectorized numpy fallback
+generate() turns a tape into two plain-Python functions of a list of k
+floats:
 
-Selection: numba is used when importable unless FIBRESPLIT_DISABLE_NUMBA
-is set to 1/true/yes.  Both routes implement the same recurrences and are
-cross-checked in the test suite; the benchmark script times them head to
-head.
+  jet(x)    -> (value, gradient as k floats, Hessian as k*k floats, row-major)
+  value(x)  -> value
 
-Kernels never raise.  They return a status: -1 on success, else the row
-index of the failing instruction, so the caller can name the bad operation.
+This is second-order forward mode with the sparsity resolved at generation
+time (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  Each
+register carries only its structurally nonzero gradient entries and its
+Hessian entries with i <= j; the lower triangle of the result mirrors the
+upper one, so the Hessian is exactly symmetric.  Every entry is computed by
+the recurrence the Jet2 algebra uses, with its terms in the same order, so
+the structurally nonzero entries agree with a dense sweep bit for bit (up
+to the sign of a zero).
+
+A failing row raises RowFailure(row, overflow): division by zero, log or
+sqrt of a nonpositive value, abs inside the slit, zero base with a
+negative exponent, a trig function of an infinite argument, or, with
+overflow set, a float overflow in exp, in an integer power or in the
+derivative factors of log and sqrt.
 """
 
 import math
-import os
-
-import numpy as np
 
 OP_CONST = 0
 OP_ADD = 1
@@ -44,312 +51,244 @@ OP_NAMES = {
     OP_POWI: "powi",
 }
 
+_UNARY_FN = {OP_SIN: "sin", OP_COS: "cos", OP_TAN: "tan", OP_EXP: "exp",
+             OP_LOG: "log", OP_SQRT: "sqrt"}
 
-def _tape_jet_loops(code, consts, nreg, k, x, slit_eps):
-    val = np.zeros(nreg)
-    grad = np.zeros((nreg, k))
-    hess = np.zeros((nreg, k, k))
-    for i in range(k):
-        val[i] = x[i]
-        grad[i, i] = 1.0
-    for row in range(code.shape[0]):
-        op = code[row, 0]
-        d = code[row, 1]
-        a = code[row, 2]
-        b = code[row, 3]
+
+class RowFailure(Exception):
+    """A tape row could not be evaluated: args are (row, overflow)."""
+
+    def __init__(self, row, overflow=False):
+        super().__init__(row, overflow)
+        self.row = row
+        self.overflow = overflow
+
+
+def _mul(p, q):
+    """Product of two entries, None if either is structurally zero; a seed
+    1.0 multiplies exactly, so it is dropped."""
+    if p is None or q is None:
+        return None
+    if p == "1.0":
+        return q
+    if q == "1.0":
+        return p
+    return f"{_atom(p)} * {_atom(q)}"
+
+
+def _atom(e):
+    return f"({e})" if " " in e else e
+
+
+def _neg(e):
+    if e == "1.0":
+        return "-1.0"
+    if e == "-1.0":
+        return "1.0"
+    return f"-{_atom(e)}"
+
+
+class _Lowering:
+    """One pass over the tape, writing the lines of both functions."""
+
+    def __init__(self, k):
+        self.dlines = []   # the current row's derivative lines
+        self.body = []     # (value lines, derivative lines) per row
+        self.n = 0
+        self.val = [f"v{i}" for i in range(k)]
+        self.grad = [{i: "1.0"} for i in range(k)]
+        self.hess = [{} for _ in range(k)]
+
+    def fresh(self):
+        self.n += 1
+        return f"d{self.n}"
+
+    def entry(self, expr):
+        """Bind a derivative term to a fresh local, unless it is a name."""
+        if expr.isidentifier() or expr == "1.0":
+            return expr
+        name = self.fresh()
+        self.dlines.append(f"{name} = {expr}")
+        return name
+
+    def sum_entry(self, terms, div=None):
+        """Left-to-right sum of the present (sign, term) pairs, or None."""
+        terms = [(s, t) for s, t in terms if t is not None]
+        if not terms:
+            return None
+        s, t = terms[0]
+        expr = t if s > 0 else _neg(t)
+        for s, t in terms[1:]:
+            expr += f" {'+' if s > 0 else '-'} {t}"
+        if div is not None:
+            expr = f"{_atom(expr)} / {div}"
+        return self.entry(expr)
+
+    def factors(self, row, fp, fpp):
+        """Bind f' and f'' where either may overflow; return their names."""
+        names = self.fresh(), self.fresh()
+        self.dlines += _guard([f"{names[0]} = {fp}", f"{names[1]} = {fpp}"],
+                              row, "(OverflowError, ZeroDivisionError)",
+                              True)
+        return names
+
+    @staticmethod
+    def pairs(ga, gb):
+        """Upper-triangle keys (i, j) reached by ga_i gb_j or gb_i ga_j."""
+        return {(min(i, j), max(i, j)) for i in ga for j in gb}
+
+    def chain(self, a, fp, fpp):
+        """Entries of f(u) from f', f'' and u's entries (fpp None: f''=0)."""
+        ga, ha = self.grad[a], self.hess[a]
+        grad = {i: self.entry(_mul(fp, g)) for i, g in ga.items()}
+        keys = set(ha) | (self.pairs(ga, ga) if fpp is not None else set())
+        hess = {}
+        for i, j in sorted(keys):
+            outer = None
+            if fpp is not None:
+                outer = _mul(fpp, _mul(ga.get(i), ga.get(j)))
+            hess[i, j] = self.sum_entry([(1, _mul(fp, ha.get((i, j)))),
+                                         (1, outer)])
+        return grad, hess
+
+
+def _power_term(c, u, e):
+    """c * u**e; u**0 == 1 and u**1 == u exactly, so those skip the pow."""
+    if e == 0:
+        return repr(float(c))
+    return f"{c} * {u}" if e == 1 else f"{c} * {u} ** {e}"
+
+
+def _guard(lines, row, exc, overflow):
+    out = ["try:"] + [f"    {ln}" for ln in lines]
+    out += [f"except {exc}:", f"    raise _RowFailure({row}, {overflow})"
+            " from None"]
+    return out
+
+
+def _literal(c, namespace):
+    if math.isfinite(c):
+        return repr(c)
+    name = f"_c{len(namespace)}"
+    namespace[name] = c
+    return name
+
+
+def generate(code, consts, k, out_reg, slit_eps):
+    """Lower a tape to (jet, value), two functions of a list of k floats."""
+    low = _Lowering(k)
+    namespace = {"_RowFailure": RowFailure, "sin": math.sin,
+                 "cos": math.cos, "tan": math.tan, "exp": math.exp,
+                 "log": math.log, "sqrt": math.sqrt}
+    consts = consts.tolist()
+    val, grad, hess = low.val, low.grad, low.hess
+    for row, (op, d, a, b) in enumerate(code.tolist()):
+        vl = []   # value and domain check lines, shared by both functions
+        dl = low.dlines = []
+        vd = f"v{d}"
+        u, ga, ha = ((None, {}, {}) if op == OP_CONST
+                     else (val[a], grad[a], hess[a]))
+        g, h = {}, {}
         if op == OP_CONST:
-            val[d] = consts[a]
-        elif op == OP_ADD:
-            val[d] = val[a] + val[b]
-            for i in range(k):
-                grad[d, i] = grad[a, i] + grad[b, i]
-                for j in range(k):
-                    hess[d, i, j] = hess[a, i, j] + hess[b, i, j]
-        elif op == OP_SUB:
-            val[d] = val[a] - val[b]
-            for i in range(k):
-                grad[d, i] = grad[a, i] - grad[b, i]
-                for j in range(k):
-                    hess[d, i, j] = hess[a, i, j] - hess[b, i, j]
+            vl.append(f"{vd} = {_literal(consts[a], namespace)}")
+        elif op in (OP_ADD, OP_SUB):
+            sb = 1 if op == OP_ADD else -1
+            vl.append(f"{vd} = {u} {'+' if sb > 0 else '-'} {val[b]}")
+            gb, hb = grad[b], hess[b]
+            g = {i: low.sum_entry([(1, ga.get(i)), (sb, gb.get(i))])
+                 for i in sorted(set(ga) | set(gb))}
+            h = {ij: low.sum_entry([(1, ha.get(ij)), (sb, hb.get(ij))])
+                 for ij in sorted(set(ha) | set(hb))}
         elif op == OP_MUL:
-            va = val[a]
-            vb = val[b]
-            val[d] = va * vb
-            for i in range(k):
-                grad[d, i] = grad[a, i] * vb + va * grad[b, i]
-                for j in range(k):
-                    hess[d, i, j] = (hess[a, i, j] * vb + va * hess[b, i, j]
-                                     + grad[a, i] * grad[b, j]
-                                     + grad[a, j] * grad[b, i])
+            vb, gb, hb = val[b], grad[b], hess[b]
+            vl.append(f"{vd} = {u} * {vb}")
+            g = {i: low.sum_entry([(1, _mul(ga.get(i), vb)),
+                                   (1, _mul(u, gb.get(i)))])
+                 for i in sorted(set(ga) | set(gb))}
+            for i, j in sorted(set(ha) | set(hb) | low.pairs(ga, gb)):
+                h[i, j] = low.sum_entry([
+                    (1, _mul(ha.get((i, j)), vb)),
+                    (1, _mul(u, hb.get((i, j)))),
+                    (1, _mul(ga.get(i), gb.get(j))),
+                    (1, _mul(gb.get(i), ga.get(j)))])
         elif op == OP_DIV:
-            w = val[b]
-            if w == 0.0:
-                return row, val, grad, hess
-            f = val[a] / w
-            val[d] = f
-            for i in range(k):
-                grad[d, i] = (grad[a, i] - f * grad[b, i]) / w
-            for i in range(k):
-                for j in range(k):
-                    hess[d, i, j] = (hess[a, i, j]
-                                     - grad[d, i] * grad[b, j]
-                                     - grad[b, i] * grad[d, j]
-                                     - f * hess[b, i, j]) / w
+            vb, gb, hb = val[b], grad[b], hess[b]
+            vl += [f"if {vb} == 0.0:", f"    raise _RowFailure({row})",
+                   f"{vd} = {u} / {vb}"]
+            g = {i: low.sum_entry([(1, ga.get(i)), (-1, _mul(vd, gb.get(i)))],
+                                  div=vb)
+                 for i in sorted(set(ga) | set(gb))}
+            for i, j in sorted(set(ha) | set(hb) | low.pairs(g, gb)):
+                h[i, j] = low.sum_entry([
+                    (1, ha.get((i, j))),
+                    (-1, _mul(g.get(i), gb.get(j))),
+                    (-1, _mul(gb.get(i), g.get(j))),
+                    (-1, _mul(vd, hb.get((i, j))))], div=vb)
         elif op == OP_NEG:
-            val[d] = -val[a]
-            for i in range(k):
-                grad[d, i] = -grad[a, i]
-                for j in range(k):
-                    hess[d, i, j] = -hess[a, i, j]
+            vl.append(f"{vd} = -{u}")
+            g = {i: low.entry(_neg(e)) for i, e in ga.items()}
+            h = {ij: low.entry(_neg(e)) for ij, e in ha.items()}
+        elif op == OP_POWI and b == 0:
+            vl.append(f"{vd} = 1.0")
+        elif op == OP_POWI and b == 1:
+            vd, g, h = u, ga, ha
         elif op == OP_POWI:
-            u = val[a]
-            n = b
-            if n == 0:
-                val[d] = 1.0
-                # grad/hess stay zero
-            elif u == 0.0 and n < 0:
-                return row, val, grad, hess
-            else:
-                val[d] = u ** n
-                if n == 1:
-                    fp = 1.0
-                    fpp = 0.0
-                else:
-                    fp = n * u ** (n - 1)
-                    fpp = n * (n - 1) * u ** (n - 2)
-                for i in range(k):
-                    grad[d, i] = fp * grad[a, i]
-                    for j in range(k):
-                        hess[d, i, j] = (fp * hess[a, i, j]
-                                         + fpp * grad[a, i] * grad[a, j])
-        else:
-            # unary chain ops: f(u) with f', f''
-            u = val[a]
-            if op == OP_SIN:
-                f = math.sin(u)
-                fp = math.cos(u)
-                fpp = -f
-            elif op == OP_COS:
-                f = math.cos(u)
-                fp = -math.sin(u)
-                fpp = -f
-            elif op == OP_TAN:
-                t = math.tan(u)
-                f = t
-                fp = 1.0 + t * t
-                fpp = 2.0 * t * (1.0 + t * t)
-            elif op == OP_EXP:
-                f = math.exp(u)
-                fp = f
-                fpp = f
-            elif op == OP_LOG:
-                if u <= 0.0:
-                    return row, val, grad, hess
-                f = math.log(u)
-                fp = 1.0 / u
-                fpp = -1.0 / (u * u)
-            elif op == OP_SQRT:
-                if u <= 0.0:
-                    return row, val, grad, hess
-                s = math.sqrt(u)
-                f = s
-                fp = 0.5 / s
-                fpp = -0.25 / (s * u)
-            elif op == OP_ABS:
-                # not differentiable at 0; reject the whole slit
-                if abs(u) < slit_eps:
-                    return row, val, grad, hess
-                sg = 1.0 if u > 0.0 else -1.0
-                f = sg * u
-                fp = sg
-                fpp = 0.0
-            else:
-                return row, val, grad, hess
-            val[d] = f
-            for i in range(k):
-                grad[d, i] = fp * grad[a, i]
-                for j in range(k):
-                    hess[d, i, j] = (fp * hess[a, i, j]
-                                     + fpp * grad[a, i] * grad[a, j])
-    return -1, val, grad, hess
-
-
-def _tape_val_loops(code, consts, nreg, k, x, slit_eps):
-    val = np.zeros(nreg)
-    for i in range(k):
-        val[i] = x[i]
-    for row in range(code.shape[0]):
-        op = code[row, 0]
-        d = code[row, 1]
-        a = code[row, 2]
-        b = code[row, 3]
-        if op == OP_CONST:
-            val[d] = consts[a]
-        elif op == OP_ADD:
-            val[d] = val[a] + val[b]
-        elif op == OP_SUB:
-            val[d] = val[a] - val[b]
-        elif op == OP_MUL:
-            val[d] = val[a] * val[b]
-        elif op == OP_DIV:
-            if val[b] == 0.0:
-                return row, val
-            val[d] = val[a] / val[b]
-        elif op == OP_NEG:
-            val[d] = -val[a]
-        elif op == OP_POWI:
-            if b == 0:
-                val[d] = 1.0
-            elif val[a] == 0.0 and b < 0:
-                return row, val
-            else:
-                val[d] = val[a] ** b
-        elif op == OP_SIN:
-            val[d] = math.sin(val[a])
-        elif op == OP_COS:
-            val[d] = math.cos(val[a])
-        elif op == OP_TAN:
-            val[d] = math.tan(val[a])
-        elif op == OP_EXP:
-            val[d] = math.exp(val[a])
-        elif op == OP_LOG:
-            if val[a] <= 0.0:
-                return row, val
-            val[d] = math.log(val[a])
-        elif op == OP_SQRT:
-            if val[a] <= 0.0:
-                return row, val
-            val[d] = math.sqrt(val[a])
+            if b < 0:
+                vl += [f"if {u} == 0.0:", f"    raise _RowFailure({row})"]
+            vl += _guard([f"{vd} = {u} ** {b}"], row, "OverflowError", True)
+            fp, fpp = low.factors(row, _power_term(b, u, b - 1),
+                                  _power_term(b * (b - 1), u, b - 2))
+            g, h = low.chain(a, fp, fpp)
         elif op == OP_ABS:
-            if abs(val[a]) < slit_eps:
-                return row, val
-            val[d] = abs(val[a])
-        else:
-            return row, val
-    return -1, val
-
-
-def _tape_jet_numpy(code, consts, nreg, k, x, slit_eps):
-    """Vectorized twin of _tape_jet_loops; same recurrences via array ops."""
-    val = np.zeros(nreg)
-    grad = np.zeros((nreg, k))
-    hess = np.zeros((nreg, k, k))
-    val[:k] = x
-    grad[:k, :k] = np.eye(k)
-    for row in range(code.shape[0]):
-        op, d, a, b = code[row]
-        if op == OP_CONST:
-            val[d] = consts[a]
-        elif op == OP_ADD:
-            val[d] = val[a] + val[b]
-            grad[d] = grad[a] + grad[b]
-            hess[d] = hess[a] + hess[b]
-        elif op == OP_SUB:
-            val[d] = val[a] - val[b]
-            grad[d] = grad[a] - grad[b]
-            hess[d] = hess[a] - hess[b]
-        elif op == OP_MUL:
-            val[d] = val[a] * val[b]
-            grad[d] = grad[a] * val[b] + val[a] * grad[b]
-            hess[d] = (hess[a] * val[b] + val[a] * hess[b]
-                       + np.outer(grad[a], grad[b])
-                       + np.outer(grad[b], grad[a]))
-        elif op == OP_DIV:
-            w = val[b]
-            if w == 0.0:
-                return row, val, grad, hess
-            f = val[a] / w
-            val[d] = f
-            grad[d] = (grad[a] - f * grad[b]) / w
-            hess[d] = (hess[a]
-                       - np.outer(grad[d], grad[b])
-                       - np.outer(grad[b], grad[d])
-                       - f * hess[b]) / w
-        elif op == OP_NEG:
-            val[d] = -val[a]
-            grad[d] = -grad[a]
-            hess[d] = -hess[a]
-        elif op == OP_POWI:
-            u = val[a]
-            n = b
-            if n == 0:
-                val[d] = 1.0
-                grad[d] = 0.0
-                hess[d] = 0.0
-            elif u == 0.0 and n < 0:
-                return row, val, grad, hess
-            else:
-                val[d] = u ** n
-                if n == 1:
-                    fp, fpp = 1.0, 0.0
-                else:
-                    fp = n * u ** (n - 1)
-                    fpp = n * (n - 1) * u ** (n - 2)
-                grad[d] = fp * grad[a]
-                hess[d] = fp * hess[a] + fpp * np.outer(grad[a], grad[a])
-        else:
-            u = val[a]
-            if op == OP_SIN:
-                f, fp, fpp = math.sin(u), math.cos(u), -math.sin(u)
-            elif op == OP_COS:
-                f, fp, fpp = math.cos(u), -math.sin(u), -math.cos(u)
-            elif op == OP_TAN:
-                t = math.tan(u)
-                f, fp, fpp = t, 1.0 + t * t, 2.0 * t * (1.0 + t * t)
+            vl += [f"if abs({u}) < {slit_eps!r}:",
+                   f"    raise _RowFailure({row})", f"{vd} = abs({u})"]
+            if ga:
+                sg = low.entry(f"1.0 if {u} > 0.0 else -1.0")
+                g, h = low.chain(a, sg, None)
+        elif op in _UNARY_FN:
+            fn = _UNARY_FN[op]
+            if op in (OP_LOG, OP_SQRT):
+                vl += [f"if {u} <= 0.0:", f"    raise _RowFailure({row})",
+                       f"{vd} = {fn}({u})"]
             elif op == OP_EXP:
-                f = math.exp(u)
-                fp = fpp = f
-            elif op == OP_LOG:
-                if u <= 0.0:
-                    return row, val, grad, hess
-                f, fp, fpp = math.log(u), 1.0 / u, -1.0 / (u * u)
-            elif op == OP_SQRT:
-                if u <= 0.0:
-                    return row, val, grad, hess
-                s = math.sqrt(u)
-                f, fp, fpp = s, 0.5 / s, -0.25 / (s * u)
-            elif op == OP_ABS:
-                if abs(u) < slit_eps:
-                    return row, val, grad, hess
-                sg = 1.0 if u > 0.0 else -1.0
-                f, fp, fpp = sg * u, sg, 0.0
+                vl += _guard([f"{vd} = exp({u})"], row, "OverflowError",
+                             True)
             else:
-                return row, val, grad, hess
-            val[d] = f
-            grad[d] = fp * grad[a]
-            hess[d] = fp * hess[a] + fpp * np.outer(grad[a], grad[a])
-    return -1, val, grad, hess
+                # a trig function of an infinite argument
+                vl += _guard([f"{vd} = {fn}({u})"], row, "ValueError",
+                             False)
+            if op in (OP_LOG, OP_SQRT) and ga:
+                # 1/u and 1/(u*u) overflow for a tiny positive u
+                fp, fpp = low.factors(row, *{
+                    OP_LOG: (f"1.0 / {u}", f"-1.0 / ({u} * {u})"),
+                    OP_SQRT: (f"0.5 / {vd}", f"-0.25 / ({vd} * {u})")}[op])
+                g, h = low.chain(a, fp, fpp)
+            elif ga:
+                fp = low.entry({OP_SIN: f"cos({u})", OP_COS: f"-sin({u})",
+                                OP_TAN: f"1.0 + {vd} * {vd}",
+                                OP_EXP: vd}[op])
+                fpp = low.entry({OP_SIN: f"-{vd}", OP_COS: f"-{vd}",
+                                 OP_TAN: f"2.0 * {vd} * {fp}",
+                                 OP_EXP: vd}[op])
+                g, h = low.chain(a, fp, fpp)
+        else:
+            vl.append(f"raise _RowFailure({row})")
+        val.append(vd)
+        grad.append(g)
+        hess.append(h)
+        low.body.append((vl, dl))
 
-
-def _tape_val_numpy(code, consts, nreg, k, x, slit_eps):
-    return _tape_val_loops(code, consts, nreg, k, x, slit_eps)
-
-
-NUMBA_ENABLED = False
-_tape_jet_fast = _tape_jet_numpy
-_tape_val_fast = _tape_val_numpy
-
-if os.environ.get("FIBRESPLIT_DISABLE_NUMBA", "").lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-        _tape_jet_fast = njit(cache=True)(_tape_jet_loops)
-        _tape_val_fast = njit(cache=True)(_tape_val_loops)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-
-def tape_jet(code, consts, nreg, k, x, slit_eps):
-    """Evaluate a tape with first and second derivatives at x.
-
-    Returns (status, val, grad, hess) over all registers; status -1 means
-    success and the result lives in register nreg-1.
-    """
-    return _tape_jet_fast(code, consts, nreg, k, np.asarray(x, dtype=float),
-                          slit_eps)
-
-
-def tape_val(code, consts, nreg, k, x, slit_eps):
-    """Value-only tape evaluation at x. Returns (status, val)."""
-    return _tape_val_fast(code, consts, nreg, k, np.asarray(x, dtype=float),
-                          slit_eps)
+    vo, go, ho = val[out_reg], grad[out_reg], hess[out_reg]
+    gout = ", ".join(go.get(i, "0.0") for i in range(k))
+    hout = ", ".join(ho.get((min(i, j), max(i, j)), "0.0")
+                     for i in range(k) for j in range(k))
+    head = [f"{', '.join(val[:k])}, = x"] if k else []
+    jet_body = head + [ln for vl, dl in low.body for ln in vl + dl]
+    value_body = head + [ln for vl, _ in low.body for ln in vl]
+    src = "\n".join(
+        ["def jet(x):"] + [f"    {ln}" for ln in jet_body]
+        + [f"    return {vo}, [{gout}], [{hout}]", "",
+           "def value(x):"] + [f"    {ln}" for ln in value_body]
+        + [f"    return {vo}"])
+    exec(compile(src, "<tape>", "exec"), namespace)
+    return namespace["jet"], namespace["value"]

@@ -86,10 +86,11 @@ def _prec(node):
 
 def _show(node, _level):
     if isinstance(node, Num):
+        # repr keeps '2.0' a number token on reparse
         v = node.value
         if v < 0:
-            return f"-{_fmt_num(-v)}"
-        return _fmt_num(v)
+            return f"-{-v!r}"
+        return repr(v)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
@@ -114,12 +115,6 @@ def _show(node, _level):
         if _prec(node.right) <= p:
             rs = f"({rs})"
     return f"{ls}{node.op}{rs}"
-
-
-def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
-        return repr(v)  # '2.0' keeps the token a number on reparse
-    return repr(v)
 
 
 def to_string(node):
@@ -281,7 +276,7 @@ def fold_constants(node):
             try:
                 fn = getattr(math, node.fn) if node.fn != "abs" else abs
                 return Num(float(fn(a.value)))
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
         return Call(node.fn, (a,))
     l = fold_constants(node.left)

@@ -6,11 +6,14 @@ derivative orders.  numpy ufuncs dispatch to the like-named methods, so
 np.sin(jet) works.
 
 ScalarField wraps an evaluator (list of Jet2 -> Jet2) with an arity and a
-label.  TapeField is the compiled-expression variant that evaluates through
-the instruction-tape kernels; its plain-algebra evaluator is kept as an
-independent second route and the two are cross-checked in tests.
+label.  TapeField is the compiled-expression variant: it evaluates through
+straight-line code generated from its instruction tape, and keeps the
+plain-algebra evaluator as the independent oracle the tests check it
+against.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,7 @@ from . import _kernels
 from .errors import ArityError, DimensionMismatch, DomainError
 
 SLIT_EPS_DEFAULT = 1e-6
+_EXP_MAX_ARG = math.log(sys.float_info.max)  # exp overflows above this
 
 
 class Jet2:
@@ -40,12 +44,14 @@ class Jet2:
         if gradient.shape != (k,) or hessian.shape != (k, k):
             raise DimensionMismatch(
                 f"jet shapes {gradient.shape}, {hessian.shape} for arity {k}")
-        if not (np.isfinite(value) and np.isfinite(gradient).all()
+        if not (math.isfinite(value) and np.isfinite(gradient).all()
                 and np.isfinite(hessian).all()):
             raise DomainError("jet has non-finite entries")
-        scale = 1.0 + np.abs(hessian).max()
-        if np.abs(hessian - hessian.T).max() > 1e-12 * scale:
-            raise ValueError("jet hessian is not symmetric")
+        # an exactly symmetric hessian passes the tolerance test below
+        if not (hessian == hessian.T).all():
+            scale = 1.0 + np.abs(hessian).max()
+            if np.abs(hessian - hessian.T).max() > 1e-12 * scale:
+                raise ValueError("jet hessian is not symmetric")
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
@@ -123,12 +129,16 @@ class Jet2:
         u = self.value
         if u == 0.0 and n < 0:
             raise DomainError("zero base with negative exponent")
-        if n == 1:
-            fp, fpp = 1.0, 0.0
-        else:
-            fp = n * u ** (n - 1)
-            fpp = n * (n - 1) * u ** (n - 2)
-        return self._chain1(u ** n, fp, fpp)
+        try:
+            f = u ** n
+            if n == 1:
+                fp, fpp = 1.0, 0.0
+            else:
+                fp = n * u ** (n - 1)
+                fpp = n * (n - 1) * u ** (n - 2)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError("powi overflow") from None
+        return self._chain1(f, fp, fpp)
 
     def _chain1(self, f, fp, fpp):
         return Jet2(f, fp * self.gradient,
@@ -148,6 +158,8 @@ class Jet2:
         return self._chain1(t, 1.0 + t * t, 2.0 * t * (1.0 + t * t))
 
     def exp(self):
+        if self.value > _EXP_MAX_ARG:
+            raise DomainError("exp overflow")
         e = np.exp(self.value)
         return self._chain1(e, e, e)
 
@@ -155,6 +167,8 @@ class Jet2:
         if self.value <= 0.0:
             raise DomainError("log of nonpositive value")
         u = self.value
+        if u * u == 0.0:
+            raise DomainError("log overflow")
         return self._chain1(np.log(u), 1.0 / u, -1.0 / (u * u))
 
     def sqrt(self):
@@ -249,9 +263,10 @@ class ScalarField:
 class TapeField(ScalarField):
     """ScalarField backed by a compiled instruction tape.
 
-    jet() and value() run through the (numba or numpy) kernels; the
-    inherited evaluator route recomputes with plain Jet2 algebra, which the
-    tests use as the independent cross-check.
+    The first jet() or value() call lowers the tape to straight-line Python
+    (see _kernels) and keeps the two generated functions on the instance.
+    The inherited evaluator recomputes with plain Jet2 algebra; it is the
+    independent oracle the tests check the generated code against.
     """
 
     def __init__(self, arity, code, consts, nreg, out_reg, label="",
@@ -262,11 +277,21 @@ class TapeField(ScalarField):
         self.nreg = nreg
         self.out_reg = out_reg
         self.slit_eps = slit_eps
+        self._kernel = None
 
-    def _raise_for(self, row):
+    def _generated(self):
+        if self._kernel is None:
+            self._kernel = _kernels.generate(self.code, self.consts,
+                                             self.arity, self.out_reg,
+                                             self.slit_eps)
+        return self._kernel
+
+    def _raise_for(self, row, overflow=False):
         op = int(self.code[row, 0])
         name = _kernels.OP_NAMES.get(op, str(op))
-        if op == _kernels.OP_DIV:
+        if overflow:
+            msg = f"{name} overflow"
+        elif op == _kernels.OP_DIV:
             msg = "division by zero"
         elif op == _kernels.OP_LOG:
             msg = "log of nonpositive value"
@@ -278,49 +303,34 @@ class TapeField(ScalarField):
             msg = "zero base with negative exponent"
         else:
             msg = f"operation '{name}' failed"
-        raise DomainError(f"field '{self.label}': {msg}")
+        raise DomainError(f"field '{self.label}': {msg}") from None
+
+    def _point(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.arity,):
+            raise DimensionMismatch(
+                f"field '{self.label}' expects {self.arity} inputs, "
+                f"got shape {x.shape}")
+        return x.tolist()
 
     def jet(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.arity,):
-            raise DimensionMismatch(
-                f"field '{self.label}' expects {self.arity} inputs, "
-                f"got shape {x.shape}")
-        status, val, grad, hess = _kernels.tape_jet(
-            self.code, self.consts, self.nreg, self.arity, x, self.slit_eps)
-        if status >= 0:
-            self._raise_for(status)
-        r = self.out_reg
-        return Jet2(val[r], grad[r], hess[r])
+        x = self._point(x)
+        try:
+            val, grad, hess = self._generated()[0](x)
+        except _kernels.RowFailure as exc:
+            self._raise_for(exc.row, exc.overflow)
+        k = self.arity
+        return Jet2(val, np.array(grad), np.array(hess).reshape(k, k))
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.arity,):
-            raise DimensionMismatch(
-                f"field '{self.label}' expects {self.arity} inputs, "
-                f"got shape {x.shape}")
-        status, val = _kernels.tape_val(
-            self.code, self.consts, self.nreg, self.arity, x, self.slit_eps)
-        if status >= 0:
-            self._raise_for(status)
-        out = val[self.out_reg]
-        if not np.isfinite(out):
+        x = self._point(x)
+        try:
+            out = self._generated()[1](x)
+        except _kernels.RowFailure as exc:
+            self._raise_for(exc.row, exc.overflow)
+        if not math.isfinite(out):
             raise DomainError(f"field '{self.label}': non-finite value")
-        return out
-
-
-def eval_jet2(field, x):
-    """Jet of a ScalarField at the point x."""
-    return field.jet(x)
-
-
-def directional_derivative(field, x, v):
-    """First derivative of field at x along v."""
-    v = np.asarray(v, dtype=float)
-    jet = field.jet(x)
-    if v.shape != jet.gradient.shape:
-        raise DimensionMismatch("direction has wrong length")
-    return float(jet.gradient @ v)
+        return np.float64(out)  # keeps numpy's float semantics for callers
 
 
 @dataclass

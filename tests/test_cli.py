@@ -196,3 +196,48 @@ def test_cli_overrides_reach_the_report(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--config", "x.ini"])
+
+
+_OVERFLOW_INI = """[bundle]
+base_dim = 1
+fibre_dim = 1
+
+[splitting]
+h1 = "{h}"
+
+[curve]
+x1 = "sin(t)"
+y0 = [0.2]
+
+[simulation]
+t1 = 1.5
+dt = 0.001
+"""
+
+
+@pytest.mark.parametrize("command, h, error", [
+    ("lift-curve", "exp(800*v1^2)", "field 'exp(800*v1^2)': exp overflow"),
+    ("curvature", "exp(800*v1^2)", "field 'exp(800*v1^2)': exp overflow"),
+    ("curvature", "v1^2*(x1 + 1000)^400",
+     "field 'v1^2*(x1 + 1000)^400': powi overflow"),
+    # classify skips samples outside the domain; here every one overflows
+    ("classify", "exp(800 + v1^2)", "no admissible sample points found"),
+])
+def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, h,
+                                               error):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(_OVERFLOW_INI.format(h=h))
+    assert run(command, cfg, tmp_path / "out") == 3
+    rep = report(tmp_path / "out")
+    assert rep["status"] == "numerical-failure"
+    assert rep["error"] == f"DomainError: {error}"
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_classify_skips_overflowing_samples(tmp_path):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(_OVERFLOW_INI.format(h="exp(800*v1^2)"))
+    assert run("classify", cfg, tmp_path / "out") == 0
+    rep = report(tmp_path / "out")
+    assert rep["values"]["skipped_samples"] > 0
+    assert rep["verdicts"]["classification"] == "General"

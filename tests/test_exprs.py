@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fibresplit.errors import (ArityError, ExprSyntaxError,
+from fibresplit.errors import (ArityError, DomainError, ExprSyntaxError,
                                UnknownIdentifier)
 from fibresplit.exprs import (Bin, Call, Num, Var, VarContext, compile_field,
                               fold_constants, mentions_nonsmooth, parse,
@@ -111,6 +111,11 @@ def test_fold_constants():
     # folding never evaluates outside-domain constants
     node = parse("sqrt(x1) + 1/2")
     assert variables(fold_constants(node)) == {"x1"}
+    # an overflowing constant call stays unfolded and fails when evaluated
+    node = parse("exp(800) + x1")
+    assert fold_constants(node) == node
+    with pytest.raises(DomainError, match="exp overflow"):
+        ev("exp(800) + x1", [0.0, 0.0, 0.0])
 
 
 def test_substitute():

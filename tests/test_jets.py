@@ -108,27 +108,91 @@ def test_tape_jets_match_reference_algebra():
             assert np.abs(fast.hessian - ref.hessian).max() < 1e-10 * scale
 
 
-def test_kernel_routes_agree():
-    # selected fast route vs vectorized numpy vs plain-python loops
+# every tape op code, including each integer-power special case and the
+# exp(b*log(a)) lowering of a fractional power
+_OP_SOURCES = [
+    "2*a + 3*b - c + 0.5",
+    "a*b*c - (a - b)*(b + c)",
+    "a/b + (a*c)/(2 + b^2) - 1/c",
+    "-a + -(b*c)",
+    "sin(a*b) + cos(b - c) + tan(0.3*c)",
+    "exp(a*b) - log(2 + c^2)",
+    "sqrt(1 + a^2 + b*c) + abs(a - 2*b)",
+    "a^3 + b^-2 + c^0 + (a*b)^1 + (b + c)^2",
+    "(1 + a^2)^1.5 + c^b",
+]
+
+
+def test_generated_kernel_matches_jet2_on_every_op():
+    ops = set()
     rng = np.random.default_rng(12)
-    for src in _FUZZ_SOURCES:
+    for src in _OP_SOURCES:
         f = field(src)
+        ops |= set(f.code[:, 0].tolist())
         for _ in range(10):
-            x = rng.uniform(-0.9, 0.9, 3)
-            results = [
-                _kernels.tape_jet(f.code, f.consts, f.nreg, f.arity, x,
-                                  f.slit_eps),
-                _kernels._tape_jet_numpy(f.code, f.consts, f.nreg, f.arity,
-                                         x, f.slit_eps),
-                _kernels._tape_jet_loops(f.code, f.consts, f.nreg, f.arity,
-                                         x, f.slit_eps),
-            ]
-            s0, v0, g0, h0 = results[0]
-            for s, v, g, h in results[1:]:
-                assert s == s0
-                assert np.abs(v - v0).max() < 1e-13
-                assert np.abs(g - g0).max() < 1e-13
-                assert np.abs(h - h0).max() < 1e-13
+            x = rng.uniform(0.3, 0.9, 3) * rng.choice([-1.0, 1.0], 3)
+            x[2] = abs(x[2])  # c^b needs a positive base
+            got = f.jet(x)
+            ref = f.evaluator(seed_jets(x))
+            scale = 1.0 + abs(ref.value)
+            assert abs(got.value - ref.value) <= 1e-13 * scale
+            assert np.abs(got.gradient - ref.gradient).max() <= 1e-12 * scale
+            assert np.abs(got.hessian - ref.hessian).max() <= 1e-11 * scale
+            assert (got.hessian == got.hessian.T).all()
+            assert f.value(x) == got.value
+    assert ops == set(_kernels.OP_NAMES)
+
+
+def test_generated_kernel_keeps_jet2_arithmetic_exactly():
+    # with only correctly rounded operations (no libm transcendentals) the
+    # generated code and the Jet2 recurrences must agree to the last bit
+    rng = np.random.default_rng(14)
+    iu = np.triu_indices(3)
+    for src in ["a*b*c - (a - b)*(b + c)", "a/b + (a*c)/(2 + b^2) - 1/c",
+                "-a + -(b*c)", "a^3 + b^-2 + c^0 + (a*b)^1 + (b + c)^2",
+                "sqrt(1 + a^2 + b*c) + abs(a - 2*b)",
+                "(a + 2*b - 0.5*c)^4 / (5 + a^2)",
+                "(a^2 + b/c)*(b*c + a^3)*(a - c^2)",
+                "(a/b + c^3)/(b^2 + a*c) - (a*b)^-3"]:
+        f = field(src)
+        for _ in range(20):
+            x = rng.uniform(0.3, 0.9, 3)
+            got = f.jet(x)
+            ref = f.evaluator(seed_jets(x))
+            assert got.value == ref.value
+            assert (got.gradient == ref.gradient).all()
+            assert (got.hessian[iu] == ref.hessian[iu]).all()
+
+
+@pytest.mark.parametrize("src, x, msg", [
+    ("1/a", [0.0, 1.0, 1.0], "division by zero"),
+    ("log(a - b)", [1.0, 1.0, 0.0], "log of nonpositive value"),
+    ("log(a)", [-3.0, 0.0, 0.0], "log of nonpositive value"),
+    ("sqrt(a)", [0.0, 0.0, 0.0], "sqrt of nonpositive value"),
+    ("abs(a - 0.5)", [0.5 + 1e-7, 0.0, 0.0],
+     "abs argument inside slit radius 1e-06"),
+    ("b + a^-2", [0.0, 1.0, 0.0], "zero base with negative exponent"),
+    ("exp(800*a^2)", [1.0, 0.0, 0.0], "exp overflow"),
+    ("a^400", [1000.0, 0.0, 0.0], "powi overflow"),
+])
+def test_generated_kernel_domain_errors(src, x, msg):
+    f = field(src)
+    x = np.array(x)
+    for call in (f.jet, f.value):
+        with pytest.raises(DomainError) as exc:
+            call(x)
+        assert str(exc.value) == f"field '{src}': {msg}"
+    with pytest.raises(DomainError):
+        f.evaluator(seed_jets(x))
+
+
+def test_generated_kernel_is_lazy_and_kept():
+    f = field("a*b + c")
+    assert f._kernel is None
+    f.value(np.zeros(3))
+    kernel = f._kernel
+    f.jet(np.ones(3))
+    assert f._kernel is kernel
 
 
 def test_fd_check_confirms_ad_jets():
