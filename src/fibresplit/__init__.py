@@ -24,10 +24,10 @@ from .exprs import (VarContext, compile_field, fold_constants, parse,
                     substitute, to_string)
 from .jets import Jet2, ScalarField, TapeField, fd_check
 from .lagrangian import (InducedSplitting, LagrangianSpec, SodeSpec,
-                         euler_lagrange_sode, fibre_regularity,
-                         homogeneity_of_induced, induced_splitting,
-                         integrate_sode, liouville_derivative,
-                         projection_verify, subduce,
+                         defining_relation_check, euler_lagrange_sode,
+                         fibre_regularity, homogeneity_of_induced,
+                         induced_splitting, integrate_sode,
+                         liouville_derivative, projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import (AffineConstraintSpec, ConstrainedState,
                            constrained_lagrangian, integrate_constrained,

@@ -269,15 +269,14 @@ class DerivedField(ScalarField):
     """Scalar field with exact value+gradient and a filled-in Hessian.
 
     vg(x) must return (value, gradient) exactly; the Hessian of the jet is
-    reconstructed by central differences of that gradient (then
-    symmetrized), since the exact second derivative of a derived quantity
-    would need third derivatives of its ingredients.
+    reconstructed by central differences of that gradient, with step
+    1e-5 (1 + max|x|), then symmetrized, since the exact second derivative
+    of a derived quantity would need third derivatives of its ingredients.
     """
 
-    def __init__(self, arity, vg, label="", fd_step=1e-5):
+    def __init__(self, arity, vg, label=""):
         super().__init__(arity, None, label)
         self.vg = vg
-        self.fd_step = fd_step
 
     def value(self, x):
         return self.vg(np.asarray(x, dtype=float))[0]
@@ -290,7 +289,7 @@ class DerivedField(ScalarField):
         val, grad = self.vg(x)
         k = self.arity
         hess = np.zeros((k, k))
-        h = self.fd_step * (1.0 + np.abs(x).max())
+        h = 1e-5 * (1.0 + np.abs(x).max())
         for i in range(k):
             e = np.zeros(k)
             e[i] = h

@@ -22,10 +22,11 @@ from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
                      NotAffine, NotPrincipal, NotSubducible, NotWellDefined,
                      ParseError, SingularHessian, SingularMatrix,
                      UnknownIdentifier)
-from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
-                         induced_splitting, integrate_sode,
-                         projection_verify, subduce, symmetry_condition_check,
-                         tangency_check, _sample_points)
+from .lagrangian import (defining_relation_check, euler_lagrange_sode,
+                         homogeneity_of_induced, induced_splitting,
+                         integrate_sode, projection_verify, subduce,
+                         symmetry_condition_check, tangency_check,
+                         _sample_points)
 from .nonholonomic import ConstrainedState, integrate_constrained
 from .reduction import (base_euler_lagrange, connection_test_domega,
                         decoupling_check, integrate_magnetic,
@@ -136,19 +137,6 @@ def _probe_point(sim, chart):
     return np.zeros(n), np.zeros(m), 0.5 * np.ones(n)
 
 
-def _defining_relation_residual(L, h, samples, seed):
-    n, m = L.chart.n, L.chart.m
-    worst = 0.0
-    for x, y, v in _sample_points(L.chart, samples, seed, 1.0, h.admissible):
-        try:
-            w = h.h_values(x, y, v)
-            g = L.jet(np.concatenate([x, y, v, w])).gradient
-        except DomainError:
-            continue
-        worst = max(worst, float(np.abs(g[2 * n + m:]).max()))
-    return worst
-
-
 def _energy(L, z):
     k = L.chart.n + L.chart.m
     j = L.jet(z)
@@ -187,9 +175,9 @@ def _cmd_induce(run, cfg, chart, sim, args):
     run.report["values"]["probe"] = np.concatenate([x, y, v])
     run.report["values"]["newton_iterations"] = iters
     run.check("newton_iterations", iters, 3.5)
-    resid = _defining_relation_residual(L, h, run.report["samples"],
-                                        run.report["seed"])
-    run.check("defining_relation", resid,
+    rel = defining_relation_check(L, h, samples=run.report["samples"],
+                                  seed=run.report["seed"])
+    run.check("defining_relation", rel.max_residual,
               run.report["tolerances"]["structural"])
 
 
@@ -389,9 +377,8 @@ def _cmd_check_all(run, cfg, chart, sim, args):
     h_ind = None
     if L is not None:
         h_ind = induced_splitting(L)
-        run.check("defining_relation",
-                  _defining_relation_residual(L, h_ind, samples, seed),
-                  tol_s)
+        rel = defining_relation_check(L, h_ind, samples=samples, seed=seed)
+        run.check("defining_relation", rel.max_residual, tol_s)
         sym = symmetry_condition_check(L, h_ind, samples=samples, seed=seed)
         run.check("symmetry_condition", sym.max_residual, tol_s)
         tan = tangency_check(L, h_ind, samples=samples, seed=seed)

@@ -2,10 +2,10 @@
 
 A fibre-regular Lagrangian L(x, y, v, w) determines a splitting through the
 relation dL/dw = 0 on the horizontal manifold.  The splitting is
-Newton-backed: every coefficient evaluation solves that m-dimensional
-system by damped Newton with continuation from v = 0 outward, and first
-derivatives come from the implicit-function formula
-dh/dz = -(L_ww)^-1 L_wz.
+Newton-backed: each point solves that m-dimensional system once for all m
+coefficients, by damped Newton with continuation from v = 0 outward.
+Values need no more; first derivatives of the coefficient fields come
+from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.
 """
 
 from dataclasses import dataclass
@@ -111,6 +111,17 @@ def euler_lagrange_sode(L):
     return SodeSpec(L.chart, force, "euler-lagrange")
 
 
+def _fibre_system(L, x, y, v):
+    """w -> (dL/dw, d2L/dw dw) at (x, y, v, w), from one jet of L."""
+    k = 2 * L.chart.n + L.chart.m
+
+    def system(w):
+        Ljet = L.jet(np.concatenate([x, y, v, w]))
+        return Ljet.gradient[k:], Ljet.hessian[k:, k:]
+
+    return system
+
+
 class InducedSplitting(SplittingSpec):
     """Newton-backed splitting solving dL/dw (x, y, v, w) = 0 for w."""
 
@@ -137,29 +148,16 @@ class InducedSplitting(SplittingSpec):
 
     def solve_detail(self, x, y, v):
         """Continuation solve; returns (w, Newton iterations at full v)."""
-        chart = self.chart
-        n, m = chart.n, chart.m
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         self._require_admissible(v)
-        k = n + m
-        L = self._L
-        w = np.zeros(m)
+        w = np.zeros(self.chart.m)
         iterations = 0
         for s in np.linspace(0.0, 1.0, 11):
-            vs = s * v
-
-            def residual(wv, vs=vs):
-                z = np.concatenate([x, y, vs, wv])
-                return L.jet(z).gradient[2 * n + m:]
-
-            def jacobian(wv, vs=vs):
-                z = np.concatenate([x, y, vs, wv])
-                return L.jet(z).hessian[2 * n + m:, 2 * n + m:]
-
+            system = _fibre_system(self._L, x, y, s * v)
             try:
-                result = newton_solve(NewtonProblem(residual, jacobian, w))
+                result = newton_solve(NewtonProblem(system, w))
             except DomainError:
                 if s < 1.0:
                     continue  # slit Lagrangians are not evaluable at v=0
@@ -170,37 +168,30 @@ class InducedSplitting(SplittingSpec):
             iterations = result.iterations
         return w, iterations
 
+    def h_values(self, x, y, v):
+        """All m coefficients from one continuation solve, without dh."""
+        return self.solve_detail(x, y, v)[0]
 
-def _probe_branches(spec, seed=2718, points=5, n_seeds=10):
-    """Reject models where Newton can land on a second nearby root."""
-    chart = spec.chart
-    n, m = chart.n, chart.m
-    L = spec._L
-    rng = np.random.default_rng(seed)
+
+def _probe_branches(spec):
+    """Reject models where Newton, started from 10 seeds at each of 5 probe
+    points, lands on a second nearby root; DomainError if no probe point
+    is admissible."""
+    m = spec.chart.m
+    rng = np.random.default_rng(2718)
     tried = 0
-    while tried < points:
-        z = rng.uniform(-0.5, 0.5, 2 * n + m)
-        x, y, v = z[:n], z[n:n + m], z[n + m:]
-        if not spec.admissible(v):
-            continue
+    for x, y, v in _sample_points(spec.chart, 5, rng, 0.5, spec.admissible):
         tried += 1
         try:
             w_ref, _ = spec.solve_detail(x, y, v)
         except (DomainError, NoConvergence, SingularHessian):
             continue
         seeds = [np.zeros(m), 0.5 * np.ones(m), -0.5 * np.ones(m)]
-        seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(n_seeds - 3)]
-
-        def residual(wv):
-            return L.jet(np.concatenate([x, y, v, wv])).gradient[2 * n + m:]
-
-        def jacobian(wv):
-            return L.jet(np.concatenate([x, y, v, wv])).hessian[
-                2 * n + m:, 2 * n + m:]
-
+        seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
+        system = _fibre_system(spec._L, x, y, v)
         for s0 in seeds:
             try:
-                res = newton_solve(NewtonProblem(residual, jacobian, s0))
+                res = newton_solve(NewtonProblem(system, s0))
             except (DomainError, NoConvergence, SingularMatrix):
                 continue
             gap = np.abs(res.x - w_ref).max()
@@ -208,6 +199,8 @@ def _probe_branches(spec, seed=2718, points=5, n_seeds=10):
                 raise BranchAmbiguity(
                     f"second root at distance {gap:.3e} from the tracked "
                     f"branch near x={x}, v={v}")
+    if tried == 0:
+        raise DomainError("no admissible branch probe points")
 
 
 def induced_splitting(L, probe=True):
@@ -228,6 +221,8 @@ class SampleReport:
 
 
 def _sample_points(chart, samples, seed, box, want_admissible):
+    """Up to `samples` admissible (x, y, v) drawn from [-box, box], in at
+    most 50 draws per sample; seed may be a Generator to keep drawing."""
     rng = np.random.default_rng(seed)
     n, m = chart.n, chart.m
     used = 0
@@ -242,14 +237,12 @@ def _sample_points(chart, samples, seed, box, want_admissible):
         yield x, y, v
 
 
-def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
-    """Max over samples of |dL/dy . h|: the fibre-frame symmetry residual."""
-    chart = L.chart
-    n, m = chart.n, chart.m
+def _gradient_block_check(L, h, block, samples, seed, box):
+    """Max over samples of |dL/dz[block]| at z = (x, y, v, h(x, y, v))."""
     worst = 0.0
     skipped = 0
     used = 0
-    for x, y, v in _sample_points(chart, samples, seed, box, h.admissible):
+    for x, y, v in _sample_points(L.chart, samples, seed, box, h.admissible):
         try:
             w = h.h_values(x, y, v)
             g = L.jet(np.concatenate([x, y, v, w])).gradient
@@ -257,8 +250,21 @@ def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
             skipped += 1
             continue
         used += 1
-        worst = max(worst, np.abs(g[n:n + m]).max())
+        worst = max(worst, np.abs(g[block]).max())
     return SampleReport(float(worst), used, seed, skipped)
+
+
+def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
+    """Max over samples of |dL/dy . h|: the fibre-frame symmetry residual."""
+    n, m = L.chart.n, L.chart.m
+    return _gradient_block_check(L, h, slice(n, n + m), samples, seed, box)
+
+
+def defining_relation_check(L, h, samples=50, seed=42, box=1.0):
+    """Max over samples of |dL/dw . h|: the induced-splitting relation."""
+    n, m = L.chart.n, L.chart.m
+    return _gradient_block_check(L, h, slice(2 * n + m, None), samples, seed,
+                                 box)
 
 
 def tangency_check(L, h, samples=50, seed=42, box=1.0):

@@ -54,14 +54,15 @@ def linear_solve(system, cond_bound=1e13):
     return x
 
 
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
+
+
 @dataclass
 class NewtonProblem:
-    """Root problem F(x) = 0 with explicit Jacobian."""
-    residual: object
-    jacobian: object
+    """Root problem F(x) = 0; system(x) returns (F(x), DF(x)) at once."""
+    system: object
     x0: np.ndarray
-    tol: float = 1e-10
-    max_iter: int = 50
 
 
 @dataclass
@@ -72,28 +73,31 @@ class NewtonResult:
 
 
 def newton_solve(problem):
-    """Damped Newton iteration.
+    """Damped Newton iteration to max|F| <= 1e-10, at most 50 iterations.
 
     Full steps are halved (at most 20 times) until the residual norm
-    decreases.  An affine residual therefore converges in exactly one
-    iteration.  Raises NoConvergence with the iteration count and last
-    residual norm on failure.
+    decreases.  Each trial point costs one system call, and the Jacobian
+    that came with the accepted point drives the next step, so an affine
+    residual converges in exactly one iteration and two system calls.
+    Raises NoConvergence with the iteration count and last residual norm
+    on failure.
     """
     x = np.asarray(problem.x0, dtype=float).copy()
-    r = np.asarray(problem.residual(x), dtype=float)
+    r, J = problem.system(x)
+    r = np.asarray(r, dtype=float)
     rnorm = np.abs(r).max() if r.size else 0.0
-    if rnorm <= problem.tol:
+    if rnorm <= _NEWTON_TOL:
         return NewtonResult(x, 0, float(rnorm))
-    for it in range(1, problem.max_iter + 1):
-        J = np.asarray(problem.jacobian(x), dtype=float)
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         step = linear_solve(LinearSystem(J, -r))
         lam = 1.0
         accepted = False
         for _ in range(21):
             xn = x + lam * step
-            rn = np.asarray(problem.residual(xn), dtype=float)
+            rn, Jn = problem.system(xn)
+            rn = np.asarray(rn, dtype=float)
             rn_norm = np.abs(rn).max() if np.isfinite(rn).all() else math.inf
-            if rn_norm < rnorm or rn_norm <= problem.tol:
+            if rn_norm < rnorm or rn_norm <= _NEWTON_TOL:
                 accepted = True
                 break
             lam *= 0.5
@@ -101,12 +105,12 @@ def newton_solve(problem):
             raise NoConvergence(
                 f"step damping failed after 20 halvings at iteration {it}",
                 iterations=it, residual=float(rnorm))
-        x, r, rnorm = xn, rn, rn_norm
-        if rnorm <= problem.tol:
+        x, r, J, rnorm = xn, rn, Jn, rn_norm
+        if rnorm <= _NEWTON_TOL:
             return NewtonResult(x, it, float(rnorm))
     raise NoConvergence(
-        f"no convergence in {problem.max_iter} iterations",
-        iterations=problem.max_iter, residual=float(rnorm))
+        f"no convergence in {_NEWTON_MAX_ITER} iterations",
+        iterations=_NEWTON_MAX_ITER, residual=float(rnorm))
 
 
 @dataclass

@@ -94,9 +94,6 @@ class SplittingSpec:
         z = self.point_args(x, y, v)
         return [c.jet(z) for c in self.coefficients]
 
-    def as_callable(self):
-        return lambda x, y, v: self.h_values(x, y, v)
-
     def __repr__(self):
         return (f"SplittingSpec(n={self.chart.n}, m={self.chart.m}, "
                 f"provenance={self.provenance!r})")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +170,27 @@ def test_branch_ambiguity_is_a_numerical_failure(tmp_path, capsys):
     assert rep["status"] == "numerical-failure"
     assert rep["error"].startswith("BranchAmbiguity")
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_branch_probe_without_admissible_points_exits_3(tmp_path):
+    # every branch probe v lies in [-0.5, 0.5], inside the slit ball of
+    # radius 1, so no probe point is admissible; the probe must give up
+    cfg = tmp_path / "wide_slit.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\nslit_eps = 1.0\n"
+                   "[lagrangian]\n"
+                   'L = "0.5*w1^2 - w1*abs(v1) + 0.5*v1^2"\n')
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibresplit.cli", "induce", "--config",
+         str(cfg), "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    rep = report(out)
+    assert rep["status"] == "numerical-failure"
+    assert rep["error"].startswith("DomainError")
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -6,12 +6,13 @@ from fibresplit.errors import (BranchAmbiguity, DimensionMismatch,
                                HypothesisFailed, NotSubducible,
                                SingularHessian)
 from fibresplit.exprs import VarContext, compile_field, parse
-from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
-                                   fibre_regularity, homogeneity_of_induced,
-                                   induced_splitting, integrate_sode,
-                                   liouville_derivative, projection_verify,
-                                   subduce, symmetry_condition_check,
-                                   tangency_check)
+from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
+                                   euler_lagrange_sode, fibre_regularity,
+                                   homogeneity_of_induced, induced_splitting,
+                                   integrate_sode, liouville_derivative,
+                                   projection_verify, subduce,
+                                   symmetry_condition_check, tangency_check)
+from fibresplit.splitting import SplittingSpec
 
 CH = BundleChart(1, 1)
 
@@ -101,6 +102,42 @@ def test_induced_splitting_slit_fixture():
     assert abs(j.gradient[2] * (-0.7) - j.value) < 1e-10
 
 
+# m = 2 quadratic family w = A(x) v + b(x): with r = w - A(x) v - b(x),
+# L = 0.5|v|^2 + 0.5 r.M r for M = [[1, 0.3], [0.3, 1]], so dL/dw = M r
+# vanishes exactly on r = 0
+CH22 = BundleChart(2, 2)
+QUAD22 = ("0.5*(v1^2 + v2^2) + 0.5*(r1^2 + r2^2) + 0.3*r1*r2"
+          .replace("r1", "(w1 - x1*v1 - 0.5*v2 - sin(x2))")
+          .replace("r2", "(w2 - cos(x1)*v2 + v1 - x1*x2)"))
+
+
+def quad22_exact(x, v):
+    return np.array([x[0] * v[0] + 0.5 * v[1] + np.sin(x[1]),
+                     np.cos(x[0]) * v[1] - v[0] + x[0] * x[1]])
+
+
+def test_induced_splitting_m2_one_solve_for_all_coefficients():
+    h = induced_splitting(LagrangianSpec.from_expression(CH22, QUAD22))
+    solves = []
+    solve_detail = h.solve_detail
+
+    def counted(*args):
+        solves.append(args)
+        return solve_detail(*args)
+
+    h.solve_detail = counted
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        x, y, v = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
+        solves.clear()
+        w = h.h_values(x, y, v)
+        assert len(solves) == 1
+        assert np.abs(w - quad22_exact(x, v)).max() < 1e-12
+        z = np.concatenate([x, y, v])
+        per_coefficient = np.array([c.value(z) for c in h.coefficients])
+        assert np.array_equal(w, per_coefficient)
+
+
 def test_branch_ambiguity_detected_at_build():
     # dL/dw = w^2 - 0.6 w + v^2 has two roots separated by ~2 sqrt(0.09-v^2)
     L = lag("w1^3/3 - 0.3*w1^2 + v1^2*w1 + 0.5*v1^2")
@@ -123,6 +160,16 @@ def test_defining_relation_on_samples():
         g = L.jet(np.array([x, y, v, w[0]])).gradient
         worst = max(worst, abs(g[3]))
     assert worst < 1e-9
+
+
+def test_defining_relation_check_pass_fail_pair():
+    L = lag(F1)
+    assert defining_relation_check(L, induced_splitting(L)).max_residual \
+        < 1e-12
+    wrong = SplittingSpec.from_expressions(CH, ["v1^2"])  # true h is -v^2
+    rep = defining_relation_check(L, wrong, samples=20, seed=5)
+    assert rep.sample_count == 20 and rep.seed == 5
+    assert rep.max_residual > 0.5
 
 
 def test_subduce_exact_quartic():

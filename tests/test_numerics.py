@@ -45,18 +45,23 @@ def test_linear_system_shape_validation():
 def test_newton_affine_converges_in_one_iteration():
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, -2.0])
-    res = newton_solve(NewtonProblem(
-        residual=lambda x: A @ x - b,
-        jacobian=lambda x: A,
-        x0=np.zeros(2)))
+    calls = []
+
+    def system(x):
+        calls.append(x.copy())
+        return A @ x - b, A
+
+    res = newton_solve(NewtonProblem(system=system, x0=np.zeros(2)))
     assert res.iterations == 1
     assert np.abs(A @ res.x - b).max() < 1e-12
+    # one call at x0, one at the accepted point; no separate Jacobian call
+    assert len(calls) == 2
 
 
 def test_newton_quadratic_convergence_on_scalar_root():
     res = newton_solve(NewtonProblem(
-        residual=lambda x: np.array([x[0] ** 2 - 2.0]),
-        jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        system=lambda x: (np.array([x[0] ** 2 - 2.0]),
+                          np.array([[2.0 * x[0]]])),
         x0=np.array([1.0])))
     assert abs(res.x[0] - np.sqrt(2.0)) < 1e-10
     assert res.iterations <= 6
@@ -64,8 +69,7 @@ def test_newton_quadratic_convergence_on_scalar_root():
 
 def test_newton_zero_iterations_when_already_solved():
     res = newton_solve(NewtonProblem(
-        residual=lambda x: x - 1.0,
-        jacobian=lambda x: np.eye(1),
+        system=lambda x: (x - 1.0, np.eye(1)),
         x0=np.array([1.0])))
     assert res.iterations == 0
 
@@ -74,9 +78,9 @@ def test_newton_reports_no_convergence():
     # residual bounded away from zero, gradient never helps
     with pytest.raises(NoConvergence) as exc:
         newton_solve(NewtonProblem(
-            residual=lambda x: np.array([np.cos(x[0]) + 2.0]),
-            jacobian=lambda x: np.array([[-np.sin(x[0]) or 1e-3]]),
-            x0=np.array([0.5]), max_iter=8))
+            system=lambda x: (np.array([np.cos(x[0]) + 2.0]),
+                              np.array([[-np.sin(x[0]) or 1e-3]])),
+            x0=np.array([0.5])))
     assert exc.value.iterations >= 1
 
 
