@@ -57,9 +57,6 @@ class BundleChart:
     def w_names(self):
         return [f"w{a+1}" for a in range(self.m)]
 
-    def ctx_base(self, constants=None):
-        return VarContext([("base", self.x_names)], constants)
-
     def ctx_point(self, constants=None):
         return VarContext([("base", self.x_names), ("fibre", self.y_names)],
                           constants)

@@ -25,16 +25,16 @@ from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
 from .lagrangian import (defining_relation_check, euler_lagrange_sode,
                          homogeneity_of_induced, induced_splitting,
                          integrate_sode, projection_verify, subduce,
-                         symmetry_condition_check, tangency_check,
-                         _sample_points)
+                         symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
+from .numerics import sample_max
 from .reduction import (base_euler_lagrange, connection_test_domega,
                         decoupling_check, integrate_magnetic,
                         invariance_check, magnetic_lp_system, momentum_map,
                         principal_check, unreduce)
-from .splitting import (affine_decompose, classify, curvature_pointwise,
-                        horizontal_lift_curve, project_horizontal,
-                        project_vertical)
+from .splitting import (affine_curvature_coefficients, affine_decompose,
+                        classify, curvature_pointwise, horizontal_lift_curve,
+                        project_horizontal, project_vertical, rate_residual)
 
 COMMANDS = ("classify", "lift-curve", "induce", "subduce", "project-verify",
             "el-simulate", "nh-simulate", "magnetic-simulate", "curvature",
@@ -100,9 +100,12 @@ def _trajectory_rows(rec, diag_names=()):
 
 
 class _Run:
-    """Accumulates checks and values for one command invocation."""
+    """Accumulates checks and values for one command invocation;
+    `sampling` holds the keywords of every sampled check."""
 
-    def __init__(self, cmd, cfg, seed, samples, tol_structural, tol_dynamic):
+    def __init__(self, cmd, cfg, seed, samples, box, tol_structural,
+                 tol_dynamic):
+        self.sampling = {"samples": samples, "seed": seed, "box": box}
         self.report = {
             "command": cmd,
             "config_sha256": cfg.sha256,
@@ -145,8 +148,7 @@ def _energy(L, z):
 
 def _cmd_classify(run, cfg, chart, sim, args):
     spec = cfg.splitting(chart)
-    rep = classify(spec, samples=run.report["samples"],
-                   seed=run.report["seed"])
+    rep = classify(spec, **run.sampling)
     run.report["verdicts"]["classification"] = rep.verdict
     run.report["residuals"].update(rep.residuals)
     run.report["values"]["skipped_samples"] = rep.skipped
@@ -175,8 +177,7 @@ def _cmd_induce(run, cfg, chart, sim, args):
     run.report["values"]["probe"] = np.concatenate([x, y, v])
     run.report["values"]["newton_iterations"] = iters
     run.check("newton_iterations", iters, 3.5)
-    rel = defining_relation_check(L, h, samples=run.report["samples"],
-                                  seed=run.report["seed"])
+    rel = defining_relation_check(L, h, **run.sampling)
     run.check("defining_relation", rel.max_residual,
               run.report["tolerances"]["structural"])
 
@@ -185,15 +186,13 @@ def _cmd_subduce(run, cfg, chart, sim, args):
     L = cfg.lagrangian(chart)
     h = cfg.splitting(chart) if cfg.has("splitting") \
         else induced_splitting(L)
-    sub = subduce(L, h, samples=run.report["samples"],
-                  seed=run.report["seed"])
+    sub = subduce(L, h, **run.sampling)
     run.report["residuals"]["y_independence"] = sub.y_independence
     run.report["values"]["y_ref"] = sub.y_ref
     x, y, v = _probe_point(sim, chart)
     run.report["values"]["Lbar_at_probe"] = sub.Lbar.value(
         np.concatenate([x, v]))
-    sym = symmetry_condition_check(L, h, samples=run.report["samples"],
-                                   seed=run.report["seed"])
+    sym = symmetry_condition_check(L, h, **run.sampling)
     run.report["residuals"]["symmetry"] = sym.max_residual
     run.check("y_independence", sub.y_independence, 1e-6)
 
@@ -242,14 +241,18 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     resid = float(max(rec.diagnostics["constraint_residual"]))
     run.check("constraint_residual", resid,
               run.report["tolerances"]["structural"])
+    ws = np.array([c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
+                   for s in rec.states])
+    rate = rate_residual(rec.t, rec.states[:, n:n + m], ws)
+    run.check("constraint_rate_residual", float(rate.max()),
+              run.report["tolerances"]["dynamic"])
     E = rec.diagnostics["energy"]
     run.report["residuals"]["energy_drift"] = float(
         max(abs(e - E[0]) for e in E))
     rows = []
     for i, t in enumerate(rec.t):
         s = rec.states[i]
-        w = c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
-        rows.append([t] + list(s[:n + m]) + list(s[n + m:]) + list(w)
+        rows.append([t] + list(s[:n + m]) + list(s[n + m:]) + list(ws[i])
                     + [rec.diagnostics["constraint_residual"][i],
                        rec.diagnostics["energy"][i]])
     run.report["values"]["final_state"] = rec.final
@@ -265,8 +268,7 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
         raise ParseError(f"[simulation] ic must have {2 * n + m} entries "
                          f"(x, v, w) for magnetic-simulate")
     rec = integrate_magnetic(system, ic, sim["t0"], sim["t1"], sim["dt"])
-    dec = decoupling_check(model, samples=run.report["samples"],
-                           seed=run.report["seed"])
+    dec = decoupling_check(model, **run.sampling)
     run.report["verdicts"]["decoupled"] = dec.verdict
     run.report["residuals"]["decoupling_condition"] = dec.condition_residual
     run.report["residuals"]["subsystem_dependence"] = dec.subsystem_residual
@@ -281,11 +283,10 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
 
 
 def _cmd_curvature(run, cfg, chart, sim, args):
-    from .splitting import affine_curvature_coefficients
     spec = cfg.splitting(chart)
     x, y, v = _probe_point(sim, chart)
     try:
-        data = affine_decompose(spec)
+        data = affine_decompose(spec, box=sim["box"])
         B, A0d = affine_curvature_coefficients(data, x, y)
         run.report["verdicts"]["affine"] = True
         run.report["values"]["B_at_probe"] = B
@@ -311,17 +312,18 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
     gamma_bar = base_euler_lagrange(Lbar, chart.n)
     h = cfg.splitting(chart)
     action = cfg.action(chart)
-    G = unreduce(gamma_bar, h, action, samples=run.report["samples"],
-                 seed=run.report["seed"])
+    G = unreduce(gamma_bar, h, action, **run.sampling)
     n, m = chart.n, chart.m
+    box = sim["box"]
     rng = np.random.default_rng(run.report["seed"])
-    sub = 0.0
-    for _ in range(50):
-        z = rng.uniform(-1.0, 1.0, 2 * (n + m))
+
+    def submersion(z):
         z2 = z.copy()
-        z2[n:n + m] = rng.uniform(-1.0, 1.0, m)
-        z2[2 * n + m:] = rng.uniform(-1.0, 1.0, m)
-        sub = max(sub, float(np.abs(G.force(z)[:n] - G.force(z2)[:n]).max()))
+        z2[n:n + m] = rng.uniform(-box, box, m)
+        z2[2 * n + m:] = rng.uniform(-box, box, m)
+        return float(np.abs(G.force(z)[:n] - G.force(z2)[:n]).max())
+
+    sub = sample_max(submersion, 50, rng, 2 * (n + m), box).max_residual
     run.check("submersion", sub, run.report["tolerances"]["structural"])
     ic = sim.get("ic")
     if ic is not None:
@@ -343,33 +345,27 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
 
 
 def _cmd_check_all(run, cfg, chart, sim, args):
-    seed = run.report["seed"]
-    samples = run.report["samples"]
+    seed, samples, box = sim["seed"], sim["samples"], sim["box"]
     tol_s = run.report["tolerances"]["structural"]
     rng = np.random.default_rng(seed)
     n, m = chart.n, chart.m
 
     h_explicit = cfg.splitting(chart) if cfg.has("splitting") else None
     if h_explicit is not None:
-        rep = classify(h_explicit, samples=samples, seed=seed)
+        rep = classify(h_explicit, **run.sampling)
         run.report["verdicts"]["classification"] = rep.verdict
-        worst_proj = 0.0
-        worst_compl = 0.0
-        count = 0
-        while count < min(samples, 50):
-            z = rng.uniform(-1.0, 1.0, 2 * (n + m))
-            if not h_explicit.admissible(z[n + m:2 * n + m]):
-                continue
-            count += 1
+
+        def projector(z):
             t = TangentPointM(chart, z[:n], z[n:n + m],
                               z[n + m:2 * n + m], z[2 * n + m:])
             ph = project_horizontal(h_explicit, t)
             ph2 = project_horizontal(h_explicit, ph)
-            worst_proj = max(worst_proj, float(np.abs(
-                ph2.as_array() - ph.as_array()).max()))
             pv = project_vertical(h_explicit, t)
-            worst_compl = max(worst_compl, float(np.abs(
-                ph.w + pv.w - t.w).max()))
+            return (float(np.abs(ph2.as_array() - ph.as_array()).max()),
+                    float(np.abs(ph.w + pv.w - t.w).max()))
+
+        worst_proj, worst_compl = sample_max(
+            projector, min(samples, 50), rng, 2 * (n + m), box).max_residual
         run.check("projector_idempotent", worst_proj, tol_s)
         run.check("projector_complement", worst_compl, tol_s)
 
@@ -377,70 +373,70 @@ def _cmd_check_all(run, cfg, chart, sim, args):
     h_ind = None
     if L is not None:
         h_ind = induced_splitting(L)
-        rel = defining_relation_check(L, h_ind, samples=samples, seed=seed)
+        rel = defining_relation_check(L, h_ind, **run.sampling)
         run.check("defining_relation", rel.max_residual, tol_s)
-        sym = symmetry_condition_check(L, h_ind, samples=samples, seed=seed)
+        sym = symmetry_condition_check(L, h_ind, **run.sampling)
         run.check("symmetry_condition", sym.max_residual, tol_s)
-        tan = tangency_check(L, h_ind, samples=samples, seed=seed)
+        tan = tangency_check(L, h_ind, **run.sampling)
         run.check("tangency", tan.max_residual, tol_s)
         try:
-            sub = subduce(L, h_ind, samples=samples, seed=seed)
+            sub = subduce(L, h_ind, **run.sampling)
             run.check("y_independence", sub.y_independence, 1e-6)
         except NotSubducible as exc:
             run.report["checks"].append(
                 {"name": "y_independence", "residual": None,
                  "tolerance": 1e-6, "passed": False, "error": str(exc)})
         if L.homogeneity_flag == 2.0:
-            hom = homogeneity_of_induced(L, samples=samples, seed=seed)
+            hom = homogeneity_of_induced(L, **run.sampling)
             run.check("euler_residual_induced", hom.max_residual, 1e-7)
 
     if cfg.has("action"):
         action = cfg.action(chart)
         if L is not None:
-            inv = invariance_check(L, action, samples=samples, seed=seed)
+            inv = invariance_check(L, action, **run.sampling)
             run.check("invariance", inv.max_residual, tol_s)
         for label, h in (("explicit", h_explicit), ("induced", h_ind)):
             if h is None:
                 continue
-            pr = principal_check(h, action, samples=samples, seed=seed)
+            pr = principal_check(h, action, **run.sampling)
             run.check(f"principal_{label}", pr.max_residual, 1e-7)
-            ct = connection_test_domega(h, action, samples=samples,
-                                        seed=seed)
+            ct = connection_test_domega(h, action, **run.sampling)
             run.report["residuals"][f"connection_test_{label}"] = \
                 ct.max_residual
         if L is not None and h_ind is not None:
-            worst_J = 0.0
-            for x, y, v in _sample_points(chart, min(samples, 100), seed,
-                                          1.0, h_ind.admissible):
+            def momentum(z):
+                x, y, v = z[:n], z[n:n + m], z[n + m:]
                 w = h_ind.h_values(x, y, v)
                 J = momentum_map(L, action, TangentPointM(chart, x, y, v, w))
-                worst_J = max(worst_J, float(np.abs(J).max()))
+                return float(np.abs(J).max())
+
+            worst_J = sample_max(momentum, min(samples, 100), seed,
+                                 2 * n + m, box).max_residual
             run.check("momentum_on_horizontal", worst_J, tol_s)
 
     if cfg.has("constraints"):
         c = cfg.constraints(chart)
         csp = c.to_splitting()
-        rep = classify(csp, samples=samples, seed=seed)
+        rep = classify(csp, **run.sampling)
         run.report["verdicts"]["constraint_classification"] = rep.verdict
         ok = rep.verdict in ("Ehresmann", "Affine")
         run.report["checks"].append(
             {"name": "constraint_affine", "residual": None,
              "tolerance": None, "passed": ok})
-        data = affine_decompose(csp, samples=min(samples, 100), seed=seed)
-        recov = 0.0
-        for _ in range(10):
-            q = rng.uniform(-1.0, 1.0, n + m)
-            for a in range(m):
-                recov = max(recov, abs(data.A0[a].value(q)
-                                       - c.A0[a].value(q)))
-                for i in range(n):
-                    recov = max(recov, abs(data.A[a][i].value(q)
-                                           - c.A[a][i].value(q)))
+        data = affine_decompose(csp, samples=min(samples, 100), seed=seed,
+                                box=box)
+        pairs = list(zip(data.A0, c.A0)) + [
+            (data.A[a][i], c.A[a][i]) for a in range(m) for i in range(n)]
+
+        def recovery(q):
+            return np.abs([d.value(q) - f.value(q) for d, f in pairs]).max()
+
+        recov = sample_max(recovery, 10, rng, n + m, box).max_residual
         run.check("constraint_recovery", recov, tol_s)
 
     if cfg.has("magnetic"):
         model = cfg.magnetic()
-        dec = decoupling_check(model, samples=samples, seed=seed)
+        dec = decoupling_check(model, **run.sampling)
         run.report["verdicts"]["decoupled"] = dec.verdict
         run.report["residuals"]["decoupling_condition"] = \
             dec.condition_residual
@@ -501,7 +497,7 @@ def main(argv=None):
         sim["t1"] = args.t1
 
     os.makedirs(args.out_dir, exist_ok=True)
-    run = _Run(args.command, cfg, sim["seed"], sim["samples"],
+    run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"],
                args.tol_structural, args.tol_dynamic)
     try:
         _HANDLERS[args.command](run, cfg, chart, sim, args)

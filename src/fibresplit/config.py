@@ -269,7 +269,7 @@ class ModelConfig:
         if y0.shape != (self.m,):
             raise DimensionMismatch(f"[curve] y0 must have length {self.m}")
 
-        def base_curve(t, step=1e-6):
+        def base_curve(t):
             arr = np.array([t])
             x = np.array([f.value(arr) for f in fields])
             xdot = np.array([f.jet(arr).gradient[0] for f in fields])

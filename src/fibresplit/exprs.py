@@ -371,19 +371,9 @@ class VarContext:
                              f"{sorted(clash)}")
         self._index = {n: i for i, n in enumerate(self.names)}
 
-    @classmethod
-    def flat(cls, names, constants=None):
-        return cls([("vars", list(names))], constants)
-
     @property
     def arity(self):
         return len(self.names)
-
-    def group(self, role):
-        for r, names in self.roles:
-            if r == role:
-                return names
-        raise KeyError(role)
 
     def resolve(self, name):
         if name in self._index:

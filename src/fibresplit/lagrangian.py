@@ -8,7 +8,7 @@ Values need no more; first derivatives of the coefficient fields come
 from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
 from .numerics import (IvpProblem, LinearSystem, NewtonProblem, linear_solve,
-                       newton_solve, rk4_integrate)
+                       newton_solve, rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
 
@@ -175,17 +175,17 @@ class InducedSplitting(SplittingSpec):
 
 def _probe_branches(spec):
     """Reject models where Newton, started from 10 seeds at each of 5 probe
-    points, lands on a second nearby root; DomainError if no probe point
-    is admissible."""
-    m = spec.chart.m
+    points, lands on a second nearby root; a probe point whose reference
+    solve fails is redrawn, and DomainError means none could be solved."""
+    n, m = spec.chart.n, spec.chart.m
     rng = np.random.default_rng(2718)
-    tried = 0
-    for x, y, v in _sample_points(spec.chart, 5, rng, 0.5, spec.admissible):
-        tried += 1
+
+    def probe(z):
+        x, y, v = z[:n], z[n:n + m], z[n + m:]
         try:
             w_ref, _ = spec.solve_detail(x, y, v)
-        except (DomainError, NoConvergence, SingularHessian):
-            continue
+        except (NoConvergence, SingularHessian) as exc:
+            raise DomainError(f"no reference root: {exc}") from exc
         seeds = [np.zeros(m), 0.5 * np.ones(m), -0.5 * np.ones(m)]
         seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
         system = _fibre_system(spec._L, x, y, v)
@@ -199,8 +199,9 @@ def _probe_branches(spec):
                 raise BranchAmbiguity(
                     f"second root at distance {gap:.3e} from the tracked "
                     f"branch near x={x}, v={v}")
-    if tried == 0:
-        raise DomainError("no admissible branch probe points")
+        return 0.0
+
+    sample_max(probe, 5, rng, 2 * n + m, 0.5)
 
 
 def induced_splitting(L, probe=True):
@@ -211,47 +212,15 @@ def induced_splitting(L, probe=True):
     return spec
 
 
-@dataclass
-class SampleReport:
-    """Max-abs residual over a sampled box, with bookkeeping."""
-    max_residual: float
-    sample_count: int
-    seed: int
-    skipped: int = 0
-
-
-def _sample_points(chart, samples, seed, box, want_admissible):
-    """Up to `samples` admissible (x, y, v) drawn from [-box, box], in at
-    most 50 draws per sample; seed may be a Generator to keep drawing."""
-    rng = np.random.default_rng(seed)
-    n, m = chart.n, chart.m
-    used = 0
-    draws = 0
-    while used < samples and draws < 50 * samples:
-        draws += 1
-        z = rng.uniform(-box, box, 2 * n + m)
-        x, y, v = z[:n], z[n:n + m], z[n + m:]
-        if want_admissible is not None and not want_admissible(v):
-            continue
-        used += 1
-        yield x, y, v
-
-
 def _gradient_block_check(L, h, block, samples, seed, box):
     """Max over samples of |dL/dz[block]| at z = (x, y, v, h(x, y, v))."""
-    worst = 0.0
-    skipped = 0
-    used = 0
-    for x, y, v in _sample_points(L.chart, samples, seed, box, h.admissible):
-        try:
-            w = h.h_values(x, y, v)
-            g = L.jet(np.concatenate([x, y, v, w])).gradient
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
-        worst = max(worst, np.abs(g[block]).max())
-    return SampleReport(float(worst), used, seed, skipped)
+    n, m = L.chart.n, L.chart.m
+
+    def residual(z):
+        w = h.h_values(z[:n], z[n:n + m], z[n + m:])
+        return np.abs(L.jet(np.concatenate([z, w])).gradient[block]).max()
+
+    return sample_max(residual, samples, seed, 2 * n + m, box)
 
 
 def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
@@ -273,28 +242,18 @@ def tangency_check(L, h, samples=50, seed=42, box=1.0):
     The level functions of the horizontal manifold are g_a = dL/dw^a; the
     residual is their derivative along the EL field at points (x,y,v,h).
     """
-    chart = L.chart
-    n, m = chart.n, chart.m
+    n, m = L.chart.n, L.chart.m
     k = n + m
-    worst = 0.0
-    skipped = 0
-    used = 0
-    for x, y, v in _sample_points(chart, samples, seed, box, h.admissible):
-        try:
-            w = h.h_values(x, y, v)
-            z = np.concatenate([x, y, v, w])
-            Ljet = L.jet(z)
-            f = _force_from_jet(Ljet, z[:k], z[k:])
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
+
+    def residual(xyv):
+        z = np.concatenate([xyv, h.h_values(xyv[:n], xyv[n:k], xyv[k:])])
+        Ljet = L.jet(z)
         u = z[k:]
-        for a in range(m):
-            row = Ljet.hessian[2 * n + m + a]
-            resid = row[:k] @ u + row[k:] @ f
-            worst = max(worst, abs(float(resid)))
-    return SampleReport(float(worst), used, seed, skipped)
+        f = _force_from_jet(Ljet, z[:k], u)
+        return np.abs([row[:k] @ u + row[k:] @ f
+                       for row in Ljet.hessian[2 * n + m:]]).max()
+
+    return sample_max(residual, samples, seed, 2 * n + m, box)
 
 
 class SubducedField(ScalarField):
@@ -355,31 +314,22 @@ def subduce(L, h, samples=50, seed=42, box=1.0):
     L . h from the fibre point; NotSubducible on either failure.  y_ref is
     the fibre point of the first sample.
     """
-    chart = L.chart
-    n, m = chart.n, chart.m
+    n, m = L.chart.n, L.chart.m
     y_ref = None
-    worst_rel = 0.0
-    worst_dep = 0.0
-    ref_vals = {}
-    for x, y, v in _sample_points(chart, samples, seed, box, h.admissible):
-        try:
-            w = h.h_values(x, y, v)
-            z = np.concatenate([x, y, v, w])
-            g = L.jet(z).gradient
-        except DomainError:
-            continue
+
+    def residuals(xyv):
+        nonlocal y_ref
+        x, y, v = xyv[:n], xyv[n:n + m], xyv[n + m:]
+        z = np.concatenate([xyv, h.h_values(x, y, v)])
+        g = L.jet(z).gradient
         if y_ref is None:
             y_ref = y.copy()
-        worst_rel = max(worst_rel, np.abs(g[2 * n + m:]).max())
-        try:
-            w_ref = h.h_values(x, y_ref, v)
-            val_ref = L.value(np.concatenate([x, y_ref, v, w_ref]))
-            val = L.value(z)
-        except DomainError:
-            continue
-        worst_dep = max(worst_dep, abs(val - val_ref))
-    if y_ref is None:
-        raise DomainError("no admissible sample points")
+        w_ref = h.h_values(x, y_ref, v)
+        val_ref = L.value(np.concatenate([x, y_ref, v, w_ref]))
+        return np.abs(g[2 * n + m:]).max(), abs(L.value(z) - val_ref)
+
+    rep = sample_max(residuals, samples, seed, 2 * n + m, box)
+    worst_rel, worst_dep = rep.max_residual
     if worst_rel > 1e-6:
         raise NotSubducible(
             f"defining relation fails: max |dL/dw . h| = {worst_rel:.3e}")
@@ -463,38 +413,27 @@ def liouville_derivative(L, z):
 def homogeneity_of_induced(L, samples=50, seed=42, box=1.0):
     """Euler residual of the induced splitting, under the 2-homogeneity
     hypothesis Delta(L) = 2L (checked first; HypothesisFailed otherwise)."""
-    chart = L.chart
-    n, m = chart.n, chart.m
-    rng = np.random.default_rng(seed)
-    checked = 0
-    draws = 0
-    while checked < samples and draws < 50 * samples:
-        draws += 1
-        z = rng.uniform(-box, box, 2 * (n + m))
-        try:
-            gap = abs(liouville_derivative(L, z) - 2.0 * L.value(z))
-        except DomainError:
-            continue
-        checked += 1
+    n, m = L.chart.n, L.chart.m
+
+    def hypothesis(z):
+        gap = abs(liouville_derivative(L, z) - 2.0 * L.value(z))
         if gap >= 1e-8:
             raise HypothesisFailed(
                 f"Delta(L) - 2L = {gap:.3e} at z={z}; Lagrangian is not "
                 f"2-homogeneous in the velocities")
-    if checked == 0:
-        raise DomainError("no admissible sample points")
+        return gap
+
+    sample_max(hypothesis, samples, seed, 2 * (n + m), box)
     h = induced_splitting(L)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    for x, y, v in _sample_points(chart, samples, seed + 1, box,
-                                  h.admissible):
+
+    def euler(z):
+        v = z[n + m:]
         try:
-            jets = h.h_jets(x, y, v)
-        except (DomainError, NoConvergence):
-            skipped += 1
-            continue
-        used += 1
-        for j in jets:
-            gv = j.gradient[n + m:]
-            worst = max(worst, abs(float(gv @ v) - j.value))
-    return SampleReport(float(worst), used, seed, skipped)
+            jets = h.h_jets(z[:n], z[n:n + m], v)
+        except NoConvergence as exc:
+            raise DomainError(f"no induced jet: {exc}") from exc
+        return np.abs([float(j.gradient[n + m:] @ v) - j.value
+                       for j in jets]).max()
+
+    rep = sample_max(euler, samples, seed + 1, 2 * n + m, box)
+    return replace(rep, seed=seed)

@@ -1,4 +1,4 @@
-"""Dense linear solves, damped Newton, and fixed-step RK4.
+"""Dense linear solves, damped Newton, fixed-step RK4, and sampled maxima.
 
 Small problem sizes throughout (chart dimensions), so the linear algebra
 is delegated to numpy's LAPACK bindings behind a strict contract: solves
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFiniteState, SingularMatrix
+from .errors import (DimensionMismatch, DomainError, NoConvergence,
+                     NonFiniteState, SingularMatrix)
 
 
 @dataclass
@@ -188,3 +189,41 @@ def rk4_integrate(problem, diagnostic=None):
         keys = diags[0].keys()
         record.diagnostics = {k: np.array([d[k] for d in diags]) for k in keys}
     return record
+
+
+@dataclass
+class SampleReport:
+    """Max-abs residual over a sampled box, with bookkeeping.
+
+    max_residual is an array when the residual returns several values.
+    """
+    max_residual: float
+    sample_count: int
+    seed: int
+    skipped: int = 0
+
+
+def sample_max(residual, samples, seed, width, box=1.0):
+    """Elementwise max of residual(z) over `samples` usable draws of z from
+    [-box, box]^width.
+
+    A draw whose residual raises DomainError is skipped and redrawn, up to
+    50 draws per sample in total.  seed may be a Generator, so a caller
+    drawing from the same stream keeps its draw order.  Raises DomainError
+    when no draw is usable.
+    """
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    used = skipped = 0
+    while used < samples and used + skipped < 50 * samples:
+        z = rng.uniform(-box, box, width)
+        try:
+            r = residual(z)
+        except DomainError:
+            skipped += 1
+            continue
+        used += 1
+        worst = np.maximum(worst, r)
+    if used == 0:
+        raise DomainError("no admissible sample points")
+    return SampleReport(worst, used, seed, skipped)

@@ -8,16 +8,18 @@ materialized; equivariance tests integrate generator flows numerically.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bundle import SecondTangentPoint
-from .errors import (DimensionMismatch, DomainError, FlowEscape,
-                     NonFiniteState, NotPrincipal, SingularMatrix)
+from .errors import (DimensionMismatch, FlowEscape, NonFiniteState,
+                     NotPrincipal, SingularMatrix)
 from .exprs import VarContext, compile_field
 from .jets import Jet2, ScalarField
-from .lagrangian import SampleReport, SodeSpec, _force_from_jet
-from .numerics import IvpProblem, LinearSystem, linear_solve, rk4_integrate
+from .lagrangian import SodeSpec, _force_from_jet
+from .numerics import (IvpProblem, LinearSystem, SampleReport, linear_solve,
+                       rk4_integrate, sample_max)
 from .splitting import vilms_vertical_projector
 
 
@@ -90,41 +92,22 @@ class ActionSpec:
                          for b in range(m)])
 
 
-def _sample_states(chart, samples, seed, box):
-    rng = np.random.default_rng(seed)
-    n, m = chart.n, chart.m
-    for _ in range(samples):
-        z = rng.uniform(-box, box, 2 * (n + m))
-        yield z[:n], z[n:n + m], z[n + m:2 * n + m], z[2 * n + m:]
-
-
 def invariance_check(L, action, samples=100, seed=42, box=1.0):
     """Max over generators and samples of the complete-lift derivative of L.
 
     The lift of E_g has fibre block K[:, g] and fibre-velocity block
     Kdot[:, g]; invariance means both contractions with dL vanish.
     """
-    chart = L.chart
-    n, m = chart.n, chart.m
-    worst = 0.0
-    used = 0
-    skipped = 0
-    for x, y, v, w in _sample_states(chart, samples, seed, box):
-        try:
-            g = L.jet(np.concatenate([x, y, v, w])).gradient
-            Kv = action.K_matrix(x, y)
-            Kd = action.K_dot(x, y, v, w)
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
-        Ly = g[n:n + m]
-        Lw = g[2 * n + m:]
-        resid = Kv.T @ Ly + Kd.T @ Lw
-        worst = max(worst, np.abs(resid).max())
-    if used == 0:
-        raise DomainError("no admissible sample points")
-    return SampleReport(float(worst), used, seed, skipped)
+    n, m = L.chart.n, L.chart.m
+
+    def residual(z):
+        x, y, v, w = z[:n], z[n:n + m], z[n + m:2 * n + m], z[2 * n + m:]
+        g = L.jet(z).gradient
+        Kv = action.K_matrix(x, y)
+        Kd = action.K_dot(x, y, v, w)
+        return np.abs(Kv.T @ g[n:n + m] + Kd.T @ g[2 * n + m:]).max()
+
+    return sample_max(residual, samples, seed, 2 * (n + m), box)
 
 
 def momentum_map(L, action, w_pt):
@@ -140,37 +123,25 @@ def principal_check(h, action, samples=100, seed=42, box=1.0):
 
         v . dK[a][g]/dx + h . dK[a][g]/dy - sum_b K[b][g] dh^a/dy^b
     """
-    chart = h.chart
-    n, m = chart.n, chart.m
-    worst = 0.0
-    used = 0
-    skipped = 0
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        z = rng.uniform(-box, box, 2 * n + m)
+    n, m = h.chart.n, h.chart.m
+
+    def residual(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        if not h.admissible(v):
-            skipped += 1
-            continue
-        try:
-            hjets = h.h_jets(x, y, v)
-            Kjets = action.K_jets(x, y)
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
+        hjets = h.h_jets(x, y, v)
+        Kjets = action.K_jets(x, y)
         hval = np.array([j.value for j in hjets])
         Kv = np.array([[Kjets[b][g].value for g in range(m)]
                        for b in range(m)])
+        resid = []
         for a in range(m):
             dh_dy = hjets[a].gradient[n:n + m]
             for g in range(m):
                 kg = Kjets[a][g].gradient
-                resid = float(v @ kg[:n] + hval @ kg[n:] - Kv[:, g] @ dh_dy)
-                worst = max(worst, abs(resid))
-    if used == 0:
-        raise DomainError("no admissible sample points")
-    return SampleReport(float(worst), used, seed, skipped)
+                resid.append(float(v @ kg[:n] + hval @ kg[n:]
+                                   - Kv[:, g] @ dh_dy))
+        return np.abs(resid).max()
+
+    return sample_max(residual, samples, seed, 2 * n + m, box)
 
 
 def omega(h, action, w_pt):
@@ -183,32 +154,17 @@ def omega(h, action, w_pt):
 def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
     """Max of |K^-1 (v . dh/dv - h)| over samples; zero iff the dilation
     field is in the kernel of d(omega), i.e. h is velocity-homogeneous."""
-    chart = h.chart
-    n, m = chart.n, chart.m
-    worst = 0.0
-    used = 0
-    skipped = 0
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        z = rng.uniform(-box, box, 2 * n + m)
+    n, m = h.chart.n, h.chart.m
+
+    def residual(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        if not h.admissible(v):
-            skipped += 1
-            continue
-        try:
-            hjets = h.h_jets(x, y, v)
-            Kv = action.K_matrix(x, y)
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
+        hjets = h.h_jets(x, y, v)
+        Kv = action.K_matrix(x, y)
         euler = np.array([float(j.gradient[n + m:] @ v) - j.value
                           for j in hjets])
-        resid = linear_solve(LinearSystem(Kv, euler))
-        worst = max(worst, np.abs(resid).max())
-    if used == 0:
-        raise DomainError("no admissible sample points")
-    return SampleReport(float(worst), used, seed, skipped)
+        return np.abs(linear_solve(LinearSystem(Kv, euler))).max()
+
+    return sample_max(residual, samples, seed, 2 * n + m, box)
 
 
 def xi_field(h, action, w_pt):
@@ -273,12 +229,14 @@ def vilms_of_sode(gamma_bar, h, w_pt):
                               w_pt.v, Y, f, W)
 
 
-def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42):
+def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
+             box=1.0):
     """Lift a base SODE to a SODE on the total space tangent to the image
     of h.  The fibre-velocity force is dh.(v, w, f) plus the vertical
     correction Kdot K^-1 (w - h); requires h compatible with the action."""
     if check:
-        rep = principal_check(h, action, samples=samples, seed=seed)
+        rep = principal_check(h, action, samples=samples, seed=seed,
+                              box=box)
         if rep.max_residual >= 1e-7:
             raise NotPrincipal(
                 f"splitting fails the frame compatibility test "
@@ -391,39 +349,26 @@ def vilms_principal_check(h, action, group_sample, state_samples=20,
     """
     chart = h.chart
     n, m = chart.n, chart.m
+
+    def residual(gamma, t, arr):
+        s = SecondTangentPoint(
+            chart, arr[:n], arr[n:n + m], arr[n + m:2 * n + m],
+            arr[2 * n + m:2 * (n + m)],
+            arr[2 * (n + m):3 * n + 2 * m],
+            arr[3 * n + 2 * m:3 * (n + m)],
+            arr[3 * (n + m):4 * n + 3 * m], arr[4 * n + 3 * m:])
+        lhs = _second_tangent_of_flow(
+            action, gamma, t, vilms_vertical_projector(h, s))
+        rhs = vilms_vertical_projector(
+            h, _second_tangent_of_flow(action, gamma, t, s))
+        return np.abs(lhs.as_array() - rhs.as_array()).max()
+
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    for gamma, t in group_sample:
-        tried = 0
-        while tried < state_samples:
-            arr = rng.uniform(-box, box, 4 * (n + m))
-            tried += 1
-            X = arr[2 * (n + m):3 * n + 2 * m]
-            if not h.admissible(X):
-                skipped += 1
-                continue
-            s = SecondTangentPoint(
-                chart, arr[:n], arr[n:n + m], arr[n + m:2 * n + m],
-                arr[2 * n + m:2 * (n + m)],
-                arr[2 * (n + m):3 * n + 2 * m],
-                arr[3 * n + 2 * m:3 * (n + m)],
-                arr[3 * (n + m):4 * n + 3 * m], arr[4 * n + 3 * m:])
-            try:
-                lhs = _second_tangent_of_flow(
-                    action, gamma, t, vilms_vertical_projector(h, s))
-                rhs = vilms_vertical_projector(
-                    h, _second_tangent_of_flow(action, gamma, t, s))
-            except DomainError:
-                skipped += 1
-                continue
-            used += 1
-            worst = max(worst, np.abs(lhs.as_array()
-                                      - rhs.as_array()).max())
-    if used == 0:
-        raise DomainError("no admissible sample points")
-    return SampleReport(float(worst), used, seed, skipped)
+    reps = [sample_max(partial(residual, gamma, t), state_samples, rng,
+                       4 * (n + m), box) for gamma, t in group_sample]
+    return SampleReport(np.max([r.max_residual for r in reps]),
+                        sum(r.sample_count for r in reps), seed,
+                        sum(r.skipped for r in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +623,9 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
     samples; when it vanishes, verify w-independence of the (x, v) block
     and agreement with the EL force of the reduced base Lagrangian."""
     n, m = model.n, model.m
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-box, box, n)
-        v = rng.uniform(-box, box, n)
+
+    def condition(xv):
+        x, v = xv[:n], xv[n:]
         Kc = model.kcurv_values(x)
         U = model.upsilon_values(x)
         Af = np.array([f.value(x) for f in model.A_fibre])
@@ -690,25 +633,29 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
         cond = (-np.einsum("aij,j,ag->ig", Kc, v, model.k)
                 + np.einsum("aig,a->ig", U, Af)
                 + dAf.T)
-        worst = max(worst, np.abs(cond).max())
+        return np.abs(cond).max()
+
+    rep = sample_max(condition, samples, seed, 2 * n, box)
+    worst = rep.max_residual
     verdict = worst < 1e-8
 
     system = MagneticSystem(model)
     Lbar = ReducedBaseLagrangian(model)
-    sub_res = 0.0
-    el_res = 0.0
-    quad = 0.0
     rng2 = np.random.default_rng(seed + 1)
-    for _ in range(min(samples, 25)):
-        s = rng2.uniform(-box, box, 2 * n + m)
+
+    def subsystem(s):
         x, v, wb = system.split(s)
         rhs = system.rhs(0.0, s)
-        quad = max(quad, np.abs(system.quadratic_diagnostic(s)).max())
+        quad = np.abs(system.quadratic_diagnostic(s)).max()
         s2 = s.copy()
         s2[2 * n:] += rng2.uniform(0.1, 0.5, m)
         rhs2 = system.rhs(0.0, s2)
-        sub_res = max(sub_res, np.abs(rhs[n:2 * n] - rhs2[n:2 * n]).max())
         f_el = _force_from_jet(Lbar.jet(np.concatenate([x, v])), x, v)
-        el_res = max(el_res, np.abs(rhs[n:2 * n] - f_el).max())
+        return (np.abs(rhs[n:2 * n] - rhs2[n:2 * n]).max(),
+                np.abs(rhs[n:2 * n] - f_el).max(), quad)
+
+    sub_res, el_res, quad = sample_max(subsystem, min(samples, 25), rng2,
+                                       2 * n + m, box).max_residual
     return DecouplingReport(float(worst), verdict, float(sub_res),
-                            float(el_res), float(quad), samples, seed)
+                            float(el_res), float(quad), rep.sample_count,
+                            seed)

@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import IvpProblem, TrajectoryRecord, rk4_integrate
+from .numerics import IvpProblem, TrajectoryRecord, rk4_integrate, sample_max
 
 PROVENANCE = ("explicit", "induced-by-Lagrangian", "affine-from-constraints")
 
@@ -177,7 +177,13 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
     rows = np.array(rows)
     m = spec.chart.m
     n = spec.chart.n
-    w_cols = rows[:, 2 * n + m:]
+    resid = rate_residual(ts, ys, rows[:, 2 * n + m:])
+    return TrajectoryRecord(ts, rows, {"lift_residual": resid})
+
+
+def rate_residual(ts, ys, rates):
+    """Per recorded point, max |dy/dt - rate| with dy/dt from a five-point
+    Lagrange stencil through the recorded rows (one-sided at the ends)."""
     resid = np.zeros(len(ts))
     width = min(5, len(ts))
     for i in range(len(ts)):
@@ -185,8 +191,8 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
             break
         j = min(max(i - width // 2, 0), len(ts) - width)
         dy = _stencil_derivative(ts[j:j + width], ys[j:j + width], ts[i])
-        resid[i] = np.abs(dy - w_cols[i]).max()
-    return TrajectoryRecord(ts, rows, {"lift_residual": resid})
+        resid[i] = np.abs(dy - rates[i]).max()
+    return resid
 
 
 def _stencil_derivative(tw, yw, t):
@@ -230,7 +236,7 @@ class ClassificationReport:
     skipped: int = 0
 
 
-def classify(spec, samples=200, seed=42):
+def classify(spec, samples=200, seed=42, box=1.0):
     """Sample AD residuals and apply the decision rules.
 
     Ehresmann: no second v-derivative and no drift h(x,y,0).
@@ -240,38 +246,19 @@ def classify(spec, samples=200, seed=42):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    chart = spec.chart
-    n, m = chart.n, chart.m
-    rng = np.random.default_rng(seed)
-    euler = 0.0
-    lin = 0.0
-    drift = 0.0
-    scale = 0.0
-    used = 0
-    skipped = 0
-    while used < samples and skipped < 50 * samples:
-        z = rng.uniform(-1.0, 1.0, 2 * n + m)
+    n, m = spec.chart.n, spec.chart.m
+
+    def evidence(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        try:
-            jets = spec.h_jets(x, y, v)
-            if spec.smooth_at_zero:
-                hz = spec.h_values(x, y, np.zeros(n))
-            else:
-                hz = None
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
-        for j in jets:
-            gv = j.gradient[n + m:]
-            hvv = j.hessian[n + m:, n + m:]
-            euler = max(euler, abs(float(gv @ v) - j.value))
-            lin = max(lin, np.abs(hvv).max())
-            scale = max(scale, abs(j.value))
-        if hz is not None:
-            drift = max(drift, np.abs(hz).max())
-    if used == 0:
-        raise DomainError("no admissible sample points found")
+        jets = spec.h_jets(x, y, v)
+        hz = spec.h_values(x, y, np.zeros(n)) if spec.smooth_at_zero else 0.0
+        per_jet = [(abs(float(j.gradient[n + m:] @ v) - j.value),
+                    np.abs(j.hessian[n + m:, n + m:]).max(), abs(j.value))
+                   for j in jets]
+        return np.append(np.max(per_jet, axis=0), np.abs(hz).max())
+
+    rep = sample_max(evidence, samples, seed, 2 * n + m, box)
+    euler, lin, scale, drift = rep.max_residual
     tol = 1e-7 * (1.0 + scale)
     if spec.smooth_at_zero and lin < tol and drift < tol:
         verdict = "Ehresmann"
@@ -286,7 +273,8 @@ def classify(spec, samples=200, seed=42):
         "linearity_residual": float(lin) if spec.smooth_at_zero else None,
         "drift_residual": float(drift) if spec.smooth_at_zero else None,
     }
-    return ClassificationReport(verdict, residuals, used, seed, tol, skipped)
+    return ClassificationReport(verdict, residuals, rep.sample_count, seed,
+                                tol, rep.skipped)
 
 
 def _vilms_slices(n, m):
@@ -541,11 +529,13 @@ class AffineSplittingData:
                              True, "affine-from-constraints")
 
 
-def affine_decompose(spec, samples=100, seed=0):
+def affine_decompose(spec, samples=100, seed=0, box=1.0):
     """Read off A_0 = h(x,y,0) and A_i = -dh/dv_i(x,y,0), then verify.
 
-    Reconstruction is sampled at `samples` random points; a max-abs
-    mismatch above 1e-7 raises NotAffine.
+    Reconstruction is sampled at `samples` random points of [-box, box];
+    a max-abs mismatch above 1e-7 raises NotAffine.  A sample outside the
+    domain raises DomainError rather than being redrawn: the decomposition
+    is verified on the whole box, not on its admissible part.
     """
     chart = spec.chart
     n, m = chart.n, chart.m
@@ -571,7 +561,7 @@ def affine_decompose(spec, samples=100, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        z = rng.uniform(-1.0, 1.0, 2 * n + m)
+        z = rng.uniform(-box, box, 2 * n + m)
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         h = spec.h_values(x, y, v)
         q = np.concatenate([x, y])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibresplit import cli
+from fibresplit import cli, nonholonomic
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -97,9 +97,28 @@ def test_nh_simulate(tmp_path):
     rep = report(tmp_path)
     ch = checks_by_name(rep)
     assert ch["constraint_residual"]["residual"] == 0.0
+    assert ch["constraint_rate_residual"]["passed"]
     assert rep["residuals"]["energy_drift"] < 1e-9
     lines = csv_lines(tmp_path)
     assert lines[0] == "t,x1,x2,y1,v1,v2,w1,constraint_residual,energy"
+
+
+def test_nh_rate_check_catches_a_wrong_ydot(tmp_path, monkeypatch):
+    # the recorded constraint_residual is an identity and cannot see an
+    # integrated dy/dt that is off the constraint; the rate check can
+    rhs = nonholonomic.ConstrainedSystem.rhs
+
+    def skewed(self, t, s):
+        out = rhs(self, t, s)
+        out[2] += 1e-4  # the y1 slot of (x1, x2, y1, v1, v2)
+        return out
+
+    monkeypatch.setattr(nonholonomic.ConstrainedSystem, "rhs", skewed)
+    assert run("nh-simulate", FIX / "nh.ini", tmp_path, "--t1", "0.2") == 1
+    ch = checks_by_name(report(tmp_path))
+    assert ch["constraint_residual"]["passed"]
+    assert not ch["constraint_rate_residual"]["passed"]
+    assert abs(ch["constraint_rate_residual"]["residual"] - 1e-4) < 1e-6
 
 
 def test_magnetic_simulate(tmp_path):
@@ -245,7 +264,7 @@ dt = 0.001
     ("curvature", "v1^2*(x1 + 1000)^400",
      "field 'v1^2*(x1 + 1000)^400': powi overflow"),
     # classify skips samples outside the domain; here every one overflows
-    ("classify", "exp(800 + v1^2)", "no admissible sample points found"),
+    ("classify", "exp(800 + v1^2)", "no admissible sample points"),
 ])
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, h,
                                                error):
@@ -265,3 +284,16 @@ def test_classify_skips_overflowing_samples(tmp_path):
     rep = report(tmp_path / "out")
     assert rep["values"]["skipped_samples"] > 0
     assert rep["verdicts"]["classification"] == "General"
+
+
+def test_simulation_box_bounds_the_sampled_points(tmp_path):
+    # v . dh/dv - h = -x1 for this splitting, so the connection test reads
+    # max |x1| over the sampled points
+    cfg = tmp_path / "box.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   '[splitting]\nh1 = "0.7*v1 + x1"\n'
+                   '[action]\nK = [["1"]]\n'
+                   "[simulation]\nbox = 0.5\n")
+    assert run("check-all", cfg, tmp_path / "out") == 0
+    resid = report(tmp_path / "out")["residuals"]["connection_test_explicit"]
+    assert 0.4 < resid <= 0.5
