@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import BasePointMismatch, DimensionMismatch
 from .exprs import VarContext
-from .jets import ScalarField, Jet2
-
-SLIT_EPS_DEFAULT = 1e-6
+from .jets import SLIT_EPS_DEFAULT, Jet2, ScalarField
 
 
 def _vec(a, k, what):

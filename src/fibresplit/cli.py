@@ -202,7 +202,8 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
     h = cfg.splitting(chart) if cfg.has("splitting") \
         else induced_splitting(L)
     x, y, v = _probe_point(sim, chart)
-    rep = projection_verify(L, h, (x, v), y, sim["t1"], sim["dt"])
+    rep = projection_verify(L, h, (x, v), y, sim["t1"], sim["dt"],
+                            **run.sampling)
     tol = run.report["tolerances"]["dynamic"]
     run.check("base_deviation", rep.max_base_deviation, tol)
     run.check("horizontality_drift", rep.horizontality_drift, tol)
@@ -286,14 +287,14 @@ def _cmd_curvature(run, cfg, chart, sim, args):
     spec = cfg.splitting(chart)
     x, y, v = _probe_point(sim, chart)
     try:
-        data = affine_decompose(spec, box=sim["box"])
+        data = affine_decompose(spec, min(sim["samples"], 100), sim["seed"],
+                                sim["box"])
         B, A0d = affine_curvature_coefficients(data, x, y)
         run.report["verdicts"]["affine"] = True
         run.report["values"]["B_at_probe"] = B
         run.report["values"]["A0_derivative_at_probe"] = A0d
-        if data.reconstruction_residual is not None:
-            run.report["residuals"]["affine_reconstruction"] = \
-                data.reconstruction_residual
+        run.report["residuals"]["affine_reconstruction"] = \
+            data.reconstruction_residual
     except NotAffine:
         run.report["verdicts"]["affine"] = False
         n = chart.n
@@ -484,17 +485,16 @@ def main(argv=None):
         cfg = load_config(args.config)
         chart = cfg.chart()
         sim = cfg.simulation()
+        for key in ("seed", "samples", "dt", "t1"):
+            if getattr(args, key) is not None:
+                sim[key] = getattr(args, key)
+        if sim["samples"] < 1:
+            raise ParseError("[simulation] samples must be >= 1")
+        if not 0.0 < sim["box"] < np.inf:
+            raise ParseError("[simulation] box must be finite and positive")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    if args.samples is not None:
-        sim["samples"] = args.samples
-    if args.dt is not None:
-        sim["dt"] = args.dt
-    if args.t1 is not None:
-        sim["t1"] = args.t1
 
     os.makedirs(args.out_dir, exist_ok=True)
     run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"],

@@ -176,7 +176,8 @@ class InducedSplitting(SplittingSpec):
 def _probe_branches(spec):
     """Reject models where Newton, started from 10 seeds at each of 5 probe
     points, lands on a second nearby root; a probe point whose reference
-    solve fails is redrawn, and DomainError means none could be solved."""
+    solve fails is redrawn, and DomainError means none could be solved.
+    Points come from [-b, b], b = max(0.5, 2 slit_eps): past the slit."""
     n, m = spec.chart.n, spec.chart.m
     rng = np.random.default_rng(2718)
 
@@ -201,7 +202,7 @@ def _probe_branches(spec):
                     f"branch near x={x}, v={v}")
         return 0.0
 
-    sample_max(probe, 5, rng, 2 * n + m, 0.5)
+    sample_max(probe, 5, rng, 2 * n + m, max(0.5, 2.0 * spec.chart.slit_eps))
 
 
 def induced_splitting(L, probe=True):
@@ -348,9 +349,11 @@ class ProjectionReport:
     min_lbar_det: float
 
 
-def projection_verify(L, h, ic_base, y0, T, dt):
+def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
+                      box=1.0):
     """Integrate the full EL field from a horizontal start and compare its
     base shadow with the subduced dynamics started at the same (x0, v0).
+    The subduced Lagrangian comes from subduce(L, h, samples, seed, box).
 
     Reports the max base deviation, the drift |w - h(x,y,v)| along the full
     run, the EL residual of the subduced Lagrangian along the projected
@@ -366,7 +369,7 @@ def projection_verify(L, h, ic_base, y0, T, dt):
     sode = euler_lagrange_sode(L)
     full = integrate_sode(sode, np.concatenate([x0, y0, v0, w0]), 0.0, T, dt)
 
-    sub = subduce(L, h)
+    sub = subduce(L, h, samples, seed, box)
     Lbar = sub.Lbar
 
     def fbar(t, s):

@@ -532,10 +532,10 @@ class AffineSplittingData:
 def affine_decompose(spec, samples=100, seed=0, box=1.0):
     """Read off A_0 = h(x,y,0) and A_i = -dh/dv_i(x,y,0), then verify.
 
-    Reconstruction is sampled at `samples` random points of [-box, box];
-    a max-abs mismatch above 1e-7 raises NotAffine.  A sample outside the
-    domain raises DomainError rather than being redrawn: the decomposition
-    is verified on the whole box, not on its admissible part.
+    The reconstruction, from one jet per coefficient at (x, y, 0), is
+    compared with h at `samples` usable points of [-box, box] (sample_max:
+    a draw outside the domain, at v or at v = 0, is redrawn); a max-abs
+    mismatch above 1e-7 raises NotAffine.
     """
     chart = spec.chart
     n, m = chart.n, chart.m
@@ -557,22 +557,21 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
 
     A = [[a_field(a, i) for i in range(n)] for a in range(m)]
     A0 = [a0_field(a) for a in range(m)]
-    data = AffineSplittingData(chart, A, A0)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z = rng.uniform(-box, box, 2 * n + m)
-        x, y, v = z[:n], z[n:n + m], z[n + m:]
-        h = spec.h_values(x, y, v)
-        q = np.concatenate([x, y])
-        recon = np.array([
-            float(sum(-A[a][i].value(q) * v[i] for i in range(n))
-                  + A0[a].value(q)) for a in range(m)])
-        worst = max(worst, np.abs(h - recon).max())
-    if worst > 1e-7:
+
+    def residual(z):
+        v = z[n + m:]
+        h = spec.h_values(z[:n], z[n:n + m], v)
+        z0 = np.concatenate([z[:n + m], np.zeros(n)])
+        jets = [c.jet(z0) for c in spec.coefficients]
+        recon = [float(sum(j.gradient[n + m + i] * v[i] for i in range(n))
+                       + j.value) for j in jets]
+        return np.abs(h - recon).max()
+
+    worst = float(sample_max(residual, samples, seed, 2 * n + m,
+                             box).max_residual)
+    if not worst <= 1e-7:  # a NaN residual fails too
         raise NotAffine(f"reconstruction residual {worst:.3e} exceeds 1e-7")
-    data.reconstruction_residual = float(worst)
-    return data
+    return AffineSplittingData(chart, A, A0, worst)
 
 
 def affine_curvature_coefficients(data, x, y):

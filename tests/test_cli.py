@@ -191,13 +191,14 @@ def test_branch_ambiguity_is_a_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_branch_probe_without_admissible_points_exits_3(tmp_path):
-    # every branch probe v lies in [-0.5, 0.5], inside the slit ball of
-    # radius 1, so no probe point is admissible; the probe must give up
+def test_branch_probe_reaches_past_a_wide_slit(tmp_path):
+    # with slit radius 1 the probe box is [-2, 2], so it holds admissible
+    # points; a probe box of [-0.5, 0.5] would lie inside the slit ball
     cfg = tmp_path / "wide_slit.ini"
     cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\nslit_eps = 1.0\n"
                    "[lagrangian]\n"
-                   'L = "0.5*w1^2 - w1*abs(v1) + 0.5*v1^2"\n')
+                   'L = "0.5*w1^2 - w1*abs(v1) + 0.5*v1^2"\n'
+                   "[simulation]\nbox = 2.0\nic = [0, 0, 1.5]\n")
     out = tmp_path / "out"
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -206,10 +207,10 @@ def test_branch_probe_without_admissible_points_exits_3(tmp_path):
         [sys.executable, "-m", "fibresplit.cli", "induce", "--config",
          str(cfg), "--out-dir", str(out)],
         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     rep = report(out)
-    assert rep["status"] == "numerical-failure"
-    assert rep["error"].startswith("DomainError")
+    assert rep["status"] == "ok"
+    assert rep["values"]["h_at_probe"] == [1.5]
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -227,6 +228,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
                     '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2"\n')
     assert run("el-simulate", noic, tmp_path / "o3") == 2
     assert "ic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, extra, key", [
+    ("induce", "", ("--samples", "0"), "samples"),
+    ("classify", "samples = -3", (), "samples"),
+    ("classify", "box = 0", (), "box"),
+    ("induce", "box = -1", (), "box"),
+    ("classify", "box = inf", (), "box"),
+    ("classify", "box = nan", (), "box"),
+], ids=["samples-override-0", "samples-negative", "box-zero", "box-negative",
+        "box-inf", "box-nan"])
+def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
+                                         extra, key):
+    cfg = tmp_path / "sampling.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   '[splitting]\nh1 = "0.7*v1"\n'
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2"\n'
+                   f"[simulation]\n{setting}\n")
+    assert run(command, cfg, tmp_path / "out", *extra) == 2
+    assert f"config error: [simulation] {key} must be" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_overrides_reach_the_report(tmp_path):
@@ -260,10 +283,9 @@ dt = 0.001
 
 @pytest.mark.parametrize("command, h, error", [
     ("lift-curve", "exp(800*v1^2)", "field 'exp(800*v1^2)': exp overflow"),
-    ("curvature", "exp(800*v1^2)", "field 'exp(800*v1^2)': exp overflow"),
-    ("curvature", "v1^2*(x1 + 1000)^400",
-     "field 'v1^2*(x1 + 1000)^400': powi overflow"),
-    # classify skips samples outside the domain; here every one overflows
+    # sampled checks skip samples outside the domain; here every one
+    # overflows
+    ("curvature", "v1^2*(x1 + 1000)^400", "no admissible sample points"),
     ("classify", "exp(800 + v1^2)", "no admissible sample points"),
 ])
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, h,
@@ -284,6 +306,33 @@ def test_classify_skips_overflowing_samples(tmp_path):
     rep = report(tmp_path / "out")
     assert rep["values"]["skipped_samples"] > 0
     assert rep["verdicts"]["classification"] == "General"
+
+
+def test_curvature_skips_overflowing_samples(tmp_path, capsys):
+    # exp(800*v1^2) overflows only for |v1| > 0.94, so the affine check
+    # runs on the rest of the box and finds the splitting not affine
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(_OVERFLOW_INI.format(h="exp(800*v1^2)"))
+    assert run("curvature", cfg, tmp_path / "out") == 1
+    rep = report(tmp_path / "out")
+    assert rep["verdicts"]["affine"] is False
+    assert rep["status"] == "verification-failed"
+    assert rep["error"].startswith("NotWellDefined")
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_project_verify_subduces_on_the_simulation_box(tmp_path):
+    # L - val_ref = y1 - y_ref, so the fibre dependence subduce reports is
+    # at most 2 box
+    cfg = tmp_path / "box.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2 + y1"\n'
+                   "[simulation]\nbox = 0.25\nt1 = 0.2\n")
+    assert run("project-verify", cfg, tmp_path / "out") == 1
+    err = report(tmp_path / "out")["error"]
+    prefix = "NotSubducible: restriction depends on the fibre point: "
+    assert err.startswith(prefix)
+    assert float(err[len(prefix):]) <= 0.5
 
 
 def test_simulation_box_bounds_the_sampled_points(tmp_path):

@@ -15,7 +15,7 @@ from fibresplit.reduction import (ActionSpec, MagneticModel,
                                   connection_test_domega, decoupling_check,
                                   invariance_check, principal_check,
                                   vilms_principal_check)
-from fibresplit.splitting import SplittingSpec, classify
+from fibresplit.splitting import SplittingSpec, affine_decompose, classify
 
 CH = BundleChart(1, 1)
 ACTION = ActionSpec.from_expressions(CH, [["1"]])
@@ -53,6 +53,7 @@ CHECKS = {
     "vilms_principal": lambda: vilms_principal_check(
         nowhere_h(), ACTION, [(0, 0.2)], state_samples=2),
     "classify": lambda: classify(nowhere_h(), samples=4),
+    "affine_decompose": lambda: affine_decompose(nowhere_h(), samples=4),
     "decoupling": lambda: decoupling_check(
         MagneticModel.from_expressions(1, 1, A_fibre=["log(x1 - 2)"]),
         samples=4),
@@ -76,6 +77,11 @@ def test_failed_draws_are_redrawn(check):
     assert rep.sample_count == 20
     assert rep.skipped > 0
     assert rep.max_residual < 1e-9
+
+
+def test_affine_decompose_redraws_outside_the_domain():
+    h = SplittingSpec.from_expressions(CH, ["0.7*v1 + log(x1)"])
+    assert affine_decompose(h).reconstruction_residual == 0.0
 
 
 def test_sample_max_policy():
