@@ -3,9 +3,10 @@
 A fibre-regular Lagrangian L(x, y, v, w) determines a splitting through the
 relation dL/dw = 0 on the horizontal manifold.  The splitting is
 Newton-backed: each point solves that m-dimensional system once for all m
-coefficients, by damped Newton with continuation from v = 0 outward.
-Values need no more; first derivatives of the coefficient fields come
-from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.
+coefficients, by damped Newton with adaptive predictor-corrector
+continuation along s v, s from 0 to 1.  Values need no more; first
+derivatives of the coefficient fields come from the implicit-function
+formula dh/dz = -(L_ww)^-1 L_wz.
 """
 
 from dataclasses import dataclass, replace
@@ -122,6 +123,12 @@ def _fibre_system(L, x, y, v):
     return system
 
 
+# Step control of InducedSplitting.solve_detail's continuation
+_CONTRACTION_MAX = 0.25
+_CORRECTOR_MAX_ITER = 3
+_MIN_STEP = 1.0 / 1024
+
+
 class InducedSplitting(SplittingSpec):
     """Newton-backed splitting solving dL/dw (x, y, v, w) = 0 for w."""
 
@@ -137,8 +144,7 @@ class InducedSplitting(SplittingSpec):
                 Ljet = L.jet(np.concatenate([z, w]))
                 Lww = Ljet.hessian[arity:, arity:]
                 Lwz = Ljet.hessian[arity:, :arity]
-                dh = np.array([linear_solve(LinearSystem(Lww, -Lwz[:, c]))
-                               for c in range(arity)]).T
+                dh = linear_solve(LinearSystem(Lww, -Lwz))
                 return w[a], dh[a]
             return DerivedField(arity, vg, label=f"h{a+1}_induced")
 
@@ -147,26 +153,68 @@ class InducedSplitting(SplittingSpec):
                          provenance="induced-by-Lagrangian")
 
     def solve_detail(self, x, y, v):
-        """Continuation solve; returns (w, Newton iterations at full v)."""
+        """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
+        returns (w, Newton iterations of the final corrector at s = 1).
+
+        Newton starts from w = 0 at s = 0 (a slit Lagrangian skips s = 0).
+        The tangent dw/ds = -L_ww^-1 L_wv v at the last accepted point, or
+        zero where L_ww is singular, predicts the next one.  ds starts at 1,
+        halves when the corrector takes over 3 iterations or its contraction
+        exceeds 1/4, and doubles after an accepted step; below 1/1024 the
+        corrector's NoConvergence or SingularHessian is raised.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         self._require_admissible(v)
-        w = np.zeros(self.chart.m)
-        iterations = 0
-        for s in np.linspace(0.0, 1.0, 11):
-            system = _fibre_system(self._L, x, y, s * v)
+        n, m = self.chart.n, self.chart.m
+        L, k = self._L, 2 * n + m
+
+        def newton(s, w0):
+            system = _fibre_system(L, x, y, s * v)
             try:
-                result = newton_solve(NewtonProblem(system, w))
-            except DomainError:
-                if s < 1.0:
-                    continue  # slit Lagrangians are not evaluable at v=0
-                raise
+                return newton_solve(NewtonProblem(system, w0))
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
-            w = result.x
-            iterations = result.iterations
-        return w, iterations
+
+        def tangent(s, w):
+            H = L.jet(np.concatenate([x, y, s * v, w])).hessian[k:]
+            try:
+                return linear_solve(LinearSystem(H[:, k:], -H[:, n + m:k] @ v))
+            except SingularMatrix:
+                return np.zeros_like(w)
+
+        s, ds = 0.0, 1.0
+        w = dw = np.zeros(m)
+        try:
+            w = newton(0.0, w).x
+            dw = tangent(0.0, w)
+        except DomainError:
+            pass  # slit Lagrangians are not evaluable at v=0
+        while True:
+            ds = min(ds, 1.0 - s)  # s stays dyadic, so s + ds hits 1 exactly
+            try:
+                res = newton(s + ds, w + ds * dw)
+                if (res.iterations > _CORRECTOR_MAX_ITER
+                        or res.contraction > _CONTRACTION_MAX):
+                    raise NoConvergence(
+                        f"corrector at s={s + ds:g} rejected: {res.iterations}"
+                        f" iterations, contraction {res.contraction:.3g}",
+                        iterations=res.iterations, residual=res.residual)
+            except DomainError:
+                if s + ds == 1.0:
+                    raise
+                s, dw = s + ds, np.zeros_like(w)  # skip, as at s = 0
+                continue
+            except (NoConvergence, SingularHessian):
+                if ds <= _MIN_STEP:
+                    raise
+                ds *= 0.5
+                continue
+            if s + ds == 1.0:
+                return res.x, res.iterations
+            s, w = s + ds, res.x
+            dw, ds = tangent(s, w), 2.0 * ds
 
     def h_values(self, x, y, v):
         """All m coefficients from one continuation solve, without dh."""
@@ -294,8 +342,8 @@ class SubducedField(ScalarField):
         Hzw = Ljet.hessian[np.ix_(idx, wpos)]
         Hww = Ljet.hessian[np.ix_(wpos, wpos)]
         try:
-            corr = Hzw @ np.linalg.solve(Hww, Hzw.T)
-        except np.linalg.LinAlgError as exc:
+            corr = Hzw @ linear_solve(LinearSystem(Hww, Hzw.T))
+        except SingularMatrix as exc:
             raise SingularHessian(f"fibre Hessian singular: {exc}") from exc
         H = Hzz - corr
         return Jet2(Ljet.value, g, 0.5 * (H + H.T))

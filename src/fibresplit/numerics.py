@@ -17,21 +17,21 @@ from .errors import (DimensionMismatch, DomainError, NoConvergence,
 
 @dataclass
 class LinearSystem:
-    """Square system A x = b."""
+    """Square system A x = b; a 2-D b holds one right-hand side per column."""
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        n = self.b.shape[0]
-        if self.A.shape != (n, n) or self.b.shape != (n,):
+        n = self.b.shape[0] if self.b.ndim else -1
+        if self.A.shape != (n, n) or self.b.ndim not in (1, 2):
             raise DimensionMismatch(
                 f"system shapes {self.A.shape} vs {self.b.shape}")
 
 
 def linear_solve(system, cond_bound=1e13):
-    """Solve A x = b.
+    """Solve A x = b (x has the shape of b).
 
     Raises SingularMatrix when the factorization fails, the condition
     estimate exceeds cond_bound, or the solution misses the residual
@@ -68,9 +68,12 @@ class NewtonProblem:
 
 @dataclass
 class NewtonResult:
+    """Root, iterations, final max|F| and the contraction |dx_2| / |dx_1|
+    of the first two steps (0.0 after at most one step, inf if damped)."""
     x: np.ndarray
     iterations: int
     residual: float
+    contraction: float
 
 
 def newton_solve(problem):
@@ -80,15 +83,17 @@ def newton_solve(problem):
     decreases.  Each trial point costs one system call, and the Jacobian
     that came with the accepted point drives the next step, so an affine
     residual converges in exactly one iteration and two system calls.
-    Raises NoConvergence with the iteration count and last residual norm
-    on failure.
+    The contraction of the first two steps tells a caller how far inside
+    the region of fast convergence x0 was.  Raises NoConvergence with the
+    iteration count and last residual norm on failure.
     """
     x = np.asarray(problem.x0, dtype=float).copy()
     r, J = problem.system(x)
     r = np.asarray(r, dtype=float)
     rnorm = np.abs(r).max() if r.size else 0.0
     if rnorm <= _NEWTON_TOL:
-        return NewtonResult(x, 0, float(rnorm))
+        return NewtonResult(x, 0, float(rnorm), 0.0)
+    first = theta = 0.0
     for it in range(1, _NEWTON_MAX_ITER + 1):
         step = linear_solve(LinearSystem(J, -r))
         lam = 1.0
@@ -106,9 +111,15 @@ def newton_solve(problem):
             raise NoConvergence(
                 f"step damping failed after 20 halvings at iteration {it}",
                 iterations=it, residual=float(rnorm))
+        if lam < 1.0:
+            theta = math.inf
+        elif it == 1:
+            first = np.abs(step).max()
+        elif it == 2 and theta == 0.0:
+            theta = float(np.abs(step).max() / first)
         x, r, J, rnorm = xn, rn, Jn, rn_norm
         if rnorm <= _NEWTON_TOL:
-            return NewtonResult(x, it, float(rnorm))
+            return NewtonResult(x, it, float(rnorm), theta)
     raise NoConvergence(
         f"no convergence in {_NEWTON_MAX_ITER} iterations",
         iterations=_NEWTON_MAX_ITER, residual=float(rnorm))

@@ -10,6 +10,7 @@ import pytest
 from fibresplit import cli, nonholonomic
 
 FIX = Path(__file__).parent / "fixtures"
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def run(command, config, out, *extra):
@@ -189,6 +190,12 @@ def test_branch_ambiguity_is_a_numerical_failure(tmp_path, capsys):
     assert rep["status"] == "numerical-failure"
     assert rep["error"].startswith("BranchAmbiguity")
     assert "numerical failure" in capsys.readouterr().err
+    # L has no w at all: L_ww = 0, so the continuation tangent falls back
+    # to zero and the probe finds a second root, not a singular matrix
+    assert run("induce", CONFIGS / "unreduce.ini", tmp_path / "u") == 3
+    assert report(tmp_path / "u")["error"] == (
+        "BranchAmbiguity: second root at distance 5.000e-01 from the "
+        "tracked branch near x=[-0.23478827], v=[0.36503056]")
 
 
 def test_branch_probe_reaches_past_a_wide_slit(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fibresplit import lagrangian
 from fibresplit.bundle import BundleChart, TangentPointM
 from fibresplit.errors import (BranchAmbiguity, DimensionMismatch,
                                HypothesisFailed, NotSubducible,
@@ -11,7 +12,8 @@ from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
                                    homogeneity_of_induced, induced_splitting,
                                    integrate_sode, liouville_derivative,
                                    projection_verify, subduce,
-                                   symmetry_condition_check, tangency_check)
+                                   SubducedField, symmetry_condition_check,
+                                   tangency_check)
 from fibresplit.splitting import SplittingSpec
 
 CH = BundleChart(1, 1)
@@ -26,6 +28,20 @@ F3 = "0.5*v1^2 + 0.5*(w1 - sqrt(v1^2))^2"
 
 def lag(src, **kw):
     return LagrangianSpec.from_expression(CH, src, **kw)
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The problems of every newton_solve call the continuation makes."""
+    calls = []
+    solve = lagrangian.newton_solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lagrangian, "newton_solve", counted)
+    return calls
 
 
 def test_from_expression_flags():
@@ -63,21 +79,28 @@ def test_singular_velocity_hessian_raises():
         sode.force(np.array([0.1, 0.2, 0.3, 0.4]))
 
 
-def test_induced_splitting_quadratic_fixture():
+def test_induced_splitting_quadratic_fixture(newton_calls):
     h = induced_splitting(lag(F1))
     assert h.provenance == "induced-by-Lagrangian"
     assert h.smooth_at_zero
+    newton_calls.clear()
     w, iters = h.solve_detail([0.0], [0.0], [0.4])
     assert abs(w[0] + 0.16) < 1e-12
     assert iters == 1  # affine root problem
+    assert len(newton_calls) <= 2  # s = 0, then the full step to s = 1
     assert abs(h.h_values([0.3], [0.7], [0.5])[0] + 0.25) < 1e-12
 
 
-def test_induced_splitting_cubic_fixture_and_iterations():
+def test_induced_splitting_cubic_fixture_and_iterations(newton_calls):
     h = induced_splitting(lag(F2))
-    w, iters = h.solve_detail([0.0], [0.0], [0.5])
-    assert abs(w[0] - (-1.0 + np.sqrt(0.5))) < 1e-10
-    assert iters <= 3
+    # the branch folds at v = 1/sqrt(2): at 0.5 the full step is rejected
+    # and halved, and at 0.69 the final corrector must still take <= 3
+    for v in (0.5, 0.69):
+        newton_calls.clear()
+        w, iters = h.solve_detail([0.0], [0.0], [v])
+        assert abs(w[0] - (-1.0 + np.sqrt(1.0 - 2.0 * v * v))) < 1e-10
+        assert iters <= 3
+        assert len(newton_calls) > 2
 
 
 def test_induced_gradient_is_implicit_derivative():
@@ -116,7 +139,7 @@ def quad22_exact(x, v):
                      np.cos(x[0]) * v[1] - v[0] + x[0] * x[1]])
 
 
-def test_induced_splitting_m2_one_solve_for_all_coefficients():
+def test_induced_splitting_m2_one_solve_for_all_coefficients(newton_calls):
     h = induced_splitting(LagrangianSpec.from_expression(CH22, QUAD22))
     solves = []
     solve_detail = h.solve_detail
@@ -130,8 +153,10 @@ def test_induced_splitting_m2_one_solve_for_all_coefficients():
     for _ in range(10):
         x, y, v = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
         solves.clear()
+        newton_calls.clear()
         w = h.h_values(x, y, v)
         assert len(solves) == 1
+        assert len(newton_calls) <= 2  # affine in w: s = 0, then s = 1
         assert np.abs(w - quad22_exact(x, v)).max() < 1e-12
         z = np.concatenate([x, y, v])
         per_coefficient = np.array([c.value(z) for c in h.coefficients])
@@ -237,3 +262,18 @@ def test_integrate_sode_state_length_guard():
     sode = euler_lagrange_sode(lag(F1))
     with pytest.raises(DimensionMismatch):
         integrate_sode(sode, [0.0, 0.0, 0.5], 0.0, 1.0, 0.1)
+
+
+def test_subduced_jet_rejects_ill_conditioned_fibre_hessian():
+    # cond(L_ww) = 1e14 and L_vw != 0: an unchecked solve returns a
+    # Schur complement of size 1e14 instead of failing
+    L = LagrangianSpec.from_expression(
+        BundleChart(1, 2), "0.5*v1^2 + 0.5*w1^2 + 0.5e-14*w2^2 + v1*w2")
+
+    class StubSplitting:
+        def h_values(self, x, y, v):
+            return np.zeros(2)
+
+    Lbar = SubducedField(L, StubSplitting(), [0.0, 0.0])
+    with pytest.raises(SingularHessian):
+        Lbar.jet([0.1, 0.3])

@@ -40,6 +40,24 @@ def test_linear_solve_rejects_nonfinite():
 def test_linear_system_shape_validation():
     with pytest.raises(DimensionMismatch):
         LinearSystem(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        LinearSystem(np.eye(2), np.ones((2, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        LinearSystem(np.eye(1), 1.0)
+
+
+def test_linear_solve_several_right_hand_sides():
+    rng = np.random.default_rng(1)
+    A = rng.uniform(-1.0, 1.0, (3, 3)) + 3.0 * np.eye(3)
+    B = rng.uniform(-1.0, 1.0, (3, 4))
+    X = linear_solve(LinearSystem(A, B))
+    assert X.shape == (3, 4)
+    for c in range(4):
+        col = linear_solve(LinearSystem(A, B[:, c]))
+        assert np.abs(X[:, c] - col).max() < 1e-14
+    # the condition bound holds for every right-hand side at once
+    with pytest.raises(SingularMatrix):
+        linear_solve(LinearSystem(np.diag([1.0, 1e-14]), np.ones((2, 2))))
 
 
 def test_newton_affine_converges_in_one_iteration():
@@ -53,6 +71,7 @@ def test_newton_affine_converges_in_one_iteration():
 
     res = newton_solve(NewtonProblem(system=system, x0=np.zeros(2)))
     assert res.iterations == 1
+    assert res.contraction == 0.0
     assert np.abs(A @ res.x - b).max() < 1e-12
     # one call at x0, one at the accepted point; no separate Jacobian call
     assert len(calls) == 2
@@ -65,6 +84,17 @@ def test_newton_quadratic_convergence_on_scalar_root():
         x0=np.array([1.0])))
     assert abs(res.x[0] - np.sqrt(2.0)) < 1e-10
     assert res.iterations <= 6
+    # steps 0.5 then -1/12 from x0 = 1
+    assert abs(res.contraction - 1.0 / 6.0) < 1e-12
+
+
+def test_newton_contraction_is_inf_after_a_damped_step():
+    # the full Newton step from 2 overshoots atan's root to |x| > 3
+    res = newton_solve(NewtonProblem(
+        system=lambda x: (np.arctan(x), np.array([[1.0 / (1.0 + x[0] ** 2)]])),
+        x0=np.array([2.0])))
+    assert abs(res.x[0]) < 1e-10
+    assert res.contraction == np.inf
 
 
 def test_newton_zero_iterations_when_already_solved():
@@ -72,6 +102,7 @@ def test_newton_zero_iterations_when_already_solved():
         system=lambda x: (x - 1.0, np.eye(1)),
         x0=np.array([1.0])))
     assert res.iterations == 0
+    assert res.contraction == 0.0
 
 
 def test_newton_reports_no_convergence():
