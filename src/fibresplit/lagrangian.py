@@ -3,10 +3,9 @@
 A fibre-regular Lagrangian L(x, y, v, w) determines a splitting through the
 relation dL/dw = 0 on the horizontal manifold.  The splitting is
 Newton-backed: each point solves that m-dimensional system once for all m
-coefficients, by damped Newton with adaptive predictor-corrector
-continuation along s v, s from 0 to 1.  Values need no more; first
-derivatives of the coefficient fields come from the implicit-function
-formula dh/dz = -(L_ww)^-1 L_wz.
+coefficients, by damped Newton with adaptive continuation along s v.
+Values need no more; first derivatives of the coefficient fields come
+from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.
 """
 
 from dataclasses import dataclass, replace
@@ -113,14 +112,22 @@ def euler_lagrange_sode(L):
 
 
 def _fibre_system(L, x, y, v):
-    """w -> (dL/dw, d2L/dw dw) at (x, y, v, w), from one jet of L."""
+    """w -> (dL/dw, d2L/dw dw) at (x, y, v, w); keeps L's jet on .jet."""
     k = 2 * L.chart.n + L.chart.m
 
     def system(w):
-        Ljet = L.jet(np.concatenate([x, y, v, w]))
-        return Ljet.gradient[k:], Ljet.hessian[k:, k:]
+        system.jet = L.jet(np.concatenate([x, y, v, w]))
+        return system.jet.gradient[k:], system.jet.hessian[k:, k:]
 
     return system
+
+
+def _fibre_solve(Ljet, k):
+    """-(L_ww)^-1 [L_w | L_wz] from one jet of L at (z, w), len(z) = k:
+    column 0 is the Newton step for dL/dw = 0, the others dw/dz."""
+    H = Ljet.hessian[k:]
+    rhs = np.column_stack([Ljet.gradient[k:], H[:, :k]])
+    return linear_solve(LinearSystem(H[:, k:], -rhs))
 
 
 # Step control of InducedSplitting.solve_detail's continuation
@@ -141,11 +148,8 @@ class InducedSplitting(SplittingSpec):
         def coeff(a):
             def vg(z):
                 w, _ = self.solve_detail(z[:n], z[n:n + m], z[n + m:])
-                Ljet = L.jet(np.concatenate([z, w]))
-                Lww = Ljet.hessian[arity:, arity:]
-                Lwz = Ljet.hessian[arity:, :arity]
-                dh = linear_solve(LinearSystem(Lww, -Lwz))
-                return w[a], dh[a]
+                dh = _fibre_solve(L.jet(np.concatenate([z, w])), arity)
+                return w[a], dh[a, 1:]
             return DerivedField(arity, vg, label=f"h{a+1}_induced")
 
         super().__init__(chart, [coeff(a) for a in range(m)],
@@ -156,12 +160,12 @@ class InducedSplitting(SplittingSpec):
         """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
         returns (w, Newton iterations of the final corrector at s = 1).
 
-        Newton starts from w = 0 at s = 0 (a slit Lagrangian skips s = 0).
-        The tangent dw/ds = -L_ww^-1 L_wv v at the last accepted point, or
-        zero where L_ww is singular, predicts the next one.  ds starts at 1,
-        halves when the corrector takes over 3 iterations or its contraction
-        exceeds 1/4, and doubles after an accepted step; below 1/1024 the
-        corrector's NoConvergence or SingularHessian is raised.
+        Newton starts from w = 0 at s = 0; the tangent dw/ds = -L_ww^-1
+        L_wv v (zero where L_ww is singular) predicts each next point.  ds
+        starts at 1 and doubles after an accepted step; a corrector that
+        fails, leaves the domain, takes over 3 iterations or contracts by
+        less than 4x halves it, below 1/1024 its error is raised, and
+        points inside the slit are skipped.  A last Newton step polishes w.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -170,51 +174,41 @@ class InducedSplitting(SplittingSpec):
         n, m = self.chart.n, self.chart.m
         L, k = self._L, 2 * n + m
 
-        def newton(s, w0):
+        def newton(s, w0, *limits):
+            """Root at s v, iterations, Newton step there and dw/ds."""
             system = _fibre_system(L, x, y, s * v)
             try:
-                return newton_solve(NewtonProblem(system, w0))
+                res = newton_solve(NewtonProblem(system, w0, *limits))
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
-
-        def tangent(s, w):
-            H = L.jet(np.concatenate([x, y, s * v, w])).hessian[k:]
             try:
-                return linear_solve(LinearSystem(H[:, k:], -H[:, n + m:k] @ v))
+                g = _fibre_solve(system.jet, k)
             except SingularMatrix:
-                return np.zeros_like(w)
+                g = np.zeros((m, 1 + k))
+            return res.x, res.iterations, g[:, 0], g[:, 1 + n + m:] @ v
 
         s, ds = 0.0, 1.0
         w = dw = np.zeros(m)
         try:
-            w = newton(0.0, w).x
-            dw = tangent(0.0, w)
+            w, _, _, dw = newton(0.0, w)
         except DomainError:
             pass  # slit Lagrangians are not evaluable at v=0
         while True:
             ds = min(ds, 1.0 - s)  # s stays dyadic, so s + ds hits 1 exactly
             try:
-                res = newton(s + ds, w + ds * dw)
-                if (res.iterations > _CORRECTOR_MAX_ITER
-                        or res.contraction > _CONTRACTION_MAX):
-                    raise NoConvergence(
-                        f"corrector at s={s + ds:g} rejected: {res.iterations}"
-                        f" iterations, contraction {res.contraction:.3g}",
-                        iterations=res.iterations, residual=res.residual)
-            except DomainError:
-                if s + ds == 1.0:
+                root, its, step, tangent = newton(
+                    s + ds, w + ds * dw, _CORRECTOR_MAX_ITER, _CONTRACTION_MAX)
+            except (DomainError, NoConvergence, SingularHessian):
+                if not self.admissible((s + ds) * v):
+                    s, dw = s + ds, np.zeros_like(w)  # skip, as at s = 0
+                elif ds > _MIN_STEP:
+                    ds *= 0.5
+                else:
                     raise
-                s, dw = s + ds, np.zeros_like(w)  # skip, as at s = 0
-                continue
-            except (NoConvergence, SingularHessian):
-                if ds <= _MIN_STEP:
-                    raise
-                ds *= 0.5
                 continue
             if s + ds == 1.0:
-                return res.x, res.iterations
-            s, w = s + ds, res.x
-            dw, ds = tangent(s, w), 2.0 * ds
+                return root + step, its
+            s, w, dw, ds = s + ds, root, tangent, 2.0 * ds
 
     def h_values(self, x, y, v):
         """All m coefficients from one continuation solve, without dh."""

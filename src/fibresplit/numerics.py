@@ -61,9 +61,12 @@ _NEWTON_MAX_ITER = 50
 
 @dataclass
 class NewtonProblem:
-    """Root problem F(x) = 0; system(x) returns (F(x), DF(x)) at once."""
+    """Root problem F(x) = 0; system(x) returns (F(x), DF(x)) at once.
+    Newton gives up after max_iter steps or a contraction over the max."""
     system: object
     x0: np.ndarray
+    max_iter: int = _NEWTON_MAX_ITER
+    max_contraction: float = math.inf
 
 
 @dataclass
@@ -77,15 +80,16 @@ class NewtonResult:
 
 
 def newton_solve(problem):
-    """Damped Newton iteration to max|F| <= 1e-10, at most 50 iterations.
+    """Damped Newton iteration to max|F| <= 1e-10 in at most
+    problem.max_iter (by default 50) iterations.
 
     Full steps are halved (at most 20 times) until the residual norm
     decreases.  Each trial point costs one system call, and the Jacobian
     that came with the accepted point drives the next step, so an affine
-    residual converges in exactly one iteration and two system calls.
-    The contraction of the first two steps tells a caller how far inside
-    the region of fast convergence x0 was.  Raises NoConvergence with the
-    iteration count and last residual norm on failure.
+    residual converges in exactly one iteration and two system calls; the
+    last call is at the returned root.  Raises NoConvergence with the
+    iteration count and last residual norm on failure, or as soon as the
+    contraction of the first two steps exceeds problem.max_contraction.
     """
     x = np.asarray(problem.x0, dtype=float).copy()
     r, J = problem.system(x)
@@ -94,7 +98,7 @@ def newton_solve(problem):
     if rnorm <= _NEWTON_TOL:
         return NewtonResult(x, 0, float(rnorm), 0.0)
     first = theta = 0.0
-    for it in range(1, _NEWTON_MAX_ITER + 1):
+    for it in range(1, problem.max_iter + 1):
         step = linear_solve(LinearSystem(J, -r))
         lam = 1.0
         accepted = False
@@ -117,12 +121,15 @@ def newton_solve(problem):
             first = np.abs(step).max()
         elif it == 2 and theta == 0.0:
             theta = float(np.abs(step).max() / first)
+        if theta > problem.max_contraction:
+            raise NoConvergence(f"contraction {theta:.3g} at iteration {it}",
+                                iterations=it, residual=float(rn_norm))
         x, r, J, rnorm = xn, rn, Jn, rn_norm
         if rnorm <= _NEWTON_TOL:
             return NewtonResult(x, it, float(rnorm), theta)
     raise NoConvergence(
-        f"no convergence in {_NEWTON_MAX_ITER} iterations",
-        iterations=_NEWTON_MAX_ITER, residual=float(rnorm))
+        f"no convergence in {problem.max_iter} iterations",
+        iterations=problem.max_iter, residual=float(rnorm))
 
 
 @dataclass

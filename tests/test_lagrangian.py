@@ -93,14 +93,26 @@ def test_induced_splitting_quadratic_fixture(newton_calls):
 
 def test_induced_splitting_cubic_fixture_and_iterations(newton_calls):
     h = induced_splitting(lag(F2))
-    # the branch folds at v = 1/sqrt(2): at 0.5 the full step is rejected
-    # and halved, and at 0.69 the final corrector must still take <= 3
-    for v in (0.5, 0.69):
+    # the branch folds at v = 1/sqrt(2): from 0.5 on the full step is
+    # rejected and halved, and at 0.69 the final corrector must still take
+    # <= 3; the polished root is as accurate as the old 11-point grid's
+    for v, halved in ((0.3, False), (0.5, True), (0.6, True), (0.69, True)):
         newton_calls.clear()
         w, iters = h.solve_detail([0.0], [0.0], [v])
-        assert abs(w[0] - (-1.0 + np.sqrt(1.0 - 2.0 * v * v))) < 1e-10
+        assert abs(w[0] - (-1.0 + np.sqrt(1.0 - 2.0 * v * v))) < 1e-14
         assert iters <= 3
-        assert len(newton_calls) > 2
+        assert (len(newton_calls) > 2) == halved
+
+
+def test_continuation_halves_when_the_predictor_leaves_the_domain():
+    # root w = 1 - exp(-v) inside w < 1; the tangent at s = 0 is v, so for
+    # v >= 1 the full-step predictor w = v is outside the domain of log
+    L = lag("(1 - w1)*log(1 - w1) + w1 - v1*w1")
+    h = induced_splitting(L)
+    for v in (0.5, 1.5, 3.0):
+        w, iters = h.solve_detail([0.0], [0.0], [v])
+        assert abs(w[0] - (1.0 - np.exp(-v))) < 1e-14
+        assert iters <= 3
 
 
 def test_induced_gradient_is_implicit_derivative():

@@ -105,6 +105,29 @@ def test_newton_zero_iterations_when_already_solved():
     assert res.contraction == 0.0
 
 
+def test_newton_stops_once_the_caller_would_reject_it():
+    calls = []
+
+    def system(x):
+        calls.append(x[0])
+        return x * x - 2.0, np.diag(2.0 * x)
+
+    # sqrt(2) from 1 contracts by 1/6 and converges in 5 iterations
+    for limits in ({"max_contraction": 0.1}, {"max_iter": 2}):
+        calls.clear()
+        with pytest.raises(NoConvergence) as exc:
+            newton_solve(NewtonProblem(system, np.array([1.0]), **limits))
+        assert exc.value.iterations == 2
+        assert len(calls) == 3
+    # a damped step has contraction inf, over any finite bound
+    with pytest.raises(NoConvergence) as exc:
+        newton_solve(NewtonProblem(
+            system=lambda x: (np.arctan(x),
+                              np.array([[1.0 / (1.0 + x[0] ** 2)]])),
+            x0=np.array([2.0]), max_contraction=1e300))
+    assert exc.value.iterations == 1
+
+
 def test_newton_reports_no_convergence():
     # residual bounded away from zero, gradient never helps
     with pytest.raises(NoConvergence) as exc:
