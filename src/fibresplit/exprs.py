@@ -13,8 +13,13 @@ so '^' binds tighter than unary minus ('-x^2' is -(x^2)) and '2^3^2' is
 sin cos tan exp log sqrt abs, all unary.
 
 parse() gives a structural AST; str() of an AST reparses to an equal AST.
-compile_field() lowers to an instruction tape (general '^' becomes
+compile_field() substitutes the context's named constants, folds constant
+subtrees and lowers to an instruction tape (general '^' becomes
 exp(b*log(a)); an integer constant exponent becomes a dedicated power op).
+The TapeField keeps that folded AST as `ast`, so a composite of compiled
+fields is one more tape: compose() substitutes their ASTs into a formula
+and compiles the result.  Only expression-built fields compose this way;
+other fields keep their own evaluators (bundle.DerivedField).
 """
 
 import math
@@ -375,11 +380,10 @@ class VarContext:
     def arity(self):
         return len(self.names)
 
-    def resolve(self, name):
+    def index(self, name):
+        """Tape input slot of a variable name."""
         if name in self._index:
-            return ("var", self._index[name])
-        if name in self.constants:
-            return ("const", self.constants[name])
+            return self._index[name]
         raise UnknownIdentifier(f"unknown identifier '{name}'")
 
     def __repr__(self):
@@ -408,10 +412,7 @@ class _TapeBuilder:
         if isinstance(node, Num):
             return self.const(node.value)
         if isinstance(node, Var):
-            kind, payload = self.ctx.resolve(node.name)
-            if kind == "var":
-                return payload
-            return self.const(payload)
+            return self.ctx.index(node.name)
         if isinstance(node, Neg):
             return self.alloc(_kernels.OP_NEG, self.walk(node.arg))
         if isinstance(node, Call):
@@ -446,10 +447,7 @@ def _algebra_evaluator(node, ctx, slit_eps):
         if isinstance(node, Num):
             return Jet2.constant(node.value, len(jets))
         if isinstance(node, Var):
-            kind, payload = ctx.resolve(node.name)
-            if kind == "var":
-                return jets[payload]
-            return Jet2.constant(payload, len(jets))
+            return jets[ctx.index(node.name)]
         if isinstance(node, Neg):
             return -run(node.arg, jets)
         if isinstance(node, Call):
@@ -475,7 +473,12 @@ def _algebra_evaluator(node, ctx, slit_eps):
 
 
 def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
-    """Lower an AST (or source text) to a TapeField over the context."""
+    """Lower an AST (or source text) to a TapeField over the context.
+
+    Named constants become numbers before folding, so the field's `ast`
+    mentions only the context's variables and compiles again, alone or
+    substituted into a larger formula, over any context naming them.
+    """
     if isinstance(node, str):
         if label is None:
             label = node
@@ -486,11 +489,29 @@ def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
     if unknown:
         raise UnknownIdentifier(
             f"unknown identifier '{sorted(unknown)[0]}' in '{label}'")
-    folded = fold_constants(node)
+    folded = fold_constants(substitute(node, ctx.constants))
     builder = _TapeBuilder(ctx)
     out = builder.walk(folded)
     code = np.array(builder.rows, dtype=np.int64).reshape(-1, 4)
     consts = np.array(builder.consts, dtype=float)
     return TapeField(ctx.arity, code, consts, builder.next_reg, out,
-                     label=label, slit_eps=slit_eps,
+                     label=label, slit_eps=slit_eps, ast=folded,
                      algebra_evaluator=_algebra_evaluator(folded, ctx, slit_eps))
+
+
+def compose(formula, fields, ctx, label, slit_eps=SLIT_EPS_DEFAULT):
+    """One TapeField for a formula over compiled fields.
+
+    formula is source text in ctx's variables plus the names in `fields`;
+    each such name is replaced by that field's `ast` before compiling, so
+    the composite's jets come from a single tape.  A field that was not
+    compiled from an expression has no AST and raises TypeError.
+    """
+    plain = [f.label for f in fields.values()
+             if getattr(f, "ast", None) is None]
+    if plain:
+        raise TypeError(f"'{label}' composes compiled expressions only; "
+                        f"{plain} are not")
+    mapping = {name: f.ast for name, f in fields.items()}
+    return compile_field(substitute(parse(formula), mapping), ctx,
+                         label=label, slit_eps=slit_eps)

@@ -7,9 +7,12 @@ np.sin(jet) works.
 
 ScalarField wraps an evaluator (list of Jet2 -> Jet2) with an arity and a
 label.  TapeField is the compiled-expression variant: it evaluates through
-straight-line code generated from its instruction tape, and keeps the
+straight-line code generated from its instruction tape, keeps the
 plain-algebra evaluator as the independent oracle the tests check it
-against.
+against, and keeps the folded AST it was compiled from, so that fields
+built from expressions compose by substitution into one tape
+(exprs.compose).  Fields that are not expressions, such as induced
+coefficients, go through bundle.DerivedField instead.
 """
 
 import math
@@ -266,12 +269,15 @@ class TapeField(ScalarField):
     The first jet() or value() call lowers the tape to straight-line Python
     (see _kernels) and keeps the two generated functions on the instance.
     The inherited evaluator recomputes with plain Jet2 algebra; it is the
-    independent oracle the tests check the generated code against.
+    independent oracle the tests check the generated code against.  ast is
+    the folded expression the tape was lowered from (named constants
+    already numbers); the algebra evaluator holds the same object.
     """
 
     def __init__(self, arity, code, consts, nreg, out_reg, label="",
-                 slit_eps=SLIT_EPS_DEFAULT, algebra_evaluator=None):
+                 slit_eps=SLIT_EPS_DEFAULT, algebra_evaluator=None, ast=None):
         super().__init__(arity, algebra_evaluator, label)
+        self.ast = ast
         self.code = code
         self.consts = consts
         self.nreg = nreg

@@ -4,15 +4,16 @@ A constraint dy/dt + A(x,y) dx/dt = A0(x,y) eliminates the fibre velocity
 exactly: the state is (x, y, v) and w is reconstructed.  The equations of
 motion carry the constraint's curvature on the right-hand side, contracted
 with the fibre momentum of the unconstrained Lagrangian evaluated on the
-constraint surface.
+constraint surface.  The constraint fields are expressions, so w = A0 - A v
+compiles to one tape per component by substitution (to_splitting), and
+the constrained Lagrangian's jets chain L over those tapes' jets.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .jets import Jet2, ScalarField
+from .jets import ScalarField, seed_jets
 from .numerics import IvpProblem, LinearSystem, linear_solve, rk4_integrate
 from .splitting import AffineSplittingData, affine_curvature_coefficients
 
@@ -50,8 +51,9 @@ class ConstrainedState:
 class ConstrainedLagrangianField(ScalarField):
     """L with the fibre velocity eliminated: (x, y, v) -> L(x, y, v, w(x,y,v)).
 
-    Jets are exact, composed through the affine reconstruction's own exact
-    jets in the reduced variables.
+    w^a = A0^a - A^a_i v^i is the constraint's own splitting, one tape per
+    component compiled from the constraint's expressions; a jet is one
+    chain rule of L over the seed jets of (x, y, v) and those tapes' jets.
     """
 
     def __init__(self, L, c, label="L_constrained"):
@@ -59,36 +61,11 @@ class ConstrainedLagrangianField(ScalarField):
         super().__init__(2 * n + m, None, label)
         self.L = L
         self.c = c
-
-    def _inner_jets(self, s):
-        n, m = self.L.chart.n, self.L.chart.m
-        N = 2 * n + m
-        x, y, v = s[:n], s[n:n + m], s[n + m:]
-        q = np.concatenate([x, y])
-        inners = [Jet2.variable(s[i], i, N) for i in range(N)]
-        A0j = [f.jet(q) for f in self.c.A0]
-        Aj = [[f.jet(q) for f in row] for row in self.c.A]
-        for a in range(m):
-            val = A0j[a].value
-            grad = np.zeros(N)
-            hess = np.zeros((N, N))
-            grad[:n + m] = A0j[a].gradient
-            hess[:n + m, :n + m] = A0j[a].hessian
-            for i in range(n):
-                val -= Aj[a][i].value * v[i]
-                grad[:n + m] -= Aj[a][i].gradient * v[i]
-                grad[n + m + i] -= Aj[a][i].value
-                hess[:n + m, :n + m] -= Aj[a][i].hessian * v[i]
-                hess[:n + m, n + m + i] -= Aj[a][i].gradient
-                hess[n + m + i, :n + m] -= Aj[a][i].gradient
-            inners.append(Jet2(val, grad, hess))
-        return inners
+        self.w = c.to_splitting().coefficients
 
     def jet(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.arity,):
-            raise DimensionMismatch(f"expected {self.arity} inputs")
-        return self.L.field.chain(self._inner_jets(s))
+        w_jets = [f.jet(s) for f in self.w]
+        return self.L.field.chain(seed_jets(s) + w_jets)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)

@@ -19,7 +19,7 @@ from .bundle import (BundleChart, DerivedField, SecondTangentPoint,
                      complete_lift, lie_bracket, vertical_lift)
 from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
-from .exprs import compile_field, mentions_nonsmooth, parse
+from .exprs import compile_field, compose, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
 from .numerics import IvpProblem, TrajectoryRecord, rk4_integrate, sample_max
 
@@ -513,19 +513,25 @@ class AffineSplittingData:
         return cls(chart, A, A0)
 
     def to_splitting(self):
-        n, m = self.chart.n, self.chart.m
-        arity = 2 * n + m
+        """The splitting h^a = A0^a - A^a_1 v^1 - ... - A^a_n v^n.
+
+        Takes expression-built data (from_expressions): each coefficient
+        is one tape over (x, y, v) compiled from the fields' ASTs.  Data
+        read off a splitting by affine_decompose has no ASTs to compose
+        and raises TypeError.
+        """
+        chart = self.chart
+        ctx = chart.ctx_pullback()
+        formula = "A0" + "".join(f" - A{i+1}*{v}"
+                                 for i, v in enumerate(chart.v_names))
 
         def coeff(a):
-            def ev(jets):
-                xy = list(jets[:n + m])
-                out = self.A0[a].chain(xy)
-                for i in range(n):
-                    out = out - self.A[a][i].chain(xy) * jets[n + m + i]
-                return out
-            return ScalarField(arity, ev, label=f"h{a+1}_affine")
+            fields = {"A0": self.A0[a]}
+            fields.update({f"A{i+1}": f for i, f in enumerate(self.A[a])})
+            return compose(formula, fields, ctx, f"h{a+1}_affine",
+                           chart.slit_eps)
 
-        return SplittingSpec(self.chart, [coeff(a) for a in range(m)],
+        return SplittingSpec(chart, [coeff(a) for a in range(chart.m)],
                              True, "affine-from-constraints")
 
 

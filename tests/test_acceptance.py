@@ -28,12 +28,12 @@ from fibresplit.nonholonomic import (AffineConstraintSpec, ConstrainedState,
                                      integrate_constrained)
 from fibresplit.numerics import IvpProblem, rk4_integrate
 from fibresplit.reduction import (ActionSpec, MagneticModel,
-                                  ReducedBaseLagrangian, base_euler_lagrange,
+                                  base_euler_lagrange,
                                   connection_test_domega, decoupling_check,
                                   integrate_base, integrate_magnetic,
                                   magnetic_lp_system, momentum_map,
-                                  principal_check, unreduce, vilms_of_sode,
-                                  xi_field)
+                                  principal_check, reduced_base_lagrangian,
+                                  unreduce, vilms_of_sode, xi_field)
 from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   curvature_rbar, horizontal_lift_curve,
                                   project_horizontal, project_vertical,
@@ -320,8 +320,9 @@ def test_criterion_13_magnetic_decoupling():
     assert rep.verdict
     mag = integrate_magnetic(magnetic_lp_system(good), [1.0, 0.0, 0.4],
                              0.0, 10.0, 1e-3)
-    base = integrate_base(base_euler_lagrange(ReducedBaseLagrangian(good), 1),
-                          [1.0], [0.0], 0.0, 10.0, 1e-3)
+    base = integrate_base(
+        base_euler_lagrange(reduced_base_lagrangian(good), 1),
+        [1.0], [0.0], 0.0, 10.0, 1e-3)
     assert np.abs(mag.states[:, 0] - base.states[:, 0]).max() < 1e-6
 
     bad = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])

@@ -237,6 +237,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "ic" in capsys.readouterr().err
 
 
+def test_asymmetric_base_metric_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "asym_g.ini"
+    cfg.write_text("[bundle]\nbase_dim = 2\nfibre_dim = 1\n"
+                   '[magnetic]\ng = [["1", "0.5"], ["0", "1"]]\n'
+                   'V = "x1"\nA_alpha = ["2"]\n'
+                   "[simulation]\nic = [0.1, 0.2, 0.3, 0.4, 0.5]\n")
+    for command in ("magnetic-simulate", "check-all"):
+        assert run(command, cfg, tmp_path / command) == 2
+        assert "config error: base metric g must be symmetric" \
+            in capsys.readouterr().err
+        assert not (tmp_path / command / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, setting, extra, key", [
     ("induce", "", ("--samples", "0"), "samples"),
     ("classify", "samples = -3", (), "samples"),

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from fibresplit.bundle import (BundleChart, TangentPointM, liouville_fields,
-                               vertical_endomorphism)
-from fibresplit.errors import (DimensionMismatch, NotPrincipal,
+from fibresplit.bundle import (BundleChart, SecondTangentPoint, TangentPointM,
+                               liouville_fields, vertical_endomorphism)
+from fibresplit.errors import (DimensionMismatch, FlowEscape, NotPrincipal,
                                SingularMatrix)
 from fibresplit.exprs import VarContext, compile_field
 from fibresplit.lagrangian import (LagrangianSpec, induced_splitting,
                                    integrate_sode)
 from fibresplit.reduction import (ActionSpec, DecouplingReport, MagneticModel,
-                                  ReducedBaseLagrangian, base_euler_lagrange,
+                                  _flow_lift, base_euler_lagrange,
                                   connection_test_domega, decoupling_check,
                                   integrate_base, integrate_magnetic,
                                   invariance_check, magnetic_induced_splitting,
                                   magnetic_lp_system, momentum_map, omega,
-                                  principal_check, unreduce,
-                                  vilms_of_sode, vilms_principal_check,
-                                  xi_field)
+                                  principal_check, reduced_base_lagrangian,
+                                  unreduce, vilms_of_sode,
+                                  vilms_principal_check, xi_field)
 from fibresplit.splitting import SplittingSpec
 
 CH = BundleChart(1, 1)
@@ -160,7 +160,7 @@ def test_vilms_principal_equivariance():
     sample = [(0, 0.3), (0, -0.2)]
     ok = SplittingSpec.from_expressions(CH, ["x1*v1"])
     rep = vilms_principal_check(ok, act, sample, state_samples=10)
-    assert rep.max_residual < 1e-6
+    assert rep.max_residual < 1e-12
     bad = SplittingSpec.from_expressions(CH, ["y1*v1"])
     rep2 = vilms_principal_check(bad, act, sample, state_samples=10)
     assert rep2.max_residual > 0.05
@@ -171,7 +171,29 @@ def test_vilms_principal_nonconstant_frame():
     h = SplittingSpec.from_expressions(CH, ["v1*exp(y1)"])
     assert principal_check(h, act, box=0.5).max_residual < 1e-12
     rep = vilms_principal_check(h, act, [(0, 0.2)], state_samples=8, box=0.5)
-    assert rep.max_residual < 1e-4
+    assert rep.max_residual < 1e-9
+
+
+def test_vilms_principal_detects_a_small_defect():
+    # y-dependence of size 1e-7 breaks equivariance under the translation
+    # frame; the lifted flow has no differencing noise to hide it under
+    act = trivial_action()
+    h = SplittingSpec.from_expressions(CH, ["x1*v1 + 1e-7*y1*v1"])
+    rep = vilms_principal_check(h, act, [(0, 0.3), (0, -0.2)],
+                                state_samples=10)
+    assert rep.max_residual > 1e-9
+
+
+@pytest.mark.parametrize("t, W, message", [
+    (1.02, 0.1, "left the chart"),     # y' = y^2 from 1 blows up at t = 1
+    (0.5, 1e308, "diverged"),          # the lifted block overflows
+])
+def test_flow_lift_escape(t, W, message):
+    act = ActionSpec.from_expressions(CH, [["y1^2"]])
+    s = SecondTangentPoint(CH, [0.0], [1.0], [0.3], [0.2], [0.1], [0.1],
+                           [0.1], [W])
+    with np.errstate(over="ignore"), pytest.raises(FlowEscape, match=message):
+        _flow_lift(act, 0, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +212,18 @@ def test_magnetic_model_guards():
     C[0, 0, 1], C[0, 1, 0] = 1.0, -1.0
     with pytest.raises(ValueError, match="bi-invariant"):
         MagneticModel.from_expressions(1, 2, C=C)
+
+
+def test_magnetic_model_rejects_asymmetric_metric():
+    # eigvalsh reads only the lower triangle, so this g passed the
+    # positivity check; the dynamics used G and the reduced Lagrangian its
+    # symmetric part (decoupling verdict True, EL mismatch 0.267)
+    with pytest.raises(ValueError, match="base metric g must be symmetric"):
+        MagneticModel.from_expressions(2, 1, g=[["1", "0.5"], ["0", "1"]],
+                                       V="x1", A_fibre=["2"])
+    sym = MagneticModel.from_expressions(2, 1, g=[["1", "0.25*x2"],
+                                                   ["0.25*x2", "1"]])
+    assert decoupling_check(sym, samples=5).base_el_residual < 1e-12
 
 
 def test_magnetic_rhs_trivial_model():
@@ -227,7 +261,7 @@ def test_magnetic_induced_splitting_constant():
 def test_reduced_base_lagrangian_jets():
     model = MagneticModel.from_expressions(
         1, 1, g=[["exp(x1)"]], V="x1^3", A_base=["sin(x1)"])
-    Lbar = ReducedBaseLagrangian(model)
+    Lbar = reduced_base_lagrangian(model)
     x, v = 0.3, 0.7
     j = Lbar.jet(np.array([x, v]))
     ex, sx, cx = np.exp(x), np.sin(x), np.cos(x)

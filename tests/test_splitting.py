@@ -308,6 +308,13 @@ def test_affine_round_trip_and_curvature_coefficients():
     assert np.abs(A0d).max() < 1e-10
 
 
+def test_to_splitting_needs_expression_data():
+    # fields read off a splitting have no AST to substitute
+    data = affine_decompose(spec11("x1*v1 + y1"), samples=5)
+    with pytest.raises(TypeError, match="compiled expressions only"):
+        data.to_splitting()
+
+
 def test_affine_curvature_zero_for_constant_coefficients():
     ch = BundleChart(2, 1)
     data = AffineSplittingData.from_expressions(

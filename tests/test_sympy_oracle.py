@@ -6,6 +6,10 @@ powers and general powers.  sympy differentiates the unfolded AST; the
 tape is compiled from the constant-folded one.  Points are exact binary
 floats, so sympy evaluates the same point to 30 digits; non-integer
 constants enter as 53-bit sympy Floats.
+
+Composite fields (the magnetic reduced Lagrangian, the constrained
+Lagrangian, compose()) are one tape built by substituting their parts'
+ASTs; sympy composes the parts itself and differentiates the result.
 """
 
 import numpy as np
@@ -14,10 +18,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibresplit.bundle import BundleChart
 from fibresplit.errors import DomainError
 from fibresplit.exprs import (Bin, Call, Neg, Num, Var, VarContext,
-                              compile_field, fold_constants, parse)
+                              compile_field, compose, fold_constants, parse,
+                              variables)
 from fibresplit.jets import SLIT_EPS_DEFAULT, seed_jets
+from fibresplit.lagrangian import LagrangianSpec
+from fibresplit.nonholonomic import (AffineConstraintSpec,
+                                     constrained_lagrangian)
+from fibresplit.reduction import MagneticModel, reduced_base_lagrangian
 
 NAMES = ("a", "b")
 CTX = VarContext([("base", list(NAMES))])
@@ -69,7 +79,7 @@ def to_sympy(node, at):
         v = node.value
         return sympy.Integer(int(v)) if v.is_integer() else sympy.Float(v)
     if isinstance(node, Var):
-        return SYMS[NAMES.index(node.name)]
+        return sympy.Symbol(node.name, real=True)
     if isinstance(node, Neg):
         return -to_sympy(node.arg, at)
     if isinstance(node, Call):
@@ -83,17 +93,19 @@ def to_sympy(node, at):
             "^": lambda: left ** right}[node.op]()
 
 
-def sympy_jet(node, x):
-    """Value, gradient and Hessian of the AST at x, to 30 digits."""
-    at = {s: sympy.Rational(v) for s, v in zip(SYMS, x)}
-    expr = to_sympy(node, at)
+def sympy_jet(node, x, names=NAMES):
+    """Value, gradient and Hessian at x, to 30 digits, of an AST or of a
+    sympy expression in the variables `names`."""
+    syms = [sympy.Symbol(name, real=True) for name in names]
+    at = {s: sympy.Rational(v) for s, v in zip(syms, x)}
+    expr = node if isinstance(node, sympy.Expr) else to_sympy(node, at)
 
     def num(e):
         return complex(e.evalf(30, subs=at))
 
-    k = len(SYMS)
-    grad = [sympy.diff(expr, s) for s in SYMS]
-    hess = [[sympy.diff(grad[i], SYMS[j]) for j in range(k)]
+    k = len(syms)
+    grad = [sympy.diff(expr, s) for s in syms]
+    hess = [[sympy.diff(grad[i], syms[j]) for j in range(k)]
             for i in range(k)]
     return (num(expr), np.array([num(g) for g in grad]),
             np.array([[num(h) for h in row] for row in hess]))
@@ -119,11 +131,15 @@ def check_against_sympy(node, x):
             f.evaluator(seed_jets(x))
         return False
     assert (got.hessian == got.hessian.T).all()
-    value, grad, hess = sympy_jet(node, x)
+    assert_jet_matches(got, sympy_jet(node, x))
+    return True
+
+
+def assert_jet_matches(got, ref):
+    value, grad, hess = ref
     assert_close(got.value, value, "value")
     assert_close(got.gradient, grad, "gradient")
     assert_close(got.hessian, hess, "hessian")
-    return True
 
 
 @settings(derandomize=True, max_examples=150, deadline=None,
@@ -166,3 +182,77 @@ def test_constant_folding_preserves_jets(src):
     assert fold_constants(node) != node
     for x in ([0.7, 1.3], [-0.4, 0.9]):
         assert check_against_sympy(node, x)
+
+
+def _sym(src):
+    """sympy expression of abs-free source text."""
+    return to_sympy(parse(src), {})
+
+
+def _syms(prefix, k):
+    return [sympy.Symbol(f"{prefix}{i+1}", real=True) for i in range(k)]
+
+
+def test_reduced_base_lagrangian_matches_sympy():
+    g = [["exp(x1)", "0.3*x2"], ["0.3*x2", "2 + sin(x1*x2)"]]
+    V, A = "x1^3 - x2", ["sin(x1)", "x1*x2^2"]
+    Lbar = reduced_base_lagrangian(MagneticModel.from_expressions(
+        2, 1, g=g, V=V, A_base=A))
+    v = _syms("v", 2)
+    ref = (sum(_sym(g[i][j]) * v[i] * v[j] for i in range(2)
+               for j in range(2)) / 2
+           - _sym(V) + sum(_sym(A[i]) * v[i] for i in range(2)))
+    for x in ([0.7, -0.4, 1.3, 0.9], [-0.5, 0.25, -1.1, 0.6]):
+        assert_jet_matches(Lbar.jet(np.array(x)),
+                           sympy_jet(ref, x, ("x1", "x2", "v1", "v2")))
+
+
+def test_constrained_lagrangian_matches_sympy():
+    chart = BundleChart(2, 2)
+    src = "0.5*(v1^2 + v2^2 + w1^2) + w2^2*(1 + x1^2)/2 + y1*w1*v2 - cos(y2)"
+    A = [["x1*y2", "sin(y1)"], ["0.5", "x2 - y1^2"]]
+    A0 = ["exp(x2)*y2", "x1*y1"]
+    Lc = constrained_lagrangian(
+        LagrangianSpec.from_expression(chart, src),
+        AffineConstraintSpec.from_expressions(chart, A, A0))
+    v, w = _syms("v", 2), _syms("w", 2)
+    ref = _sym(src).subs({w[a]: _sym(A0[a]) - sum(
+        _sym(A[a][i]) * v[i] for i in range(2)) for a in range(2)},
+        simultaneous=True)
+    names = ("x1", "x2", "y1", "y2", "v1", "v2")
+    for s in ([0.7, -0.4, 0.3, 1.1, -0.9, 0.6],
+              [-0.5, 0.25, -1.2, 0.4, 0.8, -1.3]):
+        assert_jet_matches(Lc.jet(np.array(s)), sympy_jet(ref, s, names))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          database=None)
+@given(asts, st.tuples(coords, coords))
+def test_recompiled_ast_reproduces_the_jet(node, x):
+    f = compile_field(node, CTX)
+    g = compile_field(f.ast, CTX)
+    x = np.array(x)
+    try:
+        want = f.jet(x)
+    except DomainError:
+        with pytest.raises(DomainError):
+            g.jet(x)
+        return
+    got = g.jet(x)
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
+    assert np.array_equal(got.hessian, want.hessian)
+
+
+def test_named_constants_compose():
+    # pi and a user constant become numbers in the AST, so the field
+    # composes over a context that names neither
+    ctx = VarContext([("base", list(NAMES))], {"kappa": 2.5})
+    f = compile_field("kappa*sin(pi*a) + b/kappa", ctx)
+    assert variables(f.ast) == {"a", "b"}
+    F = compose("F*b + F^2", {"F": f}, CTX, "composite")
+    a, b = SYMS
+    inner = 2.5 * sympy.sin(sympy.pi * a) + b / 2.5
+    for x in ([0.7, 1.3], [-0.4, 0.9]):
+        assert_jet_matches(F.jet(np.array(x)),
+                           sympy_jet(inner * b + inner ** 2, x))

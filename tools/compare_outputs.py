@@ -9,12 +9,17 @@ this script.  Each tree runs in its own Python subprocess, with the
 commands called in-process through fibresplit.cli.main.  Every run's
 report.json, trajectory.csv, stdout, stderr and exit code are compared
 byte for byte; each difference is listed with a short diff, and the exit
-status is 1 when any output differs, 0 when none does.
+status is 1 when any output differs, 0 when none does.  For a differing
+report.json or trajectory.csv, the largest absolute and relative
+difference over the numbers that differ is printed too (relative to the
+larger magnitude of the pair).
 """
 
 import contextlib
 import difflib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +92,45 @@ def _short_diff(old, new, name):
     return ["    " + ln for ln in lines]
 
 
+def _numbers(name, data):
+    """The numbers of a report.json or trajectory.csv, in file order."""
+    if name == "report.json":
+        out = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, (int, float)) \
+                    and not isinstance(node, bool):
+                out.append(float(node))
+
+        walk(json.loads(data))
+        return out
+    return [float(tok) for line in data.decode().splitlines()[1:]
+            for tok in line.split(",")]
+
+
+def _number_summary(old, new, name):
+    """One line: the largest differences over the numbers that differ."""
+    try:
+        a, b = _numbers(name, old), _numbers(name, new)
+    except ValueError:
+        return "    numbers: unreadable"
+    if len(a) != len(b):
+        return f"    numbers: {len(a)} in old, {len(b)} in new"
+    pairs = [(x, y) for x, y in zip(a, b)
+             if x != y and not (math.isnan(x) and math.isnan(y))]
+    if not pairs:
+        return "    numbers: all equal"
+    absolute = max(abs(x - y) for x, y in pairs)
+    relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    return (f"    numbers: {len(pairs)} differ, largest absolute "
+            f"difference {absolute:.3e}, largest relative {relative:.3e}")
+
+
 def compare(old_root, new_root):
     """Print every differing output; return the number of differences."""
     runs = sorted({p.relative_to(root) for root in (old_root, new_root)
@@ -106,6 +150,9 @@ def compare(old_root, new_root):
                      "only in new" if not old.exists() else "differs")
             print(f"{run}/{name}: {state}")
             print("\n".join(_short_diff(old_b, new_b, f"{run}/{name}")))
+            if state == "differs" and name in ("report.json",
+                                               "trajectory.csv"):
+                print(_number_summary(old_b, new_b, name))
     print(f"{len(runs)} runs compared, {differences} outputs differ")
     return differences
 
