@@ -33,7 +33,9 @@ class Jet2:
 
     hessian must be symmetric (tolerance 1e-12 relative) and all entries
     finite; violations raise at construction so downstream code can trust
-    every Jet2 it holds.
+    every Jet2 it holds.  Jet2._trusted builds kernel output and seeds,
+    whose shape and symmetry hold by construction, checking finiteness
+    only.
     """
 
     __slots__ = ("value", "gradient", "hessian")
@@ -59,6 +61,25 @@ class Jet2:
         self.gradient = gradient
         self.hessian = hessian
 
+    @classmethod
+    def _trusted(cls, value, gradient, hessian):
+        """Jet from a value, k gradient floats and k*k Hessian floats in
+        row order (sequences), for callers whose output holds the shape
+        and symmetry invariants by construction: the tape kernel and the
+        seeds.  Only finiteness is checked, because a float product can
+        overflow to inf without raising."""
+        # a finite sum proves every term finite; an overflowing one is
+        # rechecked term by term
+        if not (math.isfinite(value + sum(gradient) + sum(hessian))
+                or all(map(math.isfinite, (value, *gradient, *hessian)))):
+            raise DomainError("jet has non-finite entries")
+        jet = object.__new__(cls)
+        k = len(gradient)
+        jet.value = float(value)
+        jet.gradient = np.array(gradient, dtype=float)
+        jet.hessian = np.array(hessian, dtype=float).reshape(k, k)
+        return jet
+
     @property
     def arity(self):
         return self.gradient.shape[0]
@@ -69,9 +90,9 @@ class Jet2:
 
     @classmethod
     def variable(cls, x, i, k):
-        g = np.zeros(k)
+        g = [0.0] * k
         g[i] = 1.0
-        return cls(x, g, np.zeros((k, k)))
+        return cls._trusted(x, g, [0.0] * (k * k))
 
     def _coerce(self, other):
         if isinstance(other, Jet2):
@@ -221,6 +242,9 @@ def jet2_compose(outer, inners):
     hess = G.T @ outer.hessian @ G
     for a, jet in enumerate(inners):
         hess = hess + outer.gradient[a] * jet.hessian
+    # mirror the upper triangle: the sum is symmetric only to rounding
+    for i in range(1, k):
+        hess[i, :i] = hess[:i, i]
     return Jet2(outer.value, grad, hess)
 
 
@@ -325,8 +349,7 @@ class TapeField(ScalarField):
             val, grad, hess = self._generated()[0](x)
         except _kernels.RowFailure as exc:
             self._raise_for(exc.row, exc.overflow)
-        k = self.arity
-        return Jet2(val, np.array(grad), np.array(hess).reshape(k, k))
+        return Jet2._trusted(val, grad, hess)
 
     def value(self, x):
         x = self._point(x)

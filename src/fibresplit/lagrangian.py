@@ -18,8 +18,9 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (IvpProblem, LinearSystem, NewtonProblem, linear_solve,
-                       newton_solve, rk4_integrate, sample_max)
+from .numerics import (IvpProblem, LinearSystem, NewtonProblem,
+                       condition_number, linear_solve, newton_solve,
+                       rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
 
@@ -80,13 +81,14 @@ def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
 
 
 def fibre_regularity(L, w_pt):
-    """Determinant and condition estimate of the fibre Hessian d2L/dw dw."""
+    """Determinant and 1-norm condition number (the one linear_solve
+    bounds) of the fibre Hessian d2L/dw dw."""
     n, m = L.chart.n, L.chart.m
     z = w_pt.as_array()
     H = L.jet(z).hessian
     W = H[2 * n + m:, 2 * n + m:]
     return {"det": float(np.linalg.det(W)),
-            "condition": float(np.linalg.cond(W))}
+            "condition": condition_number(W)}
 
 
 def _force_from_jet(Ljet, q, u):

@@ -16,13 +16,14 @@ from functools import partial
 import numpy as np
 
 from .bundle import SecondTangentPoint
-from .errors import (DimensionMismatch, FlowEscape, NonFiniteState,
-                     NotPrincipal, SingularMatrix)
+from .errors import (DimensionMismatch, DomainError, FlowEscape,
+                     NonFiniteState, NotPrincipal, SingularMatrix)
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet
-from .numerics import (IvpProblem, LinearSystem, SampleReport, linear_solve,
-                       rk4_integrate, sample_max)
+from .numerics import (IvpProblem, LinearSystem, SampleReport,
+                       condition_number, linear_solve, rk4_integrate,
+                       sample_max)
 from .splitting import vilms_vertical_projector
 
 
@@ -275,6 +276,8 @@ def _flow_lift(action, gamma, t, s, steps=64):
     RK4 on the variational equations is the exact derivative of RK4 on the
     flow (Hairer, Norsett & Wanner, Solving Ordinary Differential
     Equations I), so the lift is the double tangent of the discrete flow.
+    A start point outside K's domain raises DomainError; a flow that
+    leaves it later, or overflows, raises FlowEscape.
     """
     if t == 0.0:
         return s
@@ -283,7 +286,13 @@ def _flow_lift(action, gamma, t, s, steps=64):
 
     def f(_, state):
         y, w, Y, W = np.split(state, 4)
-        jets = [K.jet(np.concatenate([s.x, y])) for K in col]
+        try:
+            jets = [K.jet(np.concatenate([s.x, y])) for K in col]
+        except DomainError as exc:
+            # x stays fixed, so an error at y = s.y is the start point's
+            if np.array_equal(y, s.y):
+                raise
+            raise FlowEscape(f"generator flow diverged: {exc}") from exc
         DK = np.array([j.gradient for j in jets])
         vw = np.concatenate([s.v, w])
         XY = np.concatenate([s.X, Y])
@@ -379,7 +388,7 @@ class MagneticModel:
             raise DimensionMismatch(f"k must be {(self.m, self.m)}")
         if not np.array_equal(self.k, self.k.T):
             raise ValueError("fibre metric k must be symmetric")
-        if np.linalg.cond(self.k) > 1e13:
+        if not condition_number(self.k) <= 1e13:
             raise SingularMatrix("fibre metric k is singular")
         self.C = _check_structure_constants(self.C, self.m)
         bi = np.einsum("ad,dbg->abg", self.k, self.C) \

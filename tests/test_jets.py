@@ -59,6 +59,48 @@ def test_jet_rejects_nonfinite():
         Jet2(np.inf, np.zeros(1), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("x, k", [(np.nan, 1), (np.inf, 3)])
+def test_seed_jets_reject_nonfinite_points(x, k):
+    with pytest.raises(DomainError, match="non-finite"):
+        Jet2.variable(x, 0, k)
+
+
+def test_trusted_jet_equals_checked_jet():
+    f = field("a*sin(b) + c^2*a")
+    x = np.array([0.3, -1.2, 0.7])
+    val, grad, hess = f._generated()[0](x.tolist())
+    got = f.jet(x)
+    want = Jet2(val, np.array(grad), np.array(hess).reshape(3, 3))
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
+    assert np.array_equal(got.hessian, want.hessian)
+    for seed, var in zip(seed_jets(x), range(3)):
+        ref = Jet2(x[var], np.eye(3)[var], np.zeros((3, 3)))
+        assert seed.value == ref.value
+        assert np.array_equal(seed.gradient, ref.gradient)
+        assert np.array_equal(seed.hessian, ref.hessian)
+
+
+def test_tape_jet_overflowing_derivative_raises():
+    # the value 1e308 is finite; the gradient 2e308 overflows to inf
+    # inside the kernel without raising, and the trusted constructor's
+    # finiteness check catches it
+    f = field("1e308*a^2")
+    with pytest.raises(DomainError, match="non-finite"):
+        f.jet(np.array([1.0, 0.0, 0.0]))
+    assert f.value(np.array([1.0, 0.0, 0.0])) == 1e308
+
+
+def test_compose_hessian_is_exactly_symmetric():
+    rng = np.random.default_rng(5)
+    outer = field("a*b*c + sin(a*c) + b^2/(1 + c^2)")
+    inner = [field(src) for src in ("a*b + c", "sin(b)*c", "exp(a - c)")]
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0, 3)
+        h = outer.chain([f.jet(x) for f in inner]).hessian
+        assert np.array_equal(h, h.T)
+
+
 def test_jet_mixed_arity_rejected():
     with pytest.raises(DimensionMismatch):
         Jet2.variable(1.0, 0, 2) + Jet2.variable(1.0, 0, 3)

@@ -4,7 +4,8 @@ import pytest
 from fibresplit.errors import (DimensionMismatch, NoConvergence,
                                NonFiniteState, SingularMatrix)
 from fibresplit.numerics import (IvpProblem, LinearSystem, NewtonProblem,
-                                 linear_solve, newton_solve, rk4_integrate)
+                                 condition_number, linear_solve, newton_solve,
+                                 rk4_integrate)
 
 
 def test_linear_solve_recovers_known_solution():
@@ -35,6 +36,82 @@ def test_linear_solve_rejects_nonfinite():
     A = np.array([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(SingularMatrix):
         linear_solve(LinearSystem(A, np.ones(2)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_linear_solve_matches_lapack(k):
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        A = rng.uniform(-1.0, 1.0, (k, k)) + np.eye(k)
+        for b in (rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, (k, 3))):
+            want = np.linalg.solve(A, b)
+            got = linear_solve(LinearSystem(A, b))
+            assert got.shape == b.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("A, kappa", [
+    # |A|_1 = 4, A^-1 = [[3, -1], [-1, 2]] / 5, |A^-1|_1 = 4/5
+    ([[2.0, 1.0], [1.0, 3.0]], 3.2),
+    # needs a row swap: A^-1 = [[-1, 1], [1, 0]], |A|_1 = |A^-1|_1 = 2
+    ([[0.0, 1.0], [1.0, 1.0]], 4.0),
+    # A^-1 = [[1, -t], [0, 1]]: kappa_1 = (1 + t)^2, while kappa_2 ~ t^2
+    ([[1.0, 1e6], [0.0, 1.0]], (1.0 + 1e6) ** 2),
+    ([[1.0, 0.0], [0.0, 1e-10]], 1e10),
+])
+def test_condition_number_closed_form(A, kappa):
+    assert abs(condition_number(A) - kappa) <= 1e-15 * kappa
+
+
+def test_condition_bound_is_kappa_1():
+    A = np.array([[1.0, 1e6], [0.0, 1.0]])  # kappa_1 = 1000002000001
+    b = np.array([1.0, 1.0])
+    with pytest.raises(SingularMatrix, match="1.000e.12 over bound 1.0e.12"):
+        linear_solve(LinearSystem(A, b), cond_bound=1e12)
+    x = linear_solve(LinearSystem(A, b), cond_bound=1.000002000001e12)
+    assert np.array_equal(x, [1.0 - 1e6, 1.0])
+
+
+@pytest.mark.parametrize("A", [[[1.0, 2.0], [2.0, 4.0]], [[0.0]],
+                               [[0.0, 0.0], [0.0, 0.0]],
+                               [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                [0.0, 0.0, 1.0]]])
+def test_zero_pivot_is_an_infinite_condition_number(A):
+    b = np.ones(len(A))
+    with pytest.raises(SingularMatrix,
+                       match=r"^condition estimate inf over bound 1\.0e\+13$"):
+        linear_solve(LinearSystem(A, b))
+    assert condition_number(A) == np.inf
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("A", np.nan), ("A", np.inf), ("A", -np.inf),
+    ("b", np.nan), ("b", np.inf), ("B", np.nan), ("B", -np.inf)])
+def test_linear_solve_rejects_nonfinite_entries(where, bad):
+    A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2)
+    if where == "A":
+        A[1, 0] = bad
+    elif where == "b":
+        b[1] = bad
+    else:
+        b = np.ones((2, 2))
+        b[1, 1] = bad
+    with pytest.raises(SingularMatrix, match="non-finite entries"):
+        linear_solve(LinearSystem(A, b))
+
+
+def test_linear_solve_finite_entries_whose_sum_overflows():
+    A = np.array([[1e308, 0.0], [0.0, -1e308]])
+    x = linear_solve(LinearSystem(A, np.array([1e308, 1e308])))
+    assert np.array_equal(x, [1.0, -1.0])
+
+
+def test_nan_residual_does_not_pass_the_postcondition():
+    # x = (inf, -inf) and 0 * inf makes the residual nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularMatrix, match="residual nan"):
+            linear_solve(LinearSystem(np.diag([1e-300, 1e-300]),
+                                      np.array([1e300, -1e300])))
 
 
 def test_linear_system_shape_validation():

@@ -3,8 +3,8 @@ import pytest
 
 from fibresplit.bundle import (BundleChart, SecondTangentPoint, TangentPointM,
                                liouville_fields, vertical_endomorphism)
-from fibresplit.errors import (DimensionMismatch, FlowEscape, NotPrincipal,
-                               SingularMatrix)
+from fibresplit.errors import (DimensionMismatch, DomainError, FlowEscape,
+                               NotPrincipal, SingularMatrix)
 from fibresplit.exprs import VarContext, compile_field
 from fibresplit.lagrangian import (LagrangianSpec, induced_splitting,
                                    integrate_sode)
@@ -194,6 +194,25 @@ def test_flow_lift_escape(t, W, message):
                            [0.1], [W])
     with np.errstate(over="ignore"), pytest.raises(FlowEscape, match=message):
         _flow_lift(act, 0, t, s)
+
+
+def test_flow_lift_escape_through_the_frame_domain():
+    # y' = y^2 blows up at t = 1/y0: K's jet overflows mid-flow, which is
+    # an escape, while a start point where it overflows is a domain error
+    act = ActionSpec.from_expressions(CH, [["y1^2"]])
+    s = SecondTangentPoint(CH, [0.0], [1.0], [0.3], [0.2], [0.1], [0.1],
+                           [0.1], [0.1])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FlowEscape, match="diverged: .*powi overflow"):
+        _flow_lift(act, 0, 1.05, s)
+    far = SecondTangentPoint(CH, [0.0], [1e200], [0.3], [0.2], [0.1], [0.1],
+                             [0.1], [0.1])
+    with pytest.raises(DomainError, match="powi overflow"):
+        _flow_lift(act, 0, 0.1, far)
+    h = SplittingSpec.from_expressions(CH, ["x1*v1"])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FlowEscape, match="generator flow diverged"):
+        vilms_principal_check(h, act, [(0, 2.0)], state_samples=10)
 
 
 # ---------------------------------------------------------------------------

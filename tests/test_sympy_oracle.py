@@ -130,12 +130,13 @@ def check_against_sympy(node, x):
         with pytest.raises(DomainError):
             f.evaluator(seed_jets(x))
         return False
-    assert (got.hessian == got.hessian.T).all()
     assert_jet_matches(got, sympy_jet(node, x))
     return True
 
 
 def assert_jet_matches(got, ref):
+    # tape jets mirror their upper triangle, and so does jet2_compose
+    assert (got.hessian == got.hessian.T).all()
     value, grad, hess = ref
     assert_close(got.value, value, "value")
     assert_close(got.gradient, grad, "gradient")

@@ -12,7 +12,8 @@ byte for byte; each difference is listed with a short diff, and the exit
 status is 1 when any output differs, 0 when none does.  For a differing
 report.json or trajectory.csv, the largest absolute and relative
 difference over the numbers that differ is printed too (relative to the
-larger magnitude of the pair).
+larger magnitude of the pair); the last line gives the largest of each
+over all runs.
 """
 
 import contextlib
@@ -113,29 +114,33 @@ def _numbers(name, data):
             for tok in line.split(",")]
 
 
-def _number_summary(old, new, name):
-    """One line: the largest differences over the numbers that differ."""
+def _number_drift(old, new, name):
+    """One line on the numbers that differ, and their largest absolute and
+    relative differences ((0, 0) when none is comparable)."""
     try:
         a, b = _numbers(name, old), _numbers(name, new)
     except ValueError:
-        return "    numbers: unreadable"
+        return "    numbers: unreadable", (0.0, 0.0)
     if len(a) != len(b):
-        return f"    numbers: {len(a)} in old, {len(b)} in new"
+        return f"    numbers: {len(a)} in old, {len(b)} in new", (0.0, 0.0)
     pairs = [(x, y) for x, y in zip(a, b)
              if x != y and not (math.isnan(x) and math.isnan(y))]
     if not pairs:
-        return "    numbers: all equal"
+        return "    numbers: all equal", (0.0, 0.0)
     absolute = max(abs(x - y) for x, y in pairs)
     relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
     return (f"    numbers: {len(pairs)} differ, largest absolute "
-            f"difference {absolute:.3e}, largest relative {relative:.3e}")
+            f"difference {absolute:.3e}, largest relative {relative:.3e}",
+            (absolute, relative))
 
 
 def compare(old_root, new_root):
-    """Print every differing output; return the number of differences."""
+    """Print every differing output, then the largest numeric drift over
+    all runs; return the number of differences."""
     runs = sorted({p.relative_to(root) for root in (old_root, new_root)
                    for p in Path(root).glob("*/*") if p.is_dir()})
     differences = 0
+    drift = (0.0, 0.0)
     for run in runs:
         for name in OUTPUTS:
             old, new = Path(old_root, run, name), Path(new_root, run, name)
@@ -152,8 +157,12 @@ def compare(old_root, new_root):
             print("\n".join(_short_diff(old_b, new_b, f"{run}/{name}")))
             if state == "differs" and name in ("report.json",
                                                "trajectory.csv"):
-                print(_number_summary(old_b, new_b, name))
+                line, (absolute, relative) = _number_drift(old_b, new_b, name)
+                print(line)
+                drift = (max(drift[0], absolute), max(drift[1], relative))
     print(f"{len(runs)} runs compared, {differences} outputs differ")
+    print(f"largest numeric drift over all runs: absolute {drift[0]:.3e}, "
+          f"relative {drift[1]:.3e}")
     return differences
 
 
