@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ArityError, DimensionMismatch, DomainError
+from .numerics import all_finite
 
 SLIT_EPS_DEFAULT = 1e-6
 _EXP_MAX_ARG = math.log(sys.float_info.max)  # exp overflows above this
@@ -68,10 +69,7 @@ class Jet2:
         and symmetry invariants by construction: the tape kernel and the
         seeds.  Only finiteness is checked, because a float product can
         overflow to inf without raising."""
-        # a finite sum proves every term finite; an overflowing one is
-        # rechecked term by term
-        if not (math.isfinite(value + sum(gradient) + sum(hessian))
-                or all(map(math.isfinite, (value, *gradient, *hessian)))):
+        if not all_finite((value,), gradient, hessian):
             raise DomainError("jet has non-finite entries")
         jet = object.__new__(cls)
         k = len(gradient)
@@ -242,9 +240,11 @@ def jet2_compose(outer, inners):
     hess = G.T @ outer.hessian @ G
     for a, jet in enumerate(inners):
         hess = hess + outer.gradient[a] * jet.hessian
-    # mirror the upper triangle: the sum is symmetric only to rounding
-    for i in range(1, k):
-        hess[i, :i] = hess[:i, i]
+    # the sum is symmetric only to rounding; float addition commutes, so
+    # the average with the transpose is symmetric bit for bit (halved
+    # first, so that it cannot overflow)
+    half = 0.5 * hess
+    hess = half + half.T
     return Jet2(outer.value, grad, hess)
 
 

@@ -1,11 +1,14 @@
 """Dense linear solves, damped Newton, fixed-step RK4, and sampled maxima.
 
-Every system here is chart-sized (k <= 2(n+m)), where a numpy call costs
-more than the arithmetic, so linear solves run in plain Python floats: LU
-with partial pivoting and the 1-norm condition number from the factors
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-ch. 9 and 15).  The contract is strict: solves are rejected on a large
-condition number and the residual postcondition is always verified.
+Linear systems here are chart-sized: k is at most the chart dimension
+n + m, and 1 to 3 on the shipped models.  At those sizes a numpy call
+costs more than the arithmetic, so linear solves run in plain Python
+floats: LU with partial pivoting and the 1-norm condition number from the
+factors (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+2002, ch. 9 and 15).  The condition number takes k triangular solves, so
+the cost grows as k^3, and from about k = 4 on LAPACK would be faster.
+The contract is strict: solves are rejected on a large condition number
+and the residual postcondition is always verified.
 """
 
 import itertools
@@ -34,6 +37,27 @@ class LinearSystem:
                 f"system shapes {self.A.shape} vs {self.b.shape}")
 
 
+def all_finite(*seqs):
+    """Whether every number in the flat sequences seqs is finite.  A finite
+    sum proves it in one pass; a sum that is not finite (an overflow, an
+    inf or a nan) is rechecked entry by entry."""
+    return (math.isfinite(sum(itertools.chain(*seqs)))
+            or all(map(math.isfinite, itertools.chain(*seqs))))
+
+
+def _unit_scale(a):
+    """1.0 when the largest |entry| of the matrix a (a list of rows) lies
+    in [2^-500, 2^500], where neither |A|_1 nor |A^-1|_1 over- or
+    underflows below kappa_1 = 2^500; otherwise the power of two s that
+    brings it into [1/2, 1), at most 2^1022 (for a subnormal matrix).
+    Multiplying by s is exact barring underflow of entries 2^1074 below
+    the largest, and kappa_1 is invariant under it."""
+    big = max(map(abs, itertools.chain(*a)), default=0.0)
+    if 2.0 ** -500 <= big <= 2.0 ** 500:
+        return 1.0
+    return 2.0 ** -max(math.frexp(big)[1], -1022)
+
+
 def _lu_factor(a):
     """Factor the square matrix a (a list of rows, overwritten) as
     P A = L U by partial pivoting: U on and above the diagonal, the
@@ -60,39 +84,51 @@ def _lu_factor(a):
     return order
 
 
-def _lu_solve(lu, order, b):
-    """The solution of A x = b (lists) from the factors of A."""
+def _back_substitute(lu, y):
+    """Overwrite the list y with the solution of U x = y."""
     n = len(lu)
-    x = [b[p] for p in order]
-    for i, row in enumerate(lu):
-        s = x[i]
-        for j in range(i):
-            s -= row[j] * x[j]
-        x[i] = s
     for i in range(n - 1, -1, -1):
         row = lu[i]
-        s = x[i]
+        s = y[i]
         for j in range(i + 1, n):
-            s -= row[j] * x[j]
-        x[i] = s / row[i]
-    return x
+            s -= row[j] * y[j]
+        y[i] = s / row[i]
+    return y
+
+
+def _lu_solve(lu, order, b):
+    """The solution of A x = b (lists) from the factors of A."""
+    y = [b[p] for p in order]
+    for i, row in enumerate(lu):
+        s = y[i]
+        for j in range(i):
+            s -= row[j] * y[j]
+        y[i] = s
+    return _back_substitute(lu, y)
 
 
 def _condition(a, lu, order):
-    """kappa_1(A) = |A|_1 |A^-1|_1 from A and its factors, with every
-    column of A^-1 solved for; inf when order is None (a zero pivot)."""
+    """kappa_1(A) = |A|_1 |A^-1|_1 from A and its factors; inf when order
+    is None (a zero pivot).  |A^-1|_1 is the largest column sum of
+    U^-1 L^-1, whose columns are those of A^-1 = U^-1 L^-1 P reordered;
+    column q of L^-1 is zero above row q."""
     if order is None:
         return math.inf
     n = len(a)
     inv = 0.0
     for q in range(n):
-        e = [0.0] * n
-        e[q] = 1.0
-        s = sum(map(abs, _lu_solve(lu, order, e)))
+        y = [0.0] * n
+        y[q] = 1.0
+        for i in range(q + 1, n):
+            row = lu[i]
+            s = 0.0
+            for j in range(q, i):
+                s -= row[j] * y[j]
+            y[i] = s
+        s = sum(map(abs, _back_substitute(lu, y)))
         if s > inv or s != s:  # an overflow's nan must not slip past
             inv = s
-    return max(map(sum, zip(*[map(abs, row) for row in a])),
-               default=0.0) * inv
+    return max((sum(map(abs, col)) for col in zip(*a)), default=0.0) * inv
 
 
 def condition_number(A):
@@ -101,6 +137,8 @@ def condition_number(A):
     nan or inf when an entry of A is not finite.  It lies within a factor
     k of the 2-norm condition number."""
     a = np.asarray(A, dtype=float).tolist()
+    scale = _unit_scale(a)
+    a = [[v * scale for v in row] for row in a]
     lu = [row[:] for row in a]
     return _condition(a, lu, _lu_factor(lu))
 
@@ -116,10 +154,13 @@ def linear_solve(system, cond_bound=1e13):
     a = system.A.tolist()
     one_rhs = system.b.ndim == 1
     cols = [system.b.tolist()] if one_rhs else system.b.T.tolist()
-    # a finite sum proves every entry finite; an overflowing one is rechecked
-    if not (math.isfinite(sum(map(sum, a)) + sum(map(sum, cols)))
-            or all(map(math.isfinite, itertools.chain(*a, *cols)))):
+    if not all_finite(*a, *cols):
         raise SingularMatrix("non-finite entries in linear system")
+    # solve s A x = s b, with the same kappa_1, solution and postcondition
+    scale = _unit_scale(a)
+    if scale != 1.0:
+        a = [[v * scale for v in row] for row in a]
+        cols = [[v * scale for v in col] for col in cols]
     lu = [row[:] for row in a]
     order = _lu_factor(lu)
     cond = _condition(a, lu, order)
@@ -127,16 +168,16 @@ def linear_solve(system, cond_bound=1e13):
         raise SingularMatrix(
             f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
     xs = [_lu_solve(lu, order, col) for col in cols]
-    resid = bmax = 0.0
+    resid = 0.0
     for x, col in zip(xs, cols):
         for row, bi in zip(a, col):
             r = abs(sum(map(operator.mul, row, x)) - bi)
             if r > resid or r != r:
                 resid = r
-            bmax = max(bmax, abs(bi))
-    if not resid <= 1e-10 * (1.0 + bmax):
+    bmax = max(map(abs, itertools.chain(*cols)), default=0.0)
+    if not resid <= 1e-10 * (scale + bmax):
         raise SingularMatrix(
-            f"solution residual {resid:.3e} violates postcondition")
+            f"solution residual {resid / scale:.3e} violates postcondition")
     if one_rhs:
         return np.array(xs[0])
     return np.array(xs).reshape(len(cols), len(a)).T

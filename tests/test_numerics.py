@@ -106,6 +106,26 @@ def test_linear_solve_finite_entries_whose_sum_overflows():
     assert np.array_equal(x, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("d", [1e308, 1e-310])
+def test_well_conditioned_systems_at_the_ends_of_the_float_range(d):
+    # kappa_1 = 4, though |A|_1 overflows at d = 1e308 and 1/d at 1e-310
+    A = d * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert abs(condition_number(A) - 4.0) <= 4e-15
+    x = linear_solve(LinearSystem(A, np.array([d, d])))
+    assert np.array_equal(x, [0.0, 1.0])
+
+
+def test_linear_solve_is_invariant_under_power_of_two_scaling():
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-1.0, 1.0, (4, 4)) + np.eye(4)
+    b = rng.uniform(-1.0, 1.0, (4, 2))
+    x = linear_solve(LinearSystem(A, b))
+    for e in (-900, -30, 30, 900):
+        s = 2.0 ** e
+        assert np.array_equal(linear_solve(LinearSystem(A * s, b * s)), x)
+        assert condition_number(A * s) == condition_number(A)
+
+
 def test_nan_residual_does_not_pass_the_postcondition():
     # x = (inf, -inf) and 0 * inf makes the residual nan
     with np.errstate(over="ignore", invalid="ignore"):

@@ -135,7 +135,7 @@ def check_against_sympy(node, x):
 
 
 def assert_jet_matches(got, ref):
-    # tape jets mirror their upper triangle, and so does jet2_compose
+    # tape jets mirror their upper triangle; jet2_compose symmetrizes
     assert (got.hessian == got.hessian.T).all()
     value, grad, hess = ref
     assert_close(got.value, value, "value")

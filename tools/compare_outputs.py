@@ -13,7 +13,9 @@ status is 1 when any output differs, 0 when none does.  For a differing
 report.json or trajectory.csv, the largest absolute and relative
 difference over the numbers that differ is printed too (relative to the
 larger magnitude of the pair); the last line gives the largest of each
-over all runs.
+over all runs, inf where numbers could not be paired (a file on one side
+only, unreadable or differently many numbers) or a differing pair holds
+a nan or an inf.
 """
 
 import contextlib
@@ -116,19 +118,23 @@ def _numbers(name, data):
 
 def _number_drift(old, new, name):
     """One line on the numbers that differ, and their largest absolute and
-    relative differences ((0, 0) when none is comparable)."""
+    relative differences: inf when the numbers cannot be paired (unreadable
+    or differently many) or a pair holds a nan or an inf."""
+    unpaired = (math.inf, math.inf)
     try:
         a, b = _numbers(name, old), _numbers(name, new)
     except ValueError:
-        return "    numbers: unreadable", (0.0, 0.0)
+        return "    numbers: unreadable", unpaired
     if len(a) != len(b):
-        return f"    numbers: {len(a)} in old, {len(b)} in new", (0.0, 0.0)
+        return f"    numbers: {len(a)} in old, {len(b)} in new", unpaired
     pairs = [(x, y) for x, y in zip(a, b)
              if x != y and not (math.isnan(x) and math.isnan(y))]
     if not pairs:
         return "    numbers: all equal", (0.0, 0.0)
-    absolute = max(abs(x - y) for x, y in pairs)
-    relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    gaps = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) for x, y in pairs]
+    # nan against a number, or inf against anything, is no finite drift
+    absolute = max(d if math.isfinite(d) else math.inf for d, _ in gaps)
+    relative = max(r if math.isfinite(r) else math.inf for _, r in gaps)
     return (f"    numbers: {len(pairs)} differ, largest absolute "
             f"difference {absolute:.3e}, largest relative {relative:.3e}",
             (absolute, relative))
@@ -155,11 +161,13 @@ def compare(old_root, new_root):
                      "only in new" if not old.exists() else "differs")
             print(f"{run}/{name}: {state}")
             print("\n".join(_short_diff(old_b, new_b, f"{run}/{name}")))
-            if state == "differs" and name in ("report.json",
-                                               "trajectory.csv"):
-                line, (absolute, relative) = _number_drift(old_b, new_b, name)
-                print(line)
-                drift = (max(drift[0], absolute), max(drift[1], relative))
+            if name in ("report.json", "trajectory.csv"):
+                if state == "differs":
+                    line, gap = _number_drift(old_b, new_b, name)
+                    print(line)
+                else:  # numbers on one side only
+                    gap = (math.inf, math.inf)
+                drift = (max(drift[0], gap[0]), max(drift[1], gap[1]))
     print(f"{len(runs)} runs compared, {differences} outputs differ")
     print(f"largest numeric drift over all runs: absolute {drift[0]:.3e}, "
           f"relative {drift[1]:.3e}")
