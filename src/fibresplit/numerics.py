@@ -5,15 +5,18 @@ n + m, and 1 to 3 on the shipped models.  At those sizes a numpy call
 costs more than the arithmetic, so linear solves run in plain Python
 floats: LU with partial pivoting and the 1-norm condition number from the
 factors (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-2002, ch. 9 and 15).  The condition number takes k triangular solves, so
-the cost grows as k^3, and from about k = 4 on LAPACK would be faster.
-The contract is strict: solves are rejected on a large condition number
-and the residual postcondition is always verified.
+2002, ch. 9 and 15).  Each system shape (k rows, r right-hand sides) is
+lowered once, on first use, to one straight-line function with every loop
+unrolled and every index resolved; the condition number's k triangular
+solves still cost O(k^3), and up to k = 6 a call stays cheaper than
+LAPACK's solve plus its condition number (tools/time_solves.py).  The
+contract is strict: solves are rejected on a large condition number and
+the residual postcondition is always verified.
 """
 
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,89 +49,126 @@ def all_finite(*seqs):
 
 
 def _unit_scale(a):
-    """1.0 when the largest |entry| of the matrix a (a list of rows) lies
-    in [2^-500, 2^500], where neither |A|_1 nor |A^-1|_1 over- or
-    underflows below kappa_1 = 2^500; otherwise the power of two s that
-    brings it into [1/2, 1), at most 2^1022 (for a subnormal matrix).
-    Multiplying by s is exact barring underflow of entries 2^1074 below
-    the largest, and kappa_1 is invariant under it."""
-    big = max(map(abs, itertools.chain(*a)), default=0.0)
+    """1.0 when the largest |entry| of the flat matrix a lies in
+    [2^-500, 2^500], where neither |A|_1 nor |A^-1|_1 over- or underflows
+    below kappa_1 = 2^500; otherwise the power of two s that brings it into
+    [1/2, 1), at most 2^1022 (for a subnormal matrix).  Multiplying by s is
+    exact barring underflow of entries 2^1074 below the largest, and
+    kappa_1 is invariant under it."""
+    big = max(map(abs, a)) if a else 0.0
     if 2.0 ** -500 <= big <= 2.0 ** 500:
         return 1.0
     return 2.0 ** -max(math.frexp(big)[1], -1022)
 
 
-def _lu_factor(a):
-    """Factor the square matrix a (a list of rows, overwritten) as
-    P A = L U by partial pivoting: U on and above the diagonal, the
-    multipliers of the unit lower triangle L below it.  Returns the row
-    order P, or None at an exactly zero pivot."""
-    n = len(a)
-    order = list(range(n))
-    for j in range(n):
-        p, big = j, abs(a[j][j])
-        for i in range(j + 1, n):
-            if abs(a[i][j]) > big:
-                p, big = i, abs(a[i][j])
-        if big == 0.0:
-            return None
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            order[j], order[p] = order[p], order[j]
-        top = a[j]
-        pivot = top[j]
-        for row in a[j + 1:]:
-            mult = row[j] = row[j] / pivot
-            for c in range(j + 1, n):
-                row[c] -= mult * top[c]
-    return order
+def _terms(head, products):
+    """head - p1 - p2 - ..., evaluated left to right."""
+    return " - ".join([head, *products])
 
 
-def _back_substitute(lu, y):
-    """Overwrite the list y with the solution of U x = y."""
-    n = len(lu)
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        s = y[i]
-        for j in range(i + 1, n):
-            s -= row[j] * y[j]
-        y[i] = s / row[i]
-    return y
+def _max_of(exprs):
+    """Python's max over the expressions, 0.0 over none."""
+    if len(exprs) > 1:
+        return f"max({', '.join(exprs)})"
+    return exprs[0] if exprs else "0.0"
 
 
-def _lu_solve(lu, order, b):
-    """The solution of A x = b (lists) from the factors of A."""
-    y = [b[p] for p in order]
-    for i, row in enumerate(lu):
-        s = y[i]
-        for j in range(i):
-            s -= row[j] * y[j]
-        y[i] = s
-    return _back_substitute(lu, y)
+@functools.cache
+def _solver(k, r):
+    """The solve kernel for k x k systems with r right-hand sides, lowered
+    to one straight-line Python function and generated on first use:
 
+      solve(a, b, cond_bound, scale) -> (kappa_1, x)
 
-def _condition(a, lu, order):
-    """kappa_1(A) = |A|_1 |A^-1|_1 from A and its factors; inf when order
-    is None (a zero pivot).  |A^-1|_1 is the largest column sum of
-    U^-1 L^-1, whose columns are those of A^-1 = U^-1 L^-1 P reordered;
-    column q of L^-1 is zero above row q."""
-    if order is None:
-        return math.inf
-    n = len(a)
-    inv = 0.0
-    for q in range(n):
-        y = [0.0] * n
-        y[q] = 1.0
-        for i in range(q + 1, n):
-            row = lu[i]
-            s = 0.0
-            for j in range(q, i):
-                s -= row[j] * y[j]
-            y[i] = s
-        s = sum(map(abs, _back_substitute(lu, y)))
-        if s > inv or s != s:  # an overflow's nan must not slip past
-            inv = s
-    return max((sum(map(abs, col)) for col in zip(*a)), default=0.0) * inv
+    a is A row by row and b the right-hand sides one after another, as
+    flat lists of floats; x is laid out like b, and None when kappa_1 is
+    not <= cond_bound (kappa_1 is inf at an exactly zero pivot).  A
+    solution that misses max|Ax-b| <= 1e-10 (scale + max|b|) raises
+    SingularMatrix.  r = 0 gives kappa_1 alone.
+
+    The kernel factors P A = L U by partial pivoting, the pivot being the
+    first row with the strictly largest |entry|; |A^-1|_1 is the largest
+    column sum of U^-1 L^-1 (whose columns are those of A^-1 reordered),
+    where column q of L^-1 is zero above row q.  Rows are swapped in
+    locals, right-hand sides with them, and every sum is formed in the
+    order of the loops it unrolls, so each result is bit for bit that of
+    the loop reference in tests/test_numerics.py."""
+    n = range(k)
+    a = [[f"a{i}_{j}" for j in n] for i in n]   # A, kept for the residual
+    f = [[f"f{i}_{j}" for j in n] for i in n]   # L below, U on and above
+    b = [[f"b{c}_{i}" for i in n] for c in range(r)]
+    w = [[f"w{c}_{i}" for i in n] for c in range(r)]  # y, then x
+    body = []
+    if k:
+        body += [f"{', '.join(itertools.chain(*a))}, = a",
+                 f"{', '.join(itertools.chain(*f))}, = a"]
+    if k and r:
+        body += [f"{', '.join(itertools.chain(*b))}, = b",
+                 f"{', '.join(itertools.chain(*w))}, = b"]
+    # P A = L U, one column at a time
+    for j in n:
+        below = range(j + 1, k)
+        if below:
+            body += [f"p = {j}", f"big = abs({f[j][j]})"]
+            for i in below:
+                body += [f"t = abs({f[i][j]})", "if t > big:",
+                         f"    p = {i}", "    big = t"]
+            body += ["if big == 0.0:", "    return _inf, None"]
+        else:
+            body += [f"if {f[j][j]} == 0.0:", "    return _inf, None"]
+        for i in below:
+            top = f[j] + [wc[j] for wc in w]
+            row = f[i] + [wc[i] for wc in w]
+            body += [f"{'if' if i == j + 1 else 'elif'} p == {i}:",
+                     f"    {', '.join(top + row)} = "
+                     f"{', '.join(row + top)}"]
+        for i in below:
+            body.append(f"{f[i][j]} = {f[i][j]} / {f[j][j]}")
+            body += [f"{f[i][c]} = {f[i][c]} - {f[i][j]} * {f[j][c]}"
+                     for c in below]
+    # kappa_1 = |A|_1 times the largest column sum of U^-1 L^-1
+    body.append("inv = 0.0")
+    for q in n:
+        for i in range(q + 1, k):
+            body.append(f"z{i} = " + _terms(
+                "0.0", [f[i][q]] + [f"{f[i][j]} * z{j}"
+                                    for j in range(q + 1, i)]))
+        for i in reversed(n):
+            head = f"z{i}" if i > q else "1.0" if i == q else "0.0"
+            num = _terms(head, [f"{f[i][j]} * z{j}" for j in range(i + 1, k)])
+            body.append(f"z{i} = ({num}) / {f[i][i]}")
+        # not max(): an overflow's nan must not slip past
+        body += [f"s = sum(({''.join(f'abs(z{i}), ' for i in n)}))",
+                 "if s > inv or s != s:", "    inv = s"]
+    norm = _max_of([f"sum(({''.join(f'abs({a[i][j]}), ' for i in n)}))"
+                    for j in n])
+    body += [f"cond = {norm} * inv", "if not cond <= cond_bound:",
+             "    return cond, None"]
+    # forward and back substitution, then the residual postcondition
+    for wc in w:
+        body += [f"{wc[i]} = " + _terms(
+            wc[i], [f"{f[i][j]} * {wc[j]}" for j in range(i)])
+            for i in n if i]
+        for i in reversed(n):
+            num = _terms(wc[i], [f"{f[i][j]} * {wc[j]}"
+                                 for j in range(i + 1, k)])
+            body.append(f"{wc[i]} = ({num}) / {f[i][i]}")
+    body.append("resid = 0.0")
+    for bc, wc in zip(b, w):
+        for i in n:
+            dot = "".join(f"{a[i][j]} * {wc[j]}, " for j in n)
+            body += [f"t = abs(sum(({dot})) - {bc[i]})",
+                     "if t > resid or t != t:", "    resid = t"]
+    bmax = _max_of([f"abs({e})" for e in itertools.chain(*b)])
+    body += [f"if not resid <= 1e-10 * (scale + {bmax}):",
+             "    raise _SingularMatrix(f'solution residual "
+             "{resid / scale:.3e} violates postcondition')",
+             f"return cond, [{', '.join(itertools.chain(*w))}]"]
+    src = "\n".join(["def solve(a, b, cond_bound, scale):"]
+                    + [f"    {line}" for line in body])
+    namespace = {"_inf": math.inf, "_SingularMatrix": SingularMatrix}
+    exec(compile(src, f"<solve {k}x{k}, {r} rhs>", "exec"), namespace)
+    return namespace["solve"]
 
 
 def condition_number(A):
@@ -136,11 +176,12 @@ def condition_number(A):
     matrix, the one linear_solve bounds: inf when A is exactly singular,
     nan or inf when an entry of A is not finite.  It lies within a factor
     k of the 2-norm condition number."""
-    a = np.asarray(A, dtype=float).tolist()
+    A = np.asarray(A, dtype=float)
+    a = A.ravel().tolist()
     scale = _unit_scale(a)
-    a = [[v * scale for v in row] for row in a]
-    lu = [row[:] for row in a]
-    return _condition(a, lu, _lu_factor(lu))
+    if scale != 1.0:
+        a = [v * scale for v in a]
+    return _solver(len(A), 0)(a, [], math.inf, scale)[0]
 
 
 def linear_solve(system, cond_bound=1e13):
@@ -151,36 +192,25 @@ def linear_solve(system, cond_bound=1e13):
     pivot), or when the solution misses the residual postcondition
     max|Ax-b| <= 1e-10 (1 + max|b|).
     """
-    a = system.A.tolist()
-    one_rhs = system.b.ndim == 1
-    cols = [system.b.tolist()] if one_rhs else system.b.T.tolist()
-    if not all_finite(*a, *cols):
+    A, B = system.A, system.b
+    one_rhs = B.ndim == 1
+    a = A.ravel().tolist()
+    b = B.tolist() if one_rhs else B.T.ravel().tolist()
+    if not all_finite(a, b):
         raise SingularMatrix("non-finite entries in linear system")
     # solve s A x = s b, with the same kappa_1, solution and postcondition
     scale = _unit_scale(a)
     if scale != 1.0:
-        a = [[v * scale for v in row] for row in a]
-        cols = [[v * scale for v in col] for col in cols]
-    lu = [row[:] for row in a]
-    order = _lu_factor(lu)
-    cond = _condition(a, lu, order)
-    if not cond <= cond_bound:
+        a = [v * scale for v in a]
+        b = [v * scale for v in b]
+    k, r = len(A), (1 if one_rhs else B.shape[1])
+    cond, x = _solver(k, r)(a, b, cond_bound, scale)
+    if x is None:
         raise SingularMatrix(
             f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
-    xs = [_lu_solve(lu, order, col) for col in cols]
-    resid = 0.0
-    for x, col in zip(xs, cols):
-        for row, bi in zip(a, col):
-            r = abs(sum(map(operator.mul, row, x)) - bi)
-            if r > resid or r != r:
-                resid = r
-    bmax = max(map(abs, itertools.chain(*cols)), default=0.0)
-    if not resid <= 1e-10 * (scale + bmax):
-        raise SingularMatrix(
-            f"solution residual {resid / scale:.3e} violates postcondition")
     if one_rhs:
-        return np.array(xs[0])
-    return np.array(xs).reshape(len(cols), len(a)).T
+        return np.array(x)
+    return np.array(x).reshape(r, k).T
 
 
 _NEWTON_TOL = 1e-10

@@ -1,6 +1,12 @@
+import itertools
+import math
+import operator
+import struct
+
 import numpy as np
 import pytest
 
+from fibresplit import numerics
 from fibresplit.errors import (DimensionMismatch, NoConvergence,
                                NonFiniteState, SingularMatrix)
 from fibresplit.numerics import (IvpProblem, LinearSystem, NewtonProblem,
@@ -84,6 +90,13 @@ def test_zero_pivot_is_an_infinite_condition_number(A):
     assert condition_number(A) == np.inf
 
 
+def test_zero_pivot_without_a_condition_bound():
+    with pytest.raises(SingularMatrix,
+                       match=r"^condition estimate inf over bound inf$"):
+        linear_solve(LinearSystem(np.zeros((2, 2)), np.ones(2)),
+                     cond_bound=math.inf)
+
+
 @pytest.mark.parametrize("where, bad", [
     ("A", np.nan), ("A", np.inf), ("A", -np.inf),
     ("b", np.nan), ("b", np.inf), ("B", np.nan), ("B", -np.inf)])
@@ -155,6 +168,203 @@ def test_linear_solve_several_right_hand_sides():
     # the condition bound holds for every right-hand side at once
     with pytest.raises(SingularMatrix):
         linear_solve(LinearSystem(np.diag([1.0, 1e-14]), np.ones((2, 2))))
+
+
+# The loop PLU and kappa_1 that the generated solve kernels unroll: the
+# reference that linear_solve and condition_number must match bit for bit.
+
+def _reference_scaled(A):
+    """A as a list of rows, scaled by numerics' power of two, and the scale."""
+    a = np.asarray(A, dtype=float).tolist()
+    big = max(map(abs, itertools.chain(*a)), default=0.0)
+    if 2.0 ** -500 <= big <= 2.0 ** 500:
+        return a, 1.0
+    scale = 2.0 ** -max(math.frexp(big)[1], -1022)
+    return [[v * scale for v in row] for row in a], scale
+
+
+def _reference_lu_factor(a):
+    """P A = L U by partial pivoting, in place; the row order or None."""
+    n = len(a)
+    order = list(range(n))
+    for j in range(n):
+        p, big = j, abs(a[j][j])
+        for i in range(j + 1, n):
+            if abs(a[i][j]) > big:
+                p, big = i, abs(a[i][j])
+        if big == 0.0:
+            return None
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            order[j], order[p] = order[p], order[j]
+        top = a[j]
+        pivot = top[j]
+        for row in a[j + 1:]:
+            mult = row[j] = row[j] / pivot
+            for c in range(j + 1, n):
+                row[c] -= mult * top[c]
+    return order
+
+
+def _reference_back_substitute(lu, y):
+    n = len(lu)
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        s = y[i]
+        for j in range(i + 1, n):
+            s -= row[j] * y[j]
+        y[i] = s / row[i]
+    return y
+
+
+def _reference_lu_solve(lu, order, b):
+    y = [b[p] for p in order]
+    for i, row in enumerate(lu):
+        s = y[i]
+        for j in range(i):
+            s -= row[j] * y[j]
+        y[i] = s
+    return _reference_back_substitute(lu, y)
+
+
+def _reference_condition(a, lu, order):
+    """|A|_1 times the largest column sum of U^-1 L^-1."""
+    if order is None:
+        return math.inf
+    n = len(a)
+    inv = 0.0
+    for q in range(n):
+        y = [0.0] * n
+        y[q] = 1.0
+        for i in range(q + 1, n):
+            row = lu[i]
+            s = 0.0
+            for j in range(q, i):
+                s -= row[j] * y[j]
+            y[i] = s
+        s = sum(map(abs, _reference_back_substitute(lu, y)))
+        if s > inv or s != s:
+            inv = s
+    return max((sum(map(abs, col)) for col in zip(*a)), default=0.0) * inv
+
+
+def _reference_condition_number(A):
+    a, _ = _reference_scaled(A)
+    lu = [row[:] for row in a]
+    return _reference_condition(a, lu, _reference_lu_factor(lu))
+
+
+def _reference_solve(A, b, cond_bound=1e13):
+    """("x", shape, bytes of x) or ("SingularMatrix", message)."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        return "SingularMatrix", "non-finite entries in linear system"
+    a, scale = _reference_scaled(A)
+    cols = [b.tolist()] if b.ndim == 1 else b.T.tolist()
+    cols = [[v * scale for v in col] for col in cols]
+    lu = [row[:] for row in a]
+    order = _reference_lu_factor(lu)
+    cond = _reference_condition(a, lu, order)
+    if not cond <= cond_bound:
+        return ("SingularMatrix",
+                f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
+    xs = [_reference_lu_solve(lu, order, col) for col in cols]
+    resid = 0.0
+    for x, col in zip(xs, cols):
+        for row, bi in zip(a, col):
+            r = abs(sum(map(operator.mul, row, x)) - bi)
+            if r > resid or r != r:
+                resid = r
+    bmax = max(map(abs, itertools.chain(*cols)), default=0.0)
+    if not resid <= 1e-10 * (scale + bmax):
+        return ("SingularMatrix", f"solution residual {resid / scale:.3e} "
+                "violates postcondition")
+    x = np.array(xs[0] if b.ndim == 1 else np.array(xs).T)
+    return "x", x.shape, x.tobytes()
+
+
+def _solve_outcome(A, b, cond_bound=1e13):
+    try:
+        x = linear_solve(LinearSystem(A, b), cond_bound)
+    except SingularMatrix as exc:
+        return "SingularMatrix", str(exc)
+    return "x", x.shape, x.tobytes()
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _oracle_systems(k):
+    """Seeded k x k systems: random, with tied pivot candidates, with an
+    exactly zero pivot, and near-singular."""
+    rng = np.random.default_rng(100 + k)
+    yield rng.uniform(-1.0, 1.0, (k, k)) + np.eye(k)
+    yield rng.uniform(-1.0, 1.0, (k, k))
+    # entries in {-1, -1/2, ..., 1}: |entry| ties in every column
+    yield np.round(rng.uniform(-1.0, 1.0, (k, k)) * 2.0) / 2.0
+    tied = rng.uniform(-1.0, 1.0, (k, k))
+    tied[:, 0] = np.where(np.arange(k) % 2, 1.0, -1.0)
+    yield tied
+    zero_row = rng.uniform(-1.0, 1.0, (k, k))
+    zero_row[k // 2] = 0.0
+    yield zero_row
+    near = rng.uniform(-1.0, 1.0, (k, k))
+    near[-1] = near[0] + 1e-9 * near[-1]
+    yield near
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
+    rng = np.random.default_rng(10 * k + r)
+    for A in _oracle_systems(k):
+        b = rng.uniform(-1.0, 1.0, k if r == 1 else (k, r))
+        for e in (0, -900, 900):
+            As, bs = A * 2.0 ** e, b * 2.0 ** e
+            assert _solve_outcome(As, bs) == _reference_solve(As, bs)
+            assert _solve_outcome(As, bs, 1e6) == \
+                _reference_solve(As, bs, 1e6)
+            assert _bits(condition_number(As)) == \
+                _bits(_reference_condition_number(As))
+
+
+@pytest.mark.parametrize("A, b, message", [
+    ([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0],
+     "condition estimate inf over bound 1.0e+13"),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]], [1.0, 1.0, 1.0],
+     "condition estimate inf over bound 1.0e+13"),
+    # x = (inf, -inf) and 0 * inf makes the residual nan
+    (np.diag([1e-300, 1e-300]), [1e300, -1e300],
+     "solution residual nan violates postcondition"),
+])
+def test_kernel_messages_match_the_loop_reference(A, b, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_solve(A, b)
+        assert want == ("SingularMatrix", message)
+        assert _solve_outcome(A, b) == want
+
+
+def test_condition_number_matches_the_loop_reference_off_the_finite_range():
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0), (1, 0), (2, 2)):
+            A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+            A[where] = bad
+            with np.errstate(invalid="ignore"):
+                assert _bits(condition_number(A)) == \
+                    _bits(_reference_condition_number(A))
+
+
+def test_one_generated_kernel_per_shape():
+    numerics._solver.cache_clear()
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for _ in range(3):
+        linear_solve(LinearSystem(A, np.ones(2)))
+        linear_solve(LinearSystem(A, np.ones((2, 3))))
+        condition_number(A)
+    info = numerics._solver.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 6, 3)
+    assert numerics._solver(2, 1) is numerics._solver(2, 1)
 
 
 def test_newton_affine_converges_in_one_iteration():
