@@ -1,6 +1,6 @@
 """Count the dense solves of each benchmark workload by system shape.
 
-    PYTHONPATH=src python tools/count_solves.py [--seed 1] [WORKLOAD ...]
+    python tools/count_solves.py [--seed 1] [WORKLOAD ...]
 
 Builds the models and invocations of each named perfbench workload
 (default: all of them) from --seed, runs every invocation once through

@@ -1,8 +1,8 @@
 """Per-call cost of chart-sized dense solves, against numpy.
 
-    PYTHONPATH=src python tools/time_solves.py [--kmax 8] [--repeat 30]
+    python tools/time_solves.py
 
-For k = 1..kmax it times, on one seeded, well-conditioned k x k system
+For k = 1..8 it times, on one seeded, well-conditioned k x k system
 with a 1-D right-hand side:
 
   linear_solve     fibresplit.numerics.linear_solve on a built LinearSystem
@@ -11,14 +11,13 @@ with a 1-D right-hand side:
   generate         the one-time cost of generating and compiling the
                    k x k, one-right-hand-side solve kernel, in ms
 
-Each per-call figure is in microseconds, the best of --repeat slices of
-about 10 ms; the slices of the three routes alternate, so that all three
-see the same drift in machine speed.  The generation cost is the best of
---repeat fresh generations.  BLAS runs on one thread unless
+Each per-call figure is in microseconds, the best of 30 slices of about
+10 ms; the slices of the three routes alternate, so that all three see
+the same drift in machine speed.  The generation cost is the best of 30
+fresh generations.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is set.
 """
 
-import argparse
 import os
 import sys
 import time
@@ -32,10 +31,12 @@ import numpy as np  # noqa: E402
 
 from fibresplit import numerics  # noqa: E402
 
+KMAX = 8
+REPEAT = 30
 SLICE_S = 0.01
 
 
-def _best_us(fns, repeat):
+def _best_us(fns):
     """Best per-call time of each function, in alternating slices."""
     timers = [timeit.Timer(fn) for fn in fns]
     numbers = []
@@ -43,31 +44,27 @@ def _best_us(fns, repeat):
         n, t = timer.autorange()
         numbers.append(max(1, int(n * SLICE_S / t)))
     best = [float("inf")] * len(fns)
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         for i, (timer, n) in enumerate(zip(timers, numbers)):
             best[i] = min(best[i], timer.timeit(n) / n)
     return [t * 1e6 for t in best]
 
 
-def _generate_ms(k, repeat):
+def _generate_ms(k):
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         numerics._solver.__wrapped__(k, 1)
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--repeat", type=int, default=30)
-    args = p.parse_args(argv)
+def main():
     rng = np.random.default_rng(0)
     print(f"{'k':>2} {'linear_solve':>13} {'np.solve':>9} "
           f"{'np.solve+cond':>14} {'generate':>9}")
     print(f"{'':>2} {'us':>13} {'us':>9} {'us':>14} {'ms':>9}")
-    for k in range(1, args.kmax + 1):
+    for k in range(1, KMAX + 1):
         A = rng.uniform(-1.0, 1.0, (k, k)) + 2.0 * np.eye(k)
         b = rng.uniform(-1.0, 1.0, k)
         system = numerics.LinearSystem(A, b)
@@ -83,9 +80,9 @@ def main(argv=None):
             np.linalg.cond(A)
 
         ours()
-        us = _best_us([ours, lapack, lapack_cond], args.repeat)
+        us = _best_us([ours, lapack, lapack_cond])
         print(f"{k:>2} {us[0]:>13.1f} {us[1]:>9.1f} {us[2]:>14.1f} "
-              f"{_generate_ms(k, args.repeat):>9.2f}")
+              f"{_generate_ms(k):>9.2f}")
 
 
 if __name__ == "__main__":
