@@ -24,10 +24,15 @@ from fibresplit.exprs import (Bin, Call, Neg, Num, Var, VarContext,
                               compile_field, compose, fold_constants, parse,
                               variables)
 from fibresplit.jets import SLIT_EPS_DEFAULT, seed_jets
-from fibresplit.lagrangian import LagrangianSpec
+from fibresplit.lagrangian import LagrangianSpec, euler_lagrange_sode
 from fibresplit.nonholonomic import (AffineConstraintSpec,
-                                     constrained_lagrangian)
-from fibresplit.reduction import MagneticModel, reduced_base_lagrangian
+                                     constrained_lagrangian,
+                                     lagrange_dalembert_system)
+from fibresplit.reduction import (ActionSpec, MagneticModel,
+                                  base_euler_lagrange, magnetic_lp_system,
+                                  reduced_base_lagrangian, unreduce)
+from fibresplit.splitting import (SplittingSpec,
+                                  affine_curvature_coefficients)
 
 NAMES = ("a", "b")
 CTX = VarContext([("base", list(NAMES))])
@@ -257,3 +262,237 @@ def test_named_constants_compose():
     for x in ([0.7, 1.3], [-0.4, 0.9]):
         assert_jet_matches(F.jet(np.array(x)),
                            sympy_jet(inner * b + inner ** 2, x))
+
+
+# ---------------------------------------------------------------------------
+# Right-hand sides against sympy.  Each one is derived from its principle
+# with sympy, from the expressions the model is built of: the unknown
+# accelerations are symbols, time derivatives are total derivatives along
+# the state's rates, and the resulting equations, linear in the unknowns,
+# are solved at seeded states.
+
+
+def _eval(expr, at):
+    return float(sympy.sympify(expr).evalf(30, subs=at))
+
+
+def _ddt(expr, rates):
+    """Total time derivative of expr along rates {symbol: rate}."""
+    return sum(sympy.diff(expr, s) * r for s, r in rates.items())
+
+
+def _solve_linear(eqs, unknowns, at):
+    """The unknowns at which the equations, linear in them, vanish at the
+    point `at`; 30-digit coefficients, solved in float."""
+    zero = dict.fromkeys(unknowns, 0)
+    M = [[_eval(sympy.diff(e, u), at) for u in unknowns] for e in eqs]
+    r = [-_eval(e.subs(zero), at) for e in eqs]
+    return np.linalg.solve(np.array(M), np.array(r))
+
+
+def _states(seed, k, count=2, box=0.8):
+    return np.random.default_rng(seed).uniform(-box, box, (count, k))
+
+
+def _at(syms, z):
+    return {s: sympy.Rational(float(c)) for s, c in zip(syms, z)}
+
+
+def _grid(sources):
+    """sympy expressions of a nested list of abs-free sources."""
+    if isinstance(sources, str):
+        return _sym(sources)
+    return [_grid(s) for s in sources]
+
+
+_EL_CASES = [
+    (1, 1, "0.5*v1^2*(2 + sin(y1)) + 0.5*w1^2 + 0.3*x1*v1*w1 - cos(x1)*y1"),
+    (2, 1, "0.5*(1 + x2^2)*v1^2 + 0.5*v2^2 + 0.5*w1^2*exp(0.2*x1)"
+           " + 0.2*v1*w1*y1 + x1*v2 - y1^2*x2"),
+    (3, 2, "0.5*(v1^2 + v2^2 + v3^2) + 0.25*v1*v2*sin(x3)"
+           " + 0.5*(2 + cos(y1))*w1^2 + 0.5*w2^2 + 0.1*w1*w2*x1"
+           " + 0.2*v3*w2*y2 + x2*v1 - y1*y2*x3 + w1*x1^2"),
+]
+
+
+@pytest.mark.parametrize("n, m, src", _EL_CASES,
+                         ids=["1x1", "2x1", "3x2"])
+def test_euler_lagrange_acceleration_matches_sympy(n, m, src):
+    # d/dt dL/du - dL/dq = 0, solved for the acceleration
+    L = LagrangianSpec.from_expression(BundleChart(n, m), src)
+    force = euler_lagrange_sode(L).force
+    q = _syms("x", n) + _syms("y", m)
+    u = _syms("v", n) + _syms("w", m)
+    acc = _syms("a", n + m)
+    ell = _sym(src)
+    rates = dict(zip(q + u, u + acc))
+    eqs = [_ddt(sympy.diff(ell, ui), rates) - sympy.diff(ell, qi)
+           for qi, ui in zip(q, u)]
+    for z in _states(n + 10 * m, 2 * (n + m)):
+        assert_close(force(z), _solve_linear(eqs, acc, _at(q + u, z)),
+                     "acceleration")
+
+
+_LDA_CASES = [
+    (1, 1, "0.5*v1^2 + 0.5*w1^2*(1 + 0.5*y1^2) + 0.3*w1*v1 - x1*y1",
+     [["sin(y1) + 0.5*x1"]], ["x1*y1 + 0.2"]),
+    (2, 1, "0.5*(v1^2 + v2^2 + w1^2) + 0.1*x1*w1*v2 - 0.5*y1^2",
+     [["0.3*y1", "-x1"]], ["0.5*x2 + 0.2*y1^2"]),
+    (3, 2, "0.5*(v1^2 + v2^2 + v3^2 + w1^2) + 0.5*w2^2*(1 + x1^2)"
+           " + y1*w1*v2 - cos(y2) + 0.2*w2*v3",
+     [["x1*y2", "sin(y1)", "0.5*x3"], ["0.5", "x2 - y1^2", "y2*x1"]],
+     ["exp(x2)*y2", "x1*y1 + x3"]),
+]
+
+
+@pytest.mark.parametrize("n, m, src, A, A0", _LDA_CASES,
+                         ids=["1x1", "2x1", "3x2"])
+def test_lagrange_dalembert_rhs_matches_sympy(n, m, src, A, A0):
+    # virtual displacements dy = -A dx: E_x(L) - A^T E_y(L) = 0 on
+    # w = A0 - A v, with dw/dt the total derivative of the constraint
+    chart = BundleChart(n, m)
+    c = AffineConstraintSpec.from_expressions(chart, A, A0)
+    system = lagrange_dalembert_system(
+        LagrangianSpec.from_expression(chart, src), c)
+    x, y, v, w = (_syms("x", n), _syms("y", m), _syms("v", n),
+                  _syms("w", m))
+    acc = _syms("a", n)
+    As, A0s = _grid(A), _grid(A0)
+    w_of = [A0s[a] - sum(As[a][i] * v[i] for i in range(n))
+            for a in range(m)]
+    on = dict(zip(w, w_of))
+    ell = _sym(src)
+    rates = dict(zip(x + y + v, v + w_of + acc))
+
+    def euler(qi, ui):
+        return (_ddt(sympy.diff(ell, ui).subs(on, simultaneous=True), rates)
+                - sympy.diff(ell, qi).subs(on, simultaneous=True))
+
+    Ey = [euler(y[a], w[a]) for a in range(m)]
+    eqs = [euler(x[i], v[i]) - sum(As[a][i] * Ey[a] for a in range(m))
+           for i in range(n)]
+    B, A0d = affine_curvature_coefficients(c, [0.3] * n, [-0.4] * m)
+    if n > 1:
+        assert np.abs(B).max() > 0.1
+    assert np.abs(A0d).max() > 0.1
+    for s in _states(n + 10 * m, 2 * n + m):
+        at = _at(x + y + v, s)
+        rhs = system.rhs(0.0, s)
+        assert np.array_equal(rhs[:n], s[n + m:])
+        assert_close(rhs[n:n + m], [_eval(e, at) for e in w_of], "ydot")
+        assert_close(rhs[n + m:], _solve_linear(eqs, acc, at), "vdot")
+
+
+_MAGNETIC_CASES = [
+    (2, 1, dict(g=[["1 + 0.5*x1^2", "0.2*x2"], ["0.2*x2", "2"]],
+                V="x1*x2", A_base=["x2", "-x1^2"], A_fibre=["sin(x1)*x2"],
+                upsilon=[[["0.3*x1"], ["x2"]]],
+                Kcurv=[[["0", "x1 + 1"], ["-x1 - 1", "0"]]])),
+    (3, 2, dict(g=[["2", "0.1*x3", "0"], ["0.1*x3", "1 + x1^2", "0"],
+                   ["0", "0", "exp(x2)"]],
+                k=[[2.0, 0.5], [0.5, 1.0]], V="x1^2 - x2*x3",
+                A_base=["x3", "sin(x1)", "x1*x2"],
+                A_fibre=["x1*x3", "cos(x2)"],
+                upsilon=[[["x1", "0.5"], ["0", "x2"], ["x3", "0.2"]],
+                         [["0.3", "x2*x3"], ["x1", "0"], ["1", "-x3"]]],
+                Kcurv=[[["0", "x2", "1"], ["-x2", "0", "x1"],
+                        ["-1", "-x1", "0"]],
+                       [["0", "0.5", "x3"], ["-0.5", "0", "0"],
+                        ["-x3", "0", "0"]]])),
+    # so(3): nonzero structure constants, bi-invariant for k = 1
+    (2, 3, dict(g=[["1 + x2^2", "0"], ["0", "1.5"]], V="cos(x1)",
+                A_base=["x2", "0"], A_fibre=["x1", "x2^2", "x1*x2"],
+                upsilon=[[["x1", "0", "0.5"], ["0", "x2", "0"]],
+                         [["0.3", "x1*x2", "0"], ["x2", "0", "1"]],
+                         [["0", "0", "x1"], ["0.2", "x1", "0"]]],
+                Kcurv=[[["0", "x1"], ["-x1", "0"]],
+                       [["0", "1"], ["-1", "0"]],
+                       [["0", "x2"], ["-x2", "0"]]],
+                C=[[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                   [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                   [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]])),
+]
+
+
+@pytest.mark.parametrize("n, m, data", _MAGNETIC_CASES,
+                         ids=["2x1", "3x2", "2x3-so3"])
+def test_magnetic_rhs_matches_sympy(n, m, data):
+    # Lagrange-Poincare equations of l = g v v/2 + k wb wb/2 - V + A v
+    # + A_fibre wb with p = dl/dwb:
+    #   d/dt dl/dv - dl/dx = (-Kcurv v + Upsilon wb)^T p
+    #   dp/dt = (Upsilon^T v + C wb)^T p
+    model = MagneticModel.from_expressions(n, m, **data)
+    system = magnetic_lp_system(model)
+    x, v, wb = _syms("x", n), _syms("v", n), _syms("wb", m)
+    acc, wacc = _syms("a", n), _syms("b", m)
+    g, U, Kc = _grid(data["g"]), _grid(data["upsilon"]), _grid(data["Kcurv"])
+    k = np.eye(m) if "k" not in data else data["k"]
+    C = np.zeros((m, m, m)) if "C" not in data else data["C"]
+    ell = (sum(g[i][j] * v[i] * v[j] for i in range(n)
+               for j in range(n)) / 2
+           + sum(sympy.Float(k[a][b]) * wb[a] * wb[b] for a in range(m)
+                 for b in range(m)) / 2
+           - _sym(data["V"])
+           + sum(_sym(s) * vi for s, vi in zip(data["A_base"], v))
+           + sum(_sym(s) * wa for s, wa in zip(data["A_fibre"], wb)))
+    p = [sympy.diff(ell, wa) for wa in wb]
+    rates = dict(zip(x + v + wb, v + acc + wacc))
+    eqs = [_ddt(sympy.diff(ell, v[i]), rates) - sympy.diff(ell, x[i])
+           - sum(p[a] * (-sum(Kc[a][i][j] * v[j] for j in range(n))
+                         + sum(U[a][i][b] * wb[b] for b in range(m)))
+                 for a in range(m))
+           for i in range(n)]
+    eqs += [_ddt(p[a], rates)
+            - sum(p[b] * (sum(U[b][i][a] * v[i] for i in range(n))
+                          + sum(int(C[b][a][c]) * wb[c] for c in range(m)))
+                  for b in range(m))
+            for a in range(m)]
+    for s in _states(n + 10 * m, 2 * n + m):
+        rhs = system.rhs(0.0, s)
+        assert np.array_equal(rhs[:n], s[n:2 * n])
+        want = _solve_linear(eqs, acc + wacc, _at(x + v + wb, s))
+        assert_close(rhs[n:2 * n], want[:n], "vdot")
+        assert_close(rhs[2 * n:], want[n:], "wbdot")
+
+
+_UNREDUCE_CASES = [
+    (1, 1, "0.5*(1 + 0.5*x1^2)*v1^2 - cos(x1)", ["x1*v1 + y1*v1^2"],
+     [["2 + sin(x1)*y1"]]),
+    (2, 1, "0.5*(v1^2 + (2 + x1^2)*v2^2) + x2*v1",
+     ["v1*y1 - x2*v2 + 0.1*v1^2"], [["1.5 + x1*y1"]]),
+    (3, 2, "0.5*(v1^2 + v2^2 + v3^2) + 0.2*x1*v2*v3 - x3^2",
+     ["y1*v1 + x2*v3", "v2*y2 - 0.5*v1^2*x3"],
+     [["2 + y1*x1", "0.3*y2"], ["0.2*x3", "1.5 + sin(y2)"]]),
+]
+
+
+@pytest.mark.parametrize("n, m, Lbar, h, K", _UNREDUCE_CASES,
+                         ids=["1x1", "2x1", "3x2"])
+def test_unreduced_force_matches_sympy(n, m, Lbar, h, K):
+    # the base moves by the EL field of Lbar; the fibre velocity keeps the
+    # frame components K^-1 (w - h(x, y, v)) of its vertical part constant
+    chart = BundleChart(n, m)
+    x, y, v, w = (_syms("x", n), _syms("y", m), _syms("v", n),
+                  _syms("w", m))
+    base_ctx = VarContext([("base", chart.x_names),
+                           ("base_velocity", chart.v_names)])
+    G = unreduce(base_euler_lagrange(compile_field(Lbar, base_ctx), n),
+                 SplittingSpec.from_expressions(chart, h),
+                 ActionSpec.from_expressions(chart, K), check=False)
+    acc, wacc = _syms("a", n), _syms("b", m)
+    ell = _sym(Lbar)
+    base_rates = dict(zip(x + v, v + acc))
+    base_eqs = [_ddt(sympy.diff(ell, v[i]), base_rates)
+                - sympy.diff(ell, x[i]) for i in range(n)]
+    omega = sympy.Matrix(_grid(K)).inv() * sympy.Matrix(
+        [w[a] - _sym(h[a]) for a in range(m)])
+    for z in _states(n + 10 * m, 2 * (n + m)):
+        at = _at(x + y + v + w, z)
+        f = _solve_linear(base_eqs, acc, at)
+        rates = dict(zip(x + y + v + w,
+                         v + w + [sympy.Rational(float(c)) for c in f]
+                         + wacc))
+        wdot = _solve_linear([_ddt(o, rates) for o in omega], wacc, at)
+        got = G.force(z)
+        assert_close(got[:n], f, "base acceleration")
+        assert_close(got[n:], wdot, "wdot")
