@@ -22,7 +22,7 @@ from .errors import (ArityError, BasePointMismatch, BranchAmbiguity,
                      SingularHessian, SingularMatrix, UnknownIdentifier)
 from .exprs import (VarContext, compile_field, fold_constants, parse,
                     substitute, to_string)
-from .jets import Jet2, ScalarField, TapeField, fd_check
+from .jets import Jet2, ScalarField, TapeField
 from .lagrangian import (InducedSplitting, LagrangianSpec, SodeSpec,
                          defining_relation_check, euler_lagrange_sode,
                          fibre_regularity, homogeneity_of_induced,

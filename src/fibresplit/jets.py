@@ -13,11 +13,16 @@ against, and keeps the folded AST it was compiled from, so that fields
 built from expressions compose by substitution into one tape
 (exprs.compose).  Fields that are not expressions, such as induced
 coefficients, go through bundle.DerivedField instead.
+
+Every field also gives its jet as plain Python floats, jet_lists(x) ->
+(value, gradient list, row-major Hessian list).  For a TapeField that is
+the kernel's own output, checked but never copied into arrays; the
+dynamics right-hand sides read it directly, and jet() wraps the same
+lists in a Jet2 for everything else.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +39,8 @@ class Jet2:
 
     hessian must be symmetric (tolerance 1e-12 relative) and all entries
     finite; violations raise at construction so downstream code can trust
-    every Jet2 it holds.  Jet2._trusted builds kernel output and seeds,
-    whose shape and symmetry hold by construction, checking finiteness
-    only.
+    every Jet2 it holds.  Jet2._trusted wraps kernel output and seeds,
+    whose invariants their makers have checked already.
     """
 
     __slots__ = ("value", "gradient", "hessian")
@@ -65,12 +69,10 @@ class Jet2:
     @classmethod
     def _trusted(cls, value, gradient, hessian):
         """Jet from a value, k gradient floats and k*k Hessian floats in
-        row order (sequences), for callers whose output holds the shape
-        and symmetry invariants by construction: the tape kernel and the
-        seeds.  Only finiteness is checked, because a float product can
-        overflow to inf without raising."""
-        if not all_finite((value,), gradient, hessian):
-            raise DomainError("jet has non-finite entries")
+        row order (sequences), unchecked: for the seeds and for
+        TapeField.jet_lists' output, whose shape and symmetry hold by
+        construction and whose finiteness is checked where they are
+        made."""
         jet = object.__new__(cls)
         k = len(gradient)
         jet.value = float(value)
@@ -88,6 +90,8 @@ class Jet2:
 
     @classmethod
     def variable(cls, x, i, k):
+        if not math.isfinite(x):
+            raise DomainError("jet has non-finite entries")
         g = [0.0] * k
         g[i] = 1.0
         return cls._trusted(x, g, [0.0] * (k * k))
@@ -268,6 +272,12 @@ class ScalarField:
                 f"got shape {x.shape}")
         return self.evaluator(seed_jets(x))
 
+    def jet_lists(self, x):
+        """The jet at x as Python floats: (value, gradient as a list of k
+        floats, Hessian as a list of k*k floats in row order)."""
+        jet = self.jet(x)
+        return jet.value, jet.gradient.tolist(), jet.hessian.ravel().tolist()
+
     def value(self, x):
         return self.jet(x).value
 
@@ -336,6 +346,10 @@ class TapeField(ScalarField):
         raise DomainError(f"field '{self.label}': {msg}") from None
 
     def _point(self, x):
+        """x as a list of k floats; a list of k entries is taken as it
+        is, so callers working in Python floats pass one straight on."""
+        if type(x) is list and len(x) == self.arity:
+            return x
         x = np.asarray(x, dtype=float)
         if x.shape != (self.arity,):
             raise DimensionMismatch(
@@ -343,13 +357,21 @@ class TapeField(ScalarField):
                 f"got shape {x.shape}")
         return x.tolist()
 
-    def jet(self, x):
+    def jet_lists(self, x):
+        """The kernel's jet at x, (value, k gradient floats, k*k Hessian
+        floats in row order), with every entry checked finite: a float
+        product can overflow to inf without raising."""
         x = self._point(x)
         try:
             val, grad, hess = self._generated()[0](x)
         except _kernels.RowFailure as exc:
             self._raise_for(exc.row, exc.overflow)
-        return Jet2._trusted(val, grad, hess)
+        if not all_finite((val,), grad, hess):
+            raise DomainError("jet has non-finite entries")
+        return val, grad, hess
+
+    def jet(self, x):
+        return Jet2._trusted(*self.jet_lists(x))
 
     def value(self, x):
         x = self._point(x)
@@ -360,45 +382,3 @@ class TapeField(ScalarField):
         if not math.isfinite(out):
             raise DomainError(f"field '{self.label}': non-finite value")
         return np.float64(out)  # keeps numpy's float semantics for callers
-
-
-@dataclass
-class DerivativeReport:
-    """Outcome of an AD-versus-central-difference comparison."""
-    label: str
-    grad_error: float   # max abs deviation / (1 + max |grad|)
-    hess_error: float   # same scaling for the hessian
-    step: float
-
-    @property
-    def ok(self):
-        return self.grad_error <= 1e-6 and self.hess_error <= 1e-4
-
-
-def fd_check(field, x, step=1e-5):
-    """Compare AD gradient/hessian against central differences of values.
-
-    Uses only field.value so the comparison is independent of the jet
-    machinery.  Errors are scaled relative: max|ad - fd| / (1 + max|ad|).
-    """
-    x = np.asarray(x, dtype=float)
-    jet = field.jet(x)
-    k = x.shape[0]
-    fd_grad = np.zeros(k)
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = step
-        fd_grad[i] = (field.value(x + e) - field.value(x - e)) / (2 * step)
-    fd_hess = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = step
-            ej[j] = step
-            fd_hess[i, j] = (field.value(x + ei + ej) - field.value(x + ei - ej)
-                             - field.value(x - ei + ej)
-                             + field.value(x - ei - ej)) / (4 * step * step)
-    gerr = np.abs(jet.gradient - fd_grad).max() / (1.0 + np.abs(jet.gradient).max())
-    herr = np.abs(jet.hessian - fd_hess).max() / (1.0 + np.abs(jet.hessian).max())
-    return DerivativeReport(field.label, float(gerr), float(herr), step)

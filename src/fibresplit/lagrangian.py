@@ -18,8 +18,8 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (IvpProblem, LinearSystem, NewtonProblem,
-                       condition_number, linear_solve, newton_solve,
+from .numerics import (IvpProblem, LinearSystem, NewtonProblem, as_floats,
+                       condition_number, dot, linear_solve, newton_solve,
                        rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
@@ -91,11 +91,16 @@ def fibre_regularity(L, w_pt):
             "condition": condition_number(W)}
 
 
-def _force_from_jet(Ljet, q, u):
-    """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u for the acceleration."""
-    k = q.shape[0]
-    M = Ljet.hessian[k:, k:]
-    rhs = Ljet.gradient[:k] - Ljet.hessian[k:, :k] @ u
+def _force_from_jet(jet, u):
+    """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u for the acceleration,
+    from L's jet at (q, u) as jet_lists gives it and u as k floats."""
+    _, grad, hess = jet
+    k = len(u)
+    M, rhs = [], []
+    for i in range(k):
+        row = hess[2 * k * (k + i):2 * k * (k + i + 1)]
+        M.append(row[k:])
+        rhs.append(grad[i] - dot(row[:k], u))
     try:
         return linear_solve(LinearSystem(M, rhs))
     except SingularMatrix as exc:
@@ -107,8 +112,8 @@ def euler_lagrange_sode(L):
     k = L.chart.n + L.chart.m
 
     def force(z):
-        z = np.asarray(z, dtype=float)
-        return _force_from_jet(L.jet(z), z[:k], z[k:])
+        z = as_floats(z)
+        return _force_from_jet(L.field.jet_lists(z), z[k:])
 
     return SodeSpec(L.chart, force, "euler-lagrange")
 
@@ -291,12 +296,13 @@ def tangency_check(L, h, samples=50, seed=42, box=1.0):
     k = n + m
 
     def residual(xyv):
-        z = np.concatenate([xyv, h.h_values(xyv[:n], xyv[n:k], xyv[k:])])
-        Ljet = L.jet(z)
+        z = xyv.tolist() + h.h_values(xyv[:n], xyv[n:k], xyv[k:]).tolist()
+        jet = L.field.jet_lists(z)
         u = z[k:]
-        f = _force_from_jet(Ljet, z[:k], u)
-        return np.abs([row[:k] @ u + row[k:] @ f
-                       for row in Ljet.hessian[2 * n + m:]]).max()
+        f = _force_from_jet(jet, u).tolist()
+        rows = [jet[2][2 * k * r:2 * k * (r + 1)]
+                for r in range(2 * n + m, 2 * k)]
+        return max(abs(dot(row[:k], u) + dot(row[k:], f)) for row in rows)
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -417,8 +423,8 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     Lbar = sub.Lbar
 
     def fbar(t, s):
-        q, u = s[:n], s[n:]
-        return np.concatenate([u, _force_from_jet(Lbar.jet(s), q, u)])
+        s = s.tolist()
+        return s[n:] + _force_from_jet(Lbar.jet_lists(s), s[n:]).tolist()
 
     red = rk4_integrate(IvpProblem(fbar, 0.0, T, np.concatenate([x0, v0]), dt))
 

@@ -6,7 +6,10 @@ motion carry the constraint's curvature on the right-hand side, contracted
 with the fibre momentum of the unconstrained Lagrangian evaluated on the
 constraint surface.  The constraint fields are expressions, so w = A0 - A v
 compiles to one tape per component by substitution (to_splitting), and
-the constrained Lagrangian's jets chain L over those tapes' jets.
+the constrained Lagrangian's jets chain L over those tapes' jets.  The
+right-hand side and the recorded diagnostics read every jet as Python
+floats (jet_lists) and sum each contraction in index order; only the
+constrained Lagrangian's chain rule still builds Jet2s.
 """
 
 from dataclasses import dataclass
@@ -14,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import ScalarField, seed_jets
-from .numerics import IvpProblem, LinearSystem, linear_solve, rk4_integrate
-from .splitting import AffineSplittingData, affine_curvature_coefficients
+from .numerics import (IvpProblem, LinearSystem, as_floats, dot,
+                       linear_solve, rk4_integrate)
+from .splitting import AffineSplittingData, _curvature_lists
 
 
 @dataclass
@@ -24,13 +28,15 @@ class AffineConstraintSpec(AffineSplittingData):
     with w = A0(x, y) - A(x, y) v the admissible fibre velocity."""
 
     def reconstruct_w(self, x, y, v):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        q = np.concatenate([x, y])
-        A0 = np.array([f.value(q) for f in self.A0])
-        A = np.array([[f.value(q) for f in row] for row in self.A])
-        return A0 - A @ v
+        return np.array(self._w_lists(as_floats(x) + as_floats(y),
+                                      as_floats(v))[0])
+
+    def _w_lists(self, q, v):
+        """(w, A, A0) at the point q = x + y for the velocity v, as float
+        lists: w = A0 - A v."""
+        A0 = [float(f.value(q)) for f in self.A0]
+        A = [[float(f.value(q)) for f in row] for row in self.A]
+        return [a0 - dot(row, v) for a0, row in zip(A0, A)], A, A0
 
 
 @dataclass
@@ -93,31 +99,31 @@ class ConstrainedSystem:
 
     def rhs(self, t, s):
         n, m = self.L.chart.n, self.L.chart.m
-        x, y, v = s[:n], s[n:n + m], s[n + m:]
-        w = self.c.reconstruct_w(x, y, v)
-        ydot = w
-        jc = self.Lc.jet(s)
-        g = jc.gradient
-        H = jc.hessian
-        q = np.concatenate([x, y])
-        A = np.array([[f.value(q) for f in row] for row in self.c.A])
-        B, A0d = affine_curvature_coefficients(self.c, x, y)
-        Lw = self.L.jet(np.concatenate([x, y, v, w])).gradient[2 * n + m:]
-        force = np.array([
-            sum((-B[a, i] @ v - A0d[a, i]) * Lw[a] for a in range(m))
-            for i in range(n)])
-        rhs_v = (g[:n] - A.T @ g[n:n + m]
-                 - H[n + m:, :n] @ v - H[n + m:, n:n + m] @ ydot
-                 + force)
-        M = H[n + m:, n + m:]
+        k = 2 * n + m
+        s = as_floats(s)
+        q, v = s[:n + m], s[n + m:]
+        ydot, A, _ = self.c._w_lists(q, v)
+        _, g, H = self.Lc.jet_lists(s)
+        B, A0d = _curvature_lists(self.c, q)
+        Lw = self.L.field.jet_lists(s + ydot)[1][k:]
+        rhs_v = []
+        for i in range(n):
+            row = H[k * (n + m + i):k * (n + m + i + 1)]
+            force = sum((-dot(B[a][i], v) - A0d[a][i]) * Lw[a]
+                        for a in range(m))
+            rhs_v.append(g[i] - sum(A[a][i] * g[n + a] for a in range(m))
+                         - dot(row[:n], v) - dot(row[n:n + m], ydot)
+                         + force)
+        M = [H[k * r + n + m:k * (r + 1)] for r in range(n + m, k)]
         vdot = linear_solve(LinearSystem(M, rhs_v))
-        return np.concatenate([v, ydot, vdot])
+        return np.array(v + ydot + vdot.tolist())
 
     def energy(self, s):
         """Constrained energy v . dLc/dv - Lc."""
         n, m = self.L.chart.n, self.L.chart.m
-        j = self.Lc.jet(np.asarray(s, dtype=float))
-        return float(j.gradient[n + m:] @ s[n + m:] - j.value)
+        s = as_floats(s)
+        value, g, _ = self.Lc.jet_lists(s)
+        return dot(g[n + m:], s[n + m:]) - value
 
 
 def lagrange_dalembert_system(L, c):
@@ -134,12 +140,10 @@ def integrate_constrained(L, c, ic, T, dt):
     n, m = L.chart.n, L.chart.m
 
     def diag(t, s):
-        x, y, v = s[:n], s[n:n + m], s[n + m:]
-        ydot = c.reconstruct_w(x, y, v)
-        q = np.concatenate([x, y])
-        A0 = np.array([f.value(q) for f in c.A0])
-        A = np.array([[f.value(q) for f in row] for row in c.A])
-        resid = float(np.abs(ydot + A @ v - A0).max())
+        s = s.tolist()
+        q, v = s[:n + m], s[n + m:]
+        ydot, A, A0 = c._w_lists(q, v)
+        resid = max(abs(ydot[a] + dot(A[a], v) - A0[a]) for a in range(m))
         return {"constraint_residual": resid,
                 "energy": system.energy(s)}
 

@@ -17,6 +17,7 @@ the residual postcondition is always verified.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,18 @@ class LinearSystem:
         if self.A.shape != (n, n) or self.b.ndim not in (1, 2):
             raise DimensionMismatch(
                 f"system shapes {self.A.shape} vs {self.b.shape}")
+
+
+def as_floats(a):
+    """The 1-D a as a list of Python floats; a list is taken as it is."""
+    return a if type(a) is list else np.asarray(a, dtype=float).tolist()
+
+
+def dot(a, b):
+    """sum_i a[i] b[i] over two float sequences of one length, in index
+    order: what a numpy loop gives without the fused multiply-adds of a
+    BLAS dot."""
+    return sum(map(operator.mul, a, b))
 
 
 def all_finite(*seqs):

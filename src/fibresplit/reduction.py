@@ -21,8 +21,8 @@ from .errors import (DimensionMismatch, DomainError, FlowEscape,
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet
-from .numerics import (IvpProblem, LinearSystem, SampleReport,
-                       condition_number, linear_solve, rk4_integrate,
+from .numerics import (IvpProblem, LinearSystem, SampleReport, as_floats,
+                       condition_number, dot, linear_solve, rk4_integrate,
                        sample_max)
 from .splitting import vilms_vertical_projector
 
@@ -34,10 +34,10 @@ def _check_structure_constants(C, m):
     if not np.array_equal(C, -np.swapaxes(C, 1, 2)):
         raise ValueError("structure constants must be antisymmetric in the "
                          "lower indices")
-    # Jacobi: sum over cyclic permutations of C^e_{d a} C^d_{b c}
-    jac = (np.einsum("eda,dbc->eabc", C, C)
-           + np.einsum("edb,dca->eabc", C, C)
-           + np.einsum("edc,dab->eabc", C, C))
+    # Jacobi: sum over cyclic permutations of C^e_{d a} C^d_{b c}; P holds
+    # P[e, a, b, c] = C^e_{d a} C^d_{b c}
+    P = np.tensordot(C, C, axes=(1, 0))
+    jac = P + P.transpose(0, 3, 1, 2) + P.transpose(0, 2, 3, 1)
     worst = np.abs(jac).max() if jac.size else 0.0
     if worst > 1e-12:
         raise ValueError(f"structure constants violate the Jacobi identity "
@@ -80,20 +80,20 @@ class ActionSpec:
         return cls(chart, K, C)
 
     def K_matrix(self, x, y):
-        q = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
-        return np.array([[f.value(q) for f in row] for row in self.K])
+        """K[b][g] at (x, y), as nested lists of floats."""
+        q = as_floats(x) + as_floats(y)
+        return [[float(f.value(q)) for f in row] for row in self.K]
 
     def K_jets(self, x, y):
         q = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
         return [[f.jet(q) for f in row] for row in self.K]
 
     def K_dot(self, x, y, v, w):
-        """Derivative of K along (v, w): v . dK/dx + w . dK/dy."""
-        u = np.concatenate([np.asarray(v, float), np.asarray(w, float)])
-        jets = self.K_jets(x, y)
-        m = self.chart.m
-        return np.array([[float(jets[b][g].gradient @ u) for g in range(m)]
-                         for b in range(m)])
+        """Derivative of K along (v, w), v . dK/dx + w . dK/dy, as nested
+        lists of floats."""
+        q = as_floats(x) + as_floats(y)
+        u = as_floats(v) + as_floats(w)
+        return [[dot(f.jet_lists(q)[1], u) for f in row] for row in self.K]
 
 
 def invariance_check(L, action, samples=100, seed=42, box=1.0):
@@ -105,11 +105,14 @@ def invariance_check(L, action, samples=100, seed=42, box=1.0):
     n, m = L.chart.n, L.chart.m
 
     def residual(z):
+        z = z.tolist()
         x, y, v, w = z[:n], z[n:n + m], z[n + m:2 * n + m], z[2 * n + m:]
-        g = L.jet(z).gradient
+        g = L.field.jet_lists(z)[1]
         Kv = action.K_matrix(x, y)
         Kd = action.K_dot(x, y, v, w)
-        return np.abs(Kv.T @ g[n:n + m] + Kd.T @ g[2 * n + m:]).max()
+        return max(abs(dot([row[c] for row in Kv], g[n:n + m])
+                       + dot([row[c] for row in Kd], g[2 * n + m:]))
+                   for c in range(m))
 
     return sample_max(residual, samples, seed, 2 * (n + m), box)
 
@@ -117,9 +120,9 @@ def invariance_check(L, action, samples=100, seed=42, box=1.0):
 def momentum_map(L, action, w_pt):
     """Components J_g = sum_a K[a][g] dL/dw^a at the tangent point."""
     n, m = L.chart.n, L.chart.m
-    z = w_pt.as_array()
-    Lw = L.jet(z).gradient[2 * n + m:]
-    return action.K_matrix(w_pt.x, w_pt.y).T @ Lw
+    Lw = L.field.jet_lists(w_pt.as_array())[1][2 * n + m:]
+    Kv = action.K_matrix(w_pt.x, w_pt.y)
+    return np.array([dot([row[g] for row in Kv], Lw) for g in range(m)])
 
 
 def principal_check(h, action, samples=100, seed=42, box=1.0):
@@ -181,12 +184,15 @@ def xi_field(h, action, w_pt):
     om = linear_solve(LinearSystem(action.K_matrix(w_pt.x, w_pt.y), diff))
     Kd = action.K_dot(w_pt.x, w_pt.y, w_pt.v, w_pt.w)
     return SecondTangentPoint(chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
-                              np.zeros(n), diff, np.zeros(n), Kd @ om)
+                              np.zeros(n), diff, np.zeros(n),
+                              [dot(row, om.tolist()) for row in Kd])
 
 
 @dataclass
 class BaseSode:
-    """Second-order field on the base: x'' = force(x, v)."""
+    """Second-order field on the base: x'' = force(x, v).  force takes x
+    and v as sequences of n floats, lists or arrays, and returns n
+    floats."""
     n: int
     force: object
     provenance: str = "explicit"
@@ -199,9 +205,8 @@ def base_euler_lagrange(field, n):
             f"base Lagrangian arity {field.arity}, expected {2 * n}")
 
     def force(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return _force_from_jet(field.jet(np.concatenate([x, v])), x, v)
+        v = as_floats(v)
+        return _force_from_jet(field.jet_lists(as_floats(x) + v), v)
 
     return BaseSode(n, force, "euler-lagrange")
 
@@ -249,17 +254,19 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
     n, m = chart.n, chart.m
 
     def force(z):
-        z = np.asarray(z, dtype=float)
+        z = as_floats(z)
         x, y = z[:n], z[n:n + m]
         v, w = z[n + m:2 * n + m], z[2 * n + m:]
-        f = gamma_bar.force(x, v)
-        jets = h.h_jets(x, y, v)
-        hval = np.array([j.value for j in jets])
-        u = np.concatenate([v, w, f])
-        wdot = np.array([float(j.gradient @ u) for j in jets])
-        om = linear_solve(LinearSystem(action.K_matrix(x, y), w - hval))
-        wdot += action.K_dot(x, y, v, w) @ om
-        return np.concatenate([f, wdot])
+        f = as_floats(gamma_bar.force(x, v))
+        h._require_admissible(v)
+        jets = [c.jet_lists(x + y + v) for c in h.coefficients]
+        om = linear_solve(LinearSystem(
+            action.K_matrix(x, y),
+            [w[a] - jets[a][0] for a in range(m)])).tolist()
+        Kd = action.K_dot(x, y, v, w)
+        u = v + w + f
+        return np.array(f + [dot(jets[a][1], u) + dot(Kd[a], om)
+                             for a in range(m)])
 
     return SodeSpec(chart, force, "unreduced")
 
@@ -391,8 +398,8 @@ class MagneticModel:
         if not condition_number(self.k) <= 1e13:
             raise SingularMatrix("fibre metric k is singular")
         self.C = _check_structure_constants(self.C, self.m)
-        bi = np.einsum("ad,dbg->abg", self.k, self.C) \
-            + np.einsum("bd,dag->abg", self.k, self.C)
+        kC = np.tensordot(self.k, self.C, axes=1)  # kC[a,b,g] = k_ad C^d_bg
+        bi = kC + kC.swapaxes(0, 1)
         if bi.size and np.abs(bi).max() != 0.0:
             raise ValueError("fibre metric is not bi-invariant for the "
                              "given structure constants")
@@ -437,14 +444,16 @@ class MagneticModel:
         return np.array([[f.value(x) for f in row] for row in self.g])
 
     def upsilon_values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([[[f.value(x) for f in row] for row in plane]
-                         for plane in self.upsilon])
+        """Upsilon[b][i][a] at x, as nested lists of floats."""
+        x = as_floats(x)
+        return [[[float(f.value(x)) for f in row] for row in plane]
+                for plane in self.upsilon]
 
     def kcurv_values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([[[f.value(x) for f in row] for row in plane]
-                         for plane in self.Kcurv])
+        """Kcurv[a][i][j] at x, as nested lists of floats."""
+        x = as_floats(x)
+        return [[[float(f.value(x)) for f in row] for row in plane]
+                for plane in self.Kcurv]
 
 
 class MagneticSystem:
@@ -452,61 +461,74 @@ class MagneticSystem:
 
     The v-equation is solved from the base-metric block, the wbar-equation
     from the fibre-metric block; p = k wbar + A_fibre is the transported
-    momentum, recorded as a diagnostic.
+    momentum, recorded as a diagnostic.  Between the field kernels and the
+    two solves everything is Python floats: jets come as jet_lists, and
+    each contraction sums its terms in index order.
     """
 
     def __init__(self, model):
         self.model = model
 
     def split(self, s):
-        n, m = self.model.n, self.model.m
+        n = self.model.n
         return s[:n], s[n:2 * n], s[2 * n:]
 
     def momentum(self, s):
-        x, v, wb = self.split(s)
-        A = np.array([f.value(x) for f in self.model.A_fibre])
-        return self.model.k @ wb + A
+        """p = k wbar + A_fibre(x), as a list of m floats."""
+        x, _, wb = self.split(as_floats(s))
+        k = self.model.k.tolist()
+        return [dot(k[a], wb) + float(f.value(x))
+                for a, f in enumerate(self.model.A_fibre)]
 
     def quadratic_diagnostic(self, s):
         """The velocity-quadratic force piece sum_ab U[a,i,b] wb_b (k wb)_a,
-        reported rather than assumed to vanish."""
-        x, v, wb = self.split(s)
-        U = self.model.upsilon_values(x)
-        return np.einsum("aib,b,a->i", U, wb, self.model.k @ wb)
+        reported rather than assumed to vanish; a list of n floats."""
+        mdl = self.model
+        x, _, wb = self.split(as_floats(s))
+        U = mdl.upsilon_values(x)
+        kw = [dot(row, wb) for row in mdl.k.tolist()]
+        pairs = [(a, b) for a in range(mdl.m) for b in range(mdl.m)]
+        return [sum(U[a][i][b] * wb[b] * kw[a] for a, b in pairs)
+                for i in range(mdl.n)]
 
     def rhs(self, t, s):
         mdl = self.model
         n, m = mdl.n, mdl.m
-        x, v, wb = self.split(s)
-        gj = [[f.jet(x) for f in row] for row in mdl.g]
-        G = np.array([[gj[i][j].value for j in range(n)] for i in range(n)])
-        dG = np.array([[gj[i][j].gradient for j in range(n)]
-                       for i in range(n)])        # dG[i,j,k] = dg_ij/dx_k
-        Vg = mdl.V.jet(x).gradient
-        Abj = [f.jet(x) for f in mdl.A_base]
-        Afj = [f.jet(x) for f in mdl.A_fibre]
-        dAb = np.array([j.gradient for j in Abj])  # dAb[i,k] = dA_i/dx_k
-        dAf = np.array([j.gradient for j in Afj])
-        Af = np.array([j.value for j in Afj])
+        x, v, wb = self.split(as_floats(s))
+        g = [[f.jet_lists(x) for f in row] for row in mdl.g]
+        dG = [[jet[1] for jet in row] for row in g]  # dG[i][j][l] = dg_ij/dx_l
+        dV = mdl.V.jet_lists(x)[1]
+        dAb = [f.jet_lists(x)[1] for f in mdl.A_base]  # dAb[i][l] = dA_i/dx_l
+        Af = [f.jet_lists(x) for f in mdl.A_fibre]
+        dAf = [jet[1] for jet in Af]
         U = mdl.upsilon_values(x)
         Kc = mdl.kcurv_values(x)
-        p = mdl.k @ wb + Af
+        k = mdl.k.tolist()
+        p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
+        nn = [(j, l) for j in range(n) for l in range(n)]
 
-        bracket = -np.einsum("aij,j->ai", Kc, v) + np.einsum(
-            "aib,b->ai", U, wb)
-        force = np.einsum("ai,a->i", bracket, p)
-        rhs_v = (0.5 * np.einsum("jki,j,k->i", dG, v, v)
-                 - Vg
-                 + dAb.T @ v - dAb @ v
-                 + dAf.T @ wb
-                 - np.einsum("ijk,k,j->i", dG, v, v)
-                 + force)
-        vdot = linear_solve(LinearSystem(G, rhs_v))
+        # force_i = sum_a (-Kcurv[a,i,:] . v + Upsilon[a,i,:] . wb) p_a
+        force = [sum((-dot(Kc[a][i], v) + dot(U[a][i], wb)) * p[a]
+                     for a in range(m)) for i in range(n)]
+        rhs_v = [0.5 * sum(dG[j][l][i] * v[j] * v[l] for j, l in nn)
+                 - dV[i]
+                 + sum(dAb[l][i] * v[l] for l in range(n)) - dot(dAb[i], v)
+                 + sum(dAf[a][i] * wb[a] for a in range(m))
+                 - sum(dG[i][j][l] * v[l] * v[j] for j, l in nn)
+                 + force[i]
+                 for i in range(n)]
+        vdot = linear_solve(LinearSystem(
+            [[jet[0] for jet in row] for row in g], rhs_v))
 
-        pdot = np.einsum("bia,i,b->a", U, v, p) + np.einsum(
-            "bag,g,b->a", mdl.C, wb, p)
-        wbdot = linear_solve(LinearSystem(mdl.k, pdot - dAf @ v))
-        return np.concatenate([v, vdot, wbdot])
+        C = mdl.C.tolist()
+        pdot = [sum(U[b][i][a] * v[i] * p[b]
+                    for b in range(m) for i in range(n))
+                + sum(C[b][a][c] * wb[c] * p[b]
+                      for b in range(m) for c in range(m))
+                for a in range(m)]
+        wbdot = linear_solve(LinearSystem(
+            mdl.k, [pdot[a] - dot(dAf[a], v) for a in range(m)]))
+        return np.array(v + vdot.tolist() + wbdot.tolist())
 
 
 def magnetic_lp_system(model):
@@ -515,8 +537,7 @@ def magnetic_lp_system(model):
 
 def integrate_magnetic(system, s0, t0, t1, dt):
     def diag(t, s):
-        p = system.momentum(s)
-        return {f"p{a+1}": float(p[a]) for a in range(system.model.m)}
+        return {f"p{a+1}": pa for a, pa in enumerate(system.momentum(s))}
 
     return rk4_integrate(
         IvpProblem(system.rhs, t0, t1, np.asarray(s0, dtype=float), dt),
@@ -574,17 +595,19 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
     samples; when it vanishes, verify w-independence of the (x, v) block
     and agreement with the EL force of the reduced base Lagrangian."""
     n, m = model.n, model.m
+    k = model.k.tolist()
+    aj = [(a, j) for a in range(m) for j in range(n)]
 
     def condition(xv):
+        xv = xv.tolist()
         x, v = xv[:n], xv[n:]
         Kc = model.kcurv_values(x)
         U = model.upsilon_values(x)
-        Af = np.array([f.value(x) for f in model.A_fibre])
-        dAf = np.array([f.jet(x).gradient for f in model.A_fibre])
-        cond = (-np.einsum("aij,j,ag->ig", Kc, v, model.k)
-                + np.einsum("aig,a->ig", U, Af)
-                + dAf.T)
-        return np.abs(cond).max()
+        A = [f.jet_lists(x) for f in model.A_fibre]
+        return max(abs(-sum(Kc[a][i][j] * v[j] * k[a][g] for a, j in aj)
+                       + sum(U[a][i][g] * A[a][0] for a in range(m))
+                       + A[g][1][i])
+                   for i in range(n) for g in range(m))
 
     rep = sample_max(condition, samples, seed, 2 * n, box)
     worst = rep.max_residual
@@ -595,13 +618,13 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
     rng2 = np.random.default_rng(seed + 1)
 
     def subsystem(s):
-        x, v, wb = system.split(s)
         rhs = system.rhs(0.0, s)
-        quad = np.abs(system.quadratic_diagnostic(s)).max()
+        quad = max(map(abs, system.quadratic_diagnostic(s)))
         s2 = s.copy()
         s2[2 * n:] += rng2.uniform(0.1, 0.5, m)
         rhs2 = system.rhs(0.0, s2)
-        f_el = _force_from_jet(Lbar.jet(np.concatenate([x, v])), x, v)
+        f_el = _force_from_jet(Lbar.jet_lists(s[:2 * n].tolist()),
+                               s[n:2 * n].tolist())
         return (np.abs(rhs[n:2 * n] - rhs2[n:2 * n]).max(),
                 np.abs(rhs[n:2 * n] - f_el).max(), quad)
 

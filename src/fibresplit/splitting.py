@@ -21,9 +21,14 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
 from .exprs import compile_field, compose, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import IvpProblem, TrajectoryRecord, rk4_integrate, sample_max
+from .numerics import (IvpProblem, TrajectoryRecord, as_floats, dot,
+                       rk4_integrate, sample_max)
 
 PROVENANCE = ("explicit", "induced-by-Lagrangian", "affine-from-constraints")
+
+# classify's evidence must stay representable with room to spare: the
+# square of anything above 2^512 overflows
+_OVERFLOW_MARGIN = 2.0 ** 512
 
 
 class SplittingSpec:
@@ -184,25 +189,29 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
 def rate_residual(ts, ys, rates):
     """Per recorded point, max |dy/dt - rate| with dy/dt from a five-point
     Lagrange stencil through the recorded rows (one-sided at the ends)."""
-    resid = np.zeros(len(ts))
+    ts = as_floats(ts)
+    ys = np.asarray(ys, dtype=float).tolist()
+    rates = np.asarray(rates, dtype=float).tolist()
+    resid = [0.0] * len(ts)
     width = min(5, len(ts))
     for i in range(len(ts)):
         if width < 2:
             break
         j = min(max(i - width // 2, 0), len(ts) - width)
         dy = _stencil_derivative(ts[j:j + width], ys[j:j + width], ts[i])
-        resid[i] = np.abs(dy - rates[i]).max()
-    return resid
+        resid[i] = max(abs(d - r) for d, r in zip(dy, rates[i]))
+    return np.array(resid)
 
 
 def _stencil_derivative(tw, yw, t):
-    """Derivative at t of the Lagrange interpolant through (tw, yw) rows.
+    """Derivative at t of the Lagrange interpolant through (tw, yw) rows,
+    as a list of floats.
 
     Exact for polynomials up to len(tw)-1, on any node spacing; used so the
     residual diagnostic keeps high order across the shortened final step.
     """
     k = len(tw)
-    dy = np.zeros(yw.shape[1])
+    dy = [0.0] * len(yw[0])
     for a in range(k):
         denom = 1.0
         for l in range(k):
@@ -217,7 +226,8 @@ def _stencil_derivative(tw, yw, t):
                 if l != a and l != b:
                     term *= t - tw[l]
             num += term
-        dy += yw[a] * (num / denom)
+        c = num / denom
+        dy = [acc + y * c for acc, y in zip(dy, yw[a])]
     return dy
 
 
@@ -243,6 +253,10 @@ def classify(spec, samples=200, seed=42, box=1.0):
     Affine: no second v-derivative.  Homogeneous: Euler identity
     v . dh/dv = h.  Otherwise General.  Linearity/drift are only decidable
     for splittings smooth at v=0.  tol = 1e-7 (1 + max sampled |h|).
+
+    A draw whose |h|, Hessian entries or residuals exceed 2^512 sits next
+    to the overflow edge; it counts as outside the domain and is redrawn,
+    so no residual compared with tol comes from there.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -255,7 +269,12 @@ def classify(spec, samples=200, seed=42, box=1.0):
         per_jet = [(abs(float(j.gradient[n + m:] @ v) - j.value),
                     np.abs(j.hessian[n + m:, n + m:]).max(), abs(j.value))
                    for j in jets]
-        return np.append(np.max(per_jet, axis=0), np.abs(hz).max())
+        ev = np.append(np.max(per_jet, axis=0), np.abs(hz).max())
+        if not (ev.max() <= _OVERFLOW_MARGIN and all(
+                np.abs(j.hessian).max() <= _OVERFLOW_MARGIN for j in jets)):
+            raise DomainError("classify evidence above the overflow margin "
+                              "2^512")
+        return ev
 
     rep = sample_max(evidence, samples, seed, 2 * n + m, box)
     euler, lin, scale, drift = rep.max_residual
@@ -582,32 +601,31 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
 
 def affine_curvature_coefficients(data, x, y):
     """B^a_ij from [H_i, H_j] with H_i = d/dx_i - A^b_i d/dy_b, and the
-    drift derivatives A^a_0i = H_i(A0^a) + A0(A^a_i).
+    drift derivatives A^a_0i = H_i(A0^a) + A0(A^a_i), from one float jet
+    (jet_lists) per field, each dot product summed in index order.
 
     Returns (B, A0d) with shapes (m, n, n) and (m, n).
     """
+    return tuple(map(np.array, _curvature_lists(
+        data, as_floats(x) + as_floats(y))))
+
+
+def _curvature_lists(data, q):
+    """affine_curvature_coefficients at the point q = x + y, as nested
+    lists of floats."""
     n, m = data.chart.n, data.chart.m
-    q = np.concatenate([np.asarray(x, dtype=float),
-                        np.asarray(y, dtype=float)])
-    Aj = [[data.A[a][i].jet(q) for i in range(n)] for a in range(m)]
-    A0j = [data.A0[a].jet(q) for a in range(m)]
-    Aval = np.array([[Aj[a][i].value for i in range(n)] for a in range(m)])
-    A0val = np.array([j.value for j in A0j])
+    A = [[f.jet_lists(q) for f in row] for row in data.A]
+    A0 = [f.jet_lists(q) for f in data.A0]
     # gradient layout of point fields: first n entries d/dx, next m d/dy
-    B = np.zeros((m, n, n))
-    for a in range(m):
-        for i in range(n):
-            for j in range(n):
-                B[a, i, j] = (-Aj[a][j].gradient[i]
-                              + Aval[:, i] @ Aj[a][j].gradient[n:]
-                              + Aj[a][i].gradient[j]
-                              - Aval[:, j] @ Aj[a][i].gradient[n:])
-    A0d = np.zeros((m, n))
-    for a in range(m):
-        for i in range(n):
-            A0d[a, i] = (A0j[a].gradient[i]
-                         - Aval[:, i] @ A0j[a].gradient[n:]
-                         + A0val @ Aj[a][i].gradient[n:])
+    col = [[A[b][i][0] for b in range(m)] for i in range(n)]  # A^b_i over b
+    dA = [[jet[1] for jet in row] for row in A]
+    B = [[[-dA[a][j][i] + dot(col[i], dA[a][j][n:])
+           + dA[a][i][j] - dot(col[j], dA[a][i][n:])
+           for j in range(n)] for i in range(n)] for a in range(m)]
+    A0val = [jet[0] for jet in A0]
+    A0d = [[A0[a][1][i] - dot(col[i], A0[a][1][n:])
+            + dot(A0val, dA[a][i][n:])
+            for i in range(n)] for a in range(m)]
     return B, A0d
 
 

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from derivative_check import fd_check
 
 from fibresplit import cli
 from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
@@ -18,7 +19,6 @@ from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
 from fibresplit.errors import DomainError, HypothesisFailed
 from fibresplit.exprs import Bin, Call, Num, Var, VarContext, compile_field, \
     parse, to_string
-from fibresplit.jets import fd_check
 from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
                                    homogeneity_of_induced, induced_splitting,
                                    integrate_sode, liouville_derivative,

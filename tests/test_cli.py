@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibresplit import cli, nonholonomic
+from fibresplit import cli, nonholonomic, splitting
 
 FIX = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -319,13 +319,28 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, h,
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_classify_skips_overflowing_samples(tmp_path):
-    cfg = tmp_path / "overflow.ini"
-    cfg.write_text(_OVERFLOW_INI.format(h="exp(800*v1^2)"))
-    assert run("classify", cfg, tmp_path / "out") == 0
-    rep = report(tmp_path / "out")
+def test_classify_skips_overflowing_samples(tmp_path, monkeypatch):
+    def residuals(h, out):
+        cfg = tmp_path / f"{out}.ini"
+        cfg.write_text(_OVERFLOW_INI.format(h=h))
+        assert run("classify", cfg, tmp_path / out) == 0
+        return report(tmp_path / out)
+
+    margin = splitting._OVERFLOW_MARGIN
+    rep = residuals("exp(800*v1^2)", "out")
     assert rep["values"]["skipped_samples"] > 0
     assert rep["verdicts"]["classification"] == "General"
+    # draws next to the overflow edge are redrawn, not reported
+    assert max(rep["residuals"].values()) <= margin
+    residuals("x1*v1^2 + y1", "ordinary")
+    # without the margin, the edge reaches the report; an ordinary
+    # splitting's report does not change
+    monkeypatch.setattr(splitting, "_OVERFLOW_MARGIN", float("inf"))
+    assert max(residuals("exp(800*v1^2)", "edge")["residuals"].values()) \
+        > margin
+    residuals("x1*v1^2 + y1", "unbounded")
+    assert (tmp_path / "unbounded" / "report.json").read_bytes() == \
+        (tmp_path / "ordinary" / "report.json").read_bytes()
 
 
 def test_curvature_skips_overflowing_samples(tmp_path, capsys):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from derivative_check import fd_check
 
 from fibresplit import _kernels
 from fibresplit.errors import (ArityError, DimensionMismatch, DomainError)
 from fibresplit.exprs import VarContext, compile_field, parse
-from fibresplit.jets import (Jet2, ScalarField, fd_check, jet2_compose,
-                             seed_jets)
+from fibresplit.jets import Jet2, ScalarField, jet2_compose, seed_jets
 
 CTX3 = VarContext([("base", ["a", "b", "c"])])
 
@@ -86,8 +86,10 @@ def test_tape_jet_overflowing_derivative_raises():
     # inside the kernel without raising, and the trusted constructor's
     # finiteness check catches it
     f = field("1e308*a^2")
-    with pytest.raises(DomainError, match="non-finite"):
-        f.jet(np.array([1.0, 0.0, 0.0]))
+    for call in (f.jet, f.jet_lists):
+        with pytest.raises(DomainError) as exc:
+            call(np.array([1.0, 0.0, 0.0]))
+        assert str(exc.value) == "jet has non-finite entries"
     assert f.value(np.array([1.0, 0.0, 0.0])) == 1e308
 
 
@@ -220,7 +222,7 @@ def test_generated_kernel_keeps_jet2_arithmetic_exactly():
 def test_generated_kernel_domain_errors(src, x, msg):
     f = field(src)
     x = np.array(x)
-    for call in (f.jet, f.value):
+    for call in (f.jet, f.jet_lists, f.value):
         with pytest.raises(DomainError) as exc:
             call(x)
         assert str(exc.value) == f"field '{src}': {msg}"
@@ -274,8 +276,21 @@ def test_log_of_nonpositive_raises():
 
 def test_scalar_field_shape_guard():
     f = field("a + b + c")
-    with pytest.raises(DimensionMismatch):
-        f.jet(np.array([1.0, 2.0]))
+    for call in (f.jet, f.jet_lists, f.value):
+        for x in (np.array([1.0, 2.0]), [1.0, 2.0]):
+            with pytest.raises(DimensionMismatch):
+                call(x)
+
+
+def test_default_jet_lists_read_the_jet():
+    # fields that are not tapes give jet_lists through their own jet
+    f = ScalarField(2, lambda jets: jets[0] * jets[1].sin(), label="f")
+    x = np.array([0.7, -1.3])
+    value, grad, hess = f.jet_lists(x)
+    want = f.jet(x)
+    assert type(value) is float
+    assert (value, grad, hess) == (want.value, want.gradient.tolist(),
+                                   want.hessian.ravel().tolist())
 
 
 def test_scalar_field_chain_matches_substitution():

@@ -250,6 +250,24 @@ def test_recompiled_ast_reproduces_the_jet(node, x):
     assert np.array_equal(got.hessian, want.hessian)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None,
+          database=None)
+@given(asts, st.tuples(coords, coords))
+def test_jet_lists_equal_the_jet_bit_for_bit(node, x):
+    f = compile_field(node, CTX)
+    try:
+        want = f.jet(np.array(x))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            f.jet_lists(list(x))
+        assert str(got.value) == str(exc)
+        return
+    value, grad, hess = f.jet_lists(list(x))
+    assert np.float64(value).tobytes() == np.float64(want.value).tobytes()
+    assert np.array(grad).tobytes() == want.gradient.tobytes()
+    assert np.array(hess).tobytes() == want.hessian.tobytes()
+
+
 def test_named_constants_compose():
     # pi and a user constant become numbers in the AST, so the field
     # composes over a context that names neither
