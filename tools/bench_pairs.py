@@ -11,14 +11,16 @@ Both sides run their own, unchanged perfbench/run.py in a fresh process.
 For each workload, pair i runs both sides at seed 11 + i with --trace 0;
 even pairs run the parent first, odd pairs the change.  After the pairs,
 each side makes one --trace 1 run at seed 1.  The output file holds
-each run's env line and final JSON line and, per end-to-end metric and
-side, the median and quartiles of the --trace 0 runs, with the number of
-pairs the change won (lower is better for every metric).
+each run's env line, its per-invocation median times and its final JSON
+line and, per end-to-end metric and side, the median and quartiles of
+the --trace 0 runs, with the number of pairs the change won (lower is
+better for every metric), and each invocation's median time over them.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "wall_cal", "task_p50_cal", "peak_rss_mb")
 SEED0 = 11       # pair seeds, away from the seed 1 used while developing
 TRACE_SEED = 1   # the seed of the traced counts quoted in CHANGES.md
+INVOCATION = re.compile(r"\s+(\S+)\s+median ([0-9.]+) s over")
 
 
 def _git(*args, cwd=ROOT):
@@ -37,7 +40,8 @@ def _git(*args, cwd=ROOT):
 
 
 def _run(tree, workload, seed, seconds, trace):
-    """One perfbench run: its env line and its final JSON line."""
+    """One perfbench run: its env line, its invocations' median seconds
+    and its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -46,6 +50,8 @@ def _run(tree, workload, seed, seconds, trace):
     lines = res.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines
                 if line.startswith("env ")), None)
+    invocations = {m[1]: float(m[2]) for m in map(INVOCATION.match, lines)
+                   if m}
     try:
         final = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -53,7 +59,8 @@ def _run(tree, workload, seed, seconds, trace):
     if res.returncode != 0 or final is None:
         sys.stderr.write(res.stdout + res.stderr)
     return {"workload": workload, "seed": seed, "trace": trace,
-            "exit": res.returncode, "env": env, "result": final}
+            "exit": res.returncode, "env": env, "invocations": invocations,
+            "result": final}
 
 
 def _spread(values):
@@ -76,6 +83,13 @@ def _summary(pairs):
                      "change": _spread(value["change"]),
                      "change_lower_in_pairs": won,
                      "pairs": min(map(len, value.values()))}
+    labels = pairs["parent"][0]["invocations"] if pairs["parent"] else {}
+    out["invocation_median_s"] = {
+        label: {side: statistics.median(run["invocations"][label]
+                                        for run in runs
+                                        if label in run["invocations"])
+                for side, runs in pairs.items()}
+        for label in labels}
     return out
 
 
