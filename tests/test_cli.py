@@ -320,25 +320,25 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, h,
 
 
 def test_classify_skips_overflowing_samples(tmp_path, monkeypatch):
-    def residuals(h, out):
+    def classify_report(h, out):
         cfg = tmp_path / f"{out}.ini"
         cfg.write_text(_OVERFLOW_INI.format(h=h))
         assert run("classify", cfg, tmp_path / out) == 0
         return report(tmp_path / out)
 
     margin = splitting._OVERFLOW_MARGIN
-    rep = residuals("exp(800*v1^2)", "out")
+    rep = classify_report("exp(800*v1^2)", "out")
     assert rep["values"]["skipped_samples"] > 0
     assert rep["verdicts"]["classification"] == "General"
     # draws next to the overflow edge are redrawn, not reported
     assert max(rep["residuals"].values()) <= margin
-    residuals("x1*v1^2 + y1", "ordinary")
+    classify_report("x1*v1^2 + y1", "ordinary")
     # without the margin, the edge reaches the report; an ordinary
     # splitting's report does not change
     monkeypatch.setattr(splitting, "_OVERFLOW_MARGIN", float("inf"))
-    assert max(residuals("exp(800*v1^2)", "edge")["residuals"].values()) \
-        > margin
-    residuals("x1*v1^2 + y1", "unbounded")
+    edge = classify_report("exp(800*v1^2)", "edge")
+    assert max(edge["residuals"].values()) > margin
+    classify_report("x1*v1^2 + y1", "unbounded")
     assert (tmp_path / "unbounded" / "report.json").read_bytes() == \
         (tmp_path / "ordinary" / "report.json").read_bytes()
 
