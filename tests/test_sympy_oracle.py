@@ -24,7 +24,8 @@ from fibresplit.exprs import (Bin, Call, Neg, Num, Var, VarContext,
                               compile_field, compose, fold_constants, parse,
                               variables)
 from fibresplit.jets import SLIT_EPS_DEFAULT, seed_jets
-from fibresplit.lagrangian import LagrangianSpec, euler_lagrange_sode
+from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
+                                   induced_splitting, subduce)
 from fibresplit.nonholonomic import (AffineConstraintSpec,
                                      constrained_lagrangian,
                                      lagrange_dalembert_system)
@@ -514,3 +515,32 @@ def test_unreduced_force_matches_sympy(n, m, Lbar, h, K):
         got = G.force(z)
         assert_close(got[:n], f, "base acceleration")
         assert_close(got[n:], wdot, "wdot")
+
+
+_SUBDUCED_CASES = [
+    # dL/dw = 0 pins w = -c v^2
+    (1, "0.5*v1^2 + 0.5*w1^2 + 0.75*w1*v1^2 - 0.6*x1^2",
+     "-0.75*v1^2"),
+    # dL/dw = 0 pins w = x1 v1 + sin(x2) v2 + 0.3 x1
+    (2, "0.5*(v1^2 + (1 + x2^2)*v2^2) - cos(x1)"
+        " + 0.5*(w1 - x1*v1 - sin(x2)*v2 - 0.3*x1)^2",
+     "x1*v1 + sin(x2)*v2 + 0.3*x1"),
+]
+
+
+@pytest.mark.parametrize("n, src, h", _SUBDUCED_CASES, ids=["1x1", "2x1"])
+def test_subduced_acceleration_matches_sympy(n, src, h):
+    # L restricted to its induced splitting w = h(x, v) drops to the
+    # base; its EL acceleration is that of the subduced Lagrangian
+    L = LagrangianSpec.from_expression(BundleChart(n, 1), src)
+    Lbar = subduce(L, induced_splitting(L), samples=10).Lbar
+    force = base_euler_lagrange(Lbar, n).force
+    x, v, acc = _syms("x", n), _syms("v", n), _syms("a", n)
+    ell = _sym(src).subs(sympy.Symbol("w1", real=True), _sym(h))
+    rates = dict(zip(x + v, v + acc))
+    eqs = [_ddt(sympy.diff(ell, v[i]), rates) - sympy.diff(ell, x[i])
+           for i in range(n)]
+    for s in _states(n, 2 * n, box=0.3):
+        assert_close(force(s[:n], s[n:]), _solve_linear(eqs, acc,
+                                                        _at(x + v, s)),
+                     "subduced acceleration")
