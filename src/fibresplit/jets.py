@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ArityError, DimensionMismatch, DomainError
-from .numerics import all_finite
+from .numerics import all_finite, as_floats
 
 SLIT_EPS_DEFAULT = 1e-6
 _EXP_MAX_ARG = math.log(sys.float_info.max)  # exp overflows above this
@@ -346,16 +346,13 @@ class TapeField(ScalarField):
         raise DomainError(f"field '{self.label}': {msg}") from None
 
     def _point(self, x):
-        """x as a list of k floats; a list of k entries is taken as it
-        is, so callers working in Python floats pass one straight on."""
-        if type(x) is list and len(x) == self.arity:
-            return x
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.arity,):
+        """x as a list of k Python floats."""
+        x = as_floats(x)
+        if len(x) != self.arity:
             raise DimensionMismatch(
                 f"field '{self.label}' expects {self.arity} inputs, "
-                f"got shape {x.shape}")
-        return x.tolist()
+                f"got {len(x)}")
+        return x
 
     def jet_lists(self, x):
         """The kernel's jet at x, (value, k gradient floats, k*k Hessian

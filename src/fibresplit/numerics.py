@@ -42,8 +42,18 @@ class LinearSystem:
 
 
 def as_floats(a):
-    """The 1-D a as a list of Python floats; a list is taken as it is."""
-    return a if type(a) is list else np.asarray(a, dtype=float).tolist()
+    """The 1-D a as a new list of Python floats, so that a list of ints
+    runs in float arithmetic too."""
+    if type(a) is list:
+        try:
+            return list(map(float, a))
+        except TypeError:  # nested: numpy names the shape below
+            pass
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-D sequence, got shape "
+                                f"{a.shape}")
+    return a.tolist()
 
 
 def dot(a, b):

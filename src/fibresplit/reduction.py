@@ -191,8 +191,7 @@ def xi_field(h, action, w_pt):
 @dataclass
 class BaseSode:
     """Second-order field on the base: x'' = force(x, v).  force takes x
-    and v as sequences of n floats, lists or arrays, and returns n
-    floats."""
+    and v as arrays of n floats and returns n floats."""
     n: int
     force: object
     provenance: str = "explicit"
@@ -257,9 +256,8 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
         z = as_floats(z)
         x, y = z[:n], z[n:n + m]
         v, w = z[n + m:2 * n + m], z[2 * n + m:]
-        f = as_floats(gamma_bar.force(x, v))
-        h._require_admissible(v)
-        jets = [c.jet_lists(x + y + v) for c in h.coefficients]
+        f = as_floats(gamma_bar.force(np.array(x), np.array(v)))
+        jets = h.h_jet_lists(x, y, v)
         om = linear_solve(LinearSystem(
             action.K_matrix(x, y),
             [w[a] - jets[a][0] for a in range(m)])).tolist()

@@ -99,6 +99,12 @@ class SplittingSpec:
         z = self.point_args(x, y, v)
         return [c.jet(z) for c in self.coefficients]
 
+    def h_jet_lists(self, x, y, v):
+        """The coefficients' jet_lists at (x, y, v), as Python floats."""
+        self._require_admissible(v)
+        z = as_floats(x) + as_floats(y) + as_floats(v)
+        return [c.jet_lists(z) for c in self.coefficients]
+
     def __repr__(self):
         return (f"SplittingSpec(n={self.chart.n}, m={self.chart.m}, "
                 f"provenance={self.provenance!r})")

@@ -230,6 +230,16 @@ def test_generated_kernel_domain_errors(src, x, msg):
         f.evaluator(seed_jets(x))
 
 
+def test_int_lists_run_in_float_arithmetic():
+    # each entry is converted: 10**400 as an exact int would pass the
+    # kernel's overflow check and fail later in math.isfinite
+    f = field("a^400")
+    for call in (f.jet, f.jet_lists, f.value):
+        with pytest.raises(DomainError) as exc:
+            call([10, 0, 0])
+        assert str(exc.value) == "field 'a^400': powi overflow"
+
+
 def test_generated_kernel_is_lazy_and_kept():
     f = field("a*b + c")
     assert f._kernel is None

@@ -8,8 +8,8 @@ from fibresplit.errors import (DimensionMismatch, DomainError, FlowEscape,
 from fibresplit.exprs import VarContext, compile_field
 from fibresplit.lagrangian import (LagrangianSpec, induced_splitting,
                                    integrate_sode)
-from fibresplit.reduction import (ActionSpec, DecouplingReport, MagneticModel,
-                                  _flow_lift, base_euler_lagrange,
+from fibresplit.reduction import (ActionSpec, BaseSode, DecouplingReport,
+                                  MagneticModel, _flow_lift, base_euler_lagrange,
                                   connection_test_domega, decoupling_check,
                                   integrate_base, integrate_magnetic,
                                   invariance_check, magnetic_induced_splitting,
@@ -125,6 +125,25 @@ def test_unreduce_oscillator_stays_horizontal():
     assert abs(rec.final[0] - np.cos(10.0)) < 1e-8
     drift = np.abs(rec.states[:, 3] - 0.7 * rec.states[:, 2]).max()
     assert drift < 1e-12
+
+
+def test_base_forces_take_arrays_on_every_path():
+    # a force written in numpy arithmetic runs through unreduce as through
+    # integrate_base
+    gbar = BaseSode(1, lambda x, v: -x)
+    h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
+    sode = unreduce(gbar, h, trivial_action())
+    assert np.allclose(sode.force([0.5, 0.0, 0.2, 0.14]), [-0.5, -0.35],
+                       rtol=0.0, atol=1e-15)
+    rec = integrate_base(gbar, [1.0], [0.0], 0.0, 1.0, 1e-3)
+    assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
+
+
+def test_frame_values_at_int_points_run_in_floats():
+    # 10**400 as an exact int would pass the kernel's overflow check
+    act = ActionSpec.from_expressions(CH, [["1 + y1^400"]])
+    with pytest.raises(DomainError, match="powi overflow"):
+        act.K_matrix([0], [10])
 
 
 def test_unreduce_rejects_incompatible_splitting():

@@ -1,26 +1,27 @@
 """Run the benchmark on a parent revision and on this checkout, in pairs.
 
     python tools/bench_pairs.py --parent REV --out BENCH_<pr>.json
-    python tools/bench_pairs.py --parent REV --parent-dir DIR --out ...
 
 The change side is the working tree holding this script.  The parent side
-is REV, checked out for the run in a temporary `git worktree` that is
-removed afterwards, or DIR when given, a checkout of REV made beforehand.
-Both sides run their own, unchanged perfbench/run.py in a fresh process.
+is REV, cloned from this repository into a temporary directory and checked
+out there for the run, then removed.  Both sides run their own, unchanged
+perfbench/run.py in a fresh process.
 
 For each workload, pair i runs both sides at seed 11 + i with --trace 0;
 even pairs run the parent first, odd pairs the change.  After the pairs,
-each side makes one --trace 1 run at seed 1.  The output file holds
-each run's env line, its per-invocation median times and its final JSON
-line and, per end-to-end metric and side, the median and quartiles of
-the --trace 0 runs, with the number of pairs the change won (lower is
-better for every metric), and each invocation's median time over them.
+each side makes one --trace 1 run at seed 1.  The output file holds each
+run's exit code, env line, per-invocation median times and final JSON
+line.  Per workload it summarises the pairs in which both runs succeeded
+(exit 0 and a final JSON line): per end-to-end metric and side, the median
+and quartiles, with the number of those pairs the change won (lower is
+better for every metric), and each invocation's median time; and per
+side, the number of runs that failed.
 """
 
 import argparse
 import json
-import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -29,6 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "wall_cal", "task_p50_cal", "peak_rss_mb")
+WORKLOADS = ("induced", "trajectories", "sweep")
+PAIRS = 10       # alternating pairs per workload
+SECONDS = 30     # perfbench --seconds, BENCHMARK.json's run_seconds
 SEED0 = 11       # pair seeds, apart from TRACE_SEED
 TRACE_SEED = 1   # the seed of the traced counts quoted in CHANGES.md
 INVOCATION = re.compile(r"\s+(\S+)\s+median ([0-9.]+) s over")
@@ -39,11 +43,11 @@ def _git(*args, cwd=ROOT):
                           text=True, check=True).stdout.strip()
 
 
-def _run(tree, workload, seed, seconds, trace):
-    """One perfbench run: its env line, its invocations' median seconds
-    and its final JSON line."""
+def _run(tree, workload, seed, trace):
+    """One perfbench run: its exit code, env line, invocations' median
+    seconds and final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
+           "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                          check=False)
@@ -63,6 +67,10 @@ def _run(tree, workload, seed, seconds, trace):
             "result": final}
 
 
+def _succeeded(run):
+    return run["exit"] == 0 and run["result"] is not None
+
+
 def _spread(values):
     if not values:
         return None
@@ -72,44 +80,50 @@ def _spread(values):
 
 
 def _summary(pairs):
-    """Per metric: each side's median and quartiles, and pairs won."""
-    out = {}
+    """Over the pairs whose two runs succeeded: per metric, each side's
+    median and quartiles and the pairs the change won; per invocation,
+    each side's median time.  pairs maps each side to its runs in pair
+    order."""
+    both = [i for i, runs in enumerate(zip(pairs["parent"], pairs["change"]))
+            if all(map(_succeeded, runs))]
+    good = {side: [runs[i] for i in both] for side, runs in pairs.items()}
+    out = {"pairs": len(both),
+           "failed_runs": {side: sum(not _succeeded(run) for run in runs)
+                           for side, runs in pairs.items()}}
     for name in END_TO_END:
         value = {side: [run["result"]["metrics"][name]["value"]
-                        for run in runs if run["result"]]
-                 for side, runs in pairs.items()}
+                        for run in runs]
+                 for side, runs in good.items()}
         won = sum(c < p for p, c in zip(value["parent"], value["change"]))
         out[name] = {"parent": _spread(value["parent"]),
                      "change": _spread(value["change"]),
-                     "change_lower_in_pairs": won,
-                     "pairs": min(map(len, value.values()))}
-    labels = pairs["parent"][0]["invocations"] if pairs["parent"] else {}
+                     "change_lower_in_pairs": won}
+    labels = good["parent"][0]["invocations"] if both else {}
     out["invocation_median_s"] = {
         label: {side: statistics.median(run["invocations"][label]
                                         for run in runs
                                         if label in run["invocations"])
-                for side, runs in pairs.items()}
+                for side, runs in good.items()}
         for label in labels}
     return out
 
 
-def bench(parent_tree, args):
+def bench(parent_tree):
     trees = {"parent": parent_tree, "change": str(ROOT)}
     report = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         pairs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                              "parent")
             for side in order:
-                run = _run(trees[side], workload, SEED0 + i,
-                           args.seconds, 0)
+                run = _run(trees[side], workload, SEED0 + i, 0)
                 run["side"], run["pair"] = side, i
                 pairs[side].append(run)
                 print(f"{workload} pair {i} {side}: exit {run['exit']}",
                       flush=True)
-        traced = [dict(_run(trees[side], workload, TRACE_SEED,
-                            args.seconds, 1), side=side)
+        traced = [dict(_run(trees[side], workload, TRACE_SEED, 1),
+                       side=side)
                   for side in ("parent", "change")]
         report[workload] = {"summary": _summary(pairs),
                             "runs": pairs["parent"] + pairs["change"],
@@ -120,34 +134,27 @@ def bench(parent_tree, args):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="parent git revision")
-    p.add_argument("--parent-dir",
-                   help="an existing checkout of the parent revision")
     p.add_argument("--out", required=True)
-    p.add_argument("--workloads", nargs="+",
-                   default=["induced", "trajectories", "sweep"])
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30)
     args = p.parse_args(argv)
 
-    parent_rev = _git("rev-parse", args.parent)
+    parent_rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     header = {
         "script": "tools/bench_pairs.py",
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seed0": SEED0, "trace_seed": TRACE_SEED},
+        "settings": {"pairs": PAIRS, "seconds": SECONDS, "seed0": SEED0,
+                     "trace_seed": TRACE_SEED},
         "parent": parent_rev,
         "change": _git("rev-parse", "HEAD"),
         "change_has_uncommitted_edits": bool(_git("status", "--porcelain",
                                                   "--", "src", "perfbench")),
     }
-    if args.parent_dir:
-        workloads = bench(os.path.abspath(args.parent_dir), args)
-    else:
-        tree = tempfile.mkdtemp(prefix="bench-parent-")
-        _git("worktree", "add", "--detach", tree, parent_rev)
-        try:
-            workloads = bench(tree, args)
-        finally:
-            _git("worktree", "remove", "--force", tree)
+    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        tree = str(Path(tmp) / "parent")
+        _git("clone", "--quiet", "--no-checkout", str(ROOT), tree)
+        _git("checkout", "--quiet", "--detach", parent_rev, cwd=tree)
+        workloads = bench(tree)
+    finally:
+        shutil.rmtree(tmp)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(dict(header, workloads=workloads), fh, indent=1,
                   sort_keys=True)
