@@ -81,7 +81,7 @@ class ActionSpec:
 
     def K_matrix(self, x, y):
         """K[b][g] at (x, y), as nested lists of floats."""
-        q = as_floats(x) + as_floats(y)
+        q = [*x, *y]  # each field converts its point to floats
         return [[float(f.value(q)) for f in row] for row in self.K]
 
     def K_jets(self, x, y):
@@ -91,7 +91,7 @@ class ActionSpec:
     def K_dot(self, x, y, v, w):
         """Derivative of K along (v, w), v . dK/dx + w . dK/dy, as nested
         lists of floats."""
-        q = as_floats(x) + as_floats(y)
+        q = [*x, *y]
         u = as_floats(v) + as_floats(w)
         return [[dot(f.jet_lists(q)[1], u) for f in row] for row in self.K]
 
@@ -205,7 +205,7 @@ def base_euler_lagrange(field, n):
 
     def force(x, v):
         v = as_floats(v)
-        return _force_from_jet(field.jet_lists(as_floats(x) + v), v)
+        return _force_from_jet(field.jet_lists([*x, *v]), v)
 
     return BaseSode(n, force, "euler-lagrange")
 

@@ -102,7 +102,7 @@ class SplittingSpec:
     def h_jet_lists(self, x, y, v):
         """The coefficients' jet_lists at (x, y, v), as Python floats."""
         self._require_admissible(v)
-        z = as_floats(x) + as_floats(y) + as_floats(v)
+        z = [*x, *y, *v]  # each coefficient converts its point to floats
         return [c.jet_lists(z) for c in self.coefficients]
 
     def __repr__(self):
