@@ -32,8 +32,7 @@ from .lagrangian import (InducedSplitting, LagrangianSpec, SodeSpec,
 from .nonholonomic import (AffineConstraintSpec, ConstrainedState,
                            constrained_lagrangian, integrate_constrained,
                            lagrange_dalembert_system)
-from .numerics import (IvpProblem, LinearSystem, NewtonProblem,
-                       TrajectoryRecord, linear_solve, newton_solve,
+from .numerics import (TrajectoryRecord, linear_solve, newton_solve,
                        rk4_integrate)
 from .reduction import (ActionSpec, BaseSode, MagneticModel,
                         base_euler_lagrange, connection_test_domega,

@@ -492,6 +492,9 @@ def main(argv=None):
             raise ParseError("[simulation] samples must be >= 1")
         if not 0.0 < sim["box"] < np.inf:
             raise ParseError("[simulation] box must be finite and positive")
+        for key in ("t0", "t1", "dt"):
+            if not np.isfinite(sim[key]):
+                raise ParseError(f"[simulation] {key} must be finite")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,8 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (IvpProblem, LinearSystem, NewtonProblem, as_floats,
-                       condition_number, dot, linear_solve, newton_solve,
-                       rk4_integrate, sample_max)
+from .numerics import (as_floats, condition_number, dot, linear_solve,
+                       newton_solve, rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
 
@@ -77,7 +76,7 @@ def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
     def f(t, z):
         return np.concatenate([z[k:], sode.force(z)])
 
-    return rk4_integrate(IvpProblem(f, t0, t1, z0, dt), diagnostic)
+    return rk4_integrate(f, t0, t1, z0, dt, diagnostic)
 
 
 def fibre_regularity(L, w_pt):
@@ -102,7 +101,7 @@ def _force_from_jet(jet, u):
         M.append(row[k:])
         rhs.append(grad[i] - dot(row[:k], u))
     try:
-        return linear_solve(LinearSystem(M, rhs))
+        return linear_solve(M, rhs)
     except SingularMatrix as exc:
         raise SingularHessian(f"velocity Hessian singular: {exc}") from exc
 
@@ -134,7 +133,7 @@ def _fibre_solve(Ljet, k):
     column 0 is the Newton step for dL/dw = 0, the others dw/dz."""
     H = Ljet.hessian[k:]
     rhs = np.column_stack([Ljet.gradient[k:], H[:, :k]])
-    return linear_solve(LinearSystem(H[:, k:], -rhs))
+    return linear_solve(H[:, k:], -rhs)
 
 
 # Step control of InducedSplitting.solve_detail's continuation
@@ -185,7 +184,7 @@ class InducedSplitting(SplittingSpec):
             """Root at s v, iterations, Newton step there and dw/ds."""
             system = _fibre_system(L, x, y, s * v)
             try:
-                res = newton_solve(NewtonProblem(system, w0, *limits))
+                res = newton_solve(system, w0, *limits)
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
             try:
@@ -241,7 +240,7 @@ def _probe_branches(spec):
         system = _fibre_system(spec._L, x, y, v)
         for s0 in seeds:
             try:
-                res = newton_solve(NewtonProblem(system, s0))
+                res = newton_solve(system, s0)
             except (DomainError, NoConvergence, SingularMatrix):
                 continue
             gap = np.abs(res.x - w_ref).max()
@@ -344,7 +343,7 @@ class SubducedField(ScalarField):
         Hzw = Ljet.hessian[np.ix_(idx, wpos)]
         Hww = Ljet.hessian[np.ix_(wpos, wpos)]
         try:
-            corr = Hzw @ linear_solve(LinearSystem(Hww, Hzw.T))
+            corr = Hzw @ linear_solve(Hww, Hzw.T)
         except SingularMatrix as exc:
             raise SingularHessian(f"fibre Hessian singular: {exc}") from exc
         H = Hzz - corr
@@ -426,7 +425,7 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
         s = s.tolist()
         return s[n:] + _force_from_jet(Lbar.jet_lists(s), s[n:]).tolist()
 
-    red = rk4_integrate(IvpProblem(fbar, 0.0, T, np.concatenate([x0, v0]), dt))
+    red = rk4_integrate(fbar, 0.0, T, np.concatenate([x0, v0]), dt)
 
     xs_full = full.states[:, :n]
     dev = np.abs(xs_full - red.states[:, :n]).max()

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import ScalarField, seed_jets
-from .numerics import (IvpProblem, LinearSystem, as_floats, dot,
-                       linear_solve, rk4_integrate)
+from .numerics import as_floats, dot, linear_solve, rk4_integrate
 from .splitting import AffineSplittingData, _curvature_lists
 
 
@@ -115,7 +114,7 @@ class ConstrainedSystem:
                          - dot(row[:n], v) - dot(row[n:n + m], ydot)
                          + force)
         M = [H[k * r + n + m:k * (r + 1)] for r in range(n + m, k)]
-        vdot = linear_solve(LinearSystem(M, rhs_v))
+        vdot = linear_solve(M, rhs_v)
         return np.array(v + ydot + vdot.tolist())
 
     def energy(self, s):
@@ -147,5 +146,4 @@ def integrate_constrained(L, c, ic, T, dt):
         return {"constraint_residual": resid,
                 "energy": system.energy(s)}
 
-    return rk4_integrate(
-        IvpProblem(system.rhs, 0.0, T, ic.as_array(), dt), diag)
+    return rk4_integrate(system.rhs, 0.0, T, ic.as_array(), dt, diag)

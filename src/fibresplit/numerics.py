@@ -26,21 +26,6 @@ from .errors import (DimensionMismatch, DomainError, NoConvergence,
                      NonFiniteState, SingularMatrix)
 
 
-@dataclass
-class LinearSystem:
-    """Square system A x = b; a 2-D b holds one right-hand side per column."""
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        n = self.b.shape[0] if self.b.ndim else -1
-        if self.A.shape != (n, n) or self.b.ndim not in (1, 2):
-            raise DimensionMismatch(
-                f"system shapes {self.A.shape} vs {self.b.shape}")
-
-
 def as_floats(a):
     """The 1-D a as a new list of Python floats, so that a list of ints
     runs in float arithmetic too."""
@@ -194,12 +179,21 @@ def _solver(k, r):
     return namespace["solve"]
 
 
+def _square(A):
+    """A as a float array, checked to be a square matrix."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"matrix of shape {A.shape} is not square")
+    return A
+
+
 def condition_number(A):
     """The 1-norm condition number kappa_1(A) = |A|_1 |A^-1|_1 of a square
     matrix, the one linear_solve bounds: inf when A is exactly singular,
     nan or inf when an entry of A is not finite.  It lies within a factor
-    k of the 2-norm condition number."""
-    A = np.asarray(A, dtype=float)
+    k of the 2-norm condition number.  Raises DimensionMismatch when A is
+    not square."""
+    A = _square(A)
     a = A.ravel().tolist()
     scale = _unit_scale(a)
     if scale != 1.0:
@@ -207,15 +201,22 @@ def condition_number(A):
     return _solver(len(A), 0)(a, [], math.inf, scale)[0]
 
 
-def linear_solve(system, cond_bound=1e13):
-    """Solve A x = b (x has the shape of b).
+def linear_solve(A, b, cond_bound=1e13):
+    """Solve A x = b for a square A (array-like, k x k) and b of k entries,
+    or k x r with one right-hand side per column; x is an array with the
+    shape of b.
 
-    Raises SingularMatrix when A or b has a non-finite entry, when the
-    1-norm condition number exceeds cond_bound (inf at an exactly zero
-    pivot), or when the solution misses the residual postcondition
+    Raises DimensionMismatch when the shapes do not fit that, and
+    SingularMatrix when A or b has a non-finite entry, when the 1-norm
+    condition number exceeds cond_bound (inf at an exactly zero pivot), or
+    when the solution misses the residual postcondition
     max|Ax-b| <= 1e-10 (1 + max|b|).
     """
-    A, B = system.A, system.b
+    A = _square(A)
+    B = np.asarray(b, dtype=float)
+    k = len(A)
+    if B.ndim not in (1, 2) or len(B) != k:
+        raise DimensionMismatch(f"system shapes {A.shape} vs {B.shape}")
     one_rhs = B.ndim == 1
     a = A.ravel().tolist()
     b = B.tolist() if one_rhs else B.T.ravel().tolist()
@@ -226,7 +227,7 @@ def linear_solve(system, cond_bound=1e13):
     if scale != 1.0:
         a = [v * scale for v in a]
         b = [v * scale for v in b]
-    k, r = len(A), (1 if one_rhs else B.shape[1])
+    r = 1 if one_rhs else B.shape[1]
     cond, x = _solver(k, r)(a, b, cond_bound, scale)
     if x is None:
         raise SingularMatrix(
@@ -241,16 +242,6 @@ _NEWTON_MAX_ITER = 50
 
 
 @dataclass
-class NewtonProblem:
-    """Root problem F(x) = 0; system(x) returns (F(x), DF(x)) at once.
-    Newton gives up after max_iter steps or a contraction over the max."""
-    system: object
-    x0: np.ndarray
-    max_iter: int = _NEWTON_MAX_ITER
-    max_contraction: float = math.inf
-
-
-@dataclass
 class NewtonResult:
     """Root, iterations, final max|F| and the contraction |dx_2| / |dx_1|
     of the first two steps (0.0 after at most one step, inf if damped)."""
@@ -260,9 +251,11 @@ class NewtonResult:
     contraction: float
 
 
-def newton_solve(problem):
-    """Damped Newton iteration to max|F| <= 1e-10 in at most
-    problem.max_iter (by default 50) iterations.
+def newton_solve(system, x0, max_iter=_NEWTON_MAX_ITER,
+                 max_contraction=math.inf):
+    """Damped Newton iteration for F(x) = 0 from x0, to max|F| <= 1e-10 in
+    at most max_iter (by default 50) iterations; system(x) returns
+    (F(x), DF(x)) at once.
 
     Full steps are halved (at most 20 times) until the residual norm
     decreases.  Each trial point costs one system call, and the Jacobian
@@ -270,22 +263,22 @@ def newton_solve(problem):
     residual converges in exactly one iteration and two system calls; the
     last call is at the returned root.  Raises NoConvergence with the
     iteration count and last residual norm on failure, or as soon as the
-    contraction of the first two steps exceeds problem.max_contraction.
+    contraction of the first two steps exceeds max_contraction.
     """
-    x = np.asarray(problem.x0, dtype=float).copy()
-    r, J = problem.system(x)
+    x = np.asarray(x0, dtype=float).copy()
+    r, J = system(x)
     r = np.asarray(r, dtype=float)
     rnorm = np.abs(r).max() if r.size else 0.0
     if rnorm <= _NEWTON_TOL:
         return NewtonResult(x, 0, float(rnorm), 0.0)
     first = theta = 0.0
-    for it in range(1, problem.max_iter + 1):
-        step = linear_solve(LinearSystem(J, -r))
+    for it in range(1, max_iter + 1):
+        step = linear_solve(J, -r)
         lam = 1.0
         accepted = False
         for _ in range(21):
             xn = x + lam * step
-            rn, Jn = problem.system(xn)
+            rn, Jn = system(xn)
             rn = np.asarray(rn, dtype=float)
             rn_norm = np.abs(rn).max() if np.isfinite(rn).all() else math.inf
             if rn_norm < rnorm or rn_norm <= _NEWTON_TOL:
@@ -302,25 +295,15 @@ def newton_solve(problem):
             first = np.abs(step).max()
         elif it == 2 and theta == 0.0:
             theta = float(np.abs(step).max() / first)
-        if theta > problem.max_contraction:
+        if theta > max_contraction:
             raise NoConvergence(f"contraction {theta:.3g} at iteration {it}",
                                 iterations=it, residual=float(rn_norm))
         x, r, J, rnorm = xn, rn, Jn, rn_norm
         if rnorm <= _NEWTON_TOL:
             return NewtonResult(x, it, float(rnorm), theta)
     raise NoConvergence(
-        f"no convergence in {problem.max_iter} iterations",
-        iterations=problem.max_iter, residual=float(rnorm))
-
-
-@dataclass
-class IvpProblem:
-    """Initial value problem y' = f(t, y) on [t0, t1] with step dt."""
-    f: object
-    t0: float
-    t1: float
-    y0: np.ndarray
-    dt: float
+        f"no convergence in {max_iter} iterations",
+        iterations=max_iter, residual=float(rnorm))
 
 
 @dataclass
@@ -343,40 +326,39 @@ def _rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(problem, diagnostic=None):
-    """Classic fixed-step RK4.
+def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
+    """Classic fixed-step RK4 for y' = f(t, y) from y(t0) = y0 to t1.
 
     The grid is t0 + i*dt; a shorter final step lands exactly on t1.
     diagnostic, if given, maps (t, y) to a dict of floats recorded at every
     stored point.  Raises NonFiniteState as soon as the state leaves
     float range.
     """
-    if problem.dt <= 0:
+    if dt <= 0:
         raise ValueError("dt must be positive")
-    if problem.t1 < problem.t0:
+    if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    y = np.asarray(problem.y0, dtype=float).copy()
-    span = problem.t1 - problem.t0
-    n_full = int(math.floor(span / problem.dt + 1e-12))
-    rem = span - n_full * problem.dt
+    y = np.asarray(y0, dtype=float).copy()
+    span = t1 - t0
+    n_full = int(math.floor(span / dt + 1e-12))
+    rem = span - n_full * dt
     if rem < 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    steps = [problem.dt] * n_full + ([rem] if rem else [])
-    times = [problem.t0]
+    steps = [dt] * n_full + ([rem] if rem else [])
+    times = [t0]
     states = [y.copy()]
     diags = []
     if diagnostic is not None:
-        diags.append(diagnostic(problem.t0, y))
-    f = problem.f
+        diags.append(diagnostic(t0, y))
     def fa(t, s):
         return np.asarray(f(t, s), dtype=float)
-    t = problem.t0
+    t = t0
     for i, h in enumerate(steps):
         y = _rk4_step(fa, t, y, h)
         # recompute t from the grid, not by accumulation
-        t = problem.t0 + (i + 1) * problem.dt if i + 1 <= n_full else problem.t1
+        t = t0 + (i + 1) * dt if i + 1 <= n_full else t1
         if i + 1 == len(steps):
-            t = problem.t1
+            t = t1
         if not np.isfinite(y).all():
             raise NonFiniteState(f"state non-finite at t={t}")
         times.append(t)

@@ -21,9 +21,8 @@ from .errors import (DimensionMismatch, DomainError, FlowEscape,
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet
-from .numerics import (IvpProblem, LinearSystem, SampleReport, as_floats,
-                       condition_number, dot, linear_solve, rk4_integrate,
-                       sample_max)
+from .numerics import (SampleReport, as_floats, condition_number, dot,
+                       linear_solve, rk4_integrate, sample_max)
 from .splitting import vilms_vertical_projector
 
 
@@ -67,7 +66,7 @@ class ActionSpec:
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, self.chart.n + m)
             Kv = self.K_matrix(q[:self.chart.n], q[self.chart.n:])
-            if abs(np.linalg.det(Kv)) < 1e-12:
+            if not condition_number(Kv) <= 1e13:
                 raise SingularMatrix(
                     f"generator frame degenerate at sample point {q}")
 
@@ -155,7 +154,7 @@ def omega(h, action, w_pt):
     """Frame components of the vertical part: solves K omega = w - h."""
     hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
     Kv = action.K_matrix(w_pt.x, w_pt.y)
-    return linear_solve(LinearSystem(Kv, w_pt.w - hval))
+    return linear_solve(Kv, w_pt.w - hval)
 
 
 def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
@@ -169,7 +168,7 @@ def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
         Kv = action.K_matrix(x, y)
         euler = np.array([float(j.gradient[n + m:] @ v) - j.value
                           for j in hjets])
-        return np.abs(linear_solve(LinearSystem(Kv, euler))).max()
+        return np.abs(linear_solve(Kv, euler)).max()
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -181,7 +180,7 @@ def xi_field(h, action, w_pt):
     n, m = chart.n, chart.m
     hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
     diff = w_pt.w - hval
-    om = linear_solve(LinearSystem(action.K_matrix(w_pt.x, w_pt.y), diff))
+    om = linear_solve(action.K_matrix(w_pt.x, w_pt.y), diff)
     Kd = action.K_dot(w_pt.x, w_pt.y, w_pt.v, w_pt.w)
     return SecondTangentPoint(chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
                               np.zeros(n), diff, np.zeros(n),
@@ -217,7 +216,7 @@ def integrate_base(sode, x0, v0, t0, t1, dt, diagnostic=None):
     def f(t, s):
         return np.concatenate([s[n:], sode.force(s[:n], s[n:])])
 
-    return rk4_integrate(IvpProblem(f, t0, t1, s0, dt), diagnostic)
+    return rk4_integrate(f, t0, t1, s0, dt, diagnostic)
 
 
 def vilms_of_sode(gamma_bar, h, w_pt):
@@ -258,9 +257,8 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
         v, w = z[n + m:2 * n + m], z[2 * n + m:]
         f = as_floats(gamma_bar.force(np.array(x), np.array(v)))
         jets = h.h_jet_lists(x, y, v)
-        om = linear_solve(LinearSystem(
-            action.K_matrix(x, y),
-            [w[a] - jets[a][0] for a in range(m)])).tolist()
+        om = linear_solve(action.K_matrix(x, y),
+                          [w[a] - jets[a][0] for a in range(m)]).tolist()
         Kd = action.K_dot(x, y, v, w)
         u = v + w + f
         return np.array(f + [dot(jets[a][1], u) + dot(Kd[a], om)
@@ -307,9 +305,9 @@ def _flow_lift(action, gamma, t, s, steps=64):
                                       D2K + DK @ np.concatenate([s.V, W])])
 
     try:
-        rec = rk4_integrate(IvpProblem(
-            f, 0.0, abs(t), np.concatenate([s.y, s.w, s.Y, s.W]),
-            abs(t) / steps))
+        rec = rk4_integrate(f, 0.0, abs(t),
+                            np.concatenate([s.y, s.w, s.Y, s.W]),
+                            abs(t) / steps)
     except NonFiniteState as exc:
         raise FlowEscape(f"generator flow diverged: {exc}") from exc
     y, w, Y, W = np.split(rec.final, 4)
@@ -515,8 +513,7 @@ class MagneticSystem:
                  - sum(dG[i][j][l] * v[l] * v[j] for j, l in nn)
                  + force[i]
                  for i in range(n)]
-        vdot = linear_solve(LinearSystem(
-            [[jet[0] for jet in row] for row in g], rhs_v))
+        vdot = linear_solve([[jet[0] for jet in row] for row in g], rhs_v)
 
         C = mdl.C.tolist()
         pdot = [sum(U[b][i][a] * v[i] * p[b]
@@ -524,8 +521,8 @@ class MagneticSystem:
                 + sum(C[b][a][c] * wb[c] * p[b]
                       for b in range(m) for c in range(m))
                 for a in range(m)]
-        wbdot = linear_solve(LinearSystem(
-            mdl.k, [pdot[a] - dot(dAf[a], v) for a in range(m)]))
+        wbdot = linear_solve(mdl.k,
+                             [pdot[a] - dot(dAf[a], v) for a in range(m)])
         return np.array(v + vdot.tolist() + wbdot.tolist())
 
 
@@ -537,9 +534,8 @@ def integrate_magnetic(system, s0, t0, t1, dt):
     def diag(t, s):
         return {f"p{a+1}": pa for a, pa in enumerate(system.momentum(s))}
 
-    return rk4_integrate(
-        IvpProblem(system.rhs, t0, t1, np.asarray(s0, dtype=float), dt),
-        diag)
+    return rk4_integrate(system.rhs, t0, t1, np.asarray(s0, dtype=float),
+                         dt, diag)
 
 
 def magnetic_induced_splitting(model):
@@ -547,7 +543,7 @@ def magnetic_induced_splitting(model):
     def h(x):
         A = np.array([f.value(np.asarray(x, dtype=float))
                       for f in model.A_fibre])
-        return linear_solve(LinearSystem(model.k, -A))
+        return linear_solve(model.k, -A)
     return h
 
 

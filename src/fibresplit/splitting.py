@@ -21,8 +21,8 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
 from .exprs import compile_field, compose, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (IvpProblem, TrajectoryRecord, as_floats, dot,
-                       rk4_integrate, sample_max)
+from .numerics import (TrajectoryRecord, as_floats, dot, rk4_integrate,
+                       sample_max)
 
 PROVENANCE = ("explicit", "induced-by-Lagrangian", "affine-from-constraints")
 
@@ -176,7 +176,7 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
         x, xdot = base_curve(t)
         return spec.h_values(x, y, xdot)
 
-    rec = rk4_integrate(IvpProblem(f, t0, t1, y0, dt))
+    rec = rk4_integrate(f, t0, t1, y0, dt)
     ts = rec.t
     ys = rec.states
     rows = []

@@ -26,7 +26,7 @@ from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
                                    symmetry_condition_check, tangency_check)
 from fibresplit.nonholonomic import (AffineConstraintSpec, ConstrainedState,
                                      integrate_constrained)
-from fibresplit.numerics import IvpProblem, rk4_integrate
+from fibresplit.numerics import rk4_integrate
 from fibresplit.reduction import (ActionSpec, MagneticModel,
                                   base_euler_lagrange,
                                   connection_test_domega, decoupling_check,
@@ -382,8 +382,7 @@ def test_criterion_15_infrastructure(tmp_path):
         assert parse(text) == ast, text
 
     def err(dt):
-        rec = rk4_integrate(IvpProblem(lambda t, y: y, 0.0, 1.0,
-                                       np.array([1.0]), dt))
+        rec = rk4_integrate(lambda t, y: y, 0.0, 1.0, np.array([1.0]), dt)
         return abs(rec.final[0] - np.e)
 
     factor = err(0.02) / err(0.01)

@@ -250,6 +250,9 @@ def test_asymmetric_base_metric_exits_2(tmp_path, capsys):
         assert not (tmp_path / command / "report.json").exists()
 
 
+_IC = "ic = [0.0, 0.0, 0.5, -0.25]"
+
+
 @pytest.mark.parametrize("command, setting, extra, key", [
     ("induce", "", ("--samples", "0"), "samples"),
     ("classify", "samples = -3", (), "samples"),
@@ -257,8 +260,15 @@ def test_asymmetric_base_metric_exits_2(tmp_path, capsys):
     ("induce", "box = -1", (), "box"),
     ("classify", "box = inf", (), "box"),
     ("classify", "box = nan", (), "box"),
+    ("el-simulate", f"{_IC}\nt0 = -inf", (), "t0"),
+    ("el-simulate", f"{_IC}\nt1 = nan", (), "t1"),
+    ("el-simulate", f"{_IC}\ndt = inf", (), "dt"),
+    ("el-simulate", _IC, ("--t1", "inf"), "t1"),
+    ("el-simulate", _IC, ("--dt", "inf"), "dt"),
+    ("el-simulate", _IC, ("--t1", "nan"), "t1"),
 ], ids=["samples-override-0", "samples-negative", "box-zero", "box-negative",
-        "box-inf", "box-nan"])
+        "box-inf", "box-nan", "t0-inf", "t1-nan", "dt-inf", "t1-override-inf",
+        "dt-override-inf", "t1-override-nan"])
 def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
                                          extra, key):
     cfg = tmp_path / "sampling.ini"

@@ -32,13 +32,13 @@ def lag(src, **kw):
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """The problems of every newton_solve call the continuation makes."""
+    """The arguments of every newton_solve call the continuation makes."""
     calls = []
     solve = lagrangian.newton_solve
 
-    def counted(problem):
-        calls.append(problem)
-        return solve(problem)
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
 
     monkeypatch.setattr(lagrangian, "newton_solve", counted)
     return calls

@@ -51,6 +51,15 @@ def test_structure_constant_guards():
 def test_generator_frame_must_be_invertible():
     with pytest.raises(SingularMatrix):
         ActionSpec.from_expressions(CH, [["0"]])
+    # the frame is bounded like every solve with it, by kappa_1 <= 1e13,
+    # not by the size of det K
+    ch2 = BundleChart(1, 2)
+    small = ActionSpec.from_expressions(ch2, [["1e-7", "0"], ["0", "1e-7"]])
+    pt = TangentPointM(ch2, [0.1], [0.2, 0.3], [0.4], [0.5, 0.6])
+    h = SplittingSpec.from_expressions(ch2, ["0", "0"])
+    assert np.allclose(omega(h, small, pt), [5e6, 6e6], rtol=1e-14)
+    with pytest.raises(SingularMatrix, match="degenerate"):
+        ActionSpec.from_expressions(ch2, [["1e8", "0"], ["0", "1e-6"]])
 
 
 def test_invariance_pass_and_fail():

@@ -35,10 +35,10 @@ def _counted(counts):
     """Wrap linear_solve and condition_number under every module binding."""
     solve, cond = numerics.linear_solve, numerics.condition_number
 
-    def counted_solve(system, *args, **kwargs):
-        b = system.b
-        counts[len(system.A), "1-D" if b.ndim == 1 else b.shape[1]] += 1
-        return solve(system, *args, **kwargs)
+    def counted_solve(A, b, *args, **kwargs):
+        b_shape = np.shape(b)
+        counts[len(A), "1-D" if len(b_shape) == 1 else b_shape[1]] += 1
+        return solve(A, b, *args, **kwargs)
 
     def counted_cond(A):
         counts[len(A), "cond"] += 1

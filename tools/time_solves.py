@@ -5,7 +5,7 @@
 For k = 1..8 it times, on one seeded, well-conditioned k x k system
 with a 1-D right-hand side:
 
-  linear_solve     fibresplit.numerics.linear_solve on a built LinearSystem
+  linear_solve     fibresplit.numerics.linear_solve(A, b)
   np.solve         np.linalg.solve(A, b)
   np.solve+cond    np.linalg.solve(A, b) and np.linalg.cond(A)
   generate         the one-time cost of generating and compiling the
@@ -67,10 +67,9 @@ def main():
     for k in range(1, KMAX + 1):
         A = rng.uniform(-1.0, 1.0, (k, k)) + 2.0 * np.eye(k)
         b = rng.uniform(-1.0, 1.0, k)
-        system = numerics.LinearSystem(A, b)
 
         def ours():
-            numerics.linear_solve(system)
+            numerics.linear_solve(A, b)
 
         def lapack():
             np.linalg.solve(A, b)
