@@ -34,9 +34,8 @@ from .nonholonomic import (AffineConstraintSpec, ConstrainedState,
                            lagrange_dalembert_system)
 from .numerics import (TrajectoryRecord, linear_solve, newton_solve,
                        rk4_integrate)
-from .reduction import (ActionSpec, BaseSode, MagneticModel,
-                        base_euler_lagrange, connection_test_domega,
-                        decoupling_check, integrate_base, integrate_magnetic,
+from .reduction import (ActionSpec, MagneticModel, connection_test_domega,
+                        decoupling_check, integrate_magnetic,
                         invariance_check, magnetic_induced_splitting,
                         magnetic_lp_system, momentum_map, omega,
                         principal_check, unreduce, vilms_of_sode,
@@ -44,11 +43,10 @@ from .reduction import (ActionSpec, BaseSode, MagneticModel,
 from .splitting import (AffineSplittingData, SplittingSpec,
                         affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, curvature_rbar,
-                        horizontal_lift_curve, horizontal_lift_field,
-                        horizontal_map, lifted_field, project_horizontal,
-                        project_vertical, vilms_complete_lift_check,
-                        vilms_horizontal, vilms_lift,
-                        vilms_vertical_projector)
+                        horizontal_lift_curve, horizontal_map, lifted_field,
+                        project_horizontal, project_vertical,
+                        vilms_complete_lift_check, vilms_horizontal,
+                        vilms_lift, vilms_vertical_projector)
 
 __version__ = "0.1.0"
 

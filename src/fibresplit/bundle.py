@@ -36,8 +36,8 @@ class BundleChart:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DimensionMismatch("chart needs n >= 1 and m >= 1")
-        if self.slit_eps <= 0:
-            raise ValueError("slit_eps must be positive")
+        if not 0 < self.slit_eps < np.inf:
+            raise ValueError("slit_eps must be positive and finite")
 
     @property
     def x_names(self):

@@ -27,11 +27,11 @@ from .lagrangian import (defining_relation_check, euler_lagrange_sode,
                          integrate_sode, projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import sample_max
-from .reduction import (base_euler_lagrange, connection_test_domega,
-                        decoupling_check, integrate_magnetic,
-                        invariance_check, magnetic_lp_system, momentum_map,
-                        principal_check, unreduce)
+from .numerics import _MAX_STEPS, sample_max
+from .reduction import (connection_test_domega, decoupling_check,
+                        integrate_magnetic, invariance_check,
+                        magnetic_lp_system, momentum_map, principal_check,
+                        unreduce)
 from .splitting import (affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, horizontal_lift_curve,
                         project_horizontal, project_vertical, rate_residual)
@@ -213,7 +213,7 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
 
 def _cmd_el_simulate(run, cfg, chart, sim, args):
     L = cfg.lagrangian(chart)
-    sode = euler_lagrange_sode(L)
+    sode = euler_lagrange_sode(L.field)
     k = chart.n + chart.m
     ic = sim.get("ic")
     if ic is None or len(ic) != 2 * k:
@@ -309,22 +309,23 @@ def _cmd_curvature(run, cfg, chart, sim, args):
 
 
 def _cmd_unreduce(run, cfg, chart, sim, args):
-    Lbar = cfg.base_lagrangian(chart)
-    gamma_bar = base_euler_lagrange(Lbar, chart.n)
+    gamma_bar = euler_lagrange_sode(cfg.base_lagrangian(chart))
     h = cfg.splitting(chart)
     action = cfg.action(chart)
     G = unreduce(gamma_bar, h, action, **run.sampling)
     n, m = chart.n, chart.m
+    k = n + m
     box = sim["box"]
     rng = np.random.default_rng(run.report["seed"])
 
     def submersion(z):
         z2 = z.copy()
-        z2[n:n + m] = rng.uniform(-box, box, m)
-        z2[2 * n + m:] = rng.uniform(-box, box, m)
-        return float(np.abs(G.force(z)[:n] - G.force(z2)[:n]).max())
+        z2[n:k] = rng.uniform(-box, box, m)
+        z2[k + n:] = rng.uniform(-box, box, m)
+        return float(np.abs(G.force(z[:k], z[k:])[:n]
+                            - G.force(z2[:k], z2[k:])[:n]).max())
 
-    sub = sample_max(submersion, 50, rng, 2 * (n + m), box).max_residual
+    sub = sample_max(submersion, 50, rng, 2 * k, box).max_residual
     run.check("submersion", sub, run.report["tolerances"]["structural"])
     ic = sim.get("ic")
     if ic is not None:
@@ -495,6 +496,9 @@ def main(argv=None):
         for key in ("t0", "t1", "dt"):
             if not np.isfinite(sim[key]):
                 raise ParseError(f"[simulation] {key} must be finite")
+        if sim["dt"] > 0 and (sim["t1"] - sim["t0"]) / sim["dt"] > _MAX_STEPS:
+            raise ParseError(f"[simulation] t1 must be at most {_MAX_STEPS} "
+                             f"steps of dt after t0")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

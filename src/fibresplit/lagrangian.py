@@ -60,21 +60,23 @@ class LagrangianSpec:
 
 @dataclass
 class SodeSpec:
-    """Second-order field: d(q)/dt = u, d(u)/dt = force(x, y, v, w)."""
-    chart: object
-    force: object   # callable on the concatenated state, returns n+m floats
-    provenance: str = "euler-lagrange"
+    """Second-order field on dim coordinates: d(q)/dt = u and
+    d(u)/dt = force(q, u); force takes q and u as arrays of dim floats and
+    returns dim floats."""
+    dim: int
+    force: object
+    provenance: str = "explicit"
 
 
 def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
-    """Integrate a SODE; states are rows (x, y, v, w) on the time grid."""
-    k = sode.chart.n + sode.chart.m
+    """Integrate a SODE; states are rows (q, u) on the time grid."""
+    k = sode.dim
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (2 * k,):
         raise DimensionMismatch(f"state must have length {2 * k}")
 
     def f(t, z):
-        return np.concatenate([z[k:], sode.force(z)])
+        return np.concatenate([z[k:], sode.force(z[:k], z[k:])])
 
     return rk4_integrate(f, t0, t1, z0, dt, diagnostic)
 
@@ -90,31 +92,36 @@ def fibre_regularity(L, w_pt):
             "condition": condition_number(W)}
 
 
-def _force_from_jet(jet, u):
-    """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u for the acceleration,
-    from L's jet at (q, u) as jet_lists gives it and u as k floats."""
+def _force_from_jet(jet, u, extra=None):
+    """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u + extra for the
+    acceleration, from L's jet at (q, u) as jet_lists gives it, u as k
+    floats and extra, an external force of k floats, or None for none."""
     _, grad, hess = jet
     k = len(u)
     M, rhs = [], []
     for i in range(k):
         row = hess[2 * k * (k + i):2 * k * (k + i + 1)]
         M.append(row[k:])
-        rhs.append(grad[i] - dot(row[:k], u))
+        r = grad[i] - dot(row[:k], u)
+        rhs.append(r if extra is None else r + extra[i])
     try:
         return linear_solve(M, rhs)
     except SingularMatrix as exc:
         raise SingularHessian(f"velocity Hessian singular: {exc}") from exc
 
 
-def euler_lagrange_sode(L):
-    """The EL field of L, with the acceleration solved pointwise."""
-    k = L.chart.n + L.chart.m
+def euler_lagrange_sode(field):
+    """The EL field of a Lagrangian field of (q, u), arity 2 dim, with the
+    acceleration solved pointwise."""
+    if field.arity % 2:
+        raise DimensionMismatch(
+            f"Lagrangian arity {field.arity} is odd; expected 2 * dim")
 
-    def force(z):
-        z = as_floats(z)
-        return _force_from_jet(L.field.jet_lists(z), z[k:])
+    def force(q, u):
+        u = as_floats(u)
+        return _force_from_jet(field.jet_lists(as_floats(q) + u), u)
 
-    return SodeSpec(L.chart, force, "euler-lagrange")
+    return SodeSpec(field.arity // 2, force, "euler-lagrange")
 
 
 def _fibre_system(L, x, y, v):
@@ -409,23 +416,16 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     curve (finite differences in t), and the minimum |det| of the subduced
     velocity Hessian seen on the grid.
     """
-    chart = L.chart
-    n, m = chart.n, chart.m
+    n, m = L.chart.n, L.chart.m
     x0 = np.asarray(ic_base[0], dtype=float)
     v0 = np.asarray(ic_base[1], dtype=float)
     y0 = np.asarray(y0, dtype=float)
     w0 = h.h_values(x0, y0, v0)
-    sode = euler_lagrange_sode(L)
-    full = integrate_sode(sode, np.concatenate([x0, y0, v0, w0]), 0.0, T, dt)
-
-    sub = subduce(L, h, samples, seed, box)
-    Lbar = sub.Lbar
-
-    def fbar(t, s):
-        s = s.tolist()
-        return s[n:] + _force_from_jet(Lbar.jet_lists(s), s[n:]).tolist()
-
-    red = rk4_integrate(fbar, 0.0, T, np.concatenate([x0, v0]), dt)
+    full = integrate_sode(euler_lagrange_sode(L.field),
+                          np.concatenate([x0, y0, v0, w0]), 0.0, T, dt)
+    Lbar = subduce(L, h, samples, seed, box).Lbar
+    red = integrate_sode(euler_lagrange_sode(Lbar),
+                         np.concatenate([x0, v0]), 0.0, T, dt)
 
     xs_full = full.states[:, :n]
     dev = np.abs(xs_full - red.states[:, :n]).max()

@@ -326,10 +326,15 @@ def _rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# Largest step count rk4_integrate accepts; every stored point is kept
+_MAX_STEPS = 10**6
+
+
 def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     """Classic fixed-step RK4 for y' = f(t, y) from y(t0) = y0 to t1.
 
-    The grid is t0 + i*dt; a shorter final step lands exactly on t1.
+    The grid is t0 + i*dt; a shorter final step lands exactly on t1.  More
+    than _MAX_STEPS steps raise ValueError before the first one.
     diagnostic, if given, maps (t, y) to a dict of floats recorded at every
     stored point.  Raises NonFiniteState as soon as the state leaves
     float range.
@@ -338,13 +343,16 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
         raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
+    if not span / dt <= _MAX_STEPS:  # also catches inf and nan
+        raise ValueError(f"(t1 - t0)/dt = {span / dt:.6g} RK4 steps exceed "
+                         f"the maximum of {_MAX_STEPS}")
+    y = np.asarray(y0, dtype=float).copy()
     n_full = int(math.floor(span / dt + 1e-12))
     rem = span - n_full * dt
     if rem < 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    steps = [dt] * n_full + ([rem] if rem else [])
+    n_steps = n_full + (1 if rem else 0)
     times = [t0]
     states = [y.copy()]
     diags = []
@@ -353,12 +361,10 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     def fa(t, s):
         return np.asarray(f(t, s), dtype=float)
     t = t0
-    for i, h in enumerate(steps):
-        y = _rk4_step(fa, t, y, h)
+    for i in range(n_steps):
+        y = _rk4_step(fa, t, y, dt if i < n_full else rem)
         # recompute t from the grid, not by accumulation
-        t = t0 + (i + 1) * dt if i + 1 <= n_full else t1
-        if i + 1 == len(steps):
-            t = t1
+        t = t1 if i + 1 == n_steps else t0 + (i + 1) * dt
         if not np.isfinite(y).all():
             raise NonFiniteState(f"state non-finite at t={t}")
         times.append(t)

@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, DomainError, FlowEscape,
                      NonFiniteState, NotPrincipal, SingularMatrix)
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
-from .lagrangian import SodeSpec, _force_from_jet
+from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
 from .numerics import (SampleReport, as_floats, condition_number, dot,
                        linear_solve, rk4_integrate, sample_max)
 from .splitting import vilms_vertical_projector
@@ -187,38 +187,6 @@ def xi_field(h, action, w_pt):
                               [dot(row, om.tolist()) for row in Kd])
 
 
-@dataclass
-class BaseSode:
-    """Second-order field on the base: x'' = force(x, v).  force takes x
-    and v as arrays of n floats and returns n floats."""
-    n: int
-    force: object
-    provenance: str = "explicit"
-
-
-def base_euler_lagrange(field, n):
-    """EL field of a base Lagrangian given as a ScalarField of (x, v)."""
-    if field.arity != 2 * n:
-        raise DimensionMismatch(
-            f"base Lagrangian arity {field.arity}, expected {2 * n}")
-
-    def force(x, v):
-        v = as_floats(v)
-        return _force_from_jet(field.jet_lists([*x, *v]), v)
-
-    return BaseSode(n, force, "euler-lagrange")
-
-
-def integrate_base(sode, x0, v0, t0, t1, dt, diagnostic=None):
-    n = sode.n
-    s0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
-
-    def f(t, s):
-        return np.concatenate([s[n:], sode.force(s[:n], s[n:])])
-
-    return rk4_integrate(f, t0, t1, s0, dt, diagnostic)
-
-
 def vilms_of_sode(gamma_bar, h, w_pt):
     """Horizontal lift of the base field through the doubled splitting.
 
@@ -241,6 +209,10 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
     """Lift a base SODE to a SODE on the total space tangent to the image
     of h.  The fibre-velocity force is dh.(v, w, f) plus the vertical
     correction Kdot K^-1 (w - h); requires h compatible with the action."""
+    n, m = h.chart.n, h.chart.m
+    if gamma_bar.dim != n:
+        raise DimensionMismatch(
+            f"base SODE has dimension {gamma_bar.dim}, expected {n}")
     if check:
         rep = principal_check(h, action, samples=samples, seed=seed,
                               box=box)
@@ -248,23 +220,20 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
             raise NotPrincipal(
                 f"splitting fails the frame compatibility test "
                 f"(residual {rep.max_residual:.3e})")
-    chart = h.chart
-    n, m = chart.n, chart.m
 
-    def force(z):
-        z = as_floats(z)
-        x, y = z[:n], z[n:n + m]
-        v, w = z[n + m:2 * n + m], z[2 * n + m:]
+    def force(q, u):
+        q, u = as_floats(q), as_floats(u)
+        x, y, v, w = q[:n], q[n:], u[:n], u[n:]
         f = as_floats(gamma_bar.force(np.array(x), np.array(v)))
         jets = h.h_jet_lists(x, y, v)
         om = linear_solve(action.K_matrix(x, y),
                           [w[a] - jets[a][0] for a in range(m)]).tolist()
         Kd = action.K_dot(x, y, v, w)
-        u = v + w + f
-        return np.array(f + [dot(jets[a][1], u) + dot(Kd[a], om)
+        vwf = u + f
+        return np.array(f + [dot(jets[a][1], vwf) + dot(Kd[a], om)
                              for a in range(m)])
 
-    return SodeSpec(chart, force, "unreduced")
+    return SodeSpec(n + m, force, "unreduced")
 
 
 def _flow_lift(action, gamma, t, s, steps=64):
@@ -455,15 +424,18 @@ class MagneticModel:
 class MagneticSystem:
     """First-order dynamics in the reduced state (x, v, wbar).
 
-    The v-equation is solved from the base-metric block, the wbar-equation
-    from the fibre-metric block; p = k wbar + A_fibre is the transported
-    momentum, recorded as a diagnostic.  Between the field kernels and the
-    two solves everything is Python floats: jets come as jet_lists, and
-    each contraction sums its terms in index order.
+    The v-equation is the EL equation of the reduced base Lagrangian Lbar,
+    compiled once, forced by dA_fibre.wbar and the curvature and adjoint
+    terms; the wbar-equation is solved from the fibre-metric block.
+    p = k wbar + A_fibre is the transported momentum, recorded as a
+    diagnostic.  Between the field kernels and the two solves everything
+    is Python floats: jets come as jet_lists, and each contraction sums
+    its terms in index order.
     """
 
     def __init__(self, model):
         self.model = model
+        self.Lbar = reduced_base_lagrangian(model)
 
     def split(self, s):
         n = self.model.n
@@ -491,29 +463,19 @@ class MagneticSystem:
         mdl = self.model
         n, m = mdl.n, mdl.m
         x, v, wb = self.split(as_floats(s))
-        g = [[f.jet_lists(x) for f in row] for row in mdl.g]
-        dG = [[jet[1] for jet in row] for row in g]  # dG[i][j][l] = dg_ij/dx_l
-        dV = mdl.V.jet_lists(x)[1]
-        dAb = [f.jet_lists(x)[1] for f in mdl.A_base]  # dAb[i][l] = dA_i/dx_l
         Af = [f.jet_lists(x) for f in mdl.A_fibre]
         dAf = [jet[1] for jet in Af]
         U = mdl.upsilon_values(x)
         Kc = mdl.kcurv_values(x)
         k = mdl.k.tolist()
         p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
-        nn = [(j, l) for j in range(n) for l in range(n)]
 
-        # force_i = sum_a (-Kcurv[a,i,:] . v + Upsilon[a,i,:] . wb) p_a
-        force = [sum((-dot(Kc[a][i], v) + dot(U[a][i], wb)) * p[a]
-                     for a in range(m)) for i in range(n)]
-        rhs_v = [0.5 * sum(dG[j][l][i] * v[j] * v[l] for j, l in nn)
-                 - dV[i]
-                 + sum(dAb[l][i] * v[l] for l in range(n)) - dot(dAb[i], v)
-                 + sum(dAf[a][i] * wb[a] for a in range(m))
-                 - sum(dG[i][j][l] * v[l] * v[j] for j, l in nn)
-                 + force[i]
-                 for i in range(n)]
-        vdot = linear_solve([[jet[0] for jet in row] for row in g], rhs_v)
+        # extra_i = dA_fibre[:, i] . wb
+        #           + sum_a (-Kcurv[a,i,:] . v + Upsilon[a,i,:] . wb) p_a
+        extra = [sum(dAf[a][i] * wb[a] for a in range(m))
+                 + sum((-dot(Kc[a][i], v) + dot(U[a][i], wb)) * p[a]
+                       for a in range(m)) for i in range(n)]
+        vdot = _force_from_jet(self.Lbar.jet_lists(x + v), v, extra)
 
         C = mdl.C.tolist()
         pdot = [sum(U[b][i][a] * v[i] * p[b]
@@ -608,7 +570,7 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
     verdict = worst < 1e-8
 
     system = MagneticSystem(model)
-    Lbar = reduced_base_lagrangian(model)
+    base_force = euler_lagrange_sode(system.Lbar).force
     rng2 = np.random.default_rng(seed + 1)
 
     def subsystem(s):
@@ -617,8 +579,7 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
         s2 = s.copy()
         s2[2 * n:] += rng2.uniform(0.1, 0.5, m)
         rhs2 = system.rhs(0.0, s2)
-        f_el = _force_from_jet(Lbar.jet_lists(s[:2 * n].tolist()),
-                               s[n:2 * n].tolist())
+        f_el = base_force(s[:n], s[n:2 * n])
         return (np.abs(rhs[n:2 * n] - rhs2[n:2 * n]).max(),
                 np.abs(rhs[n:2 * n] - f_el).max(), quad)
 

@@ -133,13 +133,6 @@ def project_vertical(spec, t):
                          t.w - w_h)
 
 
-def horizontal_lift_field(spec, X, m_pt):
-    """Value of the horizontal lift of the base field X at the point (x, y)."""
-    x, y = (np.asarray(m_pt[0], dtype=float), np.asarray(m_pt[1], dtype=float))
-    v = X.values(x)
-    return TangentPointM(spec.chart, x, y, v, spec.h_values(x, y, v))
-
-
 def lifted_field(spec, X):
     """The horizontal lift of a base field as a field on M (for brackets)."""
     n, m = spec.chart.n, spec.chart.m

@@ -38,6 +38,13 @@ def test_chart_names_and_contexts():
         + ch.v_names + ch.w_names
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_slit_eps_must_be_positive_and_finite(eps):
+    # the slit radius is written into generated kernel source
+    with pytest.raises(ValueError, match="positive"):
+        BundleChart(1, 1, eps)
+
+
 def test_point_length_validation():
     ch = chart()
     with pytest.raises(DimensionMismatch):

@@ -133,6 +133,20 @@ def test_magnetic_simulate(tmp_path):
     assert lines[0] == "t,x1,v1,w1,p1"
 
 
+def test_magnetic_simulate_coupled_model(tmp_path):
+    # g, V, A_i, A_alpha, Upsilon and Kcurv all depend on x, so every term
+    # of the v-equation is live; p = k w + A_alpha(x) with k = 1.5
+    assert run("magnetic-simulate", FIX / "mag_coupled.ini", tmp_path) == 0
+    rep = report(tmp_path)
+    assert rep["verdicts"]["decoupled"] is False
+    lines = csv_lines(tmp_path)
+    assert lines[0] == "t,x1,x2,v1,v2,w1,p1"
+    assert len(lines) == 1002
+    for line in lines[1:]:
+        _, x1, x2, _, _, w1, p1 = map(float, line.split(","))
+        assert abs(p1 - (1.5 * w1 + 0.5 * x1 + 0.1 * x2 ** 2)) < 1e-12
+
+
 def test_unreduce_command(tmp_path):
     assert run("unreduce", FIX / "unred.ini", tmp_path) == 0
     rep = report(tmp_path)
@@ -266,9 +280,10 @@ _IC = "ic = [0.0, 0.0, 0.5, -0.25]"
     ("el-simulate", _IC, ("--t1", "inf"), "t1"),
     ("el-simulate", _IC, ("--dt", "inf"), "dt"),
     ("el-simulate", _IC, ("--t1", "nan"), "t1"),
+    ("el-simulate", _IC, ("--t1", "1e300"), "t1"),
 ], ids=["samples-override-0", "samples-negative", "box-zero", "box-negative",
         "box-inf", "box-nan", "t0-inf", "t1-nan", "dt-inf", "t1-override-inf",
-        "dt-override-inf", "t1-override-nan"])
+        "dt-override-inf", "t1-override-nan", "t1-override-1e300"])
 def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
                                          extra, key):
     cfg = tmp_path / "sampling.ini"
@@ -280,6 +295,23 @@ def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
     assert f"config error: [simulation] {key} must be" \
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("slit", ["nan", "inf"])
+def test_non_finite_slit_eps_exits_2(tmp_path, capsys, slit):
+    # kinked fields write the slit radius into their kernel source
+    cfg = tmp_path / "slit.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   f"slit_eps = {slit}\n"
+                   '[splitting]\nh1 = "abs(v1)"\n'
+                   '[lagrangian]\n'
+                   'L = "0.5*v1^2 + 0.5*w1^2 + 0.1*abs(v1) - 0.5*x1^2"\n'
+                   "[simulation]\nic = [0.1, 0.0, 0.5, 0.0]\n")
+    for command in ("el-simulate", "classify"):
+        assert run(command, cfg, tmp_path / command) == 2
+        assert "config error: slit_eps must be positive" \
+            in capsys.readouterr().err
+        assert not (tmp_path / command / "report.json").exists()
 
 
 def test_cli_overrides_reach_the_report(tmp_path):

@@ -65,7 +65,7 @@ def test_fibre_regularity_reports_w_block():
 
 def test_euler_lagrange_oscillator():
     L = lag("0.5*v1^2 + 0.5*w1^2 - 0.5*x1^2 - 0.5*y1^2")
-    sode = euler_lagrange_sode(L)
+    sode = euler_lagrange_sode(L.field)
     assert sode.provenance == "euler-lagrange"
     rec = integrate_sode(sode, [1.0, 0.5, 0.0, 0.0], 0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
@@ -74,9 +74,9 @@ def test_euler_lagrange_oscillator():
 
 def test_singular_velocity_hessian_raises():
     L = lag("x1*v1 + y1*w1")
-    sode = euler_lagrange_sode(L)
+    sode = euler_lagrange_sode(L.field)
     with pytest.raises(SingularHessian):
-        sode.force(np.array([0.1, 0.2, 0.3, 0.4]))
+        sode.force(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
 
 
 def test_induced_splitting_quadratic_fixture(newton_calls):
@@ -271,7 +271,7 @@ def test_homogeneity_gate_and_euler_residual():
 
 
 def test_integrate_sode_state_length_guard():
-    sode = euler_lagrange_sode(lag(F1))
+    sode = euler_lagrange_sode(lag(F1).field)
     with pytest.raises(DimensionMismatch):
         integrate_sode(sode, [0.0, 0.0, 0.5], 0.0, 1.0, 0.1)
 

@@ -493,3 +493,10 @@ def test_rk4_validates_step_and_span():
         rk4_integrate(lambda t, y: y, 0.0, 1.0, np.array([1.0]), -0.1)
     with pytest.raises(ValueError):
         rk4_integrate(lambda t, y: y, 1.0, 0.0, np.array([1.0]), 0.1)
+
+
+@pytest.mark.parametrize("t1", [1e300, np.inf])
+def test_rk4_bounds_the_step_count(t1):
+    # checked before any step is taken or any per-step list is built
+    with pytest.raises(ValueError, match="RK4 steps exceed the maximum"):
+        rk4_integrate(lambda t, y: y, 0.0, t1, np.array([1.0]), 1.0)

@@ -6,12 +6,13 @@ from fibresplit.bundle import (BundleChart, SecondTangentPoint, TangentPointM,
 from fibresplit.errors import (DimensionMismatch, DomainError, FlowEscape,
                                NotPrincipal, SingularMatrix)
 from fibresplit.exprs import VarContext, compile_field
-from fibresplit.lagrangian import (LagrangianSpec, induced_splitting,
+from fibresplit.lagrangian import (LagrangianSpec, SodeSpec,
+                                   euler_lagrange_sode, induced_splitting,
                                    integrate_sode)
-from fibresplit.reduction import (ActionSpec, BaseSode, DecouplingReport,
-                                  MagneticModel, _flow_lift, base_euler_lagrange,
+from fibresplit.reduction import (ActionSpec, DecouplingReport,
+                                  MagneticModel, _flow_lift,
                                   connection_test_domega, decoupling_check,
-                                  integrate_base, integrate_magnetic,
+                                  integrate_magnetic,
                                   invariance_check, magnetic_induced_splitting,
                                   magnetic_lp_system, momentum_map, omega,
                                   principal_check, reduced_base_lagrangian,
@@ -127,7 +128,7 @@ def test_xi_field_is_the_vertical_dilation():
 def test_unreduce_oscillator_stays_horizontal():
     act = trivial_action()
     h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
-    gbar = base_euler_lagrange(base_field("0.5*v1^2 - 0.5*x1^2"), 1)
+    gbar = euler_lagrange_sode(base_field("0.5*v1^2 - 0.5*x1^2"))
     sode = unreduce(gbar, h, act)
     assert sode.provenance == "unreduced"
     rec = integrate_sode(sode, [1.0, 0.0, 0.0, 0.0], 0.0, 10.0, 1e-3)
@@ -138,13 +139,13 @@ def test_unreduce_oscillator_stays_horizontal():
 
 def test_base_forces_take_arrays_on_every_path():
     # a force written in numpy arithmetic runs through unreduce as through
-    # integrate_base
-    gbar = BaseSode(1, lambda x, v: -x)
+    # integrate_sode
+    gbar = SodeSpec(1, lambda x, v: -x)
     h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
     sode = unreduce(gbar, h, trivial_action())
-    assert np.allclose(sode.force([0.5, 0.0, 0.2, 0.14]), [-0.5, -0.35],
+    assert np.allclose(sode.force([0.5, 0.0], [0.2, 0.14]), [-0.5, -0.35],
                        rtol=0.0, atol=1e-15)
-    rec = integrate_base(gbar, [1.0], [0.0], 0.0, 1.0, 1e-3)
+    rec = integrate_sode(gbar, [1.0, 0.0], 0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
 
 
@@ -158,22 +159,27 @@ def test_frame_values_at_int_points_run_in_floats():
 def test_unreduce_rejects_incompatible_splitting():
     act = trivial_action()
     bad = SplittingSpec.from_expressions(CH, ["y1*v1"])
-    gbar = base_euler_lagrange(base_field("0.5*v1^2"), 1)
+    gbar = euler_lagrange_sode(base_field("0.5*v1^2"))
     with pytest.raises(NotPrincipal):
         unreduce(gbar, bad, act)
 
 
-def test_integrate_base_oscillator():
-    gbar = base_euler_lagrange(base_field("0.5*v1^2 - 0.5*x1^2"), 1)
-    rec = integrate_base(gbar, [1.0], [0.0], 0.0, 1.0, 1e-3)
+def test_base_sode_oscillator():
+    gbar = euler_lagrange_sode(base_field("0.5*v1^2 - 0.5*x1^2"))
+    rec = integrate_sode(gbar, [1.0, 0.0], 0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
-    with pytest.raises(DimensionMismatch):
-        base_euler_lagrange(base_field("0.5*v1^2"), 2)
+    odd = VarContext([("base", ["x1", "x2"]), ("base_velocity", ["v1"])])
+    with pytest.raises(DimensionMismatch, match="odd"):
+        euler_lagrange_sode(compile_field("0.5*v1^2", odd))
+    # a base SODE of the wrong dimension cannot be unreduced
+    h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
+    with pytest.raises(DimensionMismatch, match="dimension 2, expected 1"):
+        unreduce(SodeSpec(2, lambda x, v: -x), h, trivial_action())
 
 
 def test_vilms_of_sode_projects_to_horizontal_dilation():
     h = SplittingSpec.from_expressions(CH, ["x1*v1 + 0.1*v1^2"])
-    gbar = base_euler_lagrange(base_field("0.5*v1^2 - 0.5*x1^2"), 1)
+    gbar = euler_lagrange_sode(base_field("0.5*v1^2 - 0.5*x1^2"))
     pt = TangentPointM(CH, [0.4], [-0.2], [0.9], [1.3])
     lift = vilms_of_sode(gbar, h, pt)
     s = vertical_endomorphism(lift)

@@ -30,7 +30,7 @@ from fibresplit.nonholonomic import (AffineConstraintSpec,
                                      constrained_lagrangian,
                                      lagrange_dalembert_system)
 from fibresplit.reduction import (ActionSpec, MagneticModel,
-                                  base_euler_lagrange, magnetic_lp_system,
+                                  magnetic_lp_system,
                                   reduced_base_lagrangian, unreduce)
 from fibresplit.splitting import (SplittingSpec,
                                   affine_curvature_coefficients)
@@ -339,7 +339,7 @@ _EL_CASES = [
 def test_euler_lagrange_acceleration_matches_sympy(n, m, src):
     # d/dt dL/du - dL/dq = 0, solved for the acceleration
     L = LagrangianSpec.from_expression(BundleChart(n, m), src)
-    force = euler_lagrange_sode(L).force
+    force = euler_lagrange_sode(L.field).force
     q = _syms("x", n) + _syms("y", m)
     u = _syms("v", n) + _syms("w", m)
     acc = _syms("a", n + m)
@@ -348,8 +348,8 @@ def test_euler_lagrange_acceleration_matches_sympy(n, m, src):
     eqs = [_ddt(sympy.diff(ell, ui), rates) - sympy.diff(ell, qi)
            for qi, ui in zip(q, u)]
     for z in _states(n + 10 * m, 2 * (n + m)):
-        assert_close(force(z), _solve_linear(eqs, acc, _at(q + u, z)),
-                     "acceleration")
+        assert_close(force(z[:n + m], z[n + m:]),
+                     _solve_linear(eqs, acc, _at(q + u, z)), "acceleration")
 
 
 _LDA_CASES = [
@@ -495,7 +495,7 @@ def test_unreduced_force_matches_sympy(n, m, Lbar, h, K):
                   _syms("w", m))
     base_ctx = VarContext([("base", chart.x_names),
                            ("base_velocity", chart.v_names)])
-    G = unreduce(base_euler_lagrange(compile_field(Lbar, base_ctx), n),
+    G = unreduce(euler_lagrange_sode(compile_field(Lbar, base_ctx)),
                  SplittingSpec.from_expressions(chart, h),
                  ActionSpec.from_expressions(chart, K), check=False)
     acc, wacc = _syms("a", n), _syms("b", m)
@@ -512,7 +512,7 @@ def test_unreduced_force_matches_sympy(n, m, Lbar, h, K):
                          v + w + [sympy.Rational(float(c)) for c in f]
                          + wacc))
         wdot = _solve_linear([_ddt(o, rates) for o in omega], wacc, at)
-        got = G.force(z)
+        got = G.force(z[:n + m], z[n + m:])
         assert_close(got[:n], f, "base acceleration")
         assert_close(got[n:], wdot, "wdot")
 
@@ -534,7 +534,7 @@ def test_subduced_acceleration_matches_sympy(n, src, h):
     # base; its EL acceleration is that of the subduced Lagrangian
     L = LagrangianSpec.from_expression(BundleChart(n, 1), src)
     Lbar = subduce(L, induced_splitting(L), samples=10).Lbar
-    force = base_euler_lagrange(Lbar, n).force
+    force = euler_lagrange_sode(Lbar).force
     x, v, acc = _syms("x", n), _syms("v", n), _syms("a", n)
     ell = _sym(src).subs(sympy.Symbol("w1", real=True), _sym(h))
     rates = dict(zip(x + v, v + acc))
