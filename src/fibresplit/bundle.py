@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BasePointMismatch, DimensionMismatch
 from .exprs import VarContext
 from .jets import SLIT_EPS_DEFAULT, Jet2, ScalarField
+from .numerics import dot
 
 
 def _vec(a, k, what):
@@ -194,9 +195,6 @@ class VectorFieldM:
     def values(self, q):
         return np.array([c.value(q) for c in self.components])
 
-    def jets(self, q):
-        return [c.jet(q) for c in self.components]
-
 
 @dataclass
 class VectorFieldN:
@@ -217,9 +215,6 @@ class VectorFieldN:
     def values(self, x):
         return np.array([c.value(x) for c in self.components])
 
-    def jets(self, x):
-        return [c.jet(x) for c in self.components]
-
 
 def complete_lift(Z, at):
     """Complete lift of the field Z, evaluated at the tangent point `at`.
@@ -227,10 +222,10 @@ def complete_lift(Z, at):
     Upper block: (X, Y) = Z(q) and (V, W) = DZ(q) . (v, w).
     """
     q = at.point()
-    jets = Z.jets(q)
-    vals = np.array([j.value for j in jets])
-    u = np.concatenate([at.v, at.w])
-    du = np.array([j.gradient @ u for j in jets])
+    jets = [c.jet_lists(q) for c in Z.components]
+    vals = [val for val, _, _ in jets]
+    u = [*at.v, *at.w]
+    du = [dot(grad, u) for _, grad, _ in jets]
     n = at.chart.n
     return SecondTangentPoint(at.chart, at.x, at.y, at.v, at.w,
                               vals[:n], vals[n:], du[:n], du[n:])
@@ -298,17 +293,16 @@ class DerivedField(ScalarField):
 def _bracket_components(comps1, comps2, k):
     def make_vg(i):
         def vg(q):
-            j1 = [c.jet(q) for c in comps1]
-            j2 = [c.jet(q) for c in comps2]
-            a1 = np.array([j.value for j in j1])
-            a2 = np.array([j.value for j in j2])
-            g1 = np.array([j.gradient for j in j1])
-            g2 = np.array([j.gradient for j in j2])
-            val = g2[i] @ a1 - g1[i] @ a2
+            a1, g1, H1 = zip(*[c.jet_lists(q) for c in comps1])
+            a2, g2, H2 = zip(*[c.jet_lists(q) for c in comps2])
+            H1, H2 = H1[i], H2[i]
+            val = dot(g2[i], a1) - dot(g1[i], a2)
             # d/dq_l: hess terms plus cross gradient terms
-            grad = (j2[i].hessian @ a1 + g1.T @ g2[i]
-                    - j1[i].hessian @ a2 - g2.T @ g1[i])
-            return val, grad
+            grad = [dot(H2[k * l:k * (l + 1)], a1)
+                    + dot([g[l] for g in g1], g2[i])
+                    - dot(H1[k * l:k * (l + 1)], a2)
+                    - dot([g[l] for g in g2], g1[i]) for l in range(k)]
+            return val, np.array(grad)
         return vg
 
     return [DerivedField(k, make_vg(i),
@@ -345,10 +339,10 @@ def tangent_map(fields, s):
     if len(fields) != k:
         raise DimensionMismatch(f"need {k} component fields, got {len(fields)}")
     base = s.as_array()[:k]
-    upper = s.upper()
-    jets = [f.jet(base) for f in fields]
-    new_base = np.array([j.value for j in jets])
-    new_upper = np.array([j.gradient @ upper for j in jets])
+    upper = s.upper().tolist()
+    jets = [f.jet_lists(base) for f in fields]
+    new_base = [val for val, _, _ in jets]
+    new_upper = [dot(grad, upper) for _, grad, _ in jets]
     return SecondTangentPoint(
         s.chart,
         new_base[:n], new_base[n:n + m], new_base[n + m:2 * n + m],

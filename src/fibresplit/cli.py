@@ -27,7 +27,7 @@ from .lagrangian import (defining_relation_check, euler_lagrange_sode,
                          integrate_sode, projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import _MAX_STEPS, sample_max
+from .numerics import _MAX_STEPS, dot, sample_max
 from .reduction import (connection_test_domega, decoupling_check,
                         integrate_magnetic, invariance_check,
                         magnetic_lp_system, momentum_map, principal_check,
@@ -142,8 +142,9 @@ def _probe_point(sim, chart):
 
 def _energy(L, z):
     k = L.chart.n + L.chart.m
-    j = L.jet(z)
-    return float(j.gradient[k:] @ z[k:] - j.value)
+    z = z.tolist()
+    value, grad, _ = L.field.jet_lists(z)
+    return dot(grad[k:], z[k:]) - value
 
 
 def _cmd_classify(run, cfg, chart, sim, args):
@@ -269,7 +270,7 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
         raise ParseError(f"[simulation] ic must have {2 * n + m} entries "
                          f"(x, v, w) for magnetic-simulate")
     rec = integrate_magnetic(system, ic, sim["t0"], sim["t1"], sim["dt"])
-    dec = decoupling_check(model, **run.sampling)
+    dec = decoupling_check(system, **run.sampling)
     run.report["verdicts"]["decoupled"] = dec.verdict
     run.report["residuals"]["decoupling_condition"] = dec.condition_residual
     run.report["residuals"]["subsystem_dependence"] = dec.subsystem_residual
@@ -389,7 +390,7 @@ def _cmd_check_all(run, cfg, chart, sim, args):
                 {"name": "y_independence", "residual": None,
                  "tolerance": 1e-6, "passed": False, "error": str(exc)})
         if L.homogeneity_flag == 2.0:
-            hom = homogeneity_of_induced(L, **run.sampling)
+            hom = homogeneity_of_induced(L, h_ind, **run.sampling)
             run.check("euler_residual_induced", hom.max_residual, 1e-7)
 
     if cfg.has("action"):
@@ -437,8 +438,8 @@ def _cmd_check_all(run, cfg, chart, sim, args):
         run.check("constraint_recovery", recov, tol_s)
 
     if cfg.has("magnetic"):
-        model = cfg.magnetic()
-        dec = decoupling_check(model, **run.sampling)
+        dec = decoupling_check(magnetic_lp_system(cfg.magnetic()),
+                               **run.sampling)
         run.report["verdicts"]["decoupled"] = dec.verdict
         run.report["residuals"]["decoupling_condition"] = \
             dec.condition_residual

@@ -270,10 +270,9 @@ class ModelConfig:
             raise DimensionMismatch(f"[curve] y0 must have length {self.m}")
 
         def base_curve(t):
-            arr = np.array([t])
-            x = np.array([f.value(arr) for f in fields])
-            xdot = np.array([f.jet(arr).gradient[0] for f in fields])
-            return x, xdot
+            jets = [f.jet_lists([t]) for f in fields]
+            return (np.array([val for val, _, _ in jets]),
+                    np.array([grad[0] for _, grad, _ in jets]))
 
         return base_curve, y0
 

@@ -16,9 +16,11 @@ coefficients, go through bundle.DerivedField instead.
 
 Every field also gives its jet as plain Python floats, jet_lists(x) ->
 (value, gradient list, row-major Hessian list).  For a TapeField that is
-the kernel's own output, checked but never copied into arrays; the
-dynamics right-hand sides read it directly, and jet() wraps the same
-lists in a Jet2 for everything else.
+the kernel's own output, checked but never copied into arrays.  It is the
+one way library code reads derivatives; a Jet2 is built only by the
+public jet(), by the algebra oracle and the evaluators of fields that are
+not expressions, by bundle.DerivedField, and by the chain rule
+(ScalarField.chain, jet2_compose).
 """
 
 import math

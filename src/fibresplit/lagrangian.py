@@ -5,7 +5,9 @@ relation dL/dw = 0 on the horizontal manifold.  The splitting is
 Newton-backed: each point solves that m-dimensional system once for all m
 coefficients, by damped Newton with adaptive continuation along s v.
 Values need no more; first derivatives of the coefficient fields come
-from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.
+from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.  Every jet of
+L is read as float lists (jet_lists); the subduced Lagrangian gives its
+own jets that way too and wraps them in a Jet2 only in its public jet().
 """
 
 from dataclasses import dataclass, replace
@@ -18,8 +20,8 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (as_floats, condition_number, dot, linear_solve,
-                       newton_solve, rk4_integrate, sample_max)
+from .numerics import (all_finite, as_floats, condition_number, dot,
+                       linear_solve, newton_solve, rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
 
@@ -51,12 +53,6 @@ class LagrangianSpec:
                           slit_eps=chart.slit_eps)
         return cls(chart, f, homogeneity_flag, mentions_nonsmooth(ast))
 
-    def jet(self, z):
-        return self.field.jet(np.asarray(z, dtype=float))
-
-    def value(self, z):
-        return self.field.value(np.asarray(z, dtype=float))
-
 
 @dataclass
 class SodeSpec:
@@ -84,10 +80,9 @@ def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
 def fibre_regularity(L, w_pt):
     """Determinant and 1-norm condition number (the one linear_solve
     bounds) of the fibre Hessian d2L/dw dw."""
-    n, m = L.chart.n, L.chart.m
+    k = 2 * L.chart.n + L.chart.m
     z = w_pt.as_array()
-    H = L.jet(z).hessian
-    W = H[2 * n + m:, 2 * n + m:]
+    W = _fibre_system(L, z[:k].tolist())(z[k:])[1]
     return {"det": float(np.linalg.det(W)),
             "condition": condition_number(W)}
 
@@ -124,23 +119,27 @@ def euler_lagrange_sode(field):
     return SodeSpec(field.arity // 2, force, "euler-lagrange")
 
 
-def _fibre_system(L, x, y, v):
-    """w -> (dL/dw, d2L/dw dw) at (x, y, v, w); keeps L's jet on .jet."""
-    k = 2 * L.chart.n + L.chart.m
+def _fibre_system(L, z):
+    """w -> (dL/dw, d2L/dw dw) at (z, w), for z = (x, y, v) a list of
+    floats and w an array."""
+    k, K = len(z), L.field.arity
 
     def system(w):
-        system.jet = L.jet(np.concatenate([x, y, v, w]))
-        return system.jet.gradient[k:], system.jet.hessian[k:, k:]
+        _, grad, hess = L.field.jet_lists(z + w.tolist())
+        return grad[k:], [hess[K * r + k:K * (r + 1)] for r in range(k, K)]
 
     return system
 
 
-def _fibre_solve(Ljet, k):
-    """-(L_ww)^-1 [L_w | L_wz] from one jet of L at (z, w), len(z) = k:
+def _fibre_solve(jet, k):
+    """-(L_ww)^-1 [L_w | L_wz] from L's jet_lists at (z, w), len(z) = k:
     column 0 is the Newton step for dL/dw = 0, the others dw/dz."""
-    H = Ljet.hessian[k:]
-    rhs = np.column_stack([Ljet.gradient[k:], H[:, :k]])
-    return linear_solve(H[:, k:], -rhs)
+    _, grad, hess = jet
+    K = len(grad)
+    rows = [hess[K * r:K * (r + 1)] for r in range(k, K)]
+    return linear_solve([row[k:] for row in rows],
+                        [[-grad[r]] + [-e for e in row[:k]]
+                         for r, row in zip(range(k, K), rows)])
 
 
 # Step control of InducedSplitting.solve_detail's continuation
@@ -161,7 +160,8 @@ class InducedSplitting(SplittingSpec):
         def coeff(a):
             def vg(z):
                 w, _ = self.solve_detail(z[:n], z[n:n + m], z[n + m:])
-                dh = _fibre_solve(L.jet(np.concatenate([z, w])), arity)
+                dh = _fibre_solve(L.field.jet_lists(z.tolist() + w.tolist()),
+                                  arity)
                 return w[a], dh[a, 1:]
             return DerivedField(arity, vg, label=f"h{a+1}_induced")
 
@@ -189,13 +189,13 @@ class InducedSplitting(SplittingSpec):
 
         def newton(s, w0, *limits):
             """Root at s v, iterations, Newton step there and dw/ds."""
-            system = _fibre_system(L, x, y, s * v)
+            z = np.concatenate([x, y, s * v]).tolist()
             try:
-                res = newton_solve(system, w0, *limits)
+                res = newton_solve(_fibre_system(L, z), w0, *limits)
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
             try:
-                g = _fibre_solve(system.jet, k)
+                g = _fibre_solve(L.field.jet_lists(z + res.x.tolist()), k)
             except SingularMatrix:
                 g = np.zeros((m, 1 + k))
             return res.x, res.iterations, g[:, 0], g[:, 1 + n + m:] @ v
@@ -244,7 +244,7 @@ def _probe_branches(spec):
             raise DomainError(f"no reference root: {exc}") from exc
         seeds = [np.zeros(m), 0.5 * np.ones(m), -0.5 * np.ones(m)]
         seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
-        system = _fibre_system(spec._L, x, y, v)
+        system = _fibre_system(spec._L, z.tolist())
         for s0 in seeds:
             try:
                 res = newton_solve(system, s0)
@@ -274,7 +274,7 @@ def _gradient_block_check(L, h, block, samples, seed, box):
 
     def residual(z):
         w = h.h_values(z[:n], z[n:n + m], z[n + m:])
-        return np.abs(L.jet(np.concatenate([z, w])).gradient[block]).max()
+        return max(map(abs, L.field.jet_lists([*z, *w])[1][block]))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -318,43 +318,55 @@ class SubducedField(ScalarField):
 
     Jets are exact: with dL/dw = 0 along h, all first and second
     derivatives of the restriction collapse to Schur complements of L's
-    own jet, so no derivatives of h enter.
+    own jet, so no derivatives of h enter.  The positions of the blocks in
+    L's row-major Hessian are fixed per field.
     """
 
     def __init__(self, L, h, y_ref, label="Lbar"):
-        super().__init__(2 * L.chart.n, None, label)
+        n, m = L.chart.n, L.chart.m
+        super().__init__(2 * n, None, label)
         self.L = L
         self.h = h
         self.y_ref = np.asarray(y_ref, dtype=float)
+        K = L.field.arity
+        zpos = [*range(n), *range(n + m, 2 * n + m)]   # x and v positions
+        wpos = range(2 * n + m, K)
+        self._zpos = zpos
+        self._zz = [[K * i + j for j in zpos] for i in zpos]
+        self._zw = [[K * i + a for a in wpos] for i in zpos]
+        self._ww = [[K * a + b for b in wpos] for a in wpos]
 
     def _z(self, q):
+        """The point (x, y_ref, v, h(x, y_ref, v)) of M for q = (x, v)."""
+        q = as_floats(q)
+        if len(q) != self.arity:
+            raise DimensionMismatch(f"expected {self.arity} inputs")
         n = self.L.chart.n
         x, v = q[:n], q[n:]
-        w = self.h.h_values(x, self.y_ref, v)
-        return np.concatenate([x, self.y_ref, v, w])
+        return [*x, *self.y_ref, *v, *self.h.h_values(x, self.y_ref, v)]
 
     def value(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.L.value(self._z(q))
+        return self.L.field.value(self._z(q))
 
-    def jet(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.arity,):
-            raise DimensionMismatch(f"expected {self.arity} inputs")
-        n, m = self.L.chart.n, self.L.chart.m
-        Ljet = self.L.jet(self._z(q))
-        idx = np.r_[0:n, n + m:2 * n + m]           # x and v positions
-        wpos = np.arange(2 * n + m, 2 * n + 2 * m)
-        g = Ljet.gradient[idx]
-        Hzz = Ljet.hessian[np.ix_(idx, idx)]
-        Hzw = Ljet.hessian[np.ix_(idx, wpos)]
-        Hww = Ljet.hessian[np.ix_(wpos, wpos)]
+    def jet_lists(self, q):
+        val, grad, hess = self.L.field.jet_lists(self._z(q))
+        zw = [[hess[p] for p in row] for row in self._zw]
         try:
-            corr = Hzw @ linear_solve(Hww, Hzw.T)
+            # X[j] = Hww^-1 Hwz[:, j] for each x and v position j
+            X = linear_solve([[hess[p] for p in row] for row in self._ww],
+                             list(zip(*zw))).T.tolist()
         except SingularMatrix as exc:
             raise SingularHessian(f"fibre Hessian singular: {exc}") from exc
-        H = Hzz - corr
-        return Jet2(Ljet.value, g, 0.5 * (H + H.T))
+        H = [[hess[p] - dot(zw[i], X[j]) for j, p in enumerate(row)]
+             for i, row in enumerate(self._zz)]
+        k = self.arity
+        sym = [0.5 * (H[i][j] + H[j][i]) for i in range(k) for j in range(k)]
+        if not all_finite(sym):
+            raise DomainError("jet has non-finite entries")
+        return val, [grad[p] for p in self._zpos], sym
+
+    def jet(self, q):
+        return Jet2._trusted(*self.jet_lists(q))
 
 
 @dataclass
@@ -377,13 +389,14 @@ def subduce(L, h, samples=50, seed=42, box=1.0):
     def residuals(xyv):
         nonlocal y_ref
         x, y, v = xyv[:n], xyv[n:n + m], xyv[n + m:]
-        z = np.concatenate([xyv, h.h_values(x, y, v)])
-        g = L.jet(z).gradient
+        z = [*xyv, *h.h_values(x, y, v)]
+        g = L.field.jet_lists(z)[1]
         if y_ref is None:
             y_ref = y.copy()
         w_ref = h.h_values(x, y_ref, v)
-        val_ref = L.value(np.concatenate([x, y_ref, v, w_ref]))
-        return np.abs(g[2 * n + m:]).max(), abs(L.value(z) - val_ref)
+        val_ref = L.field.value([*x, *y_ref, *v, *w_ref])
+        return (max(map(abs, g[2 * n + m:])),
+                abs(L.field.value(z) - val_ref))
 
     rep = sample_max(residuals, samples, seed, 2 * n + m, box)
     worst_rel, worst_dep = rep.max_residual
@@ -443,10 +456,11 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     gx = np.zeros((len(ts), n))
     min_det = np.inf
     for i, (q, u) in enumerate(zip(qs, us)):
-        jet = Lbar.jet(np.concatenate([q, u]))
-        ps[i] = jet.gradient[n:]
-        gx[i] = jet.gradient[:n]
-        min_det = min(min_det, abs(np.linalg.det(jet.hessian[n:, n:])))
+        _, grad, hess = Lbar.jet_lists([*q, *u])
+        ps[i] = grad[n:]
+        gx[i] = grad[:n]
+        Huu = [hess[2 * n * r + n:2 * n * (r + 1)] for r in range(n, 2 * n)]
+        min_det = min(min_det, abs(np.linalg.det(Huu)))
     el_res = 0.0
     for i in range(1, len(ts) - 1):
         pdot = (ps[i + 1] - ps[i - 1]) / (ts[i + 1] - ts[i - 1])
@@ -458,17 +472,18 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
 def liouville_derivative(L, z):
     """Delta(L) = v . dL/dv + w . dL/dw at the state z = (x, y, v, w)."""
     k = L.chart.n + L.chart.m
-    z = np.asarray(z, dtype=float)
-    return float(L.jet(z).gradient[k:] @ z[k:])
+    z = as_floats(z)
+    return dot(L.field.jet_lists(z)[1][k:], z[k:])
 
 
-def homogeneity_of_induced(L, samples=50, seed=42, box=1.0):
-    """Euler residual of the induced splitting, under the 2-homogeneity
-    hypothesis Delta(L) = 2L (checked first; HypothesisFailed otherwise)."""
+def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
+    """Euler residual of h, the splitting L induces, under the
+    2-homogeneity hypothesis Delta(L) = 2L (checked first; HypothesisFailed
+    otherwise)."""
     n, m = L.chart.n, L.chart.m
 
     def hypothesis(z):
-        gap = abs(liouville_derivative(L, z) - 2.0 * L.value(z))
+        gap = abs(liouville_derivative(L, z) - 2.0 * L.field.value(z))
         if gap >= 1e-8:
             raise HypothesisFailed(
                 f"Delta(L) - 2L = {gap:.3e} at z={z}; Lagrangian is not "
@@ -476,16 +491,14 @@ def homogeneity_of_induced(L, samples=50, seed=42, box=1.0):
         return gap
 
     sample_max(hypothesis, samples, seed, 2 * (n + m), box)
-    h = induced_splitting(L)
 
     def euler(z):
-        v = z[n + m:]
+        v = z[n + m:].tolist()
         try:
-            jets = h.h_jets(z[:n], z[n:n + m], v)
+            jets = h.h_jet_lists(z[:n], z[n:n + m], v)
         except NoConvergence as exc:
             raise DomainError(f"no induced jet: {exc}") from exc
-        return np.abs([float(j.gradient[n + m:] @ v) - j.value
-                       for j in jets]).max()
+        return max(abs(dot(grad[n + m:], v) - val) for val, grad, _ in jets)
 
     rep = sample_max(euler, samples, seed + 1, 2 * n + m, box)
     return replace(rep, seed=seed)

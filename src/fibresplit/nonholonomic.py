@@ -8,8 +8,9 @@ constraint surface.  The constraint fields are expressions, so w = A0 - A v
 compiles to one tape per component by substitution (to_splitting), and
 the constrained Lagrangian's jets chain L over those tapes' jets.  The
 right-hand side and the recorded diagnostics read every jet as Python
-floats (jet_lists) and sum each contraction in index order; only the
-constrained Lagrangian's chain rule still builds Jet2s.
+floats (jet_lists) and sum each contraction in index order; the
+constrained Lagrangian's jet is a chain rule, and the one place here that
+builds Jet2s.
 """
 
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ class ConstrainedLagrangianField(ScalarField):
         s = np.asarray(s, dtype=float)
         n, m = self.L.chart.n, self.L.chart.m
         w = self.c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
-        return self.L.value(np.concatenate([s, w]))
+        return self.L.field.value(np.concatenate([s, w]))
 
 
 def constrained_lagrangian(L, c):

@@ -83,10 +83,6 @@ class ActionSpec:
         q = [*x, *y]  # each field converts its point to floats
         return [[float(f.value(q)) for f in row] for row in self.K]
 
-    def K_jets(self, x, y):
-        q = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
-        return [[f.jet(q) for f in row] for row in self.K]
-
     def K_dot(self, x, y, v, w):
         """Derivative of K along (v, w), v . dK/dx + w . dK/dy, as nested
         lists of floats."""
@@ -132,20 +128,15 @@ def principal_check(h, action, samples=100, seed=42, box=1.0):
     n, m = h.chart.n, h.chart.m
 
     def residual(z):
+        z = z.tolist()
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        hjets = h.h_jets(x, y, v)
-        Kjets = action.K_jets(x, y)
-        hval = np.array([j.value for j in hjets])
-        Kv = np.array([[Kjets[b][g].value for g in range(m)]
-                       for b in range(m)])
-        resid = []
-        for a in range(m):
-            dh_dy = hjets[a].gradient[n:n + m]
-            for g in range(m):
-                kg = Kjets[a][g].gradient
-                resid.append(float(v @ kg[:n] + hval @ kg[n:]
-                                   - Kv[:, g] @ dh_dy))
-        return np.abs(resid).max()
+        hjets = h.h_jet_lists(x, y, v)
+        Kjets = [[f.jet_lists(x + y) for f in row] for row in action.K]
+        hval = [val for val, _, _ in hjets]
+        return max(abs(dot(v, kg[:n]) + dot(hval, kg[n:])
+                       - dot([row[g][0] for row in Kjets], dh[n:n + m]))
+                   for (_, dh, _), Krow in zip(hjets, Kjets)
+                   for g, (_, kg, _) in enumerate(Krow))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -163,12 +154,11 @@ def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
     n, m = h.chart.n, h.chart.m
 
     def residual(z):
+        z = z.tolist()
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        hjets = h.h_jets(x, y, v)
-        Kv = action.K_matrix(x, y)
-        euler = np.array([float(j.gradient[n + m:] @ v) - j.value
-                          for j in hjets])
-        return np.abs(linear_solve(Kv, euler)).max()
+        euler = [dot(grad[n + m:], v) - val
+                 for val, grad, _ in h.h_jet_lists(x, y, v)]
+        return np.abs(linear_solve(action.K_matrix(x, y), euler)).max()
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -194,14 +184,12 @@ def vilms_of_sode(gamma_bar, h, w_pt):
     image under the vertical endomorphism is the horizontal dilation field
     (0, 0, v, h); tests exercise that identity through the bundle ops.
     """
-    chart = w_pt.chart
     f = gamma_bar.force(w_pt.x, w_pt.v)
-    jets = h.h_jets(w_pt.x, w_pt.y, w_pt.v)
-    Y = np.array([j.value for j in jets])
-    u = np.concatenate([w_pt.v, w_pt.w, f])
-    W = np.array([float(j.gradient @ u) for j in jets])
-    return SecondTangentPoint(chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
-                              w_pt.v, Y, f, W)
+    jets = h.h_jet_lists(w_pt.x, w_pt.y, w_pt.v)
+    u = [*w_pt.v, *w_pt.w, *f]
+    return SecondTangentPoint(w_pt.chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
+                              w_pt.v, [val for val, _, _ in jets], f,
+                              [dot(grad, u) for _, grad, _ in jets])
 
 
 def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
@@ -256,22 +244,24 @@ def _flow_lift(action, gamma, t, s, steps=64):
     col = [row[gamma] for row in action.K]
     sign = 1.0 if t > 0 else -1.0
 
+    k = len(s.x) + len(s.y)
+
     def f(_, state):
         y, w, Y, W = np.split(state, 4)
         try:
-            jets = [K.jet(np.concatenate([s.x, y])) for K in col]
+            jets = [K.jet_lists([*s.x, *y]) for K in col]
         except DomainError as exc:
             # x stays fixed, so an error at y = s.y is the start point's
             if np.array_equal(y, s.y):
                 raise
             raise FlowEscape(f"generator flow diverged: {exc}") from exc
-        DK = np.array([j.gradient for j in jets])
-        vw = np.concatenate([s.v, w])
-        XY = np.concatenate([s.X, Y])
-        D2K = np.array([vw @ j.hessian @ XY for j in jets])
-        return sign * np.concatenate([[j.value for j in jets], DK @ vw,
-                                      DK @ XY,
-                                      D2K + DK @ np.concatenate([s.V, W])])
+        vw, XY, VW = [*s.v, *w], [*s.X, *Y], [*s.V, *W]
+        return sign * np.array(
+            [val for val, _, _ in jets]
+            + [dot(grad, vw) for _, grad, _ in jets]
+            + [dot(grad, XY) for _, grad, _ in jets]
+            + [dot(vw, [dot(H[k * i:k * (i + 1)], XY) for i in range(k)])
+               + dot(grad, VW) for _, grad, H in jets])
 
     try:
         rec = rk4_integrate(f, 0.0, abs(t),
@@ -546,10 +536,12 @@ class DecouplingReport:
     seed: int
 
 
-def decoupling_check(model, samples=100, seed=42, box=1.0):
+def decoupling_check(system, samples=100, seed=42, box=1.0):
     """Evaluate -Kc[a,i,j] v_j k[a,g] + U[a,i,g] A_a + dA_g/dx_i over
-    samples; when it vanishes, verify w-independence of the (x, v) block
-    and agreement with the EL force of the reduced base Lagrangian."""
+    samples of the MagneticSystem's model; when it vanishes, verify
+    w-independence of the (x, v) block and agreement with the EL force of
+    the reduced base Lagrangian."""
+    model = system.model
     n, m = model.n, model.m
     k = model.k.tolist()
     aj = [(a, j) for a in range(m) for j in range(n)]
@@ -569,7 +561,6 @@ def decoupling_check(model, samples=100, seed=42, box=1.0):
     worst = rep.max_residual
     verdict = worst < 1e-8
 
-    system = MagneticSystem(model)
     base_force = euler_lagrange_sode(system.Lbar).force
     rng2 = np.random.default_rng(seed + 1)
 

@@ -84,25 +84,15 @@ class SplittingSpec:
             raise DomainError(
                 f"base velocity inside slit ball (|v| < {self.chart.slit_eps})")
 
-    def point_args(self, x, y, v):
-        return np.concatenate([np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float),
-                               np.asarray(v, dtype=float)])
-
     def h_values(self, x, y, v):
         self._require_admissible(v)
-        z = self.point_args(x, y, v)
+        z = [*x, *y, *v]  # each coefficient converts its point to floats
         return np.array([c.value(z) for c in self.coefficients])
-
-    def h_jets(self, x, y, v):
-        self._require_admissible(v)
-        z = self.point_args(x, y, v)
-        return [c.jet(z) for c in self.coefficients]
 
     def h_jet_lists(self, x, y, v):
         """The coefficients' jet_lists at (x, y, v), as Python floats."""
         self._require_admissible(v)
-        z = [*x, *y, *v]  # each coefficient converts its point to floats
+        z = [*x, *y, *v]
         return [c.jet_lists(z) for c in self.coefficients]
 
     def __repr__(self):
@@ -261,16 +251,20 @@ def classify(spec, samples=200, seed=42, box=1.0):
         raise ValueError("samples must be >= 1")
     n, m = spec.chart.n, spec.chart.m
 
+    k = 2 * n + m
+    vv = [k * i + j for i in range(n + m, k) for j in range(n + m, k)]
+
     def evidence(z):
-        x, y, v = z[:n], z[n:n + m], z[n + m:]
-        jets = spec.h_jets(x, y, v)
+        x, y, v = z[:n], z[n:n + m], z[n + m:].tolist()
+        jets = spec.h_jet_lists(x, y, v)
         hz = spec.h_values(x, y, np.zeros(n)) if spec.smooth_at_zero else 0.0
-        per_jet = [(abs(float(j.gradient[n + m:] @ v) - j.value),
-                    np.abs(j.hessian[n + m:, n + m:]).max(), abs(j.value))
-                   for j in jets]
+        per_jet = [(abs(dot(grad[n + m:], v) - val),
+                    max(abs(hess[p]) for p in vv), abs(val))
+                   for val, grad, hess in jets]
         ev = np.append(np.max(per_jet, axis=0), np.abs(hz).max())
         if not (ev.max() <= _OVERFLOW_MARGIN and all(
-                np.abs(j.hessian).max() <= _OVERFLOW_MARGIN for j in jets)):
+                max(map(abs, hess)) <= _OVERFLOW_MARGIN
+                for _, _, hess in jets)):
             raise DomainError("classify evidence above the overflow margin "
                               "2^512")
         return ev
@@ -329,19 +323,19 @@ def vilms_lift(spec):
 
     def w_field(a):
         def vg(z):
-            hj = spec.coefficients[a].jet(
-                np.concatenate([z[sx], z[sy], z[sX]]))
-            u = np.concatenate([z[sv], z[sw], z[sV]])
-            val = float(hj.gradient @ u)
-            hu = hj.hessian @ u
+            _, g, H = spec.coefficients[a].jet_lists(
+                [*z[sx], *z[sy], *z[sX]])
+            u = [*z[sv], *z[sw], *z[sV]]
+            k = len(u)
+            hu = [dot(H[k * i:k * (i + 1)], u) for i in range(k)]
             grad = np.zeros(arity)
             grad[sx] = hu[:n]
             grad[sy] = hu[n:n + m]
             grad[sX] = hu[n + m:]
-            grad[sv] = hj.gradient[:n]
-            grad[sw] = hj.gradient[n:n + m]
-            grad[sV] = hj.gradient[n + m:]
-            return val, grad
+            grad[sv] = g[:n]
+            grad[sw] = g[n:n + m]
+            grad[sV] = g[n + m:]
+            return dot(g, u), grad
         return DerivedField(arity, vg, label=f"vilms_W{a+1}")
 
     coeffs = [y_field(a) for a in range(m)] + [w_field(a) for a in range(m)]
@@ -354,13 +348,10 @@ def vilms_horizontal(spec, at, X, V):
     at is the TM point; (X, V) is the base velocity in TN.  Returns the
     second-tangent point (at; X, Y, V, W) by the displayed coefficients.
     """
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    jets = spec.h_jets(at.x, at.y, X)
-    n, m = spec.chart.n, spec.chart.m
-    u = np.concatenate([at.v, at.w, V])
-    Y = np.array([j.value for j in jets])
-    W = np.array([float(j.gradient @ u) for j in jets])
+    jets = spec.h_jet_lists(at.x, at.y, X)
+    u = [*at.v, *at.w, *V]
+    Y = [val for val, _, _ in jets]
+    W = [dot(grad, u) for _, grad, _ in jets]
     return SecondTangentPoint(spec.chart, at.x, at.y, at.v, at.w, X, Y, V, W)
 
 
@@ -570,25 +561,25 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
             return spec.coefficients[a].chain(list(jets) + zero)
         return ScalarField(n + m, ev, label=f"A0_{a+1}")
 
+    k = 2 * n + m
+
     def a_field(a, i):
+        r = k * (n + m + i)  # the row of d/dv_i in h's Hessian
+
         def vg(q):
-            hj = spec.coefficients[a].jet(
-                np.concatenate([q, np.zeros(n)]))
-            val = -hj.gradient[n + m + i]
-            grad = -hj.hessian[n + m + i, :n + m]
-            return val, grad
+            _, g, H = spec.coefficients[a].jet_lists(q.tolist() + [0.0] * n)
+            return -g[n + m + i], -np.array(H[r:r + n + m])
         return DerivedField(n + m, vg, label=f"A{a+1}_{i+1}")
 
     A = [[a_field(a, i) for i in range(n)] for a in range(m)]
     A0 = [a0_field(a) for a in range(m)]
 
     def residual(z):
-        v = z[n + m:]
+        v = z[n + m:].tolist()
         h = spec.h_values(z[:n], z[n:n + m], v)
-        z0 = np.concatenate([z[:n + m], np.zeros(n)])
-        jets = [c.jet(z0) for c in spec.coefficients]
-        recon = [float(sum(j.gradient[n + m + i] * v[i] for i in range(n))
-                       + j.value) for j in jets]
+        z0 = z[:n + m].tolist() + [0.0] * n
+        jets = [c.jet_lists(z0) for c in spec.coefficients]
+        recon = [dot(grad[n + m:], v) + val for val, grad, _ in jets]
         return np.abs(h - recon).max()
 
     worst = float(sample_max(residual, samples, seed, 2 * n + m,

@@ -190,7 +190,7 @@ def test_criterion_06_induced_defining_relation():
             used += 1
             w, iters = h.solve_detail([x], [y], [v])
             assert iters <= 3
-            g = L.jet(np.array([x, y, v, w[0]])).gradient
+            g = L.field.jet(np.array([x, y, v, w[0]])).gradient
             assert abs(g[3]) < 1e-9
 
 
@@ -315,7 +315,7 @@ def test_criterion_12_nonholonomic():
 def test_criterion_13_magnetic_decoupling():
     good = MagneticModel.from_expressions(1, 1, V="0.5*x1^2",
                                           A_fibre=["2"])
-    rep = decoupling_check(good)
+    rep = decoupling_check(magnetic_lp_system(good))
     assert rep.verdict
     mag = integrate_magnetic(magnetic_lp_system(good), [1.0, 0.0, 0.4],
                              0.0, 10.0, 1e-3)
@@ -324,7 +324,7 @@ def test_criterion_13_magnetic_decoupling():
     assert np.abs(mag.states[:, 0] - base.states[:, 0]).max() < 1e-6
 
     bad = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
-    rep2 = decoupling_check(bad)
+    rep2 = decoupling_check(magnetic_lp_system(bad))
     assert not rep2.verdict
     assert abs(rep2.condition_residual - 1.0) < 1e-9
     assert rep2.subsystem_residual > 0.05
@@ -340,10 +340,13 @@ def test_criterion_14_homogeneity():
         if abs(z[2]) < 1e-2:
             continue
         used += 1
-        assert abs(liouville_derivative(L, z) - 2.0 * L.value(z)) < 1e-8
-    assert homogeneity_of_induced(L).max_residual < 1e-7
+        assert abs(liouville_derivative(L, z) - 2.0 * L.field.value(z)) < 1e-8
+    assert homogeneity_of_induced(L, induced_splitting(L)).max_residual \
+        < 1e-7
+    L1 = lag(F1)
+    h1 = induced_splitting(L1)
     with pytest.raises(HypothesisFailed):
-        homogeneity_of_induced(lag(F1))
+        homogeneity_of_induced(L1, h1)
 
 
 @gate(15, "infrastructure: jets, parser, integrator order, determinism")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibresplit import cli, nonholonomic, splitting
+from fibresplit import (cli, config, exprs, lagrangian, nonholonomic,
+                        reduction, splitting)
 
 FIX = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -147,6 +148,24 @@ def test_magnetic_simulate_coupled_model(tmp_path):
         assert abs(p1 - (1.5 * w1 + 0.5 * x1 + 0.1 * x2 ** 2)) < 1e-12
 
 
+def test_magnetic_simulate_compiles_each_field_once(tmp_path, monkeypatch):
+    # the run and its decoupling check share one MagneticSystem, so the
+    # reduced base Lagrangian is composed and compiled once
+    labels = []
+    compile_field = exprs.compile_field
+
+    def counted(*args, **kwargs):
+        labels.append(kwargs.get("label"))
+        return compile_field(*args, **kwargs)
+
+    for module in (exprs, config, lagrangian, reduction, splitting):
+        monkeypatch.setattr(module, "compile_field", counted)
+    assert run("magnetic-simulate", CONFIGS / "magnetic.ini", tmp_path) == 0
+    assert labels.count("Lbar_magnetic") == 1
+    # g, V, A_i, A_alpha, Upsilon and Kcurv, one field each, then Lbar
+    assert len(labels) == 7
+
+
 def test_unreduce_command(tmp_path):
     assert run("unreduce", FIX / "unred.ini", tmp_path) == 0
     rep = report(tmp_path)
@@ -186,6 +205,23 @@ def test_check_all_green(tmp_path):
     names = {c["name"] for c in rep["checks"]}
     assert {"defining_relation", "symmetry_condition", "tangency",
             "y_independence"} <= names
+
+
+def test_check_all_probes_the_induced_splitting_once(tmp_path, monkeypatch):
+    # with homogeneity = 2 the Euler residual reads the splitting whose
+    # branches check-all has probed already
+    probed = []
+    probe = lagrangian._probe_branches
+
+    def counted(spec):
+        probed.append(spec)
+        return probe(spec)
+
+    monkeypatch.setattr(lagrangian, "_probe_branches", counted)
+    assert run("check-all", FIX / "homog.ini", tmp_path) == 0
+    ch = checks_by_name(report(tmp_path))
+    assert ch["euler_residual_induced"]["passed"]
+    assert len(probed) == 1
 
 
 def test_check_all_flags_asymmetric_lagrangian(tmp_path, capsys):

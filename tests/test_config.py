@@ -66,7 +66,7 @@ def test_full_config_builds_every_object(tmp_path):
 
     L = cfg.lagrangian(chart)
     assert L.homogeneity_flag == 2.0
-    assert abs(L.value(np.array([0.0, 0.0, 1.0, 0.0])) - 0.5) < 1e-15
+    assert abs(L.field.value(np.array([0.0, 0.0, 1.0, 0.0])) - 0.5) < 1e-15
 
     h = cfg.splitting(chart)
     assert abs(h.h_values([2.0], [0.0], [0.5])[0] - 1.3) < 1e-15

@@ -118,13 +118,13 @@ def test_continuation_halves_when_the_predictor_leaves_the_domain():
 def test_induced_gradient_is_implicit_derivative():
     h = induced_splitting(lag(F2))
     v = 0.5
-    jets = h.h_jets([0.0], [0.0], [v])
+    jet = h.coefficients[0].jet([0.0, 0.0, v])
     want = -2.0 * v / np.sqrt(1.0 - 2.0 * v * v)
-    assert abs(jets[0].gradient[2] - want) < 1e-10
+    assert abs(jet.gradient[2] - want) < 1e-10
     # hessian comes from differencing the exact gradient
     want_hess = -2.0 / np.sqrt(1 - 2 * v * v) \
         - 4.0 * v * v / (1 - 2 * v * v) ** 1.5
-    assert abs(jets[0].hessian[2, 2] - want_hess) < 1e-5
+    assert abs(jet.hessian[2, 2] - want_hess) < 1e-5
 
 
 def test_induced_splitting_slit_fixture():
@@ -132,7 +132,7 @@ def test_induced_splitting_slit_fixture():
     h = induced_splitting(L)
     assert not h.smooth_at_zero
     assert abs(h.h_values([0.0], [0.0], [-0.7])[0] - 0.7) < 1e-12
-    j = h.h_jets([0.0], [0.0], [-0.7])[0]
+    j = h.coefficients[0].jet([0.0, 0.0, -0.7])
     # positively 1-homogeneous: v . dh/dv = h
     assert abs(j.gradient[2] * (-0.7) - j.value) < 1e-10
 
@@ -194,7 +194,7 @@ def test_defining_relation_on_samples():
         x, y = rng.uniform(-1.0, 1.0, 2)
         v = rng.uniform(-0.5, 0.5)  # keep 1 - 2v^2 well positive
         w = h.h_values([x], [y], [v])
-        g = L.jet(np.array([x, y, v, w[0]])).gradient
+        g = L.field.jet(np.array([x, y, v, w[0]])).gradient
         worst = max(worst, abs(g[3]))
     assert worst < 1e-9
 
@@ -258,16 +258,19 @@ def test_projection_of_horizontal_solutions():
 def test_liouville_derivative_counts_velocity_degree():
     L2 = lag("0.5*v1^2 + 0.5*w1^2")
     z = np.array([0.3, -0.2, 0.7, 0.4])
-    assert abs(liouville_derivative(L2, z) - 2 * L2.value(z)) < 1e-12
+    assert abs(liouville_derivative(L2, z) - 2 * L2.field.value(z)) < 1e-12
     L1 = lag("v1 + w1")
-    assert abs(liouville_derivative(L1, z) - L1.value(z)) < 1e-12
+    assert abs(liouville_derivative(L1, z) - L1.field.value(z)) < 1e-12
 
 
 def test_homogeneity_gate_and_euler_residual():
-    ok = homogeneity_of_induced(lag(F3))
+    L3 = lag(F3)
+    ok = homogeneity_of_induced(L3, induced_splitting(L3))
     assert ok.max_residual < 1e-7
+    L1 = lag(F1)  # cubic coupling breaks degree 2
+    h1 = induced_splitting(L1)
     with pytest.raises(HypothesisFailed):
-        homogeneity_of_induced(lag(F1))  # cubic coupling breaks degree 2
+        homogeneity_of_induced(L1, h1)
 
 
 def test_integrate_sode_state_length_guard():

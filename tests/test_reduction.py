@@ -276,7 +276,8 @@ def test_magnetic_model_rejects_asymmetric_metric():
                                        V="x1", A_fibre=["2"])
     sym = MagneticModel.from_expressions(2, 1, g=[["1", "0.25*x2"],
                                                    ["0.25*x2", "1"]])
-    assert decoupling_check(sym, samples=5).base_el_residual < 1e-12
+    assert decoupling_check(magnetic_lp_system(sym),
+                            samples=5).base_el_residual < 1e-12
 
 
 def test_magnetic_rhs_trivial_model():
@@ -332,7 +333,7 @@ def test_reduced_base_lagrangian_jets():
 
 def test_decoupling_constant_interaction():
     model = MagneticModel.from_expressions(1, 1, A_fibre=["2"])
-    rep = decoupling_check(model)
+    rep = decoupling_check(magnetic_lp_system(model))
     assert isinstance(rep, DecouplingReport)
     assert rep.verdict
     assert rep.condition_residual == 0.0
@@ -343,7 +344,7 @@ def test_decoupling_constant_interaction():
 
 def test_decoupling_detects_position_dependent_interaction():
     model = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
-    rep = decoupling_check(model)
+    rep = decoupling_check(magnetic_lp_system(model))
     assert not rep.verdict
     assert abs(rep.condition_residual - 1.0) < 1e-9
     assert rep.subsystem_residual > 0.05  # w feeds back into the base block
@@ -354,7 +355,7 @@ def test_decoupling_verdict_is_only_the_linear_condition():
     # remains; the verdict must not silently absorb those residuals.
     model = MagneticModel.from_expressions(
         1, 1, A_fibre=["exp(x1)"], upsilon=[[["-1"]]])
-    rep = decoupling_check(model)
+    rep = decoupling_check(magnetic_lp_system(model))
     assert rep.verdict
     assert rep.condition_residual == 0.0
     assert rep.subsystem_residual > 0.5

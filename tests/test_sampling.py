@@ -13,8 +13,8 @@ from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
 from fibresplit.numerics import sample_max
 from fibresplit.reduction import (ActionSpec, MagneticModel,
                                   connection_test_domega, decoupling_check,
-                                  invariance_check, principal_check,
-                                  vilms_principal_check)
+                                  invariance_check, magnetic_lp_system,
+                                  principal_check, vilms_principal_check)
 from fibresplit.splitting import SplittingSpec, affine_decompose, classify
 
 CH = BundleChart(1, 1)
@@ -43,7 +43,7 @@ CHECKS = {
                                        samples=4),
     "subduce": lambda: subduce(lag(NOWHERE_L), nowhere_h(), samples=4),
     "homogeneity_of_induced": lambda: homogeneity_of_induced(
-        lag(NOWHERE_L), samples=4),
+        lag(NOWHERE_L), nowhere_h(), samples=4),
     "branch_probe": lambda: induced_splitting(lag(NOWHERE_L)),
     "invariance": lambda: invariance_check(lag(NOWHERE_L), ACTION,
                                            samples=4),
@@ -55,8 +55,8 @@ CHECKS = {
     "classify": lambda: classify(nowhere_h(), samples=4),
     "affine_decompose": lambda: affine_decompose(nowhere_h(), samples=4),
     "decoupling": lambda: decoupling_check(
-        MagneticModel.from_expressions(1, 1, A_fibre=["log(x1 - 2)"]),
-        samples=4),
+        magnetic_lp_system(MagneticModel.from_expressions(
+            1, 1, A_fibre=["log(x1 - 2)"])), samples=4),
 }
 
 

@@ -215,8 +215,7 @@ def test_vilms_lift_w_rows_linear_in_velocities():
     # second derivatives of the W coefficients vanish in the (v, w, V) block
     s = spec11("y1*v1^2 + x1*v1")
     big = vilms_lift(s)
-    jets = big.h_jets([0.4, 0.3], [0.2, 0.1], [0.6, -0.2])
-    w_jet = jets[1]
+    w_jet = big.coefficients[1].jet([0.4, 0.3, 0.2, 0.1, 0.6, -0.2])
     # doubled-chart variable order: x, v, y, w, X, V
     lin_idx = [1, 3, 5]
     sub = w_jet.hessian[np.ix_(lin_idx, lin_idx)]
