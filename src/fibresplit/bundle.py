@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasePointMismatch, DimensionMismatch
+from .errors import BasePointMismatch, DimensionMismatch, DomainError
 from .exprs import VarContext
 from .jets import SLIT_EPS_DEFAULT, Jet2, ScalarField
-from .numerics import dot
+from .numerics import all_finite, as_floats, dot
 
 
 def _vec(a, k, what):
@@ -262,6 +262,7 @@ class DerivedField(ScalarField):
     reconstructed by central differences of that gradient, with step
     1e-5 (1 + max|x|), then symmetrized, since the exact second derivative
     of a derived quantity would need third derivatives of its ingredients.
+    vg_lists(x) gives the exact value and gradient without that work.
     """
 
     def __init__(self, arity, vg, label=""):
@@ -271,11 +272,24 @@ class DerivedField(ScalarField):
     def value(self, x):
         return self.vg(np.asarray(x, dtype=float))[0]
 
-    def jet(self, x):
+    def _point(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.arity,):
             raise DimensionMismatch(
                 f"field '{self.label}' expects {self.arity} inputs")
+        return x
+
+    def vg_lists(self, x):
+        """The exact value and gradient at x as Python floats, checked
+        finite as jet checks them, without differencing for the Hessian."""
+        val, grad = self.vg(self._point(x))
+        val, grad = float(val), as_floats(grad)
+        if not all_finite((val,), grad):
+            raise DomainError("jet has non-finite entries")
+        return val, grad
+
+    def jet(self, x):
+        x = self._point(x)
         val, grad = self.vg(x)
         k = self.arity
         hess = np.zeros((k, k))

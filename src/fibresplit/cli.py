@@ -142,7 +142,6 @@ def _probe_point(sim, chart):
 
 def _energy(L, z):
     k = L.chart.n + L.chart.m
-    z = z.tolist()
     value, grad, _ = L.field.jet_lists(z)
     return dot(grad[k:], z[k:]) - value
 
@@ -323,8 +322,8 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
         z2 = z.copy()
         z2[n:k] = rng.uniform(-box, box, m)
         z2[k + n:] = rng.uniform(-box, box, m)
-        return float(np.abs(G.force(z[:k], z[k:])[:n]
-                            - G.force(z2[:k], z2[k:])[:n]).max())
+        f1, f2 = G.force(z[:k], z[k:]), G.force(z2[:k], z2[k:])
+        return max(abs(a - b) for a, b in zip(f1[:n], f2[:n]))
 
     sub = sample_max(submersion, 50, rng, 2 * k, box).max_residual
     run.check("submersion", sub, run.report["tolerances"]["structural"])

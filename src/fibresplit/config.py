@@ -271,8 +271,8 @@ class ModelConfig:
 
         def base_curve(t):
             jets = [f.jet_lists([t]) for f in fields]
-            return (np.array([val for val, _, _ in jets]),
-                    np.array([grad[0] for _, grad, _ in jets]))
+            return ([val for val, _, _ in jets],
+                    [grad[0] for _, grad, _ in jets])
 
         return base_curve, y0
 

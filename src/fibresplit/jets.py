@@ -15,9 +15,10 @@ built from expressions compose by substitution into one tape
 coefficients, go through bundle.DerivedField instead.
 
 Every field also gives its jet as plain Python floats, jet_lists(x) ->
-(value, gradient list, row-major Hessian list).  For a TapeField that is
-the kernel's own output, checked but never copied into arrays.  It is the
-one way library code reads derivatives; a Jet2 is built only by the
+(value, gradient list, row-major Hessian list), and its first two
+entries alone as vg_lists(x).  For a TapeField that is the kernel's own
+output, checked but never copied into arrays.  These are the one way
+library code reads derivatives; a Jet2 is built only by the
 public jet(), by the algebra oracle and the evaluators of fields that are
 not expressions, by bundle.DerivedField, and by the chain rule
 (ScalarField.chain, jet2_compose).
@@ -279,6 +280,12 @@ class ScalarField:
         floats, Hessian as a list of k*k floats in row order)."""
         jet = self.jet(x)
         return jet.value, jet.gradient.tolist(), jet.hessian.ravel().tolist()
+
+    def vg_lists(self, x):
+        """The value and gradient at x as Python floats: jet_lists without
+        the Hessian, which fields that must difference for it
+        (bundle.DerivedField) then skip."""
+        return self.jet_lists(x)[:2]
 
     def value(self, x):
         return self.jet(x).value

@@ -58,7 +58,7 @@ class LagrangianSpec:
 class SodeSpec:
     """Second-order field on dim coordinates: d(q)/dt = u and
     d(u)/dt = force(q, u); force takes q and u as arrays of dim floats and
-    returns dim floats."""
+    returns dim floats (the forces built here return lists)."""
     dim: int
     force: object
     provenance: str = "explicit"
@@ -72,7 +72,8 @@ def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
         raise DimensionMismatch(f"state must have length {2 * k}")
 
     def f(t, z):
-        return np.concatenate([z[k:], sode.force(z[:k], z[k:])])
+        return z[k:] + as_floats(sode.force(np.array(z[:k]),
+                                            np.array(z[k:])))
 
     return rk4_integrate(f, t0, t1, z0, dt, diagnostic)
 
@@ -89,8 +90,9 @@ def fibre_regularity(L, w_pt):
 
 def _force_from_jet(jet, u, extra=None):
     """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u + extra for the
-    acceleration, from L's jet at (q, u) as jet_lists gives it, u as k
-    floats and extra, an external force of k floats, or None for none."""
+    acceleration f, a list of k floats, from L's jet at (q, u) as
+    jet_lists gives it, u as k floats and extra, an external force of k
+    floats, or None for none."""
     _, grad, hess = jet
     k = len(u)
     M, rhs = [], []
@@ -100,7 +102,7 @@ def _force_from_jet(jet, u, extra=None):
         r = grad[i] - dot(row[:k], u)
         rhs.append(r if extra is None else r + extra[i])
     try:
-        return linear_solve(M, rhs)
+        return linear_solve(M, rhs).tolist()
     except SingularMatrix as exc:
         raise SingularHessian(f"velocity Hessian singular: {exc}") from exc
 
@@ -305,7 +307,7 @@ def tangency_check(L, h, samples=50, seed=42, box=1.0):
         z = xyv.tolist() + h.h_values(xyv[:n], xyv[n:k], xyv[k:]).tolist()
         jet = L.field.jet_lists(z)
         u = z[k:]
-        f = _force_from_jet(jet, u).tolist()
+        f = _force_from_jet(jet, u)
         rows = [jet[2][2 * k * r:2 * k * (r + 1)]
                 for r in range(2 * n + m, 2 * k)]
         return max(abs(dot(row[:k], u) + dot(row[k:], f)) for row in rows)
@@ -495,10 +497,10 @@ def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
     def euler(z):
         v = z[n + m:].tolist()
         try:
-            jets = h.h_jet_lists(z[:n], z[n:n + m], v)
+            vgs = h.h_vg_lists(z[:n], z[n:n + m], v)
         except NoConvergence as exc:
             raise DomainError(f"no induced jet: {exc}") from exc
-        return max(abs(dot(grad[n + m:], v) - val) for val, grad, _ in jets)
+        return max(abs(dot(grad[n + m:], v) - val) for val, grad in vgs)
 
     rep = sample_max(euler, samples, seed + 1, 2 * n + m, box)
     return replace(rep, seed=seed)

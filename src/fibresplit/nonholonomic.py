@@ -115,8 +115,7 @@ class ConstrainedSystem:
                          - dot(row[:n], v) - dot(row[n:n + m], ydot)
                          + force)
         M = [H[k * r + n + m:k * (r + 1)] for r in range(n + m, k)]
-        vdot = linear_solve(M, rhs_v)
-        return np.array(v + ydot + vdot.tolist())
+        return v + ydot + linear_solve(M, rhs_v).tolist()
 
     def energy(self, s):
         """Constrained energy v . dLc/dv - Lc."""
@@ -140,7 +139,6 @@ def integrate_constrained(L, c, ic, T, dt):
     n, m = L.chart.n, L.chart.m
 
     def diag(t, s):
-        s = s.tolist()
         q, v = s[:n + m], s[n + m:]
         ydot, A, A0 = c._w_lists(q, v)
         resid = max(abs(ydot[a] + dot(A[a], v) - A0[a]) for a in range(m))

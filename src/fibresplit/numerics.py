@@ -11,7 +11,15 @@ unrolled and every index resolved; the condition number's k triangular
 solves still cost O(k^3), and up to k = 6 a call stays cheaper than
 LAPACK's solve plus its condition number (tools/time_solves.py).  The
 contract is strict: solves are rejected on a large condition number and
-the residual postcondition is always verified.
+the residual postcondition is always verified.  linear_solve reads A as
+k rows and b as k numbers or k rows, lists or arrays, straight into the
+flat float lists its kernel takes.
+
+rk4_integrate steps its state as a list of Python floats: the right-hand
+side f(t, y) and the diagnostic(t, y) receive that list, f returns d
+floats, and each stage is summed entry by entry in the order of the
+array expressions it replaces, so every state is bit for bit what numpy
+arithmetic gives.  Only the finished record is built as arrays.
 """
 
 import functools
@@ -180,11 +188,23 @@ def _solver(k, r):
 
 
 def _square(A):
-    """A as a float array, checked to be a square matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"matrix of shape {A.shape} is not square")
-    return A
+    """The square matrix A, given as k rows of k numbers (a list of rows
+    or a 2-D array), as its entries in one flat list of floats in row
+    order, and k.  Raises DimensionMismatch on any other shape."""
+    if isinstance(A, np.ndarray):
+        A = A.tolist()
+    try:
+        k = len(A)
+        a = []
+        for row in A:
+            if len(row) != k:
+                raise DimensionMismatch(f"matrix row of {len(row)} entries "
+                                        f"in {k} rows is not square")
+            a += map(float, row)
+    except TypeError:
+        raise DimensionMismatch("matrix is not k rows of k numbers") \
+            from None
+    return a, k
 
 
 def condition_number(A):
@@ -193,18 +213,18 @@ def condition_number(A):
     nan or inf when an entry of A is not finite.  It lies within a factor
     k of the 2-norm condition number.  Raises DimensionMismatch when A is
     not square."""
-    A = _square(A)
-    a = A.ravel().tolist()
+    a, k = _square(A)
     scale = _unit_scale(a)
     if scale != 1.0:
         a = [v * scale for v in a]
-    return _solver(len(A), 0)(a, [], math.inf, scale)[0]
+    return _solver(k, 0)(a, [], math.inf, scale)[0]
 
 
 def linear_solve(A, b, cond_bound=1e13):
-    """Solve A x = b for a square A (array-like, k x k) and b of k entries,
-    or k x r with one right-hand side per column; x is an array with the
-    shape of b.
+    """Solve A x = b for a square A, given as k rows of k numbers (a list
+    of rows or a 2-D array), and b of k numbers, or k rows of r with one
+    right-hand side per column; x is an array with the shape of b.  A list
+    of ints solves in float arithmetic.
 
     Raises DimensionMismatch when the shapes do not fit that, and
     SingularMatrix when A or b has a non-finite entry, when the 1-norm
@@ -212,14 +232,26 @@ def linear_solve(A, b, cond_bound=1e13):
     when the solution misses the residual postcondition
     max|Ax-b| <= 1e-10 (1 + max|b|).
     """
-    A = _square(A)
-    B = np.asarray(b, dtype=float)
-    k = len(A)
-    if B.ndim not in (1, 2) or len(B) != k:
-        raise DimensionMismatch(f"system shapes {A.shape} vs {B.shape}")
-    one_rhs = B.ndim == 1
-    a = A.ravel().tolist()
-    b = B.tolist() if one_rhs else B.T.ravel().tolist()
+    a, k = _square(A)
+    if isinstance(b, np.ndarray):
+        b = b.tolist()
+    try:
+        if len(b) != k:
+            raise DimensionMismatch(f"right-hand side of {len(b)} rows for "
+                                    f"a {k} x {k} matrix")
+        one_rhs = not (k and hasattr(b[0], "__len__"))
+        if one_rhs:
+            b = list(map(float, b))
+        else:  # k rows of r: laid out one right-hand side after another
+            try:
+                cols = list(zip(*b, strict=True))
+            except ValueError:
+                raise DimensionMismatch("right-hand side rows of unequal "
+                                        "lengths") from None
+            b = [float(e) for col in cols for e in col]
+    except TypeError:
+        raise DimensionMismatch("right-hand side is neither k numbers nor "
+                                "k rows of numbers") from None
     if not all_finite(a, b):
         raise SingularMatrix("non-finite entries in linear system")
     # solve s A x = s b, with the same kappa_1, solution and postcondition
@@ -227,7 +259,7 @@ def linear_solve(A, b, cond_bound=1e13):
     if scale != 1.0:
         a = [v * scale for v in a]
         b = [v * scale for v in b]
-    r = 1 if one_rhs else B.shape[1]
+    r = 1 if one_rhs else len(cols)
     cond, x = _solver(k, r)(a, b, cond_bound, scale)
     if x is None:
         raise SingularMatrix(
@@ -319,11 +351,17 @@ class TrajectoryRecord:
 
 
 def _rk4_step(f, t, y, dt):
+    """One classic RK4 step from the float list y.  Each stage is summed
+    in the order of the array expressions y + (dt/2) k1 and
+    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), entry by entry."""
+    h = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1, strict=True)])
+    k3 = f(t + h, [a + h * b for a, b in zip(y, k2, strict=True)])
+    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3, strict=True)])
+    c = dt / 6.0
+    return [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4, strict=True)]
 
 
 # Largest step count rk4_integrate accepts; every stored point is kept
@@ -333,11 +371,14 @@ _MAX_STEPS = 10**6
 def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     """Classic fixed-step RK4 for y' = f(t, y) from y(t0) = y0 to t1.
 
-    The grid is t0 + i*dt; a shorter final step lands exactly on t1.  More
-    than _MAX_STEPS steps raise ValueError before the first one.
-    diagnostic, if given, maps (t, y) to a dict of floats recorded at every
-    stored point.  Raises NonFiniteState as soon as the state leaves
-    float range.
+    The state is stepped as a list of d Python floats: f(t, y) and
+    diagnostic(t, y) receive that list, which they must not modify, and f
+    returns d floats (a list, or any sequence of d numbers).  The grid is
+    t0 + i*dt; a shorter final step lands exactly on t1.  More than
+    _MAX_STEPS steps raise ValueError before the first one.  diagnostic,
+    if given, maps (t, y) to a dict of floats recorded at every stored
+    point.  Raises NonFiniteState as soon as the state leaves float range.
+    The record holds the times and states as arrays.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -347,28 +388,26 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     if not span / dt <= _MAX_STEPS:  # also catches inf and nan
         raise ValueError(f"(t1 - t0)/dt = {span / dt:.6g} RK4 steps exceed "
                          f"the maximum of {_MAX_STEPS}")
-    y = np.asarray(y0, dtype=float).copy()
+    y = as_floats(y0)
     n_full = int(math.floor(span / dt + 1e-12))
     rem = span - n_full * dt
     if rem < 1e-12 * max(1.0, abs(span)):
         rem = 0.0
     n_steps = n_full + (1 if rem else 0)
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     diags = []
     if diagnostic is not None:
         diags.append(diagnostic(t0, y))
-    def fa(t, s):
-        return np.asarray(f(t, s), dtype=float)
     t = t0
     for i in range(n_steps):
-        y = _rk4_step(fa, t, y, dt if i < n_full else rem)
+        y = _rk4_step(f, t, y, dt if i < n_full else rem)
         # recompute t from the grid, not by accumulation
         t = t1 if i + 1 == n_steps else t0 + (i + 1) * dt
-        if not np.isfinite(y).all():
+        if not all_finite(y):
             raise NonFiniteState(f"state non-finite at t={t}")
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         if diagnostic is not None:
             diags.append(diagnostic(t, y))
     record = TrajectoryRecord(np.array(times), np.array(states))

@@ -130,12 +130,12 @@ def principal_check(h, action, samples=100, seed=42, box=1.0):
     def residual(z):
         z = z.tolist()
         x, y, v = z[:n], z[n:n + m], z[n + m:]
-        hjets = h.h_jet_lists(x, y, v)
+        hvgs = h.h_vg_lists(x, y, v)
         Kjets = [[f.jet_lists(x + y) for f in row] for row in action.K]
-        hval = [val for val, _, _ in hjets]
+        hval = [val for val, _ in hvgs]
         return max(abs(dot(v, kg[:n]) + dot(hval, kg[n:])
                        - dot([row[g][0] for row in Kjets], dh[n:n + m]))
-                   for (_, dh, _), Krow in zip(hjets, Kjets)
+                   for (_, dh), Krow in zip(hvgs, Kjets)
                    for g, (_, kg, _) in enumerate(Krow))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
@@ -157,7 +157,7 @@ def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
         z = z.tolist()
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         euler = [dot(grad[n + m:], v) - val
-                 for val, grad, _ in h.h_jet_lists(x, y, v)]
+                 for val, grad in h.h_vg_lists(x, y, v)]
         return np.abs(linear_solve(action.K_matrix(x, y), euler)).max()
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
@@ -185,11 +185,11 @@ def vilms_of_sode(gamma_bar, h, w_pt):
     (0, 0, v, h); tests exercise that identity through the bundle ops.
     """
     f = gamma_bar.force(w_pt.x, w_pt.v)
-    jets = h.h_jet_lists(w_pt.x, w_pt.y, w_pt.v)
+    vgs = h.h_vg_lists(w_pt.x, w_pt.y, w_pt.v)
     u = [*w_pt.v, *w_pt.w, *f]
     return SecondTangentPoint(w_pt.chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
-                              w_pt.v, [val for val, _, _ in jets], f,
-                              [dot(grad, u) for _, grad, _ in jets])
+                              w_pt.v, [val for val, _ in vgs], f,
+                              [dot(grad, u) for _, grad in vgs])
 
 
 def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
@@ -213,13 +213,12 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
         q, u = as_floats(q), as_floats(u)
         x, y, v, w = q[:n], q[n:], u[:n], u[n:]
         f = as_floats(gamma_bar.force(np.array(x), np.array(v)))
-        jets = h.h_jet_lists(x, y, v)
+        vgs = h.h_vg_lists(x, y, v)
         om = linear_solve(action.K_matrix(x, y),
-                          [w[a] - jets[a][0] for a in range(m)]).tolist()
+                          [w[a] - vgs[a][0] for a in range(m)]).tolist()
         Kd = action.K_dot(x, y, v, w)
         vwf = u + f
-        return np.array(f + [dot(jets[a][1], vwf) + dot(Kd[a], om)
-                             for a in range(m)])
+        return f + [dot(vgs[a][1], vwf) + dot(Kd[a], om) for a in range(m)]
 
     return SodeSpec(n + m, force, "unreduced")
 
@@ -244,10 +243,12 @@ def _flow_lift(action, gamma, t, s, steps=64):
     col = [row[gamma] for row in action.K]
     sign = 1.0 if t > 0 else -1.0
 
-    k = len(s.x) + len(s.y)
+    m = len(s.y)
+    k = len(s.x) + m
 
     def f(_, state):
-        y, w, Y, W = np.split(state, 4)
+        y, w, Y, W = state[:m], state[m:2 * m], state[2 * m:3 * m], \
+            state[3 * m:]
         try:
             jets = [K.jet_lists([*s.x, *y]) for K in col]
         except DomainError as exc:
@@ -256,12 +257,13 @@ def _flow_lift(action, gamma, t, s, steps=64):
                 raise
             raise FlowEscape(f"generator flow diverged: {exc}") from exc
         vw, XY, VW = [*s.v, *w], [*s.X, *Y], [*s.V, *W]
-        return sign * np.array(
-            [val for val, _, _ in jets]
-            + [dot(grad, vw) for _, grad, _ in jets]
-            + [dot(grad, XY) for _, grad, _ in jets]
-            + [dot(vw, [dot(H[k * i:k * (i + 1)], XY) for i in range(k)])
-               + dot(grad, VW) for _, grad, H in jets])
+        rates = ([val for val, _, _ in jets]
+                 + [dot(grad, vw) for _, grad, _ in jets]
+                 + [dot(grad, XY) for _, grad, _ in jets]
+                 + [dot(vw, [dot(H[k * i:k * (i + 1)], XY)
+                             for i in range(k)])
+                    + dot(grad, VW) for _, grad, H in jets])
+        return [sign * r for r in rates]
 
     try:
         rec = rk4_integrate(f, 0.0, abs(t),
@@ -426,6 +428,8 @@ class MagneticSystem:
     def __init__(self, model):
         self.model = model
         self.Lbar = reduced_base_lagrangian(model)
+        self._k = model.k.tolist()
+        self._C = model.C.tolist()
 
     def split(self, s):
         n = self.model.n
@@ -434,8 +438,7 @@ class MagneticSystem:
     def momentum(self, s):
         """p = k wbar + A_fibre(x), as a list of m floats."""
         x, _, wb = self.split(as_floats(s))
-        k = self.model.k.tolist()
-        return [dot(k[a], wb) + float(f.value(x))
+        return [dot(self._k[a], wb) + float(f.value(x))
                 for a, f in enumerate(self.model.A_fibre)]
 
     def quadratic_diagnostic(self, s):
@@ -444,7 +447,7 @@ class MagneticSystem:
         mdl = self.model
         x, _, wb = self.split(as_floats(s))
         U = mdl.upsilon_values(x)
-        kw = [dot(row, wb) for row in mdl.k.tolist()]
+        kw = [dot(row, wb) for row in self._k]
         pairs = [(a, b) for a in range(mdl.m) for b in range(mdl.m)]
         return [sum(U[a][i][b] * wb[b] * kw[a] for a, b in pairs)
                 for i in range(mdl.n)]
@@ -457,7 +460,7 @@ class MagneticSystem:
         dAf = [jet[1] for jet in Af]
         U = mdl.upsilon_values(x)
         Kc = mdl.kcurv_values(x)
-        k = mdl.k.tolist()
+        k, C = self._k, self._C
         p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
 
         # extra_i = dA_fibre[:, i] . wb
@@ -467,15 +470,13 @@ class MagneticSystem:
                        for a in range(m)) for i in range(n)]
         vdot = _force_from_jet(self.Lbar.jet_lists(x + v), v, extra)
 
-        C = mdl.C.tolist()
         pdot = [sum(U[b][i][a] * v[i] * p[b]
                     for b in range(m) for i in range(n))
                 + sum(C[b][a][c] * wb[c] * p[b]
                       for b in range(m) for c in range(m))
                 for a in range(m)]
-        wbdot = linear_solve(mdl.k,
-                             [pdot[a] - dot(dAf[a], v) for a in range(m)])
-        return np.array(v + vdot.tolist() + wbdot.tolist())
+        wbdot = linear_solve(k, [pdot[a] - dot(dAf[a], v) for a in range(m)])
+        return v + vdot + wbdot.tolist()
 
 
 def magnetic_lp_system(model):
@@ -486,8 +487,7 @@ def integrate_magnetic(system, s0, t0, t1, dt):
     def diag(t, s):
         return {f"p{a+1}": pa for a, pa in enumerate(system.momentum(s))}
 
-    return rk4_integrate(system.rhs, t0, t1, np.asarray(s0, dtype=float),
-                         dt, diag)
+    return rk4_integrate(system.rhs, t0, t1, s0, dt, diag)
 
 
 def magnetic_induced_splitting(model):
@@ -571,8 +571,8 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
         s2[2 * n:] += rng2.uniform(0.1, 0.5, m)
         rhs2 = system.rhs(0.0, s2)
         f_el = base_force(s[:n], s[n:2 * n])
-        return (np.abs(rhs[n:2 * n] - rhs2[n:2 * n]).max(),
-                np.abs(rhs[n:2 * n] - f_el).max(), quad)
+        return (max(abs(a - b) for a, b in zip(rhs[n:2 * n], rhs2[n:2 * n])),
+                max(abs(a - b) for a, b in zip(rhs[n:2 * n], f_el)), quad)
 
     sub_res, el_res, quad = sample_max(subsystem, min(samples, 25), rng2,
                                        2 * n + m, box).max_residual

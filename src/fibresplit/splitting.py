@@ -76,8 +76,10 @@ class SplittingSpec:
         return cls(chart, fields, smooth_at_zero, "explicit")
 
     def admissible(self, v):
+        if self.smooth_at_zero:
+            return True
         v = np.asarray(v, dtype=float)
-        return self.smooth_at_zero or np.linalg.norm(v) >= self.chart.slit_eps
+        return np.linalg.norm(v) >= self.chart.slit_eps
 
     def _require_admissible(self, v):
         if not self.admissible(v):
@@ -94,6 +96,13 @@ class SplittingSpec:
         self._require_admissible(v)
         z = [*x, *y, *v]
         return [c.jet_lists(z) for c in self.coefficients]
+
+    def h_vg_lists(self, x, y, v):
+        """The coefficients' exact values and gradients at (x, y, v), as
+        Python floats: vg_lists, for callers that read no Hessian."""
+        self._require_admissible(v)
+        z = [*x, *y, *v]
+        return [c.vg_lists(z) for c in self.coefficients]
 
     def __repr__(self):
         return (f"SplittingSpec(n={self.chart.n}, m={self.chart.m}, "
@@ -157,7 +166,7 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
 
     def f(t, y):
         x, xdot = base_curve(t)
-        return spec.h_values(x, y, xdot)
+        return spec.h_values(x, y, xdot).tolist()
 
     rec = rk4_integrate(f, t0, t1, y0, dt)
     ts = rec.t
@@ -348,10 +357,10 @@ def vilms_horizontal(spec, at, X, V):
     at is the TM point; (X, V) is the base velocity in TN.  Returns the
     second-tangent point (at; X, Y, V, W) by the displayed coefficients.
     """
-    jets = spec.h_jet_lists(at.x, at.y, X)
+    vgs = spec.h_vg_lists(at.x, at.y, X)
     u = [*at.v, *at.w, *V]
-    Y = [val for val, _, _ in jets]
-    W = [dot(grad, u) for _, grad, _ in jets]
+    Y = [val for val, _ in vgs]
+    W = [dot(grad, u) for _, grad in vgs]
     return SecondTangentPoint(spec.chart, at.x, at.y, at.v, at.w, X, Y, V, W)
 
 

@@ -6,7 +6,8 @@ from fibresplit.bundle import (BundleChart, DerivedField, SecondTangentPoint,
                                canonical_flip, complete_lift, lie_bracket,
                                liouville_fields, mu, tangent_map,
                                vertical_endomorphism, vertical_lift)
-from fibresplit.errors import (BasePointMismatch, DimensionMismatch)
+from fibresplit.errors import (BasePointMismatch, DimensionMismatch,
+                               DomainError)
 from fibresplit.exprs import VarContext, compile_field, parse
 
 
@@ -176,6 +177,28 @@ def test_derived_field_jet_matches_smooth_reference():
     assert abs(jf.value - jr.value) < 1e-15
     assert np.abs(jf.gradient - jr.gradient).max() < 1e-15
     assert np.abs(jf.hessian - jr.hessian).max() < 1e-7
+
+
+def test_derived_field_vg_lists_skip_the_differenced_hessian():
+    calls = []
+
+    def vg(q):
+        calls.append(q)
+        a, b = q
+        return np.sin(a) * b, np.array([np.cos(a) * b, b / a])
+
+    f = DerivedField(2, vg, label="vg")
+    val, grad = f.vg_lists([0.6, -1.3])
+    assert len(calls) == 1
+    jet = f.jet_lists([0.6, -1.3])
+    assert len(calls) == 2 + 2 * 2
+    assert (val, grad) == jet[:2] and type(val) is float
+    # checked as jet() checks them
+    with np.errstate(divide="ignore"), \
+            pytest.raises(DomainError, match="non-finite"):
+        f.vg_lists([0.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        f.vg_lists([0.6])
 
 
 def test_tangent_map_of_linear_map_is_exact():

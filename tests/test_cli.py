@@ -224,6 +224,37 @@ def test_check_all_probes_the_induced_splitting_once(tmp_path, monkeypatch):
     assert len(probed) == 1
 
 
+def test_check_all_euler_residual_solves_once_per_sample(tmp_path,
+                                                        monkeypatch):
+    # the Euler residual reads values and gradients of the induced
+    # coefficient only, so it takes no differenced Hessian: one
+    # continuation solve per sample (20) and coefficient (m = 1)
+    solves = []
+    inside = []
+    solve = lagrangian.InducedSplitting.solve_detail
+    check = cli.homogeneity_of_induced
+
+    def counted_solve(self, *args):
+        if inside:
+            solves.append(args)
+        return solve(self, *args)
+
+    def counted_check(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(lagrangian.InducedSplitting, "solve_detail",
+                        counted_solve)
+    monkeypatch.setattr(cli, "homogeneity_of_induced", counted_check)
+    assert run("check-all", FIX / "homog.ini", tmp_path) == 0
+    ch = checks_by_name(report(tmp_path))
+    assert ch["euler_residual_induced"]["passed"]
+    assert len(solves) == 20
+
+
 def test_check_all_flags_asymmetric_lagrangian(tmp_path, capsys):
     assert run("check-all", FIX / "asym.ini", tmp_path) == 1
     rep = report(tmp_path)

@@ -153,8 +153,27 @@ def test_linear_system_shape_validation():
         linear_solve(np.eye(2), np.ones((2, 1, 1)))
     with pytest.raises(DimensionMismatch):
         linear_solve(np.eye(1), 1.0)
+    # the same checks on rows given as lists
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for A, b in (([[1.0, 0.0], [1.0]], [1.0, 1.0]),     # ragged rows of A
+                 (eye, [1.0]), (eye, [1.0, 2.0, 3.0]),  # b of wrong length
+                 (eye, [[1.0, 2.0], [1.0]]),            # ragged rows of b
+                 (eye, [[1.0], [2.0], [3.0]]),
+                 (eye, [[[1.0]], [[2.0]]]), (eye, [1.0, [2.0]])):
+        with pytest.raises(DimensionMismatch):
+            linear_solve(A, b)
+    for A, b in (([[1.0, math.nan], [0.0, 1.0]], [1.0, 1.0]),
+                 (eye, [1.0, math.inf]), (eye, [[1.0], [-math.inf]])):
+        with pytest.raises(SingularMatrix, match="non-finite entries"):
+            linear_solve(A, b)
+    # a list of ints solves in float arithmetic, as its float twin does
+    x = linear_solve([[3, 1], [1, 2]], [9, 8])
+    assert x.dtype == np.float64
+    assert x.tobytes() == linear_solve([[3.0, 1.0], [1.0, 2.0]],
+                                       [9.0, 8.0]).tobytes()
     # condition_number takes the same square check
-    for A in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2)), 1.0):
+    for A in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2)), 1.0,
+              [[1.0, 0.0], [1.0]]):
         with pytest.raises(DimensionMismatch):
             condition_number(A)
 
@@ -475,7 +494,7 @@ def test_rk4_convergence_order_four():
 
 def test_rk4_diagnostics_recorded_per_point():
     rec = rk4_integrate(
-        lambda t, y: -y, 0.0, 1.0, np.array([2.0]), 0.1,
+        lambda t, y: [-v for v in y], 0.0, 1.0, np.array([2.0]), 0.1,
         diagnostic=lambda t, y: {"square": float(y[0] ** 2)})
     assert len(rec.diagnostics["square"]) == len(rec.t)
     assert abs(rec.diagnostics["square"][0] - 4.0) < 1e-15
@@ -484,8 +503,8 @@ def test_rk4_diagnostics_recorded_per_point():
 def test_rk4_nonfinite_state_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState):
-            rk4_integrate(lambda t, y: y ** 3, 0.0, 10.0, np.array([5.0]),
-                          0.5)
+            rk4_integrate(lambda t, y: [v * v * v for v in y], 0.0, 10.0,
+                          np.array([5.0]), 0.5)
 
 
 def test_rk4_validates_step_and_span():
@@ -493,6 +512,68 @@ def test_rk4_validates_step_and_span():
         rk4_integrate(lambda t, y: y, 0.0, 1.0, np.array([1.0]), -0.1)
     with pytest.raises(ValueError):
         rk4_integrate(lambda t, y: y, 1.0, 0.0, np.array([1.0]), 0.1)
+
+
+# The numpy RK4 loop that rk4_integrate's float-list stages replace: the
+# reference whose states and diagnostics it must match bit for bit.
+
+def _reference_rk4_step(f, t, y, dt):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rk4(f, t0, t1, y0, dt, diagnostic):
+    """Times, states and diagnostics of RK4 on arrays over rk4_integrate's
+    grid, f and diagnostic taking the state as an array."""
+    span = t1 - t0
+    n_full = int(math.floor(span / dt + 1e-12))
+    rem = span - n_full * dt
+    if rem < 1e-12 * max(1.0, abs(span)):
+        rem = 0.0
+    n_steps = n_full + (1 if rem else 0)
+    y = np.asarray(y0, dtype=float).copy()
+    times, states, diags = [t0], [y.copy()], [diagnostic(t0, y)]
+    t = t0
+    for i in range(n_steps):
+        y = _reference_rk4_step(f, t, y, dt if i < n_full else rem)
+        t = t1 if i + 1 == n_steps else t0 + (i + 1) * dt
+        times.append(t)
+        states.append(y.copy())
+        diags.append(diagnostic(t, y))
+    return np.array(times), np.array(states), diags
+
+
+def test_rk4_matches_the_array_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    c = rng.uniform(-1.0, 1.0, (5, 5)).tolist()
+    d = rng.uniform(0.5, 2.0, 5).tolist()
+
+    def rates(t, y):
+        # a nonlinear, time-dependent field on 5 Python floats
+        return [c[0][1] * y[1] * y[2] - d[0] * math.sin(y[0]) + math.cos(t),
+                c[1][2] * y[2] - d[1] * y[1] ** 3 + c[1][0] * y[3] * y[4],
+                math.exp(-y[0] * y[0]) * c[2][3] - d[2] * y[2] / (1.0 + t),
+                c[3][4] * y[4] * y[0] - d[3] * math.tanh(y[3]),
+                c[4][0] * y[0] * y[1] - d[4] * y[4] + c[4][4] * t * y[2]]
+
+    def energy(t, y):
+        return {"energy": sum(v * v for v in y), "first": y[0] * t}
+
+    y0 = rng.uniform(-1.0, 1.0, 5)
+    # 53 steps of 0.01 and a shortened last one of 0.007
+    t_ref, s_ref, d_ref = _reference_rk4(
+        lambda t, y: np.array(rates(t, y.tolist())), 0.0, 0.537, y0, 0.01,
+        lambda t, y: energy(t, y.tolist()))
+    rec = rk4_integrate(rates, 0.0, 0.537, y0, 0.01, energy)
+    assert len(rec.t) == 55 and rec.t[-1] - rec.t[-2] < 0.0071
+    assert rec.t.tobytes() == t_ref.tobytes()
+    assert rec.states.tobytes() == s_ref.tobytes()
+    for key in ("energy", "first"):
+        want = np.array([dg[key] for dg in d_ref])
+        assert rec.diagnostics[key].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t1", [1e300, np.inf])
