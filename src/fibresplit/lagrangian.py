@@ -5,9 +5,11 @@ relation dL/dw = 0 on the horizontal manifold.  The splitting is
 Newton-backed: each point solves that m-dimensional system once for all m
 coefficients, by damped Newton with adaptive continuation along s v.
 Values need no more; first derivatives of the coefficient fields come
-from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz.  Every jet of
-L is read as float lists (jet_lists); the subduced Lagrangian gives its
-own jets that way too and wraps them in a Jet2 only in its public jet().
+from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz, at the same
+root for all m of them (h_vg_lists).  Every jet of L is read as float
+lists (jet_lists), and Newton, the continuation and the SODE forces step
+on float lists; the subduced Lagrangian gives its own jets that way too
+and wraps them in a Jet2 only in its public jet().
 """
 
 from dataclasses import dataclass, replace
@@ -57,23 +59,24 @@ class LagrangianSpec:
 @dataclass
 class SodeSpec:
     """Second-order field on dim coordinates: d(q)/dt = u and
-    d(u)/dt = force(q, u); force takes q and u as arrays of dim floats and
-    returns dim floats (the forces built here return lists)."""
+    d(u)/dt = force(q, u); force takes q and u as lists of dim floats,
+    which it must not modify, and returns dim floats (the forces built
+    here return lists and also accept arrays)."""
     dim: int
     force: object
     provenance: str = "explicit"
 
 
 def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
-    """Integrate a SODE; states are rows (q, u) on the time grid."""
+    """Integrate a SODE; states are rows (q, u) on the time grid.  Each RK4
+    stage hands force the list slices q and u of its float-list state."""
     k = sode.dim
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (2 * k,):
+    z0 = as_floats(z0)
+    if len(z0) != 2 * k:
         raise DimensionMismatch(f"state must have length {2 * k}")
 
     def f(t, z):
-        return z[k:] + as_floats(sode.force(np.array(z[:k]),
-                                            np.array(z[k:])))
+        return z[k:] + as_floats(sode.force(z[:k], z[k:]))
 
     return rk4_integrate(f, t0, t1, z0, dt, diagnostic)
 
@@ -82,8 +85,8 @@ def fibre_regularity(L, w_pt):
     """Determinant and 1-norm condition number (the one linear_solve
     bounds) of the fibre Hessian d2L/dw dw."""
     k = 2 * L.chart.n + L.chart.m
-    z = w_pt.as_array()
-    W = _fibre_system(L, z[:k].tolist())(z[k:])[1]
+    z = w_pt.as_array().tolist()
+    W = _fibre_system(L, z[:k])(z[k:])[1]
     return {"det": float(np.linalg.det(W)),
             "condition": condition_number(W)}
 
@@ -122,12 +125,12 @@ def euler_lagrange_sode(field):
 
 
 def _fibre_system(L, z):
-    """w -> (dL/dw, d2L/dw dw) at (z, w), for z = (x, y, v) a list of
-    floats and w an array."""
+    """w -> (dL/dw, d2L/dw dw) at (z, w), for z = (x, y, v) and w lists
+    of floats."""
     k, K = len(z), L.field.arity
 
     def system(w):
-        _, grad, hess = L.field.jet_lists(z + w.tolist())
+        _, grad, hess = L.field.jet_lists(z + w)
         return grad[k:], [hess[K * r + k:K * (r + 1)] for r in range(k, K)]
 
     return system
@@ -155,25 +158,23 @@ class InducedSplitting(SplittingSpec):
 
     def __init__(self, L):
         chart = L.chart
-        n, m = chart.n, chart.m
         self._L = L
-        arity = 2 * n + m
 
         def coeff(a):
             def vg(z):
-                w, _ = self.solve_detail(z[:n], z[n:n + m], z[n + m:])
-                dh = _fibre_solve(L.field.jet_lists(z.tolist() + w.tolist()),
-                                  arity)
+                w, dh = self._solve_vg(z.tolist())
                 return w[a], dh[a, 1:]
-            return DerivedField(arity, vg, label=f"h{a+1}_induced")
+            return DerivedField(2 * chart.n + chart.m, vg,
+                                label=f"h{a+1}_induced")
 
-        super().__init__(chart, [coeff(a) for a in range(m)],
+        super().__init__(chart, [coeff(a) for a in range(chart.m)],
                          smooth_at_zero=not L.nonsmooth,
                          provenance="induced-by-Lagrangian")
 
     def solve_detail(self, x, y, v):
         """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
-        returns (w, Newton iterations of the final corrector at s = 1).
+        returns (w, Newton iterations of the final corrector at s = 1),
+        with w an array.
 
         Newton starts from w = 0 at s = 0; the tangent dw/ds = -L_ww^-1
         L_wv v (zero where L_ww is singular) predicts each next point.  ds
@@ -181,29 +182,29 @@ class InducedSplitting(SplittingSpec):
         fails, leaves the domain, takes over 3 iterations or contracts by
         less than 4x halves it, below 1/1024 its error is raised, and
         points inside the slit are skipped.  A last Newton step polishes w.
+        Every point, root and step is a list of floats.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
+        xy, v = as_floats([*x, *y]), as_floats(v)
         self._require_admissible(v)
         n, m = self.chart.n, self.chart.m
         L, k = self._L, 2 * n + m
 
         def newton(s, w0, *limits):
             """Root at s v, iterations, Newton step there and dw/ds."""
-            z = np.concatenate([x, y, s * v]).tolist()
+            z = xy + [s * e for e in v]
             try:
                 res = newton_solve(_fibre_system(L, z), w0, *limits)
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
             try:
-                g = _fibre_solve(L.field.jet_lists(z + res.x.tolist()), k)
+                g = _fibre_solve(L.field.jet_lists(z + res.x), k).tolist()
             except SingularMatrix:
-                g = np.zeros((m, 1 + k))
-            return res.x, res.iterations, g[:, 0], g[:, 1 + n + m:] @ v
+                return res.x, res.iterations, [0.0] * m, [0.0] * m
+            return (res.x, res.iterations, [row[0] for row in g],
+                    [dot(row[1 + n + m:], v) for row in g])
 
         s, ds = 0.0, 1.0
-        w = dw = np.zeros(m)
+        w = dw = [0.0] * m
         try:
             w, _, _, dw = newton(0.0, w)
         except DomainError:
@@ -212,22 +213,40 @@ class InducedSplitting(SplittingSpec):
             ds = min(ds, 1.0 - s)  # s stays dyadic, so s + ds hits 1 exactly
             try:
                 root, its, step, tangent = newton(
-                    s + ds, w + ds * dw, _CORRECTOR_MAX_ITER, _CONTRACTION_MAX)
+                    s + ds, [a + ds * b for a, b in zip(w, dw)],
+                    _CORRECTOR_MAX_ITER, _CONTRACTION_MAX)
             except (DomainError, NoConvergence, SingularHessian):
-                if not self.admissible((s + ds) * v):
-                    s, dw = s + ds, np.zeros_like(w)  # skip, as at s = 0
+                if not self.admissible([(s + ds) * e for e in v]):
+                    s, dw = s + ds, [0.0] * m  # skip, as at s = 0
                 elif ds > _MIN_STEP:
                     ds *= 0.5
                 else:
                     raise
                 continue
             if s + ds == 1.0:
-                return root + step, its
+                return np.array([a + b for a, b in zip(root, step)]), its
             s, w, dw, ds = s + ds, root, tangent, 2.0 * ds
+
+    def _solve_vg(self, z):
+        """h at z = (x, y, v), a list of floats, from one continuation
+        solve, and _fibre_solve at the root, whose columns 1: are dh/dz."""
+        n, m = self.chart.n, self.chart.m
+        w, _ = self.solve_detail(z[:n], z[n:n + m], z[n + m:])
+        return w, _fibre_solve(self._L.field.jet_lists(z + w.tolist()),
+                               len(z))
 
     def h_values(self, x, y, v):
         """All m coefficients from one continuation solve, without dh."""
         return self.solve_detail(x, y, v)[0]
+
+    def h_vg_lists(self, x, y, v):
+        """Every coefficient's value and gradient, as each coefficient's
+        vg_lists gives it, from one solve and one _fibre_solve."""
+        w, dh = self._solve_vg(as_floats([*x, *y, *v]))
+        w, dh = w.tolist(), dh[:, 1:].tolist()
+        if not all_finite(w, *dh):
+            raise DomainError("jet has non-finite entries")
+        return list(zip(w, dh))
 
 
 def _probe_branches(spec):
@@ -241,10 +260,10 @@ def _probe_branches(spec):
     def probe(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         try:
-            w_ref, _ = spec.solve_detail(x, y, v)
+            w_ref = spec.solve_detail(x, y, v)[0].tolist()
         except (NoConvergence, SingularHessian) as exc:
             raise DomainError(f"no reference root: {exc}") from exc
-        seeds = [np.zeros(m), 0.5 * np.ones(m), -0.5 * np.ones(m)]
+        seeds = [[0.0] * m, [0.5] * m, [-0.5] * m]
         seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
         system = _fibre_system(spec._L, z.tolist())
         for s0 in seeds:
@@ -252,8 +271,8 @@ def _probe_branches(spec):
                 res = newton_solve(system, s0)
             except (DomainError, NoConvergence, SingularMatrix):
                 continue
-            gap = np.abs(res.x - w_ref).max()
-            if gap > 1e-6 * (1.0 + np.abs(w_ref).max()):
+            gap = max(abs(a - b) for a, b in zip(res.x, w_ref))
+            if gap > 1e-6 * (1.0 + max(map(abs, w_ref))):
                 raise BranchAmbiguity(
                     f"second root at distance {gap:.3e} from the tracked "
                     f"branch near x={x}, v={v}")

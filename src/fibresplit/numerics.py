@@ -15,17 +15,18 @@ the residual postcondition is always verified.  linear_solve reads A as
 k rows and b as k numbers or k rows, lists or arrays, straight into the
 flat float lists its kernel takes.
 
-rk4_integrate steps its state as a list of Python floats: the right-hand
-side f(t, y) and the diagnostic(t, y) receive that list, f returns d
-floats, and each stage is summed entry by entry in the order of the
-array expressions it replaces, so every state is bit for bit what numpy
+newton_solve and rk4_integrate step their state as a list of Python
+floats.  Newton's system(x) receives that list and returns F as k floats
+and DF as k rows; the root it returns is a list too.  RK4's right-hand
+side f(t, y) and diagnostic(t, y) receive the list, f returns d floats,
+and each stage is summed entry by entry in the order of the array
+expressions it replaces, so every state is bit for bit what numpy
 arithmetic gives.  Only the finished record is built as arrays.
 """
 
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,14 @@ def as_floats(a):
 
 
 def dot(a, b):
-    """sum_i a[i] b[i] over two float sequences of one length, in index
-    order: what a numpy loop gives without the fused multiply-adds of a
-    BLAS dot."""
-    return sum(map(operator.mul, a, b))
+    """sum_i a[i] b[i] over two float sequences of one length, accumulated
+    from 0.0 in index order: what a numpy loop gives without the fused
+    multiply-adds of a BLAS dot, and not the compensated sum() of Python
+    3.12 on."""
+    s = 0.0
+    for p, q in zip(a, b):
+        s += p * q
+    return s
 
 
 def all_finite(*seqs):
@@ -275,9 +280,10 @@ _NEWTON_MAX_ITER = 50
 
 @dataclass
 class NewtonResult:
-    """Root, iterations, final max|F| and the contraction |dx_2| / |dx_1|
-    of the first two steps (0.0 after at most one step, inf if damped)."""
-    x: np.ndarray
+    """Root as a list of floats, iterations, final max|F| and the
+    contraction |dx_2| / |dx_1| of the first two steps (0.0 after at most
+    one step, inf if damped), both Python floats."""
+    x: list
     iterations: int
     residual: float
     contraction: float
@@ -285,34 +291,37 @@ class NewtonResult:
 
 def newton_solve(system, x0, max_iter=_NEWTON_MAX_ITER,
                  max_contraction=math.inf):
-    """Damped Newton iteration for F(x) = 0 from x0, to max|F| <= 1e-10 in
-    at most max_iter (by default 50) iterations; system(x) returns
-    (F(x), DF(x)) at once.
+    """Damped Newton iteration for F(x) = 0 from x0, any 1-D sequence of
+    floats, to max|F| <= 1e-10 in at most max_iter (by default 50)
+    iterations.  x is stepped as a list of Python floats: system(x)
+    receives that list, which it must not modify, and returns (F(x),
+    DF(x)) at once, F as k floats and DF as k rows of k.
 
     Full steps are halved (at most 20 times) until the residual norm
     decreases.  Each trial point costs one system call, and the Jacobian
     that came with the accepted point drives the next step, so an affine
     residual converges in exactly one iteration and two system calls; the
-    last call is at the returned root.  Raises NoConvergence with the
+    last call is at the returned root.  A residual with a non-finite entry
+    at x0 goes on to the linear solve, which raises SingularMatrix; at a
+    trial point it counts as no decrease.  Raises NoConvergence with the
     iteration count and last residual norm on failure, or as soon as the
     contraction of the first two steps exceeds max_contraction.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = as_floats(x0)
     r, J = system(x)
-    r = np.asarray(r, dtype=float)
-    rnorm = np.abs(r).max() if r.size else 0.0
+    # not max() alone: max(map(abs, [0.0, nan])) is 0.0
+    rnorm = max(map(abs, r), default=0.0) if all_finite(r) else math.inf
     if rnorm <= _NEWTON_TOL:
         return NewtonResult(x, 0, float(rnorm), 0.0)
     first = theta = 0.0
     for it in range(1, max_iter + 1):
-        step = linear_solve(J, -r)
+        step = linear_solve(J, [-e for e in r]).tolist()
         lam = 1.0
         accepted = False
         for _ in range(21):
-            xn = x + lam * step
+            xn = [a + lam * b for a, b in zip(x, step)]
             rn, Jn = system(xn)
-            rn = np.asarray(rn, dtype=float)
-            rn_norm = np.abs(rn).max() if np.isfinite(rn).all() else math.inf
+            rn_norm = max(map(abs, rn)) if all_finite(rn) else math.inf
             if rn_norm < rnorm or rn_norm <= _NEWTON_TOL:
                 accepted = True
                 break
@@ -324,9 +333,9 @@ def newton_solve(system, x0, max_iter=_NEWTON_MAX_ITER,
         if lam < 1.0:
             theta = math.inf
         elif it == 1:
-            first = np.abs(step).max()
+            first = max(map(abs, step))
         elif it == 2 and theta == 0.0:
-            theta = float(np.abs(step).max() / first)
+            theta = max(map(abs, step)) / first
         if theta > max_contraction:
             raise NoConvergence(f"contraction {theta:.3g} at iteration {it}",
                                 iterations=it, residual=float(rn_norm))

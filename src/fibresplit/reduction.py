@@ -212,7 +212,7 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
     def force(q, u):
         q, u = as_floats(q), as_floats(u)
         x, y, v, w = q[:n], q[n:], u[:n], u[n:]
-        f = as_floats(gamma_bar.force(np.array(x), np.array(v)))
+        f = as_floats(gamma_bar.force(x, v))
         vgs = h.h_vg_lists(x, y, v)
         om = linear_solve(action.K_matrix(x, y),
                           [w[a] - vgs[a][0] for a in range(m)]).tolist()

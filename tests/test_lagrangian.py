@@ -4,7 +4,7 @@ import pytest
 from fibresplit import lagrangian
 from fibresplit.bundle import BundleChart, TangentPointM
 from fibresplit.errors import (BranchAmbiguity, DimensionMismatch,
-                               HypothesisFailed, NotSubducible,
+                               DomainError, HypothesisFailed, NotSubducible,
                                SingularHessian)
 from fibresplit.exprs import VarContext, compile_field, parse
 from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
@@ -173,6 +173,41 @@ def test_induced_splitting_m2_one_solve_for_all_coefficients(newton_calls):
         z = np.concatenate([x, y, v])
         per_coefficient = np.array([c.value(z) for c in h.coefficients])
         assert np.array_equal(w, per_coefficient)
+
+
+# m = 2 with coupled fibre coordinates: h = L_ww^-1 (x1 v1, y1 v1)
+CH12 = BundleChart(1, 2)
+COUPLED12 = ("0.5*v1^2 + 0.5*(w1 - x1*v1)^2 + 0.5*(w2 - y1*v1)^2"
+             " + 0.1*w1*w2")
+
+
+def test_induced_h_vg_lists_solve_once_for_all_coefficients(monkeypatch):
+    h = induced_splitting(LagrangianSpec.from_expression(CH12, COUPLED12))
+    solves = []
+    solve_detail = h.solve_detail
+
+    def counted(*args):
+        solves.append(args)
+        return solve_detail(*args)
+
+    h.solve_detail = counted
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        x, y, v = (rng.uniform(-1.0, 1.0, k) for k in (1, 2, 1))
+        solves.clear()
+        vgs = h.h_vg_lists(x, y, v)
+        assert len(solves) == 1
+        z = [*x, *y, *v]
+        per_coefficient = [c.vg_lists(z) for c in h.coefficients]
+        assert len(solves) == 3
+        assert repr(vgs) == repr(per_coefficient)  # bit for bit, -0.0 too
+    # a non-finite gradient is rejected as each coefficient rejects it
+    inf_dh = np.full((2, 5), np.inf)
+    monkeypatch.setattr(lagrangian, "_fibre_solve", lambda jet, k: inf_dh)
+    with pytest.raises(DomainError, match="non-finite"):
+        h.h_vg_lists([0.1], [0.2, 0.3], [0.4])
+    with pytest.raises(DomainError, match="non-finite"):
+        h.coefficients[1].vg_lists([0.1, 0.2, 0.3, 0.4])
 
 
 def test_branch_ambiguity_detected_at_build():

@@ -1,7 +1,11 @@
+import ast
 import itertools
 import math
 import operator
+import shutil
 import struct
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,7 +432,7 @@ def test_newton_contraction_is_inf_after_a_damped_step():
 
 def test_newton_zero_iterations_when_already_solved():
     res = newton_solve(
-        system=lambda x: (x - 1.0, np.eye(1)),
+        system=lambda x: ([x[0] - 1.0], [[1.0]]),
         x0=np.array([1.0]))
     assert res.iterations == 0
     assert res.contraction == 0.0
@@ -439,7 +443,7 @@ def test_newton_stops_once_the_caller_would_reject_it():
 
     def system(x):
         calls.append(x[0])
-        return x * x - 2.0, np.diag(2.0 * x)
+        return [x[0] * x[0] - 2.0], [[2.0 * x[0]]]
 
     # sqrt(2) from 1 contracts by 1/6 and converges in 5 iterations
     for limits in ({"max_contraction": 0.1}, {"max_iter": 2}):
@@ -465,6 +469,95 @@ def test_newton_reports_no_convergence():
                               np.array([[-np.sin(x[0]) or 1e-3]])),
             x0=np.array([0.5]))
     assert exc.value.iterations >= 1
+
+
+def test_newton_steps_lists_and_returns_floats():
+    seen = []
+
+    def system(x):
+        seen.append(type(x))
+        return [x[0] ** 2 - 2.0], [[2.0 * x[0]]]
+
+    res = newton_solve(system, np.array([1.0]))
+    assert set(seen) == {list}
+    assert type(res.x) is list and type(res.x[0]) is float
+    assert type(res.residual) is float and type(res.contraction) is float
+
+
+@pytest.mark.parametrize("r0", [[0.0, math.nan], [math.nan]])
+def test_newton_rejects_a_non_finite_residual_at_x0(r0):
+    # max(map(abs, [0.0, nan])) is 0.0: the guard must not read it as solved
+    k = len(r0)
+    eye = [[float(i == j) for j in range(k)] for i in range(k)]
+    with pytest.raises(SingularMatrix, match="non-finite"):
+        newton_solve(lambda x: (r0, eye), [0.0] * k)
+
+
+def test_newton_halves_past_a_non_finite_trial_residual():
+    # the first trial point returns [0.0, nan], which is no decrease
+    calls = []
+
+    def system(x):
+        calls.append(list(x))
+        r = [x[0] - 1.0, x[1]]
+        if len(calls) == 2:
+            r[1] = math.nan
+        return r, [[1.0, 0.0], [0.0, 1.0]]
+
+    res = newton_solve(system, [0.0, 0.0])
+    assert calls == [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+    assert res.x == [1.0, 0.0]
+    assert (res.iterations, res.residual, res.contraction) == (2, 0.0,
+                                                               math.inf)
+
+
+def test_dot_sums_from_zero_in_index_order():
+    # compensated summation, as in sum() from Python 3.12 on, gives 1.0
+    assert numerics.dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert repr(numerics.dot([-0.0], [1.0])) == "0.0"  # as sum([-0.0])
+    assert numerics.dot([], []) == 0.0
+
+
+def _interpreter(version):
+    """A working Python `version` ("3.12") from PATH or pyenv's versions,
+    or None."""
+    candidates = [shutil.which(f"python{version}")]
+    if shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True,
+                              text=True).stdout.strip()
+        candidates += sorted(Path(root).glob(
+            f"versions/{version}*/bin/python{version}"))
+    probe = f"import sys; print(sys.version.startswith('{version}.'))"
+    for exe in filter(None, candidates):
+        try:
+            out = subprocess.run([exe, "-c", probe], capture_output=True,
+                                 text=True, timeout=60)
+        except OSError:
+            continue
+        if out.stdout.strip() == "True":
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.12", "3.13"])
+def test_dot_order_holds_where_sum_is_compensated(version):
+    # dot's source runs alone under that interpreter, after numerics'
+    # plain imports: the package's numpy may not be installed there
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} interpreter")
+    text = Path(numerics.__file__).read_text()
+    tree = ast.parse(text)
+    nodes = [node for node in tree.body
+             if isinstance(node, ast.Import)
+             and all(a.name != "numpy" for a in node.names)
+             or isinstance(node, ast.FunctionDef) and node.name == "dot"]
+    program = "\n".join(ast.get_source_segment(text, node)
+                        for node in nodes)
+    program += "\nprint(repr(dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0])))"
+    out = subprocess.run([exe, "-c", program], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "0.0"
 
 
 def test_rk4_exponential_and_grid():

@@ -137,15 +137,25 @@ def test_unreduce_oscillator_stays_horizontal():
     assert drift < 1e-12
 
 
-def test_base_forces_take_arrays_on_every_path():
-    # a force written in numpy arithmetic runs through unreduce as through
-    # integrate_sode
-    gbar = SodeSpec(1, lambda x, v: -x)
+def test_base_forces_take_lists_on_every_path():
+    # unreduce and integrate_sode hand the base force the float lists q
+    # and u, so a force written in list arithmetic runs through both
+    seen = []
+
+    def force(q, u):
+        seen.append((type(q), type(u)))
+        return [-e for e in q]
+
+    gbar = SodeSpec(1, force)
     h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
     sode = unreduce(gbar, h, trivial_action())
     assert np.allclose(sode.force([0.5, 0.0], [0.2, 0.14]), [-0.5, -0.35],
                        rtol=0.0, atol=1e-15)
+    integrate_sode(sode, [1.0, 0.0, 0.0, 0.0], 0.0, 0.01, 1e-3)
+    assert set(seen) == {(list, list)}
+    seen.clear()
     rec = integrate_sode(gbar, [1.0, 0.0], 0.0, 1.0, 1e-3)
+    assert set(seen) == {(list, list)}
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
 
 
