@@ -354,6 +354,31 @@ def mentions_nonsmooth(node):
     return False
 
 
+def polynomial_degree(node, names):
+    """Degree of the AST as a polynomial in the named variables (other
+    names count as constants), or inf where it is not one: where a named
+    variable enters a function, a power other than a non-negative integer
+    literal, or the denominator of a division."""
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Var):
+        return int(node.name in names)
+    if isinstance(node, Neg):
+        return polynomial_degree(node.arg, names)
+    if isinstance(node, Call):
+        d = [polynomial_degree(a, names) for a in node.args]
+        return math.inf if any(d) else 0
+    l, r = (polynomial_degree(a, names) for a in (node.left, node.right))
+    if node.op in ("+", "-"):
+        return max(l, r)
+    if node.op == "*" or node.op == "/" and r == 0:
+        return l + r
+    p = node.right.value if isinstance(node.right, Num) else -1.0
+    if node.op == "^" and l < math.inf and p >= 0 and float(p).is_integer():
+        return l * int(p)
+    return math.inf if l or r else 0
+
+
 class VarContext:
     """Ordered variable names grouped by role, plus named constants.
 

@@ -3,13 +3,15 @@
 A fibre-regular Lagrangian L(x, y, v, w) determines a splitting through the
 relation dL/dw = 0 on the horizontal manifold.  The splitting is
 Newton-backed: each point solves that m-dimensional system once for all m
-coefficients, by damped Newton with adaptive continuation along s v.
-Values need no more; first derivatives of the coefficient fields come
-from the implicit-function formula dh/dz = -(L_ww)^-1 L_wz, at the same
-root for all m of them (h_vg_lists).  Every jet of L is read as float
-lists (jet_lists), and Newton, the continuation and the SODE forces step
-on float lists; the subduced Lagrangian gives its own jets that way too
-and wraps them in a Jet2 only in its public jet().
+coefficients, by damped Newton with adaptive continuation along s v, or,
+where L is an expression at most quadratic in w (dL/dw affine in w), by
+one Newton solve from w = 0.  Values need no more; first derivatives of
+the coefficient fields come from the implicit-function formula
+dh/dz = -(L_ww)^-1 L_wz, at the same root for all m of them (h_vg_lists).
+Every jet of L is read as float lists (jet_lists), and Newton, the
+continuation and the SODE forces step on float lists; the subduced
+Lagrangian gives its own jets that way too and wraps them in a Jet2 only
+in its public jet().
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +22,7 @@ from .bundle import DerivedField
 from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      HypothesisFailed, NoConvergence, NotSubducible,
                      SingularHessian, SingularMatrix)
-from .exprs import compile_field, mentions_nonsmooth, parse
+from .exprs import compile_field, mentions_nonsmooth, parse, polynomial_degree
 from .jets import Jet2, ScalarField
 from .numerics import (all_finite, as_floats, condition_number, dot,
                        linear_solve, newton_solve, rk4_integrate, sample_max)
@@ -126,11 +128,11 @@ def euler_lagrange_sode(field):
 
 def _fibre_system(L, z):
     """w -> (dL/dw, d2L/dw dw) at (z, w), for z = (x, y, v) and w lists
-    of floats."""
+    of floats; system.jet keeps L's jet_lists at the last w."""
     k, K = len(z), L.field.arity
 
     def system(w):
-        _, grad, hess = L.field.jet_lists(z + w)
+        system.jet = _, grad, hess = L.field.jet_lists(z + w)
         return grad[k:], [hess[K * r + k:K * (r + 1)] for r in range(k, K)]
 
     return system
@@ -159,6 +161,10 @@ class InducedSplitting(SplittingSpec):
     def __init__(self, L):
         chart = L.chart
         self._L = L
+        # at most quadratic in w: dL/dw is affine, solved in one Newton step
+        ast = getattr(L.field, "ast", None)
+        self._affine = ast is not None and \
+            polynomial_degree(ast, chart.w_names) <= 2
 
         def coeff(a):
             def vg(z):
@@ -174,7 +180,9 @@ class InducedSplitting(SplittingSpec):
     def solve_detail(self, x, y, v):
         """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
         returns (w, Newton iterations of the final corrector at s = 1),
-        with w an array.
+        with w an array.  Where L is at most quadratic in w, one Newton
+        solve at s = 1 from w = 0 and the polish replace the continuation,
+        and the iterations are that solve's.
 
         Newton starts from w = 0 at s = 0; the tangent dw/ds = -L_ww^-1
         L_wv v (zero where L_ww is singular) predicts each next point.  ds
@@ -192,17 +200,21 @@ class InducedSplitting(SplittingSpec):
         def newton(s, w0, *limits):
             """Root at s v, iterations, Newton step there and dw/ds."""
             z = xy + [s * e for e in v]
+            system = _fibre_system(L, z)
             try:
-                res = newton_solve(_fibre_system(L, z), w0, *limits)
+                res = newton_solve(system, w0, *limits)
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
-            try:
-                g = _fibre_solve(L.field.jet_lists(z + res.x), k).tolist()
+            try:  # newton_solve's last system call was at the root
+                g = _fibre_solve(system.jet, k).tolist()
             except SingularMatrix:
                 return res.x, res.iterations, [0.0] * m, [0.0] * m
             return (res.x, res.iterations, [row[0] for row in g],
                     [dot(row[1 + n + m:], v) for row in g])
 
+        if self._affine:
+            root, its, step, _ = newton(1.0, [0.0] * m)
+            return np.array([a + b for a, b in zip(root, step)]), its
         s, ds = 0.0, 1.0
         w = dw = [0.0] * m
         try:
@@ -253,7 +265,9 @@ def _probe_branches(spec):
     """Reject models where Newton, started from 10 seeds at each of 5 probe
     points, lands on a second nearby root; a probe point whose reference
     solve fails is redrawn, and DomainError means none could be solved.
-    Points come from [-b, b], b = max(0.5, 2 slit_eps): past the slit."""
+    Points come from [-b, b], b = max(0.5, 2 slit_eps): past the slit.
+    Where L is quadratic in w and L_ww passes linear_solve at the reference
+    root, that root is the only one, and the drawn seeds are not run."""
     n, m = spec.chart.n, spec.chart.m
     rng = np.random.default_rng(2718)
 
@@ -266,6 +280,12 @@ def _probe_branches(spec):
         seeds = [[0.0] * m, [0.5] * m, [-0.5] * m]
         seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
         system = _fibre_system(spec._L, z.tolist())
+        if spec._affine:
+            try:  # an affine map with a nonsingular matrix has one root
+                linear_solve(system(w_ref)[1], [0.0] * m)
+                return 0.0
+            except SingularMatrix:
+                pass
         for s0 in seeds:
             try:
                 res = newton_solve(system, s0)

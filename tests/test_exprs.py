@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from fibresplit.errors import (ArityError, DomainError, ExprSyntaxError,
                                UnknownIdentifier)
 from fibresplit.exprs import (Bin, Call, Num, Var, VarContext, compile_field,
                               fold_constants, mentions_nonsmooth, parse,
-                              substitute, to_string, variables)
+                              polynomial_degree, substitute, to_string,
+                              variables)
 
 CTX = VarContext([("base", ["x1", "x2"]), ("fibre", ["y1"])])
 
@@ -129,6 +132,40 @@ def test_mentions_nonsmooth():
     assert mentions_nonsmooth(parse("sqrt(x1^2)"))
     assert mentions_nonsmooth(parse("abs(x1) + 1"))
     assert not mentions_nonsmooth(parse("sin(x1) + x2^2"))
+
+
+@pytest.mark.parametrize("src, degree", [
+    ("3", 0),
+    ("2^0.5 * exp(1) - pi", 0),
+    ("w1^(1 + 1)", 2),  # the exponent folds to a literal
+    ("x1*v1 + sin(x1)/x1", 0),  # names outside `names` are constants
+    ("w1*v1^2", 1),
+    ("(w1 - x1*v1)^2", 2),
+    ("0.5*w1^2 - w1*w2 + w2", 2),
+    ("-w1^2", 2),
+    ("w1^3", 3),
+    ("w1^0", 0),
+    ("w1/2", 1),
+    ("w1/x1", 1),
+    ("abs(v1)*w1", 1),
+    ("1/w1", math.inf),
+    ("w1^-1", math.inf),
+    ("w1^0.5", math.inf),
+    ("x1^w1", math.inf),
+    ("exp(w1)", math.inf),
+    ("abs(w1)", math.inf),
+    ("exp(w1)^2", math.inf),
+])
+def test_polynomial_degree(src, degree):
+    node = fold_constants(parse(src))
+    assert polynomial_degree(node, ["w1", "w2"]) == degree
+
+
+def test_polynomial_degree_counts_only_the_named_variables():
+    assert polynomial_degree(parse("w1*v1^2"), ["v1"]) == 2
+    assert polynomial_degree(parse("exp(w1)*v1"), ["v1"]) == 1
+    # unfolded, the exponent is not a literal
+    assert polynomial_degree(parse("w1^(1 + 1)"), ["w1"]) == math.inf
 
 
 def test_var_context_roles_and_flat():

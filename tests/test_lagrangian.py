@@ -87,8 +87,28 @@ def test_induced_splitting_quadratic_fixture(newton_calls):
     w, iters = h.solve_detail([0.0], [0.0], [0.4])
     assert abs(w[0] + 0.16) < 1e-12
     assert iters == 1  # affine root problem
-    assert len(newton_calls) <= 2  # s = 0, then the full step to s = 1
+    assert len(newton_calls) == 1  # quadratic in w: one solve at s = 1
     assert abs(h.h_values([0.3], [0.7], [0.5])[0] + 0.25) < 1e-12
+
+
+def test_quadratic_lagrangian_probe_skips_the_seeds(newton_calls):
+    # dL/dw is affine in w with L_ww = 1: the 5 probe points' reference
+    # roots are the only solves, where F2 also runs 10 seeds at each
+    induced_splitting(lag(F1))
+    assert len(newton_calls) == 5
+    newton_calls.clear()
+    induced_splitting(lag(F2))
+    assert len(newton_calls) >= 5 * (1 + 10)
+
+
+def test_ill_conditioned_quadratic_lagrangian_has_one_branch():
+    # kappa_1(L_ww) ~ 4e11: Newton from a seed lands on the one root only
+    # up to rounding, ~1e-5 off, which a seed probe took for a second root
+    r1, r2 = "(w1 - x1*v1)", "(w2 - v1 - y1)"
+    src = f"0.5*v1^2 + 0.5*({r1}^2 + 2*{r1}*{r2} + (1 + 1e-11)*{r2}^2)"
+    L = LagrangianSpec.from_expression(BundleChart(1, 2), src)
+    w = induced_splitting(L).h_values([0.3], [0.2, 0.1], [0.5])
+    assert np.abs(w - [0.15, 0.7]).max() < 1e-4
 
 
 def test_induced_splitting_cubic_fixture_and_iterations(newton_calls):
@@ -102,6 +122,25 @@ def test_induced_splitting_cubic_fixture_and_iterations(newton_calls):
         assert abs(w[0] - (-1.0 + np.sqrt(1.0 - 2.0 * v * v))) < 1e-14
         assert iters <= 3
         assert (len(newton_calls) > 2) == halved
+
+
+def test_continuation_reuses_newtons_last_jet(monkeypatch):
+    # F2 at v = 0.3 takes no halving: the root w = 0 at s = 0 costs one
+    # jet and the corrector at s = 1 one per iteration plus its start;
+    # _fibre_solve reads the jet that newton_solve took at each root
+    L = lag(F2)
+    h = induced_splitting(L)
+    jets = []
+    jet_lists = L.field.jet_lists
+
+    def counted(z):
+        jets.append(z)
+        return jet_lists(z)
+
+    monkeypatch.setattr(L.field, "jet_lists", counted)
+    w, iters = h.solve_detail([0.0], [0.0], [0.3])
+    assert abs(w[0] - (-1.0 + np.sqrt(1.0 - 2.0 * 0.09))) < 1e-14
+    assert len(jets) == 1 + (1 + iters)
 
 
 def test_continuation_halves_when_the_predictor_leaves_the_domain():
@@ -168,7 +207,7 @@ def test_induced_splitting_m2_one_solve_for_all_coefficients(newton_calls):
         newton_calls.clear()
         w = h.h_values(x, y, v)
         assert len(solves) == 1
-        assert len(newton_calls) <= 2  # affine in w: s = 0, then s = 1
+        assert len(newton_calls) == 1  # quadratic in w: one solve at s = 1
         assert np.abs(w - quad22_exact(x, v)).max() < 1e-12
         z = np.concatenate([x, y, v])
         per_coefficient = np.array([c.value(z) for c in h.coefficients])
