@@ -20,14 +20,18 @@ the recurrence the Jet2 algebra uses, with its terms in the same order, so
 the structurally nonzero entries agree with a dense sweep bit for bit (up
 to the sign of a zero).
 
-A failing row raises RowFailure(row, overflow): division by zero, log or
-sqrt of a nonpositive value, abs inside the slit, zero base with a
-negative exponent, a trig function of an infinite argument, or, with
-overflow set, a float overflow in exp, in an integer power or in the
-derivative factors of log and sqrt.
+A failing row raises the field's DomainError, "field '<label>': <what>",
+from None.  The text is fixed at generation time from the row's op: a
+float overflow in exp, in an integer power or in the derivative factors
+of log and sqrt ("<op> overflow"), division by zero, log or sqrt of a
+nonpositive value, abs inside the slit radius, zero base with a negative
+exponent, and "operation '<op>' failed" for a trig function of an
+infinite argument.
 """
 
 import math
+
+from .errors import DomainError
 
 OP_CONST = 0
 OP_ADD = 1
@@ -53,15 +57,6 @@ OP_NAMES = {
 
 _UNARY_FN = {OP_SIN: "sin", OP_COS: "cos", OP_TAN: "tan", OP_EXP: "exp",
              OP_LOG: "log", OP_SQRT: "sqrt"}
-
-
-class RowFailure(Exception):
-    """A tape row could not be evaluated: args are (row, overflow)."""
-
-    def __init__(self, row, overflow=False):
-        super().__init__(row, overflow)
-        self.row = row
-        self.overflow = overflow
 
 
 def _mul(p, q):
@@ -124,12 +119,12 @@ class _Lowering:
             expr = f"{_atom(expr)} / {div}"
         return self.entry(expr)
 
-    def factors(self, row, fp, fpp):
-        """Bind f' and f'' where either may overflow; return their names."""
+    def factors(self, fail, fp, fpp):
+        """Bind f' and f'' where either may overflow, raising with the line
+        fail; return their names."""
         names = self.fresh(), self.fresh()
         self.dlines += _guard([f"{names[0]} = {fp}", f"{names[1]} = {fpp}"],
-                              row, "(OverflowError, ZeroDivisionError)",
-                              True)
+                              "(OverflowError, ZeroDivisionError)", fail)
         return names
 
     @staticmethod
@@ -159,11 +154,9 @@ def _power_term(c, u, e):
     return f"{c} * {u}" if e == 1 else f"{c} * {u} ** {e}"
 
 
-def _guard(lines, row, exc, overflow):
-    out = ["try:"] + [f"    {ln}" for ln in lines]
-    out += [f"except {exc}:", f"    raise _RowFailure({row}, {overflow})"
-            " from None"]
-    return out
+def _guard(lines, exc, fail):
+    return (["try:"] + [f"    {ln}" for ln in lines]
+            + [f"except {exc}:", f"    {fail}"])
 
 
 def _literal(c, namespace):
@@ -174,15 +167,32 @@ def _literal(c, namespace):
     return name
 
 
-def generate(code, consts, k, out_reg, slit_eps):
-    """Lower a tape to (jet, value), two functions of a list of k floats."""
+def generate(code, consts, k, out_reg, slit_eps, label):
+    """Lower a tape (rows [op, dst, a, b] and a list of constants) to
+    (jet, value), two functions of a list of k floats whose failures name
+    the field by label."""
     low = _Lowering(k)
-    namespace = {"_RowFailure": RowFailure, "sin": math.sin,
+    namespace = {"_DomainError": DomainError, "sin": math.sin,
                  "cos": math.cos, "tan": math.tan, "exp": math.exp,
                  "log": math.log, "sqrt": math.sqrt}
-    consts = consts.tolist()
     val, grad, hess = low.val, low.grad, low.hess
-    for row, (op, d, a, b) in enumerate(code.tolist()):
+
+    def fail(op, overflow=False):
+        """The line raising the field's DomainError when a row of op fails."""
+        name = OP_NAMES.get(op, str(op))
+        if overflow:
+            what = f"{name} overflow"
+        else:
+            what = {OP_DIV: "division by zero",
+                    OP_LOG: "log of nonpositive value",
+                    OP_SQRT: "sqrt of nonpositive value",
+                    OP_ABS: f"abs argument inside slit radius {slit_eps}",
+                    OP_POWI: "zero base with negative exponent",
+                    }.get(op, f"operation '{name}' failed")
+        message = f"field '{label}': {what}"
+        return f"raise _DomainError({message!r}) from None"
+
+    for op, d, a, b in code:
         vl = []   # value and domain check lines, shared by both functions
         dl = low.dlines = []
         vd = f"v{d}"
@@ -213,7 +223,7 @@ def generate(code, consts, k, out_reg, slit_eps):
                     (1, _mul(gb.get(i), ga.get(j)))])
         elif op == OP_DIV:
             vb, gb, hb = val[b], grad[b], hess[b]
-            vl += [f"if {vb} == 0.0:", f"    raise _RowFailure({row})",
+            vl += [f"if {vb} == 0.0:", f"    {fail(op)}",
                    f"{vd} = {u} / {vb}"]
             g = {i: low.sum_entry([(1, ga.get(i)), (-1, _mul(vd, gb.get(i)))],
                                   div=vb)
@@ -234,32 +244,32 @@ def generate(code, consts, k, out_reg, slit_eps):
             vd, g, h = u, ga, ha
         elif op == OP_POWI:
             if b < 0:
-                vl += [f"if {u} == 0.0:", f"    raise _RowFailure({row})"]
-            vl += _guard([f"{vd} = {u} ** {b}"], row, "OverflowError", True)
-            fp, fpp = low.factors(row, _power_term(b, u, b - 1),
+                vl += [f"if {u} == 0.0:", f"    {fail(op)}"]
+            vl += _guard([f"{vd} = {u} ** {b}"], "OverflowError",
+                         fail(op, True))
+            fp, fpp = low.factors(fail(op, True), _power_term(b, u, b - 1),
                                   _power_term(b * (b - 1), u, b - 2))
             g, h = low.chain(a, fp, fpp)
         elif op == OP_ABS:
             vl += [f"if abs({u}) < {slit_eps!r}:",
-                   f"    raise _RowFailure({row})", f"{vd} = abs({u})"]
+                   f"    {fail(op)}", f"{vd} = abs({u})"]
             if ga:
                 sg = low.entry(f"1.0 if {u} > 0.0 else -1.0")
                 g, h = low.chain(a, sg, None)
         elif op in _UNARY_FN:
             fn = _UNARY_FN[op]
             if op in (OP_LOG, OP_SQRT):
-                vl += [f"if {u} <= 0.0:", f"    raise _RowFailure({row})",
+                vl += [f"if {u} <= 0.0:", f"    {fail(op)}",
                        f"{vd} = {fn}({u})"]
             elif op == OP_EXP:
-                vl += _guard([f"{vd} = exp({u})"], row, "OverflowError",
-                             True)
+                vl += _guard([f"{vd} = exp({u})"], "OverflowError",
+                             fail(op, True))
             else:
                 # a trig function of an infinite argument
-                vl += _guard([f"{vd} = {fn}({u})"], row, "ValueError",
-                             False)
+                vl += _guard([f"{vd} = {fn}({u})"], "ValueError", fail(op))
             if op in (OP_LOG, OP_SQRT) and ga:
                 # 1/u and 1/(u*u) overflow for a tiny positive u
-                fp, fpp = low.factors(row, *{
+                fp, fpp = low.factors(fail(op, True), *{
                     OP_LOG: (f"1.0 / {u}", f"-1.0 / ({u} * {u})"),
                     OP_SQRT: (f"0.5 / {vd}", f"-0.25 / ({vd} * {u})")}[op])
                 g, h = low.chain(a, fp, fpp)
@@ -272,7 +282,7 @@ def generate(code, consts, k, out_reg, slit_eps):
                                  OP_EXP: vd}[op])
                 g, h = low.chain(a, fp, fpp)
         else:
-            vl.append(f"raise _RowFailure({row})")
+            vl.append(fail(op))
         val.append(vd)
         grad.append(g)
         hess.append(h)

@@ -270,7 +270,7 @@ class DerivedField(ScalarField):
         self.vg = vg
 
     def value(self, x):
-        return self.vg(np.asarray(x, dtype=float))[0]
+        return float(self.vg(self._point(x))[0])
 
     def _point(self, x):
         x = np.asarray(x, dtype=float)

@@ -127,7 +127,7 @@ def _need_float(sec, key, value):
 
 def _need_int(sec, key, value):
     v = _need_float(sec, key, value)
-    if v != int(v):
+    if not v.is_integer():  # false for inf and nan too
         raise ParseError(f"[{sec}] {key}: expected an integer")
     return int(v)
 

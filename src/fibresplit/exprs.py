@@ -25,8 +25,6 @@ other fields keep their own evaluators (bundle.DerivedField).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .errors import ArityError, ExprSyntaxError, UnknownIdentifier
 from .jets import SLIT_EPS_DEFAULT, TapeField
@@ -517,10 +515,9 @@ def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
     folded = fold_constants(substitute(node, ctx.constants))
     builder = _TapeBuilder(ctx)
     out = builder.walk(folded)
-    code = np.array(builder.rows, dtype=np.int64).reshape(-1, 4)
-    consts = np.array(builder.consts, dtype=float)
-    return TapeField(ctx.arity, code, consts, builder.next_reg, out,
-                     label=label, slit_eps=slit_eps, ast=folded,
+    return TapeField(ctx.arity, builder.rows, builder.consts,
+                     builder.next_reg, out, label=label, slit_eps=slit_eps,
+                     ast=folded,
                      algebra_evaluator=_algebra_evaluator(folded, ctx, slit_eps))
 
 

@@ -7,11 +7,12 @@ np.sin(jet) works.
 
 ScalarField wraps an evaluator (list of Jet2 -> Jet2) with an arity and a
 label.  TapeField is the compiled-expression variant: it evaluates through
-straight-line code generated from its instruction tape, keeps the
-plain-algebra evaluator as the independent oracle the tests check it
-against, and keeps the folded AST it was compiled from, so that fields
-built from expressions compose by substitution into one tape
-(exprs.compose).  Fields that are not expressions, such as induced
+straight-line code generated from its instruction tape (a list of rows);
+that code raises the field's DomainError itself, and value() is its
+Python float.  TapeField keeps the plain-algebra evaluator as the
+independent oracle the tests check it against, and the folded AST it was
+compiled from, so that fields built from expressions compose by
+substitution into one tape (exprs.compose).  Fields that are not expressions, such as induced
 coefficients, go through bundle.DerivedField instead.
 
 Every field also gives its jet as plain Python floats, jet_lists(x) ->
@@ -309,9 +310,12 @@ class ScalarField:
 class TapeField(ScalarField):
     """ScalarField backed by a compiled instruction tape.
 
-    The first jet() or value() call lowers the tape to straight-line Python
-    (see _kernels) and keeps the two generated functions on the instance.
-    The inherited evaluator recomputes with plain Jet2 algebra; it is the
+    code holds the tape's rows [op, dst, a, b] and consts its constants,
+    both as the builder's Python lists.  The first jet() or value() call
+    lowers the tape to straight-line Python (see _kernels) and keeps the
+    two generated functions on the instance; they raise the field's
+    DomainError themselves, and value() returns their float.  The
+    inherited evaluator recomputes with plain Jet2 algebra; it is the
     independent oracle the tests check the generated code against.  ast is
     the folded expression the tape was lowered from (named constants
     already numbers); the algebra evaluator holds the same object.
@@ -332,27 +336,8 @@ class TapeField(ScalarField):
         if self._kernel is None:
             self._kernel = _kernels.generate(self.code, self.consts,
                                              self.arity, self.out_reg,
-                                             self.slit_eps)
+                                             self.slit_eps, self.label)
         return self._kernel
-
-    def _raise_for(self, row, overflow=False):
-        op = int(self.code[row, 0])
-        name = _kernels.OP_NAMES.get(op, str(op))
-        if overflow:
-            msg = f"{name} overflow"
-        elif op == _kernels.OP_DIV:
-            msg = "division by zero"
-        elif op == _kernels.OP_LOG:
-            msg = "log of nonpositive value"
-        elif op == _kernels.OP_SQRT:
-            msg = "sqrt of nonpositive value"
-        elif op == _kernels.OP_ABS:
-            msg = f"abs argument inside slit radius {self.slit_eps}"
-        elif op == _kernels.OP_POWI:
-            msg = "zero base with negative exponent"
-        else:
-            msg = f"operation '{name}' failed"
-        raise DomainError(f"field '{self.label}': {msg}") from None
 
     def _point(self, x):
         """x as a list of k Python floats."""
@@ -367,11 +352,7 @@ class TapeField(ScalarField):
         """The kernel's jet at x, (value, k gradient floats, k*k Hessian
         floats in row order), with every entry checked finite: a float
         product can overflow to inf without raising."""
-        x = self._point(x)
-        try:
-            val, grad, hess = self._generated()[0](x)
-        except _kernels.RowFailure as exc:
-            self._raise_for(exc.row, exc.overflow)
+        val, grad, hess = self._generated()[0](self._point(x))
         if not all_finite((val,), grad, hess):
             raise DomainError("jet has non-finite entries")
         return val, grad, hess
@@ -380,11 +361,7 @@ class TapeField(ScalarField):
         return Jet2._trusted(*self.jet_lists(x))
 
     def value(self, x):
-        x = self._point(x)
-        try:
-            out = self._generated()[1](x)
-        except _kernels.RowFailure as exc:
-            self._raise_for(exc.row, exc.overflow)
+        out = self._generated()[1](self._point(x))
         if not math.isfinite(out):
             raise DomainError(f"field '{self.label}': non-finite value")
-        return np.float64(out)  # keeps numpy's float semantics for callers
+        return out

@@ -29,15 +29,10 @@ class AffineConstraintSpec(AffineSplittingData):
     with w = A0(x, y) - A(x, y) v the admissible fibre velocity."""
 
     def reconstruct_w(self, x, y, v):
-        return np.array(self._w_lists(as_floats(x) + as_floats(y),
-                                      as_floats(v))[0])
-
-    def _w_lists(self, q, v):
-        """(w, A) at the point q = x + y for the velocity v, as float
-        lists: w = A0 - A v."""
-        A0 = [float(f.value(q)) for f in self.A0]
-        A = [[float(f.value(q)) for f in row] for row in self.A]
-        return [a0 - dot(row, v) for a0, row in zip(A0, A)], A
+        """w = A0 - A v at (x, y) for the base velocity v."""
+        q, v = as_floats(x) + as_floats(y), as_floats(v)
+        return np.array([f0.value(q) - dot([f.value(q) for f in row], v)
+                         for f0, row in zip(self.A0, self.A)])
 
 
 @dataclass
@@ -103,9 +98,9 @@ class ConstrainedSystem:
         k = 2 * n + m
         s = as_floats(s)
         q, v = s[:n + m], s[n + m:]
-        ydot, A = self.c._w_lists(q, v)
+        B, A0d, A, A0 = _curvature_lists(self.c, q)
+        ydot = [a0 - dot(row, v) for a0, row in zip(A0, A)]
         _, g, H = self.Lc.jet_lists(s)
-        B, A0d = _curvature_lists(self.c, q)
         Lw = self.L.field.jet_lists(s + ydot)[1][k:]
         rhs_v = []
         for i in range(n):

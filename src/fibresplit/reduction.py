@@ -81,7 +81,7 @@ class ActionSpec:
     def K_matrix(self, x, y):
         """K[b][g] at (x, y), as nested lists of floats."""
         q = [*x, *y]  # each field converts its point to floats
-        return [[float(f.value(q)) for f in row] for row in self.K]
+        return [[f.value(q) for f in row] for row in self.K]
 
     def K_dot(self, x, y, v, w):
         """Derivative of K along (v, w), v . dK/dx + w . dK/dy, as nested
@@ -403,13 +403,13 @@ class MagneticModel:
     def upsilon_values(self, x):
         """Upsilon[b][i][a] at x, as nested lists of floats."""
         x = as_floats(x)
-        return [[[float(f.value(x)) for f in row] for row in plane]
+        return [[[f.value(x) for f in row] for row in plane]
                 for plane in self.upsilon]
 
     def kcurv_values(self, x):
         """Kcurv[a][i][j] at x, as nested lists of floats."""
         x = as_floats(x)
-        return [[[float(f.value(x)) for f in row] for row in plane]
+        return [[[f.value(x) for f in row] for row in plane]
                 for plane in self.Kcurv]
 
 
@@ -438,7 +438,7 @@ class MagneticSystem:
     def momentum(self, s):
         """p = k wbar + A_fibre(x), as a list of m floats."""
         x, _, wb = self.split(as_floats(s))
-        return [dot(self._k[a], wb) + float(f.value(x))
+        return [dot(self._k[a], wb) + f.value(x)
                 for a, f in enumerate(self.model.A_fibre)]
 
     def quadratic_diagnostic(self, s):

@@ -606,12 +606,13 @@ def affine_curvature_coefficients(data, x, y):
     Returns (B, A0d) with shapes (m, n, n) and (m, n).
     """
     return tuple(map(np.array, _curvature_lists(
-        data, as_floats(x) + as_floats(y))))
+        data, as_floats(x) + as_floats(y))[:2]))
 
 
 def _curvature_lists(data, q):
     """affine_curvature_coefficients at the point q = x + y, as nested
-    lists of floats."""
+    lists of floats, followed by the values of A (m rows of n) and A0 (m)
+    read from the same jets."""
     n, m = data.chart.n, data.chart.m
     A = [[f.jet_lists(q) for f in row] for row in data.A]
     A0 = [f.jet_lists(q) for f in data.A0]
@@ -625,7 +626,7 @@ def _curvature_lists(data, q):
     A0d = [[A0[a][1][i] - dot(col[i], A0[a][1][n:])
             + dot(A0val, dA[a][i][n:])
             for i in range(n)] for a in range(m)]
-    return B, A0d
+    return B, A0d, [[jet[0] for jet in row] for row in A], A0val
 
 
 def rbar_zero(data, zeta, w_pt):

@@ -87,6 +87,21 @@ def test_subduce_values(tmp_path):
     assert rep["residuals"]["symmetry"] < 1e-8
 
 
+def test_subduce_writes_no_check(tmp_path):
+    # subduce refuses a fibre-dependent restriction at the tolerance a
+    # y_independence check would apply, so it writes none
+    assert run("subduce", FIX / "model.ini", tmp_path / "ok") == 0
+    assert report(tmp_path / "ok")["checks"] == []
+    cfg = tmp_path / "ydep.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2 - 0.5*y1^2"\n')
+    assert run("subduce", cfg, tmp_path / "ydep") == 1
+    rep = report(tmp_path / "ydep")
+    assert rep["error"].startswith(
+        "NotSubducible: restriction depends on the fibre point")
+    assert rep["checks"] == []
+
+
 def test_project_verify(tmp_path):
     assert run("project-verify", FIX / "model.ini", tmp_path) == 0
     ch = checks_by_name(report(tmp_path))
@@ -372,6 +387,26 @@ def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
                    f"[simulation]\n{setting}\n")
     assert run(command, cfg, tmp_path / "out", *extra) == 2
     assert f"config error: [simulation] {key} must be" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", [
+    ("bundle", "base_dim"), ("bundle", "fibre_dim"),
+    ("simulation", "seed"), ("simulation", "samples")])
+def test_non_finite_integer_settings_exit_2(tmp_path, capsys, section, key,
+                                            value):
+    settings = {"bundle": {"base_dim": "1", "fibre_dim": "1"},
+                "simulation": {}}
+    settings[section][key] = value
+    cfg = tmp_path / "ints.ini"
+    cfg.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n"
+                                                   for k, v in kv.items())
+                           for sec, kv in settings.items())
+                   + '[splitting]\nh1 = "0.7*v1"\n')
+    assert run("classify", cfg, tmp_path / "out") == 2
+    assert f"config error: [{section}] {key}: expected an integer" \
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 

@@ -37,3 +37,20 @@ def test_last_line_counts_a_file_on_one_side(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == ("largest numeric drift over all runs: absolute inf, "
                     "relative inf")
+
+
+def test_check_digests_lists_every_run_that_differs(tmp_path, capsys):
+    for run, text in (("a/cmd", "0\n"), ("b/cmd", "1\n")):
+        (tmp_path / run).mkdir(parents=True)
+        (tmp_path / run / "exit.txt").write_text(text)
+    runs = compare_outputs.digests(tmp_path)
+    assert runs["a/cmd"] != runs["b/cmd"]
+    recorded = {**compare_outputs.versions(), "runs": dict(runs)}
+    assert compare_outputs.check_digests(recorded, runs) == 0
+    (tmp_path / "b" / "cmd" / "stdout.txt").write_text("")
+    recorded["runs"]["c/cmd"] = runs["a/cmd"]
+    assert compare_outputs.check_digests(recorded,
+                                         compare_outputs.digests(tmp_path)) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == ["b/cmd: differs", "c/cmd: only recorded",
+                        "2 runs checked, 2 differ from the record"]

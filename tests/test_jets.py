@@ -172,7 +172,7 @@ def test_generated_kernel_matches_jet2_on_every_op():
     rng = np.random.default_rng(12)
     for src in _OP_SOURCES:
         f = field(src)
-        ops |= set(f.code[:, 0].tolist())
+        ops |= {row[0] for row in f.code}
         for _ in range(10):
             x = rng.uniform(0.3, 0.9, 3) * rng.choice([-1.0, 1.0], 3)
             x[2] = abs(x[2])  # c^b needs a positive base
@@ -231,6 +231,14 @@ def test_generated_kernel_domain_errors(src, x, msg):
             assert str(exc.value) == f"field '{src}': {msg}"
     with pytest.raises(DomainError):
         f.evaluator(seed_jets(np.array(x, dtype=float)))
+
+
+def test_tape_value_is_the_kernels_float():
+    f = field("a*b + exp(c)")
+    for x in ([0.5, 2.0, 0.0], np.array([0.5, 2.0, 0.0]), [1, 1, 0]):
+        value = f.value(x)
+        assert type(value) is float
+        assert value == f.jet_lists(x)[0] == 2.0
 
 
 def test_generated_kernel_is_lazy_and_kept():

@@ -91,6 +91,13 @@ def test_induced_splitting_quadratic_fixture(newton_calls):
     assert abs(h.h_values([0.3], [0.7], [0.5])[0] + 0.25) < 1e-12
 
 
+def test_induced_coefficient_value_is_a_float():
+    c = induced_splitting(lag(F1)).coefficients[0]
+    value = c.value([0.3, 0.7, 0.5])
+    assert type(value) is float
+    assert value == c.vg_lists([0.3, 0.7, 0.5])[0]
+
+
 def test_quadratic_lagrangian_probe_skips_the_seeds(newton_calls):
     # dL/dw is affine in w with L_ww = 1: the 5 probe points' reference
     # roots are the only solves, where F2 also runs 10 seeds at each

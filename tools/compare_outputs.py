@@ -1,6 +1,8 @@
 """Compare the outputs of two fibresplit source trees, command by command.
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC
+    python tools/compare_outputs.py --write-digests FILE
+    python tools/compare_outputs.py --check-digests FILE
 
 OLD_SRC and NEW_SRC are checkouts (or their src/ directories).  Every
 fibresplit command runs, at full length and with default arguments, on
@@ -16,14 +18,23 @@ larger magnitude of the pair); the last line gives the largest of each
 over all runs, inf where numbers could not be paired (a file on one side
 only, unreadable or differently many numbers) or a differing pair holds
 a nan or an inf.
+
+--write-digests runs the tree of this checkout alone and writes FILE: one
+sha256 per run over its five outputs, with the Python and numpy versions
+they were made under.  --check-digests reruns it and lists every run
+whose digest differs from FILE's; the exit status is 1 when any does.
+Digests made under another Python or numpy version may differ without
+any change to the code, and the check says so.
 """
 
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -174,6 +185,65 @@ def compare(old_root, new_root):
     return differences
 
 
+def digests(out_root):
+    """One sha256 per run under out_root, over each of its outputs that
+    exists, named and sized, in OUTPUTS order."""
+    out = {}
+    for run in sorted(p for p in Path(out_root).glob("*/*") if p.is_dir()):
+        h = hashlib.sha256()
+        for name in OUTPUTS:
+            path = run / name
+            if path.exists():
+                data = path.read_bytes()
+                h.update(f"{name} {len(data)}\n".encode())
+                h.update(data)
+        out[run.relative_to(out_root).as_posix()] = h.hexdigest()
+    return out
+
+
+def versions():
+    """The versions the outputs depend on beyond the source tree."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def versions_text(v):
+    return f"Python {v['python']}, numpy {v['numpy']}"
+
+
+def check_digests(recorded, runs):
+    """Print every run whose digest differs from the recorded one; return
+    their number."""
+    here = versions()
+    if any(recorded[key] != value for key, value in here.items()):
+        print(f"digests recorded under {versions_text(recorded)}, "
+              f"checked under {versions_text(here)}")
+    differing = 0
+    for run in sorted(set(recorded["runs"]) | set(runs)):
+        old, new = recorded["runs"].get(run), runs.get(run)
+        if old != new:
+            differing += 1
+            print(f"{run}: " + ("only recorded" if new is None else
+                                "not recorded" if old is None else
+                                "differs"))
+    print(f"{len(runs)} runs checked, {differing} differ from the record")
+    return differing
+
+
+def _run_trees(trees, roots):
+    """Run the worker of each tree into its root, in parallel; whether
+    every worker succeeded."""
+    procs = []
+    for tree, root in zip(trees, roots):
+        root.mkdir()
+        procs.append(_spawn(tree, root))
+    codes = [p.wait() for p in procs]
+    if any(codes):
+        print(f"a worker failed: exit codes {codes}", file=sys.stderr)
+    return not any(codes)
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "--worker":
         _run_all(argv[1])
@@ -182,14 +252,20 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        if argv[0] in ("--write-digests", "--check-digests"):
+            root = Path(tmp, "tree")
+            if not _run_trees([ROOT], [root]):
+                return 2
+            runs = digests(root)
+            path = Path(argv[1])
+            if argv[0] == "--write-digests":
+                path.write_text(json.dumps({**versions(), "runs": runs},
+                                           indent=1, sort_keys=True) + "\n")
+                return 0
+            return 1 if check_digests(json.loads(path.read_text()),
+                                      runs) else 0
         roots = [Path(tmp, "old"), Path(tmp, "new")]
-        procs = []
-        for tree, root in zip(argv, roots):
-            root.mkdir()
-            procs.append(_spawn(tree, root))
-        codes = [p.wait() for p in procs]
-        if any(codes):
-            print(f"a worker failed: exit codes {codes}", file=sys.stderr)
+        if not _run_trees(argv, roots):
             return 2
         return 1 if compare(*roots) else 0
 
