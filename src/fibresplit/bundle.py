@@ -258,11 +258,13 @@ def liouville_fields(h, at, which):
 class DerivedField(ScalarField):
     """Scalar field with exact value+gradient and a filled-in Hessian.
 
-    vg(x) must return (value, gradient) exactly; the Hessian of the jet is
-    reconstructed by central differences of that gradient, with step
-    1e-5 (1 + max|x|), then symmetrized, since the exact second derivative
-    of a derived quantity would need third derivatives of its ingredients.
-    vg_lists(x) gives the exact value and gradient without that work.
+    vg(x) gets x as an array and must return (value, gradient) exactly,
+    the gradient as k floats (a list, from the vg functions built here);
+    the Hessian of the jet is reconstructed by central differences of
+    that gradient, with step 1e-5 (1 + max|x|), then symmetrized, since
+    the exact second derivative of a derived quantity would need third
+    derivatives of its ingredients.  vg_lists(x) gives the exact value
+    and gradient without that work.
     """
 
     def __init__(self, arity, vg, label=""):
@@ -297,8 +299,8 @@ class DerivedField(ScalarField):
         for i in range(k):
             e = np.zeros(k)
             e[i] = h
-            gp = self.vg(x + e)[1]
-            gm = self.vg(x - e)[1]
+            gp = np.asarray(self.vg(x + e)[1])
+            gm = np.asarray(self.vg(x - e)[1])
             hess[i] = (gp - gm) / (2.0 * h)
         hess = 0.5 * (hess + hess.T)
         return Jet2(val, np.asarray(grad, dtype=float), hess)
@@ -316,7 +318,7 @@ def _bracket_components(comps1, comps2, k):
                     + dot([g[l] for g in g1], g2[i])
                     - dot(H1[k * l:k * (l + 1)], a2)
                     - dot([g[l] for g in g2], g1[i]) for l in range(k)]
-            return val, np.array(grad)
+            return val, grad
         return vg
 
     return [DerivedField(k, make_vg(i),

@@ -202,8 +202,8 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
     h = cfg.splitting(chart) if cfg.has("splitting") \
         else induced_splitting(L)
     x, y, v = _probe_point(sim, chart)
-    rep = projection_verify(L, h, (x, v), y, sim["t1"], sim["dt"],
-                            **run.sampling)
+    rep = projection_verify(L, h, (x, v), y, sim["t1"] - sim["t0"],
+                            sim["dt"], **run.sampling)
     tol = run.report["tolerances"]["dynamic"]
     run.check("base_deviation", rep.max_base_deviation, tol)
     run.check("horizontality_drift", rep.horizontality_drift, tol)
@@ -238,7 +238,7 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
         raise ParseError(f"[simulation] ic must have {2 * n + m} entries "
                          f"(x, y, v) for nh-simulate")
     state = ConstrainedState(ic[:n], ic[n:n + m], ic[n + m:])
-    rec = integrate_constrained(L, c, state, sim["t1"], sim["dt"])
+    rec = integrate_constrained(L, c, state, sim["t0"], sim["t1"], sim["dt"])
     ws = np.array([c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
                    for s in rec.states])
     rate = rate_residual(rec.t, rec.states[:, n:n + m], ws)

@@ -119,6 +119,15 @@ def _float_grid(value, where):
     raise ParseError(f"{where}: expected numbers")
 
 
+def _finite_array(value, where):
+    """A list of numbers as a float array; nan and inf are rejected, as no
+    state can start from them."""
+    a = np.array(_float_grid(value, where), dtype=float)
+    if not np.isfinite(a).all():
+        raise ParseError(f"{where}: entries must be finite")
+    return a
+
+
 def _need_float(sec, key, value):
     if not isinstance(value, float):
         raise ParseError(f"[{sec}] {key}: expected a number")
@@ -248,8 +257,7 @@ class ModelConfig:
             if key == "ic":
                 if not isinstance(value, list):
                     raise ParseError("[simulation] ic: expected a list")
-                out["ic"] = np.array(
-                    _float_grid(value, "[simulation] ic"), dtype=float)
+                out["ic"] = _finite_array(value, "[simulation] ic")
             elif key in ("seed", "samples"):
                 out[key] = _need_int("simulation", key, value)
             else:
@@ -265,7 +273,7 @@ class ModelConfig:
         y0 = sec["y0"]
         if not isinstance(y0, list):
             raise ParseError("[curve] y0: expected a list")
-        y0 = np.array(_float_grid(y0, "[curve] y0"), dtype=float)
+        y0 = _finite_array(y0, "[curve] y0")
         if y0.shape != (self.m,):
             raise DimensionMismatch(f"[curve] y0 must have length {self.m}")
 

@@ -9,7 +9,7 @@ one Newton solve from w = 0.  Values need no more; first derivatives of
 the coefficient fields come from the implicit-function formula
 dh/dz = -(L_ww)^-1 L_wz, at the same root for all m of them (h_vg_lists).
 Every jet of L is read as float lists (jet_lists), and Newton, the
-continuation and the SODE forces step on float lists; the subduced
+continuation, the roots and the SODE forces are float lists; the subduced
 Lagrangian gives its own jets that way too and wraps them in a Jet2 only
 in its public jet().
 """
@@ -107,7 +107,7 @@ def _force_from_jet(jet, u, extra=None):
         r = grad[i] - dot(row[:k], u)
         rhs.append(r if extra is None else r + extra[i])
     try:
-        return linear_solve(M, rhs).tolist()
+        return linear_solve(M, rhs)
     except SingularMatrix as exc:
         raise SingularHessian(f"velocity Hessian singular: {exc}") from exc
 
@@ -169,7 +169,7 @@ class InducedSplitting(SplittingSpec):
         def coeff(a):
             def vg(z):
                 w, dh = self._solve_vg(z.tolist())
-                return w[a], dh[a, 1:]
+                return w[a], dh[a][1:]
             return DerivedField(2 * chart.n + chart.m, vg,
                                 label=f"h{a+1}_induced")
 
@@ -180,9 +180,9 @@ class InducedSplitting(SplittingSpec):
     def solve_detail(self, x, y, v):
         """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
         returns (w, Newton iterations of the final corrector at s = 1),
-        with w an array.  Where L is at most quadratic in w, one Newton
-        solve at s = 1 from w = 0 and the polish replace the continuation,
-        and the iterations are that solve's.
+        with w a list of m floats.  Where L is at most quadratic in w, one
+        Newton solve at s = 1 from w = 0 and the polish replace the
+        continuation, and the iterations are that solve's.
 
         Newton starts from w = 0 at s = 0; the tangent dw/ds = -L_ww^-1
         L_wv v (zero where L_ww is singular) predicts each next point.  ds
@@ -206,7 +206,7 @@ class InducedSplitting(SplittingSpec):
             except SingularMatrix as exc:
                 raise SingularHessian(str(exc)) from exc
             try:  # newton_solve's last system call was at the root
-                g = _fibre_solve(system.jet, k).tolist()
+                g = _fibre_solve(system.jet, k)
             except SingularMatrix:
                 return res.x, res.iterations, [0.0] * m, [0.0] * m
             return (res.x, res.iterations, [row[0] for row in g],
@@ -214,7 +214,7 @@ class InducedSplitting(SplittingSpec):
 
         if self._affine:
             root, its, step, _ = newton(1.0, [0.0] * m)
-            return np.array([a + b for a, b in zip(root, step)]), its
+            return [a + b for a, b in zip(root, step)], its
         s, ds = 0.0, 1.0
         w = dw = [0.0] * m
         try:
@@ -236,16 +236,15 @@ class InducedSplitting(SplittingSpec):
                     raise
                 continue
             if s + ds == 1.0:
-                return np.array([a + b for a, b in zip(root, step)]), its
+                return [a + b for a, b in zip(root, step)], its
             s, w, dw, ds = s + ds, root, tangent, 2.0 * ds
 
     def _solve_vg(self, z):
         """h at z = (x, y, v), a list of floats, from one continuation
-        solve, and _fibre_solve at the root, whose columns 1: are dh/dz."""
+        solve, and _fibre_solve at the root: row a from entry 1 is dh^a/dz."""
         n, m = self.chart.n, self.chart.m
         w, _ = self.solve_detail(z[:n], z[n:n + m], z[n + m:])
-        return w, _fibre_solve(self._L.field.jet_lists(z + w.tolist()),
-                               len(z))
+        return w, _fibre_solve(self._L.field.jet_lists(z + w), len(z))
 
     def h_values(self, x, y, v):
         """All m coefficients from one continuation solve, without dh."""
@@ -255,7 +254,7 @@ class InducedSplitting(SplittingSpec):
         """Every coefficient's value and gradient, as each coefficient's
         vg_lists gives it, from one solve and one _fibre_solve."""
         w, dh = self._solve_vg(as_floats([*x, *y, *v]))
-        w, dh = w.tolist(), dh[:, 1:].tolist()
+        dh = [row[1:] for row in dh]
         if not all_finite(w, *dh):
             raise DomainError("jet has non-finite entries")
         return list(zip(w, dh))
@@ -274,12 +273,12 @@ def _probe_branches(spec):
     def probe(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         try:
-            w_ref = spec.solve_detail(x, y, v)[0].tolist()
+            w_ref = spec.solve_detail(x, y, v)[0]
         except (NoConvergence, SingularHessian) as exc:
             raise DomainError(f"no reference root: {exc}") from exc
         seeds = [[0.0] * m, [0.5] * m, [-0.5] * m]
         seeds += [rng.uniform(-0.7, 0.7, m) for _ in range(7)]
-        system = _fibre_system(spec._L, z.tolist())
+        system = _fibre_system(spec._L, z)
         if spec._affine:
             try:  # an affine map with a nonsingular matrix has one root
                 linear_solve(system(w_ref)[1], [0.0] * m)
@@ -295,7 +294,7 @@ def _probe_branches(spec):
             if gap > 1e-6 * (1.0 + max(map(abs, w_ref))):
                 raise BranchAmbiguity(
                     f"second root at distance {gap:.3e} from the tracked "
-                    f"branch near x={x}, v={v}")
+                    f"branch near x={np.array(x)}, v={np.array(v)}")
         return 0.0
 
     sample_max(probe, 5, rng, 2 * n + m, max(0.5, 2.0 * spec.chart.slit_eps))
@@ -343,7 +342,7 @@ def tangency_check(L, h, samples=50, seed=42, box=1.0):
     k = n + m
 
     def residual(xyv):
-        z = xyv.tolist() + h.h_values(xyv[:n], xyv[n:k], xyv[k:]).tolist()
+        z = xyv + h.h_values(xyv[:n], xyv[n:k], xyv[k:])
         jet = L.field.jet_lists(z)
         u = z[k:]
         f = _force_from_jet(jet, u)
@@ -394,8 +393,8 @@ class SubducedField(ScalarField):
         zw = [[hess[p] for p in row] for row in self._zw]
         try:
             # X[j] = Hww^-1 Hwz[:, j] for each x and v position j
-            X = linear_solve([[hess[p] for p in row] for row in self._ww],
-                             list(zip(*zw))).T.tolist()
+            X = list(zip(*linear_solve(
+                [[hess[p] for p in row] for row in self._ww], list(zip(*zw)))))
         except SingularMatrix as exc:
             raise SingularHessian(f"fibre Hessian singular: {exc}") from exc
         H = [[hess[p] - dot(zw[i], X[j]) for j, p in enumerate(row)]
@@ -527,14 +526,14 @@ def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
         gap = abs(liouville_derivative(L, z) - 2.0 * L.field.value(z))
         if gap >= 1e-8:
             raise HypothesisFailed(
-                f"Delta(L) - 2L = {gap:.3e} at z={z}; Lagrangian is not "
-                f"2-homogeneous in the velocities")
+                f"Delta(L) - 2L = {gap:.3e} at z={np.array(z)}; Lagrangian "
+                f"is not 2-homogeneous in the velocities")
         return gap
 
     sample_max(hypothesis, samples, seed, 2 * (n + m), box)
 
     def euler(z):
-        v = z[n + m:].tolist()
+        v = z[n + m:]
         try:
             vgs = h.h_vg_lists(z[:n], z[n:n + m], v)
         except NoConvergence as exc:

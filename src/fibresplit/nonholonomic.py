@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import ScalarField, seed_jets
-from .numerics import as_floats, dot, linear_solve, rk4_integrate
+from .numerics import as_floats, dot, linear_solve, rk4_integrate, total
 from .splitting import AffineSplittingData, _curvature_lists
 
 
@@ -105,13 +105,13 @@ class ConstrainedSystem:
         rhs_v = []
         for i in range(n):
             row = H[k * (n + m + i):k * (n + m + i + 1)]
-            force = sum((-dot(B[a][i], v) - A0d[a][i]) * Lw[a]
-                        for a in range(m))
-            rhs_v.append(g[i] - sum(A[a][i] * g[n + a] for a in range(m))
+            force = total((-dot(B[a][i], v) - A0d[a][i]) * Lw[a]
+                          for a in range(m))
+            rhs_v.append(g[i] - total(A[a][i] * g[n + a] for a in range(m))
                          - dot(row[:n], v) - dot(row[n:n + m], ydot)
                          + force)
         M = [H[k * r + n + m:k * (r + 1)] for r in range(n + m, k)]
-        return v + ydot + linear_solve(M, rhs_v).tolist()
+        return v + ydot + linear_solve(M, rhs_v)
 
     def energy(self, s):
         """Constrained energy v . dLc/dv - Lc."""
@@ -125,12 +125,12 @@ def lagrange_dalembert_system(L, c):
     return ConstrainedSystem(L, c)
 
 
-def integrate_constrained(L, c, ic, T, dt):
-    """RK4 on the reduced state, recording the constrained energy at each
-    point.  dy/dt is the reconstructed w itself, so the constraint holds
-    by construction of the right-hand side; whether the integrated y
-    follows it is measured afterwards, by splitting.rate_residual of the
-    recorded y against A0 - A v."""
+def integrate_constrained(L, c, ic, t0, t1, dt):
+    """RK4 on the reduced state from t0 to t1, recording the constrained
+    energy at each point.  dy/dt is the reconstructed w itself, so the
+    constraint holds by construction of the right-hand side; whether the
+    integrated y follows it is measured afterwards, by
+    splitting.rate_residual of the recorded y against A0 - A v."""
     system = ConstrainedSystem(L, c)
-    return rk4_integrate(system.rhs, 0.0, T, ic.as_array(), dt,
+    return rk4_integrate(system.rhs, t0, t1, ic.as_array(), dt,
                          lambda t, s: {"energy": system.energy(s)})

@@ -13,7 +13,8 @@ LAPACK's solve plus its condition number (tools/time_solves.py).  The
 contract is strict: solves are rejected on a large condition number and
 the residual postcondition is always verified.  linear_solve reads A as
 k rows and b as k numbers or k rows, lists or arrays, straight into the
-flat float lists its kernel takes.
+flat float lists its kernel takes, and returns x laid out like b, as
+Python floats.
 
 newton_solve and rk4_integrate step their state as a list of Python
 floats.  Newton's system(x) receives that list and returns F as k floats
@@ -22,6 +23,11 @@ side f(t, y) and diagnostic(t, y) receive the list, f returns d floats,
 and each stage is summed entry by entry in the order of the array
 expressions it replaces, so every state is bit for bit what numpy
 arithmetic gives.  Only the finished record is built as arrays.
+sample_max hands each residual its draw as a list of floats.
+
+Float sums here and in the right-hand sides run left to right, through
+dot, total or a generated + chain, never through sum(), which Python
+3.12 and later compensate: no result depends on the interpreter's sum().
 """
 
 import functools
@@ -61,6 +67,14 @@ def dot(a, b):
     return s
 
 
+def total(terms):
+    """The sum of the float terms, accumulated from 0.0 left to right."""
+    s = 0.0
+    for t in terms:
+        s += t
+    return s
+
+
 def all_finite(*seqs):
     """Whether every number in the flat sequences seqs is finite.  A finite
     sum proves it in one pass; a sum that is not finite (an overflow, an
@@ -85,6 +99,11 @@ def _unit_scale(a):
 def _terms(head, products):
     """head - p1 - p2 - ..., evaluated left to right."""
     return " - ".join([head, *products])
+
+
+def _sum_of(exprs):
+    """e1 + e2 + ..., evaluated left to right."""
+    return " + ".join(exprs)
 
 
 def _max_of(exprs):
@@ -159,10 +178,9 @@ def _solver(k, r):
             num = _terms(head, [f"{f[i][j]} * z{j}" for j in range(i + 1, k)])
             body.append(f"z{i} = ({num}) / {f[i][i]}")
         # not max(): an overflow's nan must not slip past
-        body += [f"s = sum(({''.join(f'abs(z{i}), ' for i in n)}))",
+        body += [f"s = {_sum_of([f'abs(z{i})' for i in n])}",
                  "if s > inv or s != s:", "    inv = s"]
-    norm = _max_of([f"sum(({''.join(f'abs({a[i][j]}), ' for i in n)}))"
-                    for j in n])
+    norm = _max_of([_sum_of([f"abs({a[i][j]})" for i in n]) for j in n])
     body += [f"cond = {norm} * inv", "if not cond <= cond_bound:",
              "    return cond, None"]
     # forward and back substitution, then the residual postcondition
@@ -177,8 +195,8 @@ def _solver(k, r):
     body.append("resid = 0.0")
     for bc, wc in zip(b, w):
         for i in n:
-            dot = "".join(f"{a[i][j]} * {wc[j]}, " for j in n)
-            body += [f"t = abs(sum(({dot})) - {bc[i]})",
+            dot = _sum_of([f"{a[i][j]} * {wc[j]}" for j in n])
+            body += [f"t = abs({dot} - {bc[i]})",
                      "if t > resid or t != t:", "    resid = t"]
     bmax = _max_of([f"abs({e})" for e in itertools.chain(*b)])
     body += [f"if not resid <= 1e-10 * (scale + {bmax}):",
@@ -228,8 +246,8 @@ def condition_number(A):
 def linear_solve(A, b, cond_bound=1e13):
     """Solve A x = b for a square A, given as k rows of k numbers (a list
     of rows or a 2-D array), and b of k numbers, or k rows of r with one
-    right-hand side per column; x is an array with the shape of b.  A list
-    of ints solves in float arithmetic.
+    right-hand side per column; x is laid out like b, as Python floats: a
+    list of k, or k lists of r.  A list of ints solves in float arithmetic.
 
     Raises DimensionMismatch when the shapes do not fit that, and
     SingularMatrix when A or b has a non-finite entry, when the 1-norm
@@ -269,9 +287,7 @@ def linear_solve(A, b, cond_bound=1e13):
     if x is None:
         raise SingularMatrix(
             f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
-    if one_rhs:
-        return np.array(x)
-    return np.array(x).reshape(r, k).T
+    return x if one_rhs else [x[i::k] for i in range(k)]
 
 
 _NEWTON_TOL = 1e-10
@@ -315,7 +331,7 @@ def newton_solve(system, x0, max_iter=_NEWTON_MAX_ITER,
         return NewtonResult(x, 0, float(rnorm), 0.0)
     first = theta = 0.0
     for it in range(1, max_iter + 1):
-        step = linear_solve(J, [-e for e in r]).tolist()
+        step = linear_solve(J, [-e for e in r])
         lam = 1.0
         accepted = False
         for _ in range(21):
@@ -440,7 +456,7 @@ class SampleReport:
 
 def sample_max(residual, samples, seed, width, box=1.0):
     """Elementwise max of residual(z) over `samples` usable draws of z from
-    [-box, box]^width.
+    [-box, box]^width; residual receives each draw as a list of floats.
 
     A draw whose residual raises DomainError is skipped and redrawn, up to
     50 draws per sample in total.  seed may be a Generator, so a caller
@@ -453,7 +469,7 @@ def sample_max(residual, samples, seed, width, box=1.0):
     while used < samples and used + skipped < 50 * samples:
         z = rng.uniform(-box, box, width)
         try:
-            r = residual(z)
+            r = residual(z.tolist())
         except DomainError:
             skipped += 1
             continue

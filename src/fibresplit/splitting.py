@@ -87,9 +87,10 @@ class SplittingSpec:
                 f"base velocity inside slit ball (|v| < {self.chart.slit_eps})")
 
     def h_values(self, x, y, v):
+        """The m coefficients at (x, y, v), as a list of floats."""
         self._require_admissible(v)
         z = [*x, *y, *v]  # each coefficient converts its point to floats
-        return np.array([c.value(z) for c in self.coefficients])
+        return [c.value(z) for c in self.coefficients]
 
     def h_jet_lists(self, x, y, v):
         """The coefficients' jet_lists at (x, y, v), as Python floats."""
@@ -166,7 +167,7 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
 
     def f(t, y):
         x, xdot = base_curve(t)
-        return spec.h_values(x, y, xdot).tolist()
+        return spec.h_values(x, y, xdot)
 
     rec = rk4_integrate(f, t0, t1, y0, dt)
     ts = rec.t
@@ -264,7 +265,7 @@ def classify(spec, samples=200, seed=42, box=1.0):
     vv = [k * i + j for i in range(n + m, k) for j in range(n + m, k)]
 
     def evidence(z):
-        x, y, v = z[:n], z[n:n + m], z[n + m:].tolist()
+        x, y, v = z[:n], z[n:n + m], z[n + m:]
         jets = spec.h_jet_lists(x, y, v)
         hz = spec.h_values(x, y, np.zeros(n)) if spec.smooth_at_zero else 0.0
         per_jet = [(abs(dot(grad[n + m:], v) - val),
@@ -337,14 +338,9 @@ def vilms_lift(spec):
             u = [*z[sv], *z[sw], *z[sV]]
             k = len(u)
             hu = [dot(H[k * i:k * (i + 1)], u) for i in range(k)]
-            grad = np.zeros(arity)
-            grad[sx] = hu[:n]
-            grad[sy] = hu[n:n + m]
-            grad[sX] = hu[n + m:]
-            grad[sv] = g[:n]
-            grad[sw] = g[n:n + m]
-            grad[sV] = g[n + m:]
-            return dot(g, u), grad
+            # in the doubled chart's order x, v, y, w, X, V
+            return dot(g, u), (hu[:n] + g[:n] + hu[n:n + m] + g[n:n + m]
+                               + hu[n + m:] + g[n + m:])
         return DerivedField(arity, vg, label=f"vilms_W{a+1}")
 
     coeffs = [y_field(a) for a in range(m)] + [w_field(a) for a in range(m)]
@@ -577,19 +573,18 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
 
         def vg(q):
             _, g, H = spec.coefficients[a].jet_lists(q.tolist() + [0.0] * n)
-            return -g[n + m + i], -np.array(H[r:r + n + m])
+            return -g[n + m + i], [-e for e in H[r:r + n + m]]
         return DerivedField(n + m, vg, label=f"A{a+1}_{i+1}")
 
     A = [[a_field(a, i) for i in range(n)] for a in range(m)]
     A0 = [a0_field(a) for a in range(m)]
 
     def residual(z):
-        v = z[n + m:].tolist()
+        v = z[n + m:]
         h = spec.h_values(z[:n], z[n:n + m], v)
-        z0 = z[:n + m].tolist() + [0.0] * n
-        jets = [c.jet_lists(z0) for c in spec.coefficients]
+        jets = [c.jet_lists(z[:n + m] + [0.0] * n) for c in spec.coefficients]
         recon = [dot(grad[n + m:], v) + val for val, grad, _ in jets]
-        return np.abs(h - recon).max()
+        return np.abs(np.subtract(h, recon)).max()
 
     worst = float(sample_max(residual, samples, seed, 2 * n + m,
                              box).max_residual)

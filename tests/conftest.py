@@ -14,4 +14,4 @@ def rolling_record():
     L = LagrangianSpec.from_expression(chart, "0.5*(v1^2 + v2^2 + w1^2)")
     c = AffineConstraintSpec.from_expressions(chart, [["0", "-x1"]], ["0"])
     ic = ConstrainedState([0.5, 0.0], [0.0], [0.2, 0.4])
-    return L, c, ic, integrate_constrained(L, c, ic, 10.0, 1e-3)
+    return L, c, ic, integrate_constrained(L, c, ic, 0.0, 10.0, 1e-3)

@@ -304,7 +304,7 @@ def test_criterion_12_nonholonomic(rolling_record):
     c2 = AffineConstraintSpec.from_expressions(CH11, [["2"]], ["0"])
     rec2 = integrate_constrained(L2, c2,
                                  ConstrainedState([1.0], [0.0], [0.0]),
-                                 1.0, 1e-3)
+                                 0.0, 1.0, 1e-3)
     assert abs(rec2.final[0] - np.cos(1.0)) < 1e-6
 
 

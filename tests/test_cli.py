@@ -120,6 +120,53 @@ def test_nh_simulate(tmp_path):
     assert lines[0] == "t,x1,x2,y1,v1,v2,w1,energy"
 
 
+def _with_simulation(tmp_path, config, line):
+    """A copy of config with one more [simulation] line."""
+    text = config.read_text().replace("[simulation]\n",
+                                      f"[simulation]\n{line}\n")
+    cfg = tmp_path / config.name
+    cfg.write_text(text)
+    return cfg
+
+
+def test_nh_simulate_starts_at_t0(tmp_path):
+    cfg = _with_simulation(tmp_path, CONFIGS / "knife_edge.ini", "t0 = 0.5")
+    assert run("nh-simulate", cfg, tmp_path / "out", "--t1", "0.6") == 0
+    rows = csv_lines(tmp_path / "out")[1:]
+    assert len(rows) == 101
+    assert float(rows[0].split(",")[0]) == 0.5
+    assert float(rows[-1].split(",")[0]) == 0.6
+
+
+@pytest.mark.parametrize("command, config", [
+    ("nh-simulate", "knife_edge.ini"), ("project-verify", "oscillator.ini"),
+    ("el-simulate", "oscillator.ini")])
+def test_t1_before_t0_exits_2(tmp_path, capsys, command, config):
+    cfg = _with_simulation(tmp_path, CONFIGS / config, "t0 = 0.5")
+    assert run(command, cfg, tmp_path / "out", "--t1", "0.2") == 2
+    assert "config error: t1 must be >= t0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, config, old, new", [
+    ("el-simulate", "oscillator.ini", "ic = [0.0,", "ic = [{},"),
+    ("lift-curve", "lift.ini", "y0 = [0.2]", "y0 = [{}]"),
+    ("induce", "knife_edge.ini", "ic = [0.5,", "ic = [{},")],
+    ids=["el-simulate", "lift-curve", "induce"])
+def test_non_finite_initial_state_exits_2(tmp_path, capsys, command, config,
+                                          old, new, value):
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg = tmp_path / config
+    cfg.write_text(text.replace(old, new.format(value)))
+    key = "[curve] y0" if "y0" in old else "[simulation] ic"
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert f"config error: {key}: entries must be finite" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_nh_rate_check_catches_a_wrong_ydot(tmp_path, monkeypatch):
     # an integrated dy/dt that is off the constraint shows in the rate
     # check

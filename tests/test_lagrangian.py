@@ -115,7 +115,7 @@ def test_ill_conditioned_quadratic_lagrangian_has_one_branch():
     src = f"0.5*v1^2 + 0.5*({r1}^2 + 2*{r1}*{r2} + (1 + 1e-11)*{r2}^2)"
     L = LagrangianSpec.from_expression(BundleChart(1, 2), src)
     w = induced_splitting(L).h_values([0.3], [0.2, 0.1], [0.5])
-    assert np.abs(w - [0.15, 0.7]).max() < 1e-4
+    assert np.abs(np.subtract(w, [0.15, 0.7])).max() < 1e-4
 
 
 def test_induced_splitting_cubic_fixture_and_iterations(newton_calls):
@@ -256,14 +256,31 @@ def test_induced_h_vg_lists_solve_once_for_all_coefficients(monkeypatch):
         h.coefficients[1].vg_lists([0.1, 0.2, 0.3, 0.4])
 
 
+# the continuation tracks the root near w = 0 of w^2 - 0.6 w + v^2
+BRANCH = "w1^3/3 - 0.3*w1^2 + v1^2*w1 + 0.5*v1^2"
+
+
+@pytest.mark.parametrize("source, quadratic", [(F1, True), (BRANCH, False)],
+                         ids=["quadratic", "continuation"])
+def test_roots_are_lists_of_floats(source, quadratic):
+    h = induced_splitting(lag(source), probe=False)
+    assert h._affine is quadratic
+    w, iters = h.solve_detail([0.1], [0.2], [0.1])
+    assert type(w) is list and [type(e) for e in w] == [float]
+    assert h.h_values([0.1], [0.2], [0.1]) == w
+    explicit = SplittingSpec.from_expressions(CH, ["x1*v1"])
+    hv = explicit.h_values(np.array([0.5]), [0.2], [0.4])
+    assert type(hv) is list and [type(e) for e in hv] == [float]
+
+
 def test_branch_ambiguity_detected_at_build():
     # dL/dw = w^2 - 0.6 w + v^2 has two roots separated by ~2 sqrt(0.09-v^2)
-    L = lag("w1^3/3 - 0.3*w1^2 + v1^2*w1 + 0.5*v1^2")
+    L = lag(BRANCH)
     with pytest.raises(BranchAmbiguity):
         induced_splitting(L)
     # probing can be declined explicitly
     h = induced_splitting(L, probe=False)
-    assert h.h_values([0.0], [0.0], [0.1]).shape == (1,)
+    assert len(h.h_values([0.0], [0.0], [0.1])) == 1
 
 
 def test_defining_relation_on_samples():

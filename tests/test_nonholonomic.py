@@ -65,7 +65,7 @@ def test_pure_drift_constraint():
     L = LagrangianSpec.from_expression(CH1, "0.5*(v1^2 + w1^2)")
     c = constraint(CH1, [["0"]], ["0.8"])
     rec = integrate_constrained(L, c, ConstrainedState([0.0], [0.0], [0.3]),
-                                2.0, 1e-3)
+                                0.0, 2.0, 1e-3)
     assert abs(rec.final[1] - 1.6) < 1e-9
     assert abs(rec.final[0] - 0.6) < 1e-12
     assert abs(rec.final[2] - 0.3) < 1e-12
@@ -98,6 +98,6 @@ def test_zero_curvature_reduces_to_constrained_euler_lagrange():
         CH1, "0.5*v1^2 + 0.5*w1^2 - 2.5*x1^2")
     c = constraint(CH1, [["2"]], ["0"])
     rec = integrate_constrained(L, c, ConstrainedState([1.0], [0.0], [0.0]),
-                                1.0, 1e-3)
+                                0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
     assert abs(rec.final[1] - (2.0 - 2.0 * np.cos(1.0))) < 1e-10

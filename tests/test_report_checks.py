@@ -73,7 +73,7 @@ def _induced_root_off_by_1e_7(monkeypatch):
 
     def shifted(self, x, y, v):
         w, iters = solve_detail(self, x, y, v)
-        return w + 1e-7, iters
+        return [e + 1e-7 for e in w], iters
 
     monkeypatch.setattr(lagrangian.InducedSplitting, "solve_detail", shifted)
 

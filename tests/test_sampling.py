@@ -113,3 +113,12 @@ def test_sample_max_policy():
     rng = np.random.default_rng(9)
     sample_max(lambda z: 0.0, 3, rng, 2)
     assert rng.uniform() == np.random.default_rng(9).uniform(size=7)[6]
+
+
+def test_sample_max_hands_each_residual_a_list():
+    draws = []
+    sample_max(lambda z: draws.append(z) or 0.0, 3, 5, 2, box=0.5)
+    rng = np.random.default_rng(5)
+    assert draws == [rng.uniform(-0.5, 0.5, 2).tolist() for _ in range(3)]
+    assert all(type(z) is list and {type(e) for e in z} == {float}
+               for z in draws)
