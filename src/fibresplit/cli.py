@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .bundle import TangentPointM
 from .config import load_config
 from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
                      DomainError, ExprSyntaxError, FlowEscape,
@@ -23,16 +22,15 @@ from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
                      ParseError, SingularHessian, SingularMatrix,
                      UnknownIdentifier)
 from .exprs import variables
-from .lagrangian import (defining_relation_check, euler_lagrange_sode,
-                         homogeneity_of_induced, induced_splitting,
-                         integrate_sode, projection_verify, subduce,
+from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
+                         induced_splitting, integrate_sode,
+                         projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import _MAX_STEPS, dot, sample_max
+from .numerics import _MAX_STEPS, dot
 from .reduction import (connection_test_domega, decoupling_check,
                         integrate_magnetic, invariance_check,
-                        magnetic_lp_system, momentum_map, principal_check,
-                        unreduce)
+                        magnetic_lp_system, principal_check, unreduce)
 from .splitting import (affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, horizontal_lift_curve,
                         rate_residual)
@@ -177,10 +175,6 @@ def _cmd_induce(run, cfg, chart, sim, args):
     run.report["values"]["h_at_probe"] = w
     run.report["values"]["probe"] = np.concatenate([x, y, v])
     run.report["values"]["newton_iterations"] = iters
-    run.check("newton_iterations", iters, 3.5)
-    rel = defining_relation_check(L, h, **run.sampling)
-    run.check("defining_relation", rel.max_residual,
-              run.report["tolerances"]["structural"])
 
 
 def _cmd_subduce(run, cfg, chart, sim, args):
@@ -330,9 +324,7 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
 
 
 def _cmd_check_all(run, cfg, chart, sim, args):
-    seed, samples, box = sim["seed"], sim["samples"], sim["box"]
     tol_s = run.report["tolerances"]["structural"]
-    n, m = chart.n, chart.m
 
     h_explicit = cfg.splitting(chart) if cfg.has("splitting") else None
     if h_explicit is not None:
@@ -345,8 +337,6 @@ def _cmd_check_all(run, cfg, chart, sim, args):
     # its L_ww vanishes, so it induces no splitting
     if L is not None and variables(L.field.ast) & set(chart.w_names):
         h_ind = induced_splitting(L)
-        rel = defining_relation_check(L, h_ind, **run.sampling)
-        run.check("defining_relation", rel.max_residual, tol_s)
         sym = symmetry_condition_check(L, h_ind, **run.sampling)
         run.check("symmetry_condition", sym.max_residual, tol_s)
         tan = tangency_check(L, h_ind, **run.sampling)
@@ -375,16 +365,6 @@ def _cmd_check_all(run, cfg, chart, sim, args):
             ct = connection_test_domega(h, action, **run.sampling)
             run.report["residuals"][f"connection_test_{label}"] = \
                 ct.max_residual
-        if L is not None and h_ind is not None:
-            def momentum(z):
-                x, y, v = z[:n], z[n:n + m], z[n + m:]
-                w = h_ind.h_values(x, y, v)
-                J = momentum_map(L, action, TangentPointM(chart, x, y, v, w))
-                return float(np.abs(J).max())
-
-            worst_J = sample_max(momentum, min(samples, 100), seed,
-                                 2 * n + m, box).max_residual
-            run.check("momentum_on_horizontal", worst_J, tol_s)
 
     if cfg.has("constraints"):
         csp = cfg.constraints(chart).to_splitting()
@@ -444,6 +424,8 @@ def main(argv=None):
         for key in ("seed", "samples", "dt", "t1"):
             if getattr(args, key) is not None:
                 sim[key] = getattr(args, key)
+        if sim["seed"] < 0:
+            raise ParseError("[simulation] seed must be >= 0")
         if sim["samples"] < 1:
             raise ParseError("[simulation] samples must be >= 1")
         if not 0.0 < sim["box"] < np.inf:
@@ -454,6 +436,10 @@ def main(argv=None):
         if sim["dt"] > 0 and (sim["t1"] - sim["t0"]) / sim["dt"] > _MAX_STEPS:
             raise ParseError(f"[simulation] t1 must be at most {_MAX_STEPS} "
                              f"steps of dt after t0")
+        for flag, tol in (("--tol-structural", args.tol_structural),
+                          ("--tol-dynamic", args.tol_dynamic)):
+            if not 0.0 < tol < np.inf:
+                raise ParseError(f"{flag} must be finite and positive")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

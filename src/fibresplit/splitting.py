@@ -10,6 +10,7 @@ Splittings flagged smooth_at_zero=False are only evaluated on the slit
 |v|_2 >= chart.slit_eps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,7 @@ class SplittingSpec:
     def admissible(self, v):
         if self.smooth_at_zero:
             return True
-        v = np.asarray(v, dtype=float)
-        return np.linalg.norm(v) >= self.chart.slit_eps
+        return math.sqrt(dot(v, v)) >= self.chart.slit_eps
 
     def _require_admissible(self, v):
         if not self.admissible(v):

@@ -44,9 +44,7 @@ def test_induce_report_and_determinism(tmp_path):
     assert rep["seed"] == 7 and rep["samples"] == 40
     assert rep["values"]["h_at_probe"] == [-0.25]
     assert rep["values"]["newton_iterations"] == 1
-    ch = checks_by_name(rep)
-    assert ch["defining_relation"]["passed"]
-    assert ch["newton_iterations"]["passed"]
+    assert rep["checks"] == []
 
 
 def test_el_simulate_trajectory(tmp_path):
@@ -277,8 +275,7 @@ def test_check_all_green(tmp_path):
     rep = report(tmp_path)
     assert rep["status"] == "ok"
     names = {c["name"] for c in rep["checks"]}
-    assert {"defining_relation", "symmetry_condition", "tangency",
-            "y_independence"} <= names
+    assert {"symmetry_condition", "tangency", "y_independence"} <= names
 
 
 def test_check_all_probes_the_induced_splitting_once(tmp_path, monkeypatch):
@@ -422,9 +419,12 @@ _IC = "ic = [0.0, 0.0, 0.5, -0.25]"
     ("el-simulate", _IC, ("--dt", "inf"), "dt"),
     ("el-simulate", _IC, ("--t1", "nan"), "t1"),
     ("el-simulate", _IC, ("--t1", "1e300"), "t1"),
+    ("el-simulate", _IC, ("--seed", "-1"), "seed"),
+    ("induce", "seed = -1", (), "seed"),
 ], ids=["samples-override-0", "samples-negative", "box-zero", "box-negative",
         "box-inf", "box-nan", "t0-inf", "t1-nan", "dt-inf", "t1-override-inf",
-        "dt-override-inf", "t1-override-nan", "t1-override-1e300"])
+        "dt-override-inf", "t1-override-nan", "t1-override-1e300",
+        "seed-override-negative", "seed-negative"])
 def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
                                          extra, key):
     cfg = tmp_path / "sampling.ini"
@@ -434,6 +434,16 @@ def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
                    f"[simulation]\n{setting}\n")
     assert run(command, cfg, tmp_path / "out", *extra) == 2
     assert f"config error: [simulation] {key} must be" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1e-9", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-structural", "--tol-dynamic"])
+def test_tolerances_are_validated(tmp_path, capsys, flag, value):
+    assert run("check-all", FIX / "model.ini", tmp_path / "out",
+               f"{flag}={value}") == 2
+    assert f"config error: {flag} must be finite and positive" \
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 

@@ -3,11 +3,9 @@
 CHECKS has one row per check name: the command that writes it, a case on
 which the check passes and a case on which it fails with exit 1.  Cases
 use default tolerances; --samples, --t1 and --dt only keep them short.
-A failing case is a model that breaks the checked property, or, where no
-model can, a monkeypatched defect in the code that produces the checked
-value (never in the check).  test_table_covers_every_check_the_cli_writes
-collects the names from cli.py, so a new check without a failing case
-fails the suite.
+A failing case is a model that breaks the checked property.
+test_table_covers_every_check_the_cli_writes collects the names from
+cli.py, so a new check without a failing case fails the suite.
 """
 
 import ast
@@ -18,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from fibresplit import cli, lagrangian
+from fibresplit import cli
 
 ROOT = Path(__file__).parents[1]
 FIX = ROOT / "tests" / "fixtures"
@@ -48,50 +46,14 @@ INCOMPATIBLE = B11 + ('[lagrangian]\nL = "0.5*v1^2 + 0.5*(w1 - y1*v1)^2"\n'
                       '[splitting]\nh1 = "0.7*v1 + y1"\n' + TRANSLATION)
 
 
-def _doubled_fibre_hessian(monkeypatch):
-    """Newton on dL/dw = 0 with L_ww doubled: it contracts by 1/2 per
-    iteration instead of converging in one."""
-    fibre_system = lagrangian._fibre_system
-
-    def doubled(L, z):
-        system = fibre_system(L, z)
-
-        def wrong(w):
-            F, J = system(w)
-            wrong.jet = system.jet
-            return F, [[2.0 * e for e in row] for row in J]
-
-        return wrong
-
-    monkeypatch.setattr(lagrangian, "_fibre_system", doubled)
-
-
-def _induced_root_off_by_1e_7(monkeypatch):
-    """The induced splitting returns its root shifted by 1e-7, below the
-    branch probe's 1e-6 gap."""
-    solve_detail = lagrangian.InducedSplitting.solve_detail
-
-    def shifted(self, x, y, v):
-        w, iters = solve_detail(self, x, y, v)
-        return [e + 1e-7 for e in w], iters
-
-    monkeypatch.setattr(lagrangian.InducedSplitting, "solve_detail", shifted)
-
-
-def case(config, *args, patch=None):
-    return {"config": config, "args": args, "patch": patch}
+def case(config, *args):
+    return {"config": config, "args": args}
 
 
 # name: (command, passing case, failing case)
 CHECKS = {
     "lift_residual": (
         "lift-curve", case(CONFIGS / "lift.ini"), case(FAST_CURVE)),
-    "newton_iterations": (
-        "induce", case(FIX / "model.ini", *SHORT),
-        case(FIX / "model.ini", *SHORT, patch=_doubled_fibre_hessian)),
-    "defining_relation": (
-        "induce", case(FIX / "model.ini", *SHORT),
-        case(FIX / "model.ini", *SHORT, patch=_induced_root_off_by_1e_7)),
     "y_independence": (
         "check-all", case(FIX / "model.ini", *SHORT),
         case(Y_DEPENDENT, *SHORT)),
@@ -121,20 +83,15 @@ CHECKS = {
         case(INCOMPATIBLE, *SHORT)),
     "principal_induced": (
         "check-all", case(COMPATIBLE, *SHORT), case(INCOMPATIBLE, *SHORT)),
-    "momentum_on_horizontal": (
-        "check-all", case(COMPATIBLE, *SHORT),
-        case(COMPATIBLE, *SHORT, patch=_induced_root_off_by_1e_7)),
 }
 
 
-def _run(command, spec, tmp_path, monkeypatch):
+def _run(command, spec, tmp_path):
     config = spec["config"]
     if isinstance(config, str):
         path = tmp_path / "model.ini"
         path.write_text(config)
         config = path
-    if spec["patch"] is not None:
-        spec["patch"](monkeypatch)
     out = tmp_path / "out"
     code = cli.main([command, "--config", str(config), "--out-dir", str(out),
                      *spec["args"]])
@@ -143,17 +100,17 @@ def _run(command, spec, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_check_passes_on_its_passing_case(name, tmp_path, monkeypatch):
+def test_check_passes_on_its_passing_case(name, tmp_path):
     command, passing, _ = CHECKS[name]
-    code, checks = _run(command, passing, tmp_path, monkeypatch)
+    code, checks = _run(command, passing, tmp_path)
     assert code == 0
     assert checks[name]["passed"] is True
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_check_fails_on_its_failing_case(name, tmp_path, monkeypatch):
+def test_check_fails_on_its_failing_case(name, tmp_path):
     command, _, failing = CHECKS[name]
-    code, checks = _run(command, failing, tmp_path, monkeypatch)
+    code, checks = _run(command, failing, tmp_path)
     assert code == 1
     assert checks[name]["passed"] is False
 
@@ -214,6 +171,6 @@ def readme_check_names():
 
 def test_table_covers_every_check_the_cli_writes():
     names = cli_check_names()
-    assert len(names) == 14
+    assert len(names) == 11
     assert set(CHECKS) == names
     assert readme_check_names() == names

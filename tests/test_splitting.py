@@ -43,6 +43,20 @@ def test_admissibility_and_domain_error():
         s.h_values([0.0], [0.0], [0.0])
 
 
+def test_admissibility_at_the_slit():
+    s = spec11("abs(v1)")
+    eps = s.chart.slit_eps
+    assert s.admissible([eps])
+    assert not s.admissible([np.nextafter(eps, 0.0)])
+    # |(3t, 4t)| = 5t exactly when t is a power of two
+    t = 2.0 ** -10
+    on, off = (SplittingSpec.from_expressions(BundleChart(2, 1, slit),
+                                              ["abs(v1) + v2"])
+               for slit in (5 * t, np.nextafter(5 * t, 1.0)))
+    assert on.admissible([3 * t, 4 * t])
+    assert not off.admissible([3 * t, 4 * t])
+
+
 def test_coefficient_arity_guard():
     ch = BundleChart(1, 1)
     ctx = VarContext([("base", ["x1"])])
