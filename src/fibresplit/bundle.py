@@ -8,11 +8,13 @@ directions).  Points of the second tangent space carry a second block
 The slit radius slit_eps is part of the chart: fields built over the chart
 inherit it, and non-smooth coefficient fields (abs, sqrt) are only
 evaluated at base velocities with |v| >= slit_eps.
+
+Points hold each block as a list of Python floats, and every point, block
+and field value given out here is such a list.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BasePointMismatch, DimensionMismatch, DomainError
 from .exprs import VarContext
@@ -21,9 +23,9 @@ from .numerics import all_finite, as_floats, dot
 
 
 def _vec(a, k, what):
-    a = np.asarray(a, dtype=float)
-    if a.shape != (k,):
-        raise DimensionMismatch(f"{what} must have shape ({k},), got {a.shape}")
+    a = as_floats(a)
+    if len(a) != k:
+        raise DimensionMismatch(f"{what} must have length {k}, got {len(a)}")
     return a
 
 
@@ -37,7 +39,7 @@ class BundleChart:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DimensionMismatch("chart needs n >= 1 and m >= 1")
-        if not 0 < self.slit_eps < np.inf:
+        if not 0 < self.slit_eps < math.inf:
             raise ValueError("slit_eps must be positive and finite")
 
     @property
@@ -75,10 +77,10 @@ class BundleChart:
 class TangentPointM:
     """Tangent vector (v, w) at the point (x, y) of the total space."""
     chart: BundleChart
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    x: list
+    y: list
+    v: list
+    w: list
 
     def __post_init__(self):
         self.x = _vec(self.x, self.chart.n, "x")
@@ -87,19 +89,19 @@ class TangentPointM:
         self.w = _vec(self.w, self.chart.m, "w")
 
     def point(self):
-        return np.concatenate([self.x, self.y])
+        return self.x + self.y
 
     def as_array(self):
-        return np.concatenate([self.x, self.y, self.v, self.w])
+        return self.x + self.y + self.v + self.w
 
 
 @dataclass
 class PullbackPoint:
     """Base velocity v attached to the point (x, y): where splittings live."""
     chart: BundleChart
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
+    x: list
+    y: list
+    v: list
 
     def __post_init__(self):
         self.x = _vec(self.x, self.chart.n, "x")
@@ -107,21 +109,21 @@ class PullbackPoint:
         self.v = _vec(self.v, self.chart.n, "v")
 
     def as_array(self):
-        return np.concatenate([self.x, self.y, self.v])
+        return self.x + self.y + self.v
 
 
 @dataclass
 class SecondTangentPoint:
     """Point of the double tangent space: (x,y,v,w) plus (X,Y,V,W)."""
     chart: BundleChart
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
+    x: list
+    y: list
+    v: list
+    w: list
+    X: list
+    Y: list
+    V: list
+    W: list
 
     def __post_init__(self):
         n, m = self.chart.n, self.chart.m
@@ -135,15 +137,15 @@ class SecondTangentPoint:
         self.W = _vec(self.W, m, "W")
 
     def as_array(self):
-        return np.concatenate([self.x, self.y, self.v, self.w,
-                               self.X, self.Y, self.V, self.W])
+        return self.x + self.y + self.v + self.w + self.upper()
 
     def upper(self):
-        """The second block (X, Y, V, W) as one array."""
-        return np.concatenate([self.X, self.Y, self.V, self.W])
+        """The second block (X, Y, V, W) as one list."""
+        return self.X + self.Y + self.V + self.W
 
     def allclose(self, other, tol=1e-9):
-        return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
+        return all(abs(a - b) <= tol for a, b in
+                   zip(self.as_array(), other.as_array(), strict=True))
 
 
 def mu(t):
@@ -161,7 +163,7 @@ def vertical_endomorphism(s):
     """Move the (X, Y) block into (V, W) and zero it: S with S*S = 0."""
     n, m = s.chart.n, s.chart.m
     return SecondTangentPoint(s.chart, s.x, s.y, s.v, s.w,
-                              np.zeros(n), np.zeros(m), s.X, s.Y)
+                              [0.0] * n, [0.0] * m, s.X, s.Y)
 
 
 def vertical_lift(at, vec):
@@ -169,11 +171,11 @@ def vertical_lift(at, vec):
 
     Both arguments must sit over the same point of the total space.
     """
-    if not (np.array_equal(at.x, vec.x) and np.array_equal(at.y, vec.y)):
+    if not (at.x == vec.x and at.y == vec.y):
         raise BasePointMismatch("vertical lift needs a vector at the same point")
     n, m = at.chart.n, at.chart.m
     return SecondTangentPoint(at.chart, at.x, at.y, at.v, at.w,
-                              np.zeros(n), np.zeros(m), vec.v, vec.w)
+                              [0.0] * n, [0.0] * m, vec.v, vec.w)
 
 
 @dataclass
@@ -193,7 +195,7 @@ class VectorFieldM:
                     f"component '{c.label}' has arity {c.arity}, expected {k}")
 
     def values(self, q):
-        return np.array([c.value(q) for c in self.components])
+        return [c.value(q) for c in self.components]
 
 
 @dataclass
@@ -213,7 +215,7 @@ class VectorFieldN:
                     f"component '{c.label}' has arity {c.arity}, expected {n}")
 
     def values(self, x):
-        return np.array([c.value(x) for c in self.components])
+        return [c.value(x) for c in self.components]
 
 
 def complete_lift(Z, at):
@@ -236,20 +238,20 @@ def liouville_fields(h, at, which):
 
     which selects the field: 'total' is (V, W) = (v, w); 'horizontal' is
     (v, h(x,y,v)); 'vertical' is (0, w - h(x,y,v)); 'zero' is (0, h(x,y,0)).
-    h is a callable (x, y, v) -> w-array; it may be None for 'total'.
+    h is a callable (x, y, v) -> m numbers; it may be None for 'total'.
     """
     n, m = at.chart.n, at.chart.m
-    zn, zm = np.zeros(n), np.zeros(m)
+    zn, zm = [0.0] * n, [0.0] * m
     if which == "total":
         V, W = at.v, at.w
     elif which == "horizontal":
-        V, W = at.v, np.asarray(h(at.x, at.y, at.v), dtype=float)
+        V, W = at.v, h(at.x, at.y, at.v)
     elif which == "vertical":
         V = zn
-        W = at.w - np.asarray(h(at.x, at.y, at.v), dtype=float)
+        W = [a - b for a, b in zip(at.w, h(at.x, at.y, at.v))]
     elif which == "zero":
         V = zn
-        W = np.asarray(h(at.x, at.y, np.zeros(n)), dtype=float)
+        W = h(at.x, at.y, zn)
     else:
         raise ValueError(f"unknown selector {which!r}")
     return SecondTangentPoint(at.chart, at.x, at.y, at.v, at.w, zn, zm, V, W)
@@ -258,12 +260,12 @@ def liouville_fields(h, at, which):
 class DerivedField(ScalarField):
     """Scalar field with exact value+gradient and a filled-in Hessian.
 
-    vg(x) gets x as an array and must return (value, gradient) exactly,
-    the gradient as k floats (a list, from the vg functions built here);
-    the Hessian of the jet is reconstructed by central differences of
-    that gradient, with step 1e-5 (1 + max|x|), then symmetrized, since
-    the exact second derivative of a derived quantity would need third
-    derivatives of its ingredients.  vg_lists(x) gives the exact value
+    vg(x) gets x as a list of k floats and must return (value, gradient)
+    exactly, the gradient as k floats; the Hessian of the jet is
+    reconstructed by central differences of that gradient, with step
+    1e-5 (1 + max|x|), then symmetrized, since the exact second
+    derivative of a derived quantity would need third derivatives of its
+    ingredients.  vg_lists(x) gives the exact value
     and gradient without that work.
     """
 
@@ -275,8 +277,8 @@ class DerivedField(ScalarField):
         return float(self.vg(self._point(x))[0])
 
     def _point(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.arity,):
+        x = as_floats(x)
+        if len(x) != self.arity:
             raise DimensionMismatch(
                 f"field '{self.label}' expects {self.arity} inputs")
         return x
@@ -294,16 +296,17 @@ class DerivedField(ScalarField):
         x = self._point(x)
         val, grad = self.vg(x)
         k = self.arity
-        hess = np.zeros((k, k))
-        h = 1e-5 * (1.0 + np.abs(x).max())
+        h = 1e-5 * (1.0 + max(map(abs, x)))
+        rows = []
         for i in range(k):
-            e = np.zeros(k)
-            e[i] = h
-            gp = np.asarray(self.vg(x + e)[1])
-            gm = np.asarray(self.vg(x - e)[1])
-            hess[i] = (gp - gm) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        return Jet2(val, np.asarray(grad, dtype=float), hess)
+            # x +- h e_i, entry by entry, as the array sum x + e gives it
+            e = [h if j == i else 0.0 for j in range(k)]
+            gp = self.vg([a + b for a, b in zip(x, e)])[1]
+            gm = self.vg([a - b for a, b in zip(x, e)])[1]
+            rows.append([(p - q) / (2.0 * h) for p, q in zip(gp, gm)])
+        hess = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(k)]
+                for i in range(k)]
+        return Jet2(val, grad, hess)
 
 
 def _bracket_components(comps1, comps2, k):
@@ -355,7 +358,7 @@ def tangent_map(fields, s):
     if len(fields) != k:
         raise DimensionMismatch(f"need {k} component fields, got {len(fields)}")
     base = s.as_array()[:k]
-    upper = s.upper().tolist()
+    upper = s.upper()
     jets = [f.jet_lists(base) for f in fields]
     new_base = [val for val, _, _ in jets]
     new_upper = [dot(grad, upper) for _, grad, _ in jets]

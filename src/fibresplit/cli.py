@@ -9,6 +9,7 @@ numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import _MAX_STEPS, dot
+from .numerics import _MAX_STEPS, dot, max_gap
 from .reduction import (connection_test_domega, decoupling_check,
                         integrate_magnetic, invariance_check,
                         magnetic_lp_system, principal_check, unreduce)
@@ -48,19 +49,14 @@ _NUMERIC_ERRORS = (NoConvergence, SingularMatrix, SingularHessian,
 
 
 def _json_clean(obj):
+    """obj with string keys, lists for tuples and None for a non-finite
+    float."""
     if isinstance(obj, dict):
         return {str(k): _json_clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -89,13 +85,8 @@ def _state_header(chart, diags=()):
 
 
 def _trajectory_rows(rec, diag_names=()):
-    rows = []
-    for i, t in enumerate(rec.t):
-        row = [t] + list(rec.states[i])
-        for name in diag_names:
-            row.append(rec.diagnostics[name][i])
-        rows.append(row)
-    return rows
+    return [[t] + state + [rec.diagnostics[name][i] for name in diag_names]
+            for i, (t, state) in enumerate(zip(rec.t, rec.states))]
 
 
 class _Run:
@@ -136,7 +127,7 @@ def _probe_point(sim, chart):
     ic = sim.get("ic")
     if ic is not None and len(ic) >= 2 * n + m:
         return ic[:n], ic[n:n + m], ic[n + m:2 * n + m]
-    return np.zeros(n), np.zeros(m), 0.5 * np.ones(n)
+    return [0.0] * n, [0.0] * m, [0.5] * n
 
 
 def _energy(L, z):
@@ -173,7 +164,7 @@ def _cmd_induce(run, cfg, chart, sim, args):
     x, y, v = _probe_point(sim, chart)
     w, iters = h.solve_detail(x, y, v)
     run.report["values"]["h_at_probe"] = w
-    run.report["values"]["probe"] = np.concatenate([x, y, v])
+    run.report["values"]["probe"] = x + y + v
     run.report["values"]["newton_iterations"] = iters
 
 
@@ -185,8 +176,7 @@ def _cmd_subduce(run, cfg, chart, sim, args):
     run.report["residuals"]["y_independence"] = sub.y_independence
     run.report["values"]["y_ref"] = sub.y_ref
     x, y, v = _probe_point(sim, chart)
-    run.report["values"]["Lbar_at_probe"] = sub.Lbar.value(
-        np.concatenate([x, v]))
+    run.report["values"]["Lbar_at_probe"] = sub.Lbar.value(x + v)
     sym = symmetry_condition_check(L, h, **run.sampling)
     run.report["residuals"]["symmetry"] = sym.max_residual
 
@@ -233,19 +223,15 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
                          f"(x, y, v) for nh-simulate")
     state = ConstrainedState(ic[:n], ic[n:n + m], ic[n + m:])
     rec = integrate_constrained(L, c, state, sim["t0"], sim["t1"], sim["dt"])
-    ws = np.array([c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
-                   for s in rec.states])
-    rate = rate_residual(rec.t, rec.states[:, n:n + m], ws)
-    run.check("constraint_rate_residual", float(rate.max()),
+    ws = [c.reconstruct_w(s[:n], s[n:n + m], s[n + m:]) for s in rec.states]
+    rate = rate_residual(rec.t, [s[n:n + m] for s in rec.states], ws)
+    run.check("constraint_rate_residual", max(rate),
               run.report["tolerances"]["dynamic"])
     E = rec.diagnostics["energy"]
     run.report["residuals"]["energy_drift"] = float(
         max(abs(e - E[0]) for e in E))
-    rows = []
-    for i, t in enumerate(rec.t):
-        s = rec.states[i]
-        rows.append([t] + list(s[:n + m]) + list(s[n + m:]) + list(ws[i])
-                    + [rec.diagnostics["energy"][i]])
+    rows = [[t] + s + w + [e] for t, s, w, e in
+            zip(rec.t, rec.states, ws, rec.diagnostics["energy"])]
     run.report["values"]["final_state"] = rec.final
     run.csv = (_state_header(chart, ["energy"]), rows)
 
@@ -291,8 +277,8 @@ def _cmd_curvature(run, cfg, chart, sim, args):
         pairs = []
         rng = np.random.default_rng(run.report["seed"])
         for _ in range(3):
-            u1 = rng.uniform(-1.0, 1.0, n)
-            u2 = rng.uniform(-1.0, 1.0, n)
+            u1 = rng.uniform(-1.0, 1.0, n).tolist()
+            u2 = rng.uniform(-1.0, 1.0, n).tolist()
             val = curvature_pointwise(spec, u1, u2, (x, y))
             pairs.append({"u": u1, "v": u2, "R": val.w})
         run.report["values"]["pointwise_curvature"] = pairs
@@ -313,10 +299,10 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
         drift = 0.0
         for row in rec.states:
             hv = h.h_values(row[:n], row[n:n + m], row[n + m:2 * n + m])
-            drift = max(drift, float(np.abs(row[2 * n + m:] - hv).max()))
+            drift = max(drift, max_gap(row[2 * n + m:], hv))
         run.report["residuals"]["horizontality_drift"] = drift
         w0 = h.h_values(ic[:n], ic[n:n + m], ic[n + m:2 * n + m])
-        if np.abs(np.asarray(ic[2 * n + m:]) - w0).max() < 1e-12:
+        if max_gap(ic[2 * n + m:], w0) < 1e-12:
             run.check("horizontality_drift", drift,
                       run.report["tolerances"]["dynamic"])
         run.report["values"]["final_state"] = rec.final
@@ -428,17 +414,17 @@ def main(argv=None):
             raise ParseError("[simulation] seed must be >= 0")
         if sim["samples"] < 1:
             raise ParseError("[simulation] samples must be >= 1")
-        if not 0.0 < sim["box"] < np.inf:
+        if not 0.0 < sim["box"] < math.inf:
             raise ParseError("[simulation] box must be finite and positive")
         for key in ("t0", "t1", "dt"):
-            if not np.isfinite(sim[key]):
+            if not math.isfinite(sim[key]):
                 raise ParseError(f"[simulation] {key} must be finite")
         if sim["dt"] > 0 and (sim["t1"] - sim["t0"]) / sim["dt"] > _MAX_STEPS:
             raise ParseError(f"[simulation] t1 must be at most {_MAX_STEPS} "
                              f"steps of dt after t0")
         for flag, tol in (("--tol-structural", args.tol_structural),
                           ("--tol-dynamic", args.tol_dynamic)):
-            if not 0.0 < tol < np.inf:
+            if not 0.0 < tol < math.inf:
                 raise ParseError(f"{flag} must be finite and positive")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

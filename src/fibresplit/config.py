@@ -8,8 +8,7 @@ numbers or true/false.  Unknown sections and keys are rejected.
 
 import configparser
 import hashlib
-
-import numpy as np
+import math
 
 from .bundle import BundleChart
 from .errors import DimensionMismatch, ParseError
@@ -119,13 +118,14 @@ def _float_grid(value, where):
     raise ParseError(f"{where}: expected numbers")
 
 
-def _finite_array(value, where):
-    """A list of numbers as a float array; nan and inf are rejected, as no
-    state can start from them."""
-    a = np.array(_float_grid(value, where), dtype=float)
-    if not np.isfinite(a).all():
+def _finite_list(value, where):
+    """A flat list of numbers; nan and inf are rejected, as no state can
+    start from them."""
+    if not all(isinstance(v, float) for v in value):
+        raise ParseError(f"{where}: expected numbers")
+    if not all(map(math.isfinite, value)):
         raise ParseError(f"{where}: entries must be finite")
-    return a
+    return value
 
 
 def _need_float(sec, key, value):
@@ -197,6 +197,10 @@ class ModelConfig:
         if "L" not in sec:
             raise ParseError("[lagrangian] needs key L")
         flag = sec.get("homogeneity")
+        # a bool is no number here, though True == 1
+        if flag is not None and not (type(flag) is float and flag == 2.0):
+            raise ParseError(f"[lagrangian] homogeneity: only the degree 2 "
+                             f"can be declared, got {flag!r}")
         return LagrangianSpec.from_expression(
             chart, _expr(sec["L"], "[lagrangian] L"),
             homogeneity_flag=flag)
@@ -218,7 +222,7 @@ class ModelConfig:
         K = _expr_grid(sec["K"], "[action] K")
         C = None
         if "C" in sec:
-            C = np.array(_float_grid(sec["C"], "[action] C"), dtype=float)
+            C = _float_grid(sec["C"], "[action] C")
         return ActionSpec.from_expressions(chart, K, C)
 
     def constraints(self, chart):
@@ -238,12 +242,11 @@ class ModelConfig:
                 return None
             return _expr_grid(sec[key], f"[magnetic] {key}")
 
-        k = None
+        k = C = None
         if "k" in sec:
-            k = np.array(_float_grid(sec["k"], "[magnetic] k"), dtype=float)
-        C = None
+            k = _float_grid(sec["k"], "[magnetic] k")
         if "C" in sec:
-            C = np.array(_float_grid(sec["C"], "[magnetic] C"), dtype=float)
+            C = _float_grid(sec["C"], "[magnetic] C")
         return MagneticModel.from_expressions(
             self.n, self.m, g=grid("g"), k=k,
             V=_expr(sec.get("V", 0.0), "[magnetic] V"),
@@ -257,7 +260,7 @@ class ModelConfig:
             if key == "ic":
                 if not isinstance(value, list):
                     raise ParseError("[simulation] ic: expected a list")
-                out["ic"] = _finite_array(value, "[simulation] ic")
+                out["ic"] = _finite_list(value, "[simulation] ic")
             elif key in ("seed", "samples"):
                 out[key] = _need_int("simulation", key, value)
             else:
@@ -273,8 +276,8 @@ class ModelConfig:
         y0 = sec["y0"]
         if not isinstance(y0, list):
             raise ParseError("[curve] y0: expected a list")
-        y0 = _finite_array(y0, "[curve] y0")
-        if y0.shape != (self.m,):
+        y0 = _finite_list(y0, "[curve] y0")
+        if len(y0) != self.m:
             raise DimensionMismatch(f"[curve] y0 must have length {self.m}")
 
         def base_curve(t):

@@ -14,6 +14,7 @@ Lagrangian gives its own jets that way too and wraps them in a Jet2 only
 in its public jet().
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
 from .exprs import compile_field, mentions_nonsmooth, parse, polynomial_degree
 from .jets import Jet2, ScalarField
 from .numerics import (all_finite, as_floats, condition_number, dot,
-                       linear_solve, newton_solve, rk4_integrate, sample_max)
+                       linear_solve, max_gap, newton_solve, rk4_integrate,
+                       sample_max)
 from .splitting import SplittingSpec
 
 
@@ -87,7 +89,7 @@ def fibre_regularity(L, w_pt):
     """Determinant and 1-norm condition number (the one linear_solve
     bounds) of the fibre Hessian d2L/dw dw."""
     k = 2 * L.chart.n + L.chart.m
-    z = w_pt.as_array().tolist()
+    z = w_pt.as_array()
     W = _fibre_system(L, z[:k])(z[k:])[1]
     return {"det": float(np.linalg.det(W)),
             "condition": condition_number(W)}
@@ -168,7 +170,7 @@ class InducedSplitting(SplittingSpec):
 
         def coeff(a):
             def vg(z):
-                w, dh = self._solve_vg(z.tolist())
+                w, dh = self._solve_vg(z)
                 return w[a], dh[a][1:]
             return DerivedField(2 * chart.n + chart.m, vg,
                                 label=f"h{a+1}_induced")
@@ -367,7 +369,7 @@ class SubducedField(ScalarField):
         super().__init__(2 * n, None, label)
         self.L = L
         self.h = h
-        self.y_ref = np.asarray(y_ref, dtype=float)
+        self.y_ref = as_floats(y_ref)
         K = L.field.arity
         zpos = [*range(n), *range(n + m, 2 * n + m)]   # x and v positions
         wpos = range(2 * n + m, K)
@@ -413,7 +415,7 @@ class SubducedField(ScalarField):
 class SubductionResult:
     Lbar: ScalarField
     y_independence: float
-    y_ref: np.ndarray
+    y_ref: list
 
 
 def subduce(L, h, samples=50, seed=42, box=1.0):
@@ -432,7 +434,7 @@ def subduce(L, h, samples=50, seed=42, box=1.0):
         z = [*xyv, *h.h_values(x, y, v)]
         g = L.field.jet_lists(z)[1]
         if y_ref is None:
-            y_ref = y.copy()
+            y_ref = y
         w_ref = h.h_values(x, y_ref, v)
         val_ref = L.field.value([*x, *y_ref, *v, *w_ref])
         return (max(map(abs, g[2 * n + m:])),
@@ -470,43 +472,37 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     velocity Hessian seen on the grid.
     """
     n, m = L.chart.n, L.chart.m
-    x0 = np.asarray(ic_base[0], dtype=float)
-    v0 = np.asarray(ic_base[1], dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, v0, y0 = as_floats(ic_base[0]), as_floats(ic_base[1]), as_floats(y0)
     w0 = h.h_values(x0, y0, v0)
-    full = integrate_sode(euler_lagrange_sode(L.field),
-                          np.concatenate([x0, y0, v0, w0]), 0.0, T, dt)
+    full = integrate_sode(euler_lagrange_sode(L.field), x0 + y0 + v0 + w0,
+                          0.0, T, dt)
     Lbar = subduce(L, h, samples, seed, box).Lbar
-    red = integrate_sode(euler_lagrange_sode(Lbar),
-                         np.concatenate([x0, v0]), 0.0, T, dt)
+    red = integrate_sode(euler_lagrange_sode(Lbar), x0 + v0, 0.0, T, dt)
 
-    xs_full = full.states[:, :n]
-    dev = np.abs(xs_full - red.states[:, :n]).max()
+    dev = max(max_gap(row[:n], red_row[:n])
+              for row, red_row in zip(full.states, red.states))
 
     drift = 0.0
     for row in full.states:
         x, y, v, w = row[:n], row[n:n + m], row[n + m:2 * n + m], row[2 * n + m:]
-        drift = max(drift, np.abs(w - h.h_values(x, y, v)).max())
+        drift = max(drift, max_gap(w, h.h_values(x, y, v)))
 
     # EL residual of Lbar along the projected full trajectory
     ts = full.t
-    qs = full.states[:, :n]
-    us = full.states[:, n + m:2 * n + m]
-    ps = np.zeros((len(ts), n))
-    gx = np.zeros((len(ts), n))
-    min_det = np.inf
-    for i, (q, u) in enumerate(zip(qs, us)):
-        _, grad, hess = Lbar.jet_lists([*q, *u])
-        ps[i] = grad[n:]
-        gx[i] = grad[:n]
+    ps, gx = [], []
+    min_det = math.inf
+    for row in full.states:
+        _, grad, hess = Lbar.jet_lists(row[:n] + row[n + m:2 * n + m])
+        ps.append(grad[n:])
+        gx.append(grad[:n])
         Huu = [hess[2 * n * r + n:2 * n * (r + 1)] for r in range(n, 2 * n)]
         min_det = min(min_det, abs(np.linalg.det(Huu)))
     el_res = 0.0
     for i in range(1, len(ts) - 1):
-        pdot = (ps[i + 1] - ps[i - 1]) / (ts[i + 1] - ts[i - 1])
-        el_res = max(el_res, np.abs(pdot - gx[i]).max())
-    return ProjectionReport(float(dev), float(drift), float(el_res),
-                            float(min_det))
+        dt_i = ts[i + 1] - ts[i - 1]
+        el_res = max(el_res, max(abs((a - b) / dt_i - g) for a, b, g in
+                                 zip(ps[i + 1], ps[i - 1], gx[i])))
+    return ProjectionReport(dev, drift, el_res, float(min_det))
 
 
 def liouville_derivative(L, z):

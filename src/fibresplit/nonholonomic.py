@@ -16,8 +16,6 @@ builds Jet2s.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .jets import ScalarField, seed_jets
 from .numerics import as_floats, dot, linear_solve, rk4_integrate, total
 from .splitting import AffineSplittingData, _curvature_lists
@@ -29,25 +27,26 @@ class AffineConstraintSpec(AffineSplittingData):
     with w = A0(x, y) - A(x, y) v the admissible fibre velocity."""
 
     def reconstruct_w(self, x, y, v):
-        """w = A0 - A v at (x, y) for the base velocity v."""
+        """w = A0 - A v at (x, y) for the base velocity v, as m floats."""
         q, v = as_floats(x) + as_floats(y), as_floats(v)
-        return np.array([f0.value(q) - dot([f.value(q) for f in row], v)
-                         for f0, row in zip(self.A0, self.A)])
+        return [f0.value(q) - dot([f.value(q) for f in row], v)
+                for f0, row in zip(self.A0, self.A)]
 
 
 @dataclass
 class ConstrainedState:
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
+    """The reduced state (x, y, v), each block a list of floats."""
+    x: list
+    y: list
+    v: list
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
+        self.x = as_floats(self.x)
+        self.y = as_floats(self.y)
+        self.v = as_floats(self.v)
 
     def as_array(self):
-        return np.concatenate([self.x, self.y, self.v])
+        return self.x + self.y + self.v
 
 
 class ConstrainedLagrangianField(ScalarField):
@@ -70,10 +69,10 @@ class ConstrainedLagrangianField(ScalarField):
         return self.L.field.chain(seed_jets(s) + w_jets)
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
+        s = as_floats(s)
         n, m = self.L.chart.n, self.L.chart.m
-        w = self.c.reconstruct_w(s[:n], s[n:n + m], s[n + m:])
-        return self.L.field.value(np.concatenate([s, w]))
+        return self.L.field.value(
+            s + self.c.reconstruct_w(s[:n], s[n:n + m], s[n + m:]))
 
 
 def constrained_lagrangian(L, c):

@@ -12,18 +12,20 @@ solves still cost O(k^3), and up to k = 6 a call stays cheaper than
 LAPACK's solve plus its condition number (tools/time_solves.py).  The
 contract is strict: solves are rejected on a large condition number and
 the residual postcondition is always verified.  linear_solve reads A as
-k rows and b as k numbers or k rows, lists or arrays, straight into the
-flat float lists its kernel takes, and returns x laid out like b, as
-Python floats.
+k rows and b as k numbers or k rows straight into the flat float lists
+its kernel takes, and returns x laid out like b, as Python floats.
 
-newton_solve and rk4_integrate step their state as a list of Python
-floats.  Newton's system(x) receives that list and returns F as k floats
-and DF as k rows; the root it returns is a list too.  RK4's right-hand
-side f(t, y) and diagnostic(t, y) receive the list, f returns d floats,
-and each stage is summed entry by entry in the order of the array
-expressions it replaces, so every state is bit for bit what numpy
-arithmetic gives.  Only the finished record is built as arrays.
-sample_max hands each residual its draw as a list of floats.
+Vectors are lists of Python floats here, as everywhere in the package.
+newton_solve and rk4_integrate step their state as such a list.
+Newton's system(x) receives it and returns F as k floats and DF as k
+rows; the root it returns is a list too.  RK4's right-hand side f(t, y)
+and diagnostic(t, y) receive the list, f returns d floats, and each stage
+is summed entry by entry in the order of the array expressions it
+replaces, so every state is bit for bit what numpy arithmetic gives; the
+record holds the times, states and diagnostics as lists.  sample_max
+hands each residual its draw as a list of floats and keeps the largest
+residual as a float, or as a list of floats.  numpy is left here only to
+draw those samples.
 
 Float sums here and in the right-hand sides run left to right, through
 dot, total or a generated + chain, never through sum(), which Python
@@ -42,18 +44,14 @@ from .errors import (DimensionMismatch, DomainError, NoConvergence,
 
 
 def as_floats(a):
-    """The 1-D a as a new list of Python floats, so that a list of ints
-    runs in float arithmetic too."""
-    if type(a) is list:
-        try:
-            return list(map(float, a))
-        except TypeError:  # nested: numpy names the shape below
-            pass
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D sequence, got shape "
-                                f"{a.shape}")
-    return a.tolist()
+    """The sequence of numbers a as a new list of Python floats, so that a
+    list of ints runs in float arithmetic too.  Raises DimensionMismatch
+    when a is not a sequence or an entry is not a number."""
+    try:
+        return list(map(float, a))
+    except TypeError:
+        raise DimensionMismatch("expected a 1-D sequence of numbers") \
+            from None
 
 
 def dot(a, b):
@@ -73,6 +71,13 @@ def total(terms):
     for t in terms:
         s += t
     return s
+
+
+def max_gap(a, b):
+    """max_i |a_i - b_i| over two float sequences of one length, nan when
+    a gap is nan, as numpy's max gives it (max() alone can pass one by)."""
+    gaps = [abs(p - q) for p, q in zip(a, b, strict=True)]
+    return math.nan if any(g != g for g in gaps) else max(gaps)
 
 
 def all_finite(*seqs):
@@ -211,11 +216,9 @@ def _solver(k, r):
 
 
 def _square(A):
-    """The square matrix A, given as k rows of k numbers (a list of rows
-    or a 2-D array), as its entries in one flat list of floats in row
-    order, and k.  Raises DimensionMismatch on any other shape."""
-    if isinstance(A, np.ndarray):
-        A = A.tolist()
+    """The square matrix A, given as k rows of k numbers, as its entries in
+    one flat list of floats in row order, and k.  Raises DimensionMismatch
+    on any other shape."""
     try:
         k = len(A)
         a = []
@@ -244,10 +247,10 @@ def condition_number(A):
 
 
 def linear_solve(A, b, cond_bound=1e13):
-    """Solve A x = b for a square A, given as k rows of k numbers (a list
-    of rows or a 2-D array), and b of k numbers, or k rows of r with one
-    right-hand side per column; x is laid out like b, as Python floats: a
-    list of k, or k lists of r.  A list of ints solves in float arithmetic.
+    """Solve A x = b for a square A, given as k rows of k numbers, and b of
+    k numbers, or k rows of r with one right-hand side per column; x is
+    laid out like b, as Python floats: a list of k, or k lists of r.  A
+    list of ints solves in float arithmetic.
 
     Raises DimensionMismatch when the shapes do not fit that, and
     SingularMatrix when A or b has a non-finite entry, when the 1-norm
@@ -256,8 +259,6 @@ def linear_solve(A, b, cond_bound=1e13):
     max|Ax-b| <= 1e-10 (1 + max|b|).
     """
     a, k = _square(A)
-    if isinstance(b, np.ndarray):
-        b = b.tolist()
     try:
         if len(b) != k:
             raise DimensionMismatch(f"right-hand side of {len(b)} rows for "
@@ -365,9 +366,10 @@ def newton_solve(system, x0, max_iter=_NEWTON_MAX_ITER,
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled solution: times (N,), states (N, d), optional diagnostics."""
-    t: np.ndarray
-    states: np.ndarray
+    """Sampled solution: N times, N states of d floats each, and optional
+    diagnostics, each a list of N floats; all lists of Python floats."""
+    t: list
+    states: list
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -403,7 +405,6 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     _MAX_STEPS steps raise ValueError before the first one.  diagnostic,
     if given, maps (t, y) to a dict of floats recorded at every stored
     point.  Raises NonFiniteState as soon as the state leaves float range.
-    The record holds the times and states as arrays.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -435,10 +436,9 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
         states.append(y)
         if diagnostic is not None:
             diags.append(diagnostic(t, y))
-    record = TrajectoryRecord(np.array(times), np.array(states))
+    record = TrajectoryRecord(times, states)
     if diagnostic is not None and diags:
-        keys = diags[0].keys()
-        record.diagnostics = {k: np.array([d[k] for d in diags]) for k in keys}
+        record.diagnostics = {k: [d[k] for d in diags] for k in diags[0]}
     return record
 
 
@@ -446,7 +446,8 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
 class SampleReport:
     """Max-abs residual over a sampled box, with bookkeeping.
 
-    max_residual is an array when the residual returns several values.
+    max_residual is a float, or a list of floats when the residual returns
+    several values.
     """
     max_residual: float
     sample_count: int
@@ -456,25 +457,35 @@ class SampleReport:
 
 def sample_max(residual, samples, seed, width, box=1.0):
     """Elementwise max of residual(z) over `samples` usable draws of z from
-    [-box, box]^width; residual receives each draw as a list of floats.
+    [-box, box]^width; residual receives each draw as a list of floats and
+    returns a number or a sequence of numbers.  The max is taken as
+    numpy's maximum takes it: a nan, once seen, stays.
 
     A draw whose residual raises DomainError is skipped and redrawn, up to
     50 draws per sample in total.  seed may be a Generator, so a caller
-    drawing from the same stream keeps its draw order.  Raises DomainError
-    when no draw is usable.
+    drawing from the same stream keeps its draw order.  Raises ValueError
+    when the box is too wide to draw from (2 box overflows), and
+    DomainError when no draw is usable.
     """
+    if not math.isfinite(2.0 * box):
+        raise ValueError(f"sampling box {box!r} is too wide to draw from")
     rng = np.random.default_rng(seed)
-    worst = -math.inf
+    worst = None
     used = skipped = 0
     while used < samples and used + skipped < 50 * samples:
-        z = rng.uniform(-box, box, width)
+        z = rng.uniform(-box, box, width).tolist()
         try:
-            r = residual(z.tolist())
+            r = residual(z)
         except DomainError:
             skipped += 1
             continue
         used += 1
-        worst = np.maximum(worst, r)
+        single = not hasattr(r, "__iter__")
+        r = [float(r)] if single else as_floats(r)
+        # entry by entry: r, unless worst is larger or nan
+        worst = r if worst is None else [
+            a if a > b or a != a else b
+            for a, b in zip(worst, r, strict=True)]
     if used == 0:
         raise DomainError("no admissible sample points")
-    return SampleReport(worst, used, seed, skipped)
+    return SampleReport(worst[0] if single else worst, used, seed, skipped)

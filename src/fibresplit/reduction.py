@@ -21,12 +21,17 @@ from .errors import (DimensionMismatch, DomainError, FlowEscape,
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
-from .numerics import (SampleReport, as_floats, condition_number, dot,
-                       linear_solve, rk4_integrate, sample_max, total)
+from .numerics import (SampleReport, _square, as_floats, condition_number,
+                       dot, linear_solve, max_gap, rk4_integrate, sample_max,
+                       total)
 from .splitting import vilms_vertical_projector
 
 
 def _check_structure_constants(C, m):
+    """C[g][a][b] as nested lists of floats, zero when C is None, checked
+    antisymmetric in (a, b) and Jacobi-consistent."""
+    if C is None:
+        return [[[0.0] * m for _ in range(m)] for _ in range(m)]
     C = np.asarray(C, dtype=float)
     if C.shape != (m, m, m):
         raise DimensionMismatch(f"structure constants must be {(m, m, m)}")
@@ -41,7 +46,7 @@ def _check_structure_constants(C, m):
     if worst > 1e-12:
         raise ValueError(f"structure constants violate the Jacobi identity "
                          f"(residual {worst:.3e})")
-    return C
+    return C.tolist()
 
 
 @dataclass
@@ -49,18 +54,17 @@ class ActionSpec:
     """Infinitesimal fibre action: generators E_g = sum_b K[b][g] d/dy^b.
 
     K is an m x m grid of scalar fields of (x, y); C holds the structure
-    constants C[g][a][b], antisymmetric in (a, b) and Jacobi-consistent.
+    constants C[g][a][b] (nested lists of floats, zero by default),
+    antisymmetric in (a, b) and Jacobi-consistent.
     """
     chart: object
     K: list                       # K[b][g]: ScalarFields of (x, y)
-    C: np.ndarray = None
+    C: list = None
 
     def __post_init__(self):
         m = self.chart.m
         if len(self.K) != m or any(len(row) != m for row in self.K):
             raise DimensionMismatch(f"K must be {m}x{m}")
-        if self.C is None:
-            self.C = np.zeros((m, m, m))
         self.C = _check_structure_constants(self.C, m)
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -112,11 +116,12 @@ def invariance_check(L, action, samples=100, seed=42, box=1.0):
 
 
 def momentum_map(L, action, w_pt):
-    """Components J_g = sum_a K[a][g] dL/dw^a at the tangent point."""
+    """Components J_g = sum_a K[a][g] dL/dw^a at the tangent point, as m
+    floats."""
     n, m = L.chart.n, L.chart.m
     Lw = L.field.jet_lists(w_pt.as_array())[1][2 * n + m:]
     Kv = action.K_matrix(w_pt.x, w_pt.y)
-    return np.array([dot([row[g] for row in Kv], Lw) for g in range(m)])
+    return [dot([row[g] for row in Kv], Lw) for g in range(m)]
 
 
 def principal_check(h, action, samples=100, seed=42, box=1.0):
@@ -143,7 +148,7 @@ def omega(h, action, w_pt):
     """Frame components of the vertical part: solves K omega = w - h."""
     hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
     Kv = action.K_matrix(w_pt.x, w_pt.y)
-    return linear_solve(Kv, w_pt.w - hval)
+    return linear_solve(Kv, [a - b for a, b in zip(w_pt.w, hval)])
 
 
 def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
@@ -166,11 +171,11 @@ def xi_field(h, action, w_pt):
     chart = w_pt.chart
     n, m = chart.n, chart.m
     hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
-    diff = w_pt.w - hval
+    diff = [a - b for a, b in zip(w_pt.w, hval)]
     om = linear_solve(action.K_matrix(w_pt.x, w_pt.y), diff)
     Kd = action.K_dot(w_pt.x, w_pt.y, w_pt.v, w_pt.w)
     return SecondTangentPoint(chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
-                              np.zeros(n), diff, np.zeros(n),
+                              [0.0] * n, diff, [0.0] * n,
                               [dot(row, om) for row in Kd])
 
 
@@ -250,7 +255,7 @@ def _flow_lift(action, gamma, t, s, steps=64):
             jets = [K.jet_lists([*s.x, *y]) for K in col]
         except DomainError as exc:
             # x stays fixed, so an error at y = s.y is the start point's
-            if np.array_equal(y, s.y):
+            if y == s.y:
                 raise
             raise FlowEscape(f"generator flow diverged: {exc}") from exc
         vw, XY, VW = [*s.v, *w], [*s.X, *Y], [*s.V, *W]
@@ -263,15 +268,14 @@ def _flow_lift(action, gamma, t, s, steps=64):
         return [sign * r for r in rates]
 
     try:
-        rec = rk4_integrate(f, 0.0, abs(t),
-                            np.concatenate([s.y, s.w, s.Y, s.W]),
+        rec = rk4_integrate(f, 0.0, abs(t), s.y + s.w + s.Y + s.W,
                             abs(t) / steps)
     except NonFiniteState as exc:
         raise FlowEscape(f"generator flow diverged: {exc}") from exc
-    y, w, Y, W = np.split(rec.final, 4)
-    if np.abs(y).max() > 1e8:
-        raise FlowEscape(f"generator flow left the chart (|y| = "
-                         f"{np.abs(y).max():.3e})")
+    y, w, Y, W = (rec.final[i * m:(i + 1) * m] for i in range(4))
+    big = max(map(abs, y))
+    if big > 1e8:
+        raise FlowEscape(f"generator flow left the chart (|y| = {big:.3e})")
     return SecondTangentPoint(s.chart, s.x, y, s.v, w, s.X, Y, s.V, W)
 
 
@@ -295,12 +299,12 @@ def vilms_principal_check(h, action, group_sample, state_samples=20,
             arr[3 * (n + m):4 * n + 3 * m], arr[4 * n + 3 * m:])
         lhs = _flow_lift(action, gamma, t, vilms_vertical_projector(h, s))
         rhs = vilms_vertical_projector(h, _flow_lift(action, gamma, t, s))
-        return np.abs(lhs.as_array() - rhs.as_array()).max()
+        return max_gap(lhs.as_array(), rhs.as_array())
 
     rng = np.random.default_rng(seed)
     reps = [sample_max(partial(residual, gamma, t), state_samples, rng,
                        4 * (n + m), box) for gamma, t in group_sample]
-    return SampleReport(np.max([r.max_residual for r in reps]),
+    return SampleReport(max(r.max_residual for r in reps),
                         sum(r.sample_count for r in reps), seed,
                         sum(r.skipped for r in reps))
 
@@ -331,23 +335,26 @@ class MagneticModel:
     fibre metric k, potential V(x), base and fibre interaction coefficients
     A_i(x) and A_alpha(x), adjoint coefficients Upsilon[b][i][a](x),
     curvature coefficients Kcurv[a][i][j](x), and structure constants
-    C[g][a][b]."""
+    C[g][a][b]; k and C are nested lists of floats."""
     n: int
     m: int
     g: list
-    k: np.ndarray
+    k: list
     V: ScalarField
     A_base: list
     A_fibre: list
     upsilon: list
     Kcurv: list
-    C: np.ndarray
+    C: list
 
     def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=float)
-        if self.k.shape != (self.m, self.m):
-            raise DimensionMismatch(f"k must be {(self.m, self.m)}")
-        if not np.array_equal(self.k, self.k.T):
+        m = self.m
+        a, size = _square(self.k)
+        if size != m:
+            raise DimensionMismatch(f"k must be {(m, m)}")
+        self.k = [a[m * i:m * (i + 1)] for i in range(m)]
+        if any(a[m * i + j] != a[m * j + i]
+               for i in range(m) for j in range(m)):
             raise ValueError("fibre metric k must be symmetric")
         if not condition_number(self.k) <= 1e13:
             raise SingularMatrix("fibre metric k is singular")
@@ -361,7 +368,8 @@ class MagneticModel:
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, self.n)
             G = self.g_matrix(x)
-            if not np.array_equal(G, G.T):
+            if any(G[i][j] != G[j][i] for i in range(self.n)
+                   for j in range(self.n)):
                 raise ValueError(f"base metric g must be symmetric "
                                  f"(asymmetric at x={x})")
             if np.linalg.eigvalsh(G).min() <= 0.0:
@@ -381,7 +389,8 @@ class MagneticModel:
         return cls(
             n, m,
             g=_compile_grid(g if g is not None else eye, ctx, (n, n)),
-            k=np.eye(m) if k is None else np.asarray(k, dtype=float),
+            k=[[float(i == j) for j in range(m)] for i in range(m)]
+            if k is None else k,
             V=compile_field(V, ctx, label=str(V)),
             A_base=_compile_grid(A_base if A_base is not None else zeros_n,
                                  ctx, (n,)),
@@ -391,11 +400,12 @@ class MagneticModel:
                                   ctx, (m, n, m)),
             Kcurv=_compile_grid(Kcurv if Kcurv is not None else kc0,
                                 ctx, (m, n, n)),
-            C=np.zeros((m, m, m)) if C is None else C)
+            C=C)
 
     def g_matrix(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([[f.value(x) for f in row] for row in self.g])
+        """g[i][j] at x, as nested lists of floats."""
+        x = as_floats(x)
+        return [[f.value(x) for f in row] for row in self.g]
 
     def upsilon_values(self, x):
         """Upsilon[b][i][a] at x, as nested lists of floats."""
@@ -425,8 +435,6 @@ class MagneticSystem:
     def __init__(self, model):
         self.model = model
         self.Lbar = reduced_base_lagrangian(model)
-        self._k = model.k.tolist()
-        self._C = model.C.tolist()
 
     def split(self, s):
         n = self.model.n
@@ -435,7 +443,7 @@ class MagneticSystem:
     def momentum(self, s):
         """p = k wbar + A_fibre(x), as a list of m floats."""
         x, _, wb = self.split(as_floats(s))
-        return [dot(self._k[a], wb) + f.value(x)
+        return [dot(self.model.k[a], wb) + f.value(x)
                 for a, f in enumerate(self.model.A_fibre)]
 
     def quadratic_diagnostic(self, s):
@@ -444,7 +452,7 @@ class MagneticSystem:
         mdl = self.model
         x, _, wb = self.split(as_floats(s))
         U = mdl.upsilon_values(x)
-        kw = [dot(row, wb) for row in self._k]
+        kw = [dot(row, wb) for row in mdl.k]
         pairs = [(a, b) for a in range(mdl.m) for b in range(mdl.m)]
         return [total(U[a][i][b] * wb[b] * kw[a] for a, b in pairs)
                 for i in range(mdl.n)]
@@ -457,7 +465,7 @@ class MagneticSystem:
         dAf = [jet[1] for jet in Af]
         U = mdl.upsilon_values(x)
         Kc = mdl.kcurv_values(x)
-        k, C = self._k, self._C
+        k, C = mdl.k, mdl.C
         p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
 
         # extra_i = dA_fibre[:, i] . wb
@@ -538,7 +546,7 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
     the reduced base Lagrangian."""
     model = system.model
     n, m = model.n, model.m
-    k = system._k
+    k = model.k
     aj = [(a, j) for a in range(m) for j in range(n)]
 
     def condition(xv):

@@ -10,10 +10,9 @@ Splittings flagged smooth_at_zero=False are only evaluated on the slit
 |v|_2 >= chart.slit_eps.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bundle import (BundleChart, DerivedField, SecondTangentPoint,
                      TangentPointM, VectorFieldM, VectorFieldN,
@@ -22,8 +21,8 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
 from .exprs import compile_field, compose, mentions_nonsmooth, parse
 from .jets import Jet2, ScalarField
-from .numerics import (TrajectoryRecord, as_floats, dot, rk4_integrate,
-                       sample_max)
+from .numerics import (TrajectoryRecord, as_floats, dot, max_gap,
+                       rk4_integrate, sample_max, total)
 
 PROVENANCE = ("explicit", "induced-by-Lagrangian", "affine-from-constraints")
 
@@ -129,8 +128,8 @@ def project_vertical(spec, t):
     w-blocks holds bit for bit.
     """
     w_h = spec.h_values(t.x, t.y, t.v)
-    return TangentPointM(spec.chart, t.x, t.y, np.zeros(spec.chart.n),
-                         t.w - w_h)
+    return TangentPointM(spec.chart, t.x, t.y, [0.0] * spec.chart.n,
+                         [a - b for a, b in zip(t.w, w_h)])
 
 
 def lifted_field(spec, X):
@@ -156,13 +155,13 @@ def lifted_field(spec, X):
 def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
     """Integrate the lift equation dy/dt = h(x(t), y, dx/dt) with RK4.
 
-    base_curve maps t to the pair (x(t), xdot(t)).  The record's states
-    hold the full rows (x, y, v, w) on the time grid; diagnostics carry the
-    finite-difference residual |dy/dt - h| (central in the interior,
-    one-sided at the ends).
+    base_curve maps t to the pair (x(t), xdot(t)), each n floats.  The
+    record's states hold the full rows (x, y, v, w) on the time grid;
+    diagnostics carry the finite-difference residual |dy/dt - h| (central
+    in the interior, one-sided at the ends).
     """
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (spec.chart.m,):
+    y0 = as_floats(y0)
+    if len(y0) != spec.chart.m:
         raise DimensionMismatch(f"y0 must have length {spec.chart.m}")
 
     def f(t, y):
@@ -170,27 +169,21 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
         return spec.h_values(x, y, xdot)
 
     rec = rk4_integrate(f, t0, t1, y0, dt)
-    ts = rec.t
-    ys = rec.states
-    rows = []
-    for t, y in zip(ts, ys):
+    rows, rates = [], []
+    for t, y in zip(rec.t, rec.states):
         x, xdot = base_curve(t)
-        rows.append(np.concatenate([np.asarray(x, dtype=float), y,
-                                    np.asarray(xdot, dtype=float),
-                                    spec.h_values(x, y, xdot)]))
-    rows = np.array(rows)
-    m = spec.chart.m
-    n = spec.chart.n
-    resid = rate_residual(ts, ys, rows[:, 2 * n + m:])
-    return TrajectoryRecord(ts, rows, {"lift_residual": resid})
+        w = spec.h_values(x, y, xdot)
+        rows.append(as_floats(x) + y + as_floats(xdot) + w)
+        rates.append(w)
+    resid = rate_residual(rec.t, rec.states, rates)
+    return TrajectoryRecord(rec.t, rows, {"lift_residual": resid})
 
 
 def rate_residual(ts, ys, rates):
     """Per recorded point, max |dy/dt - rate| with dy/dt from a five-point
-    Lagrange stencil through the recorded rows (one-sided at the ends)."""
-    ts = as_floats(ts)
-    ys = np.asarray(ys, dtype=float).tolist()
-    rates = np.asarray(rates, dtype=float).tolist()
+    Lagrange stencil through the recorded rows (one-sided at the ends).
+    ys and rates are rows of floats, one per time; the result is a list of
+    floats, one per time."""
     resid = [0.0] * len(ts)
     width = min(5, len(ts))
     for i in range(len(ts)):
@@ -199,7 +192,7 @@ def rate_residual(ts, ys, rates):
         j = min(max(i - width // 2, 0), len(ts) - width)
         dy = _stencil_derivative(ts[j:j + width], ys[j:j + width], ts[i])
         resid[i] = max(abs(d - r) for d, r in zip(dy, rates[i]))
-    return np.array(resid)
+    return resid
 
 
 def _stencil_derivative(tw, yw, t):
@@ -267,17 +260,17 @@ def classify(spec, samples=200, seed=42, box=1.0):
     def evidence(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         jets = spec.h_jet_lists(x, y, v)
-        hz = spec.h_values(x, y, np.zeros(n)) if spec.smooth_at_zero else 0.0
+        hz = spec.h_values(x, y, [0.0] * n) if spec.smooth_at_zero else [0.0]
         per_jet = [(abs(dot(grad[n + m:], v) - val),
                     max(abs(hess[p]) for p in vv), abs(val))
                    for val, grad, hess in jets]
-        ev = np.append(np.max(per_jet, axis=0), np.abs(hz).max())
-        if not (ev.max() <= _OVERFLOW_MARGIN and all(
-                max(map(abs, hess)) <= _OVERFLOW_MARGIN
-                for _, _, hess in jets)):
+        # every entry is checked, so a nan is refused before any max
+        hz = [abs(e) for e in hz]
+        if not all(e <= _OVERFLOW_MARGIN for e in itertools.chain(
+                *per_jet, hz, *(hess for _, _, hess in jets))):
             raise DomainError("classify evidence above the overflow margin "
                               "2^512")
-        return ev
+        return [*map(max, zip(*per_jet)), max(hz)]
 
     rep = sample_max(evidence, samples, seed, 2 * n + m, box)
     euler, lin, scale, drift = rep.max_residual
@@ -368,9 +361,10 @@ def vilms_vertical_projector(spec, s):
     """
     h = vilms_horizontal(spec, TangentPointM(s.chart, s.x, s.y, s.v, s.w),
                          s.X, s.V)
-    n, m = s.chart.n, s.chart.m
+    zero = [0.0] * s.chart.n
     return SecondTangentPoint(s.chart, s.x, s.y, s.v, s.w,
-                              np.zeros(n), s.Y - h.Y, np.zeros(n), s.W - h.W)
+                              zero, [a - b for a, b in zip(s.Y, h.Y)],
+                              zero, [a - b for a, b in zip(s.W, h.W)])
 
 
 def pv_component_fields(spec):
@@ -413,20 +407,19 @@ def vilms_complete_lift_check(spec, j, at):
     n, m = spec.chart.n, spec.chart.m
     if not 0 <= j < n:
         raise DimensionMismatch(f"coordinate index {j} out of range")
-    ej = np.zeros(n)
-    ej[j] = 1.0
+    zero = [0.0] * n
+    ej = [1.0 if i == j else 0.0 for i in range(n)]
     const = [ScalarField(n, lambda jets, c=ej[i]: Jet2.constant(c, n),
                          label=f"e{j+1}[{i}]") for i in range(n)]
     Xfield = VectorFieldN(spec.chart, const)
     A_c = complete_lift(lifted_field(spec, Xfield), at)
-    B_c = vilms_horizontal(spec, at, ej, np.zeros(n))
-    complete_residual = float(np.abs(A_c.upper() - B_c.upper()).max())
+    B_c = vilms_horizontal(spec, at, ej, zero)
 
     hv = spec.h_values(at.x, at.y, ej)
     A_v = vertical_lift(at, TangentPointM(spec.chart, at.x, at.y, ej, hv))
-    B_v = vilms_horizontal(spec, at, np.zeros(n), ej)
-    vertical_difference = float(np.abs(A_v.upper() - B_v.upper()).max())
-    return VilmsCheckReport(complete_residual, vertical_difference)
+    B_v = vilms_horizontal(spec, at, zero, ej)
+    return VilmsCheckReport(max_gap(A_c.upper(), B_c.upper()),
+                            max_gap(A_v.upper(), B_v.upper()))
 
 
 def curvature_rbar(spec, X, Y, m_pt):
@@ -436,20 +429,18 @@ def curvature_rbar(spec, X, Y, m_pt):
     tangent vector is vertical (zero v-block) with the fibre difference in
     its w-block.
     """
-    x = np.asarray(m_pt[0], dtype=float)
-    y = np.asarray(m_pt[1], dtype=float)
+    x, y = as_floats(m_pt[0]), as_floats(m_pt[1])
     n = spec.chart.n
     br = lie_bracket(lifted_field(spec, X), lifted_field(spec, Y))
-    q = np.concatenate([x, y])
-    br_vals = br.values(q)
+    br_vals = br.values(x + y)
     base_br = lie_bracket(X, Y)
     vb = base_br.values(x)
     lifted = spec.h_values(x, y, vb)
-    base_diff = br_vals[:n] - vb
-    if np.abs(base_diff).max() > 1e-9:
-        raise NotWellDefined(
-            f"base blocks failed to cancel: {np.abs(base_diff).max():.3e}")
-    return TangentPointM(spec.chart, x, y, np.zeros(n), br_vals[n:] - lifted)
+    gap = max_gap(br_vals[:n], vb)
+    if gap > 1e-9:
+        raise NotWellDefined(f"base blocks failed to cancel: {gap:.3e}")
+    return TangentPointM(spec.chart, x, y, [0.0] * n,
+                         [a - b for a, b in zip(br_vals[n:], lifted)])
 
 
 def _linear_extension(chart, values, x0, salt):
@@ -461,7 +452,7 @@ def _linear_extension(chart, values, x0, salt):
             out = Jet2.constant(values[i], n)
             for l in range(n):
                 c = 0.31 + 0.07 * (i + 1) + 0.11 * (l + 1) + 0.05 * salt
-                out = out + c * (jets[l] - float(x0[l]))
+                out = out + c * (jets[l] - x0[l])
             return out
         return ScalarField(n, ev, label=f"ext{salt}_{i+1}")
 
@@ -475,9 +466,7 @@ def curvature_pointwise(spec, u, v, m_pt):
     answers differ by more than 1e-7 the value depends on the extension and
     NotWellDefined is raised.  Affine splittings pass the check.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x0 = np.asarray(m_pt[0], dtype=float)
+    u, v, x0 = as_floats(u), as_floats(v), as_floats(m_pt[0])
     chart = spec.chart
     n = chart.n
 
@@ -489,7 +478,7 @@ def curvature_pointwise(spec, u, v, m_pt):
     r1 = curvature_rbar(spec, const_field(u), const_field(v), m_pt)
     r2 = curvature_rbar(spec, _linear_extension(chart, u, x0, 1),
                         _linear_extension(chart, v, x0, 2), m_pt)
-    dep = np.abs(r1.w - r2.w).max()
+    dep = max_gap(r1.w, r2.w)
     if dep > 1e-7:
         raise NotWellDefined(
             f"curvature value depends on the extension (difference {dep:.3e})")
@@ -572,7 +561,7 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
         r = k * (n + m + i)  # the row of d/dv_i in h's Hessian
 
         def vg(q):
-            _, g, H = spec.coefficients[a].jet_lists(q.tolist() + [0.0] * n)
+            _, g, H = spec.coefficients[a].jet_lists(q + [0.0] * n)
             return -g[n + m + i], [-e for e in H[r:r + n + m]]
         return DerivedField(n + m, vg, label=f"A{a+1}_{i+1}")
 
@@ -584,10 +573,9 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
         h = spec.h_values(z[:n], z[n:n + m], v)
         jets = [c.jet_lists(z[:n + m] + [0.0] * n) for c in spec.coefficients]
         recon = [dot(grad[n + m:], v) + val for val, grad, _ in jets]
-        return np.abs(np.subtract(h, recon)).max()
+        return max_gap(h, recon)
 
-    worst = float(sample_max(residual, samples, seed, 2 * n + m,
-                             box).max_residual)
+    worst = sample_max(residual, samples, seed, 2 * n + m, box).max_residual
     if not worst <= 1e-7:  # a NaN residual fails too
         raise NotAffine(f"reconstruction residual {worst:.3e} exceeds 1e-7")
     return AffineSplittingData(chart, A, A0, worst)
@@ -598,10 +586,9 @@ def affine_curvature_coefficients(data, x, y):
     drift derivatives A^a_0i = H_i(A0^a) + A0(A^a_i), from one float jet
     (jet_lists) per field, each dot product summed in index order.
 
-    Returns (B, A0d) with shapes (m, n, n) and (m, n).
+    Returns (B, A0d) as nested lists of floats, m x n x n and m x n.
     """
-    return tuple(map(np.array, _curvature_lists(
-        data, as_floats(x) + as_floats(y))[:2]))
+    return _curvature_lists(data, as_floats(x) + as_floats(y))[:2]
 
 
 def _curvature_lists(data, q):
@@ -633,7 +620,6 @@ def rbar_zero(data, zeta, w_pt):
     B, A0d = affine_curvature_coefficients(data, w_pt.x, w_pt.y)
     zv = zeta.values(w_pt.x)
     n, m = data.chart.n, data.chart.m
-    w = np.zeros(m)
-    for a in range(m):
-        w[a] = sum(zv[i] * (B[a, i] @ w_pt.v + A0d[a, i]) for i in range(n))
-    return TangentPointM(data.chart, w_pt.x, w_pt.y, np.zeros(n), w)
+    w = [total(zv[i] * (dot(B[a][i], w_pt.v) + A0d[a][i]) for i in range(n))
+         for a in range(m)]
+    return TangentPointM(data.chart, w_pt.x, w_pt.y, [0.0] * n, w)

@@ -113,11 +113,11 @@ def test_criterion_01_projector_identities():
             ph2 = project_horizontal(spec, ph)
             assert np.array_equal(ph2.v, ph.v)
             assert np.array_equal(ph2.w, ph.w)
-            assert not pv.v.any()
-            assert np.array_equal(pv.w, t.w - ph.w)
+            assert not any(pv.v)
+            assert np.array_equal(pv.w, np.array(t.w) - ph.w)
             drift = spec.h_values(t.x, t.y, np.zeros(n))
-            assert np.abs(project_horizontal(spec, pv).w - drift).max() \
-                <= 1e-12
+            assert np.abs(np.array(project_horizontal(spec, pv).w)
+                          - drift).max() <= 1e-12
             assert np.abs(project_vertical(spec, ph).w).max() <= 1e-12
 
 
@@ -132,7 +132,7 @@ def test_criterion_02_vilms_projector():
             via_flip = canonical_flip(tangent_map(pv_fields, canonical_flip(
                 second_tangent(CH11, r))))
             direct = vilms_vertical_projector(spec, second_tangent(CH11, r))
-            assert np.abs(direct.as_array()
+            assert np.abs(np.array(direct.as_array())
                           - via_flip.as_array()).max() < 1e-9
         for _ in range(10):
             at = TangentPointM(CH11, *rng.uniform(-1.0, 1.0, (4, 1)))
@@ -172,8 +172,9 @@ def test_criterion_05_reparametrization():
         spec, lambda s: (np.array([theta(s)]),
                          np.array([3.0 * s * s + 1.0])),
         [0.3], 0.0, 1.0, 1e-3)
-    resampled = np.interp(theta(rec2.t), rec1.t, rec1.states[:, 1])
-    assert np.abs(rec2.states[:, 1] - resampled).max() < 1e-5
+    resampled = np.interp(theta(np.array(rec2.t)), rec1.t,
+                          np.array(rec1.states)[:, 1])
+    assert np.abs(np.array(rec2.states)[:, 1] - resampled).max() < 1e-5
 
 
 @gate(6, "induced splittings satisfy the defining relation")
@@ -256,16 +257,19 @@ def test_criterion_10_unreduce():
         z2[3] = rng.uniform(-1.0, 1.0)   # fibre velocity
         assert G.force(z[:2], z[2:])[0] == G.force(z2[:2], z2[2:])[0]
     rec = integrate_sode(G, [1.0, 0.0, 0.0, 0.0], 0.0, 10.0, 1e-3)
-    drift = np.abs(rec.states[:, 3] - 0.7 * rec.states[:, 2]).max()
+    states = np.array(rec.states)
+    drift = np.abs(states[:, 3] - 0.7 * states[:, 2]).max()
     assert drift < 1e-7
     for _ in range(50):
         pt = TangentPointM(CH11, *rng.uniform(-1.0, 1.0, (4, 1)))
         s_xi = vertical_endomorphism(xi_field(h, act, pt))
         dv = liouville_fields(h.h_values, pt, "vertical")
-        assert np.abs(s_xi.as_array() - dv.as_array()).max() < 1e-9
+        assert np.abs(np.array(s_xi.as_array())
+                      - dv.as_array()).max() < 1e-9
         s_g = vertical_endomorphism(vilms_of_sode(gbar, h, pt))
         dh = liouville_fields(h.h_values, pt, "horizontal")
-        assert np.abs(s_g.as_array() - dh.as_array()).max() < 1e-9
+        assert np.abs(np.array(s_g.as_array())
+                      - dh.as_array()).max() < 1e-9
 
 
 @gate(11, "curvature coefficients and the affine-drift contraction")
@@ -285,8 +289,8 @@ def test_criterion_11_curvature():
     z1 = base_field(ch, "x1", "1")
     z2 = base_field(ch, "2", "x2^2")
     zsum = base_field(ch, "x1 + 2", "1 + x2^2")
-    lhs = rbar_zero(data, zsum, at).w
-    rhs = rbar_zero(data, z1, at).w + rbar_zero(data, z2, at).w
+    lhs = np.array(rbar_zero(data, zsum, at).w)
+    rhs = np.array(rbar_zero(data, z1, at).w) + rbar_zero(data, z2, at).w
     assert np.abs(lhs - rhs).max() < 1e-9
     const = AffineSplittingData.from_expressions(ch, [["1", "2"]], ["0.3"])
     assert np.abs(rbar_zero(const, z1, at).w).max() < 1e-12
@@ -296,7 +300,8 @@ def test_criterion_11_curvature():
 def test_criterion_12_nonholonomic(rolling_record):
     _, c, _, rec = rolling_record
     ws = [c.reconstruct_w(s[:2], s[2:3], s[3:]) for s in rec.states]
-    assert rate_residual(rec.t, rec.states[:, 2:3], ws).max() < 1e-10
+    assert max(rate_residual(rec.t, [s[2:3] for s in rec.states], ws)) \
+        < 1e-10
     E = np.asarray(rec.diagnostics["energy"])
     assert np.abs(E - E[0]).max() < 1e-6
 
@@ -318,7 +323,8 @@ def test_criterion_13_magnetic_decoupling():
                              0.0, 10.0, 1e-3)
     base = integrate_sode(euler_lagrange_sode(reduced_base_lagrangian(good)),
                           [1.0, 0.0], 0.0, 10.0, 1e-3)
-    assert np.abs(mag.states[:, 0] - base.states[:, 0]).max() < 1e-6
+    assert np.abs(np.array(mag.states)[:, 0]
+                  - np.array(base.states)[:, 0]).max() < 1e-6
 
     bad = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
     rep2 = decoupling_check(magnetic_lp_system(bad))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fibresplit import (cli, config, exprs, lagrangian, nonholonomic,
-                        reduction, splitting)
+                        numerics, reduction, splitting)
 
 FIX = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -483,6 +483,38 @@ def test_non_finite_slit_eps_exits_2(tmp_path, capsys, slit):
         assert "config error: slit_eps must be positive" \
             in capsys.readouterr().err
         assert not (tmp_path / command / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, bundle, simulation", [
+    ("classify", "", "box = 1e308"),
+    ("induce", "slit_eps = 1e308", ""),   # the branch probe's box: 2 slit_eps
+    (None, "", ""),
+], ids=["classify-box", "induce-slit", "sample_max"])
+def test_a_box_too_wide_to_draw_from_exits_2(tmp_path, capsys, command,
+                                              bundle, simulation):
+    if command is None:
+        with pytest.raises(ValueError, match="too wide to draw from"):
+            numerics.sample_max(lambda z: 0.0, 1, 0, 1, box=1e308)
+        return
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(f"[bundle]\nbase_dim = 1\nfibre_dim = 1\n{bundle}\n"
+                   '[splitting]\nh1 = "0.7*v1"\n'
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2"\n'
+                   f"[simulation]\n{simulation}\n")
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert "config error: sampling box" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ['"2"', "true", "[2]", "3"])
+def test_homogeneity_other_than_2_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "homog.ini"
+    cfg.write_text((FIX / "homog.ini").read_text().replace(
+        "homogeneity = 2", f"homogeneity = {value}"))
+    assert run("check-all", cfg, tmp_path / "out") == 2
+    assert "config error: [lagrangian] homogeneity: " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_overrides_reach_the_report(tmp_path):

@@ -78,7 +78,7 @@ def test_full_config_builds_every_object(tmp_path):
     assert np.array_equal(con.reconstruct_w([0.0], [0.0], [0.5]), [-1.0])
 
     model = cfg.magnetic()
-    assert model.k[0, 0] == 2.0
+    assert model.k == [[2.0]]
     assert abs(model.V.value(np.array([2.0])) - 2.0) < 1e-15
 
     curve, y0 = cfg.curve(chart)

@@ -86,7 +86,8 @@ def test_rolling_conserves_energy_and_constraint(rolling_record):
     L, c, ic, rec = rolling_record
     system = lagrange_dalembert_system(L, c)
     ws = [c.reconstruct_w(s[:2], s[2:3], s[3:]) for s in rec.states]
-    assert rate_residual(rec.t, rec.states[:, 2:3], ws).max() < 1e-10
+    assert max(rate_residual(rec.t, [s[2:3] for s in rec.states], ws)) \
+        < 1e-10
     energy = np.asarray(rec.diagnostics["energy"])
     assert np.abs(energy - system.energy(ic.as_array())).max() < 1e-9
 

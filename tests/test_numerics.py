@@ -734,11 +734,11 @@ def test_rk4_matches_the_array_reference_bit_for_bit():
         lambda t, y: energy(t, y.tolist()))
     rec = rk4_integrate(rates, 0.0, 0.537, y0, 0.01, energy)
     assert len(rec.t) == 55 and rec.t[-1] - rec.t[-2] < 0.0071
-    assert rec.t.tobytes() == t_ref.tobytes()
-    assert rec.states.tobytes() == s_ref.tobytes()
+    assert np.array(rec.t).tobytes() == t_ref.tobytes()
+    assert np.array(rec.states).tobytes() == s_ref.tobytes()
     for key in ("energy", "first"):
         want = np.array([dg[key] for dg in d_ref])
-        assert rec.diagnostics[key].tobytes() == want.tobytes()
+        assert np.array(rec.diagnostics[key]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t1", [1e300, np.inf])

@@ -92,7 +92,7 @@ def test_sample_max_policy():
 
     rep = sample_max(positive_x, 30, 3, 2, box=0.5)
     assert rep.sample_count == 30 and rep.skipped > 0 and rep.seed == 3
-    assert rep.max_residual.shape == (2,)
+    assert type(rep.max_residual) is list and len(rep.max_residual) == 2
     assert 0.4 < rep.max_residual[0] <= 0.5
 
     draws = []
@@ -108,6 +108,16 @@ def test_sample_max_policy():
     # a NaN residual is kept, so the check it feeds fails
     assert np.isnan(sample_max(lambda z: np.nan if z[0] > 0 else 0.0,
                                10, 0, 1).max_residual)
+    # entry by entry: a NaN drawn first, and one drawn last, both stay
+    calls = []
+
+    def nan_first_and_last(z):
+        calls.append(z)
+        return (np.nan if len(calls) == 1 else 0.5,
+                np.nan if len(calls) == 10 else 0.5)
+
+    rep = sample_max(nan_first_and_last, 10, 0, 1)
+    assert len(calls) == 10 and np.isnan(rep.max_residual).all()
 
     # a Generator seed shares its stream with the caller
     rng = np.random.default_rng(9)

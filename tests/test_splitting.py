@@ -82,11 +82,13 @@ def test_projector_identities_with_drift():
                               ph.as_array())
         # complement: the vertical block is the exact difference w - P_h(w).w
         # (same float subtraction on both sides, so bitwise equality holds)
-        assert np.array_equal(pv.w, t.w - ph.w)
-        assert np.abs((ph.w + pv.w) - t.w).max() < 1e-15 * (1 + abs(t.w[0]))
+        w, w_h, w_v = np.array(t.w), np.array(ph.w), np.array(pv.w)
+        assert np.array_equal(w_v, w - w_h)
+        assert np.abs((w_h + w_v) - w).max() < 1e-15 * (1 + abs(w[0]))
         # vertical then horizontal lands on the v=0 drift
         hz = s.h_values(t.x, t.y, np.zeros(1))
-        assert np.abs(project_horizontal(s, pv).w - hz).max() < 1e-12
+        assert np.abs(np.array(project_horizontal(s, pv).w) - hz).max() \
+            < 1e-12
         # horizontal then vertical has no fibre velocity left
         assert np.abs(project_vertical(s, ph).w).max() < 1e-12
 
@@ -187,7 +189,8 @@ def test_vilms_vertical_projector_matches_flip_route():
             pt = canonical_flip(tangent_map(pv_fields, canonical_flip(
                 _stp(s.chart, r))))
             direct = vilms_vertical_projector(s, _stp(s.chart, r))
-            assert np.abs(direct.as_array() - pt.as_array()).max() < 1e-9
+            assert np.abs(np.array(direct.as_array())
+                          - pt.as_array()).max() < 1e-9
 
 
 def _stp(ch, r):
@@ -244,7 +247,7 @@ def test_curvature_rbar_linear_fixture():
     e2 = base_field(ch, "0", "1")
     r = curvature_rbar(s, e1, e2, (np.array([0.7, -0.3]), np.array([0.2])))
     assert abs(r.w[0] - 1.0) < 1e-10
-    assert not r.v.any()
+    assert not any(r.v)
     # antisymmetry in the two fields
     r2 = curvature_rbar(s, e2, e1, (np.array([0.7, -0.3]), np.array([0.2])))
     assert abs(r.w[0] + r2.w[0]) < 1e-10
@@ -259,8 +262,8 @@ def test_curvature_pointwise_additive_for_linear():
     rng = np.random.default_rng(24)
     for _ in range(5):
         u1, u2, v = rng.uniform(-1.0, 1.0, (3, 2))
-        lhs = curvature_pointwise(s, u1 + u2, v, pt).w
-        rhs = curvature_pointwise(s, u1, v, pt).w \
+        lhs = np.array(curvature_pointwise(s, u1 + u2, v, pt).w)
+        rhs = np.array(curvature_pointwise(s, u1, v, pt).w) \
             + curvature_pointwise(s, u2, v, pt).w
         assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -274,8 +277,8 @@ def test_rbar_zero_linear_in_zeta_and_zero_for_constant():
     z1 = base_field(ch, "x1", "1")
     z2 = base_field(ch, "2", "x2^2")
     zsum = base_field(ch, "x1 + 2", "1 + x2^2")
-    lhs = rbar_zero(data, zsum, pt).w
-    rhs = rbar_zero(data, z1, pt).w + rbar_zero(data, z2, pt).w
+    lhs = np.array(rbar_zero(data, zsum, pt).w)
+    rhs = np.array(rbar_zero(data, z1, pt).w) + rbar_zero(data, z2, pt).w
     assert np.abs(lhs - rhs).max() < 1e-9
     const = AffineSplittingData.from_expressions(ch, [["1", "2"]], ["0.3"])
     assert np.abs(rbar_zero(const, z1, pt).w).max() < 1e-12
@@ -313,8 +316,8 @@ def test_affine_round_trip_and_curvature_coefficients():
     s = data.to_splitting()
     assert s.provenance == "affine-from-constraints"
     assert classify(s).verdict == "Ehresmann"
-    B, A0d = affine_curvature_coefficients(
-        data, np.array([0.7, -0.3]), np.array([0.2]))
+    B, A0d = map(np.array, affine_curvature_coefficients(
+        data, np.array([0.7, -0.3]), np.array([0.2])))
     assert B.shape == (1, 2, 2) and A0d.shape == (1, 2)
     assert abs(B[0, 0, 1] - 1.0) < 1e-10
     assert abs(B[0, 1, 0] + 1.0) < 1e-10
