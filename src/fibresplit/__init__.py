@@ -7,8 +7,8 @@ calculus, Lagrangian machinery, reduction tools, and the config loader.
 Everything is plain Python: compiled expressions evaluate their jets
 through straight-line code generated once per expression, and points,
 trajectories and sampled maxima are lists of floats.  numpy draws the
-samples, takes three determinants and eigenvalues, checks structure
-constants, and carries the public Jet2.
+samples, takes two determinants and eigenvalues, and carries the public
+Jet2.
 """
 
 from .bundle import (BundleChart, DerivedField, PullbackPoint,

@@ -58,19 +58,18 @@ class BundleChart:
     def w_names(self):
         return [f"w{a+1}" for a in range(self.m)]
 
-    def ctx_point(self, constants=None):
-        return VarContext([("base", self.x_names), ("fibre", self.y_names)],
-                          constants)
+    def ctx_point(self):
+        return VarContext([("base", self.x_names), ("fibre", self.y_names)])
 
-    def ctx_pullback(self, constants=None):
+    def ctx_pullback(self):
         """Coefficient context (x, y, v): base velocity over a point."""
         return VarContext([("base", self.x_names), ("fibre", self.y_names),
-                           ("base_velocity", self.v_names)], constants)
+                           ("base_velocity", self.v_names)])
 
-    def ctx_tangent(self, constants=None):
+    def ctx_tangent(self):
         return VarContext([("base", self.x_names), ("fibre", self.y_names),
                            ("base_velocity", self.v_names),
-                           ("fibre_velocity", self.w_names)], constants)
+                           ("fibre_velocity", self.w_names)])
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import _MAX_STEPS, dot, max_gap
+from .numerics import dot, max_gap
 from .reduction import (connection_test_domega, decoupling_check,
                         integrate_magnetic, invariance_check,
                         magnetic_lp_system, principal_check, unreduce)
@@ -110,6 +110,12 @@ class _Run:
         }
         self.csv = None
 
+    def fail(self, exc, status):
+        """Record exc as the run's outcome; no trajectory is written."""
+        self.report["error"] = f"{type(exc).__name__}: {exc}"
+        self.report["status"] = status
+        self.csv = None
+
     def check(self, name, residual, tol):
         passed = bool(residual < tol)
         self.report["checks"].append(
@@ -121,13 +127,28 @@ class _Run:
         return [c["name"] for c in self.report["checks"] if not c["passed"]]
 
 
-def _probe_point(sim, chart):
-    """(x, y, v) for pointwise reports: the ic prefix, or a default ray."""
+def _ic(run, sim, size, layout="", exact=True, required=True):
+    """The [simulation] ic of the run's command: size entries (at least
+    size unless exact), or None when the config gives none and the command
+    does not require one."""
+    ic = sim["ic"]
+    if ic is None and not required:
+        return None
+    if ic is None or len(ic) < size or (exact and len(ic) > size):
+        need = size if exact else f"at least {size}"
+        raise ParseError(f"[simulation] ic must have {need} entries{layout} "
+                         f"for {run.report['command']}")
+    return ic
+
+
+def _probe_point(run, sim, chart):
+    """(x, y, v) for pointwise reports: the ic prefix, or a default ray
+    when the config gives no ic."""
     n, m = chart.n, chart.m
-    ic = sim.get("ic")
-    if ic is not None and len(ic) >= 2 * n + m:
-        return ic[:n], ic[n:n + m], ic[n + m:2 * n + m]
-    return [0.0] * n, [0.0] * m, [0.5] * n
+    ic = _ic(run, sim, 2 * n + m, " (x, y, v)", exact=False, required=False)
+    if ic is None:
+        return [0.0] * n, [0.0] * m, [0.5] * n
+    return ic[:n], ic[n:n + m], ic[n + m:2 * n + m]
 
 
 def _energy(L, z):
@@ -159,9 +180,9 @@ def _cmd_lift_curve(run, cfg, chart, sim, args):
 
 
 def _cmd_induce(run, cfg, chart, sim, args):
+    x, y, v = _probe_point(run, sim, chart)
     L = cfg.lagrangian(chart)
     h = induced_splitting(L)
-    x, y, v = _probe_point(sim, chart)
     w, iters = h.solve_detail(x, y, v)
     run.report["values"]["h_at_probe"] = w
     run.report["values"]["probe"] = x + y + v
@@ -169,23 +190,23 @@ def _cmd_induce(run, cfg, chart, sim, args):
 
 
 def _cmd_subduce(run, cfg, chart, sim, args):
+    x, y, v = _probe_point(run, sim, chart)
     L = cfg.lagrangian(chart)
     h = cfg.splitting(chart) if cfg.has("splitting") \
         else induced_splitting(L)
     sub = subduce(L, h, **run.sampling)
     run.report["residuals"]["y_independence"] = sub.y_independence
     run.report["values"]["y_ref"] = sub.y_ref
-    x, y, v = _probe_point(sim, chart)
     run.report["values"]["Lbar_at_probe"] = sub.Lbar.value(x + v)
     sym = symmetry_condition_check(L, h, **run.sampling)
     run.report["residuals"]["symmetry"] = sym.max_residual
 
 
 def _cmd_project_verify(run, cfg, chart, sim, args):
+    x, y, v = _probe_point(run, sim, chart)
     L = cfg.lagrangian(chart)
     h = cfg.splitting(chart) if cfg.has("splitting") \
         else induced_splitting(L)
-    x, y, v = _probe_point(sim, chart)
     rep = projection_verify(L, h, (x, v), y, sim["t1"] - sim["t0"],
                             sim["dt"], **run.sampling)
     tol = run.report["tolerances"]["dynamic"]
@@ -198,11 +219,7 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
 def _cmd_el_simulate(run, cfg, chart, sim, args):
     L = cfg.lagrangian(chart)
     sode = euler_lagrange_sode(L.field)
-    k = chart.n + chart.m
-    ic = sim.get("ic")
-    if ic is None or len(ic) != 2 * k:
-        raise ParseError(f"[simulation] ic must have {2 * k} entries for "
-                         f"el-simulate")
+    ic = _ic(run, sim, 2 * (chart.n + chart.m))
     rec = integrate_sode(sode, ic, sim["t0"], sim["t1"], sim["dt"],
                          diagnostic=lambda t, z: {"energy": _energy(L, z)})
     E = rec.diagnostics["energy"]
@@ -217,10 +234,7 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     L = cfg.lagrangian(chart)
     c = cfg.constraints(chart)
     n, m = chart.n, chart.m
-    ic = sim.get("ic")
-    if ic is None or len(ic) != 2 * n + m:
-        raise ParseError(f"[simulation] ic must have {2 * n + m} entries "
-                         f"(x, y, v) for nh-simulate")
+    ic = _ic(run, sim, 2 * n + m, " (x, y, v)")
     state = ConstrainedState(ic[:n], ic[n:n + m], ic[n + m:])
     rec = integrate_constrained(L, c, state, sim["t0"], sim["t1"], sim["dt"])
     ws = [c.reconstruct_w(s[:n], s[n:n + m], s[n + m:]) for s in rec.states]
@@ -240,10 +254,7 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
     model = cfg.magnetic()
     system = magnetic_lp_system(model)
     n, m = model.n, model.m
-    ic = sim.get("ic")
-    if ic is None or len(ic) != 2 * n + m:
-        raise ParseError(f"[simulation] ic must have {2 * n + m} entries "
-                         f"(x, v, w) for magnetic-simulate")
+    ic = _ic(run, sim, 2 * n + m, " (x, v, w)")
     rec = integrate_magnetic(system, ic, sim["t0"], sim["t1"], sim["dt"])
     dec = decoupling_check(system, **run.sampling)
     run.report["verdicts"]["decoupled"] = dec.verdict
@@ -260,8 +271,8 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
 
 
 def _cmd_curvature(run, cfg, chart, sim, args):
+    x, y, v = _probe_point(run, sim, chart)
     spec = cfg.splitting(chart)
-    x, y, v = _probe_point(sim, chart)
     try:
         data = affine_decompose(spec, min(sim["samples"], 100), sim["seed"],
                                 sim["box"])
@@ -290,11 +301,8 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
     action = cfg.action(chart)
     G = unreduce(gamma_bar, h, action, **run.sampling)
     n, m = chart.n, chart.m
-    ic = sim.get("ic")
+    ic = _ic(run, sim, 2 * (n + m), required=False)
     if ic is not None:
-        if len(ic) != 2 * (n + m):
-            raise ParseError(f"[simulation] ic must have {2 * (n + m)} "
-                             f"entries for unreduce")
         rec = integrate_sode(G, ic, sim["t0"], sim["t1"], sim["dt"])
         drift = 0.0
         for row in rec.states:
@@ -406,62 +414,50 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         chart = cfg.chart()
-        sim = cfg.simulation()
-        for key in ("seed", "samples", "dt", "t1"):
-            if getattr(args, key) is not None:
-                sim[key] = getattr(args, key)
-        if sim["seed"] < 0:
-            raise ParseError("[simulation] seed must be >= 0")
-        if sim["samples"] < 1:
-            raise ParseError("[simulation] samples must be >= 1")
-        if not 0.0 < sim["box"] < math.inf:
-            raise ParseError("[simulation] box must be finite and positive")
-        for key in ("t0", "t1", "dt"):
-            if not math.isfinite(sim[key]):
-                raise ParseError(f"[simulation] {key} must be finite")
-        if sim["dt"] > 0 and (sim["t1"] - sim["t0"]) / sim["dt"] > _MAX_STEPS:
-            raise ParseError(f"[simulation] t1 must be at most {_MAX_STEPS} "
-                             f"steps of dt after t0")
+        sim = cfg.simulation({key: getattr(args, key)
+                              for key in ("seed", "samples", "dt", "t1")
+                              if getattr(args, key) is not None})
         for flag, tol in (("--tol-structural", args.tol_structural),
                           ("--tol-dynamic", args.tol_dynamic)):
             if not 0.0 < tol < math.inf:
                 raise ParseError(f"{flag} must be finite and positive")
-    except _CONFIG_ERRORS as exc:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except _CONFIG_ERRORS + (OSError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out_dir, exist_ok=True)
     run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"],
                args.tol_structural, args.tol_dynamic)
+    code, message = 0, None
     try:
         _HANDLERS[args.command](run, cfg, chart, sim, args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _VERIFY_ERRORS as exc:
-        run.report["error"] = f"{type(exc).__name__}: {exc}"
-        run.report["status"] = "verification-failed"
-        _write_report(args.out_dir, run.report)
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+        run.fail(exc, "verification-failed")
+        code, message = 1, f"verification failed: {exc}"
     except _NUMERIC_ERRORS as exc:
-        run.report["error"] = f"{type(exc).__name__}: {exc}"
-        run.report["status"] = "numerical-failure"
-        _write_report(args.out_dir, run.report)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        run.fail(exc, "numerical-failure")
+        code, message = 3, f"numerical failure: {exc}"
+    else:
+        failed = run.failed()
+        run.report["status"] = "ok" if not failed else "verification-failed"
+        if failed:
+            code, message = 1, "failed checks: " + ", ".join(failed)
 
-    failed = run.failed()
-    run.report["status"] = "ok" if not failed else "verification-failed"
-    if run.csv is not None:
-        header, rows = run.csv
-        run.report["csv"] = "trajectory.csv"
-        _write_csv(args.out_dir, header, rows)
-    _write_report(args.out_dir, run.report)
-    if failed:
-        print("failed checks: " + ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    try:
+        if run.csv is not None:
+            header, rows = run.csv
+            run.report["csv"] = "trajectory.csv"
+            _write_csv(args.out_dir, header, rows)
+        _write_report(args.out_dir, run.report)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .errors import DimensionMismatch, ParseError
 from .exprs import VarContext, compile_field
 from .lagrangian import LagrangianSpec
 from .nonholonomic import AffineConstraintSpec
+from .numerics import _MAX_STEPS
 from .reduction import ActionSpec, MagneticModel
 from .splitting import SplittingSpec
 
@@ -121,6 +122,8 @@ def _float_grid(value, where):
 def _finite_list(value, where):
     """A flat list of numbers; nan and inf are rejected, as no state can
     start from them."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list")
     if not all(isinstance(v, float) for v in value):
         raise ParseError(f"{where}: expected numbers")
     if not all(map(math.isfinite, value)):
@@ -158,28 +161,27 @@ class ModelConfig:
         self._check_dynamic_keys()
 
     def _check_dynamic_keys(self):
-        if "splitting" in self.sections:
-            want = {f"h{a+1}" for a in range(self.m)}
-            got = set(self.sections["splitting"])
+        for name, want in (
+                ("splitting", {f"h{a+1}" for a in range(self.m)}),
+                ("curve", {f"x{i+1}" for i in range(self.n)} | {"y0"})):
+            got = set(self.sections.get(name, want))  # absent: no check
             if got != want:
                 raise DimensionMismatch(
-                    f"[splitting] must define exactly {sorted(want)}, "
-                    f"got {sorted(got)}")
-        if "curve" in self.sections:
-            want = {f"x{i+1}" for i in range(self.n)} | {"y0"}
-            got = set(self.sections["curve"])
-            if got != want:
-                raise DimensionMismatch(
-                    f"[curve] must define exactly {sorted(want)}, "
+                    f"[{name}] must define exactly {sorted(want)}, "
                     f"got {sorted(got)}")
 
     def has(self, name):
         return name in self.sections
 
-    def require(self, name):
+    def require(self, name, *keys):
+        """The [name] section, which must hold each of keys."""
         if name not in self.sections:
             raise ParseError(f"this command needs a [{name}] section")
-        return self.sections[name]
+        sec = self.sections[name]
+        for key in keys:
+            if key not in sec:
+                raise ParseError(f"[{name}] needs key {key}")
+        return sec
 
     def chart(self):
         b = self.sections["bundle"]
@@ -193,9 +195,7 @@ class ModelConfig:
         return SplittingSpec.from_expressions(chart, sources)
 
     def lagrangian(self, chart):
-        sec = self.require("lagrangian")
-        if "L" not in sec:
-            raise ParseError("[lagrangian] needs key L")
+        sec = self.require("lagrangian", "L")
         flag = sec.get("homogeneity")
         # a bool is no number here, though True == 1
         if flag is not None and not (type(flag) is float and flag == 2.0):
@@ -207,29 +207,20 @@ class ModelConfig:
 
     def base_lagrangian(self, chart):
         """The [lagrangian] L read as a base-level function of (x, v)."""
-        sec = self.require("lagrangian")
-        if "L" not in sec:
-            raise ParseError("[lagrangian] needs key L")
+        sec = self.require("lagrangian", "L")
         ctx = VarContext([("base", list(chart.x_names)),
                           ("base_velocity", list(chart.v_names))])
         src = _expr(sec["L"], "[lagrangian] L")
         return compile_field(src, ctx, label=src, slit_eps=chart.slit_eps)
 
     def action(self, chart):
-        sec = self.require("action")
-        if "K" not in sec:
-            raise ParseError("[action] needs key K")
-        K = _expr_grid(sec["K"], "[action] K")
-        C = None
-        if "C" in sec:
-            C = _float_grid(sec["C"], "[action] C")
-        return ActionSpec.from_expressions(chart, K, C)
+        sec = self.require("action", "K")
+        return ActionSpec.from_expressions(
+            chart, _expr_grid(sec["K"], "[action] K"),
+            _float_grid(sec["C"], "[action] C") if "C" in sec else None)
 
     def constraints(self, chart):
-        sec = self.require("constraints")
-        for key in ("A", "A0"):
-            if key not in sec:
-                raise ParseError(f"[constraints] needs key {key}")
+        sec = self.require("constraints", "A", "A0")
         return AffineConstraintSpec.from_expressions(
             chart, _expr_grid(sec["A"], "[constraints] A"),
             _expr_grid(sec["A0"], "[constraints] A0"))
@@ -237,34 +228,41 @@ class ModelConfig:
     def magnetic(self):
         sec = self.require("magnetic")
 
-        def grid(key):
-            if key not in sec:
-                return None
-            return _expr_grid(sec[key], f"[magnetic] {key}")
+        def grid(key, read=_expr_grid):
+            return read(sec[key], f"[magnetic] {key}") if key in sec else None
 
-        k = C = None
-        if "k" in sec:
-            k = _float_grid(sec["k"], "[magnetic] k")
-        if "C" in sec:
-            C = _float_grid(sec["C"], "[magnetic] C")
         return MagneticModel.from_expressions(
-            self.n, self.m, g=grid("g"), k=k,
+            self.n, self.m, g=grid("g"), k=grid("k", _float_grid),
             V=_expr(sec.get("V", 0.0), "[magnetic] V"),
             A_base=grid("A_i"), A_fibre=grid("A_alpha"),
-            upsilon=grid("Upsilon"), Kcurv=grid("Kcurv"), C=C)
+            upsilon=grid("Upsilon"), Kcurv=grid("Kcurv"),
+            C=grid("C", _float_grid))
 
-    def simulation(self):
+    def simulation(self, overrides=None):
+        """The [simulation] settings over their defaults, overrides (by
+        key) applied last, every one checked in bounds."""
         out = dict(_SIM_DEFAULTS)
         sec = self.sections.get("simulation", {})
         for key, value in sec.items():
             if key == "ic":
-                if not isinstance(value, list):
-                    raise ParseError("[simulation] ic: expected a list")
                 out["ic"] = _finite_list(value, "[simulation] ic")
             elif key in ("seed", "samples"):
                 out[key] = _need_int("simulation", key, value)
             else:
                 out[key] = _need_float("simulation", key, value)
+        out.update(overrides or {})
+        if out["seed"] < 0:
+            raise ParseError("[simulation] seed must be >= 0")
+        if out["samples"] < 1:
+            raise ParseError("[simulation] samples must be >= 1")
+        if not 0.0 < out["box"] < math.inf:
+            raise ParseError("[simulation] box must be finite and positive")
+        for key in ("t0", "t1", "dt"):
+            if not math.isfinite(out[key]):
+                raise ParseError(f"[simulation] {key} must be finite")
+        if out["dt"] > 0 and (out["t1"] - out["t0"]) / out["dt"] > _MAX_STEPS:
+            raise ParseError(f"[simulation] t1 must be at most {_MAX_STEPS} "
+                             f"steps of dt after t0")
         return out
 
     def curve(self, chart):
@@ -273,10 +271,7 @@ class ModelConfig:
                    for i in range(self.n)]
         ctx = VarContext([("time", ["t"])])
         fields = [compile_field(s, ctx, label=s) for s in sources]
-        y0 = sec["y0"]
-        if not isinstance(y0, list):
-            raise ParseError("[curve] y0: expected a list")
-        y0 = _finite_list(y0, "[curve] y0")
+        y0 = _finite_list(sec["y0"], "[curve] y0")
         if len(y0) != self.m:
             raise DimensionMismatch(f"[curve] y0 must have length {self.m}")
 

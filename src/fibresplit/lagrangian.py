@@ -51,10 +51,9 @@ class LagrangianSpec:
                 f"Lagrangian arity {self.field.arity}, expected {k}")
 
     @classmethod
-    def from_expression(cls, chart, source, homogeneity_flag=None,
-                        constants=None):
+    def from_expression(cls, chart, source, homogeneity_flag=None):
         ast = parse(source) if isinstance(source, str) else source
-        f = compile_field(ast, chart.ctx_tangent(constants),
+        f = compile_field(ast, chart.ctx_tangent(),
                           label=source if isinstance(source, str) else None,
                           slit_eps=chart.slit_eps)
         return cls(chart, f, homogeneity_flag, mentions_nonsmooth(ast))

@@ -10,6 +10,7 @@ The magnetic model's reduced base Lagrangian is one tape compiled from the
 model's expressions by substitution.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,29 +25,41 @@ from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
 from .numerics import (SampleReport, _square, as_floats, condition_number,
                        dot, linear_solve, max_gap, rk4_integrate, sample_max,
                        total)
-from .splitting import vilms_vertical_projector
+from .splitting import vilms_horizontal, vilms_vertical_projector
 
 
 def _check_structure_constants(C, m):
-    """C[g][a][b] as nested lists of floats, zero when C is None, checked
-    antisymmetric in (a, b) and Jacobi-consistent."""
+    """C[g][a][b] as new nested lists of floats, zero when C is None,
+    checked in this order: m x m x m, finite, antisymmetric in (a, b) and
+    Jacobi-consistent."""
     if C is None:
         return [[[0.0] * m for _ in range(m)] for _ in range(m)]
-    C = np.asarray(C, dtype=float)
-    if C.shape != (m, m, m):
+    try:
+        C = [[[float(c) for c in row] for row in plane] for plane in C]
+    except TypeError:  # nested too shallow or too deep
+        C = None
+    if C is None or len(C) != m or any(
+            len(plane) != m or any(len(row) != m for row in plane)
+            for plane in C):
         raise DimensionMismatch(f"structure constants must be {(m, m, m)}")
-    if not np.array_equal(C, -np.swapaxes(C, 1, 2)):
+    if not all(math.isfinite(c) for plane in C for row in plane for c in row):
+        raise ValueError("structure constants must be finite")
+    abc = [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
+    if any(C[g][a][b] != -C[g][b][a] for g, a, b in abc):
         raise ValueError("structure constants must be antisymmetric in the "
                          "lower indices")
-    # Jacobi: sum over cyclic permutations of C^e_{d a} C^d_{b c}; P holds
-    # P[e, a, b, c] = C^e_{d a} C^d_{b c}
-    P = np.tensordot(C, C, axes=(1, 0))
-    jac = P + P.transpose(0, 3, 1, 2) + P.transpose(0, 2, 3, 1)
-    worst = np.abs(jac).max() if jac.size else 0.0
+
+    # Jacobi: the cyclic sum over (a, b, c) of P[e][a][b][c] =
+    # sum_d C^e_{d a} C^d_{b c} vanishes
+    def P(e, a, b, c):
+        return total(C[e][d][a] * C[d][b][c] for d in range(m))
+
+    worst = max((abs(P(e, a, b, c) + P(e, b, c, a) + P(e, c, a, b))
+                 for e in range(m) for a, b, c in abc), default=0.0)
     if worst > 1e-12:
         raise ValueError(f"structure constants violate the Jacobi identity "
                          f"(residual {worst:.3e})")
-    return C.tolist()
+    return C
 
 
 @dataclass
@@ -75,8 +88,8 @@ class ActionSpec:
                     f"generator frame degenerate at sample point {q}")
 
     @classmethod
-    def from_expressions(cls, chart, K_sources, C=None, constants=None):
-        ctx = chart.ctx_point(constants)
+    def from_expressions(cls, chart, K_sources, C=None):
+        ctx = chart.ctx_point()
         K = [[compile_field(src, ctx, label=str(src),
                             slit_eps=chart.slit_eps) for src in row]
              for row in K_sources]
@@ -180,18 +193,15 @@ def xi_field(h, action, w_pt):
 
 
 def vilms_of_sode(gamma_bar, h, w_pt):
-    """Horizontal lift of the base field through the doubled splitting.
+    """Horizontal lift of the base field through the doubled splitting:
+    the Vilms lift at w_pt of base velocity (v, f), f the base force.
 
     Upper block (v, h, f, W) with W = dh . (v, w, f).  By construction its
     image under the vertical endomorphism is the horizontal dilation field
     (0, 0, v, h); tests exercise that identity through the bundle ops.
     """
-    f = gamma_bar.force(w_pt.x, w_pt.v)
-    vgs = h.h_vg_lists(w_pt.x, w_pt.y, w_pt.v)
-    u = [*w_pt.v, *w_pt.w, *f]
-    return SecondTangentPoint(w_pt.chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
-                              w_pt.v, [val for val, _ in vgs], f,
-                              [dot(grad, u) for _, grad in vgs])
+    return vilms_horizontal(h, w_pt, w_pt.v,
+                            gamma_bar.force(w_pt.x, w_pt.v))
 
 
 def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
@@ -313,10 +323,6 @@ def vilms_principal_check(h, action, group_sample, state_samples=20,
 # Magnetic systems in quasi-velocities
 
 
-def _base_ctx(n, constants=None):
-    return VarContext([("base", [f"x{i+1}" for i in range(n)])], constants)
-
-
 def _compile_grid(sources, ctx, shape):
     """Compile a nested list of expression strings, checking its shape."""
     def walk(node, dims):
@@ -352,16 +358,20 @@ class MagneticModel:
         a, size = _square(self.k)
         if size != m:
             raise DimensionMismatch(f"k must be {(m, m)}")
-        self.k = [a[m * i:m * (i + 1)] for i in range(m)]
-        if any(a[m * i + j] != a[m * j + i]
-               for i in range(m) for j in range(m)):
+        if not all(map(math.isfinite, a)):
+            raise ValueError("fibre metric k must be finite")
+        self.k = k = [a[m * i:m * (i + 1)] for i in range(m)]
+        if any(k[i][j] != k[j][i] for i in range(m) for j in range(m)):
             raise ValueError("fibre metric k must be symmetric")
-        if not condition_number(self.k) <= 1e13:
+        if not condition_number(k) <= 1e13:
             raise SingularMatrix("fibre metric k is singular")
-        self.C = _check_structure_constants(self.C, self.m)
-        kC = np.tensordot(self.k, self.C, axes=1)  # kC[a,b,g] = k_ad C^d_bg
-        bi = kC + kC.swapaxes(0, 1)
-        if bi.size and np.abs(bi).max() != 0.0:
+        self.C = C = _check_structure_constants(self.C, m)
+
+        def kC(a, b, g):  # k_ad C^d_bg
+            return total(k[a][d] * C[d][b][g] for d in range(m))
+
+        if any(kC(a, b, g) + kC(b, a, g) != 0.0
+               for a in range(m) for b in range(m) for g in range(m)):
             raise ValueError("fibre metric is not bi-invariant for the "
                              "given structure constants")
         rng = np.random.default_rng(11)
@@ -378,9 +388,8 @@ class MagneticModel:
 
     @classmethod
     def from_expressions(cls, n, m, g=None, k=None, V="0", A_base=None,
-                         A_fibre=None, upsilon=None, Kcurv=None, C=None,
-                         constants=None):
-        ctx = _base_ctx(n, constants)
+                         A_fibre=None, upsilon=None, Kcurv=None, C=None):
+        ctx = VarContext([("base", [f"x{i+1}" for i in range(n)])])
         eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
         zeros_n = ["0"] * n
         zeros_m = ["0"] * m

@@ -59,14 +59,13 @@ class SplittingSpec:
         self.provenance = provenance
 
     @classmethod
-    def from_expressions(cls, chart, sources, smooth_at_zero=None,
-                         constants=None):
+    def from_expressions(cls, chart, sources, smooth_at_zero=None):
         """Build from m expression strings in x1.., y1.., v1..
 
         smooth_at_zero defaults to False exactly when abs or sqrt appears
         in some coefficient; pass an explicit flag to override.
         """
-        ctx = chart.ctx_pullback(constants)
+        ctx = chart.ctx_pullback()
         asts = [parse(s) if isinstance(s, str) else s for s in sources]
         if smooth_at_zero is None:
             smooth_at_zero = not any(mentions_nonsmooth(a) for a in asts)
@@ -507,8 +506,8 @@ class AffineSplittingData:
             raise DimensionMismatch(f"A0 must have {m} fields")
 
     @classmethod
-    def from_expressions(cls, chart, A_sources, A0_sources, constants=None):
-        ctx = chart.ctx_point(constants)
+    def from_expressions(cls, chart, A_sources, A0_sources):
+        ctx = chart.ctx_point()
         A = [[compile_field(s, ctx, slit_eps=chart.slit_eps) for s in row]
              for row in A_sources]
         A0 = [compile_field(s, ctx, slit_eps=chart.slit_eps)

@@ -402,6 +402,65 @@ def test_asymmetric_base_metric_exits_2(tmp_path, capsys):
         assert not (tmp_path / command / "report.json").exists()
 
 
+@pytest.mark.parametrize("command",
+                         ["induce", "subduce", "project-verify", "curvature"])
+def test_a_short_probe_ic_exits_2(tmp_path, capsys, command):
+    # the probe is (x, y, v): 4 entries on a (1, 2) chart; the default ray
+    # serves only a config with no ic at all
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 2\n"
+                   '[splitting]\nh1 = "0.5*v1"\nh2 = "0"\n'
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2 + 0.5*w2^2"\n'
+                   "[simulation]\nic = [0.1]\n")
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert (f"config error: [simulation] ic must have at least 4 entries "
+            f"(x, y, v) for {command}") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_unusable_out_dir_exits_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("")
+    assert run("classify", FIX / "split.ini", tmp_path / out) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("classify", FIX / "split.ini", "report.json"),
+    ("el-simulate", CONFIGS / "oscillator.ini", "trajectory.csv")],
+    ids=["report", "csv"])
+def test_an_unwritable_output_file_exits_2(tmp_path, capsys, command, config,
+                                           name):
+    # the run succeeds, but its output file is taken by a directory
+    (tmp_path / name).mkdir()
+    assert run(command, config, tmp_path, "--t1", "0.01") == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, m, model, message", [
+    ("magnetic-simulate", 1, "[magnetic]\nk = [[nan]]\n",
+     "fibre metric k must be finite"),
+    ("magnetic-simulate", 1, "[magnetic]\nC = [[[inf]]]\n",
+     "structure constants must be finite"),
+    ("check-all", 1, '[action]\nK = [["1"]]\nC = [[[nan]]]\n',
+     "structure constants must be finite"),
+    ("check-all", 1, '[action]\nK = [["1"]]\nC = [[[-inf]]]\n',
+     "structure constants must be finite"),
+    ("check-all", 2, '[action]\nK = [["1", "0"], ["0", "1"]]\n'
+     "C = [[[0.0, 1.0], [-1.0]], [[0.0, 0.0], [0.0, 0.0]]]\n",
+     "structure constants must be (2, 2, 2)"),
+], ids=["k-nan", "magnetic-C-inf", "action-C-nan", "action-C-inf",
+        "action-C-ragged"])
+def test_unusable_model_data_exits_2(tmp_path, capsys, command, m, model,
+                                     message):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(f"[bundle]\nbase_dim = 1\nfibre_dim = {m}\n{model}"
+                   "[simulation]\nic = [0.1, 0.2, 0.3]\n")
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 _IC = "ic = [0.0, 0.0, 0.5, -0.25]"
 
 

@@ -131,6 +131,32 @@ def test_require_names_the_missing_section(tmp_path):
         cfg.require("splitting")
 
 
+def test_require_names_the_missing_key(tmp_path):
+    cfg = load(tmp_path, "[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                         '[constraints]\nA = [["1"]]\n'
+                         '[lagrangian]\nhomogeneity = 2\n')
+    assert cfg.require("constraints", "A") == {"A": [["1"]]}
+    with pytest.raises(ParseError, match=r"\[constraints\] needs key A0"):
+        cfg.constraints(cfg.chart())
+    for build in (cfg.lagrangian, cfg.base_lagrangian):
+        with pytest.raises(ParseError, match=r"\[lagrangian\] needs key L"):
+            build(cfg.chart())
+
+
+def test_simulation_overrides_are_bounded_too(tmp_path):
+    cfg = load(tmp_path, "[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                         "[simulation]\nseed = 3\nt1 = 2.0\n")
+    sim = cfg.simulation({"seed": 5, "dt": 0.01})
+    assert (sim["seed"], sim["t1"], sim["dt"]) == (5, 2.0, 0.01)
+    assert cfg.simulation()["seed"] == 3
+    for overrides, message in (({"seed": -1}, "seed must be >= 0"),
+                               ({"samples": 0}, "samples must be >= 1"),
+                               ({"t1": float("nan")}, "t1 must be finite"),
+                               ({"dt": 1e-9}, "t1 must be at most")):
+        with pytest.raises(ParseError, match=message):
+            cfg.simulation(overrides)
+
+
 def test_unknown_section_and_key(tmp_path):
     with pytest.raises(ParseError, match=r"unknown section \[extra\]"):
         load(tmp_path, "[bundle]\nbase_dim = 1\nfibre_dim = 1\n[extra]\n")

@@ -49,6 +49,58 @@ def test_structure_constant_guards():
         ActionSpec.from_expressions(ch3, eye, C=C)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_model_data_is_named_before_symmetry(value):
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        ActionSpec.from_expressions(CH, [["1"]], C=[[[value]]])
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        MagneticModel.from_expressions(1, 1, C=[[[value]]])
+    with pytest.raises(ValueError, match="fibre metric k must be finite"):
+        MagneticModel.from_expressions(1, 1, k=[[value]])
+    with pytest.raises(ValueError, match="fibre metric k must be finite"):
+        MagneticModel.from_expressions(1, 2, k=[[1.0, 0.0], [value, 1.0]])
+
+
+@pytest.mark.parametrize("C", [
+    [[[0.0, 1.0], [-1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[[0.0, [1.0]], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[0.0, 1.0], [-1.0, 0.0]]], ids=["ragged", "deep", "shallow"])
+def test_structure_constants_of_the_wrong_shape(C):
+    eye = [["1", "0"], ["0", "1"]]
+    with pytest.raises(DimensionMismatch,
+                       match=r"structure constants must be \(2, 2, 2\)"):
+        ActionSpec.from_expressions(BundleChart(1, 2), eye, C=C)
+    with pytest.raises(DimensionMismatch,
+                       match=r"structure constants must be \(2, 2, 2\)"):
+        MagneticModel.from_expressions(1, 2, C=C)
+
+
+def test_jacobi_residual_matches_the_array_formula():
+    # the residual of the cyclic sum, computed with array contractions
+    rng = np.random.default_rng(5)
+    C = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    C = C - C.swapaxes(1, 2)
+    P = np.tensordot(C, C, axes=(1, 0))  # P[e,a,b,c] = C^e_da C^d_bc
+    jac = P + P.transpose(0, 3, 1, 2) + P.transpose(0, 2, 3, 1)
+    eye = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError) as err:
+        ActionSpec.from_expressions(BundleChart(1, 3), eye, C=C)
+    assert str(err.value).endswith(f"(residual {np.abs(jac).max():.3e})")
+
+
+def test_structure_constants_are_stored_as_float_lists():
+    # so(3), given as an array: [e_a, e_b] = eps_abc e_c
+    C = np.zeros((3, 3, 3))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        C[c, a, b], C[c, b, a] = 1.0, -1.0
+    action = ActionSpec.from_expressions(
+        BundleChart(1, 3), [["1" if i == j else "0" for j in range(3)]
+                            for i in range(3)], C=C)
+    assert action.C == C.tolist()
+    assert all(type(c) is float for plane in action.C for row in plane
+               for c in row)
+
+
 def test_generator_frame_must_be_invertible():
     with pytest.raises(SingularMatrix):
         ActionSpec.from_expressions(CH, [["0"]])
