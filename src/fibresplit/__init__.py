@@ -6,9 +6,8 @@ The public surface re-exports the chart/point types, the splitting
 calculus, Lagrangian machinery, reduction tools, and the config loader.
 Everything is plain Python: compiled expressions evaluate their jets
 through straight-line code generated once per expression, and points,
-trajectories and sampled maxima are lists of floats.  numpy draws the
-samples, takes two determinants and eigenvalues, and carries the public
-Jet2.
+trajectories, sampled maxima and Jet2's derivatives are lists of floats,
+and the package has no runtime dependency.
 """
 
 from .bundle import (BundleChart, DerivedField, PullbackPoint,

@@ -275,13 +275,6 @@ class DerivedField(ScalarField):
     def value(self, x):
         return float(self.vg(self._point(x))[0])
 
-    def _point(self, x):
-        x = as_floats(x)
-        if len(x) != self.arity:
-            raise DimensionMismatch(
-                f"field '{self.label}' expects {self.arity} inputs")
-        return x
-
     def vg_lists(self, x):
         """The exact value and gradient at x as Python floats, checked
         finite as jet checks them, without differencing for the Hessian."""
@@ -303,8 +296,8 @@ class DerivedField(ScalarField):
             gp = self.vg([a + b for a, b in zip(x, e)])[1]
             gm = self.vg([a - b for a, b in zip(x, e)])[1]
             rows.append([(p - q) / (2.0 * h) for p, q in zip(gp, gm)])
-        hess = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(k)]
-                for i in range(k)]
+        hess = [0.5 * (rows[i][j] + rows[j][i]) for i in range(k)
+                for j in range(k)]
         return Jet2(val, grad, hess)
 
 

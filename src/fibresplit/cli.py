@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .config import load_config
 from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
                      DomainError, ExprSyntaxError, FlowEscape,
@@ -28,7 +26,7 @@ from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
-from .numerics import dot, max_gap
+from .numerics import Generator, dot, max_gap
 from .reduction import (connection_test_domega, decoupling_check,
                         integrate_magnetic, invariance_check,
                         magnetic_lp_system, principal_check, unreduce)
@@ -223,8 +221,7 @@ def _cmd_el_simulate(run, cfg, chart, sim, args):
     rec = integrate_sode(sode, ic, sim["t0"], sim["t1"], sim["dt"],
                          diagnostic=lambda t, z: {"energy": _energy(L, z)})
     E = rec.diagnostics["energy"]
-    run.report["residuals"]["energy_drift"] = float(
-        max(abs(e - E[0]) for e in E))
+    run.report["residuals"]["energy_drift"] = max(abs(e - E[0]) for e in E)
     run.report["values"]["final_state"] = rec.final
     run.csv = (_state_header(chart, ["energy"]),
                _trajectory_rows(rec, ["energy"]))
@@ -242,8 +239,7 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     run.check("constraint_rate_residual", max(rate),
               run.report["tolerances"]["dynamic"])
     E = rec.diagnostics["energy"]
-    run.report["residuals"]["energy_drift"] = float(
-        max(abs(e - E[0]) for e in E))
+    run.report["residuals"]["energy_drift"] = max(abs(e - E[0]) for e in E)
     rows = [[t] + s + w + [e] for t, s, w, e in
             zip(rec.t, rec.states, ws, rec.diagnostics["energy"])]
     run.report["values"]["final_state"] = rec.final
@@ -286,10 +282,10 @@ def _cmd_curvature(run, cfg, chart, sim, args):
         run.report["verdicts"]["affine"] = False
         n = chart.n
         pairs = []
-        rng = np.random.default_rng(run.report["seed"])
+        rng = Generator(run.report["seed"])
         for _ in range(3):
-            u1 = rng.uniform(-1.0, 1.0, n).tolist()
-            u2 = rng.uniform(-1.0, 1.0, n).tolist()
+            u1 = rng.uniform(-1.0, 1.0, n)
+            u2 = rng.uniform(-1.0, 1.0, n)
             val = curvature_pointwise(spec, u1, u2, (x, y))
             pairs.append({"u": u1, "v": u2, "R": val.w})
         run.report["values"]["pointwise_curvature"] = pairs

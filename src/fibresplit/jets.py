@@ -1,9 +1,8 @@
 """Second-order forward-mode derivatives.
 
 Jet2 carries (value, gradient, hessian) of a scalar function of k inputs
-and overloads arithmetic so ordinary numeric code propagates both
-derivative orders.  numpy ufuncs dispatch to the like-named methods, so
-np.sin(jet) works.
+as a float, k floats and k*k floats in row order, and overloads
+arithmetic so ordinary numeric code propagates both derivative orders.
 
 ScalarField wraps an evaluator (list of Jet2 -> Jet2) with an arity and a
 label.  TapeField is the compiled-expression variant: it evaluates through
@@ -12,23 +11,22 @@ that code raises the field's DomainError itself, and value() is its
 Python float.  TapeField keeps the plain-algebra evaluator as the
 independent oracle the tests check it against, and the folded AST it was
 compiled from, so that fields built from expressions compose by
-substitution into one tape (exprs.compose).  Fields that are not expressions, such as induced
-coefficients, go through bundle.DerivedField instead.
+substitution into one tape (exprs.compose).  Fields that are not
+expressions, such as induced coefficients, go through bundle.DerivedField
+instead.
 
-Every field also gives its jet as plain Python floats, jet_lists(x) ->
-(value, gradient list, row-major Hessian list), and its first two
-entries alone as vg_lists(x).  For a TapeField that is the kernel's own
-output, checked but never copied into arrays.  These are the one way
-library code reads derivatives; a Jet2 is built only by the
-public jet(), by the algebra oracle and the evaluators of fields that are
-not expressions, by bundle.DerivedField, and by the chain rule
-(ScalarField.chain, jet2_compose).
+Every field also gives its jet as the lists of a Jet2, jet_lists(x) ->
+(value, gradient, Hessian), and its first two entries alone as
+vg_lists(x); a TapeField's are the kernel's own, checked, and its jet()
+wraps them uncopied.  These are the one way library code reads
+derivatives; a Jet2 is built only by the public jet(), by the algebra
+oracle and the evaluators of fields that are not expressions, by
+bundle.DerivedField, and by the chain rule (ScalarField.chain,
+jet2_compose).
 """
 
 import math
 import sys
-
-import numpy as np
 
 from . import _kernels
 from .errors import ArityError, DimensionMismatch, DomainError
@@ -39,66 +37,57 @@ _EXP_MAX_ARG = math.log(sys.float_info.max)  # exp overflows above this
 
 
 class Jet2:
-    """Value, gradient and Hessian of a scalar at a point.
+    """Value, gradient and Hessian of a scalar at a point, in the layout of
+    jet_lists: a float, k floats and k*k floats in row order.
 
     hessian must be symmetric (tolerance 1e-12 relative) and all entries
     finite; violations raise at construction so downstream code can trust
-    every Jet2 it holds.  Jet2._trusted wraps kernel output and seeds,
-    whose invariants their makers have checked already.
+    every Jet2 it holds.
     """
 
     __slots__ = ("value", "gradient", "hessian")
-    __array_priority__ = 100  # keep numpy from consuming us in mixed ops
 
     def __init__(self, value, gradient, hessian):
-        value = float(value)
-        gradient = np.asarray(gradient, dtype=float)
-        hessian = np.asarray(hessian, dtype=float)
-        k = gradient.shape[0]
-        if gradient.shape != (k,) or hessian.shape != (k, k):
+        value, gradient, hessian = (float(value), as_floats(gradient),
+                                    as_floats(hessian))
+        k = len(gradient)
+        if len(hessian) != k * k:
             raise DimensionMismatch(
-                f"jet shapes {gradient.shape}, {hessian.shape} for arity {k}")
-        if not (math.isfinite(value) and np.isfinite(gradient).all()
-                and np.isfinite(hessian).all()):
+                f"jet of {k} gradient and {len(hessian)} Hessian entries")
+        if not all_finite((value,), gradient, hessian):
             raise DomainError("jet has non-finite entries")
+        transpose = [e for i in range(k) for e in hessian[i::k]]
         # an exactly symmetric hessian passes the tolerance test below
-        if not (hessian == hessian.T).all():
-            scale = 1.0 + np.abs(hessian).max()
-            if np.abs(hessian - hessian.T).max() > 1e-12 * scale:
+        if hessian != transpose:
+            gap = max(abs(a - b) for a, b in zip(hessian, transpose))
+            if gap > 1e-12 * (1.0 + max(map(abs, hessian))):
                 raise ValueError("jet hessian is not symmetric")
-        self.value = value
-        self.gradient = gradient
-        self.hessian = hessian
+        self.value, self.gradient, self.hessian = value, gradient, hessian
 
     @classmethod
     def _trusted(cls, value, gradient, hessian):
-        """Jet from a value, k gradient floats and k*k Hessian floats in
-        row order (sequences), unchecked: for the seeds and for
-        TapeField.jet_lists' output, whose shape and symmetry hold by
-        construction and whose finiteness is checked where they are
-        made."""
+        """Jet holding the float value and the gradient and Hessian lists
+        as given, unchecked: for the seeds and for jet_lists' output,
+        whose shape and symmetry hold by construction and whose
+        finiteness is checked where they are made."""
         jet = object.__new__(cls)
-        k = len(gradient)
-        jet.value = float(value)
-        jet.gradient = np.array(gradient, dtype=float)
-        jet.hessian = np.array(hessian, dtype=float).reshape(k, k)
+        jet.value, jet.gradient, jet.hessian = value, gradient, hessian
         return jet
 
     @property
     def arity(self):
-        return self.gradient.shape[0]
+        return len(self.gradient)
 
     @classmethod
     def constant(cls, c, k):
-        return cls(c, np.zeros(k), np.zeros((k, k)))
+        return cls(c, [0.0] * k, [0.0] * (k * k))
 
     @classmethod
     def variable(cls, x, i, k):
         if not math.isfinite(x):
             raise DomainError("jet has non-finite entries")
-        g = [0.0] * k
-        g[i] = 1.0
-        return cls._trusted(x, g, [0.0] * (k * k))
+        return cls._trusted(float(x), [float(j == i) for j in range(k)],
+                            [0.0] * (k * k))
 
     def _coerce(self, other):
         if isinstance(other, Jet2):
@@ -110,50 +99,51 @@ class Jet2:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value + o.value, self.gradient + o.gradient,
-                    self.hessian + o.hessian)
+        return Jet2(self.value + o.value,
+                    [a + b for a, b in zip(self.gradient, o.gradient)],
+                    [a + b for a, b in zip(self.hessian, o.hessian)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value - o.value, self.gradient - o.gradient,
-                    self.hessian - o.hessian)
+        return Jet2(self.value - o.value,
+                    [a - b for a, b in zip(self.gradient, o.gradient)],
+                    [a - b for a, b in zip(self.hessian, o.hessian)])
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value * o.value,
-                    self.gradient * o.value + self.value * o.gradient,
-                    self.hessian * o.value + self.value * o.hessian
-                    + np.outer(self.gradient, o.gradient)
-                    + np.outer(o.gradient, self.gradient))
+        u, w, p, q = self.value, o.value, self.gradient, o.gradient
+        return Jet2(u * w, [a * w + u * b for a, b in zip(p, q)],
+                    [a * w + u * b + c + d for a, b, c, d in zip(
+                        self.hessian, o.hessian, _outer(p, q), _outer(q, p))])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.value == 0.0:
+        w, q = o.value, o.gradient
+        if w == 0.0:
             raise DomainError("division by zero")
-        f = self.value / o.value
-        g = (self.gradient - f * o.gradient) / o.value
-        h = (self.hessian - np.outer(g, o.gradient)
-             - np.outer(o.gradient, g) - f * o.hessian) / o.value
-        return Jet2(f, g, h)
+        f = self.value / w
+        g = [(a - f * b) / w for a, b in zip(self.gradient, q)]
+        return Jet2(f, g, [(a - c - d - f * b) / w for a, b, c, d in zip(
+            self.hessian, o.hessian, _outer(g, q), _outer(q, g))])
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return Jet2(-self.value, -self.gradient, -self.hessian)
+        return Jet2(-self.value, [-a for a in self.gradient],
+                    [-a for a in self.hessian])
 
     def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)):
+        if not isinstance(n, int):
             raise TypeError("jet ** exponent must be an integer; "
                             "use exp/log for general powers")
-        n = int(n)
         if n == 0:
             return Jet2.constant(1.0, self.arity)
         u = self.value
@@ -171,26 +161,27 @@ class Jet2:
         return self._chain1(f, fp, fpp)
 
     def _chain1(self, f, fp, fpp):
-        return Jet2(f, fp * self.gradient,
-                    fp * self.hessian
-                    + fpp * np.outer(self.gradient, self.gradient))
+        g = self.gradient
+        return Jet2(f, [fp * a for a in g],
+                    [fp * a + fpp * b for a, b in zip(self.hessian,
+                                                      _outer(g, g))])
 
     def sin(self):
-        s, c = np.sin(self.value), np.cos(self.value)
+        s, c = math.sin(self.value), math.cos(self.value)
         return self._chain1(s, c, -s)
 
     def cos(self):
-        s, c = np.sin(self.value), np.cos(self.value)
+        s, c = math.sin(self.value), math.cos(self.value)
         return self._chain1(c, -s, -c)
 
     def tan(self):
-        t = np.tan(self.value)
+        t = math.tan(self.value)
         return self._chain1(t, 1.0 + t * t, 2.0 * t * (1.0 + t * t))
 
     def exp(self):
         if self.value > _EXP_MAX_ARG:
             raise DomainError("exp overflow")
-        e = np.exp(self.value)
+        e = math.exp(self.value)
         return self._chain1(e, e, e)
 
     def log(self):
@@ -199,12 +190,12 @@ class Jet2:
         u = self.value
         if u * u == 0.0:
             raise DomainError("log overflow")
-        return self._chain1(np.log(u), 1.0 / u, -1.0 / (u * u))
+        return self._chain1(math.log(u), 1.0 / u, -1.0 / (u * u))
 
     def sqrt(self):
         if self.value <= 0.0:
             raise DomainError("sqrt of nonpositive value")
-        s = np.sqrt(self.value)
+        s = math.sqrt(self.value)
         return self._chain1(s, 0.5 / s, -0.25 / (s * self.value))
 
     def abs(self, slit_eps=SLIT_EPS_DEFAULT):
@@ -221,11 +212,15 @@ class Jet2:
         return f"Jet2({self.value!r}, grad={self.gradient!r})"
 
 
+def _outer(p, q):
+    """The entries p_i q_j of the outer product, in row order."""
+    return [a * b for a in p for b in q]
+
+
 def seed_jets(x):
     """Independent-variable jets at x: identity gradient, zero hessian."""
-    x = np.asarray(x, dtype=float)
-    k = x.shape[0]
-    return [Jet2.variable(x[i], i, k) for i in range(k)]
+    x = as_floats(x)
+    return [Jet2.variable(v, i, len(x)) for i, v in enumerate(x)]
 
 
 def jet2_compose(outer, inners):
@@ -233,27 +228,36 @@ def jet2_compose(outer, inners):
 
     outer is a Jet2 in K intermediate variables, inners are K jets in the
     true variables.  This is the one composition routine everything else
-    (lifts, pullbacks, restricted Lagrangians) goes through.
+    (lifts, pullbacks, restricted Lagrangians) goes through.  Each sum
+    runs from 0.0 in index order, skipping terms with a zero factor.
     """
     K = outer.arity
     if len(inners) != K:
         raise ArityError(f"outer expects {K} inner jets, got {len(inners)}")
     k = inners[0].arity
-    G = np.empty((K, k))
-    for a, jet in enumerate(inners):
-        if jet.arity != k:
-            raise DimensionMismatch("inner jets have mixed arities")
-        G[a] = jet.gradient
-    grad = outer.gradient @ G
-    hess = G.T @ outer.hessian @ G
-    for a, jet in enumerate(inners):
-        hess = hess + outer.gradient[a] * jet.hessian
-    # the sum is symmetric only to rounding; float addition commutes, so
-    # the average with the transpose is symmetric bit for bit (halved
-    # first, so that it cannot overflow)
-    half = 0.5 * hess
-    hess = half + half.T
-    return Jet2(outer.value, grad, hess)
+    if any(jet.arity != k for jet in inners):
+        raise DimensionMismatch("inner jets have mixed arities")
+    og, oh = outer.gradient, outer.hessian
+    grad, hess = [0.0] * k, [0.0] * (k * k)
+    gth = [[0.0] * k for _ in range(K)]  # gth[b][i] = (G^T F'')[i][b]
+    for a, (g, jet) in enumerate(zip(og, inners)):  # G[a] = jet.gradient
+        grad = [s + g * e for s, e in zip(grad, jet.gradient)]
+        for b, h in enumerate(oh[a * K:(a + 1) * K]):
+            if h:
+                gth[b] = [s + e * h for s, e in zip(gth[b], jet.gradient)]
+    for col, jet in zip(gth, inners):  # row i of (G^T F'') G, over b
+        for i, t in enumerate(col):
+            if t:
+                hess[i * k:(i + 1) * k] = [s + t * e for s, e in zip(
+                    hess[i * k:(i + 1) * k], jet.gradient)]
+    for g, jet in zip(og, inners):
+        if g and any(jet.hessian):
+            hess = [s + g * e for s, e in zip(hess, jet.hessian)]
+    # symmetric only to rounding; float addition commutes, so the average
+    # with the transpose is symmetric bit for bit (halved first: no overflow)
+    half = [0.5 * e for e in hess]
+    return Jet2(outer.value, grad, [half[i * k + j] + half[j * k + i]
+                                    for i in range(k) for j in range(k)])
 
 
 class ScalarField:
@@ -268,19 +272,24 @@ class ScalarField:
         self.evaluator = evaluator
         self.label = label
 
-    def jet(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.arity,):
+    def _point(self, x):
+        """x as a list of k Python floats."""
+        x = as_floats(x)
+        if len(x) != self.arity:
             raise DimensionMismatch(
                 f"field '{self.label}' expects {self.arity} inputs, "
-                f"got shape {x.shape}")
-        return self.evaluator(seed_jets(x))
+                f"got {len(x)}")
+        return x
+
+    def jet(self, x):
+        return self.evaluator(seed_jets(self._point(x)))
 
     def jet_lists(self, x):
         """The jet at x as Python floats: (value, gradient as a list of k
-        floats, Hessian as a list of k*k floats in row order)."""
+        floats, Hessian as a list of k*k floats in row order), the jet's
+        own lists."""
         jet = self.jet(x)
-        return jet.value, jet.gradient.tolist(), jet.hessian.ravel().tolist()
+        return jet.value, jet.gradient, jet.hessian
 
     def vg_lists(self, x):
         """The value and gradient at x as Python floats: jet_lists without
@@ -300,8 +309,7 @@ class ScalarField:
             raise ArityError(
                 f"field '{self.label}' expects {self.arity} arguments, "
                 f"got {len(inners)}")
-        at = np.array([j.value for j in inners])
-        return jet2_compose(self.jet(at), inners)
+        return jet2_compose(self.jet([j.value for j in inners]), inners)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label!r}, arity={self.arity})"
@@ -338,15 +346,6 @@ class TapeField(ScalarField):
                                              self.arity, self.out_reg,
                                              self.slit_eps, self.label)
         return self._kernel
-
-    def _point(self, x):
-        """x as a list of k Python floats."""
-        x = as_floats(x)
-        if len(x) != self.arity:
-            raise DimensionMismatch(
-                f"field '{self.label}' expects {self.arity} inputs, "
-                f"got {len(x)}")
-        return x
 
     def jet_lists(self, x):
         """The kernel's jet at x, (value, k gradient floats, k*k Hessian

@@ -17,17 +17,15 @@ in its public jet().
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bundle import DerivedField
 from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      HypothesisFailed, NoConvergence, NotSubducible,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse, polynomial_degree
 from .jets import Jet2, ScalarField
-from .numerics import (all_finite, as_floats, condition_number, dot,
-                       linear_solve, max_gap, newton_solve, rk4_integrate,
-                       sample_max)
+from .numerics import (Generator, all_finite, as_floats, condition_number,
+                       det, dot, linear_solve, max_gap, newton_solve,
+                       rk4_integrate, sample_max)
 from .splitting import SplittingSpec
 
 
@@ -90,7 +88,7 @@ def fibre_regularity(L, w_pt):
     k = 2 * L.chart.n + L.chart.m
     z = w_pt.as_array()
     W = _fibre_system(L, z[:k])(z[k:])[1]
-    return {"det": float(np.linalg.det(W)),
+    return {"det": det(W),
             "condition": condition_number(W)}
 
 
@@ -269,7 +267,7 @@ def _probe_branches(spec):
     Where L is quadratic in w and L_ww passes linear_solve at the reference
     root, that root is the only one, and the drawn seeds are not run."""
     n, m = spec.chart.n, spec.chart.m
-    rng = np.random.default_rng(2718)
+    rng = Generator(2718)
 
     def probe(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
@@ -295,7 +293,7 @@ def _probe_branches(spec):
             if gap > 1e-6 * (1.0 + max(map(abs, w_ref))):
                 raise BranchAmbiguity(
                     f"second root at distance {gap:.3e} from the tracked "
-                    f"branch near x={np.array(x)}, v={np.array(v)}")
+                    f"branch near x={x!r}, v={v!r}")
         return 0.0
 
     sample_max(probe, 5, rng, 2 * n + m, max(0.5, 2.0 * spec.chart.slit_eps))
@@ -447,8 +445,7 @@ def subduce(L, h, samples=50, seed=42, box=1.0):
     if worst_dep > 1e-6:
         raise NotSubducible(
             f"restriction depends on the fibre point: {worst_dep:.3e}")
-    return SubductionResult(SubducedField(L, h, y_ref), float(worst_dep),
-                            y_ref)
+    return SubductionResult(SubducedField(L, h, y_ref), worst_dep, y_ref)
 
 
 @dataclass
@@ -495,13 +492,13 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
         ps.append(grad[n:])
         gx.append(grad[:n])
         Huu = [hess[2 * n * r + n:2 * n * (r + 1)] for r in range(n, 2 * n)]
-        min_det = min(min_det, abs(np.linalg.det(Huu)))
+        min_det = min(min_det, abs(det(Huu)))
     el_res = 0.0
     for i in range(1, len(ts) - 1):
         dt_i = ts[i + 1] - ts[i - 1]
         el_res = max(el_res, max(abs((a - b) / dt_i - g) for a, b, g in
                                  zip(ps[i + 1], ps[i - 1], gx[i])))
-    return ProjectionReport(dev, drift, el_res, float(min_det))
+    return ProjectionReport(dev, drift, el_res, min_det)
 
 
 def liouville_derivative(L, z):
@@ -521,7 +518,7 @@ def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
         gap = abs(liouville_derivative(L, z) - 2.0 * L.field.value(z))
         if gap >= 1e-8:
             raise HypothesisFailed(
-                f"Delta(L) - 2L = {gap:.3e} at z={np.array(z)}; Lagrangian "
+                f"Delta(L) - 2L = {gap:.3e} at z={z!r}; Lagrangian "
                 f"is not 2-homogeneous in the velocities")
         return gap
 

@@ -1,31 +1,26 @@
 """Dense linear solves, damped Newton, fixed-step RK4, and sampled maxima.
 
 Linear systems here are chart-sized: k is at most the chart dimension
-n + m, and 1 to 3 on the shipped models.  At those sizes a numpy call
-costs more than the arithmetic, so linear solves run in plain Python
-floats: LU with partial pivoting and the 1-norm condition number from the
-factors (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-2002, ch. 9 and 15).  Each system shape (k rows, r right-hand sides) is
-lowered once, on first use, to one straight-line function with every loop
-unrolled and every index resolved; the condition number's k triangular
-solves still cost O(k^3), and up to k = 6 a call stays cheaper than
-LAPACK's solve plus its condition number (tools/time_solves.py).  The
-contract is strict: solves are rejected on a large condition number and
-the residual postcondition is always verified.  linear_solve reads A as
-k rows and b as k numbers or k rows straight into the flat float lists
-its kernel takes, and returns x laid out like b, as Python floats.
+n + m, and 1 to 3 on the shipped models.  Linear solves run in plain
+Python floats: LU with partial pivoting and the 1-norm condition number
+from the factors (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., 2002, ch. 9 and 15), whose pivots also give det.  Each system
+shape (k rows, r right-hand sides) is lowered once, on first use, to one
+straight-line function with every loop unrolled and every index
+resolved; up to k = 6 a call stays cheaper than LAPACK's solve plus its
+condition number (tools/time_solves.py).  The contract is strict: solves
+are rejected on a large condition number and the residual postcondition
+is always verified.  linear_solve reads A as k rows and b as k numbers
+or k rows, and returns x laid out like b, as Python floats.
 
 Vectors are lists of Python floats here, as everywhere in the package.
-newton_solve and rk4_integrate step their state as such a list.
-Newton's system(x) receives it and returns F as k floats and DF as k
-rows; the root it returns is a list too.  RK4's right-hand side f(t, y)
-and diagnostic(t, y) receive the list, f returns d floats, and each stage
-is summed entry by entry in the order of the array expressions it
-replaces, so every state is bit for bit what numpy arithmetic gives; the
-record holds the times, states and diagnostics as lists.  sample_max
-hands each residual its draw as a list of floats and keeps the largest
-residual as a float, or as a list of floats.  numpy is left here only to
-draw those samples.
+newton_solve and rk4_integrate step their state as such a list, and each
+RK4 stage is summed entry by entry in the order of the array expressions
+it replaced.  sample_max hands each residual its draw as a list of
+floats and keeps the largest residual as a float, or as a list of
+floats.  Every sample draw in the package comes from Generator, numpy's
+default generator (SeedSequence seeding a PCG64 stream; O'Neill, "PCG",
+HMC-CS-2014-0905, 2014) in plain Python, bit for bit.
 
 Float sums here and in the right-hand sides run left to right, through
 dot, total or a generated + chain, never through sum(), which Python
@@ -35,9 +30,8 @@ dot, total or a generated + chain, never through sum(), which Python
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, NoConvergence,
                      NonFiniteState, SingularMatrix)
@@ -129,7 +123,9 @@ def _solver(k, r):
     flat lists of floats; x is laid out like b, and None when kappa_1 is
     not <= cond_bound (kappa_1 is inf at an exactly zero pivot).  A
     solution that misses max|Ax-b| <= 1e-10 (scale + max|b|) raises
-    SingularMatrix.  r = 0 gives kappa_1 alone.
+    SingularMatrix.  r = 0 gives (kappa_1, det A) instead, det A the
+    product of U's diagonal negated once per row swap, 0.0 at an exactly
+    zero pivot.
 
     The kernel factors P A = L U by partial pivoting, the pivot being the
     first row with the strictly largest |entry|; |A^-1|_1 is the largest
@@ -143,7 +139,8 @@ def _solver(k, r):
     f = [[f"f{i}_{j}" for j in n] for i in n]   # L below, U on and above
     b = [[f"b{c}_{i}" for i in n] for c in range(r)]
     w = [[f"w{c}_{i}" for i in n] for c in range(r)]  # y, then x
-    body = []
+    body = [] if r else ["sign = 1.0"]
+    fail = "None" if r else "0.0"  # what x, or det A, is at a zero pivot
     if k:
         body += [f"{', '.join(itertools.chain(*a))}, = a",
                  f"{', '.join(itertools.chain(*f))}, = a"]
@@ -158,15 +155,16 @@ def _solver(k, r):
             for i in below:
                 body += [f"t = abs({f[i][j]})", "if t > big:",
                          f"    p = {i}", "    big = t"]
-            body += ["if big == 0.0:", "    return _inf, None"]
+            body += ["if big == 0.0:", f"    return _inf, {fail}"]
         else:
-            body += [f"if {f[j][j]} == 0.0:", "    return _inf, None"]
+            body += [f"if {f[j][j]} == 0.0:", f"    return _inf, {fail}"]
         for i in below:
             top = f[j] + [wc[j] for wc in w]
             row = f[i] + [wc[i] for wc in w]
             body += [f"{'if' if i == j + 1 else 'elif'} p == {i}:",
                      f"    {', '.join(top + row)} = "
-                     f"{', '.join(row + top)}"]
+                     f"{', '.join(row + top)}"] + ([] if r else
+                                                  ["    sign = -sign"])
         for i in below:
             body.append(f"{f[i][j]} = {f[i][j]} / {f[j][j]}")
             body += [f"{f[i][c]} = {f[i][c]} - {f[i][j]} * {f[j][c]}"
@@ -186,8 +184,9 @@ def _solver(k, r):
         body += [f"s = {_sum_of([f'abs(z{i})' for i in n])}",
                  "if s > inv or s != s:", "    inv = s"]
     norm = _max_of([_sum_of([f"abs({a[i][j]})" for i in n]) for j in n])
-    body += [f"cond = {norm} * inv", "if not cond <= cond_bound:",
-             "    return cond, None"]
+    body.append(f"cond = {norm} * inv")
+    if r:  # r = 0 has nothing to solve and no bound to meet
+        body += ["if not cond <= cond_bound:", "    return cond, None"]
     # forward and back substitution, then the residual postcondition
     for wc in w:
         body += [f"{wc[i]} = " + _terms(
@@ -204,10 +203,12 @@ def _solver(k, r):
             body += [f"t = abs({dot} - {bc[i]})",
                      "if t > resid or t != t:", "    resid = t"]
     bmax = _max_of([f"abs({e})" for e in itertools.chain(*b)])
+    x = (f"[{', '.join(itertools.chain(*w))}]" if r
+         else " * ".join(["sign", *(f[i][i] for i in n)]))
     body += [f"if not resid <= 1e-10 * (scale + {bmax}):",
              "    raise _SingularMatrix(f'solution residual "
              "{resid / scale:.3e} violates postcondition')",
-             f"return cond, [{', '.join(itertools.chain(*w))}]"]
+             f"return cond, {x}"]
     src = "\n".join(["def solve(a, b, cond_bound, scale):"]
                     + [f"    {line}" for line in body])
     namespace = {"_inf": math.inf, "_SingularMatrix": SingularMatrix}
@@ -244,6 +245,26 @@ def condition_number(A):
     if scale != 1.0:
         a = [v * scale for v in a]
     return _solver(k, 0)(a, [], math.inf, scale)[0]
+
+
+def det(A):
+    """The determinant of a square matrix, given as k rows of k numbers,
+    from the factors condition_number forms (0.0 at an exactly zero
+    pivot).  Raises DimensionMismatch when A is not square."""
+    a, k = _square(A)
+    scale = _unit_scale(a)
+    if scale != 1.0:
+        a = [v * scale for v in a]
+    d = _solver(k, 0)(a, [], math.inf, scale)[1]
+    for _ in range(k):
+        d /= scale  # exact, barring over- or underflow of det A itself
+    return d
+
+
+def positive_definite(A):
+    """Whether the symmetric matrix A, given as k rows of k numbers, is
+    positive definite: every leading principal minor's det is > 0."""
+    return all(det([r[:i] for r in A[:i]]) > 0.0 for i in range(1, len(A) + 1))
 
 
 def linear_solve(A, b, cond_bound=1e13):
@@ -442,6 +463,81 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     return record
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, uint64) for an int
+    seed >= 0: the seed's 32-bit words hashed into a pool of four, and
+    eight words drawn from the pool, paired low word first."""
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Generator:
+    """The draws of numpy's default_rng(seed), bit for bit, in plain
+    Python: a PCG64 stream (128-bit LCG state, XSL-RR output) seeded
+    through SeedSequence from an int seed >= 0."""
+
+    def __init__(self, seed):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        s0, s1, i0, i1 = _seed_state(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # from state 0: step, add the seed word, step
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
+                       + self._inc) & _MASK128
+
+    def _next64(self):
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        state = self._state
+        value, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (value >> rot | value << (-rot & 63)) & _MASK64
+
+    def uniform(self, lo, hi, n):
+        """n draws from [lo, hi), as a list of floats: lo + (hi - lo) u,
+        u a multiple of 2^-53 from the next 64 bits of the stream."""
+        span = hi - lo
+        return [lo + span * ((self._next64() >> 11) * 2.0 ** -53)
+                for _ in range(n)]
+
+
 @dataclass
 class SampleReport:
     """Max-abs residual over a sampled box, with bookkeeping.
@@ -462,18 +558,18 @@ def sample_max(residual, samples, seed, width, box=1.0):
     numpy's maximum takes it: a nan, once seen, stays.
 
     A draw whose residual raises DomainError is skipped and redrawn, up to
-    50 draws per sample in total.  seed may be a Generator, so a caller
-    drawing from the same stream keeps its draw order.  Raises ValueError
-    when the box is too wide to draw from (2 box overflows), and
-    DomainError when no draw is usable.
+    50 draws per sample in total.  seed is an int or a Generator, whose
+    stream a caller then shares.  Raises ValueError when the box is too
+    wide to draw from (2 box overflows), and DomainError when no draw is
+    usable.
     """
     if not math.isfinite(2.0 * box):
         raise ValueError(f"sampling box {box!r} is too wide to draw from")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, Generator) else Generator(seed)
     worst = None
     used = skipped = 0
     while used < samples and used + skipped < 50 * samples:
-        z = rng.uniform(-box, box, width).tolist()
+        z = rng.uniform(-box, box, width)
         try:
             r = residual(z)
         except DomainError:

@@ -14,17 +14,15 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .bundle import SecondTangentPoint
 from .errors import (DimensionMismatch, DomainError, FlowEscape,
                      NonFiniteState, NotPrincipal, SingularMatrix)
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
-from .numerics import (SampleReport, _square, as_floats, condition_number,
-                       dot, linear_solve, max_gap, rk4_integrate, sample_max,
-                       total)
+from .numerics import (Generator, SampleReport, _square, as_floats,
+                       condition_number, dot, linear_solve, max_gap,
+                       positive_definite, rk4_integrate, sample_max, total)
 from .splitting import vilms_horizontal, vilms_vertical_projector
 
 
@@ -79,13 +77,13 @@ class ActionSpec:
         if len(self.K) != m or any(len(row) != m for row in self.K):
             raise DimensionMismatch(f"K must be {m}x{m}")
         self.C = _check_structure_constants(self.C, m)
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, self.chart.n + m)
             Kv = self.K_matrix(q[:self.chart.n], q[self.chart.n:])
             if not condition_number(Kv) <= 1e13:
                 raise SingularMatrix(
-                    f"generator frame degenerate at sample point {q}")
+                    f"generator frame degenerate at sample point {q!r}")
 
     @classmethod
     def from_expressions(cls, chart, K_sources, C=None):
@@ -311,7 +309,7 @@ def vilms_principal_check(h, action, group_sample, state_samples=20,
         rhs = vilms_vertical_projector(h, _flow_lift(action, gamma, t, s))
         return max_gap(lhs.as_array(), rhs.as_array())
 
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     reps = [sample_max(partial(residual, gamma, t), state_samples, rng,
                        4 * (n + m), box) for gamma, t in group_sample]
     return SampleReport(max(r.max_residual for r in reps),
@@ -374,17 +372,17 @@ class MagneticModel:
                for a in range(m) for b in range(m) for g in range(m)):
             raise ValueError("fibre metric is not bi-invariant for the "
                              "given structure constants")
-        rng = np.random.default_rng(11)
+        rng = Generator(11)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, self.n)
             G = self.g_matrix(x)
             if any(G[i][j] != G[j][i] for i in range(self.n)
                    for j in range(self.n)):
                 raise ValueError(f"base metric g must be symmetric "
-                                 f"(asymmetric at x={x})")
-            if np.linalg.eigvalsh(G).min() <= 0.0:
+                                 f"(asymmetric at x={x!r})")
+            if not positive_definite(G):
                 raise ValueError(f"base metric not positive definite at "
-                                 f"x={x}")
+                                 f"x={x!r}")
 
     @classmethod
     def from_expressions(cls, n, m, g=None, k=None, V="0", A_base=None,
@@ -573,7 +571,7 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
     verdict = worst < 1e-8
 
     base_force = euler_lagrange_sode(system.Lbar).force
-    rng2 = np.random.default_rng(seed + 1)
+    rng2 = Generator(seed + 1)
 
     def subsystem(s):
         rhs = system.rhs(0.0, s)
@@ -587,6 +585,5 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
 
     sub_res, el_res, quad = sample_max(subsystem, min(samples, 25), rng2,
                                        2 * n + m, box).max_residual
-    return DecouplingReport(float(worst), verdict, float(sub_res),
-                            float(el_res), float(quad), rep.sample_count,
-                            seed)
+    return DecouplingReport(worst, verdict, sub_res, el_res, quad,
+                            rep.sample_count, seed)

@@ -46,6 +46,8 @@ def fd_check(field, x, step=1e-5):
             fd_hess[i, j] = (field.value(x + ei + ej) - field.value(x + ei - ej)
                              - field.value(x - ei + ej)
                              + field.value(x - ei - ej)) / (4 * step * step)
-    gerr = np.abs(jet.gradient - fd_grad).max() / (1.0 + np.abs(jet.gradient).max())
-    herr = np.abs(jet.hessian - fd_hess).max() / (1.0 + np.abs(jet.hessian).max())
+    grad = np.array(jet.gradient)
+    hess = np.array(jet.hessian).reshape(k, k)
+    gerr = np.abs(grad - fd_grad).max() / (1.0 + np.abs(grad).max())
+    herr = np.abs(hess - fd_hess).max() / (1.0 + np.abs(hess).max())
     return DerivativeReport(field.label, float(gerr), float(herr), step)

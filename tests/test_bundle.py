@@ -175,8 +175,8 @@ def test_derived_field_jet_matches_smooth_reference():
     q = np.array([0.6, -1.3])
     jf, jr = f.jet(q), ref.jet(q)
     assert abs(jf.value - jr.value) < 1e-15
-    assert np.abs(jf.gradient - jr.gradient).max() < 1e-15
-    assert np.abs(jf.hessian - jr.hessian).max() < 1e-7
+    assert np.abs(np.subtract(jf.gradient, jr.gradient)).max() < 1e-15
+    assert np.abs(np.subtract(jf.hessian, jr.hessian)).max() < 1e-7
 
 
 def test_derived_field_vg_lists_skip_the_differenced_hessian():

@@ -347,7 +347,22 @@ def test_branch_ambiguity_is_a_numerical_failure(tmp_path, capsys):
     assert run("induce", CONFIGS / "unreduce.ini", tmp_path / "u") == 3
     assert report(tmp_path / "u")["error"] == (
         "BranchAmbiguity: second root at distance 5.000e-01 from the "
-        "tracked branch near x=[-0.23478827], v=[0.36503056]")
+        "tracked branch near x=[-0.23478827073657804], "
+        "v=[0.36503055895078473]")
+
+
+def test_a_failed_homogeneity_hypothesis_prints_its_point(tmp_path, capsys):
+    # the point is the repr of the drawn float list, every digit kept
+    cfg = tmp_path / "cubic.ini"
+    cfg.write_text("[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                   '[lagrangian]\nL = "0.5*v1^2 + 0.5*w1^2 + w1*v1^2"\n'
+                   "homogeneity = 2\n")
+    assert run("check-all", cfg, tmp_path) == 1
+    text = ("Delta(L) - 2L = 2.030e-01 at z=[0.5479120971119267, "
+            "-0.12224312049589536, 0.7171958398227649, 0.3947360581187278]; "
+            "Lagrangian is not 2-homogeneous in the velocities")
+    assert report(tmp_path)["error"] == f"HypothesisFailed: {text}"
+    assert f"verification failed: {text}" in capsys.readouterr().err
 
 
 def test_branch_probe_reaches_past_a_wide_slit(tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import platform
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -45,7 +46,7 @@ def test_check_digests_lists_every_run_that_differs(tmp_path, capsys):
         (tmp_path / run / "exit.txt").write_text(text)
     runs = compare_outputs.digests(tmp_path)
     assert runs["a/cmd"] != runs["b/cmd"]
-    recorded = {**compare_outputs.versions(), "runs": dict(runs)}
+    recorded = {"python": platform.python_version(), "runs": dict(runs)}
     assert compare_outputs.check_digests(recorded, runs) == 0
     (tmp_path / "b" / "cmd" / "stdout.txt").write_text("")
     recorded["runs"]["c/cmd"] = runs["a/cmd"]
@@ -54,3 +55,9 @@ def test_check_digests_lists_every_run_that_differs(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-3:] == ["b/cmd: differs", "c/cmd: only recorded",
                         "2 runs checked, 2 differ from the record"]
+    # named configs restrict the check to their runs
+    only_a = {"a/cmd": runs["a/cmd"]}
+    assert compare_outputs.check_digests(recorded, only_a, ["a"]) == 0
+    assert compare_outputs.check_digests(recorded, only_a, ["a", "b"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "1 runs checked, 1 differ from the record"

@@ -1,15 +1,15 @@
-import ast
 import builtins
 import itertools
 import math
 import operator
-import shutil
+import os
 import struct
 import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
+from interpreters import find_python
 
 from fibresplit import numerics
 from fibresplit.bundle import BundleChart
@@ -17,9 +17,12 @@ from fibresplit.errors import (DimensionMismatch, NoConvergence,
                                NonFiniteState, SingularMatrix)
 from fibresplit.lagrangian import LagrangianSpec
 from fibresplit.nonholonomic import AffineConstraintSpec, ConstrainedSystem
-from fibresplit.numerics import (condition_number, linear_solve,
-                                 newton_solve, rk4_integrate)
+from fibresplit.numerics import (Generator, condition_number, det,
+                                 linear_solve, newton_solve,
+                                 positive_definite, rk4_integrate)
 from fibresplit.reduction import MagneticModel, MagneticSystem
+
+SRC = Path(numerics.__file__).parents[1]
 
 
 def test_linear_solve_recovers_known_solution():
@@ -296,6 +299,22 @@ def _reference_condition_number(A):
     return _reference_condition(a, lu, _reference_lu_factor(lu))
 
 
+def _reference_det(A):
+    """The product of U's diagonal, negated once per row swap, divided
+    back by the scale once per row; 0.0 at a zero pivot."""
+    a, scale = _reference_scaled(A)
+    lu = [row[:] for row in a]
+    order = _reference_lu_factor(lu)
+    if order is None:
+        return 0.0
+    d = float(np.linalg.det(np.eye(len(lu))[order]))  # the swaps' sign
+    for i, row in enumerate(lu):
+        d *= row[i]
+    for _ in lu:
+        d /= scale
+    return d
+
+
 def _reference_solve(A, b, cond_bound=1e13):
     """("x", shape, bytes of x) or ("SingularMatrix", message)."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
@@ -369,6 +388,7 @@ def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
                 _reference_solve(As, bs, 1e6)
             assert _bits(condition_number(As)) == \
                 _bits(_reference_condition_number(As))
+            assert _bits(det(As)) == _bits(_reference_det(As))
 
 
 @pytest.mark.parametrize("A, b, message", [
@@ -395,6 +415,66 @@ def test_condition_number_matches_the_loop_reference_off_the_finite_range():
             with np.errstate(invalid="ignore"):
                 assert _bits(condition_number(A)) == \
                     _bits(_reference_condition_number(A))
+
+
+def test_det_against_lapack():
+    # on random 1 x 1 to 4 x 4 matrices away from singularity (kappa_1 at
+    # most 100), where a relative comparison of determinants is meaningful
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(4000):
+        A = rng.uniform(-1.0, 1.0, (rng.integers(1, 5),) * 2)
+        if condition_number(A.tolist()) > 100.0:
+            continue
+        want = np.linalg.det(A)
+        assert abs(det(A.tolist()) - want) <= 1e-14 * abs(want)
+        checked += 1
+    assert checked > 3000
+
+
+def test_det_of_a_one_by_one_matrix_is_its_entry():
+    # LAPACK's det goes through exp(log|a|) and misses many of these
+    entries = np.random.default_rng(22).uniform(-1.0, 1.0, 2000).tolist()
+    assert [det([[a]]) for a in entries] == entries
+    assert sum(np.linalg.det([[a]]) != a for a in entries) > 100
+
+
+@pytest.mark.parametrize("A, want", [
+    ([[1.0, 2.0], [2.0, 4.0]], 0.0),
+    ([[0.0, 0.0], [0.0, 1.0]], 0.0),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]], 0.0),
+    # one row swap: the sign flips
+    ([[0.0, 1.0], [1.0, 0.0]], -1.0),
+    ([[1.0, 3.0], [2.0, 4.0]], -2.0),
+    # two swaps (a 3-cycle): the sign stays
+    ([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1.0),
+    ([], 1.0),
+    # scaled into range and back, one power of two per row
+    ([[2.0 ** 600, 0.0], [0.0, 2.0 ** -300]], 2.0 ** 300),
+])
+def test_det_closed_form(A, want):
+    got = det(A)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_positive_definite_against_eigenvalues():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(2000):
+        k = rng.integers(1, 5)
+        B = rng.uniform(-1.0, 1.0, (k, k))
+        S = B + B.T
+        lowest = np.linalg.eigvalsh(S).min()
+        if abs(lowest) < 1e-6:  # away from the boundary
+            continue
+        assert positive_definite(S.tolist()) == (lowest > 0.0)
+        seen.add(bool(lowest > 0.0))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("A", [[[-1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0]]])
+def test_positive_definite_rejects(A):
+    assert not positive_definite(A)
 
 
 def test_one_generated_kernel_per_shape():
@@ -588,47 +668,17 @@ def test_right_hand_sides_do_not_depend_on_the_sum_builtin(monkeypatch):
     assert outputs() == plain
 
 
-def _interpreter(version):
-    """A working Python `version` ("3.12") from PATH or pyenv's versions,
-    or None."""
-    candidates = [shutil.which(f"python{version}")]
-    if shutil.which("pyenv"):
-        root = subprocess.run(["pyenv", "root"], capture_output=True,
-                              text=True).stdout.strip()
-        candidates += sorted(Path(root).glob(
-            f"versions/{version}*/bin/python{version}"))
-    probe = f"import sys; print(sys.version.startswith('{version}.'))"
-    for exe in filter(None, candidates):
-        try:
-            out = subprocess.run([exe, "-c", probe], capture_output=True,
-                                 text=True, timeout=60)
-        except OSError:
-            continue
-        if out.stdout.strip() == "True":
-            return exe
-    return None
-
-
 @pytest.mark.parametrize("version", ["3.12", "3.13"])
 def test_dot_order_holds_where_sum_is_compensated(version):
-    # dot's source runs alone under that interpreter, after numerics'
-    # plain imports: the package's numpy may not be installed there
-    exe = _interpreter(version)
+    exe = find_python(version)
     if exe is None:
         pytest.skip(f"no Python {version} interpreter")
-    text = Path(numerics.__file__).read_text()
-    tree = ast.parse(text)
-    nodes = [node for node in tree.body
-             if isinstance(node, ast.Import)
-             and all(a.name != "numpy" for a in node.names)
-             or isinstance(node, ast.FunctionDef)
-             and node.name in ("dot", "total")]
-    program = "\n".join(ast.get_source_segment(text, node)
-                        for node in nodes)
-    program += ("\nprint(repr(dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0])),"
-                " repr(total([1e16, 1.0, -1e16])))")
+    program = ("from fibresplit.numerics import dot, total\n"
+               "print(repr(dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0])),"
+               " repr(total([1e16, 1.0, -1e16])))")
     out = subprocess.run([exe, "-c", program], capture_output=True,
-                         text=True, timeout=60, check=True)
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert out.stdout.split() == ["0.0", "0.0"]
 
 

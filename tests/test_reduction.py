@@ -115,6 +115,23 @@ def test_generator_frame_must_be_invertible():
         ActionSpec.from_expressions(ch2, [["1e8", "0"], ["0", "1e-6"]])
 
 
+def test_model_checks_print_the_drawn_point_as_a_list():
+    # each message holds the repr of the float list drawn, every digit kept
+    with pytest.raises(SingularMatrix) as exc:
+        ActionSpec.from_expressions(CH, [["0"]])
+    assert str(exc.value) == ("generator frame degenerate at sample point "
+                              "[0.25019093320933394, 0.794427601939151]")
+    with pytest.raises(ValueError) as exc:
+        MagneticModel.from_expressions(1, 1, g=[["-1"]])
+    assert str(exc.value) == ("base metric not positive definite at "
+                              "x=[-0.7428595944616008]")
+    with pytest.raises(ValueError) as exc:
+        MagneticModel.from_expressions(2, 1, g=[["1", "0.5"], ["0", "1"]])
+    assert str(exc.value) == (
+        "base metric g must be symmetric (asymmetric at "
+        "x=[-0.7428595944616008, -0.0014442751197700776])")
+
+
 def test_invariance_pass_and_fail():
     act = trivial_action()
     Lp = LagrangianSpec.from_expression(CH, "0.5*v1^2 + 0.5*w1^2 + w1*v1^2")
@@ -386,10 +403,10 @@ def test_reduced_base_lagrangian_jets():
     assert abs(j.gradient[0]
                - (0.5 * ex * v * v - 3 * x * x + cx * v)) < 1e-12
     assert abs(j.gradient[1] - (ex * v + sx)) < 1e-12
-    assert abs(j.hessian[0, 0]
+    assert abs(j.hessian[0]
                - (0.5 * ex * v * v - 6 * x - sx * v)) < 1e-12
-    assert abs(j.hessian[0, 1] - (ex * v + cx)) < 1e-12
-    assert abs(j.hessian[1, 1] - ex) < 1e-12
+    assert abs(j.hessian[1] - (ex * v + cx)) < 1e-12
+    assert abs(j.hessian[3] - ex) < 1e-12
     with pytest.raises(DimensionMismatch):
         Lbar.jet(np.array([0.1]))
 

@@ -10,7 +10,7 @@ from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
                                    homogeneity_of_induced, induced_splitting,
                                    subduce, symmetry_condition_check,
                                    tangency_check)
-from fibresplit.numerics import sample_max
+from fibresplit.numerics import Generator, sample_max
 from fibresplit.reduction import (ActionSpec, MagneticModel,
                                   connection_test_domega, decoupling_check,
                                   invariance_check, magnetic_lp_system,
@@ -120,15 +120,49 @@ def test_sample_max_policy():
     assert len(calls) == 10 and np.isnan(rep.max_residual).all()
 
     # a Generator seed shares its stream with the caller
-    rng = np.random.default_rng(9)
+    rng = Generator(9)
     sample_max(lambda z: 0.0, 3, rng, 2)
-    assert rng.uniform() == np.random.default_rng(9).uniform(size=7)[6]
+    assert rng.uniform(0.0, 1.0, 1) == Generator(9).uniform(0.0, 1.0, 7)[6:]
 
 
 def test_sample_max_hands_each_residual_a_list():
+    # an int seed draws what numpy's default_rng(seed) draws
     draws = []
     sample_max(lambda z: draws.append(z) or 0.0, 3, 5, 2, box=0.5)
     rng = np.random.default_rng(5)
     assert draws == [rng.uniform(-0.5, 0.5, 2).tolist() for _ in range(3)]
     assert all(type(z) is list and {type(e) for e in z} == {float}
                for z in draws)
+
+
+# every (lo, hi) the package draws from: the sampling boxes +-box (1 by
+# default, 0.5 and 2 in configs), the branch probe's +-0.7 and [-b, b],
+# and decoupling_check's (0.1, 0.5)
+_BOUNDS = [(-1.0, 1.0), (-0.5, 0.5), (-2.0, 2.0), (-0.7, 0.7), (0.1, 0.5)]
+# widths 1 to 4 (n + m) on the largest chart the benchmark sweeps, (3, 2)
+_WIDTHS = range(1, 21)
+_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+
+
+def test_generator_draws_are_numpys():
+    # for each seed, one generator reused across calls of every width and
+    # bound, as sample_max, the branch probe, vilms_principal_check and
+    # decoupling_check reuse theirs, and a fresh one per call
+    for seed in _SEEDS:
+        ours, theirs = Generator(seed), np.random.default_rng(seed)
+        for width in _WIDTHS:
+            lo, hi = _BOUNDS[width % len(_BOUNDS)]
+            got = ours.uniform(lo, hi, width)
+            assert got == theirs.uniform(lo, hi, width).tolist(), seed
+            assert {type(e) for e in got} == {float}
+        for lo, hi in _BOUNDS:
+            assert Generator(seed).uniform(lo, hi, 3) == \
+                np.random.default_rng(seed).uniform(lo, hi, 3).tolist(), seed
+
+
+def test_generator_seeds_are_non_negative_ints():
+    for bad in (-1, 1.5, "1"):
+        with pytest.raises((ValueError, TypeError)):
+            Generator(bad)
+    assert Generator(np.int64(7)).uniform(0.0, 1.0, 2) == \
+        Generator(7).uniform(0.0, 1.0, 2)

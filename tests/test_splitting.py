@@ -235,7 +235,7 @@ def test_vilms_lift_w_rows_linear_in_velocities():
     w_jet = big.coefficients[1].jet([0.4, 0.3, 0.2, 0.1, 0.6, -0.2])
     # doubled-chart variable order: x, v, y, w, X, V
     lin_idx = [1, 3, 5]
-    sub = w_jet.hessian[np.ix_(lin_idx, lin_idx)]
+    sub = np.reshape(w_jet.hessian, (6, 6))[np.ix_(lin_idx, lin_idx)]
     assert np.abs(sub).max() < 1e-8
 
 

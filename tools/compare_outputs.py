@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC
     python tools/compare_outputs.py --write-digests FILE
-    python tools/compare_outputs.py --check-digests FILE
+    python tools/compare_outputs.py --check-digests FILE [CONFIG ...]
 
 OLD_SRC and NEW_SRC are checkouts (or their src/ directories).  Every
 fibresplit command runs, at full length and with default arguments, on
@@ -20,11 +20,13 @@ only, unreadable or differently many numbers) or a differing pair holds
 a nan or an inf.
 
 --write-digests runs the tree of this checkout alone and writes FILE: one
-sha256 per run over its five outputs, with the Python and numpy versions
-they were made under.  --check-digests reruns it and lists every run
-whose digest differs from FILE's; the exit status is 1 when any does.
-Digests made under another Python or numpy version may differ without
-any change to the code, and the check says so.
+sha256 per run over its five outputs, with the Python version they were
+made under.  --check-digests reruns it, under the Python that runs this
+script, and lists every run whose digest differs from FILE's; the exit
+status is 1 when any does.  It names the Python the digests were made
+under when that is another version.  CONFIG names restrict the check to
+the runs on those configs, named as the runs are (configs-knife_edge,
+fixtures-nh, ...).
 """
 
 import contextlib
@@ -61,14 +63,18 @@ def _package_dir(tree):
     raise SystemExit(f"no fibresplit package under {tree}")
 
 
-def _run_all(out_root):
-    """Worker: run every command on every config under out_root."""
+def _run_all(out_root, names):
+    """Worker: run every command on every config under out_root, or on
+    the configs named in names when there are any."""
     from fibresplit import cli
 
     os.chdir(out_root)
     for cfg in _configs():
+        name = f"{cfg.parent.name}-{cfg.stem}"
+        if names and name not in names:
+            continue
         for command in cli.COMMANDS:
-            rel = Path(f"{cfg.parent.name}-{cfg.stem}", command)
+            rel = Path(name, command)
             rel.mkdir(parents=True)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
@@ -86,13 +92,13 @@ def _run_all(out_root):
             (rel / "stderr.txt").write_text(err.getvalue())
 
 
-def _spawn(tree, out_root):
-    # fixed hash seed and BLAS threads: only the source tree may differ
+def _spawn(tree, out_root, names):
+    # fixed hash seed: only the source tree may differ
     env = dict(os.environ, PYTHONPATH=str(_package_dir(tree)),
-               OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0")
+               PYTHONHASHSEED="0")
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
-         str(out_root)], env=env)
+         str(out_root), *names], env=env)
 
 
 def _short_diff(old, new, name):
@@ -201,27 +207,19 @@ def digests(out_root):
     return out
 
 
-def versions():
-    """The versions the outputs depend on beyond the source tree."""
-    import numpy
-
-    return {"python": platform.python_version(), "numpy": numpy.__version__}
-
-
-def versions_text(v):
-    return f"Python {v['python']}, numpy {v['numpy']}"
-
-
-def check_digests(recorded, runs):
-    """Print every run whose digest differs from the recorded one; return
-    their number."""
-    here = versions()
-    if any(recorded[key] != value for key, value in here.items()):
-        print(f"digests recorded under {versions_text(recorded)}, "
-              f"checked under {versions_text(here)}")
+def check_digests(recorded, runs, names=()):
+    """Print every run whose digest differs from the recorded one, of the
+    runs on the configs named in names when there are any; return their
+    number."""
+    here = platform.python_version()
+    if recorded["python"] != here:
+        print(f"digests recorded under Python {recorded['python']}, "
+              f"checked under Python {here}")
+    old_runs = {run: digest for run, digest in recorded["runs"].items()
+                if not names or run.split("/")[0] in names}
     differing = 0
-    for run in sorted(set(recorded["runs"]) | set(runs)):
-        old, new = recorded["runs"].get(run), runs.get(run)
+    for run in sorted(set(old_runs) | set(runs)):
+        old, new = old_runs.get(run), runs.get(run)
         if old != new:
             differing += 1
             print(f"{run}: " + ("only recorded" if new is None else
@@ -231,13 +229,13 @@ def check_digests(recorded, runs):
     return differing
 
 
-def _run_trees(trees, roots):
+def _run_trees(trees, roots, names=()):
     """Run the worker of each tree into its root, in parallel; whether
     every worker succeeded."""
     procs = []
     for tree, root in zip(trees, roots):
         root.mkdir()
-        procs.append(_spawn(tree, root))
+        procs.append(_spawn(tree, root, names))
     codes = [p.wait() for p in procs]
     if any(codes):
         print(f"a worker failed: exit codes {codes}", file=sys.stderr)
@@ -245,25 +243,31 @@ def _run_trees(trees, roots):
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "--worker":
-        _run_all(argv[1])
+    if len(argv) >= 2 and argv[0] == "--worker":
+        _run_all(argv[1], argv[2:])
         return 0
-    if len(argv) != 2:
+    names = argv[2:] if argv[:1] == ["--check-digests"] else []
+    if len(argv) != 2 + len(names):
         print(__doc__.strip(), file=sys.stderr)
+        return 2
+    unknown = set(names) - {f"{c.parent.name}-{c.stem}" for c in _configs()}
+    if unknown:
+        print(f"no such config: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         if argv[0] in ("--write-digests", "--check-digests"):
             root = Path(tmp, "tree")
-            if not _run_trees([ROOT], [root]):
+            if not _run_trees([ROOT], [root], names):
                 return 2
             runs = digests(root)
             path = Path(argv[1])
             if argv[0] == "--write-digests":
-                path.write_text(json.dumps({**versions(), "runs": runs},
-                                           indent=1, sort_keys=True) + "\n")
+                path.write_text(json.dumps(
+                    {"python": platform.python_version(), "runs": runs},
+                    indent=1, sort_keys=True) + "\n")
                 return 0
-            return 1 if check_digests(json.loads(path.read_text()),
-                                      runs) else 0
+            return 1 if check_digests(json.loads(path.read_text()), runs,
+                                      names) else 0
         roots = [Path(tmp, "old"), Path(tmp, "new")]
         if not _run_trees(argv, roots):
             return 2
