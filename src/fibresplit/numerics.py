@@ -7,7 +7,8 @@ from the factors (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., 2002, ch. 9 and 15), whose pivots also give det.  Each system
 shape (k rows, r right-hand sides) is lowered once, on first use, to one
 straight-line function with every loop unrolled and every index
-resolved; up to k = 6 a call stays cheaper than LAPACK's solve plus its
+resolved; the condition number's k triangular solves still cost O(k^3),
+and up to k = 6 a call stays cheaper than LAPACK's solve plus its
 condition number (tools/time_solves.py).  The contract is strict: solves
 are rejected on a large condition number and the residual postcondition
 is always verified.  linear_solve reads A as k rows and b as k numbers

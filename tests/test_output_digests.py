@@ -8,14 +8,11 @@ fails here.  When the change is intended, rewrite the record with
 
 and say in CHANGES.md which outputs changed and why.  The package has no
 runtime dependency and sums no floats through sum(), so the record holds
-on every Python it accepts.  The Python running the tests checks every
-run; each of 3.10, 3.12 and 3.13 that is found on PATH or in pyenv checks
-a third of the configs, all at once, so that every run is checked under
-two Pythons in about the time of one.  An interpreter that is not found
-is skipped, and its third is checked by the first alone.
+on every Python it accepts: the check runs under the Python running the
+tests and under each of 3.10, 3.12 and 3.13 found on PATH or in pyenv,
+all at once, and skips an interpreter it does not find.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -31,20 +28,14 @@ OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
 @pytest.fixture(scope="module")
 def checks():
-    """--check-digests under this Python on every config, and under each
-    other Python found on its third of them, started at once: the running
-    processes by version, None for this Python."""
-    names = sorted({run.split("/")[0]
-                    for run in json.loads(DIGESTS.read_text())["runs"]})
-    share = {None: (sys.executable, [])}
-    for i, version in enumerate(OTHER_PYTHONS):
-        exe = find_python(version)
-        if exe is not None:
-            share[version] = exe, names[i::len(OTHER_PYTHONS)]
+    """--check-digests under this Python (key None) and under each other
+    Python found, started at once: the running processes by version."""
+    exes = {None: sys.executable}
+    exes.update((v, find_python(v)) for v in OTHER_PYTHONS)
     procs = {version: subprocess.Popen(
-        [exe, str(TOOL), "--check-digests", str(DIGESTS), *part],
+        [exe, str(TOOL), "--check-digests", str(DIGESTS)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        for version, (exe, part) in share.items()}
+        for version, exe in exes.items() if exe is not None}
     yield procs
     for proc in procs.values():
         proc.kill()

@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC
     python tools/compare_outputs.py --write-digests FILE
-    python tools/compare_outputs.py --check-digests FILE [CONFIG ...]
+    python tools/compare_outputs.py --check-digests FILE
 
 OLD_SRC and NEW_SRC are checkouts (or their src/ directories).  Every
 fibresplit command runs, at full length and with default arguments, on
@@ -24,9 +24,7 @@ sha256 per run over its five outputs, with the Python version they were
 made under.  --check-digests reruns it, under the Python that runs this
 script, and lists every run whose digest differs from FILE's; the exit
 status is 1 when any does.  It names the Python the digests were made
-under when that is another version.  CONFIG names restrict the check to
-the runs on those configs, named as the runs are (configs-knife_edge,
-fixtures-nh, ...).
+under when that is another version.
 """
 
 import contextlib
@@ -63,18 +61,14 @@ def _package_dir(tree):
     raise SystemExit(f"no fibresplit package under {tree}")
 
 
-def _run_all(out_root, names):
-    """Worker: run every command on every config under out_root, or on
-    the configs named in names when there are any."""
+def _run_all(out_root):
+    """Worker: run every command on every config under out_root."""
     from fibresplit import cli
 
     os.chdir(out_root)
     for cfg in _configs():
-        name = f"{cfg.parent.name}-{cfg.stem}"
-        if names and name not in names:
-            continue
         for command in cli.COMMANDS:
-            rel = Path(name, command)
+            rel = Path(f"{cfg.parent.name}-{cfg.stem}", command)
             rel.mkdir(parents=True)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
@@ -92,13 +86,13 @@ def _run_all(out_root, names):
             (rel / "stderr.txt").write_text(err.getvalue())
 
 
-def _spawn(tree, out_root, names):
+def _spawn(tree, out_root):
     # fixed hash seed: only the source tree may differ
     env = dict(os.environ, PYTHONPATH=str(_package_dir(tree)),
                PYTHONHASHSEED="0")
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
-         str(out_root), *names], env=env)
+         str(out_root)], env=env)
 
 
 def _short_diff(old, new, name):
@@ -207,19 +201,16 @@ def digests(out_root):
     return out
 
 
-def check_digests(recorded, runs, names=()):
-    """Print every run whose digest differs from the recorded one, of the
-    runs on the configs named in names when there are any; return their
-    number."""
+def check_digests(recorded, runs):
+    """Print every run whose digest differs from the recorded one; return
+    their number."""
     here = platform.python_version()
     if recorded["python"] != here:
         print(f"digests recorded under Python {recorded['python']}, "
               f"checked under Python {here}")
-    old_runs = {run: digest for run, digest in recorded["runs"].items()
-                if not names or run.split("/")[0] in names}
     differing = 0
-    for run in sorted(set(old_runs) | set(runs)):
-        old, new = old_runs.get(run), runs.get(run)
+    for run in sorted(set(recorded["runs"]) | set(runs)):
+        old, new = recorded["runs"].get(run), runs.get(run)
         if old != new:
             differing += 1
             print(f"{run}: " + ("only recorded" if new is None else
@@ -229,13 +220,13 @@ def check_digests(recorded, runs, names=()):
     return differing
 
 
-def _run_trees(trees, roots, names=()):
+def _run_trees(trees, roots):
     """Run the worker of each tree into its root, in parallel; whether
     every worker succeeded."""
     procs = []
     for tree, root in zip(trees, roots):
         root.mkdir()
-        procs.append(_spawn(tree, root, names))
+        procs.append(_spawn(tree, root))
     codes = [p.wait() for p in procs]
     if any(codes):
         print(f"a worker failed: exit codes {codes}", file=sys.stderr)
@@ -243,21 +234,16 @@ def _run_trees(trees, roots, names=()):
 
 
 def main(argv):
-    if len(argv) >= 2 and argv[0] == "--worker":
-        _run_all(argv[1], argv[2:])
+    if len(argv) == 2 and argv[0] == "--worker":
+        _run_all(argv[1])
         return 0
-    names = argv[2:] if argv[:1] == ["--check-digests"] else []
-    if len(argv) != 2 + len(names):
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
-        return 2
-    unknown = set(names) - {f"{c.parent.name}-{c.stem}" for c in _configs()}
-    if unknown:
-        print(f"no such config: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         if argv[0] in ("--write-digests", "--check-digests"):
             root = Path(tmp, "tree")
-            if not _run_trees([ROOT], [root], names):
+            if not _run_trees([ROOT], [root]):
                 return 2
             runs = digests(root)
             path = Path(argv[1])
@@ -266,8 +252,8 @@ def main(argv):
                     {"python": platform.python_version(), "runs": runs},
                     indent=1, sort_keys=True) + "\n")
                 return 0
-            return 1 if check_digests(json.loads(path.read_text()), runs,
-                                      names) else 0
+            return 1 if check_digests(json.loads(path.read_text()),
+                                      runs) else 0
         roots = [Path(tmp, "old"), Path(tmp, "new")]
         if not _run_trees(argv, roots):
             return 2
