@@ -17,9 +17,9 @@ from fibresplit.errors import (DimensionMismatch, NoConvergence,
                                NonFiniteState, SingularMatrix)
 from fibresplit.lagrangian import LagrangianSpec
 from fibresplit.nonholonomic import AffineConstraintSpec, ConstrainedSystem
-from fibresplit.numerics import (Generator, condition_number, det,
-                                 linear_solve, newton_solve,
-                                 positive_definite, rk4_integrate)
+from fibresplit.numerics import (condition_number, det, linear_solve,
+                                 newton_solve, positive_definite,
+                                 rk4_integrate)
 from fibresplit.reduction import MagneticModel, MagneticSystem
 
 SRC = Path(numerics.__file__).parents[1]

@@ -115,21 +115,22 @@ def test_generator_frame_must_be_invertible():
         ActionSpec.from_expressions(ch2, [["1e8", "0"], ["0", "1e-6"]])
 
 
-def test_model_checks_print_the_drawn_point_as_a_list():
-    # each message holds the repr of the float list drawn, every digit kept
-    with pytest.raises(SingularMatrix) as exc:
-        ActionSpec.from_expressions(CH, [["0"]])
-    assert str(exc.value) == ("generator frame degenerate at sample point "
-                              "[0.25019093320933394, 0.794427601939151]")
-    with pytest.raises(ValueError) as exc:
-        MagneticModel.from_expressions(1, 1, g=[["-1"]])
-    assert str(exc.value) == ("base metric not positive definite at "
-                              "x=[-0.7428595944616008]")
-    with pytest.raises(ValueError) as exc:
-        MagneticModel.from_expressions(2, 1, g=[["1", "0.5"], ["0", "1"]])
-    assert str(exc.value) == (
-        "base metric g must be symmetric (asymmetric at "
-        "x=[-0.7428595944616008, -0.0014442751197700776])")
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: ActionSpec.from_expressions(CH, [["0"]]), SingularMatrix,
+     "generator frame degenerate at sample point "
+     "[0.25019093320933394, 0.794427601939151]"),
+    (lambda: MagneticModel.from_expressions(1, 1, g=[["-1"]]), ValueError,
+     "base metric not positive definite at x=[-0.7428595944616008]"),
+    (lambda: MagneticModel.from_expressions(2, 1, g=[["1", "0.5"],
+                                                    ["0", "1"]]),
+     ValueError, "base metric g must be symmetric (asymmetric at "
+     "x=[-0.7428595944616008, -0.0014442751197700776])"),
+])
+def test_model_checks_print_the_drawn_point_as_a_list(build, error, text):
+    # the message holds the repr of the float list drawn, every digit kept
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == text
 
 
 def test_invariance_pass_and_fail():
