@@ -29,9 +29,12 @@ exponent, and "operation '<op>' failed" for a trig function of an
 infinite argument.
 """
 
+import functools
 import math
 
 from .errors import DomainError
+
+KERNEL_CACHE_SIZE = 256  # kernels kept per process, least recently used out
 
 OP_CONST = 0
 OP_ADD = 1
@@ -159,18 +162,30 @@ def _guard(lines, exc, fail):
             + [f"except {exc}:", f"    {fail}"])
 
 
-def _literal(c, namespace):
-    if math.isfinite(c):
-        return repr(c)
+def _literal(text, namespace):
+    """Source for the constant whose repr is text: that repr, or for inf
+    and nan, which have no literal, a name bound to the value."""
+    if text not in ("inf", "-inf", "nan"):
+        return text
     name = f"_c{len(namespace)}"
-    namespace[name] = c
+    namespace[name] = float(text)
     return name
 
 
 def generate(code, consts, k, out_reg, slit_eps, label):
     """Lower a tape (rows [op, dst, a, b] and a list of constants) to
     (jet, value), two functions of a list of k floats whose failures name
-    the field by label."""
+    the field by label.  Equal arguments give the same two functions:
+    constants and slit_eps count by repr, so -0.0 and 0.0, or 1 and 1.0,
+    never share a kernel."""
+    return _generate(tuple(map(tuple, code)), tuple(map(repr, consts)), k,
+                     out_reg, repr(slit_eps), label)
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _generate(code, consts, k, out_reg, slit_eps, label):
+    """generate() keyed by what the source depends on: code a tuple of
+    row tuples, and consts and slit_eps as their reprs."""
     low = _Lowering(k)
     namespace = {"_DomainError": DomainError, "sin": math.sin,
                  "cos": math.cos, "tan": math.tan, "exp": math.exp,
@@ -251,7 +266,7 @@ def generate(code, consts, k, out_reg, slit_eps, label):
                                   _power_term(b * (b - 1), u, b - 2))
             g, h = low.chain(a, fp, fpp)
         elif op == OP_ABS:
-            vl += [f"if abs({u}) < {slit_eps!r}:",
+            vl += [f"if abs({u}) < {slit_eps}:",
                    f"    {fail(op)}", f"{vd} = abs({u})"]
             if ga:
                 sg = low.entry(f"1.0 if {u} > 0.0 else -1.0")

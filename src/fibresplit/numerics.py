@@ -251,15 +251,22 @@ def condition_number(A):
 def det(A):
     """The determinant of a square matrix, given as k rows of k numbers,
     from the factors condition_number forms (0.0 at an exactly zero
-    pivot).  Raises DimensionMismatch when A is not square."""
+    pivot).  Where those factors would over- or underflow (_unit_scale is
+    not 1.0), each row is first brought into [1/2, 1) by its own power of
+    two, exactly, and the exponents are restored by ldexp, so a normal
+    det A survives entries that span more than the float range.  Raises
+    DimensionMismatch when A is not square."""
     a, k = _square(A)
-    scale = _unit_scale(a)
-    if scale != 1.0:
-        a = [v * scale for v in a]
-    d = _solver(k, 0)(a, [], math.inf, scale)[1]
-    for _ in range(k):
-        d /= scale  # exact, barring over- or underflow of det A itself
-    return d
+    if _unit_scale(a) == 1.0:
+        return _solver(k, 0)(a, [], math.inf, 1.0)[1]
+    rows = [a[i * k:(i + 1) * k] for i in range(k)]
+    exps = [math.frexp(max(map(abs, row)))[1] for row in rows]
+    a = [math.ldexp(v, -e) for row, e in zip(rows, exps) for v in row]
+    d = _solver(k, 0)(a, [], math.inf, 1.0)[1]
+    try:
+        return math.ldexp(d, sum(exps))
+    except OverflowError:
+        return math.copysign(math.inf, d)
 
 
 def positive_definite(A):

@@ -25,6 +25,7 @@ def test_summary_drops_a_pair_with_a_failed_run_and_keeps_pairs_aligned():
     # pairs 0 and 3 remain, and the change is lower in both; the runs of
     # one side are never compared with those of another pair
     assert wall["change_lower_in_pairs"] == 2
+    assert wall["gain_shown"] is False
     assert wall["parent"]["median"] == 11.5
     assert wall["change"]["median"] == 10.5
     medians = out["invocation_median_s"]["a:cmd"]
@@ -37,4 +38,33 @@ def test_summary_of_no_complete_pair():
     assert out["pairs"] == 0
     assert out["failed_runs"] == {"parent": 1, "change": 0}
     assert out["wall_cal"]["parent"] is None
+    assert out["wall_cal"]["gain_shown"] is False
     assert out["invocation_median_s"] == {}
+
+
+def _pairs(parent, change):
+    return {"parent": [_run(w) for w in parent],
+            "change": [_run(w) for w in change]}
+
+
+def test_a_gain_is_shown_by_9_of_10_pairs_beyond_the_parents_spread():
+    # parent q1, median, q3 = 5.225, 5.5, 5.775; change median 4.85
+    parent = [5.0, 5.1, 5.2, 5.3, 5.4, 5.6, 5.7, 5.8, 5.9, 6.0]
+    change = [4.4, 4.5, 4.6, 4.7, 4.8, 4.9, 5.0, 5.1, 5.2, 6.1]
+    wall = bench_pairs._summary(_pairs(parent, change))["wall_cal"]
+    assert wall["change_lower_in_pairs"] == 9
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.55)
+    assert wall["parent"]["median"] - wall["change"]["median"] > 0.55
+    assert wall["gain_shown"] is True
+
+
+@pytest.mark.parametrize("change", [
+    # 10 of 10 pairs, but the medians 0.05 apart inside the spread of 0.55
+    [w - 0.05 for w in [5.0, 5.1, 5.2, 5.3, 5.4, 5.6, 5.7, 5.8, 5.9, 6.0]],
+    # medians 0.9 apart, but only 8 of 10 pairs won
+    [4.1, 4.2, 4.3, 4.4, 4.5, 4.7, 4.8, 4.9, 6.5, 6.5],
+])
+def test_no_gain_is_shown_inside_the_spread_or_below_9_pairs(change):
+    parent = [5.0, 5.1, 5.2, 5.3, 5.4, 5.6, 5.7, 5.8, 5.9, 6.0]
+    wall = bench_pairs._summary(_pairs(parent, change))["wall_cal"]
+    assert wall["gain_shown"] is False

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibresplit import (cli, config, exprs, lagrangian, nonholonomic,
-                        numerics, reduction, splitting)
+from fibresplit import (_kernels, cli, config, exprs, lagrangian,
+                        nonholonomic, numerics, reduction, splitting)
 
 FIX = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -223,6 +223,25 @@ def test_magnetic_simulate_compiles_each_field_once(tmp_path, monkeypatch):
     assert labels.count("Lbar_magnetic") == 1
     # g, V, A_i, A_alpha, Upsilon and Kcurv, one field each, then Lbar
     assert len(labels) == 7
+
+
+def test_a_second_run_in_one_process_generates_no_kernel(tmp_path):
+    # each command compiles the model's expressions again; their tapes
+    # are equal, so the kernels come from the first pass, with equal output
+    commands = ("classify", "curvature", "lift-curve")
+    outputs, misses = [], []
+    for attempt in ("a", "b"):
+        files = {}
+        for command in commands:
+            out = tmp_path / attempt / command
+            assert run(command, FIX / "split.ini", out) == 0
+            files.update({(command, p.name): p.read_bytes()
+                          for p in sorted(out.iterdir())})
+        outputs.append(files)
+        misses.append(_kernels._generate.cache_info().misses)
+    assert misses[1] == misses[0]
+    assert ("lift-curve", "trajectory.csv") in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_unreduce_command(tmp_path):

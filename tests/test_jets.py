@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from derivative_check import fd_check
@@ -313,6 +315,34 @@ def test_generated_kernel_is_lazy_and_kept():
     kernel = f._kernel
     f.jet(np.ones(3))
     assert f._kernel is kernel
+
+
+def test_one_generated_kernel_per_tape():
+    _kernels._generate.cache_clear()
+    f, g = field("a*b + exp(c)"), field("a*b + exp(c)")
+    assert f._generated() is g._generated()
+    assert _kernels._generate.cache_info().misses == 1
+    # a signed zero, a label or a slit radius is part of the source
+    pos, neg = (compile_field(parse(src), CTX3, label="z")
+                for src in ("0.0*a", "-0.0*a"))
+    signs = [math.copysign(1.0, h.value([1.0, 0.0, 0.0])) for h in (pos, neg)]
+    assert pos._generated() is not neg._generated() and signs == [1.0, -1.0]
+    for label in ("p", "q"):
+        with pytest.raises(DomainError,
+                           match=f"^field '{label}': division by zero$"):
+            compile_field(parse("1/a"), CTX3, label=label).value([0.0] * 3)
+    wide, narrow = (compile_field(parse("abs(a)"), CTX3, label="s",
+                                  slit_eps=eps) for eps in (1e-3, 1e-6))
+    assert narrow.value([1e-4, 0.0, 0.0]) == 1e-4
+    with pytest.raises(DomainError, match="inside slit radius 0.001$"):
+        wide.value([1e-4, 0.0, 0.0])
+    assert _kernels._generate.cache_info().misses == 7
+    # the cache keeps at most its bound, least recently used out
+    for i in range(_kernels.KERNEL_CACHE_SIZE + 10):
+        _kernels.generate([[_kernels.OP_CONST, 1, 0, 0]], [float(i)], 1, 1,
+                          1e-6, "c")
+    info = _kernels._generate.cache_info()
+    assert info.currsize == info.maxsize == _kernels.KERNEL_CACHE_SIZE
 
 
 def test_fd_check_confirms_ad_jets():

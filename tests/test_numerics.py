@@ -451,6 +451,13 @@ def test_det_of_a_one_by_one_matrix_is_its_entry():
     ([], 1.0),
     # scaled into range and back, one power of two per row
     ([[2.0 ** 600, 0.0], [0.0, 2.0 ** -300]], 2.0 ** 300),
+    # entries 2^1300 apart, wider than the float range, with a normal det
+    ([[2.0 ** 600, 0.0], [0.0, 2.0 ** -700]], 2.0 ** -100),
+    ([[2.0 ** 600, 3.0 * 2.0 ** 600], [2.0 ** -700, 2.0 ** -699]],
+     -(2.0 ** -100)),
+    # a det past the float range still overflows
+    ([[1e308, 1e308], [0.0, 1e308]], math.inf),
+    ([[-1e308, 1e308], [0.0, 1e308]], -math.inf),
 ])
 def test_det_closed_form(A, want):
     got = det(A)
@@ -475,6 +482,12 @@ def test_positive_definite_against_eigenvalues():
 @pytest.mark.parametrize("A", [[[-1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0]]])
 def test_positive_definite_rejects(A):
     assert not positive_definite(A)
+
+
+def test_positive_definite_across_the_float_range():
+    # its 2 x 2 minor, 2^-100, lost every digit to one shared scale
+    assert positive_definite([[2.0 ** 600, 0.0], [0.0, 2.0 ** -700]])
+    assert not positive_definite([[2.0 ** 600, 0.0], [0.0, -2.0 ** -700]])
 
 
 def test_one_generated_kernel_per_shape():

@@ -14,8 +14,10 @@ run's exit code, env line, per-invocation median times and final JSON
 line.  Per workload it summarises the pairs in which both runs succeeded
 (exit 0 and a final JSON line): per end-to-end metric and side, the median
 and quartiles, with the number of those pairs the change won (lower is
-better for every metric), and each invocation's median time; and per
-side, the number of runs that failed.
+better for every metric) and whether that shows a gain, and each
+invocation's median time; and per side, the number of runs that failed.
+A gain is shown when the change wins at least 9 of the 10 pairs and its
+median lies below the parent's by more than the parent's q3 - q1.
 """
 
 import argparse
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "wall_cal", "task_p50_cal", "peak_rss_mb")
 WORKLOADS = ("induced", "trajectories", "sweep")
 PAIRS = 10       # alternating pairs per workload
+GAIN_WINS = 9    # pairs the change must win to show a gain
 SECONDS = 30     # perfbench --seconds, BENCHMARK.json's run_seconds
 SEED0 = 11       # pair seeds, apart from TRACE_SEED
 TRACE_SEED = 1   # the seed of the traced counts quoted in CHANGES.md
@@ -79,11 +82,19 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def _gain_shown(parent, change, won):
+    """Whether the change won GAIN_WINS pairs and beat the parent's median
+    by more than the parent's interquartile range."""
+    return (won >= GAIN_WINS and parent is not None
+            and parent["median"] - change["median"]
+            > parent["q3"] - parent["q1"])
+
+
 def _summary(pairs):
     """Over the pairs whose two runs succeeded: per metric, each side's
-    median and quartiles and the pairs the change won; per invocation,
-    each side's median time.  pairs maps each side to its runs in pair
-    order."""
+    median and quartiles, the pairs the change won and whether it shows a
+    gain; per invocation, each side's median time.  pairs maps each side
+    to its runs in pair order."""
     both = [i for i, runs in enumerate(zip(pairs["parent"], pairs["change"]))
             if all(map(_succeeded, runs))]
     good = {side: [runs[i] for i in both] for side, runs in pairs.items()}
@@ -95,9 +106,10 @@ def _summary(pairs):
                         for run in runs]
                  for side, runs in good.items()}
         won = sum(c < p for p, c in zip(value["parent"], value["change"]))
-        out[name] = {"parent": _spread(value["parent"]),
-                     "change": _spread(value["change"]),
-                     "change_lower_in_pairs": won}
+        parent, change = _spread(value["parent"]), _spread(value["change"])
+        out[name] = {"parent": parent, "change": change,
+                     "change_lower_in_pairs": won,
+                     "gain_shown": _gain_shown(parent, change, won)}
     labels = good["parent"][0]["invocations"] if both else {}
     out["invocation_median_s"] = {
         label: {side: statistics.median(run["invocations"][label]
