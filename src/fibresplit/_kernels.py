@@ -27,6 +27,14 @@ of log and sqrt ("<op> overflow"), division by zero, log or sqrt of a
 nonpositive value, abs inside the slit radius, zero base with a negative
 exponent, and "operation '<op>' failed" for a trig function of an
 infinite argument.
+
+A kernel is generated once per process per distinct tape: generate()
+keeps the last KERNEL_CACHE_SIZE (256) pairs of functions in an LRU cache
+keyed by everything their source depends on (the rows, the constants by
+repr, k, the output register, slit_eps by repr and the label), and the
+functions hold no state, so fields compiled from equal tapes share them.
+On a 10-input, 87-row tape, one kernel and its key retain 4-46 KiB
+(tracemalloc), so a full cache of tapes that size holds under 12 MiB.
 """
 
 import functools

@@ -320,8 +320,9 @@ class TapeField(ScalarField):
 
     code holds the tape's rows [op, dst, a, b] and consts its constants,
     both as the builder's Python lists.  The first jet() or value() call
-    lowers the tape to straight-line Python (see _kernels) and keeps the
-    two generated functions on the instance; they raise the field's
+    takes the tape's two straight-line Python functions from
+    _kernels.generate, which lowers each distinct tape once per process,
+    and keeps them on the instance; they raise the field's
     DomainError themselves, and value() returns their float.  The
     inherited evaluator recomputes with plain Jet2 algebra; it is the
     independent oracle the tests check the generated code against.  ast is

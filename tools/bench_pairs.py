@@ -85,8 +85,7 @@ def _spread(values):
 def _gain_shown(parent, change, won):
     """Whether the change won GAIN_WINS pairs and beat the parent's median
     by more than the parent's interquartile range."""
-    return (won >= GAIN_WINS and parent is not None
-            and parent["median"] - change["median"]
+    return (won >= GAIN_WINS and parent["median"] - change["median"]
             > parent["q3"] - parent["q1"])
 
 
