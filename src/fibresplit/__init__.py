@@ -26,26 +26,26 @@ from .exprs import (VarContext, compile_field, fold_constants, parse,
                     substitute, to_string)
 from .jets import Jet2, ScalarField, TapeField
 from .lagrangian import (InducedSplitting, LagrangianSpec, SodeSpec,
-                         defining_relation_check, euler_lagrange_sode,
-                         fibre_regularity, homogeneity_of_induced,
-                         induced_splitting, integrate_sode,
-                         liouville_derivative, projection_verify, subduce,
+                         euler_lagrange_sode, fibre_regularity,
+                         homogeneity_of_induced, induced_splitting,
+                         integrate_sode, liouville_derivative,
+                         projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
-from .nonholonomic import (AffineConstraintSpec, ConstrainedState,
-                           constrained_lagrangian, integrate_constrained,
-                           lagrange_dalembert_system)
+from .nonholonomic import (AffineConstraintSpec, ConstrainedLagrangianField,
+                           ConstrainedState, ConstrainedSystem,
+                           integrate_constrained)
 from .numerics import (TrajectoryRecord, linear_solve, newton_solve,
                        rk4_integrate)
-from .reduction import (ActionSpec, MagneticModel, connection_test_domega,
-                        decoupling_check, integrate_magnetic,
-                        invariance_check, magnetic_induced_splitting,
-                        magnetic_lp_system, momentum_map, omega,
+from .reduction import (ActionSpec, MagneticModel, MagneticSystem,
+                        connection_test_domega, decoupling_check,
+                        integrate_magnetic, invariance_check,
+                        magnetic_induced_splitting, momentum_map, omega,
                         principal_check, unreduce, vilms_of_sode,
                         vilms_principal_check, xi_field)
 from .splitting import (AffineSplittingData, SplittingSpec,
                         affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, curvature_rbar,
-                        horizontal_lift_curve, horizontal_map, lifted_field,
+                        horizontal_lift_curve, lifted_field,
                         project_horizontal, project_vertical,
                         vilms_complete_lift_check, vilms_horizontal,
                         vilms_lift, vilms_vertical_projector)

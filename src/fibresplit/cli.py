@@ -27,9 +27,9 @@ from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import ConstrainedState, integrate_constrained
 from .numerics import Generator, dot, max_gap
-from .reduction import (connection_test_domega, decoupling_check,
-                        integrate_magnetic, invariance_check,
-                        magnetic_lp_system, principal_check, unreduce)
+from .reduction import (MagneticSystem, connection_test_domega,
+                        decoupling_check, integrate_magnetic,
+                        invariance_check, principal_check, unreduce)
 from .splitting import (affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, horizontal_lift_curve,
                         rate_residual)
@@ -248,7 +248,7 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
 
 def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
     model = cfg.magnetic()
-    system = magnetic_lp_system(model)
+    system = MagneticSystem(model)
     n, m = model.n, model.m
     ic = _ic(run, sim, 2 * n + m, " (x, v, w)")
     rec = integrate_magnetic(system, ic, sim["t0"], sim["t1"], sim["dt"])
@@ -362,7 +362,7 @@ def _cmd_check_all(run, cfg, chart, sim, args):
         run.report["verdicts"]["constraint_classification"] = rep.verdict
 
     if cfg.has("magnetic"):
-        dec = decoupling_check(magnetic_lp_system(cfg.magnetic()),
+        dec = decoupling_check(MagneticSystem(cfg.magnetic()),
                                **run.sampling)
         run.report["verdicts"]["decoupled"] = dec.verdict
         run.report["residuals"]["decoupling_condition"] = \

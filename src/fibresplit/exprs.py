@@ -32,47 +32,39 @@ from .jets import SLIT_EPS_DEFAULT, TapeField
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 
+class _Node:
+    """An AST node; str() is to_string."""
+
+    def __str__(self):
+        return to_string(self)
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
-    def __str__(self):
-        return _show(self, 0)
-
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
-    def __str__(self):
-        return _show(self, 0)
-
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: object
 
-    def __str__(self):
-        return _show(self, 0)
-
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     left: object
     right: object
 
-    def __str__(self):
-        return _show(self, 0)
-
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     args: tuple
-
-    def __str__(self):
-        return _show(self, 0)
 
 
 # precedence levels; '^' is right-associative, the rest left
@@ -87,7 +79,7 @@ def _prec(node):
     return _PREC[node.op]
 
 
-def _show(node, _level):
+def to_string(node):
     if isinstance(node, Num):
         # repr keeps '2.0' a number token on reparse
         v = node.value
@@ -97,15 +89,15 @@ def _show(node, _level):
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_show(a, 0) for a in node.args)})"
+        return f"{node.fn}({', '.join(to_string(a) for a in node.args)})"
     if isinstance(node, Neg):
-        inner = _show(node.arg, 0)
+        inner = to_string(node.arg)
         if _prec(node.arg) < _PREC["neg"]:
             inner = f"({inner})"
         return f"-{inner}"
     p = _PREC[node.op]
-    ls = _show(node.left, 0)
-    rs = _show(node.right, 0)
+    ls = to_string(node.left)
+    rs = to_string(node.right)
     if node.op == "^":
         # right-assoc: parenthesize a left child of equal precedence
         if _prec(node.left) <= p:
@@ -118,10 +110,6 @@ def _show(node, _level):
         if _prec(node.right) <= p:
             rs = f"({rs})"
     return f"{ls}{node.op}{rs}"
-
-
-def to_string(node):
-    return _show(node, 0)
 
 
 _NUM_START = set("0123456789.")

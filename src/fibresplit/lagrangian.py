@@ -65,7 +65,6 @@ class SodeSpec:
     here return lists and also accept arrays)."""
     dim: int
     force: object
-    provenance: str = "explicit"
 
 
 def integrate_sode(sode, z0, t0, t1, dt, diagnostic=None):
@@ -122,7 +121,7 @@ def euler_lagrange_sode(field):
         u = as_floats(u)
         return _force_from_jet(field.jet_lists(as_floats(q) + u), u)
 
-    return SodeSpec(field.arity // 2, force, "euler-lagrange")
+    return SodeSpec(field.arity // 2, force)
 
 
 def _fibre_system(L, z):
@@ -173,8 +172,7 @@ class InducedSplitting(SplittingSpec):
                                 label=f"h{a+1}_induced")
 
         super().__init__(chart, [coeff(a) for a in range(chart.m)],
-                         smooth_at_zero=not L.nonsmooth,
-                         provenance="induced-by-Lagrangian")
+                         smooth_at_zero=not L.nonsmooth)
 
     def solve_detail(self, x, y, v):
         """Solve dL/dw (x, y, s v, w) = 0 by continuation from s = 0 to 1;
@@ -307,28 +305,16 @@ def induced_splitting(L, probe=True):
     return spec
 
 
-def _gradient_block_check(L, h, block, samples, seed, box):
-    """Max over samples of |dL/dz[block]| at z = (x, y, v, h(x, y, v))."""
+def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
+    """Max over samples of |dL/dy| at (x, y, v, h(x, y, v)): the
+    fibre-frame symmetry residual."""
     n, m = L.chart.n, L.chart.m
 
     def residual(z):
         w = h.h_values(z[:n], z[n:n + m], z[n + m:])
-        return max(map(abs, L.field.jet_lists([*z, *w])[1][block]))
+        return max(map(abs, L.field.jet_lists([*z, *w])[1][n:n + m]))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
-
-
-def symmetry_condition_check(L, h, samples=50, seed=42, box=1.0):
-    """Max over samples of |dL/dy . h|: the fibre-frame symmetry residual."""
-    n, m = L.chart.n, L.chart.m
-    return _gradient_block_check(L, h, slice(n, n + m), samples, seed, box)
-
-
-def defining_relation_check(L, h, samples=50, seed=42, box=1.0):
-    """Max over samples of |dL/dw . h|: the induced-splitting relation."""
-    n, m = L.chart.n, L.chart.m
-    return _gradient_block_check(L, h, slice(2 * n + m, None), samples, seed,
-                                 box)
 
 
 def tangency_check(L, h, samples=50, seed=42, box=1.0):
@@ -361,9 +347,9 @@ class SubducedField(ScalarField):
     L's row-major Hessian are fixed per field.
     """
 
-    def __init__(self, L, h, y_ref, label="Lbar"):
+    def __init__(self, L, h, y_ref):
         n, m = L.chart.n, L.chart.m
-        super().__init__(2 * n, None, label)
+        super().__init__(2 * n, None, "Lbar")
         self.L = L
         self.h = h
         self.y_ref = as_floats(y_ref)

@@ -57,9 +57,9 @@ class ConstrainedLagrangianField(ScalarField):
     chain rule of L over the seed jets of (x, y, v) and those tapes' jets.
     """
 
-    def __init__(self, L, c, label="L_constrained"):
+    def __init__(self, L, c):
         n, m = L.chart.n, L.chart.m
-        super().__init__(2 * n + m, None, label)
+        super().__init__(2 * n + m, None, "L_constrained")
         self.L = L
         self.c = c
         self.w = c.to_splitting().coefficients
@@ -67,16 +67,6 @@ class ConstrainedLagrangianField(ScalarField):
     def jet(self, s):
         w_jets = [f.jet(s) for f in self.w]
         return self.L.field.chain(seed_jets(s) + w_jets)
-
-    def value(self, s):
-        s = as_floats(s)
-        n, m = self.L.chart.n, self.L.chart.m
-        return self.L.field.value(
-            s + self.c.reconstruct_w(s[:n], s[n:n + m], s[n + m:]))
-
-
-def constrained_lagrangian(L, c):
-    return ConstrainedLagrangianField(L, c)
 
 
 class ConstrainedSystem:
@@ -118,10 +108,6 @@ class ConstrainedSystem:
         s = as_floats(s)
         value, g, _ = self.Lc.jet_lists(s)
         return dot(g[n + m:], s[n + m:]) - value
-
-
-def lagrange_dalembert_system(L, c):
-    return ConstrainedSystem(L, c)
 
 
 def integrate_constrained(L, c, ic, t0, t1, dt):

@@ -9,10 +9,11 @@ shape (k rows, r right-hand sides) is lowered once, on first use, to one
 straight-line function with every loop unrolled and every index
 resolved; the condition number's k triangular solves still cost O(k^3),
 and up to k = 6 a call stays cheaper than LAPACK's solve plus its
-condition number (tools/time_solves.py).  The contract is strict: solves
-are rejected on a large condition number and the residual postcondition
-is always verified.  linear_solve reads A as k rows and b as k numbers
-or k rows, and returns x laid out like b, as Python floats.
+condition number (the timings of the straight-line solves in
+CHANGES.md).  The contract is strict: solves are rejected on a large
+condition number and the residual postcondition is always verified.
+linear_solve reads A as k rows and b as k numbers or k rows, and
+returns x laid out like b, as Python floats.
 
 Vectors are lists of Python floats here, as everywhere in the package.
 newton_solve and rk4_integrate step their state as such a list, and each

@@ -230,14 +230,15 @@ def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
         vwf = u + f
         return f + [dot(vgs[a][1], vwf) + dot(Kd[a], om) for a in range(m)]
 
-    return SodeSpec(n + m, force, "unreduced")
+    return SodeSpec(n + m, force)
 
 
-def _flow_lift(action, gamma, t, s, steps=64):
+def _flow_lift(action, gamma, t, s):
     """Double complete lift T(T Phi_t) of the time-t flow of E_gamma at s.
 
-    One RK4 integration of the flow with its first and second variational
-    equations, in the jets of K's column gamma; x, v, X and V stay fixed:
+    One RK4 integration of the flow, in 64 steps, with its first and
+    second variational equations, in the jets of K's column gamma; x, v,
+    X and V stay fixed:
 
         y' = K,  w' = DK.(v, w),  Y' = DK.(X, Y),
         W' = D2K[(v, w), (X, Y)] + DK.(V, W)
@@ -277,7 +278,7 @@ def _flow_lift(action, gamma, t, s, steps=64):
 
     try:
         rec = rk4_integrate(f, 0.0, abs(t), s.y + s.w + s.Y + s.W,
-                            abs(t) / steps)
+                            abs(t) / 64)
     except NonFiniteState as exc:
         raise FlowEscape(f"generator flow diverged: {exc}") from exc
     y, w, Y, W = (rec.final[i * m:(i + 1) * m] for i in range(4))
@@ -489,10 +490,6 @@ class MagneticSystem:
                 for a in range(m)]
         wbdot = linear_solve(k, [pdot[a] - dot(dAf[a], v) for a in range(m)])
         return v + vdot + wbdot
-
-
-def magnetic_lp_system(model):
-    return MagneticSystem(model)
 
 
 def integrate_magnetic(system, s0, t0, t1, dt):

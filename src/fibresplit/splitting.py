@@ -24,8 +24,6 @@ from .jets import Jet2, ScalarField
 from .numerics import (TrajectoryRecord, as_floats, dot, max_gap,
                        rk4_integrate, sample_max, total)
 
-PROVENANCE = ("explicit", "induced-by-Lagrangian", "affine-from-constraints")
-
 # classify's evidence must stay representable with room to spare: the
 # square of anything above 2^512 overflows
 _OVERFLOW_MARGIN = 2.0 ** 512
@@ -36,12 +34,9 @@ class SplittingSpec:
 
     coefficients: m ScalarFields of (x, y, v), arity n+m+n.
     smooth_at_zero: False restricts evaluation to the slit |v| >= slit_eps.
-    provenance: one of 'explicit', 'induced-by-Lagrangian',
-    'affine-from-constraints'.
     """
 
-    def __init__(self, chart, coefficients, smooth_at_zero=True,
-                 provenance="explicit"):
+    def __init__(self, chart, coefficients, smooth_at_zero=True):
         if len(coefficients) != chart.m:
             raise DimensionMismatch(
                 f"need {chart.m} coefficient fields, got {len(coefficients)}")
@@ -51,12 +46,9 @@ class SplittingSpec:
                 raise DimensionMismatch(
                     f"coefficient '{c.label}' has arity {c.arity}, "
                     f"expected {arity}")
-        if provenance not in PROVENANCE:
-            raise ValueError(f"provenance must be one of {PROVENANCE}")
         self.chart = chart
         self.coefficients = list(coefficients)
         self.smooth_at_zero = bool(smooth_at_zero)
-        self.provenance = provenance
 
     @classmethod
     def from_expressions(cls, chart, sources, smooth_at_zero=None):
@@ -72,7 +64,7 @@ class SplittingSpec:
         fields = [compile_field(a, ctx, label=src if isinstance(src, str) else None,
                                 slit_eps=chart.slit_eps)
                   for a, src in zip(asts, sources)]
-        return cls(chart, fields, smooth_at_zero, "explicit")
+        return cls(chart, fields, smooth_at_zero)
 
     def admissible(self, v):
         if self.smooth_at_zero:
@@ -104,14 +96,7 @@ class SplittingSpec:
         return [c.vg_lists(z) for c in self.coefficients]
 
     def __repr__(self):
-        return (f"SplittingSpec(n={self.chart.n}, m={self.chart.m}, "
-                f"provenance={self.provenance!r})")
-
-
-def horizontal_map(spec, p):
-    """h itself: (x, y, v) -> the horizontal tangent vector (v, h(x,y,v))."""
-    w = spec.h_values(p.x, p.y, p.v)
-    return TangentPointM(spec.chart, p.x, p.y, p.v, w)
+        return f"SplittingSpec(n={self.chart.n}, m={self.chart.m})"
 
 
 def project_horizontal(spec, t):
@@ -336,7 +321,7 @@ def vilms_lift(spec):
         return DerivedField(arity, vg, label=f"vilms_W{a+1}")
 
     coeffs = [y_field(a) for a in range(m)] + [w_field(a) for a in range(m)]
-    return SplittingSpec(big, coeffs, spec.smooth_at_zero, "explicit")
+    return SplittingSpec(big, coeffs, spec.smooth_at_zero)
 
 
 def vilms_horizontal(spec, at, X, V):
@@ -533,8 +518,7 @@ class AffineSplittingData:
             return compose(formula, fields, ctx, f"h{a+1}_affine",
                            chart.slit_eps)
 
-        return SplittingSpec(chart, [coeff(a) for a in range(chart.m)],
-                             True, "affine-from-constraints")
+        return SplittingSpec(chart, [coeff(a) for a in range(chart.m)])
 
 
 def affine_decompose(spec, samples=100, seed=0, box=1.0):
@@ -543,8 +527,12 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
     The reconstruction, from one jet per coefficient at (x, y, 0), is
     compared with h at `samples` usable points of [-box, box] (sample_max:
     a draw outside the domain, at v or at v = 0, is redrawn); a max-abs
-    mismatch above 1e-7 raises NotAffine.
+    mismatch above 1e-7 raises NotAffine.  A splitting that is not smooth
+    at v = 0 is not affine and raises NotAffine unsampled: it is never
+    evaluated at the v = 0 the read-off needs.
     """
+    if not spec.smooth_at_zero:
+        raise NotAffine("splitting is not smooth at v = 0")
     chart = spec.chart
     n, m = chart.n, chart.m
 

@@ -27,10 +27,9 @@ from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
 from fibresplit.nonholonomic import (AffineConstraintSpec, ConstrainedState,
                                      integrate_constrained)
 from fibresplit.numerics import rk4_integrate
-from fibresplit.reduction import (ActionSpec, MagneticModel,
+from fibresplit.reduction import (ActionSpec, MagneticModel, MagneticSystem,
                                   connection_test_domega, decoupling_check,
-                                  integrate_magnetic,
-                                  magnetic_lp_system, momentum_map,
+                                  integrate_magnetic, momentum_map,
                                   principal_check, reduced_base_lagrangian,
                                   unreduce, vilms_of_sode, xi_field)
 from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
@@ -317,9 +316,9 @@ def test_criterion_12_nonholonomic(rolling_record):
 def test_criterion_13_magnetic_decoupling():
     good = MagneticModel.from_expressions(1, 1, V="0.5*x1^2",
                                           A_fibre=["2"])
-    rep = decoupling_check(magnetic_lp_system(good))
+    rep = decoupling_check(MagneticSystem(good))
     assert rep.verdict
-    mag = integrate_magnetic(magnetic_lp_system(good), [1.0, 0.0, 0.4],
+    mag = integrate_magnetic(MagneticSystem(good), [1.0, 0.0, 0.4],
                              0.0, 10.0, 1e-3)
     base = integrate_sode(euler_lagrange_sode(reduced_base_lagrangian(good)),
                           [1.0, 0.0], 0.0, 10.0, 1e-3)
@@ -327,7 +326,7 @@ def test_criterion_13_magnetic_decoupling():
                   - np.array(base.states)[:, 0]).max() < 1e-6
 
     bad = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
-    rep2 = decoupling_check(magnetic_lp_system(bad))
+    rep2 = decoupling_check(MagneticSystem(bad))
     assert not rep2.verdict
     assert abs(rep2.condition_residual - 1.0) < 1e-9
     assert rep2.subsystem_residual > 0.05

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fibresplit
 from fibresplit import (_kernels, cli, config, exprs, lagrangian,
                         nonholonomic, numerics, reduction, splitting)
 
@@ -719,3 +721,10 @@ def test_simulation_box_bounds_the_sampled_points(tmp_path):
     assert run("check-all", cfg, tmp_path / "out") == 0
     resid = report(tmp_path / "out")["residuals"]["connection_test_explicit"]
     assert 0.4 < resid <= 0.5
+
+
+def test_readme_lists_every_public_name():
+    text = (CONFIGS.parent / "README.md").read_text()
+    section = text.split("\n## Public Python names\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    assert set(re.findall(r"`(\w+)`", section)) == set(fibresplit.__all__)

@@ -7,13 +7,12 @@ from fibresplit.errors import (BranchAmbiguity, DimensionMismatch,
                                DomainError, HypothesisFailed, NotSubducible,
                                SingularHessian)
 from fibresplit.exprs import VarContext, compile_field, parse
-from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
-                                   euler_lagrange_sode, fibre_regularity,
-                                   homogeneity_of_induced, induced_splitting,
-                                   integrate_sode, liouville_derivative,
-                                   projection_verify, subduce,
-                                   SubducedField, symmetry_condition_check,
-                                   tangency_check)
+from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
+                                   fibre_regularity, homogeneity_of_induced,
+                                   induced_splitting, integrate_sode,
+                                   liouville_derivative, projection_verify,
+                                   subduce, SubducedField,
+                                   symmetry_condition_check, tangency_check)
 from fibresplit.splitting import SplittingSpec
 
 CH = BundleChart(1, 1)
@@ -66,7 +65,6 @@ def test_fibre_regularity_reports_w_block():
 def test_euler_lagrange_oscillator():
     L = lag("0.5*v1^2 + 0.5*w1^2 - 0.5*x1^2 - 0.5*y1^2")
     sode = euler_lagrange_sode(L.field)
-    assert sode.provenance == "euler-lagrange"
     rec = integrate_sode(sode, [1.0, 0.5, 0.0, 0.0], 0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
     assert abs(rec.final[1] - 0.5 * np.cos(1.0)) < 1e-10
@@ -81,7 +79,6 @@ def test_singular_velocity_hessian_raises():
 
 def test_induced_splitting_quadratic_fixture(newton_calls):
     h = induced_splitting(lag(F1))
-    assert h.provenance == "induced-by-Lagrangian"
     assert h.smooth_at_zero
     newton_calls.clear()
     w, iters = h.solve_detail([0.0], [0.0], [0.4])
@@ -297,14 +294,16 @@ def test_defining_relation_on_samples():
     assert worst < 1e-9
 
 
-def test_defining_relation_check_pass_fail_pair():
+def test_subduce_refuses_a_splitting_off_the_defining_relation():
     L = lag(F1)
-    assert defining_relation_check(L, induced_splitting(L)).max_residual \
-        < 1e-12
     wrong = SplittingSpec.from_expressions(CH, ["v1^2"])  # true h is -v^2
-    rep = defining_relation_check(L, wrong, samples=20, seed=5)
-    assert rep.sample_count == 20 and rep.seed == 5
-    assert rep.max_residual > 0.5
+    with pytest.raises(NotSubducible, match="defining relation fails"):
+        subduce(L, wrong, samples=20, seed=5)
+    # dL/dw = w = 0.5 v1 on this h, while L . h never sees the fibre point
+    L = lag("0.5*v1^2 + 0.5*w1^2")
+    wrong = SplittingSpec.from_expressions(CH, ["0.5*v1"])
+    with pytest.raises(NotSubducible, match="defining relation fails"):
+        subduce(L, wrong)
 
 
 def test_subduce_exact_quartic():

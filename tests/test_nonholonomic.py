@@ -4,10 +4,10 @@ import pytest
 from fibresplit.bundle import BundleChart
 from fibresplit.errors import DimensionMismatch
 from fibresplit.lagrangian import LagrangianSpec
-from fibresplit.nonholonomic import (AffineConstraintSpec, ConstrainedState,
-                                     constrained_lagrangian,
-                                     integrate_constrained,
-                                     lagrange_dalembert_system)
+from fibresplit.nonholonomic import (AffineConstraintSpec,
+                                     ConstrainedLagrangianField,
+                                     ConstrainedState, ConstrainedSystem,
+                                     integrate_constrained)
 from fibresplit.splitting import rate_residual
 
 CH1 = BundleChart(1, 1)
@@ -35,10 +35,10 @@ def test_reconstruct_w():
 
 def test_constrained_lagrangian_values():
     L = LagrangianSpec.from_expression(CH1, "0.5*(v1^2 + w1^2)")
-    free = constrained_lagrangian(L, constraint(CH1, [["0"]], ["0"]))
+    free = ConstrainedLagrangianField(L, constraint(CH1, [["0"]], ["0"]))
     s = np.array([0.1, -0.3, 0.5])
     assert abs(free.value(s) - 0.125) < 1e-15
-    tilted = constrained_lagrangian(L, constraint(CH1, [["2"]], ["0"]))
+    tilted = ConstrainedLagrangianField(L, constraint(CH1, [["2"]], ["0"]))
     # w = -2v, so the kinetic term carries a factor 1 + 4
     assert abs(tilted.value(s) - 0.625) < 1e-15
     assert abs(tilted.jet(s).hessian[2 * 3 + 2] - 5.0) < 1e-14
@@ -46,7 +46,7 @@ def test_constrained_lagrangian_values():
 
 def test_constrained_lagrangian_jets_closed_form():
     L = LagrangianSpec.from_expression(CH1, "0.5*(v1^2 + w1^2)")
-    Lc = constrained_lagrangian(L, constraint(CH1, [["x1"]], ["y1"]))
+    Lc = ConstrainedLagrangianField(L, constraint(CH1, [["x1"]], ["y1"]))
     x, y, v = 0.5, 0.3, 0.7
     u = y - x * v
     j = Lc.jet(np.array([x, y, v]))
@@ -73,7 +73,7 @@ def test_pure_drift_constraint():
 
 def test_rhs_hand_value():
     L, c = rolling_setup()
-    system = lagrange_dalembert_system(L, c)
+    system = ConstrainedSystem(L, c)
     s = np.array([0.5, 0.0, 0.0, 0.2, 0.4])
     rhs = system.rhs(0.0, s)
     assert np.allclose(rhs[:2], [0.2, 0.4], atol=0)
@@ -84,7 +84,7 @@ def test_rhs_hand_value():
 
 def test_rolling_conserves_energy_and_constraint(rolling_record):
     L, c, ic, rec = rolling_record
-    system = lagrange_dalembert_system(L, c)
+    system = ConstrainedSystem(L, c)
     ws = [c.reconstruct_w(s[:2], s[2:3], s[3:]) for s in rec.states]
     assert max(rate_residual(rec.t, [s[2:3] for s in rec.states], ws)) \
         < 1e-10

@@ -300,9 +300,15 @@ def _reference_condition_number(A):
 
 
 def _reference_det(A):
-    """The product of U's diagonal, negated once per row swap, divided
-    back by the scale once per row; 0.0 at a zero pivot."""
-    a, scale = _reference_scaled(A)
+    """The product of U's diagonal, negated once per row swap; 0.0 at a
+    zero pivot.  Where numerics scales A (_reference_scaled's scale is not
+    1.0), each row is first brought into [1/2, 1) by its own power of two,
+    and one ldexp by their sum restores the product."""
+    a = np.asarray(A, dtype=float).tolist()
+    exps = [0] * len(a)
+    if _reference_scaled(A)[1] != 1.0:
+        exps = [math.frexp(max(map(abs, row)))[1] for row in a]
+        a = [[math.ldexp(v, -e) for v in row] for row, e in zip(a, exps)]
     lu = [row[:] for row in a]
     order = _reference_lu_factor(lu)
     if order is None:
@@ -310,9 +316,10 @@ def _reference_det(A):
     d = float(np.linalg.det(np.eye(len(lu))[order]))  # the swaps' sign
     for i, row in enumerate(lu):
         d *= row[i]
-    for _ in lu:
-        d /= scale
-    return d
+    try:
+        return math.ldexp(d, sum(exps))
+    except OverflowError:
+        return math.copysign(math.inf, d)
 
 
 def _reference_solve(A, b, cond_bound=1e13):
@@ -379,6 +386,7 @@ def _oracle_systems(k):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
     rng = np.random.default_rng(10 * k + r)
+    spread_dets = []
     for A in _oracle_systems(k):
         b = rng.uniform(-1.0, 1.0, k if r == 1 else (k, r))
         for e in (0, -900, 900):
@@ -389,6 +397,15 @@ def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
             assert _bits(condition_number(As)) == \
                 _bits(_reference_condition_number(As))
             assert _bits(det(As)) == _bits(_reference_det(As))
+        # rows at 2^600 and 2^-600 in turn: one shared scale would lose
+        # the small rows, while det stays finite (within 2^600 of det A)
+        rows = [2.0 ** (600 - 1200 * (i % 2)) for i in range(k)]
+        As = A * np.array(rows)[:, None]
+        d = det(As)
+        assert _bits(d) == _bits(_reference_det(As))
+        spread_dets.append(d)
+    # finite and nonzero for every system but the one with a zero row
+    assert sum(math.isfinite(d) and d != 0.0 for d in spread_dets) == 5
 
 
 @pytest.mark.parametrize("A, b, message", [

@@ -10,11 +10,11 @@ from fibresplit.lagrangian import (LagrangianSpec, SodeSpec,
                                    euler_lagrange_sode, induced_splitting,
                                    integrate_sode)
 from fibresplit.reduction import (ActionSpec, DecouplingReport,
-                                  MagneticModel, _flow_lift,
+                                  MagneticModel, MagneticSystem, _flow_lift,
                                   connection_test_domega, decoupling_check,
                                   integrate_magnetic,
                                   invariance_check, magnetic_induced_splitting,
-                                  magnetic_lp_system, momentum_map, omega,
+                                  momentum_map, omega,
                                   principal_check, reduced_base_lagrangian,
                                   unreduce, vilms_of_sode,
                                   vilms_principal_check, xi_field)
@@ -200,7 +200,6 @@ def test_unreduce_oscillator_stays_horizontal():
     h = SplittingSpec.from_expressions(CH, ["0.7*v1"])
     gbar = euler_lagrange_sode(base_field("0.5*v1^2 - 0.5*x1^2"))
     sode = unreduce(gbar, h, act)
-    assert sode.provenance == "unreduced"
     rec = integrate_sode(sode, [1.0, 0.0, 0.0, 0.0], 0.0, 10.0, 1e-3)
     assert abs(rec.final[0] - np.cos(10.0)) < 1e-8
     states = np.array(rec.states)
@@ -235,6 +234,25 @@ def test_frame_values_at_int_points_run_in_floats():
     act = ActionSpec.from_expressions(CH, [["1 + y1^400"]])
     with pytest.raises(DomainError, match="powi overflow"):
         act.K_matrix([0], [10])
+
+
+@pytest.mark.parametrize("K, h_src", [
+    ("1", "0.7*v1"),
+    # compatible with the moving frame: h_y = v + h
+    ("exp(x1 + y1)", "0.7*v1*exp(y1) - v1"),
+], ids=["constant_frame", "moving_frame"])
+def test_unreduced_force_is_the_vilms_lift_plus_xi(K, h_src):
+    act = ActionSpec.from_expressions(CH, [[K]])
+    h = SplittingSpec.from_expressions(CH, [h_src])
+    gbar = euler_lagrange_sode(base_field("0.5*v1^2 - 0.5*x1^2"))
+    G = unreduce(gbar, h, act)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        x, y, v, w = rng.uniform(-1.0, 1.0, 4).tolist()
+        pt = TangentPointM(CH, [x], [y], [v], [w])
+        want = [a + b for a, b in zip(vilms_of_sode(gbar, h, pt).W,
+                                      xi_field(h, act, pt).W)]
+        assert G.force([x, y], [v, w])[CH.n:] == want
 
 
 def test_unreduce_rejects_incompatible_splitting():
@@ -357,20 +375,20 @@ def test_magnetic_model_rejects_asymmetric_metric():
                                        V="x1", A_fibre=["2"])
     sym = MagneticModel.from_expressions(2, 1, g=[["1", "0.25*x2"],
                                                    ["0.25*x2", "1"]])
-    assert decoupling_check(magnetic_lp_system(sym),
+    assert decoupling_check(MagneticSystem(sym),
                             samples=5).base_el_residual < 1e-12
 
 
 def test_magnetic_rhs_trivial_model():
     model = MagneticModel.from_expressions(1, 1)
-    sys = magnetic_lp_system(model)
+    sys = MagneticSystem(model)
     rhs = sys.rhs(0.0, np.array([0.3, 0.5, 0.2]))
     assert np.array_equal(rhs, np.array([0.5, 0.0, 0.0]))
 
 
 def test_magnetic_rhs_metric_term():
     model = MagneticModel.from_expressions(1, 1, g=[["exp(x1)"]])
-    sys = magnetic_lp_system(model)
+    sys = MagneticSystem(model)
     for x, v in [(0.3, 0.7), (-0.5, 1.2)]:
         rhs = sys.rhs(0.0, np.array([x, v, 0.1]))
         assert abs(rhs[1] + 0.5 * v * v) < 1e-12  # geodesic: v' = -v^2/2
@@ -378,7 +396,7 @@ def test_magnetic_rhs_metric_term():
 
 def test_magnetic_oscillator_and_momentum_transport():
     model = MagneticModel.from_expressions(1, 1, V="0.5*x1^2")
-    sys = magnetic_lp_system(model)
+    sys = MagneticSystem(model)
     rec = integrate_magnetic(sys, [1.0, 0.0, 0.3], 0.0, 10.0, 1e-3)
     assert abs(rec.final[0] - np.cos(10.0)) < 1e-8
     # the fibre block is inert here: transported momentum is constant
@@ -414,7 +432,7 @@ def test_reduced_base_lagrangian_jets():
 
 def test_decoupling_constant_interaction():
     model = MagneticModel.from_expressions(1, 1, A_fibre=["2"])
-    rep = decoupling_check(magnetic_lp_system(model))
+    rep = decoupling_check(MagneticSystem(model))
     assert isinstance(rep, DecouplingReport)
     assert rep.verdict
     assert rep.condition_residual == 0.0
@@ -425,7 +443,7 @@ def test_decoupling_constant_interaction():
 
 def test_decoupling_detects_position_dependent_interaction():
     model = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
-    rep = decoupling_check(magnetic_lp_system(model))
+    rep = decoupling_check(MagneticSystem(model))
     assert not rep.verdict
     assert abs(rep.condition_residual - 1.0) < 1e-9
     assert rep.subsystem_residual > 0.05  # w feeds back into the base block
@@ -436,7 +454,7 @@ def test_decoupling_verdict_is_only_the_linear_condition():
     # remains; the verdict must not silently absorb those residuals.
     model = MagneticModel.from_expressions(
         1, 1, A_fibre=["exp(x1)"], upsilon=[[["-1"]]])
-    rep = decoupling_check(magnetic_lp_system(model))
+    rep = decoupling_check(MagneticSystem(model))
     assert rep.verdict
     assert rep.condition_residual == 0.0
     assert rep.subsystem_residual > 0.5

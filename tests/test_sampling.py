@@ -6,15 +6,14 @@ import pytest
 
 from fibresplit.bundle import BundleChart
 from fibresplit.errors import DomainError
-from fibresplit.lagrangian import (LagrangianSpec, defining_relation_check,
-                                   homogeneity_of_induced, induced_splitting,
-                                   subduce, symmetry_condition_check,
-                                   tangency_check)
+from fibresplit.lagrangian import (LagrangianSpec, homogeneity_of_induced,
+                                   induced_splitting, subduce,
+                                   symmetry_condition_check, tangency_check)
 from fibresplit.numerics import Generator, sample_max
-from fibresplit.reduction import (ActionSpec, MagneticModel,
+from fibresplit.reduction import (ActionSpec, MagneticModel, MagneticSystem,
                                   connection_test_domega, decoupling_check,
-                                  invariance_check, magnetic_lp_system,
-                                  principal_check, vilms_principal_check)
+                                  invariance_check, principal_check,
+                                  vilms_principal_check)
 from fibresplit.splitting import SplittingSpec, affine_decompose, classify
 
 CH = BundleChart(1, 1)
@@ -35,8 +34,6 @@ def nowhere_h():
 
 
 CHECKS = {
-    "defining_relation": lambda: defining_relation_check(
-        lag(NOWHERE_L), nowhere_h(), samples=4),
     "symmetry_condition": lambda: symmetry_condition_check(
         lag(NOWHERE_L), nowhere_h(), samples=4),
     "tangency": lambda: tangency_check(lag(NOWHERE_L), nowhere_h(),
@@ -55,7 +52,7 @@ CHECKS = {
     "classify": lambda: classify(nowhere_h(), samples=4),
     "affine_decompose": lambda: affine_decompose(nowhere_h(), samples=4),
     "decoupling": lambda: decoupling_check(
-        magnetic_lp_system(MagneticModel.from_expressions(
+        MagneticSystem(MagneticModel.from_expressions(
             1, 1, A_fibre=["log(x1 - 2)"])), samples=4),
 }
 
@@ -67,10 +64,10 @@ def test_check_without_usable_samples_raises(name):
 
 
 @pytest.mark.parametrize("check", [
-    lambda L, h: defining_relation_check(L, h, samples=20),
+    lambda L, h: symmetry_condition_check(L, h, samples=20),
     lambda L, h: tangency_check(L, h, samples=20),
     lambda L, h: invariance_check(L, ACTION, samples=20),
-], ids=["defining_relation", "tangency", "invariance"])
+], ids=["symmetry_condition", "tangency", "invariance"])
 def test_failed_draws_are_redrawn(check):
     L = lag(HALF_L)
     rep = check(L, induced_splitting(L))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fibresplit.bundle import (BundleChart, PullbackPoint, TangentPointM,
-                               VectorFieldN, canonical_flip, tangent_map)
+from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
+                               canonical_flip, tangent_map)
 from fibresplit.errors import (DimensionMismatch, DomainError, NotAffine,
                                NotWellDefined)
 from fibresplit.exprs import VarContext, compile_field, parse
@@ -11,8 +11,8 @@ from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   affine_curvature_coefficients,
                                   affine_decompose, classify,
                                   curvature_pointwise, curvature_rbar,
-                                  horizontal_lift_curve, horizontal_map,
-                                  lifted_field, project_horizontal,
+                                  horizontal_lift_curve, lifted_field,
+                                  project_horizontal,
                                   project_vertical, pv_component_fields,
                                   vilms_complete_lift_check, vilms_horizontal,
                                   vilms_lift, vilms_vertical_projector)
@@ -32,7 +32,6 @@ def test_from_expressions_infers_slit_restriction():
     assert spec11("x1*v1").smooth_at_zero
     assert not spec11("sqrt(v1^2)").smooth_at_zero
     assert spec11("sqrt(v1^2)", smooth_at_zero=True).smooth_at_zero
-    assert spec11("x1*v1").provenance == "explicit"
 
 
 def test_admissibility_and_domain_error():
@@ -63,9 +62,6 @@ def test_coefficient_arity_guard():
     bad = compile_field(parse("x1"), ctx)
     with pytest.raises(DimensionMismatch):
         SplittingSpec(ch, [bad])
-    with pytest.raises(ValueError):
-        SplittingSpec.from_expressions(ch, ["v1"]).provenance
-        SplittingSpec(ch, spec11("v1").coefficients, True, "guessed")
 
 
 def test_projector_identities_with_drift():
@@ -93,14 +89,11 @@ def test_projector_identities_with_drift():
         assert np.abs(project_vertical(s, ph).w).max() < 1e-12
 
 
-def test_horizontal_map_matches_projection():
+def test_project_horizontal_replaces_w_by_h():
     s = spec11("y1*v1^2")
-    p = PullbackPoint(s.chart, [0.5], [2.0], [3.0])
-    t = horizontal_map(s, p)
-    assert abs(t.w[0] - 2.0 * 9.0) < 1e-15
-    assert np.array_equal(
-        project_horizontal(s, TangentPointM(s.chart, [0.5], [2.0], [3.0],
-                                            [99.0])).w, t.w)
+    t = project_horizontal(s, TangentPointM(s.chart, [0.5], [2.0], [3.0],
+                                            [99.0]))
+    assert t.as_array() == [0.5, 2.0, 3.0, 18.0]
 
 
 def test_classification_truth_table():
@@ -307,6 +300,11 @@ def test_affine_decompose_recovers_coefficients():
 def test_affine_decompose_rejects_nonlinear():
     with pytest.raises(NotAffine):
         affine_decompose(spec11("v1^2"))
+    # defined only on the slit, so never at the v = 0 the read-off needs
+    finsler = SplittingSpec.from_expressions(BundleChart(2, 1),
+                                             ["sqrt(v1^2 + v2^2)"])
+    with pytest.raises(NotAffine, match="not smooth at v = 0"):
+        affine_decompose(finsler)
 
 
 def test_affine_round_trip_and_curvature_coefficients():
@@ -314,7 +312,6 @@ def test_affine_round_trip_and_curvature_coefficients():
     data = AffineSplittingData.from_expressions(
         ch, [["0", "-x1"]], ["0"])
     s = data.to_splitting()
-    assert s.provenance == "affine-from-constraints"
     assert classify(s).verdict == "Ehresmann"
     B, A0d = map(np.array, affine_curvature_coefficients(
         data, np.array([0.7, -0.3]), np.array([0.2])))

@@ -27,10 +27,9 @@ from fibresplit.jets import SLIT_EPS_DEFAULT, seed_jets
 from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
                                    induced_splitting, subduce)
 from fibresplit.nonholonomic import (AffineConstraintSpec,
-                                     constrained_lagrangian,
-                                     lagrange_dalembert_system)
-from fibresplit.reduction import (ActionSpec, MagneticModel,
-                                  magnetic_lp_system,
+                                     ConstrainedLagrangianField,
+                                     ConstrainedSystem)
+from fibresplit.reduction import (ActionSpec, MagneticModel, MagneticSystem,
                                   reduced_base_lagrangian, unreduce)
 from fibresplit.splitting import (SplittingSpec,
                                   affine_curvature_coefficients)
@@ -221,7 +220,7 @@ def test_constrained_lagrangian_matches_sympy():
     src = "0.5*(v1^2 + v2^2 + w1^2) + w2^2*(1 + x1^2)/2 + y1*w1*v2 - cos(y2)"
     A = [["x1*y2", "sin(y1)"], ["0.5", "x2 - y1^2"]]
     A0 = ["exp(x2)*y2", "x1*y1"]
-    Lc = constrained_lagrangian(
+    Lc = ConstrainedLagrangianField(
         LagrangianSpec.from_expression(chart, src),
         AffineConstraintSpec.from_expressions(chart, A, A0))
     v, w = _syms("v", 2), _syms("w", 2)
@@ -373,7 +372,7 @@ def test_lagrange_dalembert_rhs_matches_sympy(n, m, src, A, A0):
     # w = A0 - A v, with dw/dt the total derivative of the constraint
     chart = BundleChart(n, m)
     c = AffineConstraintSpec.from_expressions(chart, A, A0)
-    system = lagrange_dalembert_system(
+    system = ConstrainedSystem(
         LagrangianSpec.from_expression(chart, src), c)
     x, y, v, w = (_syms("x", n), _syms("y", m), _syms("v", n),
                   _syms("w", m))
@@ -443,7 +442,7 @@ def test_magnetic_rhs_matches_sympy(n, m, data):
     #   d/dt dl/dv - dl/dx = (-Kcurv v + Upsilon wb)^T p
     #   dp/dt = (Upsilon^T v + C wb)^T p
     model = MagneticModel.from_expressions(n, m, **data)
-    system = magnetic_lp_system(model)
+    system = MagneticSystem(model)
     x, v, wb = _syms("x", n), _syms("v", n), _syms("wb", m)
     acc, wacc = _syms("a", n), _syms("b", m)
     g, U, Kc = _grid(data["g"]), _grid(data["upsilon"]), _grid(data["Kcurv"])
