@@ -31,8 +31,7 @@ from .lagrangian import (InducedSplitting, LagrangianSpec, SodeSpec,
                          integrate_sode, liouville_derivative,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
-from .nonholonomic import (AffineConstraintSpec, ConstrainedLagrangianField,
-                           ConstrainedState, ConstrainedSystem,
+from .nonholonomic import (ConstrainedLagrangianField, ConstrainedSystem,
                            integrate_constrained)
 from .numerics import (TrajectoryRecord, linear_solve, newton_solve,
                        rk4_integrate)

@@ -25,7 +25,7 @@ from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
                          induced_splitting, integrate_sode,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
-from .nonholonomic import ConstrainedState, integrate_constrained
+from .nonholonomic import integrate_constrained
 from .numerics import Generator, dot, max_gap
 from .reduction import (MagneticSystem, connection_test_domega,
                         decoupling_check, integrate_magnetic,
@@ -232,9 +232,8 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     c = cfg.constraints(chart)
     n, m = chart.n, chart.m
     ic = _ic(run, sim, 2 * n + m, " (x, y, v)")
-    state = ConstrainedState(ic[:n], ic[n:n + m], ic[n + m:])
-    rec = integrate_constrained(L, c, state, sim["t0"], sim["t1"], sim["dt"])
-    ws = [c.reconstruct_w(s[:n], s[n:n + m], s[n + m:]) for s in rec.states]
+    rec = integrate_constrained(L, c, ic, sim["t0"], sim["t1"], sim["dt"])
+    ws = [c.h_values(s[:n], s[n:n + m], s[n + m:]) for s in rec.states]
     rate = rate_residual(rec.t, [s[n:n + m] for s in rec.states], ws)
     run.check("constraint_rate_residual", max(rate),
               run.report["tolerances"]["dynamic"])
@@ -357,8 +356,7 @@ def _cmd_check_all(run, cfg, chart, sim, args):
                 ct.max_residual
 
     if cfg.has("constraints"):
-        csp = cfg.constraints(chart).to_splitting()
-        rep = classify(csp, **run.sampling)
+        rep = classify(cfg.constraints(chart), **run.sampling)
         run.report["verdicts"]["constraint_classification"] = rep.verdict
 
     if cfg.has("magnetic"):

@@ -14,10 +14,9 @@ from .bundle import BundleChart
 from .errors import DimensionMismatch, ParseError
 from .exprs import VarContext, compile_field
 from .lagrangian import LagrangianSpec
-from .nonholonomic import AffineConstraintSpec
 from .numerics import _MAX_STEPS
 from .reduction import ActionSpec, MagneticModel
-from .splitting import SplittingSpec
+from .splitting import AffineSplittingData, SplittingSpec
 
 _FIXED_KEYS = {
     "bundle": {"base_dim", "fibre_dim", "slit_eps"},
@@ -221,7 +220,7 @@ class ModelConfig:
 
     def constraints(self, chart):
         sec = self.require("constraints", "A", "A0")
-        return AffineConstraintSpec.from_expressions(
+        return AffineSplittingData.from_expressions(
             chart, _expr_grid(sec["A"], "[constraints] A"),
             _expr_grid(sec["A0"], "[constraints] A0"))
 

@@ -512,16 +512,11 @@ def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
 def compose(formula, fields, ctx, label, slit_eps=SLIT_EPS_DEFAULT):
     """One TapeField for a formula over compiled fields.
 
-    formula is source text in ctx's variables plus the names in `fields`;
-    each such name is replaced by that field's `ast` before compiling, so
-    the composite's jets come from a single tape.  A field that was not
-    compiled from an expression has no AST and raises TypeError.
+    formula is source text in ctx's variables plus the names in `fields`,
+    each a field compiled from an expression; each such name is replaced
+    by that field's `ast` before compiling, so the composite's jets come
+    from a single tape.
     """
-    plain = [f.label for f in fields.values()
-             if getattr(f, "ast", None) is None]
-    if plain:
-        raise TypeError(f"'{label}' composes compiled expressions only; "
-                        f"{plain} are not")
     mapping = {name: f.ast for name, f in fields.items()}
     return compile_field(substitute(parse(formula), mapping), ctx,
                          label=label, slit_eps=slit_eps)

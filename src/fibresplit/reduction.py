@@ -202,22 +202,26 @@ def vilms_of_sode(gamma_bar, h, w_pt):
                             gamma_bar.force(w_pt.x, w_pt.v))
 
 
-def unreduce(gamma_bar, h, action, check=True, samples=50, seed=42,
-             box=1.0):
+def unreduce(gamma_bar, h, action, samples=50, seed=42, box=1.0):
     """Lift a base SODE to a SODE on the total space tangent to the image
     of h.  The fibre-velocity force is dh.(v, w, f) plus the vertical
-    correction Kdot K^-1 (w - h); requires h compatible with the action."""
+    correction Kdot K^-1 (w - h); requires h compatible with the action,
+    so a principal_check residual of 1e-7 or more raises NotPrincipal."""
+    sode = _unreduced_sode(gamma_bar, h, action)
+    rep = principal_check(h, action, samples=samples, seed=seed, box=box)
+    if rep.max_residual >= 1e-7:
+        raise NotPrincipal(
+            f"splitting fails the frame compatibility test "
+            f"(residual {rep.max_residual:.3e})")
+    return sode
+
+
+def _unreduced_sode(gamma_bar, h, action):
+    """unreduce's SODE without the compatibility test."""
     n, m = h.chart.n, h.chart.m
     if gamma_bar.dim != n:
         raise DimensionMismatch(
             f"base SODE has dimension {gamma_bar.dim}, expected {n}")
-    if check:
-        rep = principal_check(h, action, samples=samples, seed=seed,
-                              box=box)
-        if rep.max_residual >= 1e-7:
-            raise NotPrincipal(
-                f"splitting fails the frame compatibility test "
-                f"(residual {rep.max_residual:.3e})")
 
     def force(q, u):
         q, u = as_floats(q), as_floats(u)

@@ -4,7 +4,10 @@ A splitting is the data of m coefficient fields h^alpha(x, y, v); the
 horizontal image of a base velocity v at (x, y) is the tangent vector
 (v, h(x, y, v)).  Nothing here assumes linearity in v: Ehresmann (linear),
 affine and positively-homogeneous splittings are special cases detected by
-sampling, never assumed.
+sampling, never assumed.  An affine splitting h = A0 - A v, whether
+compiled from A and A0 or read off and verified by affine_decompose, is
+an AffineSplittingData: a SplittingSpec that also carries A and A0 for the
+curvature coefficients.
 
 Splittings flagged smooth_at_zero=False are only evaluated on the slit
 |v|_2 >= chart.slit_eps.
@@ -51,16 +54,15 @@ class SplittingSpec:
         self.smooth_at_zero = bool(smooth_at_zero)
 
     @classmethod
-    def from_expressions(cls, chart, sources, smooth_at_zero=None):
+    def from_expressions(cls, chart, sources):
         """Build from m expression strings in x1.., y1.., v1..
 
-        smooth_at_zero defaults to False exactly when abs or sqrt appears
-        in some coefficient; pass an explicit flag to override.
+        The splitting is smooth at zero exactly when neither abs nor sqrt
+        appears in any coefficient.
         """
         ctx = chart.ctx_pullback()
         asts = [parse(s) if isinstance(s, str) else s for s in sources]
-        if smooth_at_zero is None:
-            smooth_at_zero = not any(mentions_nonsmooth(a) for a in asts)
+        smooth_at_zero = not any(mentions_nonsmooth(a) for a in asts)
         fields = [compile_field(a, ctx, label=src if isinstance(src, str) else None,
                                 slit_eps=chart.slit_eps)
                   for a, src in zip(asts, sources)]
@@ -448,10 +450,16 @@ def curvature_pointwise(spec, u, v, m_pt):
 
     Recomputes with deliberately different (linear) extensions; if the two
     answers differ by more than 1e-7 the value depends on the extension and
-    NotWellDefined is raised.  Affine splittings pass the check.
+    NotWellDefined is raised.  Affine splittings pass the check.  The
+    constant extensions have base bracket [X, Y] = 0, where a splitting
+    that is not smooth at v = 0 is undefined: NotWellDefined too.
     """
-    u, v, x0 = as_floats(u), as_floats(v), as_floats(m_pt[0])
     chart = spec.chart
+    if not spec.smooth_at_zero:
+        raise NotWellDefined(
+            "curvature needs h at the base bracket [X, Y] = 0, inside the "
+            f"slit ball (|v| < {chart.slit_eps})")
+    u, v, x0 = as_floats(u), as_floats(v), as_floats(m_pt[0])
     n = chart.n
 
     def const_field(vals):
@@ -469,62 +477,56 @@ def curvature_pointwise(spec, u, v, m_pt):
     return r1
 
 
-@dataclass
-class AffineSplittingData:
-    """Affine splitting h = -A_i v^i + A_0 by its coefficient fields.
+class AffineSplittingData(SplittingSpec):
+    """An affine splitting h = A0 - A_i v^i, with its fields A and A0.
 
     A is an m x n nested list of ScalarFields of (x, y); A0 is a list of m
-    such fields.  reconstruction_residual records how well the affine
+    such fields.  The coefficients are the splitting's own m fields of
+    (x, y, v).  reconstruction_residual records how well the affine
     reconstruction matched the source splitting (None when constructed
-    directly from expressions).
+    from expressions).
     """
-    chart: BundleChart
-    A: list
-    A0: list
-    reconstruction_residual: float = None
 
-    def __post_init__(self):
-        n, m = self.chart.n, self.chart.m
-        if len(self.A) != m or any(len(row) != n for row in self.A):
-            raise DimensionMismatch(f"A must be {m} rows of {n} fields")
-        if len(self.A0) != m:
-            raise DimensionMismatch(f"A0 must have {m} fields")
+    def __init__(self, chart, coefficients, A, A0,
+                 reconstruction_residual=None):
+        super().__init__(chart, coefficients)
+        self.A = A
+        self.A0 = A0
+        self.reconstruction_residual = reconstruction_residual
 
     @classmethod
     def from_expressions(cls, chart, A_sources, A0_sources):
-        ctx = chart.ctx_point()
-        A = [[compile_field(s, ctx, slit_eps=chart.slit_eps) for s in row]
+        """Compile A and A0 from expressions in x1.., y1..; each
+        coefficient h^a = A0^a - A^a_1 v^1 - ... - A^a_n v^n is one tape
+        over (x, y, v), compiled from the fields' ASTs by substitution."""
+        n, m = chart.n, chart.m
+        point, pullback = chart.ctx_point(), chart.ctx_pullback()
+        A = [[compile_field(s, point, slit_eps=chart.slit_eps) for s in row]
              for row in A_sources]
-        A0 = [compile_field(s, ctx, slit_eps=chart.slit_eps)
+        A0 = [compile_field(s, point, slit_eps=chart.slit_eps)
               for s in A0_sources]
-        return cls(chart, A, A0)
-
-    def to_splitting(self):
-        """The splitting h^a = A0^a - A^a_1 v^1 - ... - A^a_n v^n.
-
-        Takes expression-built data (from_expressions): each coefficient
-        is one tape over (x, y, v) compiled from the fields' ASTs.  Data
-        read off a splitting by affine_decompose has no ASTs to compose
-        and raises TypeError.
-        """
-        chart = self.chart
-        ctx = chart.ctx_pullback()
+        if len(A) != m or any(len(row) != n for row in A):
+            raise DimensionMismatch(f"A must be {m} rows of {n} fields")
+        if len(A0) != m:
+            raise DimensionMismatch(f"A0 must have {m} fields")
         formula = "A0" + "".join(f" - A{i+1}*{v}"
                                  for i, v in enumerate(chart.v_names))
 
         def coeff(a):
-            fields = {"A0": self.A0[a]}
-            fields.update({f"A{i+1}": f for i, f in enumerate(self.A[a])})
-            return compose(formula, fields, ctx, f"h{a+1}_affine",
+            fields = {"A0": A0[a]}
+            fields.update({f"A{i+1}": f for i, f in enumerate(A[a])})
+            return compose(formula, fields, pullback, f"h{a+1}_affine",
                            chart.slit_eps)
 
-        return SplittingSpec(chart, [coeff(a) for a in range(chart.m)])
+        return cls(chart, [coeff(a) for a in range(m)], A, A0)
 
 
 def affine_decompose(spec, samples=100, seed=0, box=1.0):
     """Read off A_0 = h(x,y,0) and A_i = -dh/dv_i(x,y,0), then verify.
 
-    The reconstruction, from one jet per coefficient at (x, y, 0), is
+    Returns the verified splitting itself as AffineSplittingData: its
+    coefficients are spec.coefficients, with A and A0 read off.  The
+    reconstruction, from one jet per coefficient at (x, y, 0), is
     compared with h at `samples` usable points of [-box, box] (sample_max:
     a draw outside the domain, at v or at v = 0, is redrawn); a max-abs
     mismatch above 1e-7 raises NotAffine.  A splitting that is not smooth
@@ -565,7 +567,7 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
     worst = sample_max(residual, samples, seed, 2 * n + m, box).max_residual
     if not worst <= 1e-7:  # a NaN residual fails too
         raise NotAffine(f"reconstruction residual {worst:.3e} exceeds 1e-7")
-    return AffineSplittingData(chart, A, A0, worst)
+    return AffineSplittingData(chart, spec.coefficients, A, A0, worst)
 
 
 def affine_curvature_coefficients(data, x, y):

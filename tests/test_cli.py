@@ -291,6 +291,22 @@ def test_curvature_nonaffine_reports_extension_dependence(tmp_path, capsys):
     assert "extension" in capsys.readouterr().err
 
 
+def test_curvature_on_a_slit_splitting_is_not_well_defined(tmp_path, capsys):
+    # a Finsler splitting is not affine, and the constant extensions of
+    # the pointwise curvature have base bracket [X, Y] = 0, inside its slit
+    cfg = tmp_path / "finsler.ini"
+    cfg.write_text("[bundle]\nbase_dim = 2\nfibre_dim = 1\n"
+                   '[splitting]\nh1 = "sqrt(v1^2 + v2^2)"\n')
+    out = tmp_path / "out"
+    assert run("curvature", cfg, out) == 1
+    rep = report(out)
+    assert rep["status"] == "verification-failed"
+    assert rep["verdicts"]["affine"] is False
+    assert rep["error"].startswith("NotWellDefined")
+    assert "slit" in rep["error"]
+    assert "verification failed" in capsys.readouterr().err
+
+
 def test_check_all_green(tmp_path):
     assert run("check-all", FIX / "model.ini", tmp_path) == 0
     rep = report(tmp_path)

@@ -75,7 +75,7 @@ def test_full_config_builds_every_object(tmp_path):
     assert act.K_matrix([0.1], [0.2])[0][0] == 1.0
 
     con = cfg.constraints(chart)
-    assert np.array_equal(con.reconstruct_w([0.0], [0.0], [0.5]), [-1.0])
+    assert np.array_equal(con.h_values([0.0], [0.0], [0.5]), [-1.0])
 
     model = cfg.magnetic()
     assert model.k == [[2.0]]

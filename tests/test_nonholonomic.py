@@ -4,18 +4,17 @@ import pytest
 from fibresplit.bundle import BundleChart
 from fibresplit.errors import DimensionMismatch
 from fibresplit.lagrangian import LagrangianSpec
-from fibresplit.nonholonomic import (AffineConstraintSpec,
-                                     ConstrainedLagrangianField,
-                                     ConstrainedState, ConstrainedSystem,
+from fibresplit.nonholonomic import (ConstrainedLagrangianField,
+                                     ConstrainedSystem,
                                      integrate_constrained)
-from fibresplit.splitting import rate_residual
+from fibresplit.splitting import AffineSplittingData, rate_residual
 
 CH1 = BundleChart(1, 1)
 CH2 = BundleChart(2, 1)
 
 
 def constraint(chart, A, A0):
-    return AffineConstraintSpec.from_expressions(chart, A, A0)
+    return AffineSplittingData.from_expressions(chart, A, A0)
 
 
 def rolling_setup():
@@ -25,9 +24,9 @@ def rolling_setup():
     return L, c
 
 
-def test_reconstruct_w():
+def test_constraint_coefficients_are_w():
     _, c = rolling_setup()
-    w = c.reconstruct_w([0.5, 0.0], [0.3], [0.2, 0.4])
+    w = c.h_values([0.5, 0.0], [0.3], [0.2, 0.4])
     assert np.array_equal(w, np.array([0.2]))
     with pytest.raises(DimensionMismatch):
         constraint(CH2, [["0", "0"], ["0", "0"]], ["0"])
@@ -64,8 +63,7 @@ def test_pure_drift_constraint():
     # A = 0, A0 = 0.8: the fibre coordinate advances linearly, base inert
     L = LagrangianSpec.from_expression(CH1, "0.5*(v1^2 + w1^2)")
     c = constraint(CH1, [["0"]], ["0.8"])
-    rec = integrate_constrained(L, c, ConstrainedState([0.0], [0.0], [0.3]),
-                                0.0, 2.0, 1e-3)
+    rec = integrate_constrained(L, c, [0.0, 0.0, 0.3], 0.0, 2.0, 1e-3)
     assert abs(rec.final[1] - 1.6) < 1e-9
     assert abs(rec.final[0] - 0.6) < 1e-12
     assert abs(rec.final[2] - 0.3) < 1e-12
@@ -83,13 +81,13 @@ def test_rhs_hand_value():
 
 
 def test_rolling_conserves_energy_and_constraint(rolling_record):
-    L, c, ic, rec = rolling_record
+    L, c, s0, rec = rolling_record
     system = ConstrainedSystem(L, c)
-    ws = [c.reconstruct_w(s[:2], s[2:3], s[3:]) for s in rec.states]
+    ws = [c.h_values(s[:2], s[2:3], s[3:]) for s in rec.states]
     assert max(rate_residual(rec.t, [s[2:3] for s in rec.states], ws)) \
         < 1e-10
     energy = np.asarray(rec.diagnostics["energy"])
-    assert np.abs(energy - system.energy(ic.as_array())).max() < 1e-9
+    assert np.abs(energy - system.energy(s0)).max() < 1e-9
 
 
 def test_zero_curvature_reduces_to_constrained_euler_lagrange():
@@ -98,7 +96,12 @@ def test_zero_curvature_reduces_to_constrained_euler_lagrange():
     L = LagrangianSpec.from_expression(
         CH1, "0.5*v1^2 + 0.5*w1^2 - 2.5*x1^2")
     c = constraint(CH1, [["2"]], ["0"])
-    rec = integrate_constrained(L, c, ConstrainedState([1.0], [0.0], [0.0]),
-                                0.0, 1.0, 1e-3)
+    rec = integrate_constrained(L, c, [1.0, 0.0, 0.0], 0.0, 1.0, 1e-3)
     assert abs(rec.final[0] - np.cos(1.0)) < 1e-10
     assert abs(rec.final[1] - (2.0 - 2.0 * np.cos(1.0))) < 1e-10
+
+
+def test_integrate_constrained_rejects_a_short_state():
+    L, c = rolling_setup()
+    with pytest.raises(DimensionMismatch, match="length 5"):
+        integrate_constrained(L, c, [0.5, 0.0, 0.0, 0.2], 0.0, 1.0, 1e-3)

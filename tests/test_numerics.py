@@ -16,11 +16,12 @@ from fibresplit.bundle import BundleChart
 from fibresplit.errors import (DimensionMismatch, NoConvergence,
                                NonFiniteState, SingularMatrix)
 from fibresplit.lagrangian import LagrangianSpec
-from fibresplit.nonholonomic import AffineConstraintSpec, ConstrainedSystem
+from fibresplit.nonholonomic import ConstrainedSystem
 from fibresplit.numerics import (condition_number, det, linear_solve,
                                  newton_solve, positive_definite,
                                  rk4_integrate)
 from fibresplit.reduction import MagneticModel, MagneticSystem
+from fibresplit.splitting import AffineSplittingData
 
 SRC = Path(numerics.__file__).parents[1]
 
@@ -683,7 +684,7 @@ def test_right_hand_sides_do_not_depend_on_the_sum_builtin(monkeypatch):
     con = ConstrainedSystem(
         LagrangianSpec.from_expression(
             chart, "0.5*v1^2 + y1 + y2 + y3 + w1 + w2 + w3"),
-        AffineConstraintSpec.from_expressions(
+        AffineSplittingData.from_expressions(
             chart, [["1e16"], ["1"], ["-1e16"]],
             ["1e16*x1", "x1", "-1e16*x1"]))
     A = [[1.0, 0.0, 0.0], [1e16, 1.0, 0.0], [1.0, 0.0, 1.0]]

@@ -6,6 +6,7 @@ from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
 from fibresplit.errors import (DimensionMismatch, DomainError, NotAffine,
                                NotWellDefined)
 from fibresplit.exprs import VarContext, compile_field, parse
+from fibresplit.jets import TapeField
 from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   _stencil_derivative,
                                   affine_curvature_coefficients,
@@ -18,8 +19,8 @@ from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   vilms_lift, vilms_vertical_projector)
 
 
-def spec11(src, **kw):
-    return SplittingSpec.from_expressions(BundleChart(1, 1), [src], **kw)
+def spec11(src):
+    return SplittingSpec.from_expressions(BundleChart(1, 1), [src])
 
 
 def base_field(ch, *src):
@@ -31,7 +32,6 @@ def base_field(ch, *src):
 def test_from_expressions_infers_slit_restriction():
     assert spec11("x1*v1").smooth_at_zero
     assert not spec11("sqrt(v1^2)").smooth_at_zero
-    assert spec11("sqrt(v1^2)", smooth_at_zero=True).smooth_at_zero
 
 
 def test_admissibility_and_domain_error():
@@ -311,8 +311,7 @@ def test_affine_round_trip_and_curvature_coefficients():
     ch = BundleChart(2, 1)
     data = AffineSplittingData.from_expressions(
         ch, [["0", "-x1"]], ["0"])
-    s = data.to_splitting()
-    assert classify(s).verdict == "Ehresmann"
+    assert classify(data).verdict == "Ehresmann"
     B, A0d = map(np.array, affine_curvature_coefficients(
         data, np.array([0.7, -0.3]), np.array([0.2])))
     assert B.shape == (1, 2, 2) and A0d.shape == (1, 2)
@@ -321,11 +320,31 @@ def test_affine_round_trip_and_curvature_coefficients():
     assert np.abs(A0d).max() < 1e-10
 
 
-def test_to_splitting_needs_expression_data():
-    # fields read off a splitting have no AST to substitute
-    data = affine_decompose(spec11("x1*v1 + y1"), samples=5)
-    with pytest.raises(TypeError, match="compiled expressions only"):
-        data.to_splitting()
+def test_affine_decompose_returns_the_verified_splitting():
+    ch = BundleChart(2, 1)
+    spec = SplittingSpec.from_expressions(ch, ["sin(x1)*v1 - y1*v2 + x2"])
+    data = affine_decompose(spec, samples=5)
+    assert isinstance(data, SplittingSpec)
+    assert data.coefficients == spec.coefficients
+    for z in np.random.default_rng(27).uniform(-1.0, 1.0, (5, 5)).tolist():
+        x, y, v = z[:2], z[2:3], z[3:]
+        assert data.h_values(x, y, v) == spec.h_values(x, y, v)
+        assert data.h_jet_lists(x, y, v) == spec.h_jet_lists(x, y, v)
+
+
+def test_affine_from_expressions_composes_one_tape_per_component():
+    ch = BundleChart(2, 1)
+    data = AffineSplittingData.from_expressions(
+        ch, [["x2", "-x1"]], ["x1*x2"])
+    (h,) = data.coefficients
+    assert isinstance(h, TapeField) and h.label == "h1_affine"
+    x, y, v = [0.4, -0.6], [0.2], [0.7, 0.3]
+    assert abs(h.value(x + y + v) - (-0.24 + 0.6 * 0.7 + 0.4 * 0.3)) < 1e-15
+    assert classify(data).verdict == "Affine"
+    assert classify(AffineSplittingData.from_expressions(
+        ch, [["1", "2"]], ["0"])).verdict == "Ehresmann"
+    with pytest.raises(DimensionMismatch, match="A0 must have 1 fields"):
+        AffineSplittingData.from_expressions(ch, [["1", "2"]], ["0", "1"])
 
 
 def test_affine_curvature_zero_for_constant_coefficients():

@@ -26,12 +26,11 @@ from fibresplit.exprs import (Bin, Call, Neg, Num, Var, VarContext,
 from fibresplit.jets import SLIT_EPS_DEFAULT, seed_jets
 from fibresplit.lagrangian import (LagrangianSpec, euler_lagrange_sode,
                                    induced_splitting, subduce)
-from fibresplit.nonholonomic import (AffineConstraintSpec,
-                                     ConstrainedLagrangianField,
+from fibresplit.nonholonomic import (ConstrainedLagrangianField,
                                      ConstrainedSystem)
 from fibresplit.reduction import (ActionSpec, MagneticModel, MagneticSystem,
-                                  reduced_base_lagrangian, unreduce)
-from fibresplit.splitting import (SplittingSpec,
+                                  _unreduced_sode, reduced_base_lagrangian)
+from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   affine_curvature_coefficients)
 
 NAMES = ("a", "b")
@@ -222,7 +221,7 @@ def test_constrained_lagrangian_matches_sympy():
     A0 = ["exp(x2)*y2", "x1*y1"]
     Lc = ConstrainedLagrangianField(
         LagrangianSpec.from_expression(chart, src),
-        AffineConstraintSpec.from_expressions(chart, A, A0))
+        AffineSplittingData.from_expressions(chart, A, A0))
     v, w = _syms("v", 2), _syms("w", 2)
     ref = _sym(src).subs({w[a]: _sym(A0[a]) - sum(
         _sym(A[a][i]) * v[i] for i in range(2)) for a in range(2)},
@@ -371,7 +370,7 @@ def test_lagrange_dalembert_rhs_matches_sympy(n, m, src, A, A0):
     # virtual displacements dy = -A dx: E_x(L) - A^T E_y(L) = 0 on
     # w = A0 - A v, with dw/dt the total derivative of the constraint
     chart = BundleChart(n, m)
-    c = AffineConstraintSpec.from_expressions(chart, A, A0)
+    c = AffineSplittingData.from_expressions(chart, A, A0)
     system = ConstrainedSystem(
         LagrangianSpec.from_expression(chart, src), c)
     x, y, v, w = (_syms("x", n), _syms("y", m), _syms("v", n),
@@ -496,9 +495,11 @@ def test_unreduced_force_matches_sympy(n, m, Lbar, h, K):
                   _syms("w", m))
     base_ctx = VarContext([("base", chart.x_names),
                            ("base_velocity", chart.v_names)])
-    G = unreduce(euler_lagrange_sode(compile_field(Lbar, base_ctx)),
-                 SplittingSpec.from_expressions(chart, h),
-                 ActionSpec.from_expressions(chart, K), check=False)
+    # the cases fail the compatibility test unreduce makes; the force's
+    # formula holds without it
+    G = _unreduced_sode(euler_lagrange_sode(compile_field(Lbar, base_ctx)),
+                        SplittingSpec.from_expressions(chart, h),
+                        ActionSpec.from_expressions(chart, K))
     acc, wacc = _syms("a", n), _syms("b", m)
     ell = _sym(Lbar)
     base_rates = dict(zip(x + v, v + acc))

@@ -4,16 +4,17 @@ gate reaches.
     python tools/reach.py
 
 Every fibresplit command runs in this process, with default arguments,
-on each of configs/*.ini and tests/fixtures/*.ini (the runs that
-tools/compare_outputs.py digests); then pytest runs the acceptance gates,
-tests/test_acceptance.py, in this process too.  Both run under
+on each config that tools/compare_outputs.py digests (its _configs(), so
+both scripts run the same matrix); then pytest runs the acceptance
+gates, tests/test_acceptance.py, in this process too.  Both run under
 sys.setprofile, which sees every call of Python code.  A function is a
 def in src/fibresplit, methods and nested functions included (a lambda
 or a comprehension is part of the def that holds it); it is reached
 when the profiler sees a call of its code.  The script prints each
-unreached function as file:line name, then their count and the number
-of distinct source lines they span.  It imports only the standard
-library, the package and pytest (for the gates).
+unreached function as file:line name, then their count, the number of
+distinct source lines they span and the line total of src/fibresplit.
+It imports only the standard library, the package, compare_outputs and
+pytest (for the gates).
 """
 
 import ast
@@ -43,12 +44,11 @@ def functions():
 
 
 def _run_commands():
+    from compare_outputs import _configs
     from fibresplit import cli
 
-    configs = sorted(ROOT.glob("configs/*.ini")) \
-        + sorted(ROOT.glob("tests/fixtures/*.ini"))
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in configs:
+        for cfg in _configs():
             for command in cli.COMMANDS:
                 out_dir = os.path.join(tmp, cfg.stem, command)
                 with contextlib.redirect_stdout(io.StringIO()), \
@@ -88,8 +88,10 @@ def main():
         print(f"{Path(path).relative_to(ROOT)}:{first} {name}")
     spanned = {(path, line) for (path, _, _), lines in unreached.items()
                for line in lines}
+    total = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.glob("*.py"))
     print(f"{len(unreached)} functions unreached, spanning {len(spanned)} "
-          f"distinct lines")
+          f"distinct lines, of {total} lines in src/fibresplit")
     return 0
 
 
