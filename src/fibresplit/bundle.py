@@ -9,6 +9,9 @@ The slit radius slit_eps is part of the chart: fields built over the chart
 inherit it, and non-smooth coefficient fields (abs, sqrt) are only
 evaluated at base velocities with |v| >= slit_eps.
 
+A vector field is one type, VectorField: n components of x make a field
+on the base N, n + m components of (x, y) a field on the total space M.
+
 Points hold each block as a list of Python floats, and every point, block
 and field value given out here is such a list.
 """
@@ -178,16 +181,19 @@ def vertical_lift(at, vec):
 
 
 @dataclass
-class VectorFieldM:
-    """Vector field on the total space: n + m component fields of (x, y)."""
+class VectorField:
+    """Vector field given by component fields of one point: n components
+    of x make a field on the base N, n + m components of (x, y) a field on
+    the total space M (the counts differ, since m >= 1)."""
     chart: BundleChart
     components: list
 
     def __post_init__(self):
-        k = self.chart.n + self.chart.m
-        if len(self.components) != k:
+        k = len(self.components)
+        if k not in (self.chart.n, self.chart.n + self.chart.m):
             raise DimensionMismatch(
-                f"need {k} component fields, got {len(self.components)}")
+                f"need {self.chart.n} or {self.chart.n + self.chart.m} "
+                f"component fields, got {k}")
         for c in self.components:
             if c.arity != k:
                 raise DimensionMismatch(
@@ -195,26 +201,6 @@ class VectorFieldM:
 
     def values(self, q):
         return [c.value(q) for c in self.components]
-
-
-@dataclass
-class VectorFieldN:
-    """Vector field on the base: n component fields of x alone."""
-    chart: BundleChart
-    components: list
-
-    def __post_init__(self):
-        n = self.chart.n
-        if len(self.components) != n:
-            raise DimensionMismatch(
-                f"need {n} component fields, got {len(self.components)}")
-        for c in self.components:
-            if c.arity != n:
-                raise DimensionMismatch(
-                    f"component '{c.label}' has arity {c.arity}, expected {n}")
-
-    def values(self, x):
-        return [c.value(x) for c in self.components]
 
 
 def complete_lift(Z, at):
@@ -328,14 +314,11 @@ def lie_bracket(Z1, Z2):
     first derivatives of the result are exact (they use at most second
     derivatives of the inputs); see DerivedField for the Hessian.
     """
-    if Z1.chart != Z2.chart or type(Z1) is not type(Z2):
+    k = len(Z1.components)
+    if Z1.chart != Z2.chart or len(Z2.components) != k:
         raise DimensionMismatch("bracket arguments live on different spaces")
-    if isinstance(Z1, VectorFieldN):
-        comps = _bracket_components(Z1.components, Z2.components, Z1.chart.n)
-        return VectorFieldN(Z1.chart, comps)
-    k = Z1.chart.n + Z1.chart.m
-    comps = _bracket_components(Z1.components, Z2.components, k)
-    return VectorFieldM(Z1.chart, comps)
+    return VectorField(Z1.chart,
+                       _bracket_components(Z1.components, Z2.components, k))
 
 
 def tangent_map(fields, s):

@@ -45,6 +45,12 @@ _VERIFY_ERRORS = (NotSubducible, NotWellDefined, NotPrincipal, NotAffine,
 _NUMERIC_ERRORS = (NoConvergence, SingularMatrix, SingularHessian,
                    NonFiniteState, FlowEscape, BranchAmbiguity, DomainError)
 
+# the two tolerances every report records: TOL_STRUCTURAL bounds the
+# symmetry, tangency and invariance identities, TOL_DYNAMIC the residuals
+# along integrated trajectories
+TOL_STRUCTURAL = 1e-9
+TOL_DYNAMIC = 1e-6
+
 
 def _json_clean(obj):
     """obj with string keys, lists for tuples and None for a non-finite
@@ -91,16 +97,15 @@ class _Run:
     """Accumulates checks and values for one command invocation;
     `sampling` holds the keywords of every sampled check."""
 
-    def __init__(self, cmd, cfg, seed, samples, box, tol_structural,
-                 tol_dynamic):
+    def __init__(self, cmd, cfg, seed, samples, box):
         self.sampling = {"samples": samples, "seed": seed, "box": box}
         self.report = {
             "command": cmd,
             "config_sha256": cfg.sha256,
             "seed": seed,
             "samples": samples,
-            "tolerances": {"structural": tol_structural,
-                           "dynamic": tol_dynamic},
+            "tolerances": {"structural": TOL_STRUCTURAL,
+                           "dynamic": TOL_DYNAMIC},
             "checks": [],
             "residuals": {},
             "verdicts": {},
@@ -170,8 +175,7 @@ def _cmd_lift_curve(run, cfg, chart, sim, args):
     rec = horizontal_lift_curve(spec, base_curve, y0, sim["t0"], sim["t1"],
                                 sim["dt"])
     resid = float(max(rec.diagnostics["lift_residual"]))
-    run.check("lift_residual", resid,
-              run.report["tolerances"]["dynamic"])
+    run.check("lift_residual", resid, TOL_DYNAMIC)
     run.report["values"]["final_state"] = rec.final
     run.csv = (_state_header(chart, ["lift_residual"]),
                _trajectory_rows(rec, ["lift_residual"]))
@@ -207,9 +211,8 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
         else induced_splitting(L)
     rep = projection_verify(L, h, (x, v), y, sim["t1"] - sim["t0"],
                             sim["dt"], **run.sampling)
-    tol = run.report["tolerances"]["dynamic"]
-    run.check("base_deviation", rep.max_base_deviation, tol)
-    run.check("horizontality_drift", rep.horizontality_drift, tol)
+    run.check("base_deviation", rep.max_base_deviation, TOL_DYNAMIC)
+    run.check("horizontality_drift", rep.horizontality_drift, TOL_DYNAMIC)
     run.report["residuals"]["el_residual_reduced"] = rep.el_residual_reduced
     run.report["values"]["min_lbar_det"] = rep.min_lbar_det
 
@@ -235,8 +238,7 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     rec = integrate_constrained(L, c, ic, sim["t0"], sim["t1"], sim["dt"])
     ws = [c.h_values(s[:n], s[n:n + m], s[n + m:]) for s in rec.states]
     rate = rate_residual(rec.t, [s[n:n + m] for s in rec.states], ws)
-    run.check("constraint_rate_residual", max(rate),
-              run.report["tolerances"]["dynamic"])
+    run.check("constraint_rate_residual", max(rate), TOL_DYNAMIC)
     E = rec.diagnostics["energy"]
     run.report["residuals"]["energy_drift"] = max(abs(e - E[0]) for e in E)
     rows = [[t] + s + w + [e] for t, s, w, e in
@@ -306,15 +308,12 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
         run.report["residuals"]["horizontality_drift"] = drift
         w0 = h.h_values(ic[:n], ic[n:n + m], ic[n + m:2 * n + m])
         if max_gap(ic[2 * n + m:], w0) < 1e-12:
-            run.check("horizontality_drift", drift,
-                      run.report["tolerances"]["dynamic"])
+            run.check("horizontality_drift", drift, TOL_DYNAMIC)
         run.report["values"]["final_state"] = rec.final
         run.csv = (_state_header(chart), _trajectory_rows(rec))
 
 
 def _cmd_check_all(run, cfg, chart, sim, args):
-    tol_s = run.report["tolerances"]["structural"]
-
     h_explicit = cfg.splitting(chart) if cfg.has("splitting") else None
     if h_explicit is not None:
         rep = classify(h_explicit, **run.sampling)
@@ -327,9 +326,9 @@ def _cmd_check_all(run, cfg, chart, sim, args):
     if L is not None and variables(L.field.ast) & set(chart.w_names):
         h_ind = induced_splitting(L)
         sym = symmetry_condition_check(L, h_ind, **run.sampling)
-        run.check("symmetry_condition", sym.max_residual, tol_s)
+        run.check("symmetry_condition", sym.max_residual, TOL_STRUCTURAL)
         tan = tangency_check(L, h_ind, **run.sampling)
-        run.check("tangency", tan.max_residual, tol_s)
+        run.check("tangency", tan.max_residual, TOL_STRUCTURAL)
         try:
             sub = subduce(L, h_ind, **run.sampling)
             run.check("y_independence", sub.y_independence, 1e-6)
@@ -345,7 +344,7 @@ def _cmd_check_all(run, cfg, chart, sim, args):
         action = cfg.action(chart)
         if L is not None:
             inv = invariance_check(L, action, **run.sampling)
-            run.check("invariance", inv.max_residual, tol_s)
+            run.check("invariance", inv.max_residual, TOL_STRUCTURAL)
         for label, h in (("explicit", h_explicit), ("induced", h_ind)):
             if h is None:
                 continue
@@ -396,8 +395,6 @@ def _parse_args(argv):
     p.add_argument("--out-dir", default=".", help="report/CSV directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol-structural", type=float, default=1e-9)
-    p.add_argument("--tol-dynamic", type=float, default=1e-6)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t1", type=float, default=None)
     return p.parse_args(argv)
@@ -411,17 +408,12 @@ def main(argv=None):
         sim = cfg.simulation({key: getattr(args, key)
                               for key in ("seed", "samples", "dt", "t1")
                               if getattr(args, key) is not None})
-        for flag, tol in (("--tol-structural", args.tol_structural),
-                          ("--tol-dynamic", args.tol_dynamic)):
-            if not 0.0 < tol < math.inf:
-                raise ParseError(f"{flag} must be finite and positive")
         os.makedirs(args.out_dir, exist_ok=True)
     except _CONFIG_ERRORS + (OSError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"],
-               args.tol_structural, args.tol_dynamic)
+    run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"])
     code, message = 0, None
     try:
         _HANDLERS[args.command](run, cfg, chart, sim, args)

@@ -18,8 +18,10 @@ instead.
 Every field also gives its jet as the lists of a Jet2, jet_lists(x) ->
 (value, gradient, Hessian), and its first two entries alone as
 vg_lists(x); a TapeField's are the kernel's own, checked, and its jet()
-wraps them uncopied.  These are the one way library code reads
-derivatives; a Jet2 is built only by the public jet(), by the algebra
+wraps them uncopied.  These are the way library code reads
+derivatives, with one exception in the same layout: the constrained
+right-hand side (nonholonomic) reads the lists of the Jet2s its chain
+rule holds.  A Jet2 is built only by the public jet(), by the algebra
 oracle and the evaluators of fields that are not expressions, by
 bundle.DerivedField, and by the chain rule (ScalarField.chain,
 jet2_compose).
@@ -299,9 +301,6 @@ class ScalarField:
 
     def value(self, x):
         return self.jet(x).value
-
-    def __call__(self, x):
-        return self.value(x)
 
     def chain(self, inners):
         """Jet of self composed with the given inner jets."""

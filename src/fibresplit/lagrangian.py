@@ -415,13 +415,12 @@ def subduce(L, h, samples=50, seed=42, box=1.0):
         nonlocal y_ref
         x, y, v = xyv[:n], xyv[n:n + m], xyv[n + m:]
         z = [*xyv, *h.h_values(x, y, v)]
-        g = L.field.jet_lists(z)[1]
+        val, g, _ = L.field.jet_lists(z)
         if y_ref is None:
             y_ref = y
         w_ref = h.h_values(x, y_ref, v)
         val_ref = L.field.value([*x, *y_ref, *v, *w_ref])
-        return (max(map(abs, g[2 * n + m:])),
-                abs(L.field.value(z) - val_ref))
+        return max(map(abs, g[2 * n + m:])), abs(val - val_ref)
 
     rep = sample_max(residuals, samples, seed, 2 * n + m, box)
     worst_rel, worst_dep = rep.max_residual

@@ -5,17 +5,19 @@ A constraint dy/dt + A(x,y) dx/dt = A0(x,y) is an affine splitting
 the fibre velocity exactly, so the state is (x, y, v) and the integrated
 dy/dt satisfies the constraint by construction.  The equations of motion
 carry the constraint's curvature on the right-hand side, contracted with
-the fibre momentum of the unconstrained Lagrangian evaluated on the
+the fibre momentum dL/dw of the unconstrained Lagrangian evaluated on the
 constraint surface.  The constraint's coefficients are one tape per
-component, compiled from its expressions, and the constrained
-Lagrangian's jets chain L over those tapes' jets.  The right-hand side
-and the recorded energy read every jet as Python floats (jet_lists) and
-sum each contraction in index order; the constrained Lagrangian's jet is
-a chain rule, and the one place here that builds Jet2s.
+component, compiled from its expressions, and they are the only formula
+for w here.  The constrained Lagrangian's jet is one chain rule of L over
+those tapes' jets, the one place here that builds Jet2s; the right-hand
+side reads w, dL/dw and that jet from the same chain rule, so each call
+takes one jet of L.  The right-hand side and the recorded energy read
+every jet as lists of Python floats and sum each contraction in index
+order.
 """
 
 from .errors import DimensionMismatch
-from .jets import ScalarField, seed_jets
+from .jets import ScalarField, jet2_compose, seed_jets
 from .numerics import as_floats, dot, linear_solve, rk4_integrate, total
 from .splitting import _curvature_lists
 
@@ -35,16 +37,25 @@ class ConstrainedLagrangianField(ScalarField):
         self.c = c
 
     def jet(self, s):
+        return self._chain(s)[0]
+
+    def _chain(self, s):
+        """The jet at s = (x, y, v), L's jet at (x, y, v, w) that it
+        chains, and w, the constraint's coefficient values at s."""
+        s = self._point(s)
         w_jets = [f.jet(s) for f in self.c.coefficients]
-        return self.L.field.chain(seed_jets(s) + w_jets)
+        w = [jet.value for jet in w_jets]
+        L_jet = self.L.field.jet(s + w)
+        return jet2_compose(L_jet, seed_jets(s) + w_jets), L_jet, w
 
 
 class ConstrainedSystem:
     """First-order dynamics of the reduced state (x, y, v).
 
-    dy/dt comes from the constraint; dv/dt solves the momentum balance of
-    the constrained Lagrangian against the curvature force
-    (-B[a,i,:] . v - A0d[a,i]) dL/dw^a.
+    dy/dt is the constraint's w; dv/dt solves the momentum balance of the
+    constrained Lagrangian against the curvature force
+    (-B[a,i,:] . v - A0d[a,i]) dL/dw^a, with dL/dw read from the jet of L
+    that the constrained Lagrangian's chain rule takes.
     """
 
     def __init__(self, L, c):
@@ -56,11 +67,10 @@ class ConstrainedSystem:
         n, m = self.L.chart.n, self.L.chart.m
         k = 2 * n + m
         s = as_floats(s)
-        q, v = s[:n + m], s[n + m:]
-        B, A0d, A, A0 = _curvature_lists(self.c, q)
-        ydot = [a0 - dot(row, v) for a0, row in zip(A0, A)]
-        _, g, H = self.Lc.jet_lists(s)
-        Lw = self.L.field.jet_lists(s + ydot)[1][k:]
+        v = s[n + m:]
+        B, A0d, A = _curvature_lists(self.c, s[:n + m])
+        jet, L_jet, ydot = self.Lc._chain(s)
+        g, H, Lw = jet.gradient, jet.hessian, L_jet.gradient[k:]
         rhs_v = []
         for i in range(n):
             row = H[k * (n + m + i):k * (n + m + i + 1)]

@@ -10,8 +10,11 @@ straight-line function with every loop unrolled and every index
 resolved; the condition number's k triangular solves still cost O(k^3),
 and up to k = 6 a call stays cheaper than LAPACK's solve plus its
 condition number (the timings of the straight-line solves in
-CHANGES.md).  The contract is strict: solves are rejected on a large
-condition number and the residual postcondition is always verified.
+CHANGES.md).  The contract is strict: a solve is rejected when its
+condition number exceeds COND_BOUND, one constant that no caller sets,
+and the residual postcondition is always verified.  The generator frames
+of reduction.ActionSpec and the fibre metric of reduction.MagneticModel
+are held to the same bound.
 linear_solve reads A as k rows and b as k numbers or k rows, and
 returns x laid out like b, as Python floats.
 
@@ -37,6 +40,10 @@ from dataclasses import dataclass, field
 
 from .errors import (DimensionMismatch, DomainError, NoConvergence,
                      NonFiniteState, SingularMatrix)
+
+# the largest 1-norm condition number a solve accepts, and a frame or
+# metric may have
+COND_BOUND = 1e13
 
 
 def as_floats(a):
@@ -119,11 +126,11 @@ def _solver(k, r):
     """The solve kernel for k x k systems with r right-hand sides, lowered
     to one straight-line Python function and generated on first use:
 
-      solve(a, b, cond_bound, scale) -> (kappa_1, x)
+      solve(a, b, scale) -> (kappa_1, x)
 
     a is A row by row and b the right-hand sides one after another, as
     flat lists of floats; x is laid out like b, and None when kappa_1 is
-    not <= cond_bound (kappa_1 is inf at an exactly zero pivot).  A
+    not <= COND_BOUND (kappa_1 is inf at an exactly zero pivot).  A
     solution that misses max|Ax-b| <= 1e-10 (scale + max|b|) raises
     SingularMatrix.  r = 0 gives (kappa_1, det A) instead, det A the
     product of U's diagonal negated once per row swap, 0.0 at an exactly
@@ -188,7 +195,7 @@ def _solver(k, r):
     norm = _max_of([_sum_of([f"abs({a[i][j]})" for i in n]) for j in n])
     body.append(f"cond = {norm} * inv")
     if r:  # r = 0 has nothing to solve and no bound to meet
-        body += ["if not cond <= cond_bound:", "    return cond, None"]
+        body += ["if not cond <= _COND_BOUND:", "    return cond, None"]
     # forward and back substitution, then the residual postcondition
     for wc in w:
         body += [f"{wc[i]} = " + _terms(
@@ -211,9 +218,10 @@ def _solver(k, r):
              "    raise _SingularMatrix(f'solution residual "
              "{resid / scale:.3e} violates postcondition')",
              f"return cond, {x}"]
-    src = "\n".join(["def solve(a, b, cond_bound, scale):"]
+    src = "\n".join(["def solve(a, b, scale):"]
                     + [f"    {line}" for line in body])
-    namespace = {"_inf": math.inf, "_SingularMatrix": SingularMatrix}
+    namespace = {"_inf": math.inf, "_SingularMatrix": SingularMatrix,
+                 "_COND_BOUND": COND_BOUND}
     exec(compile(src, f"<solve {k}x{k}, {r} rhs>", "exec"), namespace)
     return namespace["solve"]
 
@@ -246,7 +254,7 @@ def condition_number(A):
     scale = _unit_scale(a)
     if scale != 1.0:
         a = [v * scale for v in a]
-    return _solver(k, 0)(a, [], math.inf, scale)[0]
+    return _solver(k, 0)(a, [], scale)[0]
 
 
 def det(A):
@@ -259,11 +267,11 @@ def det(A):
     DimensionMismatch when A is not square."""
     a, k = _square(A)
     if _unit_scale(a) == 1.0:
-        return _solver(k, 0)(a, [], math.inf, 1.0)[1]
+        return _solver(k, 0)(a, [], 1.0)[1]
     rows = [a[i * k:(i + 1) * k] for i in range(k)]
     exps = [math.frexp(max(map(abs, row)))[1] for row in rows]
     a = [math.ldexp(v, -e) for row, e in zip(rows, exps) for v in row]
-    d = _solver(k, 0)(a, [], math.inf, 1.0)[1]
+    d = _solver(k, 0)(a, [], 1.0)[1]
     try:
         return math.ldexp(d, sum(exps))
     except OverflowError:
@@ -276,7 +284,7 @@ def positive_definite(A):
     return all(det([r[:i] for r in A[:i]]) > 0.0 for i in range(1, len(A) + 1))
 
 
-def linear_solve(A, b, cond_bound=1e13):
+def linear_solve(A, b):
     """Solve A x = b for a square A, given as k rows of k numbers, and b of
     k numbers, or k rows of r with one right-hand side per column; x is
     laid out like b, as Python floats: a list of k, or k lists of r.  A
@@ -284,7 +292,7 @@ def linear_solve(A, b, cond_bound=1e13):
 
     Raises DimensionMismatch when the shapes do not fit that, and
     SingularMatrix when A or b has a non-finite entry, when the 1-norm
-    condition number exceeds cond_bound (inf at an exactly zero pivot), or
+    condition number exceeds COND_BOUND (inf at an exactly zero pivot), or
     when the solution misses the residual postcondition
     max|Ax-b| <= 1e-10 (1 + max|b|).
     """
@@ -314,10 +322,10 @@ def linear_solve(A, b, cond_bound=1e13):
         a = [v * scale for v in a]
         b = [v * scale for v in b]
     r = 1 if one_rhs else len(cols)
-    cond, x = _solver(k, r)(a, b, cond_bound, scale)
+    cond, x = _solver(k, r)(a, b, scale)
     if x is None:
         raise SingularMatrix(
-            f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
+            f"condition estimate {cond:.3e} over bound {COND_BOUND:.1e}")
     return x if one_rhs else [x[i::k] for i in range(k)]
 
 

@@ -20,8 +20,8 @@ from .errors import (DimensionMismatch, DomainError, FlowEscape,
 from .exprs import VarContext, compile_field, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
-from .numerics import (Generator, SampleReport, _square, as_floats,
-                       condition_number, dot, linear_solve, max_gap,
+from .numerics import (COND_BOUND, Generator, SampleReport, _square,
+                       as_floats, condition_number, dot, linear_solve, max_gap,
                        positive_definite, rk4_integrate, sample_max, total)
 from .splitting import vilms_horizontal, vilms_vertical_projector
 
@@ -81,7 +81,7 @@ class ActionSpec:
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, self.chart.n + m)
             Kv = self.K_matrix(q[:self.chart.n], q[self.chart.n:])
-            if not condition_number(Kv) <= 1e13:
+            if not condition_number(Kv) <= COND_BOUND:
                 raise SingularMatrix(
                     f"generator frame degenerate at sample point {q!r}")
 
@@ -366,7 +366,7 @@ class MagneticModel:
         self.k = k = [a[m * i:m * (i + 1)] for i in range(m)]
         if any(k[i][j] != k[j][i] for i in range(m) for j in range(m)):
             raise ValueError("fibre metric k must be symmetric")
-        if not condition_number(k) <= 1e13:
+        if not condition_number(k) <= COND_BOUND:
             raise SingularMatrix("fibre metric k is singular")
         self.C = C = _check_structure_constants(self.C, m)
 

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .bundle import (BundleChart, DerivedField, SecondTangentPoint,
-                     TangentPointM, VectorFieldM, VectorFieldN,
-                     complete_lift, lie_bracket, vertical_lift)
+                     TangentPointM, VectorField, complete_lift, lie_bracket)
 from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
 from .exprs import compile_field, compose, mentions_nonsmooth, parse
@@ -135,7 +134,7 @@ def lifted_field(spec, X):
         return ScalarField(k, ev, label=f"h{a+1}^lift")
 
     comps = [base_comp(i) for i in range(n)] + [fibre_comp(a) for a in range(m)]
-    return VectorFieldM(spec.chart, comps)
+    return VectorField(spec.chart, comps)
 
 
 def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
@@ -220,7 +219,6 @@ class ClassificationReport:
     residuals: dict
     sample_count: int
     seed: int
-    tol: float
     skipped: int = 0
 
 
@@ -275,7 +273,7 @@ def classify(spec, samples=200, seed=42, box=1.0):
         "drift_residual": float(drift) if spec.smooth_at_zero else None,
     }
     return ClassificationReport(verdict, residuals, rep.sample_count, seed,
-                                tol, rep.skipped)
+                                rep.skipped)
 
 
 def _vilms_slices(n, m):
@@ -380,32 +378,21 @@ def pv_component_fields(spec):
 class VilmsCheckReport:
     """Comparison of the two lift routes through a coordinate direction."""
     complete_residual: float
-    vertical_difference: float
 
 
 def vilms_complete_lift_check(spec, j, at):
-    """Check (lift of d/dx_j)^complete against the Vilms lift of d/dx_j.
-
-    Also reports the same comparison for the vertical pair — the vertical
-    lift of the lifted direction versus the Vilms lift of d/dv_j — whose
-    difference is generically nonzero and is returned, not asserted away.
-    """
-    n, m = spec.chart.n, spec.chart.m
+    """Check (lift of d/dx_j)^complete against the Vilms lift of d/dx_j."""
+    n = spec.chart.n
     if not 0 <= j < n:
         raise DimensionMismatch(f"coordinate index {j} out of range")
     zero = [0.0] * n
     ej = [1.0 if i == j else 0.0 for i in range(n)]
     const = [ScalarField(n, lambda jets, c=ej[i]: Jet2.constant(c, n),
                          label=f"e{j+1}[{i}]") for i in range(n)]
-    Xfield = VectorFieldN(spec.chart, const)
+    Xfield = VectorField(spec.chart, const)
     A_c = complete_lift(lifted_field(spec, Xfield), at)
     B_c = vilms_horizontal(spec, at, ej, zero)
-
-    hv = spec.h_values(at.x, at.y, ej)
-    A_v = vertical_lift(at, TangentPointM(spec.chart, at.x, at.y, ej, hv))
-    B_v = vilms_horizontal(spec, at, zero, ej)
-    return VilmsCheckReport(max_gap(A_c.upper(), B_c.upper()),
-                            max_gap(A_v.upper(), B_v.upper()))
+    return VilmsCheckReport(max_gap(A_c.upper(), B_c.upper()))
 
 
 def curvature_rbar(spec, X, Y, m_pt):
@@ -442,7 +429,7 @@ def _linear_extension(chart, values, x0, salt):
             return out
         return ScalarField(n, ev, label=f"ext{salt}_{i+1}")
 
-    return VectorFieldN(chart, [comp(i) for i in range(n)])
+    return VectorField(chart, [comp(i) for i in range(n)])
 
 
 def curvature_pointwise(spec, u, v, m_pt):
@@ -463,7 +450,7 @@ def curvature_pointwise(spec, u, v, m_pt):
     n = chart.n
 
     def const_field(vals):
-        return VectorFieldN(chart, [
+        return VectorField(chart, [
             ScalarField(n, lambda jets, c=vals[i]: Jet2.constant(c, n),
                         label=f"const{i+1}") for i in range(n)])
 
@@ -582,8 +569,8 @@ def affine_curvature_coefficients(data, x, y):
 
 def _curvature_lists(data, q):
     """affine_curvature_coefficients at the point q = x + y, as nested
-    lists of floats, followed by the values of A (m rows of n) and A0 (m)
-    read from the same jets."""
+    lists of floats, followed by the values of A (m rows of n) read from
+    the same jets."""
     n, m = data.chart.n, data.chart.m
     A = [[f.jet_lists(q) for f in row] for row in data.A]
     A0 = [f.jet_lists(q) for f in data.A0]
@@ -597,7 +584,7 @@ def _curvature_lists(data, q):
     A0d = [[A0[a][1][i] - dot(col[i], A0[a][1][n:])
             + dot(A0val, dA[a][i][n:])
             for i in range(n)] for a in range(m)]
-    return B, A0d, [[jet[0] for jet in row] for row in A], A0val
+    return B, A0d, [[jet[0] for jet in row] for row in A]
 
 
 def rbar_zero(data, zeta, w_pt):

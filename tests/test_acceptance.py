@@ -13,7 +13,7 @@ import pytest
 from derivative_check import fd_check
 
 from fibresplit import cli
-from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
+from fibresplit.bundle import (BundleChart, TangentPointM, VectorField,
                                canonical_flip, liouville_fields, tangent_map,
                                vertical_endomorphism)
 from fibresplit.errors import DomainError, HypothesisFailed
@@ -70,8 +70,8 @@ def split(chart, sources, **kw):
 
 def base_field(ch, *src):
     ctx = VarContext([("base", ch.x_names)])
-    return VectorFieldN(ch, [compile_field(parse(s), ctx, label=s)
-                             for s in src])
+    return VectorField(ch, [compile_field(parse(s), ctx, label=s)
+                            for s in src])
 
 
 def second_tangent(ch, r):

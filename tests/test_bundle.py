@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fibresplit.bundle import (BundleChart, DerivedField, SecondTangentPoint,
-                               TangentPointM, VectorFieldM, VectorFieldN,
+                               TangentPointM, VectorField,
                                canonical_flip, complete_lift, lie_bracket,
                                liouville_fields, mu, tangent_map,
                                vertical_endomorphism, vertical_lift)
@@ -92,7 +92,7 @@ def test_vertical_lift_base_point_guard():
 def test_complete_lift_blocks():
     # Z = (y1, -x2, x1*y1) on n=2, m=1
     ch = chart()
-    Z = VectorFieldM(ch, [field_m(ch, s) for s in ("y1", "-x2", "x1*y1")])
+    Z = VectorField(ch, [field_m(ch, s) for s in ("y1", "-x2", "x1*y1")])
     at = TangentPointM(ch, [1.0, 2.0], [3.0], [0.5, -0.5], [0.25])
     s = complete_lift(Z, at)
     assert np.allclose(s.X, [3.0, -2.0])
@@ -107,8 +107,8 @@ def test_lie_bracket_antisymmetry_and_known_value():
     ctx = VarContext([("base", ["x1", "x2"])])
 
     def vf(*src):
-        return VectorFieldN(ch, [compile_field(parse(s), ctx, label=s)
-                                 for s in src])
+        return VectorField(ch, [compile_field(parse(s), ctx, label=s)
+                                for s in src])
 
     # [d/dx1, x1 d/dx2] = d/dx2
     Z1 = vf("1", "0")
@@ -125,8 +125,8 @@ def test_lie_bracket_jacobi_identity():
     ctx = VarContext([("base", ["x1", "x2"])])
 
     def vf(*src):
-        return VectorFieldN(ch, [compile_field(parse(s), ctx, label=s)
-                                 for s in src])
+        return VectorField(ch, [compile_field(parse(s), ctx, label=s)
+                                for s in src])
 
     A = vf("x2", "x1^2")
     B = vf("sin(x1)", "x2")
@@ -140,6 +140,36 @@ def test_lie_bracket_jacobi_identity():
         # bracket values and first derivatives are exact; the nested
         # outer bracket uses one FD hessian, so allow that noise
         assert np.abs(total).max() < 1e-8
+
+
+def test_vector_field_lives_where_its_component_count_says():
+    ch = chart(2, 1)
+    ctx = VarContext([("base", ch.x_names)])
+
+    def on_base(*src):
+        return VectorField(ch, [compile_field(parse(s), ctx, label=s)
+                                for s in src])
+
+    def on_total(*src):
+        return VectorField(ch, [field_m(ch, s) for s in src])
+
+    # n = 2 components of x: [d/dx1, x1 d/dx2] = d/dx2 on N
+    br = lie_bracket(on_base("1", "0"), on_base("0", "x1"))
+    assert [c.arity for c in br.components] == [2, 2]
+    assert np.allclose(br.values([0.3, -0.8]), [0.0, 1.0])
+    # n + m = 3 components of (x, y): [d/dx1, x1 d/dy1] = d/dy1 on M
+    br = lie_bracket(on_total("1", "0", "0"), on_total("0", "0", "x1"))
+    assert [c.arity for c in br.components] == [3, 3, 3]
+    assert np.allclose(br.values([0.3, -0.8, 0.5]), [0.0, 0.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        lie_bracket(on_base("1", "0"), on_total("1", "0", "0"))
+    for k in (1, 4):
+        names = VarContext([("base", [f"q{i+1}" for i in range(k)])])
+        with pytest.raises(DimensionMismatch,
+                           match=f"need 2 or 3 component fields, got {k}"):
+            VectorField(ch, [compile_field(parse("q1"), names)] * k)
+    with pytest.raises(DimensionMismatch, match="arity 3, expected 2"):
+        VectorField(ch, [field_m(ch, "y1"), field_m(ch, "x1")])
 
 
 def test_liouville_family_decomposition():

@@ -549,14 +549,18 @@ def test_sampling_settings_are_validated(tmp_path, capsys, command, setting,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1e-9", "inf"])
+@pytest.mark.parametrize("value", ["1e-3", "nan", "0", "-1e-9", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-structural", "--tol-dynamic"])
 def test_tolerances_are_validated(tmp_path, capsys, flag, value):
-    assert run("check-all", FIX / "model.ini", tmp_path / "out",
-               f"{flag}={value}") == 2
-    assert f"config error: {flag} must be finite and positive" \
+    # the tolerances are constants: any value of either flag, loose or
+    # invalid, is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        run("check-all", FIX / "model.ini", tmp_path / "out",
+            f"{flag}={value}")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}={value}" \
         in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fibresplit.bundle import BundleChart
+from fibresplit.config import load_config
 from fibresplit.errors import DimensionMismatch
 from fibresplit.lagrangian import LagrangianSpec
 from fibresplit.nonholonomic import (ConstrainedLagrangianField,
@@ -9,6 +12,7 @@ from fibresplit.nonholonomic import (ConstrainedLagrangianField,
                                      integrate_constrained)
 from fibresplit.splitting import AffineSplittingData, rate_residual
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 CH1 = BundleChart(1, 1)
 CH2 = BundleChart(2, 1)
 
@@ -78,6 +82,24 @@ def test_rhs_hand_value():
     assert abs(rhs[2] - 0.2) < 1e-15       # dy/dt = x1 v2
     assert abs(rhs[3] - 0.0) < 1e-14       # curvature force cancels dLc/dx1
     assert abs(rhs[4] + 0.032) < 1e-14
+
+
+def test_rhs_takes_one_jet_of_L(monkeypatch):
+    # the chain rule's jet of L gives dL/dw too: no second kernel jet
+    cfg = load_config(CONFIGS / "knife_edge.ini")
+    chart = cfg.chart()
+    L, c = cfg.lagrangian(chart), cfg.constraints(chart)
+    system = ConstrainedSystem(L, c)
+    kernel_jet, kernel_value = L.field._generated()
+    points = []
+
+    def counted_jet(x):
+        points.append(x)
+        return kernel_jet(x)
+
+    monkeypatch.setattr(L.field, "_kernel", (counted_jet, kernel_value))
+    system.rhs(0.0, cfg.simulation()["ic"])
+    assert len(points) == 1
 
 
 def test_rolling_conserves_energy_and_constraint(rolling_record):

@@ -42,12 +42,11 @@ def test_linear_solve_rejects_singular():
 
 
 def test_linear_solve_rejects_condition_over_bound():
-    A = np.diag([1.0, 1e-10])
-    with pytest.raises(SingularMatrix):
-        linear_solve(A, np.ones(2), cond_bound=1e8)
-    # same matrix passes with a looser bound
-    x = np.array(linear_solve(A, np.ones(2), cond_bound=1e12))
-    assert np.abs(x - [1.0, 1e10]).max() / 1e10 < 1e-8
+    with pytest.raises(SingularMatrix, match="over bound 1.0e.13"):
+        linear_solve(np.diag([1.0, 1e-14]), np.ones(2))
+    # kappa_1 = 1e12 is within the bound
+    x = np.array(linear_solve(np.diag([1.0, 1e-12]), np.ones(2)))
+    assert np.abs(x - [1.0, 1e12]).max() / 1e12 < 1e-8
 
 
 def test_linear_solve_rejects_nonfinite():
@@ -82,12 +81,18 @@ def test_condition_number_closed_form(A, kappa):
 
 
 def test_condition_bound_is_kappa_1():
-    A = np.array([[1.0, 1e6], [0.0, 1.0]])  # kappa_1 = 1000002000001
+    # kappa_1 of [[1, t], [0, 1]] is (1 + t)^2, exact in floats here, and
+    # 1e13 lies between t = 3162276 and t = 3162277
     b = np.array([1.0, 1.0])
-    with pytest.raises(SingularMatrix, match="1.000e.12 over bound 1.0e.12"):
-        linear_solve(A, b, cond_bound=1e12)
-    x = linear_solve(A, b, cond_bound=1.000002000001e12)
-    assert np.array_equal(x, [1.0 - 1e6, 1.0])
+    assert numerics.COND_BOUND == 1e13
+    with pytest.raises(SingularMatrix,
+                       match=r"^condition estimate 1\.000e\+13 over bound "
+                             r"1\.0e\+13$"):
+        linear_solve([[1.0, 3162277.0], [0.0, 1.0]], b)
+    x = linear_solve([[1.0, 3162276.0], [0.0, 1.0]], b)
+    assert x == [1.0 - 3162276.0, 1.0]
+    with pytest.raises(TypeError):  # the bound is no argument
+        linear_solve([[1.0, 0.0], [0.0, 1.0]], b, cond_bound=math.inf)
 
 
 @pytest.mark.parametrize("A", [[[1.0, 2.0], [2.0, 4.0]], [[0.0]],
@@ -100,13 +105,6 @@ def test_zero_pivot_is_an_infinite_condition_number(A):
                        match=r"^condition estimate inf over bound 1\.0e\+13$"):
         linear_solve(A, b)
     assert condition_number(A) == np.inf
-
-
-def test_zero_pivot_without_a_condition_bound():
-    with pytest.raises(SingularMatrix,
-                       match=r"^condition estimate inf over bound inf$"):
-        linear_solve(np.zeros((2, 2)), np.ones(2),
-                     cond_bound=math.inf)
 
 
 @pytest.mark.parametrize("where, bad", [
@@ -323,7 +321,7 @@ def _reference_det(A):
         return math.copysign(math.inf, d)
 
 
-def _reference_solve(A, b, cond_bound=1e13):
+def _reference_solve(A, b):
     """("x", shape, bytes of x) or ("SingularMatrix", message)."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
@@ -334,9 +332,9 @@ def _reference_solve(A, b, cond_bound=1e13):
     lu = [row[:] for row in a]
     order = _reference_lu_factor(lu)
     cond = _reference_condition(a, lu, order)
-    if not cond <= cond_bound:
+    if not cond <= 1e13:
         return ("SingularMatrix",
-                f"condition estimate {cond:.3e} over bound {cond_bound:.1e}")
+                f"condition estimate {cond:.3e} over bound 1.0e+13")
     xs = [_reference_lu_solve(lu, order, col) for col in cols]
     resid = 0.0
     for x, col in zip(xs, cols):
@@ -352,9 +350,9 @@ def _reference_solve(A, b, cond_bound=1e13):
     return "x", x.shape, x.tobytes()
 
 
-def _solve_outcome(A, b, cond_bound=1e13):
+def _solve_outcome(A, b):
     try:
-        x = np.array(linear_solve(A, b, cond_bound))
+        x = np.array(linear_solve(A, b))
     except SingularMatrix as exc:
         return "SingularMatrix", str(exc)
     return "x", x.shape, x.tobytes()
@@ -366,7 +364,8 @@ def _bits(value):
 
 def _oracle_systems(k):
     """Seeded k x k systems: random, with tied pivot candidates, with an
-    exactly zero pivot, and near-singular."""
+    exactly zero pivot, near-singular, and (for k > 1) with a finite
+    kappa_1 over the bound."""
     rng = np.random.default_rng(100 + k)
     yield rng.uniform(-1.0, 1.0, (k, k)) + np.eye(k)
     yield rng.uniform(-1.0, 1.0, (k, k))
@@ -381,20 +380,25 @@ def _oracle_systems(k):
     near = rng.uniform(-1.0, 1.0, (k, k))
     near[-1] = near[0] + 1e-9 * near[-1]
     yield near
+    graded = rng.uniform(-1.0, 1.0, (k, k)) + np.eye(k)
+    graded[-1] *= 1e-14
+    yield graded
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
     rng = np.random.default_rng(10 * k + r)
-    spread_dets = []
+    spread_dets, over_bound = [], 0
     for A in _oracle_systems(k):
         b = rng.uniform(-1.0, 1.0, k if r == 1 else (k, r))
         for e in (0, -900, 900):
             As, bs = A * 2.0 ** e, b * 2.0 ** e
-            assert _solve_outcome(As, bs) == _reference_solve(As, bs)
-            assert _solve_outcome(As, bs, 1e6) == \
-                _reference_solve(As, bs, 1e6)
+            outcome = _solve_outcome(As, bs)
+            assert outcome == _reference_solve(As, bs)
+            over_bound += (outcome[0] == "SingularMatrix"
+                           and "over bound" in outcome[1]
+                           and math.isfinite(condition_number(As)))
             assert _bits(condition_number(As)) == \
                 _bits(_reference_condition_number(As))
             assert _bits(det(As)) == _bits(_reference_det(As))
@@ -406,7 +410,9 @@ def test_kernels_match_the_loop_reference_bit_for_bit(k, r):
         assert _bits(d) == _bits(_reference_det(As))
         spread_dets.append(d)
     # finite and nonzero for every system but the one with a zero row
-    assert sum(math.isfinite(d) and d != 0.0 for d in spread_dets) == 5
+    assert sum(math.isfinite(d) and d != 0.0 for d in spread_dets) == 6
+    # the graded system, at each scale, reaches the bound's rejection
+    assert over_bound == (3 if k > 1 else 0)
 
 
 @pytest.mark.parametrize("A, b, message", [

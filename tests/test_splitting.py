@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fibresplit.bundle import (BundleChart, TangentPointM, VectorFieldN,
+from fibresplit.bundle import (BundleChart, TangentPointM, VectorField,
                                canonical_flip, tangent_map)
 from fibresplit.errors import (DimensionMismatch, DomainError, NotAffine,
                                NotWellDefined)
@@ -25,8 +25,8 @@ def spec11(src):
 
 def base_field(ch, *src):
     ctx = VarContext([("base", ch.x_names)])
-    return VectorFieldN(ch, [compile_field(parse(s), ctx, label=s)
-                             for s in src])
+    return VectorField(ch, [compile_field(parse(s), ctx, label=s)
+                            for s in src])
 
 
 def test_from_expressions_infers_slit_restriction():

@@ -3,23 +3,23 @@ gate reaches.
 
     python tools/reach.py
 
-Every fibresplit command runs in this process, with default arguments,
-on each config that tools/compare_outputs.py digests (its _configs(), so
-both scripts run the same matrix); then pytest runs the acceptance
-gates, tests/test_acceptance.py, in this process too.  Both run under
-sys.setprofile, which sees every call of Python code.  A function is a
-def in src/fibresplit, methods and nested functions included (a lambda
-or a comprehension is part of the def that holds it); it is reached
-when the profiler sees a call of its code.  The script prints each
-unreached function as file:line name, then their count, the number of
-distinct source lines they span and the line total of src/fibresplit.
+The command matrix that tools/compare_outputs.py digests runs in this
+process, through that script's own worker (_run_all, every command with
+default arguments on each of its configs, a crash caught and recorded as
+its output), so the two scripts run the same matrix the same way; then
+pytest runs the acceptance gates, tests/test_acceptance.py, in this
+process too.  Both run under sys.setprofile, which sees every call of
+Python code.  A function is a def in src/fibresplit, methods and nested
+functions included (a lambda or a comprehension is part of the def that
+holds it); it is reached when the profiler sees a call of its code.
+The script prints each unreached function as file:line name, then their
+count, the number of distinct source lines they span and the line total
+of src/fibresplit.
 It imports only the standard library, the package, compare_outputs and
 pytest (for the gates).
 """
 
 import ast
-import contextlib
-import io
 import os
 import sys
 import tempfile
@@ -44,17 +44,14 @@ def functions():
 
 
 def _run_commands():
-    from compare_outputs import _configs
-    from fibresplit import cli
+    from compare_outputs import _run_all
 
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in _configs():
-            for command in cli.COMMANDS:
-                out_dir = os.path.join(tmp, cfg.stem, command)
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    cli.main([command, "--config", str(cfg),
-                              "--out-dir", out_dir])
+        try:
+            _run_all(tmp)  # changes into tmp
+        finally:
+            os.chdir(cwd)
 
 
 def _run_gates():
