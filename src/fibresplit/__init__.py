@@ -12,9 +12,8 @@ and the package has no runtime dependency.
 
 from .bundle import (BundleChart, DerivedField, PullbackPoint,
                      SecondTangentPoint, TangentPointM, VectorField,
-                     canonical_flip, complete_lift, lie_bracket,
-                     liouville_fields, mu, tangent_map,
-                     vertical_endomorphism, vertical_lift)
+                     canonical_flip, complete_lift, lie_bracket, mu,
+                     tangent_map, vertical_endomorphism, vertical_lift)
 from .config import ModelConfig, load_config
 from .errors import (ArityError, BasePointMismatch, BranchAmbiguity,
                      DimensionMismatch, DomainError, ExprSyntaxError,

@@ -12,6 +12,10 @@ evaluated at base velocities with |v| >= slit_eps.
 A vector field is one type, VectorField: n components of x make a field
 on the base N, n + m components of (x, y) a field on the total space M.
 
+S and the dilation fields are vertical lifts (vertical_lift): S of (X, Y),
+Delta of t itself, Delta^h and Delta^v of t's images under a splitting's
+projections P_h and P_v, and Delta^0 of P_h at v = 0.
+
 Points hold each block as a list of Python floats, and every point, block
 and field value given out here is such a list.
 """
@@ -145,10 +149,6 @@ class SecondTangentPoint:
         """The second block (X, Y, V, W) as one list."""
         return self.X + self.Y + self.V + self.W
 
-    def allclose(self, other, tol=1e-9):
-        return all(abs(a - b) <= tol for a, b in
-                   zip(self.as_array(), other.as_array(), strict=True))
-
 
 def mu(t):
     """Forget the fibre velocity: (x, y, v, w) -> (x, y, v)."""
@@ -162,10 +162,8 @@ def canonical_flip(s):
 
 
 def vertical_endomorphism(s):
-    """Move the (X, Y) block into (V, W) and zero it: S with S*S = 0."""
-    n, m = s.chart.n, s.chart.m
-    return SecondTangentPoint(s.chart, s.x, s.y, s.v, s.w,
-                              [0.0] * n, [0.0] * m, s.X, s.Y)
+    """S: the vertical lift of (X, Y) at (x, y, v, w), so S*S = 0."""
+    return vertical_lift(s, TangentPointM(s.chart, s.x, s.y, s.X, s.Y))
 
 
 def vertical_lift(at, vec):
@@ -216,30 +214,6 @@ def complete_lift(Z, at):
     n = at.chart.n
     return SecondTangentPoint(at.chart, at.x, at.y, at.v, at.w,
                               vals[:n], vals[n:], du[:n], du[n:])
-
-
-def liouville_fields(h, at, which):
-    """Members of the dilation family at a tangent point, given a splitting.
-
-    which selects the field: 'total' is (V, W) = (v, w); 'horizontal' is
-    (v, h(x,y,v)); 'vertical' is (0, w - h(x,y,v)); 'zero' is (0, h(x,y,0)).
-    h is a callable (x, y, v) -> m numbers; it may be None for 'total'.
-    """
-    n, m = at.chart.n, at.chart.m
-    zn, zm = [0.0] * n, [0.0] * m
-    if which == "total":
-        V, W = at.v, at.w
-    elif which == "horizontal":
-        V, W = at.v, h(at.x, at.y, at.v)
-    elif which == "vertical":
-        V = zn
-        W = [a - b for a, b in zip(at.w, h(at.x, at.y, at.v))]
-    elif which == "zero":
-        V = zn
-        W = h(at.x, at.y, zn)
-    else:
-        raise ValueError(f"unknown selector {which!r}")
-    return SecondTangentPoint(at.chart, at.x, at.y, at.v, at.w, zn, zm, V, W)
 
 
 class DerivedField(ScalarField):

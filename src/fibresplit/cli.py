@@ -21,18 +21,18 @@ from .errors import (ArityError, BranchAmbiguity, DimensionMismatch,
                      ParseError, SingularHessian, SingularMatrix,
                      UnknownIdentifier)
 from .exprs import variables
-from .lagrangian import (euler_lagrange_sode, homogeneity_of_induced,
+from .lagrangian import (energy, euler_lagrange_sode, homogeneity_of_induced,
                          induced_splitting, integrate_sode,
                          projection_verify, subduce,
                          symmetry_condition_check, tangency_check)
 from .nonholonomic import integrate_constrained
-from .numerics import Generator, dot, max_gap
+from .numerics import Generator
 from .reduction import (MagneticSystem, connection_test_domega,
                         decoupling_check, integrate_magnetic,
                         invariance_check, principal_check, unreduce)
 from .splitting import (affine_curvature_coefficients, affine_decompose,
                         classify, curvature_pointwise, horizontal_lift_curve,
-                        rate_residual)
+                        horizontality_drift, rate_residual)
 
 COMMANDS = ("classify", "lift-curve", "induce", "subduce", "project-verify",
             "el-simulate", "nh-simulate", "magnetic-simulate", "curvature",
@@ -154,10 +154,11 @@ def _probe_point(run, sim, chart):
     return ic[:n], ic[n:n + m], ic[n + m:2 * n + m]
 
 
-def _energy(L, z):
-    k = L.chart.n + L.chart.m
-    value, grad, _ = L.field.jet_lists(z)
-    return dot(grad[k:], z[k:]) - value
+def _lagrangian_and_splitting(cfg, chart):
+    """L, and the config's explicit [splitting], else the one L induces."""
+    L = cfg.lagrangian(chart)
+    return L, (cfg.splitting(chart) if cfg.has("splitting")
+               else induced_splitting(L))
 
 
 def _cmd_classify(run, cfg, chart, sim, args):
@@ -193,9 +194,7 @@ def _cmd_induce(run, cfg, chart, sim, args):
 
 def _cmd_subduce(run, cfg, chart, sim, args):
     x, y, v = _probe_point(run, sim, chart)
-    L = cfg.lagrangian(chart)
-    h = cfg.splitting(chart) if cfg.has("splitting") \
-        else induced_splitting(L)
+    L, h = _lagrangian_and_splitting(cfg, chart)
     sub = subduce(L, h, **run.sampling)
     run.report["residuals"]["y_independence"] = sub.y_independence
     run.report["values"]["y_ref"] = sub.y_ref
@@ -206,9 +205,7 @@ def _cmd_subduce(run, cfg, chart, sim, args):
 
 def _cmd_project_verify(run, cfg, chart, sim, args):
     x, y, v = _probe_point(run, sim, chart)
-    L = cfg.lagrangian(chart)
-    h = cfg.splitting(chart) if cfg.has("splitting") \
-        else induced_splitting(L)
+    L, h = _lagrangian_and_splitting(cfg, chart)
     rep = projection_verify(L, h, (x, v), y, sim["t1"] - sim["t0"],
                             sim["dt"], **run.sampling)
     run.check("base_deviation", rep.max_base_deviation, TOL_DYNAMIC)
@@ -220,9 +217,11 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
 def _cmd_el_simulate(run, cfg, chart, sim, args):
     L = cfg.lagrangian(chart)
     sode = euler_lagrange_sode(L.field)
-    ic = _ic(run, sim, 2 * (chart.n + chart.m))
+    k = chart.n + chart.m
+    ic = _ic(run, sim, 2 * k)
     rec = integrate_sode(sode, ic, sim["t0"], sim["t1"], sim["dt"],
-                         diagnostic=lambda t, z: {"energy": _energy(L, z)})
+                         diagnostic=lambda t, z: {
+                             "energy": energy(L.field, z, k)})
     E = rec.diagnostics["energy"]
     run.report["residuals"]["energy_drift"] = max(abs(e - E[0]) for e in E)
     run.report["values"]["final_state"] = rec.final
@@ -273,7 +272,7 @@ def _cmd_curvature(run, cfg, chart, sim, args):
     try:
         data = affine_decompose(spec, min(sim["samples"], 100), sim["seed"],
                                 sim["box"])
-        B, A0d = affine_curvature_coefficients(data, x, y)
+        B, A0d, _ = affine_curvature_coefficients(data, x, y)
         run.report["verdicts"]["affine"] = True
         run.report["values"]["B_at_probe"] = B
         run.report["values"]["A0_derivative_at_probe"] = A0d
@@ -297,17 +296,12 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
     h = cfg.splitting(chart)
     action = cfg.action(chart)
     G = unreduce(gamma_bar, h, action, **run.sampling)
-    n, m = chart.n, chart.m
-    ic = _ic(run, sim, 2 * (n + m), required=False)
+    ic = _ic(run, sim, 2 * (chart.n + chart.m), required=False)
     if ic is not None:
         rec = integrate_sode(G, ic, sim["t0"], sim["t1"], sim["dt"])
-        drift = 0.0
-        for row in rec.states:
-            hv = h.h_values(row[:n], row[n:n + m], row[n + m:2 * n + m])
-            drift = max(drift, max_gap(row[2 * n + m:], hv))
+        drift, start_gap = horizontality_drift(h, rec.states)
         run.report["residuals"]["horizontality_drift"] = drift
-        w0 = h.h_values(ic[:n], ic[n:n + m], ic[n + m:2 * n + m])
-        if max_gap(ic[2 * n + m:], w0) < 1e-12:
+        if start_gap < 1e-12:
             run.check("horizontality_drift", drift, TOL_DYNAMIC)
         run.report["values"]["final_state"] = rec.final
         run.csv = (_state_header(chart), _trajectory_rows(rec))

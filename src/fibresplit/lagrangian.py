@@ -26,7 +26,7 @@ from .jets import Jet2, ScalarField
 from .numerics import (Generator, all_finite, as_floats, condition_number,
                        det, dot, linear_solve, max_gap, newton_solve,
                        rk4_integrate, sample_max)
-from .splitting import SplittingSpec
+from .splitting import SplittingSpec, horizontality_drift
 
 
 @dataclass
@@ -463,10 +463,7 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     dev = max(max_gap(row[:n], red_row[:n])
               for row, red_row in zip(full.states, red.states))
 
-    drift = 0.0
-    for row in full.states:
-        x, y, v, w = row[:n], row[n:n + m], row[n + m:2 * n + m], row[2 * n + m:]
-        drift = max(drift, max_gap(w, h.h_values(x, y, v)))
+    drift = horizontality_drift(h, full.states)[0]
 
     # EL residual of Lbar along the projected full trajectory
     ts = full.t
@@ -486,11 +483,23 @@ def projection_verify(L, h, ic_base, y0, T, dt, samples=50, seed=42,
     return ProjectionReport(dev, drift, el_res, min_det)
 
 
+def liouville_terms(field, z, k):
+    """(u . dF/du, F) at z = (q, u), u the entries of z from k on: the
+    Liouville derivative of the field F and its value, from one jet."""
+    z = as_floats(z)
+    value, grad, _ = field.jet_lists(z)
+    return dot(grad[k:], z[k:]), value
+
+
+def energy(field, z, k):
+    """u . dF/du - F, the energy of the field F at z (see liouville_terms)."""
+    delta, value = liouville_terms(field, z, k)
+    return delta - value
+
+
 def liouville_derivative(L, z):
     """Delta(L) = v . dL/dv + w . dL/dw at the state z = (x, y, v, w)."""
-    k = L.chart.n + L.chart.m
-    z = as_floats(z)
-    return dot(L.field.jet_lists(z)[1][k:], z[k:])
+    return liouville_terms(L.field, z, L.chart.n + L.chart.m)[0]
 
 
 def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
@@ -500,7 +509,8 @@ def homogeneity_of_induced(L, h, samples=50, seed=42, box=1.0):
     n, m = L.chart.n, L.chart.m
 
     def hypothesis(z):
-        gap = abs(liouville_derivative(L, z) - 2.0 * L.field.value(z))
+        delta, value = liouville_terms(L.field, z, n + m)
+        gap = abs(delta - 2.0 * value)
         if gap >= 1e-8:
             raise HypothesisFailed(
                 f"Delta(L) - 2L = {gap:.3e} at z={z!r}; Lagrangian "

@@ -18,8 +18,9 @@ order.
 
 from .errors import DimensionMismatch
 from .jets import ScalarField, jet2_compose, seed_jets
+from .lagrangian import energy
 from .numerics import as_floats, dot, linear_solve, rk4_integrate, total
-from .splitting import _curvature_lists
+from .splitting import affine_curvature_coefficients
 
 
 class ConstrainedLagrangianField(ScalarField):
@@ -68,7 +69,7 @@ class ConstrainedSystem:
         k = 2 * n + m
         s = as_floats(s)
         v = s[n + m:]
-        B, A0d, A = _curvature_lists(self.c, s[:n + m])
+        B, A0d, A = affine_curvature_coefficients(self.c, s[:n], s[n:n + m])
         jet, L_jet, ydot = self.Lc._chain(s)
         g, H, Lw = jet.gradient, jet.hessian, L_jet.gradient[k:]
         rhs_v = []
@@ -84,10 +85,7 @@ class ConstrainedSystem:
 
     def energy(self, s):
         """Constrained energy v . dLc/dv - Lc."""
-        n, m = self.L.chart.n, self.L.chart.m
-        s = as_floats(s)
-        value, g, _ = self.Lc.jet_lists(s)
-        return dot(g[n + m:], s[n + m:]) - value
+        return energy(self.Lc, s, self.L.chart.n + self.L.chart.m)
 
 
 def integrate_constrained(L, c, s0, t0, t1, dt):

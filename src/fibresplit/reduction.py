@@ -3,7 +3,8 @@ quasi-velocity system.
 
 A fibre action enters only infinitesimally, through an invertible matrix
 of generator coefficients K (column gamma holds the y-components of the
-generator E_gamma) and structure constants C.  Group elements are never
+generator E_gamma) and structure constants C; every reader of K takes one
+ActionSpec.frame read per point, one jet per field.  Group elements are never
 materialized; equivariance tests integrate generator flows numerically,
 lifted to the double tangent bundle through their variational equations.
 The magnetic model's reduced base Lagrangian is one tape compiled from the
@@ -23,7 +24,8 @@ from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
 from .numerics import (COND_BOUND, Generator, SampleReport, _square,
                        as_floats, condition_number, dot, linear_solve, max_gap,
                        positive_definite, rk4_integrate, sample_max, total)
-from .splitting import vilms_horizontal, vilms_vertical_projector
+from .splitting import (project_vertical, vilms_horizontal,
+                        vilms_vertical_projector)
 
 
 def _check_structure_constants(C, m):
@@ -80,7 +82,7 @@ class ActionSpec:
         rng = Generator(7)
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, self.chart.n + m)
-            Kv = self.K_matrix(q[:self.chart.n], q[self.chart.n:])
+            Kv = self.frame(q[:self.chart.n], q[self.chart.n:])[0]
             if not condition_number(Kv) <= COND_BOUND:
                 raise SingularMatrix(
                     f"generator frame degenerate at sample point {q!r}")
@@ -93,17 +95,13 @@ class ActionSpec:
              for row in K_sources]
         return cls(chart, K, C)
 
-    def K_matrix(self, x, y):
-        """K[b][g] at (x, y), as nested lists of floats."""
+    def frame(self, x, y):
+        """K[b][g] at (x, y) and its gradient dK[b][g] over (x, y), as
+        nested lists of floats, from one jet per field."""
         q = [*x, *y]  # each field converts its point to floats
-        return [[f.value(q) for f in row] for row in self.K]
-
-    def K_dot(self, x, y, v, w):
-        """Derivative of K along (v, w), v . dK/dx + w . dK/dy, as nested
-        lists of floats."""
-        q = [*x, *y]
-        u = as_floats(v) + as_floats(w)
-        return [[dot(f.jet_lists(q)[1], u) for f in row] for row in self.K]
+        jets = [[f.jet_lists(q) for f in row] for row in self.K]
+        return ([[jet[0] for jet in row] for row in jets],
+                [[jet[1] for jet in row] for row in jets])
 
 
 def invariance_check(L, action, samples=100, seed=42, box=1.0):
@@ -115,10 +113,9 @@ def invariance_check(L, action, samples=100, seed=42, box=1.0):
     n, m = L.chart.n, L.chart.m
 
     def residual(z):
-        x, y, v, w = z[:n], z[n:n + m], z[n + m:2 * n + m], z[2 * n + m:]
         g = L.field.jet_lists(z)[1]
-        Kv = action.K_matrix(x, y)
-        Kd = action.K_dot(x, y, v, w)
+        Kv, dK = action.frame(z[:n], z[n:n + m])
+        Kd = [[dot(grad, z[n + m:]) for grad in row] for row in dK]
         return max(abs(dot([row[c] for row in Kv], g[n:n + m])
                        + dot([row[c] for row in Kd], g[2 * n + m:]))
                    for c in range(m))
@@ -131,7 +128,7 @@ def momentum_map(L, action, w_pt):
     floats."""
     n, m = L.chart.n, L.chart.m
     Lw = L.field.jet_lists(w_pt.as_array())[1][2 * n + m:]
-    Kv = action.K_matrix(w_pt.x, w_pt.y)
+    Kv = action.frame(w_pt.x, w_pt.y)[0]
     return [dot([row[g] for row in Kv], Lw) for g in range(m)]
 
 
@@ -145,21 +142,20 @@ def principal_check(h, action, samples=100, seed=42, box=1.0):
     def residual(z):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         hvgs = h.h_vg_lists(x, y, v)
-        Kjets = [[f.jet_lists(x + y) for f in row] for row in action.K]
+        Kv, dK = action.frame(x, y)
         hval = [val for val, _ in hvgs]
         return max(abs(dot(v, kg[:n]) + dot(hval, kg[n:])
-                       - dot([row[g][0] for row in Kjets], dh[n:n + m]))
-                   for (_, dh), Krow in zip(hvgs, Kjets)
-                   for g, (_, kg, _) in enumerate(Krow))
+                       - dot([row[g] for row in Kv], dh[n:n + m]))
+                   for (_, dh), dKrow in zip(hvgs, dK)
+                   for g, kg in enumerate(dKrow))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
 
 def omega(h, action, w_pt):
     """Frame components of the vertical part: solves K omega = w - h."""
-    hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
-    Kv = action.K_matrix(w_pt.x, w_pt.y)
-    return linear_solve(Kv, [a - b for a, b in zip(w_pt.w, hval)])
+    w_v = project_vertical(h, w_pt).w
+    return linear_solve(action.frame(w_pt.x, w_pt.y)[0], w_v)
 
 
 def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
@@ -171,7 +167,7 @@ def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
         x, y, v = z[:n], z[n:n + m], z[n + m:]
         euler = [dot(grad[n + m:], v) - val
                  for val, grad in h.h_vg_lists(x, y, v)]
-        return max(map(abs, linear_solve(action.K_matrix(x, y), euler)))
+        return max(map(abs, linear_solve(action.frame(x, y)[0], euler)))
 
     return sample_max(residual, samples, seed, 2 * n + m, box)
 
@@ -179,15 +175,15 @@ def connection_test_domega(h, action, samples=100, seed=42, box=1.0):
 def xi_field(h, action, w_pt):
     """The vertical correction vector: zero base blocks, Y = w - h, and
     W = Kdot . K^-1 (w - h)."""
-    chart = w_pt.chart
-    n, m = chart.n, chart.m
-    hval = h.h_values(w_pt.x, w_pt.y, w_pt.v)
-    diff = [a - b for a, b in zip(w_pt.w, hval)]
-    om = linear_solve(action.K_matrix(w_pt.x, w_pt.y), diff)
-    Kd = action.K_dot(w_pt.x, w_pt.y, w_pt.v, w_pt.w)
-    return SecondTangentPoint(chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
+    n = w_pt.chart.n
+    diff = project_vertical(h, w_pt).w
+    Kv, dK = action.frame(w_pt.x, w_pt.y)
+    om = linear_solve(Kv, diff)
+    u = w_pt.v + w_pt.w
+    return SecondTangentPoint(w_pt.chart, w_pt.x, w_pt.y, w_pt.v, w_pt.w,
                               [0.0] * n, diff, [0.0] * n,
-                              [dot(row, om) for row in Kd])
+                              [dot([dot(grad, u) for grad in row], om)
+                               for row in dK])
 
 
 def vilms_of_sode(gamma_bar, h, w_pt):
@@ -228,11 +224,12 @@ def _unreduced_sode(gamma_bar, h, action):
         x, y, v, w = q[:n], q[n:], u[:n], u[n:]
         f = as_floats(gamma_bar.force(x, v))
         vgs = h.h_vg_lists(x, y, v)
-        om = linear_solve(action.K_matrix(x, y),
-                          [w[a] - vgs[a][0] for a in range(m)])
-        Kd = action.K_dot(x, y, v, w)
+        Kv, dK = action.frame(x, y)
+        om = linear_solve(Kv, [w[a] - vgs[a][0] for a in range(m)])
         vwf = u + f
-        return f + [dot(vgs[a][1], vwf) + dot(Kd[a], om) for a in range(m)]
+        return f + [dot(vgs[a][1], vwf)
+                    + dot([dot(grad, u) for grad in dK[a]], om)
+                    for a in range(m)]
 
     return SodeSpec(n + m, force)
 

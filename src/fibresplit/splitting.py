@@ -117,6 +117,16 @@ def project_vertical(spec, t):
                          [a - b for a, b in zip(t.w, w_h)])
 
 
+def horizontality_drift(spec, states):
+    """max |w - h(x, y, v)| over the state rows (x, y, v, w), folded from
+    0.0 as max(drift, gap) folds it (a nan gap is passed by), and the gap
+    of the first row."""
+    n, k = spec.chart.n, spec.chart.n + spec.chart.m
+    gaps = [max_gap(r[k + n:], spec.h_values(r[:n], r[n:k], r[k:k + n]))
+            for r in states]
+    return max([0.0, *gaps]), gaps[0]
+
+
 def lifted_field(spec, X):
     """The horizontal lift of a base field as a field on M (for brackets)."""
     n, m = spec.chart.n, spec.chart.m
@@ -399,21 +409,19 @@ def curvature_rbar(spec, X, Y, m_pt):
     """Curvature through lifted brackets: [X^h, Y^h] - [X, Y]^h at (x, y).
 
     The base blocks of the two terms cancel identically; the returned
-    tangent vector is vertical (zero v-block) with the fibre difference in
-    its w-block.
+    tangent vector is P_v of the first at base velocity [X, Y]: zero
+    v-block, the fibre difference in its w-block.
     """
     x, y = as_floats(m_pt[0]), as_floats(m_pt[1])
     n = spec.chart.n
     br = lie_bracket(lifted_field(spec, X), lifted_field(spec, Y))
     br_vals = br.values(x + y)
-    base_br = lie_bracket(X, Y)
-    vb = base_br.values(x)
-    lifted = spec.h_values(x, y, vb)
+    vb = lie_bracket(X, Y).values(x)
     gap = max_gap(br_vals[:n], vb)
     if gap > 1e-9:
         raise NotWellDefined(f"base blocks failed to cancel: {gap:.3e}")
-    return TangentPointM(spec.chart, x, y, [0.0] * n,
-                         [a - b for a, b in zip(br_vals[n:], lifted)])
+    return project_vertical(spec, TangentPointM(spec.chart, x, y, vb,
+                                                br_vals[n:]))
 
 
 def _linear_extension(chart, values, x0, salt):
@@ -562,16 +570,11 @@ def affine_curvature_coefficients(data, x, y):
     drift derivatives A^a_0i = H_i(A0^a) + A0(A^a_i), from one float jet
     (jet_lists) per field, each dot product summed in index order.
 
-    Returns (B, A0d) as nested lists of floats, m x n x n and m x n.
+    Returns (B, A0d, A) as nested lists of floats, m x n x n, m x n and
+    m x n, A the values of the A fields read from the same jets.
     """
-    return _curvature_lists(data, as_floats(x) + as_floats(y))[:2]
-
-
-def _curvature_lists(data, q):
-    """affine_curvature_coefficients at the point q = x + y, as nested
-    lists of floats, followed by the values of A (m rows of n) read from
-    the same jets."""
     n, m = data.chart.n, data.chart.m
+    q = as_floats(x) + as_floats(y)
     A = [[f.jet_lists(q) for f in row] for row in data.A]
     A0 = [f.jet_lists(q) for f in data.A0]
     # gradient layout of point fields: first n entries d/dx, next m d/dy
@@ -593,7 +596,7 @@ def rbar_zero(data, zeta, w_pt):
     zeta is a base field evaluated at the foot of w_pt; v is the base
     velocity of w_pt.  The result is a vertical tangent vector at (x, y).
     """
-    B, A0d = affine_curvature_coefficients(data, w_pt.x, w_pt.y)
+    B, A0d, _ = affine_curvature_coefficients(data, w_pt.x, w_pt.y)
     zv = zeta.values(w_pt.x)
     n, m = data.chart.n, data.chart.m
     w = [total(zv[i] * (dot(B[a][i], w_pt.v) + A0d[a][i]) for i in range(n))

@@ -15,3 +15,23 @@ def rolling_record():
     c = AffineSplittingData.from_expressions(chart, [["0", "-x1"]], ["0"])
     s0 = [0.5, 0.0, 0.0, 0.2, 0.4]
     return L, c, s0, integrate_constrained(L, c, s0, 0.0, 10.0, 1e-3)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """count(field) wraps the tape field's generated jet and value kernels
+    for the test and returns the dict that counts their calls."""
+    def count(field):
+        jet, value = field._generated()
+        calls = {"jet": 0, "value": 0}
+
+        def counted(name, kernel):
+            def call(x):
+                calls[name] += 1
+                return kernel(x)
+            return call
+
+        monkeypatch.setattr(field, "_kernel",
+                            (counted("jet", jet), counted("value", value)))
+        return calls
+    return count

@@ -14,8 +14,8 @@ from derivative_check import fd_check
 
 from fibresplit import cli
 from fibresplit.bundle import (BundleChart, TangentPointM, VectorField,
-                               canonical_flip, liouville_fields, tangent_map,
-                               vertical_endomorphism)
+                               canonical_flip, tangent_map,
+                               vertical_endomorphism, vertical_lift)
 from fibresplit.errors import DomainError, HypothesisFailed
 from fibresplit.exprs import Bin, Call, Num, Var, VarContext, compile_field, \
     parse, to_string
@@ -261,11 +261,11 @@ def test_criterion_10_unreduce():
     for _ in range(50):
         pt = TangentPointM(CH11, *rng.uniform(-1.0, 1.0, (4, 1)))
         s_xi = vertical_endomorphism(xi_field(h, act, pt))
-        dv = liouville_fields(h.h_values, pt, "vertical")
+        dv = vertical_lift(pt, project_vertical(h, pt))
         assert np.abs(np.array(s_xi.as_array())
                       - dv.as_array()).max() < 1e-9
         s_g = vertical_endomorphism(vilms_of_sode(gbar, h, pt))
-        dh = liouville_fields(h.h_values, pt, "horizontal")
+        dh = vertical_lift(pt, project_horizontal(h, pt))
         assert np.abs(np.array(s_g.as_array())
                       - dh.as_array()).max() < 1e-9
 

@@ -4,11 +4,13 @@ import pytest
 from fibresplit.bundle import (BundleChart, DerivedField, SecondTangentPoint,
                                TangentPointM, VectorField,
                                canonical_flip, complete_lift, lie_bracket,
-                               liouville_fields, mu, tangent_map,
-                               vertical_endomorphism, vertical_lift)
+                               mu, tangent_map, vertical_endomorphism,
+                               vertical_lift)
 from fibresplit.errors import (BasePointMismatch, DimensionMismatch,
                                DomainError)
 from fibresplit.exprs import VarContext, compile_field, parse
+from fibresplit.splitting import (SplittingSpec, project_horizontal,
+                                  project_vertical)
 
 
 def chart(n=2, m=1):
@@ -60,7 +62,7 @@ def test_canonical_flip_is_involution():
     rng = np.random.default_rng(3)
     for _ in range(20):
         s = rand_stp(ch, rng)
-        assert canonical_flip(canonical_flip(s)).allclose(s, tol=0.0)
+        assert canonical_flip(canonical_flip(s)).as_array() == s.as_array()
         f = canonical_flip(s)
         assert np.array_equal(f.v, s.X) and np.array_equal(f.X, s.v)
         assert np.array_equal(f.W, s.W)
@@ -76,6 +78,15 @@ def test_vertical_endomorphism_squares_to_zero():
         assert np.array_equal(S1.V, s.X) and np.array_equal(S1.W, s.Y)
         S2 = vertical_endomorphism(S1)
         assert not any(S2.upper())
+
+
+def test_vertical_endomorphism_is_the_vertical_lift_of_the_first_block():
+    ch = chart()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = rand_stp(ch, rng)
+        lifted = vertical_lift(s, TangentPointM(ch, s.x, s.y, s.X, s.Y))
+        assert vertical_endomorphism(s).as_array() == lifted.as_array()
 
 
 def test_vertical_lift_base_point_guard():
@@ -173,24 +184,22 @@ def test_vector_field_lives_where_its_component_count_says():
 
 
 def test_liouville_family_decomposition():
+    # the dilation fields are vertical lifts of the point's velocity and of
+    # its images under the splitting's projections
     ch = chart(1, 1)
-
-    def h(x, y, v):
-        return np.array([x[0] * v[0] + 0.2])
-
+    spec = SplittingSpec.from_expressions(ch, ["x1*v1 + 0.2"])
     at = TangentPointM(ch, [0.5], [1.0], [2.0], [3.0])
-    total = liouville_fields(None, at, "total")
-    hor = liouville_fields(h, at, "horizontal")
-    ver = liouville_fields(h, at, "vertical")
-    zero = liouville_fields(h, at, "zero")
+    total = vertical_lift(at, at)
+    hor = vertical_lift(at, project_horizontal(spec, at))
+    ver = vertical_lift(at, project_vertical(spec, at))
+    at_rest = TangentPointM(ch, at.x, at.y, [0.0], at.w)
+    zero = vertical_lift(at, project_horizontal(spec, at_rest))
     assert np.allclose(total.V, [2.0]) and np.allclose(total.W, [3.0])
     assert np.allclose(hor.W, [0.5 * 2.0 + 0.2])
     assert np.allclose(ver.V, [0.0]) and np.allclose(ver.W, [3.0 - 1.2])
-    assert np.allclose(zero.W, [0.2])
+    assert np.allclose(zero.V, [0.0]) and np.allclose(zero.W, [0.2])
     # total = horizontal + vertical on the upper block
     assert np.allclose(total.upper(), np.array(hor.upper()) + ver.upper())
-    with pytest.raises(ValueError):
-        liouville_fields(h, at, "sideways")
 
 
 def test_derived_field_jet_matches_smooth_reference():

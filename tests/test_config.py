@@ -72,7 +72,7 @@ def test_full_config_builds_every_object(tmp_path):
     assert abs(h.h_values([2.0], [0.0], [0.5])[0] - 1.3) < 1e-15
 
     act = cfg.action(chart)
-    assert act.K_matrix([0.1], [0.2])[0][0] == 1.0
+    assert act.frame([0.1], [0.2])[0][0][0] == 1.0
 
     con = cfg.constraints(chart)
     assert np.array_equal(con.h_values([0.0], [0.0], [0.5]), [-1.0])

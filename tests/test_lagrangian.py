@@ -352,6 +352,15 @@ def test_projection_of_horizontal_solutions():
     assert rep.min_lbar_det > 0.5  # 1 - 6 v^2 stays regular at v ~ 0.2
 
 
+def test_homogeneity_hypothesis_reads_L_once_per_sample(kernel_calls):
+    # Delta(L) and L come from one jet; the explicit h never reads L
+    L = lag("0.5*v1^2 + 0.5*(w1 - x1*v1)^2")
+    h = SplittingSpec.from_expressions(CH, ["x1*v1"])
+    calls = kernel_calls(L.field)
+    homogeneity_of_induced(L, h, samples=5)
+    assert calls == {"jet": 5, "value": 0}
+
+
 def test_liouville_derivative_counts_velocity_degree():
     L2 = lag("0.5*v1^2 + 0.5*w1^2")
     z = np.array([0.3, -0.2, 0.7, 0.4])

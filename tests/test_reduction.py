@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fibresplit.bundle import (BundleChart, SecondTangentPoint, TangentPointM,
-                               liouville_fields, vertical_endomorphism)
+                               vertical_endomorphism, vertical_lift)
+from fibresplit.config import load_config
 from fibresplit.errors import (DimensionMismatch, DomainError, FlowEscape,
                                NotPrincipal, SingularMatrix)
 from fibresplit.exprs import VarContext, compile_field
@@ -18,9 +21,11 @@ from fibresplit.reduction import (ActionSpec, DecouplingReport,
                                   principal_check, reduced_base_lagrangian,
                                   unreduce, vilms_of_sode,
                                   vilms_principal_check, xi_field)
-from fibresplit.splitting import SplittingSpec
+from fibresplit.splitting import (SplittingSpec, project_horizontal,
+                                  project_vertical)
 
 CH = BundleChart(1, 1)
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def trivial_action(chart=CH):
@@ -189,7 +194,7 @@ def test_xi_field_is_the_vertical_dilation():
     pt = TangentPointM(CH, [0.4], [-0.2], [0.9], [1.3])
     xi = xi_field(h, act, pt)
     s = vertical_endomorphism(xi)
-    dv = liouville_fields(h.h_values, pt, "vertical")
+    dv = vertical_lift(pt, project_vertical(h, pt))
     assert np.array_equal(s.as_array(), dv.as_array())
     # the fibre-acceleration block carries Kdot omega; constant frame: zero
     assert np.array_equal(xi.W, np.zeros(1))
@@ -233,7 +238,7 @@ def test_frame_values_at_int_points_run_in_floats():
     # 10**400 as an exact int would pass the kernel's overflow check
     act = ActionSpec.from_expressions(CH, [["1 + y1^400"]])
     with pytest.raises(DomainError, match="powi overflow"):
-        act.K_matrix([0], [10])
+        act.frame([0], [10])
 
 
 @pytest.mark.parametrize("K, h_src", [
@@ -253,6 +258,19 @@ def test_unreduced_force_is_the_vilms_lift_plus_xi(K, h_src):
         want = [a + b for a, b in zip(vilms_of_sode(gbar, h, pt).W,
                                       xi_field(h, act, pt).W)]
         assert G.force([x, y], [v, w])[CH.n:] == want
+
+
+def test_unreduced_force_takes_one_jet_of_each_frame_field(kernel_calls):
+    # K and its derivative along (v, w) come from the same jet
+    cfg = load_config(CONFIGS / "unreduce.ini")
+    chart = cfg.chart()
+    action = cfg.action(chart)
+    G = unreduce(euler_lagrange_sode(cfg.base_lagrangian(chart)),
+                 cfg.splitting(chart), action)
+    calls = [kernel_calls(f) for row in action.K for f in row]
+    ic = cfg.simulation()["ic"]
+    G.force(ic[:chart.n + chart.m], ic[chart.n + chart.m:])
+    assert calls == [{"jet": 1, "value": 0}]
 
 
 def test_unreduce_rejects_incompatible_splitting():
@@ -282,7 +300,7 @@ def test_vilms_of_sode_projects_to_horizontal_dilation():
     pt = TangentPointM(CH, [0.4], [-0.2], [0.9], [1.3])
     lift = vilms_of_sode(gbar, h, pt)
     s = vertical_endomorphism(lift)
-    dh = liouville_fields(h.h_values, pt, "horizontal")
+    dh = vertical_lift(pt, project_horizontal(h, pt))
     assert np.array_equal(s.as_array(), dh.as_array())
     # base acceleration block is the base force itself
     assert abs(lift.V[0] - gbar.force(pt.x, pt.v)[0]) < 1e-15

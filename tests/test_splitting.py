@@ -312,9 +312,10 @@ def test_affine_round_trip_and_curvature_coefficients():
     data = AffineSplittingData.from_expressions(
         ch, [["0", "-x1"]], ["0"])
     assert classify(data).verdict == "Ehresmann"
-    B, A0d = map(np.array, affine_curvature_coefficients(
+    B, A0d, A = map(np.array, affine_curvature_coefficients(
         data, np.array([0.7, -0.3]), np.array([0.2])))
     assert B.shape == (1, 2, 2) and A0d.shape == (1, 2)
+    assert A.tolist() == [[0.0, -0.7]]
     assert abs(B[0, 0, 1] - 1.0) < 1e-10
     assert abs(B[0, 1, 0] + 1.0) < 1e-10
     assert np.abs(A0d).max() < 1e-10
@@ -351,7 +352,7 @@ def test_affine_curvature_zero_for_constant_coefficients():
     ch = BundleChart(2, 1)
     data = AffineSplittingData.from_expressions(
         ch, [["2", "-1"]], ["0.5"])
-    B, A0d = affine_curvature_coefficients(
+    B, A0d, _ = affine_curvature_coefficients(
         data, np.array([0.1, 0.2]), np.array([0.3]))
     assert np.abs(B).max() < 1e-12
     assert np.abs(A0d).max() < 1e-12

@@ -390,7 +390,7 @@ def test_lagrange_dalembert_rhs_matches_sympy(n, m, src, A, A0):
     Ey = [euler(y[a], w[a]) for a in range(m)]
     eqs = [euler(x[i], v[i]) - sum(As[a][i] * Ey[a] for a in range(m))
            for i in range(n)]
-    B, A0d = affine_curvature_coefficients(c, [0.3] * n, [-0.4] * m)
+    B, A0d, _ = affine_curvature_coefficients(c, [0.3] * n, [-0.4] * m)
     if n > 1:
         assert np.abs(B).max() > 0.1
     assert np.abs(A0d).max() > 0.1
