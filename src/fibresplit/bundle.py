@@ -5,9 +5,10 @@ A chart fixes base dimension n (coordinates x1..xn) and fibre dimension m
 directions).  Points of the second tangent space carry a second block
 (X, Y, V, W) over the first.
 
-The slit radius slit_eps is part of the chart: fields built over the chart
-inherit it, and non-smooth coefficient fields (abs, sqrt) are only
-evaluated at base velocities with |v| >= slit_eps.
+The slit radius slit_eps is part of the chart: its contexts (ctx_*) carry
+it to every field compiled over the chart ([curve] fields, functions of
+time, keep the default), and non-smooth coefficient fields (abs, sqrt) are
+only evaluated at base velocities with |v| >= slit_eps.
 
 A vector field is one type, VectorField: n components of x make a field
 on the base N, n + m components of (x, y) a field on the total space M.
@@ -65,18 +66,28 @@ class BundleChart:
     def w_names(self):
         return [f"w{a+1}" for a in range(self.m)]
 
+    def _ctx(self, *roles):
+        return VarContext(roles, slit_eps=self.slit_eps)
+
+    def ctx_base(self):
+        return self._ctx(("base", self.x_names))
+
+    def ctx_base_tangent(self):
+        return self._ctx(("base", self.x_names),
+                         ("base_velocity", self.v_names))
+
     def ctx_point(self):
-        return VarContext([("base", self.x_names), ("fibre", self.y_names)])
+        return self._ctx(("base", self.x_names), ("fibre", self.y_names))
 
     def ctx_pullback(self):
         """Coefficient context (x, y, v): base velocity over a point."""
-        return VarContext([("base", self.x_names), ("fibre", self.y_names),
-                           ("base_velocity", self.v_names)])
+        return self._ctx(("base", self.x_names), ("fibre", self.y_names),
+                         ("base_velocity", self.v_names))
 
     def ctx_tangent(self):
-        return VarContext([("base", self.x_names), ("fibre", self.y_names),
-                           ("base_velocity", self.v_names),
-                           ("fibre_velocity", self.w_names)])
+        return self._ctx(("base", self.x_names), ("fibre", self.y_names),
+                         ("base_velocity", self.v_names),
+                         ("fibre_velocity", self.w_names))
 
 
 @dataclass

@@ -161,7 +161,7 @@ def _lagrangian_and_splitting(cfg, chart):
                else induced_splitting(L))
 
 
-def _cmd_classify(run, cfg, chart, sim, args):
+def _cmd_classify(run, cfg, chart, sim):
     spec = cfg.splitting(chart)
     rep = classify(spec, **run.sampling)
     run.report["verdicts"]["classification"] = rep.verdict
@@ -170,7 +170,7 @@ def _cmd_classify(run, cfg, chart, sim, args):
     run.report["values"]["smooth_at_zero"] = spec.smooth_at_zero
 
 
-def _cmd_lift_curve(run, cfg, chart, sim, args):
+def _cmd_lift_curve(run, cfg, chart, sim):
     spec = cfg.splitting(chart)
     base_curve, y0 = cfg.curve(chart)
     rec = horizontal_lift_curve(spec, base_curve, y0, sim["t0"], sim["t1"],
@@ -182,7 +182,7 @@ def _cmd_lift_curve(run, cfg, chart, sim, args):
                _trajectory_rows(rec, ["lift_residual"]))
 
 
-def _cmd_induce(run, cfg, chart, sim, args):
+def _cmd_induce(run, cfg, chart, sim):
     x, y, v = _probe_point(run, sim, chart)
     L = cfg.lagrangian(chart)
     h = induced_splitting(L)
@@ -192,7 +192,7 @@ def _cmd_induce(run, cfg, chart, sim, args):
     run.report["values"]["newton_iterations"] = iters
 
 
-def _cmd_subduce(run, cfg, chart, sim, args):
+def _cmd_subduce(run, cfg, chart, sim):
     x, y, v = _probe_point(run, sim, chart)
     L, h = _lagrangian_and_splitting(cfg, chart)
     sub = subduce(L, h, **run.sampling)
@@ -203,7 +203,7 @@ def _cmd_subduce(run, cfg, chart, sim, args):
     run.report["residuals"]["symmetry"] = sym.max_residual
 
 
-def _cmd_project_verify(run, cfg, chart, sim, args):
+def _cmd_project_verify(run, cfg, chart, sim):
     x, y, v = _probe_point(run, sim, chart)
     L, h = _lagrangian_and_splitting(cfg, chart)
     rep = projection_verify(L, h, (x, v), y, sim["t1"] - sim["t0"],
@@ -214,7 +214,7 @@ def _cmd_project_verify(run, cfg, chart, sim, args):
     run.report["values"]["min_lbar_det"] = rep.min_lbar_det
 
 
-def _cmd_el_simulate(run, cfg, chart, sim, args):
+def _cmd_el_simulate(run, cfg, chart, sim):
     L = cfg.lagrangian(chart)
     sode = euler_lagrange_sode(L.field)
     k = chart.n + chart.m
@@ -229,7 +229,7 @@ def _cmd_el_simulate(run, cfg, chart, sim, args):
                _trajectory_rows(rec, ["energy"]))
 
 
-def _cmd_nh_simulate(run, cfg, chart, sim, args):
+def _cmd_nh_simulate(run, cfg, chart, sim):
     L = cfg.lagrangian(chart)
     c = cfg.constraints(chart)
     n, m = chart.n, chart.m
@@ -246,11 +246,9 @@ def _cmd_nh_simulate(run, cfg, chart, sim, args):
     run.csv = (_state_header(chart, ["energy"]), rows)
 
 
-def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
-    model = cfg.magnetic()
-    system = MagneticSystem(model)
-    n, m = model.n, model.m
-    ic = _ic(run, sim, 2 * n + m, " (x, v, w)")
+def _cmd_magnetic_simulate(run, cfg, chart, sim):
+    system = MagneticSystem(cfg.magnetic())
+    ic = _ic(run, sim, 2 * chart.n + chart.m, " (x, v, w)")
     rec = integrate_magnetic(system, ic, sim["t0"], sim["t1"], sim["dt"])
     dec = decoupling_check(system, **run.sampling)
     run.report["verdicts"]["decoupled"] = dec.verdict
@@ -259,14 +257,12 @@ def _cmd_magnetic_simulate(run, cfg, chart, sim, args):
     run.report["residuals"]["base_el_mismatch"] = dec.base_el_residual
     run.report["values"]["quadratic_diagnostic_max"] = dec.quadratic_max
     run.report["values"]["final_state"] = rec.final
-    pcols = [f"p{a+1}" for a in range(m)]
-    header = (["t"] + [f"x{i+1}" for i in range(n)]
-              + [f"v{i+1}" for i in range(n)]
-              + [f"w{a+1}" for a in range(m)] + pcols)
+    pcols = [f"p{a+1}" for a in range(chart.m)]
+    header = ["t", *chart.x_names, *chart.v_names, *chart.w_names, *pcols]
     run.csv = (header, _trajectory_rows(rec, pcols))
 
 
-def _cmd_curvature(run, cfg, chart, sim, args):
+def _cmd_curvature(run, cfg, chart, sim):
     x, y, v = _probe_point(run, sim, chart)
     spec = cfg.splitting(chart)
     try:
@@ -291,7 +287,7 @@ def _cmd_curvature(run, cfg, chart, sim, args):
         run.report["values"]["pointwise_curvature"] = pairs
 
 
-def _cmd_unreduce(run, cfg, chart, sim, args):
+def _cmd_unreduce(run, cfg, chart, sim):
     gamma_bar = euler_lagrange_sode(cfg.base_lagrangian(chart))
     h = cfg.splitting(chart)
     action = cfg.action(chart)
@@ -299,15 +295,15 @@ def _cmd_unreduce(run, cfg, chart, sim, args):
     ic = _ic(run, sim, 2 * (chart.n + chart.m), required=False)
     if ic is not None:
         rec = integrate_sode(G, ic, sim["t0"], sim["t1"], sim["dt"])
-        drift, start_gap = horizontality_drift(h, rec.states)
+        drift, gaps = horizontality_drift(h, rec.states)
         run.report["residuals"]["horizontality_drift"] = drift
-        if start_gap < 1e-12:
+        if gaps[0] < 1e-12:
             run.check("horizontality_drift", drift, TOL_DYNAMIC)
         run.report["values"]["final_state"] = rec.final
         run.csv = (_state_header(chart), _trajectory_rows(rec))
 
 
-def _cmd_check_all(run, cfg, chart, sim, args):
+def _cmd_check_all(run, cfg, chart, sim):
     h_explicit = cfg.splitting(chart) if cfg.has("splitting") else None
     if h_explicit is not None:
         rep = classify(h_explicit, **run.sampling)
@@ -410,7 +406,7 @@ def main(argv=None):
     run = _Run(args.command, cfg, sim["seed"], sim["samples"], sim["box"])
     code, message = 0, None
     try:
-        _HANDLERS[args.command](run, cfg, chart, sim, args)
+        _HANDLERS[args.command](run, cfg, chart, sim)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import math
 from .bundle import BundleChart
 from .errors import DimensionMismatch, ParseError
 from .exprs import VarContext, compile_field
+from .jets import SLIT_EPS_DEFAULT
 from .lagrangian import LagrangianSpec
 from .numerics import _MAX_STEPS
 from .reduction import ActionSpec, MagneticModel
@@ -184,7 +185,8 @@ class ModelConfig:
 
     def chart(self):
         b = self.sections["bundle"]
-        slit = _need_float("bundle", "slit_eps", b.get("slit_eps", 1e-6))
+        slit = _need_float("bundle", "slit_eps",
+                           b.get("slit_eps", SLIT_EPS_DEFAULT))
         return BundleChart(self.n, self.m, slit)
 
     def splitting(self, chart):
@@ -207,10 +209,8 @@ class ModelConfig:
     def base_lagrangian(self, chart):
         """The [lagrangian] L read as a base-level function of (x, v)."""
         sec = self.require("lagrangian", "L")
-        ctx = VarContext([("base", list(chart.x_names)),
-                          ("base_velocity", list(chart.v_names))])
-        src = _expr(sec["L"], "[lagrangian] L")
-        return compile_field(src, ctx, label=src, slit_eps=chart.slit_eps)
+        return compile_field(_expr(sec["L"], "[lagrangian] L"),
+                             chart.ctx_base_tangent())
 
     def action(self, chart):
         sec = self.require("action", "K")
@@ -231,7 +231,7 @@ class ModelConfig:
             return read(sec[key], f"[magnetic] {key}") if key in sec else None
 
         return MagneticModel.from_expressions(
-            self.n, self.m, g=grid("g"), k=grid("k", _float_grid),
+            self.chart(), g=grid("g"), k=grid("k", _float_grid),
             V=_expr(sec.get("V", 0.0), "[magnetic] V"),
             A_base=grid("A_i"), A_fibre=grid("A_alpha"),
             upsilon=grid("Upsilon"), Kcurv=grid("Kcurv"),

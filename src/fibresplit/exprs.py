@@ -19,14 +19,16 @@ exp(b*log(a)); an integer constant exponent becomes a dedicated power op).
 The TapeField keeps that folded AST as `ast`, so a composite of compiled
 fields is one more tape: compose() substitutes their ASTs into a formula
 and compiles the result.  Only expression-built fields compose this way;
-other fields keep their own evaluators (bundle.DerivedField).
+other fields keep their own evaluators (bundle.DerivedField).  A field
+takes its context's slit radius; compile_grid() checks a grid's shape.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import ArityError, ExprSyntaxError, UnknownIdentifier
+from .errors import (ArityError, DimensionMismatch, ExprSyntaxError,
+                     UnknownIdentifier)
 from .jets import SLIT_EPS_DEFAULT, TapeField
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -366,13 +368,14 @@ def polynomial_degree(node, names):
 
 
 class VarContext:
-    """Ordered variable names grouped by role, plus named constants.
+    """Ordered variable names grouped by role, named constants, slit radius.
 
     The flattened name order is the tape input order.  pi and e are always
     available as constants unless shadowed by an explicit constant.
     """
 
-    def __init__(self, roles, constants=None):
+    def __init__(self, roles, constants=None, slit_eps=SLIT_EPS_DEFAULT):
+        self.slit_eps = slit_eps
         self.roles = [(role, list(names)) for role, names in roles]
         self.names = [n for _, names in self.roles for n in names]
         if len(set(self.names)) != len(self.names):
@@ -450,7 +453,7 @@ class _TapeBuilder:
         return self.alloc(_kernels.OP_EXP, prod)
 
 
-def _algebra_evaluator(node, ctx, slit_eps):
+def _algebra_evaluator(node, ctx):
     """Plain Jet2 recursion over the AST: the non-tape reference route."""
     from .jets import Jet2
 
@@ -464,7 +467,7 @@ def _algebra_evaluator(node, ctx, slit_eps):
         if isinstance(node, Call):
             u = run(node.args[0], jets)
             if node.fn == "abs":
-                return u.abs(slit_eps)
+                return u.abs(ctx.slit_eps)
             return getattr(u, node.fn)()
         l = run(node.left, jets)
         r = run(node.right, jets)
@@ -483,7 +486,7 @@ def _algebra_evaluator(node, ctx, slit_eps):
     return lambda jets: run(node, jets)
 
 
-def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
+def compile_field(node, ctx, label=None):
     """Lower an AST (or source text) to a TapeField over the context.
 
     Named constants become numbers before folding, so the field's `ast`
@@ -504,12 +507,11 @@ def compile_field(node, ctx, label=None, slit_eps=SLIT_EPS_DEFAULT):
     builder = _TapeBuilder(ctx)
     out = builder.walk(folded)
     return TapeField(ctx.arity, builder.rows, builder.consts,
-                     builder.next_reg, out, label=label, slit_eps=slit_eps,
-                     ast=folded,
-                     algebra_evaluator=_algebra_evaluator(folded, ctx, slit_eps))
+                     builder.next_reg, out, label, ctx.slit_eps,
+                     _algebra_evaluator(folded, ctx), folded)
 
 
-def compose(formula, fields, ctx, label, slit_eps=SLIT_EPS_DEFAULT):
+def compose(formula, fields, ctx, label):
     """One TapeField for a formula over compiled fields.
 
     formula is source text in ctx's variables plus the names in `fields`,
@@ -518,5 +520,31 @@ def compose(formula, fields, ctx, label, slit_eps=SLIT_EPS_DEFAULT):
     from a single tape.
     """
     mapping = {name: f.ast for name, f in fields.items()}
-    return compile_field(substitute(parse(formula), mapping), ctx,
-                         label=label, slit_eps=slit_eps)
+    return compile_field(substitute(parse(formula), mapping), ctx, label=label)
+
+
+def compile_grid(sources, ctx, shape):
+    """compile_field of each entry of a nested list of expressions, nested
+    alike.  shape (each level's length) is checked whole before anything
+    compiles: each level is a list of its length; a string is never a row."""
+    def fits(node, dims):
+        if not dims:
+            return not isinstance(node, list)
+        return isinstance(node, list) and len(node) == dims[0] and all(
+            fits(sub, dims[1:]) for sub in node)
+
+    def build(node, depth):
+        if depth == len(shape):
+            return compile_field(node, ctx)
+        return [build(sub, depth + 1) for sub in node]
+
+    if not fits(sources, shape):
+        raise DimensionMismatch(f"expected nested lists of shape {shape}")
+    return build(sources, 0)
+
+
+def grid_values(grid, x):
+    """The values at x of a nested list of fields, nested alike."""
+    if isinstance(grid, list):
+        return [grid_values(sub, x) for sub in grid]
+    return grid.value(x)

@@ -329,8 +329,8 @@ class TapeField(ScalarField):
     already numbers); the algebra evaluator holds the same object.
     """
 
-    def __init__(self, arity, code, consts, nreg, out_reg, label="",
-                 slit_eps=SLIT_EPS_DEFAULT, algebra_evaluator=None, ast=None):
+    def __init__(self, arity, code, consts, nreg, out_reg, label, slit_eps,
+                 algebra_evaluator, ast):
         super().__init__(arity, algebra_evaluator, label)
         self.ast = ast
         self.code = code

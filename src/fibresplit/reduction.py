@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .bundle import SecondTangentPoint
+from .bundle import BundleChart, SecondTangentPoint
 from .errors import (DimensionMismatch, DomainError, FlowEscape,
                      NonFiniteState, NotPrincipal, SingularMatrix)
-from .exprs import VarContext, compile_field, compose
+from .exprs import compile_grid, compose, grid_values
 from .jets import ScalarField
 from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
 from .numerics import (COND_BOUND, Generator, SampleReport, _square,
@@ -89,11 +89,8 @@ class ActionSpec:
 
     @classmethod
     def from_expressions(cls, chart, K_sources, C=None):
-        ctx = chart.ctx_point()
-        K = [[compile_field(src, ctx, label=str(src),
-                            slit_eps=chart.slit_eps) for src in row]
-             for row in K_sources]
-        return cls(chart, K, C)
+        return cls(chart, compile_grid(K_sources, chart.ctx_point(),
+                                       (chart.m, chart.m)), C)
 
     def frame(self, x, y):
         """K[b][g] at (x, y) and its gradient dK[b][g] over (x, y), as
@@ -323,27 +320,14 @@ def vilms_principal_check(h, action, group_sample, state_samples=20,
 # Magnetic systems in quasi-velocities
 
 
-def _compile_grid(sources, ctx, shape):
-    """Compile a nested list of expression strings, checking its shape."""
-    def walk(node, dims):
-        if not dims:
-            return compile_field(node, ctx, label=str(node))
-        if len(node) != dims[0]:
-            raise DimensionMismatch(
-                f"expected {dims[0]} entries, got {len(node)}")
-        return [walk(sub, dims[1:]) for sub in node]
-    return walk(sources, list(shape))
-
-
 @dataclass
 class MagneticModel:
-    """Reduced model data on the base: symmetric metric g(x), constant
-    fibre metric k, potential V(x), base and fibre interaction coefficients
-    A_i(x) and A_alpha(x), adjoint coefficients Upsilon[b][i][a](x),
-    curvature coefficients Kcurv[a][i][j](x), and structure constants
-    C[g][a][b]; k and C are nested lists of floats."""
-    n: int
-    m: int
+    """Reduced model data on the base of a chart: symmetric metric g(x),
+    constant fibre metric k, potential V(x), base and fibre interaction
+    coefficients A_i(x) and A_alpha(x), adjoint coefficients
+    Upsilon[b][i][a](x), curvature coefficients Kcurv[a][i][j](x), and
+    structure constants C[g][a][b]; k and C are nested lists of floats."""
+    chart: BundleChart
     g: list
     k: list
     V: ScalarField
@@ -354,7 +338,7 @@ class MagneticModel:
     C: list
 
     def __post_init__(self):
-        m = self.m
+        n, m = self.chart.n, self.chart.m
         a, size = _square(self.k)
         if size != m:
             raise DimensionMismatch(f"k must be {(m, m)}")
@@ -376,10 +360,9 @@ class MagneticModel:
                              "given structure constants")
         rng = Generator(11)
         for _ in range(5):
-            x = rng.uniform(-1.0, 1.0, self.n)
-            G = self.g_matrix(x)
-            if any(G[i][j] != G[j][i] for i in range(self.n)
-                   for j in range(self.n)):
+            x = rng.uniform(-1.0, 1.0, n)
+            G = grid_values(self.g, x)
+            if any(G[i][j] != G[j][i] for i in range(n) for j in range(n)):
                 raise ValueError(f"base metric g must be symmetric "
                                  f"(asymmetric at x={x!r})")
             if not positive_definite(G):
@@ -387,46 +370,28 @@ class MagneticModel:
                                  f"x={x!r}")
 
     @classmethod
-    def from_expressions(cls, n, m, g=None, k=None, V="0", A_base=None,
+    def from_expressions(cls, chart, g=None, k=None, V="0", A_base=None,
                          A_fibre=None, upsilon=None, Kcurv=None, C=None):
-        ctx = VarContext([("base", [f"x{i+1}" for i in range(n)])])
+        n, m = chart.n, chart.m
+        ctx = chart.ctx_base()
         eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
-        zeros_n = ["0"] * n
-        zeros_m = ["0"] * m
         ups0 = [[["0"] * m for _ in range(n)] for _ in range(m)]
         kc0 = [[["0"] * n for _ in range(n)] for _ in range(m)]
         return cls(
-            n, m,
-            g=_compile_grid(g if g is not None else eye, ctx, (n, n)),
+            chart,
+            g=compile_grid(g if g is not None else eye, ctx, (n, n)),
             k=[[float(i == j) for j in range(m)] for i in range(m)]
             if k is None else k,
-            V=compile_field(V, ctx, label=str(V)),
-            A_base=_compile_grid(A_base if A_base is not None else zeros_n,
-                                 ctx, (n,)),
-            A_fibre=_compile_grid(A_fibre if A_fibre is not None else zeros_m,
-                                  ctx, (m,)),
-            upsilon=_compile_grid(upsilon if upsilon is not None else ups0,
-                                  ctx, (m, n, m)),
-            Kcurv=_compile_grid(Kcurv if Kcurv is not None else kc0,
-                                ctx, (m, n, n)),
+            V=compile_grid(V, ctx, ()),
+            A_base=compile_grid(A_base if A_base is not None else ["0"] * n,
+                                ctx, (n,)),
+            A_fibre=compile_grid(A_fibre if A_fibre is not None
+                                 else ["0"] * m, ctx, (m,)),
+            upsilon=compile_grid(upsilon if upsilon is not None else ups0,
+                                 ctx, (m, n, m)),
+            Kcurv=compile_grid(Kcurv if Kcurv is not None else kc0,
+                               ctx, (m, n, n)),
             C=C)
-
-    def g_matrix(self, x):
-        """g[i][j] at x, as nested lists of floats."""
-        x = as_floats(x)
-        return [[f.value(x) for f in row] for row in self.g]
-
-    def upsilon_values(self, x):
-        """Upsilon[b][i][a] at x, as nested lists of floats."""
-        x = as_floats(x)
-        return [[[f.value(x) for f in row] for row in plane]
-                for plane in self.upsilon]
-
-    def kcurv_values(self, x):
-        """Kcurv[a][i][j] at x, as nested lists of floats."""
-        x = as_floats(x)
-        return [[[f.value(x) for f in row] for row in plane]
-                for plane in self.Kcurv]
 
 
 class MagneticSystem:
@@ -446,7 +411,7 @@ class MagneticSystem:
         self.Lbar = reduced_base_lagrangian(model)
 
     def split(self, s):
-        n = self.model.n
+        n = self.model.chart.n
         return s[:n], s[n:2 * n], s[2 * n:]
 
     def momentum(self, s):
@@ -459,21 +424,22 @@ class MagneticSystem:
         """The velocity-quadratic force piece sum_ab U[a,i,b] wb_b (k wb)_a,
         reported rather than assumed to vanish; a list of n floats."""
         mdl = self.model
+        n, m = mdl.chart.n, mdl.chart.m
         x, _, wb = self.split(as_floats(s))
-        U = mdl.upsilon_values(x)
+        U = grid_values(mdl.upsilon, x)
         kw = [dot(row, wb) for row in mdl.k]
-        pairs = [(a, b) for a in range(mdl.m) for b in range(mdl.m)]
+        pairs = [(a, b) for a in range(m) for b in range(m)]
         return [total(U[a][i][b] * wb[b] * kw[a] for a, b in pairs)
-                for i in range(mdl.n)]
+                for i in range(n)]
 
     def rhs(self, t, s):
         mdl = self.model
-        n, m = mdl.n, mdl.m
+        n, m = mdl.chart.n, mdl.chart.m
         x, v, wb = self.split(as_floats(s))
         Af = [f.jet_lists(x) for f in mdl.A_fibre]
         dAf = [jet[1] for jet in Af]
-        U = mdl.upsilon_values(x)
-        Kc = mdl.kcurv_values(x)
+        U = grid_values(mdl.upsilon, x)
+        Kc = grid_values(mdl.Kcurv, x)
         k, C = mdl.k, mdl.C
         p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
 
@@ -509,10 +475,8 @@ def magnetic_induced_splitting(model):
 
 def reduced_base_lagrangian(model):
     """Lbar(x, v) = (1/2) g_ij v^i v^j - V + A_i v^i, one tape over (x, v)
-    compiled from the model's expressions."""
-    n = model.n
-    x_names = [f"x{i+1}" for i in range(n)]
-    v_names = [f"v{i+1}" for i in range(n)]
+    compiled from the model's expressions over its chart's (x, v)."""
+    v_names = model.chart.v_names
     fields = {"V": model.V}
     quad, lin = [], ""
     for i, vi in enumerate(v_names):
@@ -521,9 +485,8 @@ def reduced_base_lagrangian(model):
         for j, vj in enumerate(v_names):
             fields[f"g{i+1}_{j+1}"] = model.g[i][j]
             quad.append(f"0.5*g{i+1}_{j+1}*{vi}*{vj}")
-    ctx = VarContext([("base", x_names), ("base_velocity", v_names)])
-    return compose(" + ".join(quad) + " - V" + lin, fields, ctx,
-                   "Lbar_magnetic")
+    return compose(" + ".join(quad) + " - V" + lin, fields,
+                   model.chart.ctx_base_tangent(), "Lbar_magnetic")
 
 
 @dataclass
@@ -550,14 +513,14 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
     w-independence of the (x, v) block and agreement with the EL force of
     the reduced base Lagrangian."""
     model = system.model
-    n, m = model.n, model.m
+    n, m = model.chart.n, model.chart.m
     k = model.k
     aj = [(a, j) for a in range(m) for j in range(n)]
 
     def condition(xv):
         x, v = xv[:n], xv[n:]
-        Kc = model.kcurv_values(x)
-        U = model.upsilon_values(x)
+        Kc = grid_values(model.Kcurv, x)
+        U = grid_values(model.upsilon, x)
         A = [f.jet_lists(x) for f in model.A_fibre]
         return max(abs(-total(Kc[a][i][j] * v[j] * k[a][g] for a, j in aj)
                        + total(U[a][i][g] * A[a][0] for a in range(m))

@@ -21,7 +21,8 @@ from .bundle import (BundleChart, DerivedField, SecondTangentPoint,
                      TangentPointM, VectorField, complete_lift, lie_bracket)
 from .errors import (DimensionMismatch, DomainError, NotAffine,
                      NotWellDefined)
-from .exprs import compile_field, compose, mentions_nonsmooth, parse
+from .exprs import (compile_field, compile_grid, compose, mentions_nonsmooth,
+                    parse)
 from .jets import Jet2, ScalarField
 from .numerics import (TrajectoryRecord, as_floats, dot, max_gap,
                        rk4_integrate, sample_max, total)
@@ -62,8 +63,7 @@ class SplittingSpec:
         ctx = chart.ctx_pullback()
         asts = [parse(s) if isinstance(s, str) else s for s in sources]
         smooth_at_zero = not any(mentions_nonsmooth(a) for a in asts)
-        fields = [compile_field(a, ctx, label=src if isinstance(src, str) else None,
-                                slit_eps=chart.slit_eps)
+        fields = [compile_field(a, ctx, label=src if isinstance(src, str) else None)
                   for a, src in zip(asts, sources)]
         return cls(chart, fields, smooth_at_zero)
 
@@ -119,12 +119,12 @@ def project_vertical(spec, t):
 
 def horizontality_drift(spec, states):
     """max |w - h(x, y, v)| over the state rows (x, y, v, w), folded from
-    0.0 as max(drift, gap) folds it (a nan gap is passed by), and the gap
-    of the first row."""
+    0.0 as max(drift, gap) folds it (a nan gap is passed by; no rows give
+    0.0), and the list of the rows' gaps."""
     n, k = spec.chart.n, spec.chart.n + spec.chart.m
     gaps = [max_gap(r[k + n:], spec.h_values(r[:n], r[n:k], r[k:k + n]))
             for r in states]
-    return max([0.0, *gaps]), gaps[0]
+    return max([0.0, *gaps]), gaps
 
 
 def lifted_field(spec, X):
@@ -494,26 +494,18 @@ class AffineSplittingData(SplittingSpec):
         """Compile A and A0 from expressions in x1.., y1..; each
         coefficient h^a = A0^a - A^a_1 v^1 - ... - A^a_n v^n is one tape
         over (x, y, v), compiled from the fields' ASTs by substitution."""
-        n, m = chart.n, chart.m
         point, pullback = chart.ctx_point(), chart.ctx_pullback()
-        A = [[compile_field(s, point, slit_eps=chart.slit_eps) for s in row]
-             for row in A_sources]
-        A0 = [compile_field(s, point, slit_eps=chart.slit_eps)
-              for s in A0_sources]
-        if len(A) != m or any(len(row) != n for row in A):
-            raise DimensionMismatch(f"A must be {m} rows of {n} fields")
-        if len(A0) != m:
-            raise DimensionMismatch(f"A0 must have {m} fields")
+        A = compile_grid(A_sources, point, (chart.m, chart.n))
+        A0 = compile_grid(A0_sources, point, (chart.m,))
         formula = "A0" + "".join(f" - A{i+1}*{v}"
                                  for i, v in enumerate(chart.v_names))
 
         def coeff(a):
             fields = {"A0": A0[a]}
             fields.update({f"A{i+1}": f for i, f in enumerate(A[a])})
-            return compose(formula, fields, pullback, f"h{a+1}_affine",
-                           chart.slit_eps)
+            return compose(formula, fields, pullback, f"h{a+1}_affine")
 
-        return cls(chart, [coeff(a) for a in range(m)], A, A0)
+        return cls(chart, [coeff(a) for a in range(chart.m)], A, A0)
 
 
 def affine_decompose(spec, samples=100, seed=0, box=1.0):

@@ -311,8 +311,7 @@ def test_criterion_12_nonholonomic(rolling_record):
 
 @gate(13, "decoupling verdicts separate the base subsystem")
 def test_criterion_13_magnetic_decoupling():
-    good = MagneticModel.from_expressions(1, 1, V="0.5*x1^2",
-                                          A_fibre=["2"])
+    good = MagneticModel.from_expressions(CH11, V="0.5*x1^2", A_fibre=["2"])
     rep = decoupling_check(MagneticSystem(good))
     assert rep.verdict
     mag = integrate_magnetic(MagneticSystem(good), [1.0, 0.0, 0.4],
@@ -322,7 +321,7 @@ def test_criterion_13_magnetic_decoupling():
     assert np.abs(np.array(mag.states)[:, 0]
                   - np.array(base.states)[:, 0]).max() < 1e-6
 
-    bad = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
+    bad = MagneticModel.from_expressions(CH11, A_fibre=["x1"])
     rep2 = decoupling_check(MagneticSystem(bad))
     assert not rep2.verdict
     assert abs(rep2.condition_residual - 1.0) < 1e-9

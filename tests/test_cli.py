@@ -10,7 +10,7 @@ import pytest
 
 import fibresplit
 from fibresplit import (_kernels, cli, config, exprs, lagrangian,
-                        nonholonomic, numerics, reduction, splitting)
+                        nonholonomic, numerics, splitting)
 
 FIX = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -167,6 +167,30 @@ def test_non_finite_initial_state_exits_2(tmp_path, capsys, command, config,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, config, edits, shape", [
+    ("unreduce", "unreduce.ini", [('K = [["1"]]', 'K = ["1"]')], "(1, 1)"),
+    ("nh-simulate", "knife_edge.ini", [('A = [["0", "-x1"]]', 'A = ["01"]')],
+     "(1, 2)"),
+    ("magnetic-simulate", "magnetic.ini",
+     [("base_dim = 1", "base_dim = 2"), ('g = [["1"]]', 'g = ["10", "01"]'),
+      ("ic = [1.0, 0.0, 0.3]", "ic = [1.0, 0.0, 0.0, 0.0, 0.3]")], "(2, 2)"),
+], ids=["action-K", "constraints-A", "magnetic-g"])
+def test_a_string_is_never_a_row_of_an_expression_grid(tmp_path, capsys,
+                                                       command, config,
+                                                       edits, shape):
+    # each string here once passed as a row of one-character expressions
+    text = (CONFIGS / config).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / config
+    cfg.write_text(text)
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert f"config error: expected nested lists of shape {shape}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_nh_rate_check_catches_a_wrong_ydot(tmp_path, monkeypatch):
     # an integrated dy/dt that is off the constraint shows in the rate
     # check
@@ -219,7 +243,7 @@ def test_magnetic_simulate_compiles_each_field_once(tmp_path, monkeypatch):
         labels.append(kwargs.get("label"))
         return compile_field(*args, **kwargs)
 
-    for module in (exprs, config, lagrangian, reduction, splitting):
+    for module in (exprs, config, lagrangian, splitting):
         monkeypatch.setattr(module, "compile_field", counted)
     assert run("magnetic-simulate", CONFIGS / "magnetic.ini", tmp_path) == 0
     assert labels.count("Lbar_magnetic") == 1

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fibresplit.config import load_config
-from fibresplit.errors import (DimensionMismatch, ParseError,
+from fibresplit.errors import (DimensionMismatch, DomainError, ParseError,
                                UnknownIdentifier)
+from fibresplit.jets import TapeField
+from fibresplit.reduction import MagneticSystem
 
 FULL = """\
 [bundle]
@@ -233,3 +235,51 @@ def test_inline_comments_and_bools(tmp_path):
     cfg = load(tmp_path, "[bundle]\nbase_dim = 1  # spatial\n"
                          "fibre_dim = 1\n")
     assert cfg.n == 1
+
+
+def _tape_fields(obj, seen=None):
+    """Every TapeField reachable from obj through lists, tuples, closures
+    and instance attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, TapeField):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        items = [cell.cell_contents for cell in obj.__closure__]
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [f for item in items for f in _tape_fields(item, seen)]
+
+
+def test_magnetic_fields_carry_the_chart_slit_radius(tmp_path):
+    cfg = load(tmp_path, "[bundle]\nbase_dim = 1\nfibre_dim = 1\n"
+                         "slit_eps = 0.5\n[magnetic]\nV = \"abs(x1)\"\n")
+    model = cfg.magnetic()
+    fields = _tape_fields([model.g, model.V, model.A_base, model.A_fibre,
+                           model.upsilon, model.Kcurv,
+                           MagneticSystem(model).Lbar])
+    assert len(fields) == 7
+    assert [f.slit_eps for f in fields] == [0.5] * 7
+    with pytest.raises(DomainError, match="inside slit radius 0.5$"):
+        model.V.value([0.1])
+
+
+def test_every_field_over_the_chart_carries_its_slit_radius(tmp_path):
+    # [curve] is left out: its fields are functions of t, not of the chart
+    text = FULL.replace("slit_eps = 1e-6", "slit_eps = 0.25").replace(
+        'L = "0.5*v1^2 + 0.5*w1^2 + w1*v1^2"', 'L = "0.5*v1^2 - 0.5*x1^2"')
+    cfg = load(tmp_path, text)
+    chart = cfg.chart()
+    for name in ("splitting", "lagrangian", "base_lagrangian", "action",
+                 "constraints", "magnetic"):
+        builder = getattr(cfg, name)
+        fields = _tape_fields(builder() if name == "magnetic"
+                              else builder(chart))
+        assert fields, name
+        assert {f.slit_eps for f in fields} == {0.25}, name

@@ -331,8 +331,10 @@ def test_one_generated_kernel_per_tape():
         with pytest.raises(DomainError,
                            match=f"^field '{label}': division by zero$"):
             compile_field(parse("1/a"), CTX3, label=label).value([0.0] * 3)
-    wide, narrow = (compile_field(parse("abs(a)"), CTX3, label="s",
-                                  slit_eps=eps) for eps in (1e-3, 1e-6))
+    wide, narrow = (compile_field(parse("abs(a)"),
+                                  VarContext([("base", ["a", "b", "c"])],
+                                             slit_eps=eps), label="s")
+                    for eps in (1e-3, 1e-6))
     assert narrow.value([1e-4, 0.0, 0.0]) == 1e-4
     with pytest.raises(DomainError, match="inside slit radius 0.001$"):
         wide.value([1e-4, 0.0, 0.0])
@@ -354,13 +356,13 @@ def test_fd_check_confirms_ad_jets():
 
 
 def test_sqrt_and_abs_slit_domain():
-    ctx = VarContext([("base", ["a"])])
-    f = compile_field(parse("sqrt(a)"), ctx, slit_eps=1e-6)
+    ctx = VarContext([("base", ["a"])], slit_eps=1e-6)
+    f = compile_field(parse("sqrt(a)"), ctx)
     j = f.jet(np.array([4.0]))
     assert j.value == 2.0 and abs(j.gradient[0] - 0.25) < 1e-15
     with pytest.raises(DomainError):
         f.jet(np.array([-1.0]))
-    g = compile_field(parse("abs(a)"), ctx, slit_eps=1e-6)
+    g = compile_field(parse("abs(a)"), ctx)
     assert g.jet(np.array([-2.0])).gradient[0] == -1.0
     with pytest.raises(DomainError):
         g.jet(np.array([1e-9]))  # inside the slit radius

@@ -352,6 +352,24 @@ def test_projection_of_horizontal_solutions():
     assert rep.min_lbar_det > 0.5  # 1 - 6 v^2 stays regular at v ~ 0.2
 
 
+@pytest.mark.parametrize("T", [0.01, 0.0])
+def test_projection_verify_reads_h_once_at_the_start(T):
+    # w0 = h(x0, y0, v0) starts the run on h, so row 0's drift gap is 0.0
+    # without a second read; T = 0 records that one row alone
+    L = lag("0.5*v1^2 + 0.5*(w1 - x1*v1)^2")
+    h = SplittingSpec.from_expressions(CH, ["x1*v1"])
+    h_values, at_start = h.h_values, []
+
+    def counted(x, y, v):
+        at_start.append([*x, *y, *v] == [0.3, 0.1, 0.5])
+        return h_values(x, y, v)
+
+    h.h_values = counted
+    rep = projection_verify(L, h, ([0.3], [0.5]), [0.1], T, 0.005)
+    assert at_start.count(True) == 1
+    assert rep.horizontality_drift < 1e-12
+
+
 def test_homogeneity_hypothesis_reads_L_once_per_sample(kernel_calls):
     # Delta(L) and L come from one jet; the explicit h never reads L
     L = lag("0.5*v1^2 + 0.5*(w1 - x1*v1)^2")

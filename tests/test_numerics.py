@@ -685,7 +685,7 @@ def test_right_hand_sides_do_not_depend_on_the_sum_builtin(monkeypatch):
     assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
     assert _compensated_sum([1.0, 1e16, 1.0]) == 1e16 + 2.0
     mag = MagneticSystem(MagneticModel.from_expressions(
-        3, 1, upsilon=[[["1e16"], ["1"], ["-1e16"]]]))
+        BundleChart(3, 1), upsilon=[[["1e16"], ["1"], ["-1e16"]]]))
     chart = BundleChart(1, 3)
     con = ConstrainedSystem(
         LagrangianSpec.from_expression(

@@ -59,11 +59,12 @@ def test_non_finite_model_data_is_named_before_symmetry(value):
     with pytest.raises(ValueError, match="structure constants must be finite"):
         ActionSpec.from_expressions(CH, [["1"]], C=[[[value]]])
     with pytest.raises(ValueError, match="structure constants must be finite"):
-        MagneticModel.from_expressions(1, 1, C=[[[value]]])
+        MagneticModel.from_expressions(BundleChart(1, 1), C=[[[value]]])
     with pytest.raises(ValueError, match="fibre metric k must be finite"):
-        MagneticModel.from_expressions(1, 1, k=[[value]])
+        MagneticModel.from_expressions(BundleChart(1, 1), k=[[value]])
     with pytest.raises(ValueError, match="fibre metric k must be finite"):
-        MagneticModel.from_expressions(1, 2, k=[[1.0, 0.0], [value, 1.0]])
+        MagneticModel.from_expressions(BundleChart(1, 2),
+                                       k=[[1.0, 0.0], [value, 1.0]])
 
 
 @pytest.mark.parametrize("C", [
@@ -77,7 +78,7 @@ def test_structure_constants_of_the_wrong_shape(C):
         ActionSpec.from_expressions(BundleChart(1, 2), eye, C=C)
     with pytest.raises(DimensionMismatch,
                        match=r"structure constants must be \(2, 2, 2\)"):
-        MagneticModel.from_expressions(1, 2, C=C)
+        MagneticModel.from_expressions(BundleChart(1, 2), C=C)
 
 
 def test_jacobi_residual_matches_the_array_formula():
@@ -124,10 +125,11 @@ def test_generator_frame_must_be_invertible():
     (lambda: ActionSpec.from_expressions(CH, [["0"]]), SingularMatrix,
      "generator frame degenerate at sample point "
      "[0.25019093320933394, 0.794427601939151]"),
-    (lambda: MagneticModel.from_expressions(1, 1, g=[["-1"]]), ValueError,
+    (lambda: MagneticModel.from_expressions(BundleChart(1, 1), g=[["-1"]]),
+     ValueError,
      "base metric not positive definite at x=[-0.7428595944616008]"),
-    (lambda: MagneticModel.from_expressions(2, 1, g=[["1", "0.5"],
-                                                    ["0", "1"]]),
+    (lambda: MagneticModel.from_expressions(BundleChart(2, 1),
+                                            g=[["1", "0.5"], ["0", "1"]]),
      ValueError, "base metric g must be symmetric (asymmetric at "
      "x=[-0.7428595944616008, -0.0014442751197700776])"),
 ])
@@ -372,16 +374,17 @@ def test_flow_lift_escape_through_the_frame_domain():
 
 def test_magnetic_model_guards():
     with pytest.raises(ValueError, match="symmetric"):
-        MagneticModel.from_expressions(1, 2, k=[[1.0, 0.3], [0.0, 1.0]])
+        MagneticModel.from_expressions(BundleChart(1, 2),
+                                       k=[[1.0, 0.3], [0.0, 1.0]])
     with pytest.raises(SingularMatrix):
-        MagneticModel.from_expressions(1, 1, k=[[0.0]])
+        MagneticModel.from_expressions(BundleChart(1, 1), k=[[0.0]])
     with pytest.raises(ValueError, match="positive definite"):
-        MagneticModel.from_expressions(1, 1, g=[["-1"]])
+        MagneticModel.from_expressions(BundleChart(1, 1), g=[["-1"]])
     # [e1,e2] = e1 has no bi-invariant euclidean metric
     C = np.zeros((2, 2, 2))
     C[0, 0, 1], C[0, 1, 0] = 1.0, -1.0
     with pytest.raises(ValueError, match="bi-invariant"):
-        MagneticModel.from_expressions(1, 2, C=C)
+        MagneticModel.from_expressions(BundleChart(1, 2), C=C)
 
 
 def test_magnetic_model_rejects_asymmetric_metric():
@@ -389,23 +392,25 @@ def test_magnetic_model_rejects_asymmetric_metric():
     # positivity check; the dynamics used G and the reduced Lagrangian its
     # symmetric part (decoupling verdict True, EL mismatch 0.267)
     with pytest.raises(ValueError, match="base metric g must be symmetric"):
-        MagneticModel.from_expressions(2, 1, g=[["1", "0.5"], ["0", "1"]],
+        MagneticModel.from_expressions(BundleChart(2, 1),
+                                       g=[["1", "0.5"], ["0", "1"]],
                                        V="x1", A_fibre=["2"])
-    sym = MagneticModel.from_expressions(2, 1, g=[["1", "0.25*x2"],
-                                                   ["0.25*x2", "1"]])
+    sym = MagneticModel.from_expressions(BundleChart(2, 1),
+                                         g=[["1", "0.25*x2"],
+                                            ["0.25*x2", "1"]])
     assert decoupling_check(MagneticSystem(sym),
                             samples=5).base_el_residual < 1e-12
 
 
 def test_magnetic_rhs_trivial_model():
-    model = MagneticModel.from_expressions(1, 1)
+    model = MagneticModel.from_expressions(BundleChart(1, 1))
     sys = MagneticSystem(model)
     rhs = sys.rhs(0.0, np.array([0.3, 0.5, 0.2]))
     assert np.array_equal(rhs, np.array([0.5, 0.0, 0.0]))
 
 
 def test_magnetic_rhs_metric_term():
-    model = MagneticModel.from_expressions(1, 1, g=[["exp(x1)"]])
+    model = MagneticModel.from_expressions(BundleChart(1, 1), g=[["exp(x1)"]])
     sys = MagneticSystem(model)
     for x, v in [(0.3, 0.7), (-0.5, 1.2)]:
         rhs = sys.rhs(0.0, np.array([x, v, 0.1]))
@@ -413,7 +418,7 @@ def test_magnetic_rhs_metric_term():
 
 
 def test_magnetic_oscillator_and_momentum_transport():
-    model = MagneticModel.from_expressions(1, 1, V="0.5*x1^2")
+    model = MagneticModel.from_expressions(BundleChart(1, 1), V="0.5*x1^2")
     sys = MagneticSystem(model)
     rec = integrate_magnetic(sys, [1.0, 0.0, 0.3], 0.0, 10.0, 1e-3)
     assert abs(rec.final[0] - np.cos(10.0)) < 1e-8
@@ -424,14 +429,15 @@ def test_magnetic_oscillator_and_momentum_transport():
 
 
 def test_magnetic_induced_splitting_constant():
-    model = MagneticModel.from_expressions(1, 1, k=[[2.0]], A_fibre=["6"])
+    model = MagneticModel.from_expressions(BundleChart(1, 1), k=[[2.0]],
+                                           A_fibre=["6"])
     h = magnetic_induced_splitting(model)
     assert abs(h([0.4])[0] + 3.0) < 1e-14
 
 
 def test_reduced_base_lagrangian_jets():
     model = MagneticModel.from_expressions(
-        1, 1, g=[["exp(x1)"]], V="x1^3", A_base=["sin(x1)"])
+        BundleChart(1, 1), g=[["exp(x1)"]], V="x1^3", A_base=["sin(x1)"])
     Lbar = reduced_base_lagrangian(model)
     x, v = 0.3, 0.7
     j = Lbar.jet(np.array([x, v]))
@@ -449,7 +455,7 @@ def test_reduced_base_lagrangian_jets():
 
 
 def test_decoupling_constant_interaction():
-    model = MagneticModel.from_expressions(1, 1, A_fibre=["2"])
+    model = MagneticModel.from_expressions(BundleChart(1, 1), A_fibre=["2"])
     rep = decoupling_check(MagneticSystem(model))
     assert isinstance(rep, DecouplingReport)
     assert rep.verdict
@@ -460,7 +466,7 @@ def test_decoupling_constant_interaction():
 
 
 def test_decoupling_detects_position_dependent_interaction():
-    model = MagneticModel.from_expressions(1, 1, A_fibre=["x1"])
+    model = MagneticModel.from_expressions(BundleChart(1, 1), A_fibre=["x1"])
     rep = decoupling_check(MagneticSystem(model))
     assert not rep.verdict
     assert abs(rep.condition_residual - 1.0) < 1e-9
@@ -471,7 +477,7 @@ def test_decoupling_verdict_is_only_the_linear_condition():
     # Upsilon cancels dA/dx in the linear condition, but quadratic coupling
     # remains; the verdict must not silently absorb those residuals.
     model = MagneticModel.from_expressions(
-        1, 1, A_fibre=["exp(x1)"], upsilon=[[["-1"]]])
+        BundleChart(1, 1), A_fibre=["exp(x1)"], upsilon=[[["-1"]]])
     rep = decoupling_check(MagneticSystem(model))
     assert rep.verdict
     assert rep.condition_residual == 0.0

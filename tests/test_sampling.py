@@ -53,7 +53,7 @@ CHECKS = {
     "affine_decompose": lambda: affine_decompose(nowhere_h(), samples=4),
     "decoupling": lambda: decoupling_check(
         MagneticSystem(MagneticModel.from_expressions(
-            1, 1, A_fibre=["log(x1 - 2)"])), samples=4),
+            BundleChart(1, 1), A_fibre=["log(x1 - 2)"])), samples=4),
 }
 
 

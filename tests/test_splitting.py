@@ -344,7 +344,7 @@ def test_affine_from_expressions_composes_one_tape_per_component():
     assert classify(data).verdict == "Affine"
     assert classify(AffineSplittingData.from_expressions(
         ch, [["1", "2"]], ["0"])).verdict == "Ehresmann"
-    with pytest.raises(DimensionMismatch, match="A0 must have 1 fields"):
+    with pytest.raises(DimensionMismatch, match=r"shape \(1,\)$"):
         AffineSplittingData.from_expressions(ch, [["1", "2"]], ["0", "1"])
 
 

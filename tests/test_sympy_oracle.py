@@ -204,7 +204,7 @@ def test_reduced_base_lagrangian_matches_sympy():
     g = [["exp(x1)", "0.3*x2"], ["0.3*x2", "2 + sin(x1*x2)"]]
     V, A = "x1^3 - x2", ["sin(x1)", "x1*x2^2"]
     Lbar = reduced_base_lagrangian(MagneticModel.from_expressions(
-        2, 1, g=g, V=V, A_base=A))
+        BundleChart(2, 1), g=g, V=V, A_base=A))
     v = _syms("v", 2)
     ref = (sum(_sym(g[i][j]) * v[i] * v[j] for i in range(2)
                for j in range(2)) / 2
@@ -440,7 +440,7 @@ def test_magnetic_rhs_matches_sympy(n, m, data):
     # + A_fibre wb with p = dl/dwb:
     #   d/dt dl/dv - dl/dx = (-Kcurv v + Upsilon wb)^T p
     #   dp/dt = (Upsilon^T v + C wb)^T p
-    model = MagneticModel.from_expressions(n, m, **data)
+    model = MagneticModel.from_expressions(BundleChart(n, m), **data)
     system = MagneticSystem(model)
     x, v, wb = _syms("x", n), _syms("v", n), _syms("wb", m)
     acc, wacc = _syms("a", n), _syms("b", m)
