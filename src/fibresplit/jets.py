@@ -352,7 +352,9 @@ class TapeField(ScalarField):
         floats in row order), with every entry checked finite: a float
         product can overflow to inf without raising."""
         val, grad, hess = self._generated()[0](self._point(x))
-        if not all_finite((val,), grad, hess):
+        # all_finite's one-pass sum, taken inline on this hot path
+        if not (math.isfinite(sum(hess, sum(grad, val)))
+                or all_finite((val,), grad, hess)):
             raise DomainError("jet has non-finite entries")
         return val, grad, hess
 

@@ -12,8 +12,15 @@ Every jet of L is read as float lists (jet_lists), and Newton, the
 continuation, the roots and the SODE forces are float lists; the subduced
 Lagrangian gives its own jets that way too and wraps them in a Jet2 only
 in its public jet().
+
+The EL force, from L's jet to the acceleration, is one straight-line
+function per velocity count k, with an external force or without
+(_el_tail), generated on first use like the solve kernels of numerics,
+whose lines it inlines; every caller of _force_from_jet runs it, whatever
+the field (a tape, a subduced or a reduced Lagrangian).
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,9 +30,10 @@ from .errors import (BranchAmbiguity, DimensionMismatch, DomainError,
                      SingularHessian, SingularMatrix)
 from .exprs import compile_field, mentions_nonsmooth, parse, polynomial_degree
 from .jets import Jet2, ScalarField
-from .numerics import (Generator, all_finite, as_floats, condition_number,
-                       det, dot, linear_solve, max_gap, newton_solve,
-                       rk4_integrate, sample_max)
+from .numerics import (Generator, _dot_of, _solve_lines, all_finite,
+                       as_floats, condition_number, det, dot, generated,
+                       linear_solve, max_gap, newton_solve, rk4_integrate,
+                       sample_max)
 from .splitting import SplittingSpec, horizontality_drift
 
 
@@ -90,23 +98,58 @@ def fibre_regularity(L, w_pt):
             "condition": condition_number(W)}
 
 
+def force_lines(k, extra):
+    """The source lines of the EL force, for a generated function to hold.
+    From L's gradient and row-major Hessian at (q, u) in the locals g and
+    H, u in u0.. and, if extra, an external force in e0.., they leave the
+    acceleration f in w0_0.., solved from
+
+      (d2L/du du) f = dL/dq - (d2L/du dq) u + extra
+
+    each (d2L/du dq) u a dot from 0.0 in index order.  The solve is
+    numerics._solve_lines'; its SingularMatrix (a singular velocity
+    Hessian, an entry that is not finite) is raised as SingularHessian."""
+    K = 2 * k
+    lower = range(K * k, K * K)  # the rows of d2L/du dz
+    body = [f"a{i}_{j} = h{K * (k + i) + k + j}" for i in range(k)
+            for j in range(k)]
+    for i in range(k):
+        mixed = _dot_of((f"h{K * (k + i) + j}", f"u{j}") for j in range(k))
+        body.append(f"b0_{i} = g[{i}] - {mixed}" + (f" + e{i}" if extra
+                                                     else ""))
+    rows = ", ".join(f"h{i}" if i in lower else "_" for i in range(K * K))
+    return ([f"{rows}, = H"] if k else []) + (["try:"]
+            + [f"    {line}" for line in body + _solve_lines(k, 1)]
+            + ["except _SingularMatrix as exc:",
+               "    raise _SingularHessian(f'velocity Hessian singular: "
+               "{exc}') from exc"])
+
+
+@functools.cache
+def _el_tail(k, extra):
+    """_force_from_jet for k velocities, with an external force or
+    without, lowered to one straight-line function on first use:
+
+      force(jet, u, extra) -> f"""
+    body = ["_, g, H = jet"]
+    if k:
+        body.append(f"{', '.join(f'u{i}' for i in range(k))}, "
+                    "= map(float, u)")
+    if k and extra:
+        body.append(f"{', '.join(f'e{i}' for i in range(k))}, = extra")
+    body += force_lines(k, extra)
+    body.append(f"return [{', '.join(f'w0_{i}' for i in range(k))}]")
+    return generated("force", "jet, u, extra", body,
+                     f"<EL force, k = {k}{', extra' if extra else ''}>",
+                     _SingularHessian=SingularHessian)
+
+
 def _force_from_jet(jet, u, extra=None):
     """Solve (d2L/du du) f = dL/dq - (d2L/du dq) u + extra for the
     acceleration f, a list of k floats, from L's jet at (q, u) as
-    jet_lists gives it, u as k floats and extra, an external force of k
-    floats, or None for none."""
-    _, grad, hess = jet
-    k = len(u)
-    M, rhs = [], []
-    for i in range(k):
-        row = hess[2 * k * (k + i):2 * k * (k + i + 1)]
-        M.append(row[k:])
-        r = grad[i] - dot(row[:k], u)
-        rhs.append(r if extra is None else r + extra[i])
-    try:
-        return linear_solve(M, rhs)
-    except SingularMatrix as exc:
-        raise SingularHessian(f"velocity Hessian singular: {exc}") from exc
+    jet_lists gives it, u as k numbers and extra, an external force of k
+    floats, or None for none (force_lines)."""
+    return _el_tail(len(u), extra is not None)(jet, u, extra)
 
 
 def euler_lagrange_sode(field):
@@ -116,11 +159,12 @@ def euler_lagrange_sode(field):
         raise DimensionMismatch(
             f"Lagrangian arity {field.arity} is odd; expected 2 * dim")
 
-    def force(q, u):
-        u = as_floats(u)
-        return _force_from_jet(field.jet_lists(as_floats(q) + u), u)
+    k = field.arity // 2
 
-    return SodeSpec(field.arity // 2, force)
+    def force(q, u):
+        return _el_tail(k, False)(field.jet_lists([*q, *u]), u, None)
+
+    return SodeSpec(k, force)
 
 
 def _fibre_system(L, z):

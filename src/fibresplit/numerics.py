@@ -14,7 +14,11 @@ CHANGES.md).  The contract is strict: a solve is rejected when its
 condition number exceeds COND_BOUND, one constant that no caller sets,
 and the residual postcondition is always verified.  The generator frames
 of reduction.ActionSpec and the fibre metric of reduction.MagneticModel
-are held to the same bound.
+are held to the same bound.  The function's body is _solve_lines', the
+one statement of a solve's finiteness check, power-of-two rescale, LU,
+bound and postcondition; the generated EL and magnetic right-hand sides
+(lagrangian.force_lines, reduction._magnetic_tail) inline the same
+lines, compiled by generated().
 linear_solve reads A as k rows and b as k numbers or k rows, and
 returns x laid out like b, as Python floats.
 
@@ -85,23 +89,30 @@ def max_gap(a, b):
 
 def all_finite(*seqs):
     """Whether every number in the flat sequences seqs is finite.  A finite
-    sum proves it in one pass; a sum that is not finite (an overflow, an
-    inf or a nan) is rechecked entry by entry."""
-    return (math.isfinite(sum(itertools.chain(*seqs)))
-            or all(map(math.isfinite, itertools.chain(*seqs))))
+    sum proves it in one pass, one sum() per sequence; a sum that is not
+    finite (an overflow, an inf or a nan) is rechecked entry by entry."""
+    s = 0.0
+    for seq in seqs:
+        s = sum(seq, s)
+    return math.isfinite(s) or all(map(math.isfinite, itertools.chain(*seqs)))
 
 
-def _unit_scale(a):
-    """1.0 when the largest |entry| of the flat matrix a lies in
-    [2^-500, 2^500], where neither |A|_1 nor |A^-1|_1 over- or underflows
-    below kappa_1 = 2^500; otherwise the power of two s that brings it into
-    [1/2, 1), at most 2^1022 (for a subnormal matrix).  Multiplying by s is
-    exact barring underflow of entries 2^1074 below the largest, and
-    kappa_1 is invariant under it."""
-    big = max(map(abs, a)) if a else 0.0
+def _unit_scale(big):
+    """1.0 when big, the largest |entry| of a matrix (0.0 for none), lies
+    in [2^-500, 2^500], where neither |A|_1 nor |A^-1|_1 over- or
+    underflows below kappa_1 = 2^500; otherwise the power of two s that
+    brings it into [1/2, 1), at most 2^1022 (for a subnormal matrix).
+    Multiplying by s is exact barring underflow of entries 2^1074 below
+    the largest, and kappa_1 is invariant under it."""
     if 2.0 ** -500 <= big <= 2.0 ** 500:
         return 1.0
     return 2.0 ** -max(math.frexp(big)[1], -1022)
+
+
+def _over_bound(cond):
+    """The error of a solve whose kappa_1 is not <= COND_BOUND."""
+    return SingularMatrix(
+        f"condition estimate {cond:.3e} over bound {COND_BOUND:.1e}")
 
 
 def _terms(head, products):
@@ -114,6 +125,17 @@ def _sum_of(exprs):
     return " + ".join(exprs)
 
 
+def _total_of(terms):
+    """The source of total over the expressions: (0.0 + t1 + t2 + ...)."""
+    return f"({_sum_of(['0.0', *terms])})"
+
+
+def _dot_of(pairs):
+    """The source of dot over the (a, b) expression pairs: the total of
+    their products a * b."""
+    return _total_of(f"{a} * {b}" for a, b in pairs)
+
+
 def _max_of(exprs):
     """Python's max over the expressions, 0.0 over none."""
     if len(exprs) > 1:
@@ -121,22 +143,22 @@ def _max_of(exprs):
     return exprs[0] if exprs else "0.0"
 
 
-@functools.cache
-def _solver(k, r):
-    """The solve kernel for k x k systems with r right-hand sides, lowered
-    to one straight-line Python function and generated on first use:
+def _solve_lines(k, r, tag=""):
+    """The body of a k x k solve with r right-hand sides, as straight-line
+    source lines for a generated function to hold (see _solver).  A is
+    read from the locals {tag}a{i}_{j}, right-hand side c from
+    {tag}b{c}_{i}; the lines leave kappa_1 in cond and x_c in
+    {tag}w{c}_{i}, or, for r = 0, det A in det.  The temporaries p, big,
+    t, s, z0.., inv, scale, sign and resid are overwritten.
 
-      solve(a, b, scale) -> (kappa_1, x)
+    For r >= 1 the lines raise SingularMatrix when an entry of A or b is
+    not finite, when kappa_1 is not <= COND_BOUND (inf at an exactly zero
+    pivot), or when x misses max|Ax-b| <= 1e-10 (scale + max|b|); where
+    _unit_scale is not 1.0 they solve s A x = s b, with the same kappa_1,
+    solution and postcondition.  For r = 0 they factor A as it is, check
+    nothing and return (inf, 0.0) at an exactly zero pivot.
 
-    a is A row by row and b the right-hand sides one after another, as
-    flat lists of floats; x is laid out like b, and None when kappa_1 is
-    not <= COND_BOUND (kappa_1 is inf at an exactly zero pivot).  A
-    solution that misses max|Ax-b| <= 1e-10 (scale + max|b|) raises
-    SingularMatrix.  r = 0 gives (kappa_1, det A) instead, det A the
-    product of U's diagonal negated once per row swap, 0.0 at an exactly
-    zero pivot.
-
-    The kernel factors P A = L U by partial pivoting, the pivot being the
+    The LU factors P A = L U by partial pivoting, the pivot being the
     first row with the strictly largest |entry|; |A^-1|_1 is the largest
     column sum of U^-1 L^-1 (whose columns are those of A^-1 reordered),
     where column q of L^-1 is zero above row q.  Rows are swapped in
@@ -144,18 +166,30 @@ def _solver(k, r):
     order of the loops it unrolls, so each result is bit for bit that of
     the loop reference in tests/test_numerics.py."""
     n = range(k)
-    a = [[f"a{i}_{j}" for j in n] for i in n]   # A, kept for the residual
-    f = [[f"f{i}_{j}" for j in n] for i in n]   # L below, U on and above
-    b = [[f"b{c}_{i}" for i in n] for c in range(r)]
-    w = [[f"w{c}_{i}" for i in n] for c in range(r)]  # y, then x
-    body = [] if r else ["sign = 1.0"]
-    fail = "None" if r else "0.0"  # what x, or det A, is at a zero pivot
-    if k:
-        body += [f"{', '.join(itertools.chain(*a))}, = a",
-                 f"{', '.join(itertools.chain(*f))}, = a"]
-    if k and r:
-        body += [f"{', '.join(itertools.chain(*b))}, = b",
-                 f"{', '.join(itertools.chain(*w))}, = b"]
+    a = [[f"{tag}a{i}_{j}" for j in n] for i in n]  # A, kept for the residual
+    f = [[f"{tag}f{i}_{j}" for j in n] for i in n]  # L below, U on and above
+    b = [[f"{tag}b{c}_{i}" for i in n] for c in range(r)]
+    w = [[f"{tag}w{c}_{i}" for i in n] for c in range(r)]  # y, then x
+    flat_a = list(itertools.chain(*a))
+    entries = flat_a + list(itertools.chain(*b))
+    body = []
+    if r and k:  # all_finite over A and b
+        body += [f"if not (_isfinite({_sum_of(entries)}) or "
+                 f"all(map(_isfinite, ({', '.join(entries)},)))):",
+                 "    raise _SingularMatrix('non-finite entries in linear "
+                 "system')"]
+    if r:  # solve s A x = s b
+        body += [f"scale = _unit_scale("
+                 f"{_max_of([f'abs({e})' for e in flat_a])})",
+                 "if scale != 1.0:"]
+        body += [f"    {e} = {e} * scale" for e in entries] or ["    pass"]
+    body += [f"{fe} = {ae}" for fe, ae in zip(itertools.chain(*f), flat_a)]
+    body += [f"{we} = {be}" for we, be in zip(itertools.chain(*w),
+                                             itertools.chain(*b))]
+    # where an exactly zero pivot ends
+    zero = ["    raise _over_bound(_inf)"] if r else ["    return _inf, 0.0"]
+    if not r:
+        body.append("sign = 1.0")
     # P A = L U, one column at a time
     for j in n:
         below = range(j + 1, k)
@@ -164,9 +198,9 @@ def _solver(k, r):
             for i in below:
                 body += [f"t = abs({f[i][j]})", "if t > big:",
                          f"    p = {i}", "    big = t"]
-            body += ["if big == 0.0:", f"    return _inf, {fail}"]
+            body += ["if big == 0.0:", *zero]
         else:
-            body += [f"if {f[j][j]} == 0.0:", f"    return _inf, {fail}"]
+            body += [f"if {f[j][j]} == 0.0:", *zero]
         for i in below:
             top = f[j] + [wc[j] for wc in w]
             row = f[i] + [wc[i] for wc in w]
@@ -194,8 +228,10 @@ def _solver(k, r):
                  "if s > inv or s != s:", "    inv = s"]
     norm = _max_of([_sum_of([f"abs({a[i][j]})" for i in n]) for j in n])
     body.append(f"cond = {norm} * inv")
-    if r:  # r = 0 has nothing to solve and no bound to meet
-        body += ["if not cond <= _COND_BOUND:", "    return cond, None"]
+    if not r:  # nothing to solve and no bound to meet
+        body.append(f"det = {' * '.join(['sign', *(f[i][i] for i in n)])}")
+        return body
+    body += ["if not cond <= _COND_BOUND:", "    raise _over_bound(cond)"]
     # forward and back substitution, then the residual postcondition
     for wc in w:
         body += [f"{wc[i]} = " + _terms(
@@ -212,18 +248,49 @@ def _solver(k, r):
             body += [f"t = abs({dot} - {bc[i]})",
                      "if t > resid or t != t:", "    resid = t"]
     bmax = _max_of([f"abs({e})" for e in itertools.chain(*b)])
-    x = (f"[{', '.join(itertools.chain(*w))}]" if r
-         else " * ".join(["sign", *(f[i][i] for i in n)]))
     body += [f"if not resid <= 1e-10 * (scale + {bmax}):",
              "    raise _SingularMatrix(f'solution residual "
-             "{resid / scale:.3e} violates postcondition')",
-             f"return cond, {x}"]
-    src = "\n".join(["def solve(a, b, scale):"]
+             "{resid / scale:.3e} violates postcondition')"]
+    return body
+
+
+def generated(name, params, body, label, **names):
+    """The function `def name(params):` with the source lines body,
+    compiled under the file name label.  Its globals are the names that
+    _solve_lines' lines use, and names."""
+    src = "\n".join([f"def {name}({params}):"]
                     + [f"    {line}" for line in body])
-    namespace = {"_inf": math.inf, "_SingularMatrix": SingularMatrix,
-                 "_COND_BOUND": COND_BOUND}
-    exec(compile(src, f"<solve {k}x{k}, {r} rhs>", "exec"), namespace)
-    return namespace["solve"]
+    namespace = {"_inf": math.inf, "_isfinite": math.isfinite,
+                 "_unit_scale": _unit_scale, "_over_bound": _over_bound,
+                 "_SingularMatrix": SingularMatrix,
+                 "_COND_BOUND": COND_BOUND, **names}
+    exec(compile(src, label, "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _solver(k, r):
+    """The solve kernel for k x k systems with r right-hand sides, lowered
+    to one straight-line Python function and generated on first use:
+
+      solve(a, b) -> (kappa_1, x)
+
+    a is A row by row and b the right-hand sides one after another, as
+    flat lists of floats; x is laid out like b.  r = 0 gives (kappa_1,
+    det A) instead, det A the product of U's diagonal negated once per row
+    swap, 0.0 at an exactly zero pivot.  What the kernel computes and
+    raises is _solve_lines'."""
+    n = range(k)
+    body = [f"{', '.join(f'a{i}_{j}' for i in n for j in n)}, = a"] if k \
+        else []
+    if k and r:
+        body.append(f"{', '.join(f'b{c}_{i}' for c in range(r) for i in n)}"
+                    ", = b")
+    body += _solve_lines(k, r)
+    x = (f"[{', '.join(f'w{c}_{i}' for c in range(r) for i in n)}]" if r
+         else "det")
+    body.append(f"return cond, {x}")
+    return generated("solve", "a, b", body, f"<solve {k}x{k}, {r} rhs>")
 
 
 def _square(A):
@@ -251,10 +318,10 @@ def condition_number(A):
     k of the 2-norm condition number.  Raises DimensionMismatch when A is
     not square."""
     a, k = _square(A)
-    scale = _unit_scale(a)
+    scale = _unit_scale(max(map(abs, a)) if a else 0.0)
     if scale != 1.0:
         a = [v * scale for v in a]
-    return _solver(k, 0)(a, [], scale)[0]
+    return _solver(k, 0)(a, [])[0]
 
 
 def det(A):
@@ -266,12 +333,12 @@ def det(A):
     det A survives entries that span more than the float range.  Raises
     DimensionMismatch when A is not square."""
     a, k = _square(A)
-    if _unit_scale(a) == 1.0:
-        return _solver(k, 0)(a, [], 1.0)[1]
+    if _unit_scale(max(map(abs, a)) if a else 0.0) == 1.0:
+        return _solver(k, 0)(a, [])[1]
     rows = [a[i * k:(i + 1) * k] for i in range(k)]
     exps = [math.frexp(max(map(abs, row)))[1] for row in rows]
     a = [math.ldexp(v, -e) for row, e in zip(rows, exps) for v in row]
-    d = _solver(k, 0)(a, [], 1.0)[1]
+    d = _solver(k, 0)(a, [])[1]
     try:
         return math.ldexp(d, sum(exps))
     except OverflowError:
@@ -314,18 +381,7 @@ def linear_solve(A, b):
     except TypeError:
         raise DimensionMismatch("right-hand side is neither k numbers nor "
                                 "k rows of numbers") from None
-    if not all_finite(a, b):
-        raise SingularMatrix("non-finite entries in linear system")
-    # solve s A x = s b, with the same kappa_1, solution and postcondition
-    scale = _unit_scale(a)
-    if scale != 1.0:
-        a = [v * scale for v in a]
-        b = [v * scale for v in b]
-    r = 1 if one_rhs else len(cols)
-    cond, x = _solver(k, r)(a, b, scale)
-    if x is None:
-        raise SingularMatrix(
-            f"condition estimate {cond:.3e} over bound {COND_BOUND:.1e}")
+    x = _solver(k, 1 if one_rhs else len(cols))(a, b)[1]
     return x if one_rhs else [x[i::k] for i in range(k)]
 
 

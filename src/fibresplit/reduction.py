@@ -8,22 +8,29 @@ ActionSpec.frame read per point, one jet per field.  Group elements are never
 materialized; equivariance tests integrate generator flows numerically,
 lifted to the double tangent bundle through their variational equations.
 The magnetic model's reduced base Lagrangian is one tape compiled from the
-model's expressions by substitution.
+model's expressions by substitution.  A magnetic right-hand side reads its
+fields (the jets of Lbar and A_fibre, the values of Upsilon and Kcurv) and
+hands them to one straight-line function per (n, m), generated on first
+use (_magnetic_tail), which holds the EL force of lagrangian.force_lines
+and the fibre-metric solve of numerics' lines.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .bundle import BundleChart, SecondTangentPoint
 from .errors import (DimensionMismatch, DomainError, FlowEscape,
-                     NonFiniteState, NotPrincipal, SingularMatrix)
+                     NonFiniteState, NotPrincipal, SingularHessian,
+                     SingularMatrix)
 from .exprs import compile_grid, compose, grid_values
 from .jets import ScalarField
-from .lagrangian import SodeSpec, _force_from_jet, euler_lagrange_sode
-from .numerics import (COND_BOUND, Generator, SampleReport, _square,
-                       as_floats, condition_number, dot, linear_solve, max_gap,
-                       positive_definite, rk4_integrate, sample_max, total)
+from .lagrangian import SodeSpec, euler_lagrange_sode, force_lines
+from .numerics import (COND_BOUND, Generator, SampleReport, _dot_of,
+                       _solve_lines, _square, _total_of, as_floats,
+                       condition_number, dot, generated, linear_solve,
+                       max_gap, positive_definite, rk4_integrate, sample_max,
+                       total)
 from .splitting import (project_vertical, vilms_horizontal,
                         vilms_vertical_projector)
 
@@ -401,9 +408,9 @@ class MagneticSystem:
     compiled once, forced by dA_fibre.wbar and the curvature and adjoint
     terms; the wbar-equation is solved from the fibre-metric block.
     p = k wbar + A_fibre is the transported momentum, recorded as a
-    diagnostic.  Between the field kernels and the two solves everything
-    is Python floats: jets come as jet_lists, and each contraction sums
-    its terms in index order.
+    diagnostic.  rhs reads the fields as Python floats (jets as
+    jet_lists) and leaves the contractions and both solves to
+    _magnetic_tail, where each sums its terms in index order.
     """
 
     def __init__(self, model):
@@ -434,29 +441,75 @@ class MagneticSystem:
 
     def rhs(self, t, s):
         mdl = self.model
-        n, m = mdl.chart.n, mdl.chart.m
-        x, v, wb = self.split(as_floats(s))
-        Af = [f.jet_lists(x) for f in mdl.A_fibre]
-        dAf = [jet[1] for jet in Af]
-        U = grid_values(mdl.upsilon, x)
-        Kc = grid_values(mdl.Kcurv, x)
-        k, C = mdl.k, mdl.C
-        p = [dot(k[a], wb) + Af[a][0] for a in range(m)]
+        n = mdl.chart.n
+        s = as_floats(s)
+        x = s[:n]
+        return _magnetic_tail(n, mdl.chart.m)(
+            s, [f.jet_lists(x) for f in mdl.A_fibre],
+            grid_values(mdl.upsilon, x), grid_values(mdl.Kcurv, x),
+            self.Lbar.jet_lists(s[:2 * n]), mdl.k, mdl.C)
 
-        # extra_i = dA_fibre[:, i] . wb
-        #           + sum_a (-Kcurv[a,i,:] . v + Upsilon[a,i,:] . wb) p_a
-        extra = [total(dAf[a][i] * wb[a] for a in range(m))
-                 + total((-dot(Kc[a][i], v) + dot(U[a][i], wb)) * p[a]
-                         for a in range(m)) for i in range(n)]
-        vdot = _force_from_jet(self.Lbar.jet_lists(x + v), v, extra)
 
-        pdot = [total(U[b][i][a] * v[i] * p[b]
-                      for b in range(m) for i in range(n))
-                + total(C[b][a][c] * wb[c] * p[b]
-                        for b in range(m) for c in range(m))
-                for a in range(m)]
-        wbdot = linear_solve(k, [pdot[a] - dot(dAf[a], v) for a in range(m)])
-        return v + vdot + wbdot
+@cache
+def _magnetic_tail(n, m):
+    """MagneticSystem.rhs after its field reads, for n base and m fibre
+    dimensions, lowered to one straight-line function on first use:
+
+      tail(s, Af, U, Kc, Lbar, k, C) -> v + vdot + wbdot
+
+    from the state s = (x, v, wbar), A_fibre's jets Af, the values of
+    Upsilon and Kcurv, Lbar's jet and the model's k and C.  With
+    p = k wbar + A_fibre the transported momentum, vdot is the EL force
+    of Lbar forced by
+
+      extra_i = dA_fibre[:, i] . wbar
+                + sum_a (-Kcurv[a, i, :] . v + Upsilon[a, i, :] . wbar) p_a
+
+    (lagrangian.force_lines), and wbdot solves k wbdot = pdot - dA_fibre v
+    with
+
+      pdot_a = sum_bi Upsilon[b, i, a] v_i p_b + sum_bc C[b, a, c] wbar_c p_b
+
+    Every dot and sum runs in index order from 0.0."""
+    N, M = range(n), range(m)
+
+    def names(prefix, *shape, index=()):
+        """The nested target list of the locals prefix{i}_{j}.. over
+        shape."""
+        if not shape:
+            return prefix + "_".join(map(str, index))
+        return "[" + ", ".join(names(prefix, *shape[1:], index=index + (i,))
+                               for i in range(shape[0])) + ",]"
+
+    state = ["_"] * n + [f"u{i}" for i in N] + [f"wb{a}" for a in M]
+    jets = [f"(av{a}, {names(f'dA{a}_', n)}, _)" for a in M]
+    body = [f"{', '.join(state)}, = s", f"{', '.join(jets)}, = Af",
+            f"{names('U', m, n, m)} = U", f"{names('K', m, n, n)} = Kc",
+            f"{names('k', m, m)} = k", f"{names('C', m, m, m)} = C",
+            "_, g, H = Lbar"]
+    body += [f"p{a} = {_dot_of((f'k{a}_{b}', f'wb{b}') for b in M)} + av{a}"
+             for a in M]
+    for i in N:
+        curv = [f"(-{_dot_of((f'K{a}_{i}_{j}', f'u{j}') for j in N)} + "
+                f"{_dot_of((f'U{a}_{i}_{b}', f'wb{b}') for b in M)}) * p{a}"
+                for a in M]
+        body.append(f"e{i} = {_dot_of((f'dA{a}_{i}', f'wb{a}') for a in M)}"
+                    f" + {_total_of(curv)}")
+    body += force_lines(n, True)
+    for a in M:
+        adj = _total_of(f"U{b}_{i}_{a} * u{i} * p{b}" for b in M for i in N)
+        struct = _total_of(f"C{b}_{a}_{c} * wb{c} * p{b}"
+                           for b in M for c in M)
+        body.append(f"kb0_{a} = {adj} + {struct} - "
+                    + _dot_of((f"dA{a}_{i}", f"u{i}") for i in N))
+    body += [f"ka{a}_{b} = k{a}_{b}" for a in M for b in M]
+    body += _solve_lines(m, 1, "k")
+    out = ([f"u{i}" for i in N] + [f"w0_{i}" for i in N]
+           + [f"kw0_{a}" for a in M])
+    body.append(f"return [{', '.join(out)}]")
+    return generated("tail", "s, Af, U, Kc, Lbar, k, C", body,
+                     f"<magnetic rhs, n = {n}, m = {m}>",
+                     _SingularHessian=SingularHessian)
 
 
 def integrate_magnetic(system, s0, t0, t1, dt):

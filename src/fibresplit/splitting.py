@@ -159,17 +159,25 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
     if len(y0) != spec.chart.m:
         raise DimensionMismatch(f"y0 must have length {spec.chart.m}")
 
+    rows, rates = [], []
+    last = [None, None]  # the (t, y) of the last row
+
     def f(t, y):
+        # each step's first stage is at the row just recorded
+        if y is last[1] and t == last[0]:
+            return rates[-1]
         x, xdot = base_curve(t)
         return spec.h_values(x, y, xdot)
 
-    rec = rk4_integrate(f, t0, t1, y0, dt)
-    rows, rates = [], []
-    for t, y in zip(rec.t, rec.states):
+    def row(t, y):
         x, xdot = base_curve(t)
         w = spec.h_values(x, y, xdot)
         rows.append(as_floats(x) + y + as_floats(xdot) + w)
         rates.append(w)
+        last[:] = t, y
+        return {}
+
+    rec = rk4_integrate(f, t0, t1, y0, dt, row)
     resid = rate_residual(rec.t, rec.states, rates)
     return TrajectoryRecord(rec.t, rows, {"lift_residual": resid})
 
@@ -198,7 +206,8 @@ def _stencil_derivative(tw, yw, t):
     residual diagnostic keeps high order across the shortened final step.
     """
     k = len(tw)
-    dy = [0.0] * len(yw[0])
+    gaps = [t - s for s in tw]
+    weights = []
     for a in range(k):
         denom = 1.0
         for l in range(k):
@@ -211,11 +220,11 @@ def _stencil_derivative(tw, yw, t):
             term = 1.0
             for l in range(k):
                 if l != a and l != b:
-                    term *= t - tw[l]
+                    term *= gaps[l]
             num += term
-        c = num / denom
-        dy = [acc + y * c for acc, y in zip(dy, yw[a])]
-    return dy
+        weights.append(num / denom)
+    # each column summed from 0.0 in node order
+    return [dot(col, weights) for col in zip(*yw)]
 
 
 @dataclass

@@ -441,6 +441,24 @@ def test_condition_number_matches_the_loop_reference_off_the_finite_range():
                     _bits(_reference_condition_number(A))
 
 
+def test_det_matches_the_loop_reference_off_the_finite_range():
+    # rows at 2^600 and 2^-600 take det's row-scaled path, where a row led
+    # by a nan keeps its unscaled entries
+    spread = np.array([2.0 ** 600, 2.0 ** -600, 2.0 ** 600])[:, None]
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0), (1, 0), (2, 0), (2, 2)):
+            A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+            A[where] = bad
+            for M in (A, A * spread):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert _bits(det(M)) == _bits(_reference_det(M))
+    A = [[-0.8832021948190742, -0.5091129659490332, 6.162497546931512e300],
+         [4.149515568880993e180, 8.533571532468032e-302,
+          -3.2529739446607486e179],
+         [np.nan, -3.13459461279706e300, 0.27378249835948076]]
+    assert math.isnan(det(A)) and _bits(det(A)) == _bits(_reference_det(A))
+
+
 def test_det_against_lapack():
     # on random 1 x 1 to 4 x 4 matrices away from singularity (kappa_1 at
     # most 100), where a relative comparison of determinants is meaningful

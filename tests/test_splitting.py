@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fibresplit.bundle import (BundleChart, TangentPointM, VectorField,
                                canonical_flip, tangent_map)
+from fibresplit.config import load_config
 from fibresplit.errors import (DimensionMismatch, DomainError, NotAffine,
                                NotWellDefined)
 from fibresplit.exprs import VarContext, compile_field, parse
@@ -17,6 +20,8 @@ from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
                                   project_vertical, pv_component_fields,
                                   vilms_complete_lift_check, vilms_horizontal,
                                   vilms_lift, vilms_vertical_projector)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def spec11(src):
@@ -158,6 +163,68 @@ def test_stencil_derivative_exact_on_quartic():
         want = 4 * t ** 3 - 4 * t + 1
         got = _stencil_derivative(tw, yw, t)[0]
         assert abs(got - want) < 1e-12
+
+
+def _reference_stencil_derivative(tw, yw, t):
+    """_stencil_derivative as it was before its differences t - tw[l] were
+    formed once per call: the bit-for-bit reference."""
+    k = len(tw)
+    dy = [0.0] * len(yw[0])
+    for a in range(k):
+        denom = 1.0
+        for l in range(k):
+            if l != a:
+                denom *= tw[a] - tw[l]
+        num = 0.0
+        for b in range(k):
+            if b == a:
+                continue
+            term = 1.0
+            for l in range(k):
+                if l != a and l != b:
+                    term *= t - tw[l]
+            num += term
+        c = num / denom
+        dy = [acc + y * c for acc, y in zip(dy, yw[a])]
+    return dy
+
+
+@pytest.mark.parametrize("last", [1.0, 0.37])
+def test_stencil_derivative_matches_the_loop_reference_bit_for_bit(last):
+    # the grid rk4_integrate records: uniform, or with a shortened last step
+    rng = np.random.default_rng(31)
+    dt = 1e-3
+    ts = [0.2 + i * dt for i in range(8)] + [0.2 + (7 + last) * dt]
+    for _ in range(200):
+        y = rng.uniform(-1.0, 1.0, (len(ts), 2)).tolist()
+        for i in range(len(ts)):
+            j = min(max(i - 2, 0), len(ts) - 5)
+            tw, yw = ts[j:j + 5], y[j:j + 5]
+            got = _stencil_derivative(tw, yw, ts[i])
+            want = _reference_stencil_derivative(tw, yw, ts[i])
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_lift_curve_evaluates_h_once_per_grid_point(monkeypatch):
+    # 10 RK4 steps: 4 stages each, the first of them at the recorded row,
+    # and 11 rows; 51 h_values calls before each row reused its first stage
+    cfg = load_config(CONFIGS / "lift.ini")
+    chart = cfg.chart()
+    spec = cfg.splitting(chart)
+    base_curve, y0 = cfg.curve(chart)
+    rec = horizontal_lift_curve(spec, base_curve, y0, 0.0, 0.1, 0.01)
+    calls = []
+    h_values = spec.h_values
+
+    def counted(*args):
+        calls.append(args)
+        return h_values(*args)
+
+    monkeypatch.setattr(spec, "h_values", counted)
+    again = horizontal_lift_curve(spec, base_curve, y0, 0.0, 0.1, 0.01)
+    assert len(calls) == 41
+    assert again.t == rec.t and again.states == rec.states
+    assert again.diagnostics == rec.diagnostics
 
 
 def test_lifted_field_blocks():
