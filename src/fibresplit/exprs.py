@@ -541,10 +541,3 @@ def compile_grid(sources, ctx, shape):
     if not fits(sources, shape):
         raise DimensionMismatch(f"expected nested lists of shape {shape}")
     return build(sources, 0)
-
-
-def grid_values(grid, x):
-    """The values at x of a nested list of fields, nested alike."""
-    if isinstance(grid, list):
-        return [grid_values(sub, x) for sub in grid]
-    return grid.value(x)

@@ -19,12 +19,13 @@ Every field also gives its jet as the lists of a Jet2, jet_lists(x) ->
 (value, gradient, Hessian), and its first two entries alone as
 vg_lists(x); a TapeField's are the kernel's own, checked, and its jet()
 wraps them uncopied.  These are the way library code reads
-derivatives, with one exception in the same layout: the constrained
-right-hand side (nonholonomic) reads the lists of the Jet2s its chain
-rule holds.  A Jet2 is built only by the public jet(), by the algebra
-oracle and the evaluators of fields that are not expressions, by
-bundle.DerivedField, and by the chain rule (ScalarField.chain,
-jet2_compose).
+derivatives; the constrained right-hand side (nonholonomic) too reads
+its fields' jet_lists and forms the chain rule of jet2_compose in
+generated straight-line code.  A Jet2 is built only by the public jet(),
+by the algebra oracle and the evaluators of fields that are not
+expressions, by bundle.DerivedField, and by the chain rule
+(ScalarField.chain, and jet2_compose in the constrained Lagrangian's jet,
+which the recorded constrained energy reads).
 """
 
 import math
@@ -229,9 +230,11 @@ def jet2_compose(outer, inners):
     """Chain rule: jet of F(g_1..g_K) from F's jet at (g_i values).
 
     outer is a Jet2 in K intermediate variables, inners are K jets in the
-    true variables.  This is the one composition routine everything else
-    (lifts, pullbacks, restricted Lagrangians) goes through.  Each sum
-    runs from 0.0 in index order, skipping terms with a zero factor.
+    true variables.  This is the composition routine lifts, pullbacks and
+    the constrained Lagrangian's jet go through; the constrained
+    right-hand side (nonholonomic._constrained_tail) forms the same sums
+    in straight-line code, bit for bit.  Each sum runs from 0.0 in index
+    order, skipping terms with a zero factor.
     """
     K = outer.arity
     if len(inners) != K:

@@ -8,19 +8,29 @@ carry the constraint's curvature on the right-hand side, contracted with
 the fibre momentum dL/dw of the unconstrained Lagrangian evaluated on the
 constraint surface.  The constraint's coefficients are one tape per
 component, compiled from its expressions, and they are the only formula
-for w here.  The constrained Lagrangian's jet is one chain rule of L over
-those tapes' jets, the one place here that builds Jet2s; the right-hand
-side reads w, dL/dw and that jet from the same chain rule, so each call
-takes one jet of L.  The right-hand side and the recorded energy read
-every jet as lists of Python floats and sum each contraction in index
-order.
+for w here.  The right-hand side reads its fields (the jets of A and A0,
+of the coefficients at (x, y, v) and of L at (x, y, v, w)) and hands them
+to one straight-line function per (n, m), generated on first use
+(_constrained_tail): it forms the constrained Lagrangian's gradient and
+Hessian by the chain rule of jets.jet2_compose, the curvature
+coefficients of splitting.curvature_lines and the solve of numerics'
+lines, so each call takes one jet of L.  The recorded energy reads the
+constrained Lagrangian's jet from ConstrainedLagrangianField, one chain
+rule of L over the coefficient tapes' jets at runtime.  Both sum each
+contraction in index order.
 """
 
-from .errors import DimensionMismatch
+from functools import cache
+
+from .errors import DimensionMismatch, DomainError
 from .jets import ScalarField, jet2_compose, seed_jets
 from .lagrangian import energy
-from .numerics import as_floats, dot, linear_solve, rk4_integrate, total
-from .splitting import affine_curvature_coefficients
+from .numerics import (_dot_of, _finite_lines, _names, _solve_lines,
+                       _total_of, as_floats, generated, rk4_integrate)
+from .splitting import curvature_lines, curvature_reads
+
+# the chain rule's error, raised by the generated right-hand side
+_NON_FINITE = "_DomainError('jet has non-finite entries')"
 
 
 class ConstrainedLagrangianField(ScalarField):
@@ -38,16 +48,10 @@ class ConstrainedLagrangianField(ScalarField):
         self.c = c
 
     def jet(self, s):
-        return self._chain(s)[0]
-
-    def _chain(self, s):
-        """The jet at s = (x, y, v), L's jet at (x, y, v, w) that it
-        chains, and w, the constraint's coefficient values at s."""
         s = self._point(s)
         w_jets = [f.jet(s) for f in self.c.coefficients]
-        w = [jet.value for jet in w_jets]
-        L_jet = self.L.field.jet(s + w)
-        return jet2_compose(L_jet, seed_jets(s) + w_jets), L_jet, w
+        L_jet = self.L.field.jet(s + [jet.value for jet in w_jets])
+        return jet2_compose(L_jet, seed_jets(s) + w_jets)
 
 
 class ConstrainedSystem:
@@ -55,8 +59,7 @@ class ConstrainedSystem:
 
     dy/dt is the constraint's w; dv/dt solves the momentum balance of the
     constrained Lagrangian against the curvature force
-    (-B[a,i,:] . v - A0d[a,i]) dL/dw^a, with dL/dw read from the jet of L
-    that the constrained Lagrangian's chain rule takes.
+    (-B[a,i,:] . v - A0d[a,i]) dL/dw^a (_constrained_tail).
     """
 
     def __init__(self, L, c):
@@ -66,26 +69,90 @@ class ConstrainedSystem:
 
     def rhs(self, t, s):
         n, m = self.L.chart.n, self.L.chart.m
-        k = 2 * n + m
         s = as_floats(s)
-        v = s[n + m:]
-        B, A0d, A = affine_curvature_coefficients(self.c, s[:n], s[n:n + m])
-        jet, L_jet, ydot = self.Lc._chain(s)
-        g, H, Lw = jet.gradient, jet.hessian, L_jet.gradient[k:]
-        rhs_v = []
-        for i in range(n):
-            row = H[k * (n + m + i):k * (n + m + i + 1)]
-            force = total((-dot(B[a][i], v) - A0d[a][i]) * Lw[a]
-                          for a in range(m))
-            rhs_v.append(g[i] - total(A[a][i] * g[n + a] for a in range(m))
-                         - dot(row[:n], v) - dot(row[n:n + m], ydot)
-                         + force)
-        M = [H[k * r + n + m:k * (r + 1)] for r in range(n + m, k)]
-        return v + ydot + linear_solve(M, rhs_v)
+        q = s[:n + m]
+        A = [f.jet_lists(q) for row in self.c.A for f in row]
+        A0 = [f.jet_lists(q) for f in self.c.A0]
+        s = self.Lc._point(s)
+        W = [f.jet_lists(s) for f in self.c.coefficients]
+        return _constrained_tail(n, m)(
+            s, A, A0, W, self.L.field.jet_lists(s + [jet[0] for jet in W]))
 
     def energy(self, s):
         """Constrained energy v . dLc/dv - Lc."""
         return energy(self.Lc, s, self.L.chart.n + self.L.chart.m)
+
+
+@cache
+def _constrained_tail(n, m):
+    """ConstrainedSystem.rhs after its field reads, for n base and m fibre
+    dimensions, lowered to one straight-line function on first use:
+
+      tail(s, A, A0, W, L) -> v + w + vdot
+
+    from the state s = (x, y, v), the jets of the A fields (row by row)
+    and the A0 fields at (x, y), the coefficients' jets W at s and L's jet
+    at (s, w), w the coefficients' values.  With g and H the gradient and
+    Hessian of the constrained Lagrangian Lc, vdot solves
+
+      H_vv vdot = g_x - A^T g_y - H_vx v - H_vy w
+                  + sum_a (-B[a, :, :] v - A0d[a, :]) dL/dw^a
+
+    B and A0d as curvature_lines gives them.  g and H are
+    jets.jet2_compose's chain rule over the seeds of s and W: each sum in
+    its order from 0.0, the seeds' structural zeros and ones dropped (a
+    sum from +0.0 is unchanged by a +-0.0 term) and H symmetrized as the
+    average with its transpose, on the v rows the force reads.  Every
+    entry of g and of H before that average is formed and checked, so a
+    non-finite s or composed entry raises DomainError("jet has non-finite
+    entries") where the runtime chain rule raises it; the solve is
+    numerics' lines, its SingularMatrix unwrapped as linear_solve raises
+    it."""
+    k = 2 * n + m
+    K = k + m
+    N, M, S = range(n), range(m), range(k)
+    v = [f"s{n + m + i}" for i in N]
+
+    body = [f"{_names('s', k)} = s"]
+    body += _finite_lines([f"s{i}" for i in S], _NON_FINITE)
+    body += curvature_reads(n, m)
+    W = [f"(wv{a}, {_names(f'wg{a}_', k)}, {_names(f'wh{a}_', k * k)})"
+         for a in M]
+    body += [f"{', '.join(W)}, = W",
+             f"_, {_names('lg', K)}, {_names('lh', K * K)} = L"]
+    # jet2_compose's G^T F'' (column b of it, row i) and gradient
+    body += [f"gh{b}_{i} = 0.0 + lh{i * K + b}"
+             + "".join(f" + wg{c}_{i} * lh{(k + c) * K + b}" for c in M)
+             for b in range(K) for i in S]
+    body += [f"cg{i} = 0.0 + lg{i}"
+             + "".join(f" + lg{k + c} * wg{c}_{i}" for c in M) for i in S]
+    # its Hessian (G^T F'') G + F' G'' before the average
+    body += [f"ch{i}_{j} = 0.0 + gh{j}_{i}"
+             + "".join(f" + gh{k + c}_{i} * wg{c}_{j}" for c in M)
+             + "".join(f" + lg{k + c} * wh{c}_{i * k + j}" for c in M)
+             for i in S for j in S]
+    body += _finite_lines([f"cg{i}" for i in S]
+                          + [f"ch{i}_{j}" for i in S for j in S], _NON_FINITE)
+    # the v rows of the average
+    body += [f"H{i}_{j} = 0.5 * ch{n + m + i}_{j} + 0.5 * ch{j}_{n + m + i}"
+             for i in N for j in S]
+    body += curvature_lines(n, m)
+    for i in N:
+        force = [f"(-{_dot_of((f'B{a}_{i}_{j}', v[j]) for j in N)} - "
+                 f"A0d{a}_{i}) * lg{k + a}" for a in M]
+        body.append(
+            f"b0_{i} = cg{i} - "
+            f"{_dot_of((f'Av{a}_{i}', f'cg{n + a}') for a in M)} - "
+            f"{_dot_of((f'H{i}_{j}', v[j]) for j in N)} - "
+            f"{_dot_of((f'H{i}_{n + a}', f'wv{a}') for a in M)} + "
+            f"{_total_of(force)}")
+    body += [f"a{i}_{j} = H{i}_{n + m + j}" for i in N for j in N]
+    body += _solve_lines(n, 1)
+    out = v + [f"wv{a}" for a in M] + [f"w0_{i}" for i in N]
+    body.append(f"return [{', '.join(out)}]")
+    return generated("tail", "s, A, A0, W, L", body,
+                     f"<constrained rhs, n = {n}, m = {m}>",
+                     _DomainError=DomainError)
 
 
 def integrate_constrained(L, c, s0, t0, t1, dt):

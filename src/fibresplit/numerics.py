@@ -16,9 +16,10 @@ and the residual postcondition is always verified.  The generator frames
 of reduction.ActionSpec and the fibre metric of reduction.MagneticModel
 are held to the same bound.  The function's body is _solve_lines', the
 one statement of a solve's finiteness check, power-of-two rescale, LU,
-bound and postcondition; the generated EL and magnetic right-hand sides
-(lagrangian.force_lines, reduction._magnetic_tail) inline the same
-lines, compiled by generated().
+bound and postcondition; the generated EL, magnetic and constrained
+right-hand sides (lagrangian.force_lines, reduction._magnetic_tail,
+nonholonomic._constrained_tail) inline the same lines, compiled by
+generated().
 linear_solve reads A as k rows and b as k numbers or k rows, and
 returns x laid out like b, as Python floats.
 
@@ -136,11 +137,28 @@ def _dot_of(pairs):
     return _total_of(f"{a} * {b}" for a, b in pairs)
 
 
+def _names(prefix, *shape, index=()):
+    """The nested list of the locals prefix{i}_{j}.. over shape, as source
+    that serves as an unpacking target and as a list display."""
+    if not shape:
+        return prefix + "_".join(map(str, index))
+    return "[" + ", ".join(_names(prefix, *shape[1:], index=index + (i,))
+                           for i in range(shape[0])) + ",]"
+
+
 def _max_of(exprs):
     """Python's max over the expressions, 0.0 over none."""
     if len(exprs) > 1:
         return f"max({', '.join(exprs)})"
     return exprs[0] if exprs else "0.0"
+
+
+def _finite_lines(entries, error):
+    """The lines of all_finite over the expressions entries, raising error
+    (the source of an exception) when an entry is not finite."""
+    return [f"if not (_isfinite({_sum_of(entries)}) or "
+            f"all(map(_isfinite, ({', '.join(entries)},)))):",
+            f"    raise {error}"]
 
 
 def _solve_lines(k, r, tag=""):
@@ -173,11 +191,9 @@ def _solve_lines(k, r, tag=""):
     flat_a = list(itertools.chain(*a))
     entries = flat_a + list(itertools.chain(*b))
     body = []
-    if r and k:  # all_finite over A and b
-        body += [f"if not (_isfinite({_sum_of(entries)}) or "
-                 f"all(map(_isfinite, ({', '.join(entries)},)))):",
-                 "    raise _SingularMatrix('non-finite entries in linear "
-                 "system')"]
+    if r and k:
+        body += _finite_lines(entries, "_SingularMatrix('non-finite entries "
+                                       "in linear system')")
     if r:  # solve s A x = s b
         body += [f"scale = _unit_scale("
                  f"{_max_of([f'abs({e})' for e in flat_a])})",

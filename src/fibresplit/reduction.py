@@ -23,11 +23,11 @@ from .bundle import BundleChart, SecondTangentPoint
 from .errors import (DimensionMismatch, DomainError, FlowEscape,
                      NonFiniteState, NotPrincipal, SingularHessian,
                      SingularMatrix)
-from .exprs import compile_grid, compose, grid_values
+from .exprs import compile_grid, compose
 from .jets import ScalarField
 from .lagrangian import SodeSpec, euler_lagrange_sode, force_lines
 from .numerics import (COND_BOUND, Generator, SampleReport, _dot_of,
-                       _solve_lines, _square, _total_of, as_floats,
+                       _names, _solve_lines, _square, _total_of, as_floats,
                        condition_number, dot, generated, linear_solve,
                        max_gap, positive_definite, rk4_integrate, sample_max,
                        total)
@@ -368,7 +368,7 @@ class MagneticModel:
         rng = Generator(11)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, n)
-            G = grid_values(self.g, x)
+            G = [[f.value(x) for f in row] for row in self.g]
             if any(G[i][j] != G[j][i] for i in range(n) for j in range(n)):
                 raise ValueError(f"base metric g must be symmetric "
                                  f"(asymmetric at x={x!r})")
@@ -410,12 +410,19 @@ class MagneticSystem:
     p = k wbar + A_fibre is the transported momentum, recorded as a
     diagnostic.  rhs reads the fields as Python floats (jets as
     jet_lists) and leaves the contractions and both solves to
-    _magnetic_tail, where each sums its terms in index order.
+    _magnetic_tail, where each sums its terms in index order.  upsilon
+    and Kcurv hold the model's Upsilon and Kcurv fields flattened once, in
+    row order (shapes m x n x m and m x n x n), so each is read by one
+    comprehension.
     """
 
     def __init__(self, model):
         self.model = model
         self.Lbar = reduced_base_lagrangian(model)
+        self.upsilon = [f for plane in model.upsilon for row in plane
+                        for f in row]
+        self.Kcurv = [f for plane in model.Kcurv for row in plane
+                      for f in row]
 
     def split(self, s):
         n = self.model.chart.n
@@ -433,11 +440,11 @@ class MagneticSystem:
         mdl = self.model
         n, m = mdl.chart.n, mdl.chart.m
         x, _, wb = self.split(as_floats(s))
-        U = grid_values(mdl.upsilon, x)
+        U = [f.value(x) for f in self.upsilon]
         kw = [dot(row, wb) for row in mdl.k]
         pairs = [(a, b) for a in range(m) for b in range(m)]
-        return [total(U[a][i][b] * wb[b] * kw[a] for a, b in pairs)
-                for i in range(n)]
+        return [total(U[(a * n + i) * m + b] * wb[b] * kw[a]
+                      for a, b in pairs) for i in range(n)]
 
     def rhs(self, t, s):
         mdl = self.model
@@ -446,7 +453,8 @@ class MagneticSystem:
         x = s[:n]
         return _magnetic_tail(n, mdl.chart.m)(
             s, [f.jet_lists(x) for f in mdl.A_fibre],
-            grid_values(mdl.upsilon, x), grid_values(mdl.Kcurv, x),
+            [f.value(x) for f in self.upsilon],
+            [f.value(x) for f in self.Kcurv],
             self.Lbar.jet_lists(s[:2 * n]), mdl.k, mdl.C)
 
 
@@ -458,7 +466,7 @@ def _magnetic_tail(n, m):
       tail(s, Af, U, Kc, Lbar, k, C) -> v + vdot + wbdot
 
     from the state s = (x, v, wbar), A_fibre's jets Af, the values of
-    Upsilon and Kcurv, Lbar's jet and the model's k and C.  With
+    Upsilon and Kcurv in row order, Lbar's jet and the model's k and C.  With
     p = k wbar + A_fibre the transported momentum, vdot is the EL force
     of Lbar forced by
 
@@ -472,20 +480,13 @@ def _magnetic_tail(n, m):
 
     Every dot and sum runs in index order from 0.0."""
     N, M = range(n), range(m)
-
-    def names(prefix, *shape, index=()):
-        """The nested target list of the locals prefix{i}_{j}.. over
-        shape."""
-        if not shape:
-            return prefix + "_".join(map(str, index))
-        return "[" + ", ".join(names(prefix, *shape[1:], index=index + (i,))
-                               for i in range(shape[0])) + ",]"
-
     state = ["_"] * n + [f"u{i}" for i in N] + [f"wb{a}" for a in M]
-    jets = [f"(av{a}, {names(f'dA{a}_', n)}, _)" for a in M]
+    jets = [f"(av{a}, {_names(f'dA{a}_', n)}, _)" for a in M]
+    U = [f"U{a}_{i}_{b}" for a in M for i in N for b in M]
+    Kc = [f"K{a}_{i}_{j}" for a in M for i in N for j in N]
     body = [f"{', '.join(state)}, = s", f"{', '.join(jets)}, = Af",
-            f"{names('U', m, n, m)} = U", f"{names('K', m, n, n)} = Kc",
-            f"{names('k', m, m)} = k", f"{names('C', m, m, m)} = C",
+            f"{', '.join(U)}, = U", f"{', '.join(Kc)}, = Kc",
+            f"{_names('k', m, m)} = k", f"{_names('C', m, m, m)} = C",
             "_, g, H = Lbar"]
     body += [f"p{a} = {_dot_of((f'k{a}_{b}', f'wb{b}') for b in M)} + av{a}"
              for a in M]
@@ -572,11 +573,13 @@ def decoupling_check(system, samples=100, seed=42, box=1.0):
 
     def condition(xv):
         x, v = xv[:n], xv[n:]
-        Kc = grid_values(model.Kcurv, x)
-        U = grid_values(model.upsilon, x)
+        Kc = [f.value(x) for f in system.Kcurv]
+        U = [f.value(x) for f in system.upsilon]
         A = [f.jet_lists(x) for f in model.A_fibre]
-        return max(abs(-total(Kc[a][i][j] * v[j] * k[a][g] for a, j in aj)
-                       + total(U[a][i][g] * A[a][0] for a in range(m))
+        return max(abs(-total(Kc[(a * n + i) * n + j] * v[j] * k[a][g]
+                              for a, j in aj)
+                       + total(U[(a * n + i) * m + g] * A[a][0]
+                               for a in range(m))
                        + A[g][1][i])
                    for i in range(n) for g in range(m))
 

@@ -7,12 +7,15 @@ affine and positively-homogeneous splittings are special cases detected by
 sampling, never assumed.  An affine splitting h = A0 - A v, whether
 compiled from A and A0 or read off and verified by affine_decompose, is
 an AffineSplittingData: a SplittingSpec that also carries A and A0 for the
-curvature coefficients.
+curvature coefficients, whose formula curvature_lines states once for the
+generated function of affine_curvature_coefficients and for the
+constrained right-hand side (nonholonomic).
 
 Splittings flagged smooth_at_zero=False are only evaluated on the slit
 |v|_2 >= chart.slit_eps.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,8 +27,8 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
 from .exprs import (compile_field, compile_grid, compose, mentions_nonsmooth,
                     parse)
 from .jets import Jet2, ScalarField
-from .numerics import (TrajectoryRecord, as_floats, dot, max_gap,
-                       rk4_integrate, sample_max, total)
+from .numerics import (TrajectoryRecord, _dot_of, _names, as_floats, dot,
+                       generated, max_gap, rk4_integrate, sample_max, total)
 
 # classify's evidence must stay representable with room to spare: the
 # square of anything above 2^512 overflows
@@ -566,29 +569,75 @@ def affine_decompose(spec, samples=100, seed=0, box=1.0):
     return AffineSplittingData(chart, spec.coefficients, A, A0, worst)
 
 
+def curvature_lines(n, m):
+    """The source lines of the affine curvature coefficients, for a
+    generated function to hold.  From the values Av{a}_{i} and gradients
+    Ag{a}_{i}_{j} of the A fields and the values A0v{a} and gradients
+    A0g{a}_{j} of the A0 fields (gradients over the point (x, y): first n
+    entries d/dx, next m d/dy), they leave B^a_ij, from [H_i, H_j] with
+    H_i = d/dx_i - A^b_i d/dy_b, in B{a}_{i}_{j}, and the drift
+    derivative A^a_0i = H_i(A0^a) + A0(A^a_i) in A0d{a}_{i}:
+
+      B^a_ij = -dA^a_j/dx_i + A^b_i dA^a_j/dy_b
+               + dA^a_i/dx_j - A^b_j dA^a_i/dy_b
+      A^a_0i = dA0^a/dx_i - A^b_i dA0^a/dy_b + A0^b dA^a_i/dy_b
+
+    each contraction over b a dot from 0.0 in index order."""
+    N, M = range(n), range(m)
+
+    def contract(i, grad):
+        """A^b_i grad_b over b, grad the y-part of a gradient."""
+        return _dot_of((f"Av{b}_{i}", f"{grad}_{n + b}") for b in M)
+
+    body = [f"B{a}_{i}_{j} = -Ag{a}_{j}_{i} + {contract(i, f'Ag{a}_{j}')}"
+            f" + Ag{a}_{i}_{j} - {contract(j, f'Ag{a}_{i}')}"
+            for a in M for i in N for j in N]
+    body += [f"A0d{a}_{i} = A0g{a}_{i} - {contract(i, f'A0g{a}')} + "
+             + _dot_of((f"A0v{b}", f"Ag{a}_{i}_{n + b}") for b in M)
+             for a in M for i in N]
+    return body
+
+
+def curvature_reads(n, m):
+    """The lines unpacking A, the m x n A fields' jets in row order, and
+    A0, the m A0 fields' jets, as jet_lists gives them, into the locals
+    curvature_lines reads."""
+    A = [f"(Av{a}_{i}, {_names(f'Ag{a}_{i}_', n + m)}, _)"
+         for a in range(m) for i in range(n)]
+    A0 = [f"(A0v{a}, {_names(f'A0g{a}_', n + m)}, _)" for a in range(m)]
+    return [f"{', '.join(A)}, = A", f"{', '.join(A0)}, = A0"]
+
+
+@functools.cache
+def _curvature(n, m):
+    """affine_curvature_coefficients after its field reads, for n base and
+    m fibre dimensions, lowered to one straight-line function on first
+    use:
+
+      curvature(A, A0) -> (B, A0d, A values)
+
+    from the jets of the A fields, row by row, and of the A0 fields
+    (curvature_lines)."""
+    body = curvature_reads(n, m) + curvature_lines(n, m)
+    body.append(f"return {_names('B', m, n, n)}, {_names('A0d', m, n)}, "
+                f"{_names('Av', m, n)}")
+    return generated("curvature", "A, A0", body,
+                     f"<affine curvature, n = {n}, m = {m}>")
+
+
 def affine_curvature_coefficients(data, x, y):
     """B^a_ij from [H_i, H_j] with H_i = d/dx_i - A^b_i d/dy_b, and the
     drift derivatives A^a_0i = H_i(A0^a) + A0(A^a_i), from one float jet
-    (jet_lists) per field, each dot product summed in index order.
+    (jet_lists) per field, A's row by row and then A0's, by the generated
+    function of curvature_lines.
 
     Returns (B, A0d, A) as nested lists of floats, m x n x n, m x n and
     m x n, A the values of the A fields read from the same jets.
     """
-    n, m = data.chart.n, data.chart.m
     q = as_floats(x) + as_floats(y)
-    A = [[f.jet_lists(q) for f in row] for row in data.A]
-    A0 = [f.jet_lists(q) for f in data.A0]
-    # gradient layout of point fields: first n entries d/dx, next m d/dy
-    col = [[A[b][i][0] for b in range(m)] for i in range(n)]  # A^b_i over b
-    dA = [[jet[1] for jet in row] for row in A]
-    B = [[[-dA[a][j][i] + dot(col[i], dA[a][j][n:])
-           + dA[a][i][j] - dot(col[j], dA[a][i][n:])
-           for j in range(n)] for i in range(n)] for a in range(m)]
-    A0val = [jet[0] for jet in A0]
-    A0d = [[A0[a][1][i] - dot(col[i], A0[a][1][n:])
-            + dot(A0val, dA[a][i][n:])
-            for i in range(n)] for a in range(m)]
-    return B, A0d, [[jet[0] for jet in row] for row in A]
+    return _curvature(data.chart.n, data.chart.m)(
+        [f.jet_lists(q) for row in data.A for f in row],
+        [f.jet_lists(q) for f in data.A0])
 
 
 def rbar_zero(data, zeta, w_pt):
