@@ -24,11 +24,13 @@ linear_solve reads A as k rows and b as k numbers or k rows, and
 returns x laid out like b, as Python floats.
 
 Vectors are lists of Python floats here, as everywhere in the package.
-newton_solve and rk4_integrate step their state as such a list, and each
-RK4 stage is summed entry by entry in the order of the array expressions
-it replaced.  sample_max hands each residual its draw as a list of
-floats and keeps the largest residual as a float, or as a list of
-floats.  Every sample draw in the package comes from Generator, numpy's
+newton_solve and rk4_integrate step their state as such a list.  The
+RK4 step is one straight-line function per state length, generated on
+first use by generated() like the solve kernels (_rk4_step), and each
+stage is summed entry by entry in the order of the array expressions it
+replaced, bit for bit.  sample_max hands each residual its draw as a
+list of floats and keeps the largest residual as a float, or as a list
+of floats.  Every sample draw in the package comes from Generator, numpy's
 default generator (SeedSequence seeding a PCG64 stream; O'Neill, "PCG",
 HMC-CS-2014-0905, 2014) in plain Python, bit for bit.
 
@@ -487,18 +489,31 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _rk4_step(f, t, y, dt):
-    """One classic RK4 step from the float list y.  Each stage is summed
-    in the order of the array expressions y + (dt/2) k1 and
-    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), entry by entry."""
-    h = 0.5 * dt
-    k1 = f(t, y)
-    k2 = f(t + h, [a + h * b for a, b in zip(y, k1, strict=True)])
-    k3 = f(t + h, [a + h * b for a, b in zip(y, k2, strict=True)])
-    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3, strict=True)])
-    c = dt / 6.0
-    return [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
-            for a, p, q, r, s in zip(y, k1, k2, k3, k4, strict=True)]
+@functools.cache
+def _rk4_step(d):
+    """One classic RK4 step for states of d floats, lowered to one
+    straight-line Python function and generated on first use:
+
+      step(f, t, y, dt) -> the state at t + dt, a list of d floats
+
+    f receives y itself at the first stage and new lists at the others,
+    and may return a list, a tuple or an array of d numbers; another
+    length raises ValueError at its unpacking.  Each entry is the
+    expression of the loop it replaced, y_i + (dt/2) k1_i for a stage and
+    y_i + (dt/6) (((k1_i + 2 k2_i) + 2 k3_i) + k4_i) for the step, so the
+    result is that loop's, bit for bit (tests/test_numerics.py)."""
+    def each(entry):
+        # the list display of entry for i = 0, ..., d - 1
+        return "[" + ", ".join(entry.format(i=i) for i in range(d)) + "]"
+
+    body = ["h = 0.5 * dt", f"{each('y{i}')} = y",
+            f"{each('p{i}')} = f(t, y)", "th = t + h",
+            f"{each('q{i}')} = f(th, {each('y{i} + h * p{i}')})",
+            f"{each('r{i}')} = f(th, {each('y{i} + h * q{i}')})",
+            f"{each('s{i}')} = f(t + dt, {each('y{i} + dt * r{i}')})",
+            "c = dt / 6.0", "return " + each(
+                "y{i} + c * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})")]
+    return generated("step", "f, t, y, dt", body, f"<rk4 step, d={d}>")
 
 
 # Largest step count rk4_integrate accepts; every stored point is kept
@@ -536,8 +551,9 @@ def rk4_integrate(f, t0, t1, y0, dt, diagnostic=None):
     if diagnostic is not None:
         diags.append(diagnostic(t0, y))
     t = t0
+    step = _rk4_step(len(y))
     for i in range(n_steps):
-        y = _rk4_step(f, t, y, dt if i < n_full else rem)
+        y = step(f, t, y, dt if i < n_full else rem)
         # recompute t from the grid, not by accumulation
         t = t1 if i + 1 == n_steps else t0 + (i + 1) * dt
         if not all_finite(y):

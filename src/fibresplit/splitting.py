@@ -13,6 +13,11 @@ constrained right-hand side (nonholonomic).
 
 Splittings flagged smooth_at_zero=False are only evaluated on the slit
 |v|_2 >= chart.slit_eps.
+
+rate_residual checks a recorded curve against its recorded rates (the
+lift and the constrained flow) through a five-point Lagrange stencil,
+one straight-line function per stencil width and row length, generated
+on first use (_stencil) and bit for bit the loop it replaced.
 """
 
 import functools
@@ -27,8 +32,9 @@ from .errors import (DimensionMismatch, DomainError, NotAffine,
 from .exprs import (compile_field, compile_grid, compose, mentions_nonsmooth,
                     parse)
 from .jets import Jet2, ScalarField
-from .numerics import (TrajectoryRecord, _dot_of, _names, as_floats, dot,
-                       generated, max_gap, rk4_integrate, sample_max, total)
+from .numerics import (TrajectoryRecord, _dot_of, _max_of, _names,
+                       _total_of, as_floats, dot, generated, max_gap,
+                       rk4_integrate, sample_max, total)
 
 # classify's evidence must stay representable with room to spare: the
 # square of anything above 2^512 overflows
@@ -153,7 +159,8 @@ def lifted_field(spec, X):
 def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
     """Integrate the lift equation dy/dt = h(x(t), y, dx/dt) with RK4.
 
-    base_curve maps t to the pair (x(t), xdot(t)), each n floats.  The
+    base_curve maps t to the pair (x(t), xdot(t)), each n floats; it is
+    read once per distinct time, and what it returns is not modified.  The
     record's states hold the full rows (x, y, v, w) on the time grid;
     diagnostics carry the finite-difference residual |dy/dt - h| (central
     in the interior, one-sided at the ends).
@@ -164,16 +171,25 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
 
     rows, rates = [], []
     last = [None, None]  # the (t, y) of the last row
+    read = [None, None]  # the last base curve read: its time's key, value
+
+    def curve(t):
+        # one read per distinct time: the stages at t + dt/2 share one, and
+        # a row often shares the last stage's; the key keeps -0.0 apart
+        key = (t, math.copysign(1.0, t))
+        if key != read[0]:
+            read[:] = key, base_curve(t)
+        return read[1]
 
     def f(t, y):
         # each step's first stage is at the row just recorded
         if y is last[1] and t == last[0]:
             return rates[-1]
-        x, xdot = base_curve(t)
+        x, xdot = curve(t)
         return spec.h_values(x, y, xdot)
 
     def row(t, y):
-        x, xdot = base_curve(t)
+        x, xdot = curve(t)
         w = spec.h_values(x, y, xdot)
         rows.append(as_floats(x) + y + as_floats(xdot) + w)
         rates.append(w)
@@ -188,46 +204,50 @@ def horizontal_lift_curve(spec, base_curve, y0, t0, t1, dt):
 def rate_residual(ts, ys, rates):
     """Per recorded point, max |dy/dt - rate| with dy/dt from a five-point
     Lagrange stencil through the recorded rows (one-sided at the ends).
-    ys and rates are rows of floats, one per time; the result is a list of
-    floats, one per time."""
-    resid = [0.0] * len(ts)
-    width = min(5, len(ts))
-    for i in range(len(ts)):
-        if width < 2:
-            break
-        j = min(max(i - width // 2, 0), len(ts) - width)
-        dy = _stencil_derivative(ts[j:j + width], ys[j:j + width], ts[i])
-        resid[i] = max(abs(d - r) for d, r in zip(dy, rates[i]))
-    return resid
+    ys and rates are rows of floats, one per time, all of one length m;
+    the result is a list of floats, one per time.  A row of another
+    length raises ValueError."""
+    N = len(ts)
+    width = min(5, N)
+    if width < 2:
+        return [0.0] * N
+    stencil = _stencil(width, len(ys[0]))
+    starts = [min(max(i - width // 2, 0), N - width) for i in range(N)]
+    return [stencil(ts[j:j + width], ys[j:j + width], ts[i], rates[i])
+            for i, j in enumerate(starts)]
 
 
-def _stencil_derivative(tw, yw, t):
-    """Derivative at t of the Lagrange interpolant through (tw, yw) rows,
-    as a list of floats.
+@functools.cache
+def _stencil(width, m):
+    """The residual of one recorded point against a width-point Lagrange
+    stencil, for rows of m floats, lowered to one straight-line function
+    on first use:
 
-    Exact for polynomials up to len(tw)-1, on any node spacing; used so the
-    residual diagnostic keeps high order across the shortened final step.
-    """
-    k = len(tw)
-    gaps = [t - s for s in tw]
-    weights = []
-    for a in range(k):
-        denom = 1.0
-        for l in range(k):
-            if l != a:
-                denom *= tw[a] - tw[l]
-        num = 0.0
-        for b in range(k):
-            if b == a:
-                continue
-            term = 1.0
-            for l in range(k):
-                if l != a and l != b:
-                    term *= gaps[l]
-            num += term
-        weights.append(num / denom)
-    # each column summed from 0.0 in node order
-    return [dot(col, weights) for col in zip(*yw)]
+      stencil(tw, yw, t, r) -> max_j |dy_j - r_j|
+
+    dy = sum_a yw[a] w_a is the derivative at t of the interpolant through
+    the rows yw at the nodes tw, exact for polynomials up to width - 1 on
+    any node spacing (so the residual keeps its order across a shortened
+    final step), and r the recorded rate at t.  The weight w_a is
+    (sum over b != a of prod over l != a, b of (t - tw[l])) over prod
+    over l != a of (tw[a] - tw[l]): the gaps t - tw[l] first, each
+    product from 1.0 and each sum from 0.0 in node order, then Python's
+    max over the columns, so the result is the loop's in
+    tests/test_splitting.py, bit for bit."""
+    k = range(width)
+    body = [f"{_names('t', width)} = tw", f"{_names('y', width, m)} = yw",
+            f"{_names('r', m)} = r"]
+    body += [f"g{l} = t - t{l}" for l in k]
+    for a in k:
+        den = " * ".join(["1.0"] + [f"(t{a} - t{l})" for l in k if l != a])
+        terms = [" * ".join(["1.0"] + [f"g{l}" for l in k if l not in (a, b)])
+                 for b in k if b != a]
+        body.append(f"w{a} = {_total_of(terms)} / ({den})")
+    body.append("return " + _max_of(
+        [f"abs({_dot_of((f'y{a}_{j}', f'w{a}') for a in k)} - r{j})"
+         for j in range(m)]))
+    return generated("stencil", "tw, yw, t, r", body,
+                     f"<rate stencil, width = {width}, m = {m}>")
 
 
 @dataclass

@@ -846,6 +846,107 @@ def test_rk4_matches_the_array_reference_bit_for_bit():
         assert np.array(rec.diagnostics[key]).tobytes() == want.tobytes()
 
 
+# The loop that numerics._rk4_step generates straight-line code for: the
+# bit-for-bit reference of one step on float lists.
+
+def _reference_list_step(f, t, y, dt):
+    h = 0.5 * dt
+    k1 = f(t, y)
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1, strict=True)])
+    k3 = f(t + h, [a + h * b for a, b in zip(y, k2, strict=True)])
+    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3, strict=True)])
+    c = dt / 6.0
+    return [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4, strict=True)]
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def _coupled(c, kind, t_bad=None, bad=math.nan):
+    """y'_i = c_i y_{i+1} - t y_i, cyclically, returned as kind; bad in
+    every entry of the stages at t_bad."""
+    def f(t, y):
+        d = len(y)
+        if t == t_bad:
+            return kind([bad] * d)
+        return kind([c[i] * y[(i + 1) % d] - t * y[i] for i in range(d)])
+    return f
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("d", range(9))
+def test_rk4_step_matches_the_list_reference_bit_for_bit(d, kind):
+    step = numerics._rk4_step(d)
+    rng = np.random.default_rng(d)
+    special = [-1.0, -0.0, 0.0, 1.0]
+    extreme = [2.0 ** 600, -2.0 ** 600, 2.0 ** -600, -2.0 ** -600]
+    cases = []
+    for _ in range(20):
+        cases.append((rng.uniform(-2.0, 2.0, d).tolist(),
+                      rng.uniform(-1.0, 1.0, d).tolist(),
+                      float(rng.uniform(-1.0, 1.0)), 0.01, None))
+        cases.append((rng.choice(special, d).tolist(),
+                      rng.choice(special, d).tolist(),
+                      float(rng.choice(special)), float(rng.choice([1.0, 0.5])),
+                      None))
+        cases.append((rng.choice(extreme, d).tolist(),
+                      rng.choice(extreme, d).tolist(),
+                      float(rng.choice(extreme)),
+                      float(rng.choice([2.0 ** 600, 2.0 ** -600, 0.25])),
+                      None))
+    # stages that are nan or inf: the two at t + dt/2, or the last
+    for t_bad in (0.5, 1.0):
+        for bad in (math.nan, math.inf, -math.inf):
+            cases.append(([0.5] * d, [1.0] * d, 0.0, 1.0, (t_bad, bad)))
+    for c, y, t, dt, stage in cases:
+        f = _coupled(c, kind, *(stage or ()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = step(f, t, y, dt)
+            want = _reference_list_step(f, t, y, dt)
+        assert type(got) is list
+        assert _hex(got) == _hex(want)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_rk4_integrate_matches_the_list_reference_bit_for_bit(d):
+    # 53 steps of 0.01 and a shortened last one of 0.007
+    rng = np.random.default_rng(40 + d)
+    f = _coupled(rng.uniform(-2.0, 2.0, d).tolist(), list)
+    y = rng.uniform(-1.0, 1.0, d).tolist()
+    rec = rk4_integrate(f, 0.0, 0.537, y, 0.01)
+    assert len(rec.t) == 55
+    t = 0.0
+    for i, t_next in enumerate(rec.t[1:]):
+        y = _reference_list_step(f, t, y, 0.01 if i < 53 else 0.537 - 0.53)
+        assert _hex(rec.states[i + 1]) == _hex(y)
+        t = t_next
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("d", range(9))
+def test_rk4_step_rejects_a_rate_of_another_length(d, kind):
+    for wrong in {0, d - 1, d + 1} - {d, -1}:
+        def f(t, y):
+            return kind([1.0] * wrong)
+
+        with pytest.raises(ValueError):
+            _reference_list_step(f, 0.0, [0.0] * d, 0.1)
+        with pytest.raises(ValueError):
+            numerics._rk4_step(d)(f, 0.0, [0.0] * d, 0.1)
+
+
+def test_one_generated_step_per_state_length():
+    numerics._rk4_step.cache_clear()
+    for _ in range(3):
+        rk4_integrate(lambda t, y: y, 0.0, 0.1, [1.0], 0.01)
+        rk4_integrate(lambda t, y: y, 0.0, 0.1, [1.0, 2.0], 0.01)
+    info = numerics._rk4_step.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    assert numerics._rk4_step(2) is numerics._rk4_step(2)
+
+
 @pytest.mark.parametrize("t1", [1e300, np.inf])
 def test_rk4_bounds_the_step_count(t1):
     # checked before any step is taken or any per-step list is built

@@ -1,8 +1,14 @@
+import itertools
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fibresplit import splitting
 from fibresplit.bundle import (BundleChart, TangentPointM, VectorField,
                                canonical_flip, tangent_map)
 from fibresplit.config import load_config
@@ -10,18 +16,19 @@ from fibresplit.errors import (DimensionMismatch, DomainError, NotAffine,
                                NotWellDefined)
 from fibresplit.exprs import VarContext, compile_field, parse
 from fibresplit.jets import TapeField
+from fibresplit.numerics import dot
 from fibresplit.splitting import (AffineSplittingData, SplittingSpec,
-                                  _stencil_derivative,
                                   affine_curvature_coefficients,
                                   affine_decompose, classify,
                                   curvature_pointwise, curvature_rbar,
                                   horizontal_lift_curve, lifted_field,
-                                  project_horizontal,
+                                  project_horizontal, rate_residual,
                                   project_vertical, pv_component_fields,
                                   vilms_complete_lift_check, vilms_horizontal,
                                   vilms_lift, vilms_vertical_projector)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def spec11(src):
@@ -159,17 +166,19 @@ def test_lift_rejects_velocity_on_slit():
 def test_stencil_derivative_exact_on_quartic():
     tw = np.array([0.0, 0.1, 0.2, 0.3, 0.35])  # uneven final gap
     yw = (tw ** 4 - 2 * tw ** 2 + tw).reshape(-1, 1)
-    for t in (0.0, 0.2, 0.35):
-        want = 4 * t ** 3 - 4 * t + 1
-        got = _stencil_derivative(tw, yw, t)[0]
-        assert abs(got - want) < 1e-12
+    rates = (4 * tw ** 3 - 4 * tw + 1).reshape(-1, 1)
+    assert max(rate_residual(tw, yw, rates)) < 1e-12
 
+
+# The loop that splitting._stencil generates straight-line code for: the
+# bit-for-bit reference of rate_residual.
 
 def _reference_stencil_derivative(tw, yw, t):
-    """_stencil_derivative as it was before its differences t - tw[l] were
-    formed once per call: the bit-for-bit reference."""
+    """Derivative at t of the Lagrange interpolant through (tw, yw) rows,
+    as a list of floats."""
     k = len(tw)
-    dy = [0.0] * len(yw[0])
+    gaps = [t - s for s in tw]
+    weights = []
     for a in range(k):
         denom = 1.0
         for l in range(k):
@@ -182,27 +191,114 @@ def _reference_stencil_derivative(tw, yw, t):
             term = 1.0
             for l in range(k):
                 if l != a and l != b:
-                    term *= t - tw[l]
+                    term *= gaps[l]
             num += term
-        c = num / denom
-        dy = [acc + y * c for acc, y in zip(dy, yw[a])]
-    return dy
+        weights.append(num / denom)
+    # each column summed from 0.0 in node order
+    return [dot(col, weights) for col in zip(*yw)]
+
+
+def _reference_rate_residual(ts, ys, rates):
+    resid = [0.0] * len(ts)
+    width = min(5, len(ts))
+    for i in range(len(ts)):
+        if width < 2:
+            break
+        j = min(max(i - width // 2, 0), len(ts) - width)
+        dy = _reference_stencil_derivative(ts[j:j + width], ys[j:j + width],
+                                           ts[i])
+        resid[i] = max(abs(d - r) for d, r in zip(dy, rates[i]))
+    return resid
+
+
+def _grid(N, last, dt=1e-3):
+    """The grid rk4_integrate records: N points dt apart from 0.2, the
+    last step shortened to last * dt."""
+    return [0.2 + i * dt for i in range(N - 1)] + [0.2 + (N - 2 + last) * dt]
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
 
 
 @pytest.mark.parametrize("last", [1.0, 0.37])
 def test_stencil_derivative_matches_the_loop_reference_bit_for_bit(last):
-    # the grid rk4_integrate records: uniform, or with a shortened last step
+    # every width from 2 to 5 and every position of t among the nodes, on
+    # rows in [-1, 1] and on rows off the finite range
     rng = np.random.default_rng(31)
-    dt = 1e-3
-    ts = [0.2 + i * dt for i in range(8)] + [0.2 + (7 + last) * dt]
-    for _ in range(200):
-        y = rng.uniform(-1.0, 1.0, (len(ts), 2)).tolist()
-        for i in range(len(ts)):
-            j = min(max(i - 2, 0), len(ts) - 5)
-            tw, yw = ts[j:j + 5], y[j:j + 5]
-            got = _stencil_derivative(tw, yw, ts[i])
-            want = _reference_stencil_derivative(tw, yw, ts[i])
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+    special = [-0.0, 0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e300,
+               -1e300]
+    draws = [lambda shape: rng.uniform(-1.0, 1.0, shape).tolist(),
+             lambda shape: rng.choice(special, shape).tolist()]
+    for N in [*range(1, 8), 301]:
+        ts = _grid(N, last)
+        for m, draw in itertools.product((1, 2, 3), draws):
+            for _ in range(3 if N == 301 else 30):
+                ys, rates = draw((N, m)), draw((N, m))
+                got = rate_residual(ts, ys, rates)
+                assert _hex(got) == _hex(_reference_rate_residual(ts, ys,
+                                                                  rates))
+
+
+def test_rate_residual_rejects_rows_of_another_length():
+    # the reference's zip compared the shorter of dy and the rate row;
+    # every row now unpacks to len(ys[0]) entries or raises ValueError
+    ts = _grid(4, 1.0)
+    ys = [[0.1 * i, 0.2 * i * i] for i in range(4)]
+    rates = [[0.0, 0.0]] * 4
+    first = _reference_rate_residual(ts, [y[:1] for y in ys],
+                                     [r[:1] for r in rates])
+    assert _reference_rate_residual(ts, ys, rates[:3] + [[0.0]])[3] \
+        == first[3] > 0.0
+    for bad_ys, bad_rates in [(ys, rates[:3] + [[0.0]]),
+                              (ys, rates[:3] + [[0.0, 0.0, 0.0]]),
+                              (ys[:1] + [[0.1]] + ys[2:], rates),
+                              (ys[:3] + [[0.1, 0.2, 0.3]], rates)]:
+        with pytest.raises(ValueError):
+            rate_residual(ts, bad_ys, bad_rates)
+
+
+def test_one_generated_stencil_per_shape():
+    splitting._stencil.cache_clear()
+    for _ in range(3):
+        rate_residual(_grid(7, 1.0), [[0.0]] * 7, [[0.0]] * 7)
+        rate_residual(_grid(3, 1.0), [[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3)
+    info = splitting._stencil.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    assert splitting._stencil(5, 1) is splitting._stencil(5, 1)
+
+
+def test_importing_the_cli_generates_no_step_and_no_stencil():
+    program = ("import fibresplit.cli\n"
+               "from fibresplit import numerics, splitting\n"
+               "print(numerics._rk4_step.cache_info().currsize,"
+               " splitting._stencil.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.split() == ["0", "0"]
+
+
+def test_lift_curve_reads_its_base_curve_once_per_distinct_time():
+    # configs/lift.ini with --t1 0.1: 100 steps of 0.001.  The stages at
+    # t + dt/2 share a time, and a row often the last stage's: 401 reads
+    # of 213 distinct times before the reads were shared
+    cfg = load_config(CONFIGS / "lift.ini")
+    chart = cfg.chart()
+    spec = cfg.splitting(chart)
+    sim = cfg.simulation({"t1": 0.1})
+    base_curve, y0 = cfg.curve(chart)
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return base_curve(t)
+
+    rec = horizontal_lift_curve(spec, counted, y0, sim["t0"], sim["t1"],
+                                sim["dt"])
+    assert len(rec.t) == 101
+    assert len(times) == len({(t, math.copysign(1.0, t)) for t in times}) \
+        == 213
 
 
 def test_lift_curve_evaluates_h_once_per_grid_point(monkeypatch):
